@@ -29,6 +29,7 @@ from fractions import Fraction
 from random import Random
 
 from .linalg import Matrix, span_closure
+from .scalars import SamplingExhausted
 
 CIRCLE_CROSS = "circle-cross"
 CROSS_CIRCLE = "cross-circle"
@@ -39,10 +40,6 @@ class AlphaNotInjective(Exception):
 
 
 class InconsistentEquations(Exception):
-    pass
-
-
-class SamplingExhausted(Exception):
     pass
 
 

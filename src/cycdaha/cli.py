@@ -32,6 +32,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
+from .exprparse import ParseError
 from .scalars import parse_rational
 
 
@@ -360,7 +361,7 @@ def build_parser():
     rv.add_argument("--trials", type=int, default=30)
     rv.add_argument("--seed", type=int, default=0)
     rv.add_argument("--out")
-    rv.set_defaults(fn=cmd_relations_verify)
+    rv.set_defaults(fn=cmd_relations_verify, sweep_parser=rv)
     ri = rel_sub.add_parser("involution")
     ri.add_argument("--family", required=True, choices=["cyc-daha", "deg-cyc", "l1"])
     ri.add_argument("--N", type=int, required=True)
@@ -462,7 +463,7 @@ def build_parser():
     ee.add_argument("--trials", type=int, default=30)
     ee.add_argument("--seed", type=int, default=0)
     ee.add_argument("--out")
-    ee.set_defaults(fn=cmd_expr_equal)
+    ee.set_defaults(fn=cmd_expr_equal, sweep_parser=ee)
 
     st = sub.add_parser("suite", help="named test batteries")
     st.add_argument("name", choices=["smoke", "paper-acceptance"])
@@ -472,14 +473,32 @@ def build_parser():
     return ap
 
 
+def _check_sweep_args(ap, args):
+    """Reject relation and expression checks that would check nothing;
+    ap.error exits with code 2."""
+    if args.N < 1:
+        ap.error(f"--N must be at least 1, got {args.N}")
+    if args.l < 0:
+        ap.error(f"--l must be non-negative, got {args.l}")
+    if args.mode == "box" and args.B < 0:
+        ap.error(f"--B must be non-negative in box mode, got {args.B}")
+    if args.mode == "random" and args.trials < 1:
+        ap.error(f"--trials must be at least 1 in random mode, got {args.trials}")
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "sweep_parser", None) is not None:
+        _check_sweep_args(args.sweep_parser, args)
     t0 = time.time()
     try:
         report = args.fn(args)
     except SystemExit:
         raise
+    except ParseError as exc:  # malformed operator expression: a usage error
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # internal error
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

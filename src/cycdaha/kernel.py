@@ -1,29 +1,129 @@
-"""Kernel selection: compiled extension if available, pure Python otherwise.
+"""Term-arithmetic kernel.
 
-Set CYCDAHA_PURE_PYTHON=1 to force the fallback (used by the benchmark and
-the kernel-equivalence tests).
+Terms of a sparse Laurent polynomial are stored as a dict mapping exponent
+tuples (ints, negatives allowed) to nonzero coefficient objects.  The
+coefficients are opaque here: any type with exact +, *, - and truthiness
+works (Fraction, CycloNumber, RatFunc1).  No function ever stores a zero
+coefficient.
 """
 
-import os
 
-from . import _kernel_py
+def terms_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
-if os.environ.get("CYCDAHA_PURE_PYTHON") == "1":
-    impl = _kernel_py
-else:
-    try:
-        from . import _kernel_c as impl  # type: ignore[no-redef]
-    except ImportError:
-        impl = _kernel_py
 
-IMPLEMENTATION = impl.IMPLEMENTATION
+def terms_sub(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = -c
+        else:
+            s = s - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
-terms_add = impl.terms_add
-terms_sub = impl.terms_sub
-terms_addmul = impl.terms_addmul
-terms_neg = impl.terms_neg
-terms_scale = impl.terms_scale
-terms_mul = impl.terms_mul
-terms_shift = impl.terms_shift
-terms_permute = impl.terms_permute
-terms_scale_var = impl.terms_scale_var
+
+def terms_addmul(a, b, c):
+    """a + c*b, skipping the work when c is zero."""
+    if not c:
+        return dict(a)
+    out = dict(a)
+    for e, cb in b.items():
+        v = c * cb
+        if not v:
+            continue
+        s = out.get(e)
+        if s is None:
+            out[e] = v
+        else:
+            s = s + v
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def terms_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def terms_scale(a, c):
+    if not c:
+        return {}
+    out = {}
+    for e, v in a.items():
+        w = c * v
+        if w:
+            out[e] = w
+    return out
+
+
+def terms_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            v = ca * cb
+            if not v:
+                continue
+            s = out.get(e)
+            if s is None:
+                out[e] = v
+            else:
+                s = s + v
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+def terms_shift(a, delta):
+    """Multiply by the monomial with exponent vector delta."""
+    return {tuple(x + y for x, y in zip(e, delta)): c for e, c in a.items()}
+
+
+def terms_permute(a, perm):
+    """Reindex variables: output exponent at slot k is input exponent at perm[k]."""
+    return {tuple(e[p] for p in perm): c for e, c in a.items()}
+
+
+def terms_scale_var(a, i, c, cpows):
+    """Substitute X_i -> c*X_i.
+
+    cpows caches integer powers of c; exponent e_i contributes c**e_i.
+    Raises ZeroDivisionError via the caller's power cache when c == 0 meets
+    a negative exponent.  Exponents are unchanged, so output keys never
+    collide.
+    """
+    out = {}
+    for e, v in a.items():
+        k = e[i]
+        if k:
+            w = v * cpows(k)
+            if not w:
+                continue
+        else:
+            w = v
+        out[e] = w
+    return out

@@ -155,22 +155,8 @@ class LaurentPoly:
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.dom.zero)
 
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
-    def min_degree(self):
-        if not self.terms:
-            return None
-        return min(sum(e) for e in self.terms)
-
     def is_polynomial(self):
         return all(min(e) >= 0 for e in self.terms) if self.terms else True
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     # -- substitutions ------------------------------------------------------
 

@@ -502,17 +502,6 @@ class Rep:
 
 
 # ---------------------------------------------------------------------------
-# functional wrappers
-
-def apply_generator(rep, g, p):
-    return rep.apply_gen(g, p)
-
-
-def apply_expr(rep, e, p):
-    return rep.apply(e, p)
-
-
-# ---------------------------------------------------------------------------
 # operator equality testing
 
 def box_monomials(N, B):

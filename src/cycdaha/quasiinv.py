@@ -416,11 +416,6 @@ def graded_basis(spec, maxdeg):
     return GradedBasis(spec, out)
 
 
-def hilbert(basis):
-    """Truncated dimension sequence of a graded basis."""
-    return basis.dims()
-
-
 def freeness_numerator(dims, N, truncation=None):
     """Coefficients of series * prod_{i=1}^N (1 - t^i), with a negativity flag.
 

@@ -18,10 +18,7 @@ from .linalg import (
     rational_eigenvalues,
     span_closure,
 )
-
-
-class SamplingExhausted(Exception):
-    pass
+from .scalars import SamplingExhausted
 
 
 class UncertifiedInput(Exception):

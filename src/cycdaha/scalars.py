@@ -107,13 +107,6 @@ def poly_gcd(a, b):
     return a
 
 
-def poly_eval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and Q(zeta_l)
 
@@ -137,10 +130,6 @@ def cyclotomic_polynomial(l):
         assert not rem
     _CYCLO_CACHE[l] = num
     return num
-
-
-def euler_phi(l):
-    return len(cyclotomic_polynomial(l)) - 1
 
 
 class CycloNumber:

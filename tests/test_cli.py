@@ -134,6 +134,18 @@ def test_usage_error_exit_code_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "unknown-suite"])
     assert exc.value.code == 2
+    # a malformed operator expression is the user's mistake, not an internal error
+    assert main(["expr", "parse", "--text", "[T1"]) == 2
+    assert main(["expr", "equal", "--N", "2", "--lhs", "[X1", "--rhs", "X1"]) == 2
+    # configurations that would check nothing, or silently use l=0
+    for bad in (["--N", "0"], ["--N", "2", "--B", "-1"], ["--N", "2", "--l", "-1"],
+                ["--N", "2", "--mode", "random", "--trials", "0"]):
+        for cmd in (["relations", "verify", "--family", "daha"],
+                    ["expr", "equal", "--lhs", "X1", "--rhs", "X1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(cmd + bad)
+            assert exc.value.code == 2, cmd + bad
+    assert capsys.readouterr().out == ""
 
 
 def test_internal_error_exit_code_three(capsys):

@@ -1,38 +1,17 @@
-"""The compiled kernel and the pure-Python kernel must agree exactly."""
+"""The term-arithmetic kernel: exact sparse dict arithmetic, no zero stored."""
 
 from fractions import Fraction
-from random import Random
 
-from cycdaha import _kernel_py
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
 from cycdaha import kernel
 
+NVARS = 3
 
-def random_terms(rng, nvars=3, nterms=6, span=4):
-    out = {}
-    for _ in range(nterms):
-        e = tuple(rng.randint(-span, span) for _ in range(nvars))
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        if c:
-            out[e] = c
-    return out
-
-
-def test_kernels_agree_on_random_inputs():
-    rng = Random(7)
-    for _ in range(50):
-        a = random_terms(rng)
-        b = random_terms(rng)
-        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        assert kernel.terms_add(a, b) == _kernel_py.terms_add(a, b)
-        assert kernel.terms_sub(a, b) == _kernel_py.terms_sub(a, b)
-        assert kernel.terms_mul(a, b) == _kernel_py.terms_mul(a, b)
-        assert kernel.terms_addmul(a, b, c) == _kernel_py.terms_addmul(a, b, c)
-        assert kernel.terms_scale(a, c) == _kernel_py.terms_scale(a, c)
-        assert kernel.terms_neg(a) == _kernel_py.terms_neg(a)
-        delta = (1, -2, 0)
-        assert kernel.terms_shift(a, delta) == _kernel_py.terms_shift(a, delta)
-        perm = (2, 0, 1)
-        assert kernel.terms_permute(a, perm) == _kernel_py.terms_permute(a, perm)
+exponents = st.tuples(*[st.integers(-3, 3)] * NVARS)
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+terms = st.dictionaries(exponents, coefficients.filter(bool), max_size=6)
 
 
 def test_zero_coefficients_never_stored():
@@ -52,3 +31,40 @@ def test_mul_matches_convolution():
         (1, 1): Fraction(-1),
         (0, 2): Fraction(-1),
     }
+
+
+@given(terms, terms, coefficients)
+def test_addmul_is_add_of_scale(a, b, c):
+    assert kernel.terms_addmul(a, b, c) == kernel.terms_add(a, kernel.terms_scale(b, c))
+
+
+@given(terms)
+def test_sub_self_is_empty(a):
+    assert kernel.terms_sub(a, a) == {}
+
+
+@given(terms, terms, coefficients, exponents, st.permutations(range(NVARS)),
+       st.integers(0, NVARS - 1))
+def test_no_output_stores_a_zero(a, b, c, delta, perm, i):
+    outs = [
+        kernel.terms_add(a, b),
+        kernel.terms_sub(a, b),
+        kernel.terms_addmul(a, b, c),
+        kernel.terms_neg(a),
+        kernel.terms_scale(a, c),
+        kernel.terms_mul(a, b),
+        kernel.terms_shift(a, delta),
+        kernel.terms_permute(a, tuple(perm)),
+    ]
+    if c:
+        outs.append(kernel.terms_scale_var(a, i, c, lambda k: c ** k))
+    for out in outs:
+        assert all(out.values())
+
+
+@given(terms, st.integers(0, NVARS - 1), coefficients)
+def test_scale_var_keeps_keys(a, i, c):
+    assume(c or all(e[i] >= 0 for e in a))  # 0 ** -k raises in the caller's cache
+    out = kernel.terms_scale_var(a, i, c, lambda k: c ** k)
+    assert set(out) == {e for e in a if a[e] * c ** e[i]}
+    assert all(v == a[e] * c ** e[i] for e, v in out.items())

@@ -172,6 +172,18 @@ def test_sample_generic_exhaustion():
         )
 
 
+def test_samplers_share_one_exhaustion_type():
+    from cycdaha import bow, quiver
+
+    with pytest.raises(SamplingExhausted):
+        quiver.sample_chain(2, 1, (Fraction(2), Fraction(3)), seed=0, max_attempts=0)
+    with pytest.raises(SamplingExhausted):
+        bow.sample_bow((2, 2, 2), Fraction(2), Fraction(3), Fraction(5, 2), seed=0,
+                       max_attempts=0)
+    with pytest.raises(SamplingExhausted):
+        bow.sample_cobalanced_segment(2, seed=0, max_attempts=0)
+
+
 def test_generalized_binomials():
     a = Fraction(1, 2)
     assert binomial_fraction(a, 0) == 1
