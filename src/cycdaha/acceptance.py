@@ -9,7 +9,9 @@ their trial budget over three independent generic-parameter draws.
 
 from __future__ import annotations
 
+import os
 import time
+import traceback
 from fractions import Fraction
 
 from .laurent import LaurentPoly
@@ -18,20 +20,33 @@ from .ops import Gen, OperatorExpr, Rep, op_equal_on_box
 from .scalars import RatFuncField
 
 
+def _error_text(exc):
+    """'<Type> at <file>:<line>: <message>', placed at the frame that raised."""
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    place = f"{os.path.basename(where.filename)}:{where.lineno}"
+    return f"{type(exc).__name__} at {place}: {exc}"
+
+
+def _timed(name, fn):
+    """Run fn() -> (ok, details) as one report entry.  An exception is a
+    failure whose details name its type and where it was raised."""
+    t0 = time.perf_counter()
+    try:
+        ok, details = fn()
+    except Exception as exc:  # noqa: BLE001 - reported, not raised
+        ok, details = False, {"error": _error_text(exc)}
+    return {
+        "name": name,
+        "status": "pass" if ok else "fail",
+        "details": details,
+        "seconds": round(time.perf_counter() - t0, 2),
+    }
+
+
 def _criterion(name):
     def wrap(fn):
         def run():
-            t0 = time.time()
-            try:
-                ok, details = fn()
-            except Exception as exc:  # noqa: BLE001 - reported, not raised
-                ok, details = False, {"error": f"{type(exc).__name__}: {exc}"}
-            return {
-                "name": name,
-                "status": "pass" if ok else "fail",
-                "details": details,
-                "seconds": round(time.time() - t0, 2),
-            }
+            return _timed(name, fn)
 
         run.criterion_name = name
         return run
@@ -516,65 +531,50 @@ def run_smoke():
     from .quiver import product_formulas, sample_chain
     from .bow import hw_round_trip_check, sample_bow
 
-    results = []
-
-    def record(name, fn):
-        t0 = time.time()
-        try:
-            ok = fn()
-        except Exception:
-            ok = False
-        results.append(
-            {
-                "name": name,
-                "status": "pass" if ok else "fail",
-                "details": {},
-                "seconds": round(time.time() - t0, 2),
-            }
-        )
-
-    record(
-        "daha relations N=2 box",
-        lambda: verify_family(sample_rep("daha", 2, seed=1), "daha", "box", 2)[
-            "all_pass"
-        ],
-    )
-    record(
-        "deg-cyc relations N=2 l=1",
-        lambda: verify_family(
-            sample_rep("deg-cyc", 2, 1, seed=1), "deg-cyc", "box", 2
-        )["all_pass"],
-    )
-    record(
-        "cyc-daha randomized N=2 l=2",
-        lambda: verify_family(
-            sample_rep("cyc-daha", 2, 2, seed=1), "cyc-daha", "random", trials=3,
-            seed=5,
-        )["all_pass"],
-    )
-    record(
-        "Jucys-Murphy word identity N=3",
-        lambda: jucys_murphy_consistency(sample_rep("daha", 3, seed=1))["result"],
-    )
-    record(
-        "twisted quasiinvariants N=2",
-        lambda: graded_basis(
-            QuasiSpec(TWISTED, 2, 1, a=(Fraction(1, 2), Fraction(0))), 5
-        ).dims()
-        == [0, 1, 2, 3, 4, 5],
-    )
-    record(
-        "quiver product formulas l=2 N=2",
-        lambda: all(
-            product_formulas(
-                sample_chain(2, 2, (Fraction(2), Fraction(5, 3)), seed=4)
-            ).values()
+    steps = [
+        (
+            "daha relations N=2 box",
+            lambda: verify_family(sample_rep("daha", 2, seed=1), "daha", "box", 2)[
+                "all_pass"
+            ],
         ),
-    )
-    record(
-        "Hanany-Witten round trip (1,1,1)",
-        lambda: hw_round_trip_check(
-            sample_bow((1, 1, 1), Fraction(2), Fraction(3), Fraction(5, 2), 11)
-        )["ok"],
-    )
-    return results
+        (
+            "deg-cyc relations N=2 l=1",
+            lambda: verify_family(
+                sample_rep("deg-cyc", 2, 1, seed=1), "deg-cyc", "box", 2
+            )["all_pass"],
+        ),
+        (
+            "cyc-daha randomized N=2 l=2",
+            lambda: verify_family(
+                sample_rep("cyc-daha", 2, 2, seed=1), "cyc-daha", "random", trials=3,
+                seed=5,
+            )["all_pass"],
+        ),
+        (
+            "Jucys-Murphy word identity N=3",
+            lambda: jucys_murphy_consistency(sample_rep("daha", 3, seed=1))["result"],
+        ),
+        (
+            "twisted quasiinvariants N=2",
+            lambda: graded_basis(
+                QuasiSpec(TWISTED, 2, 1, a=(Fraction(1, 2), Fraction(0))), 5
+            ).dims()
+            == [0, 1, 2, 3, 4, 5],
+        ),
+        (
+            "quiver product formulas l=2 N=2",
+            lambda: all(
+                product_formulas(
+                    sample_chain(2, 2, (Fraction(2), Fraction(5, 3)), seed=4)
+                ).values()
+            ),
+        ),
+        (
+            "Hanany-Witten round trip (1,1,1)",
+            lambda: hw_round_trip_check(
+                sample_bow((1, 1, 1), Fraction(2), Fraction(3), Fraction(5, 2), 11)
+            )["ok"],
+        ),
+    ]
+    return [_timed(name, lambda check=check: (check(), {})) for name, check in steps]

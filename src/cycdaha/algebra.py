@@ -34,7 +34,7 @@ from .ops import (
     Gen,
     OperatorExpr,
     Rep,
-    jucys_murphy_word,
+    _permutations_with_words,
     op_equal_on_box,
     op_equal_randomized,
     word_product,
@@ -96,82 +96,123 @@ def _Ti(i):
     return Gen("T^-1", i)
 
 
-def conj_up(i, j):
-    """T_{j-1}^-1 ... T_{i+1}^-1 T_i^2 T_{i+1} ... T_{j-1}, for i < j."""
+def _sandwich(i, j, outer, mid, inner, k):
+    """outer_{j-1} ... outer_{i+1} mid_i^k inner_{i+1} ... inner_{j-1}, each
+    letter a T-tag ("T" or "T^-1"); empty for i >= j."""
+    if i >= j:
+        return ()
     return tuple(
-        [_Ti(r) for r in range(j - 1, i, -1)]
-        + [_T(i), _T(i)]
-        + [_T(r) for r in range(i + 1, j)]
-    )
-
-
-def conj_up_inv(i, j):
-    """T_{j-1}^-1 ... T_{i+1}^-1 T_i^-2 T_{i+1} ... T_{j-1}, for i < j."""
-    return tuple(
-        [_Ti(r) for r in range(j - 1, i, -1)]
-        + [_Ti(i), _Ti(i)]
-        + [_T(r) for r in range(i + 1, j)]
-    )
-
-
-def conj_down(i, j):
-    """T_{j-1} ... T_{i+1} T_i^2 T_{i+1}^-1 ... T_{j-1}^-1, for i < j."""
-    return tuple(
-        [_T(r) for r in range(j - 1, i, -1)]
-        + [_T(i), _T(i)]
-        + [_Ti(r) for r in range(i + 1, j)]
-    )
-
-
-def conj_down_invmid(i, j):
-    """T_{j-1} ... T_{i+1} T_i^-2 T_{i+1}^-1 ... T_{j-1}^-1, for i < j."""
-    return tuple(
-        [_T(r) for r in range(j - 1, i, -1)]
-        + [_Ti(i), _Ti(i)]
-        + [_Ti(r) for r in range(i + 1, j)]
-    )
-
-
-def conj_down_inv(j, i):
-    """T_{i-1}^-1 ... T_{j+1}^-1 T_j^-2 T_{j+1} ... T_{i-1}, for j < i."""
-    return tuple(
-        [_Ti(r) for r in range(i - 1, j, -1)]
-        + [_Ti(j), _Ti(j)]
-        + [_T(r) for r in range(j + 1, i)]
+        [Gen(outer, r) for r in range(j - 1, i, -1)]
+        + [Gen(mid, i)] * k
+        + [Gen(inner, r) for r in range(i + 1, j)]
     )
 
 
 def left_jm_inv(i):
     """T_{i-1}^-1 ... T_1^-2 ... T_{i-1}^-1 (empty for i = 1)."""
-    down = [_Ti(r) for r in range(i - 1, 0, -1)]
-    up = [_Ti(r) for r in range(2, i)]
-    return tuple(down + [_Ti(1)] + up) if i > 1 else ()
+    return _sandwich(1, i, "T^-1", "T^-1", "T^-1", 2)
 
 
 def right_jm(i, N):
-    """T_i ... T_{N-1}^2 ... T_i (empty for i = N)."""
-    if i >= N:
-        return ()
+    """T_i ... T_{N-1}^2 ... T_i (empty for i = N); right_jm(1, N) is the
+    Jucys-Murphy word J_N."""
     up = [_T(r) for r in range(i, N)]
     return tuple(up + up[::-1])
 
 
-def palindrome_inv(i, j):
-    """T_{j-1}^-1 ... T_i^-1 ... T_{j-1}^-1, for i < j."""
-    down = [_Ti(r) for r in range(j - 1, i, -1)]
-    up = [_Ti(r) for r in range(i + 1, j)]
-    return tuple(down + [_Ti(i)] + up)
-
-
-def palindrome_pos(j, i):
-    """T_{i-1} ... T_j ... T_{i-1}, for j < i."""
-    down = [_T(r) for r in range(i - 1, j, -1)]
-    up = [_T(r) for r in range(j + 1, i)]
-    return tuple(down + [_T(j)] + up)
-
-
 def _commutator(a, b):
     return a * b - b * a
+
+
+def _root_product(a, roots):
+    """prod_s (a - roots_s), left to right."""
+    return word_product([a - OperatorExpr.scalar(z) for z in roots])
+
+
+def _telescope(head, mid, tail, roots):
+    """sum_r prod_{s<r} (head - z_s) * mid * prod_{s>r} (tail - z_s)."""
+    out = OperatorExpr.zero()
+    for r in range(len(roots)):
+        before = _root_product(head, roots[:r])
+        out = out + before * mid * _root_product(tail, roots[r + 1:])
+    return out
+
+
+# -- relation shapes -------------------------------------------------------------
+# Each shape returns a schema build (rep -> list of instances) whose
+# instances are named label[indices].
+
+def _swap(name, a, b):
+    """The instance a b = b a for two generators a, b."""
+    return RelationInstance(name, _w([a, b]), _w([b, a]))
+
+
+def _chain(*builds):
+    """One schema built from several, instances in order."""
+    return lambda rep: [inst for build in builds for inst in build(rep)]
+
+
+def _pairwise(label, relation):
+    """relation(rep, i, j) -> (lhs, rhs) for every 1 <= i < j <= N."""
+    return lambda rep: [
+        RelationInstance(f"{label}[{i},{j}]", *relation(rep, i, j))
+        for i, j in itertools.combinations(range(1, rep.N + 1), 2)
+    ]
+
+
+def _commuting(label, tag):
+    """A_i A_j = A_j A_i for i < j."""
+    return lambda rep: [
+        _swap(f"{label}[{i},{j}]", Gen(tag, i), Gen(tag, j))
+        for i, j in itertools.combinations(range(1, rep.N + 1), 2)
+    ]
+
+
+def _far_at(label, s, tag, i, N):
+    """s_i A_j = A_j s_i for j not in {i, i+1}, at one i."""
+    return [
+        _swap(f"{label}[{i},{j}]", Gen(s, i), Gen(tag, j))
+        for j in range(1, N + 1)
+        if j not in (i, i + 1)
+    ]
+
+
+def _far_commuting(label, s, tag):
+    """s_i A_j = A_j s_i for every i < N and j not in {i, i+1}."""
+    return lambda rep: [
+        inst for i in range(1, rep.N) for inst in _far_at(label, s, tag, i, rep.N)
+    ]
+
+
+def _t_conjugation(label, tag):
+    """T_i A_i T_i = A_{i+1}."""
+    return lambda rep: [
+        RelationInstance(f"{label}[{i}]", _w([_T(i), Gen(tag, i), _T(i)]), _g(tag, i + 1))
+        for i in range(1, rep.N)
+    ]
+
+
+def _s_y(label):
+    """s_i y_i = y_{i+1} s_i + k."""
+    def build(rep):
+        k = OperatorExpr.scalar(rep.params["k"])
+        return [
+            RelationInstance(
+                f"{label}[{i}]",
+                _w([Gen("s", i), Gen("y", i)]),
+                _w([Gen("y", i + 1), Gen("s", i)]) + k,
+            )
+            for i in range(1, rep.N)
+        ]
+
+    return build
+
+
+def _s_x(i):
+    """The instance s_i X_i = X_{i+1} s_i."""
+    return RelationInstance(
+        f"sX[{i}]", _w([Gen("s", i), Gen("X", i)]), _w([Gen("X", i + 1), Gen("s", i)])
+    )
 
 
 # -- DAHA schemas ------------------------------------------------------------
@@ -196,59 +237,11 @@ def _daha_schemas():
         return out
 
     def r3(rep):
-        out = []
-        for i in range(1, rep.N):
-            for j in range(i + 2, rep.N):
-                out.append(
-                    RelationInstance(f"R3[{i},{j}]", _w([_T(i), _T(j)]), _w([_T(j), _T(i)]))
-                )
-        return out
-
-    def r4(rep):
         return [
-            RelationInstance(
-                f"R4[{i}]", _w([_T(i), Gen("X", i), _T(i)]), _g("X", i + 1)
-            )
+            _swap(f"R3[{i},{j}]", _T(i), _T(j))
             for i in range(1, rep.N)
+            for j in range(i + 2, rep.N)
         ]
-
-    def r5(rep):
-        out = []
-        for i in range(1, rep.N):
-            for j in range(1, rep.N + 1):
-                if j in (i, i + 1):
-                    continue
-                out.append(
-                    RelationInstance(
-                        f"R5[{i},{j}]",
-                        _w([_T(i), Gen("X", j)]),
-                        _w([Gen("X", j), _T(i)]),
-                    )
-                )
-        return out
-
-    def r6(rep):
-        return [
-            RelationInstance(
-                f"R6[{i}]", _w([_T(i), Gen("Y", i), _T(i)]), _g("Y", i + 1)
-            )
-            for i in range(1, rep.N)
-        ]
-
-    def r7(rep):
-        out = []
-        for i in range(1, rep.N):
-            for j in range(1, rep.N + 1):
-                if j in (i, i + 1):
-                    continue
-                out.append(
-                    RelationInstance(
-                        f"R7[{i},{j}]",
-                        _w([_T(i), Gen("Y", j)]),
-                        _w([Gen("Y", j), _T(i)]),
-                    )
-                )
-        return out
 
     def r8(rep):
         if rep.N < 2:
@@ -276,45 +269,19 @@ def _daha_schemas():
             for i in range(1, rep.N + 1)
         ]
 
-    def r11(rep):
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                out.append(
-                    RelationInstance(
-                        f"R11[{i},{j}]",
-                        _w([Gen("X", i), Gen("X", j)]),
-                        _w([Gen("X", j), Gen("X", i)]),
-                    )
-                )
-        return out
-
-    def r12(rep):
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                out.append(
-                    RelationInstance(
-                        f"R12[{i},{j}]",
-                        _w([Gen("Y", i), Gen("Y", j)]),
-                        _w([Gen("Y", j), Gen("Y", i)]),
-                    )
-                )
-        return out
-
     return [
         RelationSchema("R1", r1),
         RelationSchema("R2", r2),
         RelationSchema("R3", r3),
-        RelationSchema("R4", r4),
-        RelationSchema("R5", r5),
-        RelationSchema("R6", r6),
-        RelationSchema("R7", r7),
+        RelationSchema("R4", _t_conjugation("R4", "X")),
+        RelationSchema("R5", _far_commuting("R5", "T", "X")),
+        RelationSchema("R6", _t_conjugation("R6", "Y")),
+        RelationSchema("R7", _far_commuting("R7", "T", "Y")),
         RelationSchema("R8", r8),
         RelationSchema("R9", r9),
         RelationSchema("R10", r10),
-        RelationSchema("R11", r11),
-        RelationSchema("R12", r12),
+        RelationSchema("R11", _commuting("R11", "X")),
+        RelationSchema("R12", _commuting("R12", "Y")),
     ]
 
 
@@ -345,16 +312,13 @@ def _deg_daha_schemas():
         return out
 
     def comm(rep):
-        out = []
         N = rep.N
-        for i in range(N):
-            for j in range(i + 1, N):
-                if (i - j) % N in (1, N - 1):
-                    continue
-                a = _w([_deg_s(i), _deg_s(j)])
-                b = _w([_deg_s(j), _deg_s(i)])
-                out.append(RelationInstance(f"ss-comm[{i},{j}]", a, b))
-        return out
+        return [
+            _swap(f"ss-comm[{i},{j}]", _deg_s(i), _deg_s(j))
+            for i in range(N)
+            for j in range(i + 1, N)
+            if (i - j) % N not in (1, N - 1)
+        ]
 
     def pi_s(rep):
         out = []
@@ -363,19 +327,6 @@ def _deg_daha_schemas():
             a = _w([Gen("pi"), _deg_s(i)])
             b = _w([_deg_s(j), Gen("pi")])
             out.append(RelationInstance(f"pi-s[{i}]", a, b))
-        return out
-
-    def yy(rep):
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                out.append(
-                    RelationInstance(
-                        f"yy[{i},{j}]",
-                        _w([Gen("y", i), Gen("y", j)]),
-                        _w([Gen("y", j), Gen("y", i)]),
-                    )
-                )
         return out
 
     def pi_y(rep):
@@ -394,15 +345,6 @@ def _deg_daha_schemas():
         rhs = (_g("y", 1) - OperatorExpr.scalar(hbar)) * _g("pi")
         return [RelationInstance("pi-yN", lhs, rhs)]
 
-    def s_y(rep):
-        k = rep.params["k"]
-        out = []
-        for i in range(1, rep.N):
-            lhs = _w([Gen("s", i), Gen("y", i)])
-            rhs = _w([Gen("y", i + 1), Gen("s", i)]) + OperatorExpr.scalar(k)
-            out.append(RelationInstance(f"s-y[{i}]", lhs, rhs))
-        return out
-
     def s0_yN(rep):
         hbar, k = rep.params["hbar"], rep.params["k"]
         lhs = _w([Gen("s0"), Gen("y", rep.N)])
@@ -415,48 +357,18 @@ def _deg_daha_schemas():
         for i in range(N):
             touched = {N, 1} if i == 0 else {i, i + 1}
             for j in range(1, N + 1):
-                if j in touched:
-                    continue
-                a = _w([_deg_s(i), Gen("y", j)])
-                b = _w([Gen("y", j), _deg_s(i)])
-                out.append(RelationInstance(f"sy-comm[{i},{j}]", a, b))
+                if j not in touched:
+                    out.append(_swap(f"sy-comm[{i},{j}]", _deg_s(i), Gen("y", j)))
         return out
 
     # lattice form (y-X commutation relations) and transition identities
     def s_X(rep):
-        out = []
-        for i in range(1, rep.N):
-            out.append(
-                RelationInstance(
-                    f"sX[{i}]",
-                    _w([Gen("s", i), Gen("X", i)]),
-                    _w([Gen("X", i + 1), Gen("s", i)]),
-                )
-            )
-            for j in range(1, rep.N + 1):
-                if j in (i, i + 1):
-                    continue
-                out.append(
-                    RelationInstance(
-                        f"sX-comm[{i},{j}]",
-                        _w([Gen("s", i), Gen("X", j)]),
-                        _w([Gen("X", j), Gen("s", i)]),
-                    )
-                )
-        return out
-
-    def xx(rep):
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                out.append(
-                    RelationInstance(
-                        f"XX[{i},{j}]",
-                        _w([Gen("X", i), Gen("X", j)]),
-                        _w([Gen("X", j), Gen("X", i)]),
-                    )
-                )
-        return out
+        # for each i: s_i X_i = X_{i+1} s_i, then s_i commuting with the far X_j
+        return [
+            inst
+            for i in range(1, rep.N)
+            for inst in [_s_x(i)] + _far_at("sX-comm", "s", "X", i, rep.N)
+        ]
 
     def y_X(rep):
         k = rep.params["k"]
@@ -528,14 +440,14 @@ def _deg_daha_schemas():
         RelationSchema("braid", braid),
         RelationSchema("ss-comm", comm),
         RelationSchema("pi-s", pi_s),
-        RelationSchema("yy", yy),
+        RelationSchema("yy", _commuting("yy", "y")),
         RelationSchema("pi-y", pi_y),
         RelationSchema("pi-yN", pi_yN),
-        RelationSchema("s-y", s_y),
+        RelationSchema("s-y", _s_y("s-y")),
         RelationSchema("s0-yN", s0_yN),
         RelationSchema("sy-comm", s_y_comm),
         RelationSchema("sX", s_X),
-        RelationSchema("XX", xx),
+        RelationSchema("XX", _commuting("XX", "X")),
         RelationSchema("yX", y_X),
         RelationSchema("transition", transition),
         RelationSchema("firrel-prod", firrel_prod),
@@ -555,48 +467,8 @@ def _deg_cyc_schemas():
             e = e - k * _g("sij", 1, j)
         return e
 
-    def sy(rep):
-        k = rep.params["k"]
-        out = []
-        for i in range(1, rep.N):
-            lhs = _w([Gen("s", i), Gen("y", i)])
-            rhs = _w([Gen("y", i + 1), Gen("s", i)]) + OperatorExpr.scalar(k)
-            out.append(RelationInstance(f"sy[{i}]", lhs, rhs))
-        return out
-
-    def yy(rep):
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                out.append(
-                    RelationInstance(
-                        f"yy[{i},{j}]",
-                        _w([Gen("y", i), Gen("y", j)]),
-                        _w([Gen("y", j), Gen("y", i)]),
-                    )
-                )
-        return out
-
-    def sx_xx(rep):
-        out = []
-        for i in range(1, rep.N):
-            out.append(
-                RelationInstance(
-                    f"sX[{i}]",
-                    _w([Gen("s", i), Gen("X", i)]),
-                    _w([Gen("X", i + 1), Gen("s", i)]),
-                )
-            )
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                out.append(
-                    RelationInstance(
-                        f"XX[{i},{j}]",
-                        _w([Gen("X", i), Gen("X", j)]),
-                        _w([Gen("X", j), Gen("X", i)]),
-                    )
-                )
-        return out
+    def s_x(rep):
+        return [_s_x(i) for i in range(1, rep.N)]
 
     def yX1(rep):
         k = rep.params["k"]
@@ -615,7 +487,7 @@ def _deg_cyc_schemas():
             rhs = rhs - k * _w([Gen("X", 1), Gen("sij", 1, i)])
         return [RelationInstance("y1X1", lhs, rhs)]
 
-    def sd_dd(rep):
+    def s_d(rep):
         out = []
         for i in range(1, rep.N):
             for d in range(1, rep.N + 1):
@@ -629,15 +501,6 @@ def _deg_cyc_schemas():
                         f"sD[{i},{d}]",
                         _w([Gen("s", i), Gen("Dl", d)]),
                         _w([Gen("Dl", target), Gen("s", i)]),
-                    )
-                )
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                out.append(
-                    RelationInstance(
-                        f"DD[{i},{j}]",
-                        _w([Gen("Dl", i), Gen("Dl", j)]),
-                        _w([Gen("Dl", j), Gen("Dl", i)]),
                     )
                 )
         return out
@@ -659,43 +522,21 @@ def _deg_cyc_schemas():
             rhs = rhs + k * _w([Gen("sij", 1, i), Gen("Dl", 1)])
         return [RelationInstance("y1D1", lhs, rhs)]
 
+    # D1X1 and D1Xm telescope over r: the factors before the r-th are
+    # (y_1 - z_i + hbar - k sum_{j>1} s_1j), the ones after it (y_1 - z_i)
     def d1x1(rep):
-        z = rep.params["z"]
         refl = _refl_sum(rep)
         lhs = _commutator(_g("Dl", 1), _g("X", 1))
-        rhs = OperatorExpr.zero()
-        for r in range(1, rep.l + 1):
-            # (y_1 - z_i + hbar - k sum_{j>1} s_1j) for i < r
-            factors = [
-                _g("y", 1) - OperatorExpr.scalar(z[i - 1]) + refl
-                for i in range(1, r)
-            ]
-            mid = refl
-            tail = [
-                _g("y", 1) - OperatorExpr.scalar(z[i - 1])
-                for i in range(r + 1, rep.l + 1)
-            ]
-            rhs = rhs + word_product(factors + [mid] + tail)
+        rhs = _telescope(_g("y", 1) + refl, refl, _g("y", 1), rep.params["z"])
         return [RelationInstance("D1X1", lhs, rhs)]
 
     def d1xm(rep):
         k = rep.params["k"]
-        z = rep.params["z"]
-        refl = _refl_sum(rep)
+        head = _g("y", 1) + _refl_sum(rep)
         out = []
         for m in range(2, rep.N + 1):
             lhs = _commutator(_g("Dl", 1), _g("X", m))
-            rhs = OperatorExpr.zero()
-            for r in range(1, rep.l + 1):
-                head = [
-                    _g("y", 1) - OperatorExpr.scalar(z[i - 1]) + refl
-                    for i in range(1, r)
-                ]
-                tail = [
-                    _g("y", 1) - OperatorExpr.scalar(z[i - 1])
-                    for i in range(r + 1, rep.l + 1)
-                ]
-                rhs = rhs + word_product(head + [_g("sij", 1, m)] + tail)
+            rhs = _telescope(head, _g("sij", 1, m), _g("y", 1), rep.params["z"])
             out.append(RelationInstance(f"D1X[{m}]", lhs, k * rhs))
         # conjugated instance: s_12 [D_1, X_2] s_12 = [D_2, X_1]; the right
         # side is conjugated as a word (y_1 does not relabel under s_12)
@@ -712,20 +553,16 @@ def _deg_cyc_schemas():
         return out
 
     def x1d1(rep):
-        z = rep.params["z"]
         lhs = _w([Gen("X", 1), Gen("Dl", 1)])
-        rhs = word_product(
-            [_g("y", 1) - OperatorExpr.scalar(zi) for zi in z]
-        )
-        return [RelationInstance("X1D1", lhs, rhs)]
+        return [RelationInstance("X1D1", lhs, _root_product(_g("y", 1), rep.params["z"]))]
 
     return [
-        RelationSchema("sy", sy),
-        RelationSchema("yy", yy),
-        RelationSchema("sX+XX", sx_xx),
+        RelationSchema("sy", _s_y("sy")),
+        RelationSchema("yy", _commuting("yy", "y")),
+        RelationSchema("sX+XX", _chain(s_x, _commuting("XX", "X"))),
         RelationSchema("yX1", yX1),
         RelationSchema("y1X1", y1X1),
-        RelationSchema("sD+DD", sd_dd),
+        RelationSchema("sD+DD", _chain(s_d, _commuting("DD", "Dl"))),
         RelationSchema("yD1", yD1),
         RelationSchema("y1D1", y1D1),
         RelationSchema("D1X1", d1x1),
@@ -737,25 +574,16 @@ def _deg_cyc_schemas():
 # -- cyclotomic DAHA schemas ---------------------------------------------------
 
 def _cd_schemas():
-    def cd1(rep):
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                lhs = _w([Gen("X", i), Gen("Y", j)])
-                rhs = _w((Gen("Y", j), Gen("X", i)) + conj_up(i, j))
-                out.append(RelationInstance(f"cd1[{i},{j}]", lhs, rhs))
-        return out
+    def cd1(rep, i, j):
+        # X_i Y_j = Y_j X_i T_{j-1}^-1 ... T_{i+1}^-1 T_i^2 T_{i+1} ... T_{j-1}
+        rhs = _w((Gen("Y", j), Gen("X", i)) + _sandwich(i, j, "T^-1", "T", "T", 2))
+        return _w([Gen("X", i), Gen("Y", j)]), rhs
 
-    def cd2(rep):
+    def cd2(rep, i, j):
         # Y_i X_j = T_{j-1}...T_{i+1} T_i^-2 T_{i+1}^-1...T_{j-1}^-1 X_j Y_i,
         # forced by cd1 together with R4/R6 (conjugate cd2[i,i+1] upward)
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                lhs = _w([Gen("Y", i), Gen("X", j)])
-                rhs = _w(conj_down_invmid(i, j) + (Gen("X", j), Gen("Y", i)))
-                out.append(RelationInstance(f"cd2[{i},{j}]", lhs, rhs))
-        return out
+        rhs = _w(_sandwich(i, j, "T", "T^-1", "T^-1", 2) + (Gen("X", j), Gen("Y", i)))
+        return _w([Gen("Y", i), Gen("X", j)]), rhs
 
     def cd3(rep):
         q = rep.params["q"]
@@ -766,54 +594,27 @@ def _cd_schemas():
             out.append(RelationInstance(f"cd3[{i}]", lhs, rhs))
         return out
 
-    def cd4(rep):
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                out.append(
-                    RelationInstance(
-                        f"cd4[{i},{j}]",
-                        _w([Gen("Dl", i), Gen("Dl", j)]),
-                        _w([Gen("Dl", j), Gen("Dl", i)]),
-                    )
-                )
-        return out
-
     def cd5(rep):
+        # the commuting part skips |i - j| < 2, which is not the far set of R5
         out = []
         for i in range(1, rep.N):
             lhs = _w([_Ti(i), Gen("Dl", i), _Ti(i)])
             out.append(RelationInstance(f"cd5[{i}]", lhs, _g("Dl", i + 1)))
         for i in range(1, rep.N + 1):
             for j in range(1, rep.N):
-                if abs(i - j) < 2:
-                    continue
-                out.append(
-                    RelationInstance(
-                        f"cd5-comm[{j},{i}]",
-                        _w([_T(j), Gen("Dl", i)]),
-                        _w([Gen("Dl", i), _T(j)]),
-                    )
-                )
+                if abs(i - j) >= 2:
+                    out.append(_swap(f"cd5-comm[{j},{i}]", _T(j), Gen("Dl", i)))
         return out
 
-    def cd6(rep):
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                lhs = _w([Gen("Dl", i), Gen("Y", j)])
-                rhs = _w((Gen("Y", j),) + conj_up_inv(i, j) + (Gen("Dl", i),))
-                out.append(RelationInstance(f"cd6[{i},{j}]", lhs, rhs))
-        return out
+    def cd6(rep, i, j):
+        # D_i Y_j = Y_j T_{j-1}^-1 ... T_{i+1}^-1 T_i^-2 T_{i+1} ... T_{j-1} D_i
+        rhs = _w((Gen("Y", j),) + _sandwich(i, j, "T^-1", "T^-1", "T", 2) + (Gen("Dl", i),))
+        return _w([Gen("Dl", i), Gen("Y", j)]), rhs
 
-    def cd7(rep):
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                lhs = _w((Gen("Dl", j),) + conj_down(i, j) + (Gen("Y", i),))
-                rhs = _w([Gen("Y", i), Gen("Dl", j)])
-                out.append(RelationInstance(f"cd7[{i},{j}]", lhs, rhs))
-        return out
+    def cd7(rep, i, j):
+        # D_j T_{j-1} ... T_{i+1} T_i^2 T_{i+1}^-1 ... T_{j-1}^-1 Y_i = Y_i D_j
+        lhs = _w((Gen("Dl", j),) + _sandwich(i, j, "T", "T", "T^-1", 2) + (Gen("Y", i),))
+        return lhs, _w([Gen("Y", i), Gen("Dl", j)])
 
     def cd8(rep):
         # the factor q comes from D_1 Y_1 = q T_1...T_{N-1}^2...T_1 Y_1 D_1
@@ -830,47 +631,35 @@ def _cd_schemas():
         Z = rep.params["Z"]
         out = []
         lhs = _w([Gen("X", 1), Gen("Dl", 1)])
-        rhs = word_product(
-            [_g("Y", 1) - OperatorExpr.scalar(z) for z in Z]
-        )
-        out.append(RelationInstance("cd9a", lhs, rhs))
-        qJY = q * _w(jucys_murphy_word(rep.N) + (Gen("Y", 1),))
+        out.append(RelationInstance("cd9a", lhs, _root_product(_g("Y", 1), Z)))
+        qJY = q * _w(right_jm(1, rep.N) + (Gen("Y", 1),))
         lhs2 = _w([Gen("Dl", 1), Gen("X", 1)])
-        rhs2 = word_product([qJY - OperatorExpr.scalar(z) for z in Z])
-        out.append(RelationInstance("cd9b", lhs2, rhs2))
+        out.append(RelationInstance("cd9b", lhs2, _root_product(qJY, Z)))
         # conjugated instances X_i Dl_i = prod (Y_i L(i) - Z_r)
         for i in range(2, rep.N + 1):
             YL = _w((Gen("Y", i),) + left_jm_inv(i))
             lhs3 = _w([Gen("X", i), Gen("Dl", i)])
-            rhs3 = word_product([YL - OperatorExpr.scalar(z) for z in Z])
-            out.append(RelationInstance(f"cd9a[{i}]", lhs3, rhs3))
+            out.append(RelationInstance(f"cd9a[{i}]", lhs3, _root_product(YL, Z)))
         return out
 
     def cd10(rep):
         if rep.N < 2:
             return []
         q, tb = rep.params["q"], rep.params["tb"]
-        Z = rep.params["Z"]
-        l = rep.l
-        qJY = q * _w(jucys_murphy_word(rep.N) + (Gen("Y", 1),))
+        qJY = q * _w(right_jm(1, rep.N) + (Gen("Y", 1),))
         Y2T = _w([Gen("Y", 2), _Ti(1), _Ti(1)])
         lhs = _commutator(_g("Dl", 1), _g("X", 2))
-        rhs = OperatorExpr.zero()
-        for r in range(1, l + 1):
-            head = [qJY - OperatorExpr.scalar(Z[s - 1]) for s in range(1, r)]
-            tail = [Y2T - OperatorExpr.scalar(Z[s - 1]) for s in range(r + 1, l + 1)]
-            rhs = rhs + word_product(head + [Y2T] + tail) * _g("T", 1)
-        rhs = (1 / tb - tb) * rhs
-        return [RelationInstance("cd10", lhs, rhs)]
+        rhs = _telescope(qJY, Y2T, Y2T, rep.params["Z"]) * _g("T", 1)
+        return [RelationInstance("cd10", lhs, (1 / tb - tb) * rhs)]
 
     return [
-        RelationSchema("cd1", cd1),
-        RelationSchema("cd2", cd2),
+        RelationSchema("cd1", _pairwise("cd1", cd1)),
+        RelationSchema("cd2", _pairwise("cd2", cd2)),
         RelationSchema("cd3", cd3),
-        RelationSchema("cd4", cd4),
+        RelationSchema("cd4", _commuting("cd4", "Dl")),
         RelationSchema("cd5", cd5),
-        RelationSchema("cd6", cd6),
-        RelationSchema("cd7", cd7),
+        RelationSchema("cd6", _pairwise("cd6", cd6)),
+        RelationSchema("cd7", _pairwise("cd7", cd7)),
         RelationSchema("cd8", cd8),
         RelationSchema("cd9", cd9),
         RelationSchema("cd10", cd10),
@@ -880,18 +669,11 @@ def _cd_schemas():
 def cd11_instance(rep):
     """[D_2, X_1] in terms of K_N = T_2...T_{N-1}^2...T_2; the phi-image of cd10."""
     q, tb = rep.params["q"], rep.params["tb"]
-    Z = rep.params["Z"]
-    l = rep.l
-    KN = right_jm(2, rep.N)
-    qKY = q * _w(KN + (Gen("Y", 2),))
+    qKY = q * _w(right_jm(2, rep.N) + (Gen("Y", 2),))
     lhs = _commutator(_g("Dl", 2), _g("X", 1))
-    rhs = OperatorExpr.zero()
-    for r in range(1, l + 1):
-        head = [qKY - OperatorExpr.scalar(Z[s - 1]) for s in range(l, r, -1)]
-        tail = [_g("Y", 1) - OperatorExpr.scalar(Z[s - 1]) for s in range(r - 1, 0, -1)]
-        rhs = rhs + word_product(head + [qKY] + tail) * _g("T^-1", 1)
-    rhs = (1 / tb - tb) * rhs
-    return RelationInstance("cd11", lhs, rhs)
+    # the factors run over Z_l, ..., Z_1: (qKY - Z_s) for s > r, (Y_1 - Z_s) for s < r
+    rhs = _telescope(qKY, qKY, _g("Y", 1), rep.params["Z"][::-1]) * _g("T^-1", 1)
+    return RelationInstance("cd11", lhs, (1 / tb - tb) * rhs)
 
 
 def _cyc_daha_schemas():
@@ -905,29 +687,6 @@ def _cyc_daha_schemas():
 def _l1_schemas():
     daha = {s.name: s for s in _daha_schemas()}
 
-    def txt(rep):
-        return [
-            RelationInstance(
-                f"TXT[{i}]", _w([_T(i), Gen("X", i), _T(i)]), _g("X", i + 1)
-            )
-            for i in range(1, rep.N)
-        ]
-
-    def tx_comm(rep):
-        out = []
-        for i in range(1, rep.N):
-            for j in range(1, rep.N + 1):
-                if j in (i, i + 1):
-                    continue
-                out.append(
-                    RelationInstance(
-                        f"TX-comm[{i},{j}]",
-                        _w([_T(i), Gen("X", j)]),
-                        _w([Gen("X", j), _T(i)]),
-                    )
-                )
-        return out
-
     def tdt(rep):
         return [
             RelationInstance(
@@ -938,60 +697,17 @@ def _l1_schemas():
             for i in range(1, rep.N)
         ]
 
-    def td_comm(rep):
-        out = []
-        for i in range(1, rep.N):
-            for j in range(1, rep.N + 1):
-                if j in (i, i + 1):
-                    continue
-                out.append(
-                    RelationInstance(
-                        f"TD-comm[{i},{j}]",
-                        _w([_T(i), Gen("Dl", j)]),
-                        _w([Gen("Dl", j), _T(i)]),
-                    )
-                )
-        return out
-
-    def xx(rep):
-        return _daha_schemas()[10].build(rep)
-
-    def dd(rep):
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                out.append(
-                    RelationInstance(
-                        f"DD[{i},{j}]",
-                        _w([Gen("Dl", i), Gen("Dl", j)]),
-                        _w([Gen("Dl", j), Gen("Dl", i)]),
-                    )
-                )
-        return out
-
-    def xidj(rep):
+    def xidj(rep, i, j):
         tb = rep.params["tb"]
-        out = []
-        for i in range(1, rep.N + 1):
-            for j in range(i + 1, rep.N + 1):
-                lhs = _w([Gen("X", i), Gen("Dl", j)])
-                rhs = _w((Gen("Dl", j),) + conj_down(i, j) + (Gen("X", i),)) + (
-                    tb - 1 / tb
-                ) * _w(palindrome_inv(i, j))
-                out.append(RelationInstance(f"XiDj[{i},{j}]", lhs, rhs))
-        return out
+        lhs = _w([Gen("X", i), Gen("Dl", j)])
+        rhs = _w((Gen("Dl", j),) + _sandwich(i, j, "T", "T", "T^-1", 2) + (Gen("X", i),))
+        return lhs, rhs + (tb - 1 / tb) * _w(_sandwich(i, j, "T^-1", "T^-1", "T^-1", 1))
 
-    def djxi(rep):
+    def djxi(rep, j, i):
         tb = rep.params["tb"]
-        out = []
-        for j in range(1, rep.N + 1):
-            for i in range(j + 1, rep.N + 1):
-                lhs = _w([Gen("Dl", j), Gen("X", i)])
-                rhs = _w((Gen("X", i),) + conj_down_inv(j, i) + (Gen("Dl", j),)) - (
-                    tb - 1 / tb
-                ) * _w(palindrome_pos(j, i))
-                out.append(RelationInstance(f"DjXi[{j},{i}]", lhs, rhs))
-        return out
+        lhs = _w([Gen("Dl", j), Gen("X", i)])
+        rhs = _w((Gen("X", i),) + _sandwich(j, i, "T^-1", "T^-1", "T", 2) + (Gen("Dl", j),))
+        return lhs, rhs - (tb - 1 / tb) * _w(_sandwich(j, i, "T", "T", "T", 1))
 
     def dsum(rep):
         q = rep.params["q"]
@@ -1010,14 +726,15 @@ def _l1_schemas():
         daha["R1"],
         daha["R2"],
         daha["R3"],
-        RelationSchema("TXT", txt),
-        RelationSchema("TX-comm", tx_comm),
+        RelationSchema("TXT", _t_conjugation("TXT", "X")),
+        RelationSchema("TX-comm", _far_commuting("TX-comm", "T", "X")),
         RelationSchema("TDT", tdt),
-        RelationSchema("TD-comm", td_comm),
-        RelationSchema("XX", xx),
-        RelationSchema("DD", dd),
-        RelationSchema("XiDj", xidj),
-        RelationSchema("DjXi", djxi),
+        RelationSchema("TD-comm", _far_commuting("TD-comm", "T", "Dl")),
+        # the level-one X relations keep their DAHA instance names
+        RelationSchema("XX", _commuting("R11", "X")),
+        RelationSchema("DD", _commuting("DD", "Dl")),
+        RelationSchema("XiDj", _pairwise("XiDj", xidj)),
+        RelationSchema("DjXi", _pairwise("DjXi", djxi)),
         RelationSchema("Dsum", dsum),
     ]
 
@@ -1027,7 +744,7 @@ def _lastrel_schemas():
         q = rep.params["q"]
         lhs = _w([Gen("Dl", 1), Gen("X", 1)]) + OperatorExpr.one()
         rhs = q * (
-            _w(jucys_murphy_word(rep.N))
+            _w(right_jm(1, rep.N))
             * (_w([Gen("X", 1), Gen("Dl", 1)]) + OperatorExpr.one())
         )
         return [RelationInstance("lastrel", lhs, rhs)]
@@ -1071,6 +788,10 @@ def rep_family_for(family):
 
 def sample_rep(family, N, l=0, seed=0, root_window=24, ratio_window=8):
     """A representation with generic parameters drawn deterministically."""
+    # at l = 0 every cyclotomic product is the empty product 1, so the
+    # cyclotomic relations would hold vacuously
+    if family in ("cyc-daha", "deg-cyc") and l < 1:
+        raise ValueError(f"{family} needs level l >= 1, got {l}")
     if family in ("daha", "cyc-daha", "l1", "lastrel"):
         names = ["q", "tb"] + [f"Z{i}" for i in range(1, l + 1)]
         cons = [
@@ -1318,26 +1039,6 @@ def verify_involution(rep, family, box_radius=2):
 
 # -- PBW-style bases -------------------------------------------------------------
 
-def _permutations_with_words(N, tag):
-    """All of S_N as (permutation tuple, reduced word in Gen(tag, i))."""
-    start = tuple(range(1, N + 1))
-    seen = {start: ()}
-    frontier = [start]
-    while frontier:
-        new = []
-        for perm in frontier:
-            word = seen[perm]
-            for i in range(1, N):
-                q = list(perm)
-                q[i - 1], q[i] = q[i], q[i - 1]
-                q = tuple(q)
-                if q not in seen:
-                    seen[q] = word + (Gen(tag, i),)
-                    new.append(q)
-        frontier = new
-    return sorted(seen.items())
-
-
 def basis_monomials(shape, N, l, caps):
     """Enumerate PBW-style monomials for one of the three basis shapes.
 
@@ -1365,33 +1066,18 @@ def basis_monomials(shape, N, l, caps):
             out.append((OperatorExpr.word(xword(a) + dword(c)), m))
         return out
 
-    if shape == "MX_My_s_MD":
-        capy = min(caps.get("y", l - 1), l - 1)
-        perms = _permutations_with_words(N, "s")
-        for a in itertools.product(range(capX + 1), repeat=N):
-            for b in itertools.product(range(capy + 1), repeat=N):
-                yw = tuple(g for i, e in enumerate(b) for g in [Gen("y", i + 1)] * e)
-                for _, word in perms:
-                    for c in itertools.product(range(capD + 1), repeat=N):
-                        out.append(
-                            (OperatorExpr.word(xword(a) + yw + word + dword(c)), None)
-                        )
-        return out
-
-    if shape == "MX_MY_Ts_MD":
-        capy = min(caps.get("Y", l - 1), l - 1)
-        perms = _permutations_with_words(N, "T")
-        for a in itertools.product(range(capX + 1), repeat=N):
-            for b in itertools.product(range(capy + 1), repeat=N):
-                yw = tuple(g for i, e in enumerate(b) for g in [Gen("Y", i + 1)] * e)
-                for _, word in perms:
-                    for c in itertools.product(range(capD + 1), repeat=N):
-                        out.append(
-                            (OperatorExpr.word(xword(a) + yw + word + dword(c)), None)
-                        )
-        return out
-
-    raise ValueError(f"unknown basis shape {shape!r}")
+    if shape not in ("MX_My_s_MD", "MX_MY_Ts_MD"):
+        raise ValueError(f"unknown basis shape {shape!r}")
+    y, s = ("y", "s") if shape == "MX_My_s_MD" else ("Y", "T")
+    capy = min(caps.get(y, l - 1), l - 1)
+    perms = [word for _, word in sorted(_permutations_with_words(N, s).items())]
+    for a in itertools.product(range(capX + 1), repeat=N):
+        for b in itertools.product(range(capy + 1), repeat=N):
+            yw = tuple(g for i, e in enumerate(b) for g in [Gen(y, i + 1)] * e)
+            for word in perms:
+                for c in itertools.product(range(capD + 1), repeat=N):
+                    out.append((OperatorExpr.word(xword(a) + yw + word + dword(c)), None))
+    return out
 
 
 def independence_check(rep, exprs, probes):
@@ -1438,5 +1124,5 @@ def jucys_murphy_consistency(rep, box_radius=2):
         up = [_T(r) for r in range(1, i - 1)]
         word = tuple(up + [_T(i - 1)] + up[::-1])
         rhs = rhs + (tb - 1 / tb) * _w(word)
-    lhs = _w(jucys_murphy_word(N))
+    lhs = _w(right_jm(1, N))
     return op_equal_on_box(rep, lhs, rhs, box_radius)

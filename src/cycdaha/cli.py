@@ -361,14 +361,15 @@ def build_parser():
     rv.add_argument("--trials", type=int, default=30)
     rv.add_argument("--seed", type=int, default=0)
     rv.add_argument("--out")
-    rv.set_defaults(fn=cmd_relations_verify, sweep_parser=rv)
+    rv.set_defaults(fn=cmd_relations_verify, check=lambda a: _check_sweep_args(rv, a))
     ri = rel_sub.add_parser("involution")
     ri.add_argument("--family", required=True, choices=["cyc-daha", "deg-cyc", "l1"])
     ri.add_argument("--N", type=int, required=True)
     ri.add_argument("--l", type=int, default=1)
     ri.add_argument("--seed", type=int, default=0)
     ri.add_argument("--out")
-    ri.set_defaults(fn=cmd_relations_involution)
+    ri.set_defaults(fn=cmd_relations_involution,
+                    check=lambda a: _check_level(ri, a.family, a.l))
 
     qa = sub.add_parser("quasi", help="quasiinvariant spaces")
     qa_sub = qa.add_subparsers(dest="cmd", required=True)
@@ -383,7 +384,7 @@ def build_parser():
     qs.add_argument("--q", default="")
     qs.add_argument("--maxdeg", type=int, default=8)
     qs.add_argument("--out")
-    qs.set_defaults(fn=cmd_quasi_series)
+    qs.set_defaults(fn=cmd_quasi_series, check=lambda a: _check_weights(qs, a))
     qf = qa_sub.add_parser("flatness")
     qf.add_argument("--variant", required=True, choices=["plain-q", "cyc", "twisted-q"])
     qf.add_argument("--N", type=int, required=True)
@@ -394,7 +395,7 @@ def build_parser():
     qf.add_argument("--maxdeg", type=int, default=8)
     qf.add_argument("--seeds", type=int, default=3)
     qf.add_argument("--out")
-    qf.set_defaults(fn=cmd_quasi_flatness)
+    qf.set_defaults(fn=cmd_quasi_flatness, check=lambda a: _check_weights(qf, a))
 
     mac = sub.add_parser("macdonald", help="Macdonald operators")
     mac_sub = mac.add_subparsers(dest="cmd", required=True)
@@ -414,7 +415,8 @@ def build_parser():
     mc.add_argument("--maxdeg", type=int, default=4)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--out")
-    mc.set_defaults(fn=cmd_macdonald_commute)
+    mc.set_defaults(fn=cmd_macdonald_commute,
+                    check=lambda a: _check_level(mc, "cyc-daha", a.l))
 
     qv = sub.add_parser("quiver", help="multiplicative quiver varieties")
     qv_sub = qv.add_subparsers(dest="cmd", required=True)
@@ -463,7 +465,7 @@ def build_parser():
     ee.add_argument("--trials", type=int, default=30)
     ee.add_argument("--seed", type=int, default=0)
     ee.add_argument("--out")
-    ee.set_defaults(fn=cmd_expr_equal, sweep_parser=ee)
+    ee.set_defaults(fn=cmd_expr_equal, check=lambda a: _check_sweep_args(ee, a))
 
     st = sub.add_parser("suite", help="named test batteries")
     st.add_argument("name", choices=["smoke", "paper-acceptance"])
@@ -473,13 +475,30 @@ def build_parser():
     return ap
 
 
+# Argument checks: each rejects a configuration that would check nothing or
+# fail inside the library; ap.error exits with code 2.
+
+def _check_level(ap, family, l):
+    """The cyclotomic families need l >= 1; at l = 0 they pass vacuously."""
+    if family in ("cyc-daha", "deg-cyc") and l < 1:
+        ap.error(f"--l must be at least 1 for {family}, got {l}")
+
+
+def _check_weights(ap, args):
+    """The twisted variants take one weight a_i per variable."""
+    if args.variant in ("twisted", "twisted-q"):
+        count = len([x for x in args.a.split(",") if x.strip()])
+        if count != args.N:
+            ap.error(f"--a needs {args.N} weights for --N {args.N}, got {count}")
+
+
 def _check_sweep_args(ap, args):
-    """Reject relation and expression checks that would check nothing;
-    ap.error exits with code 2."""
+    """Relation and expression checks."""
     if args.N < 1:
         ap.error(f"--N must be at least 1, got {args.N}")
     if args.l < 0:
         ap.error(f"--l must be non-negative, got {args.l}")
+    _check_level(ap, args.family, args.l)
     if args.mode == "box" and args.B < 0:
         ap.error(f"--B must be non-negative in box mode, got {args.B}")
     if args.mode == "random" and args.trials < 1:
@@ -489,9 +508,9 @@ def _check_sweep_args(ap, args):
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "sweep_parser", None) is not None:
-        _check_sweep_args(args.sweep_parser, args)
-    t0 = time.time()
+    if getattr(args, "check", None) is not None:
+        args.check(args)
+    t0 = time.perf_counter()
     try:
         report = args.fn(args)
     except SystemExit:
@@ -500,9 +519,11 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error
-        print(f"internal error: {exc}", file=sys.stderr)
+        from .acceptance import _error_text
+
+        print(f"internal error: {_error_text(exc)}", file=sys.stderr)
         return 3
-    report["seconds"] = round(time.time() - t0, 3)
+    report["seconds"] = round(time.perf_counter() - t0, 3)
     _emit(report, getattr(args, "out", None))
     return 0 if report["status"] == "pass" else 1
 

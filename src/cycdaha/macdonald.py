@@ -14,8 +14,15 @@ import itertools
 from fractions import Fraction
 
 from .laurent import LaurentPoly, NotDivisible
-from .ops import Gen, OperatorExpr, op_equal_on_box, word_product
+from .ops import (
+    Gen,
+    OperatorExpr,
+    _permutations_with_words,
+    op_equal_on_box,
+    word_product,
+)
 from .scalars import QQ
+from .tableaux import partitions
 
 
 class InputNotSymmetric(Exception):
@@ -29,26 +36,6 @@ class BadParameter(Exception):
 # ---------------------------------------------------------------------------
 # Hecke symmetrizer
 
-def _permutation_words(N):
-    """All of S_N as pairs (length, word of adjacent indices), via BFS."""
-    start = tuple(range(1, N + 1))
-    seen = {start: ()}
-    frontier = [start]
-    while frontier:
-        new = []
-        for perm in frontier:
-            word = seen[perm]
-            for i in range(1, N):
-                q = list(perm)
-                q[i - 1], q[i] = q[i], q[i - 1]
-                q = tuple(q)
-                if q not in seen:
-                    seen[q] = word + (i,)
-                    new.append(q)
-        frontier = new
-    return [(len(w), w) for w in seen.values()]
-
-
 def hecke_symmetrizer_expr(rep):
     """e = (sum_w tb^len(w) T_w) / (sum_w t^len(w)) as an OperatorExpr.
 
@@ -59,9 +46,9 @@ def hecke_symmetrizer_expr(rep):
     t = rep.params["t"]
     total = rep.dom.zero
     expr = OperatorExpr.zero()
-    for length, word in _permutation_words(rep.N):
-        total = total + t ** length
-        expr = expr + OperatorExpr.word([Gen("T", i) for i in word], tb ** length)
+    for word in _permutations_with_words(rep.N, "T").values():
+        total = total + t ** len(word)
+        expr = expr + OperatorExpr.word(word, tb ** len(word))
     if not total:
         raise BadParameter("Hecke symmetrizer undefined: sum_w t^l(w) = 0")
     return (1 / total) * expr
@@ -223,27 +210,12 @@ def symmetric_basis(rep, maxdeg, dom=None):
     N = rep.N
     out = [LaurentPoly.one(N, dom)]
     for total in range(1, maxdeg + 1):
-        for lam in _partitions_at_most(total, N):
+        for lam in [p for p in partitions(total) if len(p) <= N]:
             mono = {}
             for perm in set(itertools.permutations(lam + (0,) * (N - len(lam)))):
                 mono[perm] = dom.coerce(1)
             out.append(LaurentPoly(N, dom, mono))
     return out
-
-
-def _partitions_at_most(n, max_parts):
-    """Partitions of n with at most max_parts parts."""
-    def gen(n, largest, parts):
-        if n == 0:
-            yield ()
-            return
-        if parts == 0:
-            return
-        for first in range(min(n, largest), 0, -1):
-            for rest in gen(n - first, first, parts - 1):
-                yield (first,) + rest
-
-    return list(gen(n, n, max_parts))
 
 
 def hamiltonian(rep, r, f_coeffs, dual=False, check_commuting=True):

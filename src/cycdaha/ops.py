@@ -583,7 +583,22 @@ def default_box_radius(a, b):
     return 2 * n + 2
 
 
-def jucys_murphy_word(N):
-    """J_N = T_1 ... T_{N-1}^2 ... T_1 as a word (identity for N = 1)."""
-    gens = [Gen("T", j) for j in range(1, N)]
-    return tuple(gens + gens[::-1])
+def _permutations_with_words(N, tag):
+    """All of S_N as {permutation tuple: reduced word in Gen(tag, i)}, in
+    breadth-first order (so by word length)."""
+    start = tuple(range(1, N + 1))
+    seen = {start: ()}
+    frontier = [start]
+    while frontier:
+        new = []
+        for perm in frontier:
+            word = seen[perm]
+            for i in range(1, N):
+                q = list(perm)
+                q[i - 1], q[i] = q[i], q[i - 1]
+                q = tuple(q)
+                if q not in seen:
+                    seen[q] = word + (Gen(tag, i),)
+                    new.append(q)
+        frontier = new
+    return seen

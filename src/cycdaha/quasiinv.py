@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .laurent import LaurentPoly, one_plus_u_power
 from .linalg import nullspace
@@ -71,6 +72,11 @@ class QuasiSpec:
     def __post_init__(self):
         self.q = Fraction(self.q)
         self.a = tuple(Fraction(x) for x in self.a)
+        if self.variant in (TWISTED, TWISTED_Q) and len(self.a) != self.N:
+            raise ValueError(
+                f"{self.variant} needs one weight per variable: N = {self.N}, "
+                f"got {len(self.a)} weights"
+            )
         if self.variant == CYC:
             self.dom = self.dom or (QQ if self.l <= 2 else CycloField(self.l))
         else:
@@ -78,7 +84,7 @@ class QuasiSpec:
         if self.variant == TWISTED_Q:
             M = 1
             for x in self.a:
-                M = M * x.denominator // _gcd(M, x.denominator)
+                M = M * x.denominator // gcd(M, x.denominator)
             self.common_denominator = M
         if self.variant in (PLAIN_Q, TWISTED_Q) and self.q != 1:
             # the 2m+1 hyperplanes X_i = q^p X_j must be distinct
@@ -88,17 +94,6 @@ class QuasiSpec:
                 if v in seen:
                     raise ParameterDegenerate(f"q^p collision at |p| <= {self.m}")
                 seen.add(v)
-
-    @property
-    def qq(self):
-        """The fractional-power base for TWISTED_Q: q = qq**M."""
-        return self.q
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def degree_monomials(N, d):

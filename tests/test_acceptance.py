@@ -17,3 +17,19 @@ def test_acceptance_criterion(criterion):
         k: v for k, v in result["details"].items() if v is not True
     }
     assert result["status"] == "pass", failed
+
+
+def test_smoke_failure_names_the_exception(monkeypatch):
+    from cycdaha import algebra
+
+    def broken(rep, box_radius=2):
+        raise ZeroDivisionError("probe")
+
+    monkeypatch.setattr(algebra, "jucys_murphy_consistency", broken)
+    results = {r["name"]: r for r in acceptance.run_smoke()}
+    entry = results["Jucys-Murphy word identity N=3"]
+    assert entry["status"] == "fail"
+    assert entry["details"]["error"].startswith("ZeroDivisionError at test_acceptance.py:")
+    assert entry["details"]["error"].endswith(": probe")
+    others = [r for name, r in results.items() if r is not entry]
+    assert len(others) == 6 and all(r["status"] == "pass" for r in others)

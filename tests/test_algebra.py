@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cycdaha.algebra import (
@@ -32,6 +34,12 @@ def test_lastrel_catalog_content():
     (inst,) = catalog("lastrel").instances(rep)
     assert inst.name == "lastrel"
     assert op_equal_on_box(rep, inst.lhs, inst.rhs, 2)["result"]
+
+
+def test_cyclotomic_families_need_positive_level():
+    for family in ("cyc-daha", "deg-cyc"):
+        with pytest.raises(ValueError):
+            sample_rep(family, 2, 0, seed=1)
 
 
 def test_deg_daha_contains_pi_y_relation():
@@ -194,3 +202,55 @@ def test_independence_of_pbw_monomials():
                (4, 4), (5, 5), (5, 0), (0, 5), (5, 1), (1, 5), (5, 2), (2, 5)]]
     r = independence_check(rep, exprs, probes)
     assert r["independent"], r
+
+
+# SHA-256 of the full catalog expansion: every instance's name and exact
+# lhs/rhs terms, the involution image of each lhs, cd11, and four PBW bases.
+# The constant was computed on the catalogs before they were rebuilt from
+# shared relation-shape builders; any change to an instance name, order,
+# word or coefficient changes it.
+CATALOG_SHA256 = "3d2ee150f13beebbb308a4d874783ffc827c2232b0ac2d8d5072e0e1d8de97f0"
+CATALOG_INSTANCES = 1093
+
+_FINGERPRINT_REPS = (
+    [("daha", 0), ("deg-daha", 0)]
+    + [(f, l) for f in ("deg-cyc", "cyc-daha") for l in (1, 2, 3)]
+    + [("l1", 1), ("lastrel", 1)]
+)
+
+
+def _terms(expr):
+    return sorted((repr(w), str(c)) for w, c in expr.terms.items())
+
+
+def catalog_fingerprint():
+    h = hashlib.sha256()
+    count = 0
+    for family, l in _FINGERPRINT_REPS:
+        cat = catalog(family)
+        h.update(repr((family, cat.schema_names())).encode())
+        for N in range(1, 5):
+            rep = sample_rep(family, N, l, seed=1)
+            for inst in cat.instances(rep):
+                count += 1
+                h.update(repr((family, N, l, inst.name, _terms(inst.lhs),
+                               _terms(inst.rhs))).encode())
+                if family in ("cyc-daha", "l1", "deg-cyc"):
+                    img, _ = involution_image(family, inst.lhs, rep)
+                    h.update(repr(_terms(img)).encode())
+            if family == "cyc-daha":
+                inst = cd11_instance(rep)
+                h.update(repr((inst.name, _terms(inst.lhs), _terms(inst.rhs))).encode())
+    for shape, N, l, caps in (
+        ("MX_MD_missing", 2, 1, {"X": 1, "D": 2}),
+        ("MX_My_s_MD", 3, 2, {"X": 1, "D": 1}),
+        ("MX_MY_Ts_MD", 3, 2, {"X": 1, "Y": 1, "D": 0}),
+        ("MX_MY_Ts_MD", 2, 3, {"X": 0, "D": 1}),
+    ):
+        for expr, label in basis_monomials(shape, N, l, caps):
+            h.update(repr((shape, _terms(expr), label)).encode())
+    return count, h.hexdigest()
+
+
+def test_catalog_fingerprint():
+    assert catalog_fingerprint() == (CATALOG_INSTANCES, CATALOG_SHA256)

@@ -145,12 +145,39 @@ def test_usage_error_exit_code_two(capsys):
             with pytest.raises(SystemExit) as exc:
                 main(cmd + bad)
             assert exc.value.code == 2, cmd + bad
+    # the cyclotomic families at the default --l 0 would pass vacuously
+    for cmd in (["relations", "verify", "--family", "cyc-daha", "--N", "2", "--B", "1"],
+                ["relations", "verify", "--family", "deg-cyc", "--N", "2"],
+                ["relations", "involution", "--family", "cyc-daha", "--N", "2", "--l", "0"],
+                ["relations", "involution", "--family", "deg-cyc", "--N", "2", "--l", "0"],
+                ["expr", "equal", "--family", "cyc-daha", "--N", "2", "--lhs", "X1",
+                 "--rhs", "X1"],
+                ["expr", "equal", "--family", "deg-cyc", "--N", "2", "--lhs", "X1",
+                 "--rhs", "X1"],
+                ["macdonald", "commute", "--r1", "1", "--r2", "2", "--N", "2", "--l", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd)
+        assert exc.value.code == 2, cmd
+    # the twisted variants take exactly N weights
+    for cmd in (["quasi", "series", "--variant", "twisted", "--N", "2", "--m", "1",
+                 "--a", "1"],
+                ["quasi", "series", "--variant", "twisted", "--N", "2", "--m", "1",
+                 "--a", "1,0,0"],
+                ["quasi", "series", "--variant", "twisted-q", "--N", "2", "--m", "1",
+                 "--a", "1/2"],
+                ["quasi", "flatness", "--variant", "twisted-q", "--N", "2", "--m", "1",
+                 "--a", "1/2,0,0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd)
+        assert exc.value.code == 2, cmd
     assert capsys.readouterr().out == ""
 
 
 def test_internal_error_exit_code_three(capsys):
     code = main(["quiver", "check", "--file", "/nonexistent/file.json"])
     assert code == 3
+    # the message names the exception type and where it was raised
+    assert "internal error: FileNotFoundError at cli.py:" in capsys.readouterr().err
 
 
 def test_macdonald_apply_cli(capsys, tmp_path):

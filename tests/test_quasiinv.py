@@ -67,6 +67,13 @@ def test_q_collision_detected():
         QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(-1))
 
 
+def test_twisted_weight_count_must_match_rank():
+    for variant in (TWISTED, TWISTED_Q):
+        for a in ((Fraction(1),), (Fraction(1), Fraction(0), Fraction(0))):
+            with pytest.raises(ValueError):
+                QuasiSpec(variant, 2, 1, a=a)
+
+
 def test_twisted_closed_form_series():
     spec = QuasiSpec(TWISTED, 2, 2, a=(Fraction(1), Fraction(0)))
     dims = graded_basis(spec, 10).dims()
