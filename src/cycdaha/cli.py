@@ -49,10 +49,6 @@ def _emit(report, out_path):
         print(text)
 
 
-def _fractions_csv(text):
-    return tuple(parse_rational(x) for x in text.split(",") if x.strip())
-
-
 def _ints_csv(text):
     return tuple(int(x) for x in text.split(",") if x.strip())
 
@@ -106,33 +102,9 @@ def cmd_relations_involution(args):
 
 
 def cmd_quasi_series(args):
-    from .quasiinv import (
-        CYC,
-        PLAIN_Q,
-        TWISTED,
-        TWISTED_Q,
-        QuasiSpec,
-        freeness_numerator,
-        graded_basis,
-    )
+    from .quasiinv import freeness_numerator, graded_basis
 
-    variant = {
-        "plain-q": PLAIN_Q,
-        "cyc": CYC,
-        "twisted": TWISTED,
-        "twisted-q": TWISTED_Q,
-    }[args.variant]
-    kwargs = {}
-    if variant in (PLAIN_Q, CYC, TWISTED_Q):
-        kwargs["q"] = parse_rational(args.q) if args.q else Fraction(1)
-    if variant == CYC:
-        kwargs["l"] = args.l
-        kwargs["mlist"] = _ints_csv(args.mlist) if args.mlist else ()
-    if variant in (TWISTED, TWISTED_Q):
-        kwargs["a"] = _fractions_csv(args.a)
-    spec = QuasiSpec(variant, args.N, args.m, **kwargs)
-    gb = graded_basis(spec, args.maxdeg)
-    dims = gb.dims()
+    dims = graded_basis(args.spec, args.maxdeg).dims()
     numer, flag = freeness_numerator(dims, args.N)
     payload = {"dims": dims, "numerator": numer, "free_flag": not flag}
     config = {
@@ -150,16 +122,11 @@ def cmd_quasi_series(args):
 
 
 def cmd_quasi_flatness(args):
-    from .quasiinv import CYC, PLAIN_Q, TWISTED_Q, flatness_report
+    from .quasiinv import flatness_report
 
-    variant = {"plain-q": PLAIN_Q, "cyc": CYC, "twisted-q": TWISTED_Q}[args.variant]
-    kwargs = {}
-    if variant == CYC:
-        kwargs["l"] = args.l
-        kwargs["mlist"] = _ints_csv(args.mlist) if args.mlist else ()
-    if variant == TWISTED_Q:
-        kwargs["a"] = _fractions_csv(args.a)
-    report = flatness_report(variant, args.N, args.m, args.maxdeg, args.seeds, **kwargs)
+    spec = args.spec
+    report = flatness_report(spec.variant, spec.N, spec.m, args.maxdeg, args.seeds,
+                             l=spec.l, mlist=spec.mlist, a=spec.a)
     config = {
         "command": "quasi flatness",
         "variant": args.variant,
@@ -384,7 +351,8 @@ def build_parser():
     qs.add_argument("--q", default="")
     qs.add_argument("--maxdeg", type=int, default=8)
     qs.add_argument("--out")
-    qs.set_defaults(fn=cmd_quasi_series, check=lambda a: _check_weights(qs, a))
+    qs.set_defaults(fn=cmd_quasi_series,
+                    check=lambda a: _check_quasi(qs, a, _number(qs, "--q", a.q or "1")))
     qf = qa_sub.add_parser("flatness")
     qf.add_argument("--variant", required=True, choices=["plain-q", "cyc", "twisted-q"])
     qf.add_argument("--N", type=int, required=True)
@@ -395,7 +363,7 @@ def build_parser():
     qf.add_argument("--maxdeg", type=int, default=8)
     qf.add_argument("--seeds", type=int, default=3)
     qf.add_argument("--out")
-    qf.set_defaults(fn=cmd_quasi_flatness, check=lambda a: _check_weights(qf, a))
+    qf.set_defaults(fn=cmd_quasi_flatness, check=lambda a: _check_quasi(qf, a, 1))
 
     mac = sub.add_parser("macdonald", help="Macdonald operators")
     mac_sub = mac.add_subparsers(dest="cmd", required=True)
@@ -406,7 +374,8 @@ def build_parser():
     ma.add_argument("--t", required=True)
     ma.add_argument("--poly", required=True)
     ma.add_argument("--out")
-    ma.set_defaults(fn=cmd_macdonald_apply)
+    ma.set_defaults(fn=cmd_macdonald_apply,
+                    check=lambda a: (_number(ma, "--q", a.q), _number(ma, "--t", a.t)))
     mc = mac_sub.add_parser("commute")
     mc.add_argument("--r1", type=int, required=True)
     mc.add_argument("--r2", type=int, required=True)
@@ -484,12 +453,30 @@ def _check_level(ap, family, l):
         ap.error(f"--l must be at least 1 for {family}, got {l}")
 
 
-def _check_weights(ap, args):
-    """The twisted variants take one weight a_i per variable."""
-    if args.variant in ("twisted", "twisted-q"):
-        count = len([x for x in args.a.split(",") if x.strip()])
-        if count != args.N:
-            ap.error(f"--a needs {args.N} weights for --N {args.N}, got {count}")
+def _number(ap, flag, text, parse=parse_rational):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        kind = "an integer" if parse is int else "a rational p/q"
+        ap.error(f"{flag}: {text!r} is not {kind}")
+
+
+def _check_quasi(ap, args, q):
+    """quasi series / flatness: a non-empty degree range and seed count, and
+    a space QuasiSpec accepts at q (stored as args.spec).  QuasiSpec names
+    the offending parameter first, which is also the flag."""
+    from .quasiinv import ParameterDegenerate, QuasiSpec
+
+    if args.maxdeg < 0:
+        ap.error(f"--maxdeg must be non-negative, got {args.maxdeg}")
+    if getattr(args, "seeds", 1) < 1:
+        ap.error(f"--seeds must be at least 1, got {args.seeds}")
+    mlist = tuple(_number(ap, "--mlist", x, int) for x in args.mlist.split(",") if x.strip())
+    a = tuple(_number(ap, "--a", x) for x in args.a.split(",") if x.strip())
+    try:
+        args.spec = QuasiSpec(args.variant, args.N, args.m, l=args.l, mlist=mlist, q=q, a=a)
+    except (ValueError, ParameterDegenerate) as exc:
+        ap.error(f"--{exc}")
 
 
 def _check_sweep_args(ap, args):
@@ -508,10 +495,10 @@ def _check_sweep_args(ap, args):
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "check", None) is not None:
-        args.check(args)
     t0 = time.perf_counter()
     try:
+        if getattr(args, "check", None) is not None:
+            args.check(args)
         report = args.fn(args)
     except SystemExit:
         raise

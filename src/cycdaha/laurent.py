@@ -439,38 +439,12 @@ class TruncatedSeries:
         if len(self.coeffs) != order + 1:
             raise ValueError("coefficient list must have length order+1")
 
-    def __add__(self, other):
-        if self.order != other.order:
-            raise ValueError("mixed truncation orders")
-        return TruncatedSeries(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
     def __sub__(self, other):
         if self.order != other.order:
             raise ValueError("mixed truncation orders")
         return TruncatedSeries(
             self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            if self.order != other.order:
-                raise ValueError("mixed truncation orders")
-            zero = self.coeffs[0] - self.coeffs[0]
-            out = [zero for _ in range(self.order + 1)]
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if i + j > self.order:
-                        break
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return TruncatedSeries(self.order, out)
-        return TruncatedSeries(self.order, [c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
 
     def scale_by_scalar_series(self, scalars):
         """Multiply by sum scalars[r]*u^r (a list of field scalars)."""
@@ -484,14 +458,6 @@ class TruncatedSeries:
                 if s:
                     out[i + j] = out[i + j] + a * s
         return TruncatedSeries(self.order, out)
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
 
     def __repr__(self):
         return " + ".join(f"({c})*u^{r}" for r, c in enumerate(self.coeffs))

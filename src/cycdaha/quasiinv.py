@@ -1,22 +1,29 @@
 """Graded bases and Hilbert series of quasiinvariant spaces by exact linear
 algebra.
 
-Four variants are supported:
+The four variants share one condition.  For each pair i < j and each twist
+r < l, let g_r be the reflection x_i -> zeta^r x_j, x_j -> zeta^-r x_i
+(zeta a primitive l-th root of unity; g_0 is the swap s_ij).  Then
+X^a F - g_r(X^a F) must
 
-* PLAIN_Q   -- q-deformed quasiinvariants: (1 - s_ij)F divisible by
-               prod_{p=-m}^{m} (X_i - q^p X_j).  At q = 1 the conditions
-               switch to vanishing to order 2m+1 along X_i = X_j.
-* CYC       -- cyclotomic quasiinvariants in variables x_i for the wreath
-               product S_N wr Z/l: twisted-swap differences divisible by
-               prod_p (x_i - zeta^r q^p x_j), plus homogeneous projector
-               divisibility by powers of x_i.
-* TWISTED   -- monomial-weight-twisted quasiinvariants: X^a F with rational
-               exponents a_i, order-(2m+1) vanishing encoded through
+* vanish to order 2m+1 along x_i = zeta^r x_j when q = 1, or
+* vanish at x_i = zeta^r q^p x_j for 0 < |p| <= m when q != 1,
+
+and for l > 1 every x_i-exponent congruent to r mod l (0 < r < l) must be at
+least r + m_r l (the projector conditions).  The variants differ only in
+(l, a, q, M), where q^(1/M) raised to integer powers gives the weights
+q^(p a_i):
+
+* PLAIN_Q   -- q-deformed quasiinvariants: l = 1, a = 0, any q, M = 1.
+* CYC       -- cyclotomic quasiinvariants for the wreath product S_N wr Z/l:
+               l >= 1, a = 0, any q (the deformation base 'bold q'), M = 1,
+               weights m_1..m_{l-1} of the projector conditions.
+* TWISTED   -- monomial-weight-twisted quasiinvariants: l = 1, rational a,
+               q = 1, M = 1; order-(2m+1) vanishing is encoded through
                generalized binomial series in (1+u)^a.
-* TWISTED_Q -- the q-deformation of TWISTED: the weight condition becomes
-               q^{p a_i} F|_{X_i = q^p X_j} = q^{p a_j} (s_ij F)|_{X_i = q^p X_j},
-               with fractional a_i handled through the base parameter
-               qq = q^(1/M) for a common denominator M.
+* TWISTED_Q -- the q-deformation of TWISTED: l = 1, rational a, M the common
+               denominator of the a_i, and q stores the base parameter
+               qq = q^(1/M).
 
 Every basis element returned by graded_basis is re-verified against the raw
 conditions by a direct checker that does not share code with the row
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .laurent import LaurentPoly, one_plus_u_power
 from .linalg import nullspace
@@ -43,6 +50,7 @@ PLAIN_Q = "plain-q"
 CYC = "cyc"
 TWISTED = "twisted"
 TWISTED_Q = "twisted-q"
+VARIANTS = (PLAIN_Q, CYC, TWISTED, TWISTED_Q)
 
 
 class ParameterDegenerate(Exception):
@@ -54,10 +62,15 @@ class QuasiSpec:
     """Parameters of one quasiinvariant space.
 
     For PLAIN_Q: N, m, q (q = 1 selects the classical order-vanishing form).
-    For CYC: N, m, l, mlist (m_1..m_{l-1}), q (the deformation base 'bold q').
-    For TWISTED: N, m, a (rational weights).
+    For CYC: N, m, l >= 1, mlist (m_1..m_{l-1}; missing entries are 0), q.
+    For TWISTED: N, m, a (N rational weights).
     For TWISTED_Q: N, m, a, q, where q must be supplied as qq**M for the
     common denominator M of the a_i (qq is stored).
+
+    Construction fixes what conditions_matrix reads: l (1 unless CYC), the
+    weights a (zeros unless twisted) and common_denominator M (1 unless
+    TWISTED_Q).  A space the variant cannot mean raises ValueError with a
+    message that starts with the offending parameter's name.
     """
 
     variant: str
@@ -70,29 +83,55 @@ class QuasiSpec:
     dom: object = field(default=None)
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(
+                f"variant must be one of {', '.join(VARIANTS)}, got {self.variant!r}"
+            )
+        if self.N < 1:
+            raise ValueError(f"N must be at least 1, got {self.N}")
+        if self.m < 0:
+            raise ValueError(f"m must be non-negative, got {self.m}")
+        if self.variant == CYC and self.l < 1:
+            raise ValueError(f"l must be at least 1 for cyc, got {self.l}")
+        if self.variant != CYC and self.l != 1:
+            raise ValueError(f"l must be 1 for {self.variant}, got {self.l}")
+        if len(self.mlist) > self.l - 1:
+            raise ValueError(
+                f"mlist takes at most l - 1 = {self.l - 1} entries, "
+                f"got {len(self.mlist)}"
+            )
         self.q = Fraction(self.q)
         self.a = tuple(Fraction(x) for x in self.a)
-        if self.variant in (TWISTED, TWISTED_Q) and len(self.a) != self.N:
+        if self.variant in (TWISTED, TWISTED_Q):
+            if len(self.a) != self.N:
+                raise ValueError(
+                    f"a needs {self.N} weights for N = {self.N}, got {len(self.a)}"
+                )
+        elif any(self.a):
             raise ValueError(
-                f"{self.variant} needs one weight per variable: N = {self.N}, "
-                f"got {len(self.a)} weights"
+                f"a must be zero for {self.variant}, got {', '.join(map(str, self.a))}"
             )
-        if self.variant == CYC:
-            self.dom = self.dom or (QQ if self.l <= 2 else CycloField(self.l))
         else:
-            self.dom = self.dom or QQ
-        if self.variant == TWISTED_Q:
-            M = 1
-            for x in self.a:
-                M = M * x.denominator // gcd(M, x.denominator)
-            self.common_denominator = M
-        if self.variant in (PLAIN_Q, TWISTED_Q) and self.q != 1:
-            # the 2m+1 hyperplanes X_i = q^p X_j must be distinct
+            self.a = (Fraction(0),) * self.N
+        if self.variant == TWISTED and self.q != 1:
+            raise ValueError(f"q must be 1 for twisted (see twisted-q), got {self.q}")
+        if self.q == 0:
+            raise ValueError("q must be nonzero")
+        self.dom = self.dom or (QQ if self.l <= 2 else CycloField(self.l))
+        self.common_denominator = (
+            lcm(*(x.denominator for x in self.a)) if self.variant == TWISTED_Q else 1
+        )
+        if self.q != 1:
+            # the 2m+1 hyperplanes X_i = q^p X_j must be distinct; for CYC a
+            # rational q makes zeta^r q^p collide only when q^p does
             seen = set()
             for p in range(-self.m, self.m + 1):
                 v = self.q ** p
                 if v in seen:
-                    raise ParameterDegenerate(f"q^p collision at |p| <= {self.m}")
+                    raise ParameterDegenerate(
+                        f"q {self.q} makes two hyperplanes X_i = q^p X_j with "
+                        f"|p| <= {self.m} coincide"
+                    )
                 seen.add(v)
 
 
@@ -121,20 +160,28 @@ def _zeta_power(dom, r):
 
 def conditions_matrix(spec, d):
     """Rows of the exact linear system whose null space is the degree-d
-    component, together with the monomial basis indexing the columns."""
-    basis = degree_monomials(spec.N, d)
-    col = {e: i for i, e in enumerate(basis)}
-    dom = spec.dom
-    rows = []
+    component, together with the monomial basis indexing the columns.
 
-    def poly_of(e):
-        return LaurentPoly.monomial(spec.N, e, 1, dom)
+    For each pair i < j, twist r < l and basis monomial F, with
+    g = g_r F and K = 2m:
+
+    * q = 1: the coefficients of u^0..u^K in F (1+u)^{a_i} - g (1+u)^{a_j}
+      at x_i = zeta^r x_j (1+u), one block of rows per power of u;
+    * q != 1: q^{p a_i M} F - q^{p a_j M} g at x_i = zeta^r q^{pM} x_j, one
+      block per 0 < |p| <= m (p = 0 holds by antisymmetry).
+
+    The projector rows come last; for l = 1 there are none.
+    """
+    basis = degree_monomials(spec.N, d)
+    dom, l, K, M, q = spec.dom, spec.l, 2 * spec.m, spec.common_denominator, spec.q
+    monomials = [LaurentPoly.monomial(spec.N, e, 1, dom) for e in basis]
+    rows = []
 
     def add_rows_from_images(images):
         """images: per-basis-monomial output polynomial; rows indexed by the
         union of output monomials."""
         support = {}
-        for bi, img in enumerate(images):
+        for img in images:
             for e in img.terms:
                 support.setdefault(e, len(support))
         block = [[dom.zero] * len(basis) for _ in range(len(support))]
@@ -143,127 +190,47 @@ def conditions_matrix(spec, d):
                 block[support[e]][bi] = c
         rows.extend(r for r in block if any(r))
 
-    if spec.variant == PLAIN_Q:
-        for i in range(1, spec.N + 1):
-            for j in range(i + 1, spec.N + 1):
-                if spec.q == 1:
-                    # order-(2m+1) vanishing along X_i = X_j
-                    for r in range(2 * spec.m + 1):
-                        images = []
-                        for e in basis:
-                            p = poly_of(e)
-                            g = p - p.swap(i, j)
-                            ser = g.series_on_hyperplane(i, j, 2 * spec.m)
-                            images.append(ser.coeffs[r])
-                        add_rows_from_images(images)
-                else:
-                    for p_exp in range(-spec.m, spec.m + 1):
-                        if p_exp == 0:
-                            continue  # automatic by antisymmetry
-                        c = dom.coerce(spec.q ** p_exp)
-                        images = []
-                        for e in basis:
-                            p = poly_of(e)
-                            g = p - p.swap(i, j)
-                            images.append(g.substitute({i: (c, j)}))
-                        add_rows_from_images(images)
-        return rows, basis
+    for i in range(1, spec.N + 1):
+        for j in range(i + 1, spec.N + 1):
+            ai, aj = spec.a[i - 1], spec.a[j - 1]
+            for r in range(l):
+                zr = _zeta_power(dom, r)
+                reflect = {i: (zr, j), j: (_zeta_power(dom, -r % l), i)}
+                pairs = [(F, F.substitute(reflect)) for F in monomials]
+                if q == 1:
+                    wi, wj = one_plus_u_power(ai, K), one_plus_u_power(aj, K)
 
-    if spec.variant == CYC:
-        zl = spec.l
-        for i in range(1, spec.N + 1):
-            for j in range(i + 1, spec.N + 1):
-                for r in range(zl):
-                    zr = _zeta_power(dom, r)
-                    zr_inv = _zeta_power(dom, (zl - r) % zl)
-                    if spec.q == 1:
-                        # vanishing to order 2m+1 along x_i = zeta^r x_j:
-                        # substitute x_i -> zeta^r x_j (1+u)
-                        for order in range(2 * spec.m + 1):
-                            images = []
-                            for e in basis:
-                                p = poly_of(e)
-                                g = p - p.substitute(
-                                    {i: (zr, j), j: (zr_inv, i)}
-                                )
-                                # expand x_i = zeta^r x_j(1+u): first swap the
-                                # roles so series helper applies: substitute
-                                # x_i -> zeta^r * x_i and then x_i = x_j(1+u)
-                                g = g.scale_var(i, zr)
-                                ser = g.series_on_hyperplane(j, i, 2 * spec.m)
-                                images.append(ser.coeffs[order])
-                            add_rows_from_images(images)
-                    else:
-                        for p_exp in range(-spec.m, spec.m + 1):
-                            if p_exp == 0:
-                                continue
-                            c = zr * dom.coerce(spec.q ** p_exp)
-                            images = []
-                            for e in basis:
-                                p = poly_of(e)
-                                g = p - p.substitute(
-                                    {i: (zr, j), j: (zr_inv, i)}
-                                )
-                                images.append(g.substitute({i: (c, j)}))
-                            add_rows_from_images(images)
-        # projector divisibility: monomials with x_i-exponent congruent to r
-        # mod l but smaller than r + m_r l are forbidden
-        for i in range(1, spec.N + 1):
-            for r in range(1, zl):
-                m_r = spec.mlist[r - 1] if len(spec.mlist) >= r else 0
-                bound = r + m_r * zl
-                for e in basis:
-                    if e[i - 1] % zl == r and e[i - 1] < bound:
-                        row = [dom.zero] * len(basis)
-                        row[col[e]] = dom.one
-                        rows.append(row)
-        return rows, basis
-
-    if spec.variant == TWISTED:
-        K = 2 * spec.m
-        for i in range(1, spec.N + 1):
-            for j in range(i + 1, spec.N + 1):
-                wi = one_plus_u_power(spec.a[i - 1], K)
-                wj = one_plus_u_power(spec.a[j - 1], K)
-                for order in range(K + 1):
-                    images = []
-                    for e in basis:
-                        p = poly_of(e)
-                        s1 = p.series_on_hyperplane(i, j, K).scale_by_scalar_series(wj)
-                        s2 = (
-                            p.swap(i, j)
-                            .series_on_hyperplane(i, j, K)
-                            .scale_by_scalar_series(wi)
+                    def expand(G, w):
+                        return (
+                            G.scale_var(i, zr)
+                            .series_on_hyperplane(j, i, K)
+                            .scale_by_scalar_series(w)
                         )
-                        images.append(s1.coeffs[order] - s2.coeffs[order])
-                    add_rows_from_images(images)
-        return rows, basis
 
-    if spec.variant == TWISTED_Q:
-        M = spec.common_denominator
-        qq = spec.q  # base parameter with q = qq**M
-        for i in range(1, spec.N + 1):
-            for j in range(i + 1, spec.N + 1):
-                ai, aj = spec.a[i - 1], spec.a[j - 1]
-                for p_exp in range(-spec.m, spec.m + 1):
-                    if p_exp == 0:
-                        continue
-                    qp = qq ** (p_exp * M)
-                    ei, ej = p_exp * ai * M, p_exp * aj * M
-                    if ei.denominator != 1 or ej.denominator != 1:
-                        raise ParameterDegenerate("weights not normalized by M")
-                    wi = qq ** int(ei)
-                    wj = qq ** int(ej)
-                    images = []
-                    for e in basis:
-                        p = poly_of(e)
-                        lhs = p.substitute({i: (qp, j)}) * wi
-                        rhs = p.swap(i, j).substitute({i: (qp, j)}) * wj
-                        images.append(lhs - rhs)
-                    add_rows_from_images(images)
-        return rows, basis
-
-    raise ValueError(f"unknown variant {spec.variant!r}")
+                    series = [(expand(F, wi) - expand(g, wj)).coeffs for F, g in pairs]
+                    for order in range(K + 1):
+                        add_rows_from_images([s[order] for s in series])
+                else:
+                    for p in range(-spec.m, spec.m + 1):
+                        if p == 0:
+                            continue
+                        wi = dom.coerce(q ** int(p * ai * M))
+                        wj = dom.coerce(q ** int(p * aj * M))
+                        at = {i: (zr * dom.coerce(q ** (p * M)), j)}
+                        add_rows_from_images(
+                            [(F * wi - g * wj).substitute(at) for F, g in pairs]
+                        )
+    # projector divisibility: monomials with x_i-exponent congruent to r
+    # mod l but smaller than r + m_r l are forbidden
+    for i in range(1, spec.N + 1):
+        for r in range(1, l):
+            m_r = spec.mlist[r - 1] if len(spec.mlist) >= r else 0
+            for k, e in enumerate(basis):
+                if e[i - 1] % l == r and e[i - 1] < r + m_r * l:
+                    row = [dom.zero] * len(basis)
+                    row[k] = dom.one
+                    rows.append(row)
+    return rows, basis
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +473,18 @@ def graded_basis_with_symmetry(spec, maxdeg, i, j, sign):
 # flatness protocols
 
 def flatness_report(variant, N, m, maxdeg, seeds, l=1, mlist=(), a=()):
-    """Compare dimension sequences at sampled generic q against q = 1."""
+    """Compare dimension sequences at sampled generic q against q = 1; the
+    q = 1 reference of TWISTED_Q is the TWISTED space."""
     from .scalars import sample_generic
 
-    if variant == PLAIN_Q:
-        base = QuasiSpec(PLAIN_Q, N, m, q=1)
-    elif variant == CYC:
-        base = QuasiSpec(CYC, N, m, l=l, mlist=mlist, q=1)
-    elif variant == TWISTED_Q:
-        base = QuasiSpec(TWISTED, N, m, a=a)
-    else:
+    if variant not in (PLAIN_Q, CYC, TWISTED_Q):
         raise ValueError("flatness protocol needs a q-deformable variant")
-    reference = graded_basis(base, maxdeg).dims()
+
+    def spec(q):
+        at_q = TWISTED if variant == TWISTED_Q and q == 1 else variant
+        return QuasiSpec(at_q, N, m, l=l, mlist=mlist, q=q, a=a)
+
+    reference = graded_basis(spec(1), maxdeg).dims()
     runs = []
     all_match = True
     for s in range(seeds):
@@ -525,13 +492,7 @@ def flatness_report(variant, N, m, maxdeg, seeds, l=1, mlist=(), a=()):
             ["q"], [("nonzero", "q"), ("not_root_of_unity", "q", 24)], seed=1000 + s
         )
         q = vals["q"]
-        if variant == PLAIN_Q:
-            spec = QuasiSpec(PLAIN_Q, N, m, q=q)
-        elif variant == CYC:
-            spec = QuasiSpec(CYC, N, m, l=l, mlist=mlist, q=q)
-        else:
-            spec = QuasiSpec(TWISTED_Q, N, m, a=a, q=q)
-        dims = graded_basis(spec, maxdeg).dims()
+        dims = graded_basis(spec(q), maxdeg).dims()
         match = dims == reference
         all_match &= match
         runs.append({"q": str(q), "dims": dims, "match": match})

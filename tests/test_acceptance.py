@@ -33,3 +33,15 @@ def test_smoke_failure_names_the_exception(monkeypatch):
     assert entry["details"]["error"].endswith(": probe")
     others = [r for name, r in results.items() if r is not entry]
     assert len(others) == 6 and all(r["status"] == "pass" for r in others)
+
+
+def test_criterion_12_fails_on_an_unexpected_error(monkeypatch):
+    from cycdaha import quiver
+
+    def broken(X, Y, g, h):
+        raise RuntimeError("probe")
+
+    monkeypatch.setattr(quiver, "moment_equivariance_check", broken)
+    entry = acceptance.criterion_12()
+    assert entry["status"] == "fail"
+    assert entry["details"]["error"].startswith("RuntimeError at test_acceptance.py:")

@@ -170,6 +170,37 @@ def test_usage_error_exit_code_two(capsys):
         with pytest.raises(SystemExit) as exc:
             main(cmd)
         assert exc.value.code == 2, cmd
+    # malformed numbers, empty sweeps and spaces QuasiSpec rejects; the
+    # message names the flag
+    series = ["quasi", "series", "--N", "2", "--m", "1"]
+    flatness = ["quasi", "flatness", "--N", "2", "--m", "1"]
+    apply = ["macdonald", "apply", "--N", "2", "--poly", "p.json"]
+    for flag, cmd in (
+        ("--a", series + ["--variant", "twisted", "--a", "x,0"]),
+        ("--a", flatness + ["--variant", "twisted-q", "--a", "1/0,0"]),
+        ("--q", series + ["--variant", "plain-q", "--q", "1/0"]),
+        ("--q", series + ["--variant", "cyc", "--l", "2", "--q", "x"]),
+        ("--q", series + ["--variant", "plain-q", "--q", "0"]),
+        ("--q", series + ["--variant", "cyc", "--l", "2", "--q", "-1"]),
+        ("--q", series + ["--variant", "twisted", "--a", "1,0", "--q", "2"]),
+        ("--q", apply + ["--q", "1/0", "--t", "1"]),
+        ("--t", apply + ["--q", "1", "--t", "t"]),
+        ("--maxdeg", series + ["--variant", "plain-q", "--maxdeg", "-1"]),
+        ("--maxdeg", flatness + ["--variant", "plain-q", "--maxdeg", "-1"]),
+        ("--seeds", flatness + ["--variant", "plain-q", "--seeds", "0"]),
+        ("--m", series + ["--variant", "plain-q", "--m", "-1"]),
+        ("--N", ["quasi", "series", "--variant", "plain-q", "--N", "0", "--m", "1"]),
+        ("--l", series + ["--variant", "cyc", "--l", "0", "--maxdeg", "4"]),
+        ("--l", flatness + ["--variant", "cyc", "--l", "0", "--maxdeg", "4"]),
+        ("--l", series + ["--variant", "plain-q", "--l", "2"]),
+        ("--a", series + ["--variant", "plain-q", "--a", "1,0"]),
+        ("--mlist", series + ["--variant", "cyc", "--l", "2", "--mlist", "1,5,7"]),
+        ("--mlist", flatness + ["--variant", "cyc", "--l", "2", "--mlist", "1,5"]),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd)
+        assert exc.value.code == 2, cmd
+        assert f"error: {flag}" in capsys.readouterr().err, cmd
     assert capsys.readouterr().out == ""
 
 

@@ -63,8 +63,9 @@ def test_membership_ideal_spot_check():
 
 
 def test_q_collision_detected():
-    with pytest.raises(ParameterDegenerate):
-        QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(-1))
+    for variant in (PLAIN_Q, CYC):
+        with pytest.raises(ParameterDegenerate):
+            QuasiSpec(variant, 2, 1, q=Fraction(-1))
 
 
 def test_twisted_weight_count_must_match_rank():
@@ -72,6 +73,25 @@ def test_twisted_weight_count_must_match_rank():
         for a in ((Fraction(1),), (Fraction(1), Fraction(0), Fraction(0))):
             with pytest.raises(ValueError):
                 QuasiSpec(variant, 2, 1, a=a)
+
+
+def test_spec_rejects_spaces_it_cannot_mean():
+    weights = (Fraction(1), Fraction(0))
+    for variant, m, kwargs in (
+        ("unknown", 1, {}),
+        (PLAIN_Q, -1, {}),
+        (CYC, 1, {"l": 0}),
+        (CYC, 1, {"l": 2, "mlist": (1, 5, 7)}),
+        (PLAIN_Q, 1, {"l": 2}),
+        (TWISTED, 1, {"l": 2, "a": weights}),
+        (PLAIN_Q, 1, {"a": weights}),
+        (PLAIN_Q, 1, {"q": Fraction(0)}),
+        (TWISTED, 1, {"a": weights, "q": Fraction(5, 3)}),
+    ):
+        with pytest.raises(ValueError):
+            QuasiSpec(variant, 2, m, **kwargs)
+    with pytest.raises(ValueError):
+        QuasiSpec(PLAIN_Q, 0, 1)
 
 
 def test_twisted_closed_form_series():
@@ -227,3 +247,43 @@ def test_macdonald_preserves_q_quasiinvariants():
         for F in polys:
             img = apply_macdonald_operator(2, q, q ** (-m), F)
             assert check_member(spec, img)
+
+
+# Every variant, both branches of q, an empty condition set (m = 0), the
+# cyclotomic projector rows over QQ and over Q(zeta_3), and fractional weights.
+FINGERPRINT_SPECS = [
+    (QuasiSpec(PLAIN_Q, 2, 2, q=1), 7),
+    (QuasiSpec(PLAIN_Q, 3, 1, q=1), 4),
+    (QuasiSpec(PLAIN_Q, 2, 2, q=Fraction(5, 3)), 7),
+    (QuasiSpec(PLAIN_Q, 3, 1, q=Fraction(3, 2)), 4),
+    (QuasiSpec(PLAIN_Q, 2, 0, q=Fraction(5, 3)), 3),
+    (QuasiSpec(CYC, 2, 1, l=2, mlist=(1,), q=1), 6),
+    (QuasiSpec(CYC, 2, 1, l=2, mlist=(1,), q=Fraction(7, 5)), 6),
+    (QuasiSpec(CYC, 2, 1, l=3, mlist=(1, 0), q=1), 5),
+    (QuasiSpec(CYC, 2, 1, l=3, mlist=(1, 0), q=Fraction(5, 3)), 5),
+    (QuasiSpec(TWISTED, 2, 2, a=(Fraction(1, 3), Fraction(0))), 7),
+    (QuasiSpec(TWISTED, 3, 1, a=(Fraction(1, 2), Fraction(1, 3), Fraction(0))), 4),
+    (QuasiSpec(TWISTED_Q, 2, 1, a=(Fraction(1, 2), Fraction(0)), q=Fraction(3, 2)), 6),
+    (QuasiSpec(TWISTED_Q, 3, 1, a=(Fraction(1, 2), Fraction(0), Fraction(0)),
+               q=Fraction(5, 3)), 4),
+]
+
+
+def test_graded_basis_fingerprint():
+    """SHA-256 over every basis polynomial (terms sorted by exponent) and the
+    swap-eigenspace dimensions of each fingerprint spec."""
+    import hashlib
+    import json
+
+    digest = hashlib.sha256()
+    for spec, maxdeg in FINGERPRINT_SPECS:
+        degrees = [
+            [[[list(e), spec.dom.scalar_to_json(c)] for e, c in sorted(F.terms.items())]
+             for F in polys]
+            for polys in graded_basis(spec, maxdeg).degrees
+        ]
+        split = [graded_basis_with_symmetry(spec, maxdeg, 1, 2, sign) for sign in (1, -1)]
+        digest.update(json.dumps([degrees, split]).encode())
+    assert digest.hexdigest() == (
+        "83a53562f9bc707593268f861aabdad6603a87fa9a5ae9c754cb29526eacf951"
+    )
