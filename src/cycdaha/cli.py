@@ -49,10 +49,6 @@ def _emit(report, out_path):
         print(text)
 
 
-def _ints_csv(text):
-    return tuple(int(x) for x in text.split(",") if x.strip())
-
-
 def _wrap_report(config, payload, ok):
     return {
         "engine": {"name": "cycdaha", "version": __version__},
@@ -221,9 +217,8 @@ def cmd_quiver_check(args):
 def cmd_bow_sample(args):
     from .bow import sample_bow
 
-    dims = _ints_csv(args.dims)
-    bow = sample_bow(dims, Fraction(2), Fraction(3), Fraction(5, 2), args.seed)
-    config = {"command": "bow sample", "dims": list(dims), "seed": args.seed}
+    bow = sample_bow(args.dims, Fraction(2), Fraction(3), Fraction(5, 2), args.seed)
+    config = {"command": "bow sample", "dims": list(args.dims), "seed": args.seed}
     return _wrap_report(config, {"bow": bow.to_json()}, True)
 
 
@@ -336,7 +331,7 @@ def build_parser():
     ri.add_argument("--seed", type=int, default=0)
     ri.add_argument("--out")
     ri.set_defaults(fn=cmd_relations_involution,
-                    check=lambda a: _check_level(ri, a.family, a.l))
+                    check=lambda a: (_at_least_one(ri, a, "N"), _check_level(ri, a.family, a.l)))
 
     qa = sub.add_parser("quasi", help="quasiinvariant spaces")
     qa_sub = qa.add_subparsers(dest="cmd", required=True)
@@ -384,8 +379,7 @@ def build_parser():
     mc.add_argument("--maxdeg", type=int, default=4)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--out")
-    mc.set_defaults(fn=cmd_macdonald_commute,
-                    check=lambda a: _check_level(mc, "cyc-daha", a.l))
+    mc.set_defaults(fn=cmd_macdonald_commute, check=lambda a: _check_commute(mc, a))
 
     qv = sub.add_parser("quiver", help="multiplicative quiver varieties")
     qv_sub = qv.add_subparsers(dest="cmd", required=True)
@@ -394,7 +388,7 @@ def build_parser():
     qsample.add_argument("--N", type=int, required=True)
     qsample.add_argument("--seed", type=int, default=0)
     qsample.add_argument("--out")
-    qsample.set_defaults(fn=cmd_quiver_sample)
+    qsample.set_defaults(fn=cmd_quiver_sample, check=lambda a: _at_least_one(qsample, a, "l", "N"))
     qcheck = qv_sub.add_parser("check")
     qcheck.add_argument("--file", required=True)
     qcheck.add_argument("--out")
@@ -406,7 +400,7 @@ def build_parser():
     bsample.add_argument("--dims", required=True)
     bsample.add_argument("--seed", type=int, default=0)
     bsample.add_argument("--out")
-    bsample.set_defaults(fn=cmd_bow_sample)
+    bsample.set_defaults(fn=cmd_bow_sample, check=lambda a: _check_bow_dims(bsample, a))
     bcheck = bw_sub.add_parser("check")
     bcheck.add_argument("--file", required=True)
     bcheck.add_argument("--out")
@@ -434,7 +428,8 @@ def build_parser():
     ee.add_argument("--trials", type=int, default=30)
     ee.add_argument("--seed", type=int, default=0)
     ee.add_argument("--out")
-    ee.set_defaults(fn=cmd_expr_equal, check=lambda a: _check_sweep_args(ee, a))
+    ee.set_defaults(fn=cmd_expr_equal,
+                    check=lambda a: (_check_sweep_args(ee, a), _check_generators(ee, a)))
 
     st = sub.add_parser("suite", help="named test batteries")
     st.add_argument("name", choices=["smoke", "paper-acceptance"])
@@ -446,6 +441,12 @@ def build_parser():
 
 # Argument checks: each rejects a configuration that would check nothing or
 # fail inside the library; ap.error exits with code 2.
+
+def _at_least_one(ap, args, *names):
+    for name in names:
+        if getattr(args, name) < 1:
+            ap.error(f"--{name} must be at least 1, got {getattr(args, name)}")
+
 
 def _check_level(ap, family, l):
     """The cyclotomic families need l >= 1; at l = 0 they pass vacuously."""
@@ -481,8 +482,7 @@ def _check_quasi(ap, args, q):
 
 def _check_sweep_args(ap, args):
     """Relation and expression checks."""
-    if args.N < 1:
-        ap.error(f"--N must be at least 1, got {args.N}")
+    _at_least_one(ap, args, "N")
     if args.l < 0:
         ap.error(f"--l must be non-negative, got {args.l}")
     _check_level(ap, args.family, args.l)
@@ -490,6 +490,47 @@ def _check_sweep_args(ap, args):
         ap.error(f"--B must be non-negative in box mode, got {args.B}")
     if args.mode == "random" and args.trials < 1:
         ap.error(f"--trials must be at least 1 in random mode, got {args.trials}")
+
+
+def _check_generators(ap, args):
+    """expr equal: every generator token names a tag of the family's table,
+    with an index of at most N (N - 1 for T, T^-1 and s, which act on X_i
+    and X_{i+1}).  A malformed expression raises ParseError (exit 2)."""
+    from .algebra import rep_family_for
+    from .exprparse import generator_tokens, parse_gen
+    from .ops import GENERATORS
+
+    table = GENERATORS[rep_family_for(args.family)]
+    for flag, text in (("--lhs", args.lhs), ("--rhs", args.rhs)):
+        for token in generator_tokens(text):
+            g = parse_gen(token)
+            if g.tag not in table:
+                ap.error(f"{flag}: {token} is not a generator of {args.family}")
+            top = args.N - 1 if g.tag in ("T", "T^-1", "s") else args.N
+            if g.i > top:
+                ap.error(f"{flag}: {token} needs an index of at most {top} at N = {args.N}")
+
+
+def _check_commute(ap, args):
+    _at_least_one(ap, args, "N")
+    _check_level(ap, "cyc-daha", args.l)
+    for name in ("r1", "r2"):
+        r = getattr(args, name)
+        if not 1 <= r <= args.N:
+            ap.error(f"--{name} must lie in 1..{args.N}, got {r}")
+
+
+def _check_bow_dims(ap, args):
+    """bow sample: three positive dimensions d1,d2,d3 with d2 == d3 (stored
+    as a tuple in args.dims)."""
+    dims = tuple(_number(ap, "--dims", x, int) for x in args.dims.split(",") if x.strip())
+    if len(dims) != 3:
+        ap.error(f"--dims takes three dimensions d1,d2,d3, got {args.dims!r}")
+    if min(dims) < 1:
+        ap.error(f"--dims must be positive, got {args.dims!r}")
+    if dims[1] != dims[2]:
+        ap.error(f"--dims needs d2 == d3 (a square A), got {args.dims!r}")
+    args.dims = dims
 
 
 def main(argv=None):

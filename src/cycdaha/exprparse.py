@@ -74,24 +74,22 @@ _GEN_RE = re.compile(
 )
 
 
+# tokens without an index, each its own tag
+_BARE_TOKENS = ("pi", "pi^-1", "pi-", "omega", "omega^-1")
+
+
 def parse_gen(token):
     """Parse a single generator token into a Gen."""
-    if token == "pi":
-        return Gen("pi")
-    if token == "pi^-1":
-        return Gen("pi^-1")
-    if token == "pi-":
-        return Gen("pi-")
-    if token == "omega":
-        return Gen("omega")
-    if token == "omega^-1":
-        return Gen("omega^-1")
+    if token in _BARE_TOKENS:
+        return Gen(token)
     m = _GEN_RE.match(token)
     if not m:
         raise ParseError(f"bad generator token {token!r}")
     tag, idx, suffix = m.group("tag"), int(m.group("idx")), m.group("suffix")
     if tag == "s" and idx == 0:
         return Gen("s0")
+    if idx == 0:
+        raise ParseError(f"generator indices start at 1, got {token!r}")
     if suffix == "^-1":
         if tag not in ("T", "X", "Y", "sigma"):
             raise ParseError(f"{tag} has no inverse token")
@@ -177,6 +175,11 @@ class _Parser:
             self.take()
             gens.append(parse_gen(value))
         return gens
+
+
+def generator_tokens(text):
+    """The generator tokens of an expression, in order."""
+    return [value for kind, value in _tokenize(text) if kind == "gen"]
 
 
 def parse_expr(text):

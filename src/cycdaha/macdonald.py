@@ -82,7 +82,7 @@ def _cofactor(N, j, dom):
     return out
 
 
-def apply_macdonald_operator(N, q, t, p, dom=QQ, subtract_one=False, cyclotomic_shift=False):
+def apply_macdonald_operator(N, q, t, p, dom=QQ, subtract_one=False):
     """Apply M = sum_j prod_{i != j} (X_i - t X_j)/(X_i - X_j) * shift_j.
 
     shift_j is tau_j (X_j -> q X_j); with subtract_one the factor becomes
@@ -204,10 +204,9 @@ class SymmetricOperator:
         return True
 
 
-def symmetric_basis(rep, maxdeg, dom=None):
+def symmetric_basis(rep, maxdeg):
     """Monomial symmetric polynomials m_lambda with |lambda| <= maxdeg."""
-    dom = dom or rep.dom
-    N = rep.N
+    dom, N = rep.dom, rep.N
     out = [LaurentPoly.one(N, dom)]
     for total in range(1, maxdeg + 1):
         for lam in [p for p in partitions(total) if len(p) <= N]:
@@ -218,7 +217,7 @@ def symmetric_basis(rep, maxdeg, dom=None):
     return out
 
 
-def hamiltonian(rep, r, f_coeffs, dual=False, check_commuting=True):
+def hamiltonian(rep, r, f_coeffs, dual=False):
     """The symmetric Hamiltonian e_r of the commuting family, times the
     Hecke symmetrizer.
 
@@ -230,12 +229,8 @@ def hamiltonian(rep, r, f_coeffs, dual=False, check_commuting=True):
     if not 1 <= r <= rep.N:
         raise ValueError("need 1 <= r <= N")
     family = dunkl_family(rep) if dual else y_family(rep, f_coeffs)
-    if check_commuting:
-        for a, b in itertools.combinations(family, 2):
-            res = op_equal_on_box(rep, a * b, b * a, 1)
-            if not res["result"]:
-                raise AssertionError(
-                    "family is not commuting; aborting Hamiltonian assembly"
-                )
+    for a, b in itertools.combinations(family, 2):
+        if not op_equal_on_box(rep, a * b, b * a, 1)["result"]:
+            raise AssertionError("family is not commuting; aborting Hamiltonian assembly")
     expr = elementary_symmetric(family, r) * hecke_symmetrizer_expr(rep)
     return SymmetricOperator(rep, expr, name=f"M_{r}{'(dual)' if dual else ''}")

@@ -3,12 +3,12 @@
 Three representation families are supported, each acting on
 P = K[X_1^{+-1}, ..., X_N^{+-1}]:
 
-* "daha":  Hecke generators T_i act by t*s_i + (t - 1/t)/(X_i/X_{i+1} - 1)(s_i - 1),
-  X_i by multiplication, and Y_i through the factorization
-  Y_i = tb^(N-1) * T_i^-1...T_{N-1}^-1 * omega * T_1...T_{i-1} with
-  (omega f)(X_1,...,X_N) = f(q X_N, X_1, ..., X_{N-1}).  Derived generators:
-  pi = X_1 T_1...T_{N-1}, pi_- = pi^-1 (Y_1-Z_1)...(Y_1-Z_l), and the
-  q-deformed Dunkl operators Dl_i built from X_1^-1 (Y_1-Z_1)...(Y_1-Z_l).
+* "daha":  Hecke generators T_i act by tb*s_i + (tb - 1/tb)/(X_i/X_{i+1} - 1)(s_i - 1),
+  X_i by multiplication, omega by (omega f)(X_1,...,X_N) = f(q X_N, X_1, ..., X_{N-1}),
+  and Y_i = tb^(N-1) T_i^-1...T_{N-1}^-1 omega T_1...T_{i-1}.  Derived
+  generators: pi = X_1 T_1...T_{N-1}, pi_- = pi^-1 (Y_1-Z_1)...(Y_1-Z_l), and
+  the q-deformed Dunkl operators
+  Dl_i = T_{i-1}^-1...T_1^-1 X_1^-1 (Y_1-Z_1)...(Y_1-Z_l) T_1^-1...T_{i-1}^-1.
 
 * "deg": the degenerate (trigonometric) family with permutations s_i,
   rational Dunkl operators D_i = hbar*d_i - sum_j k/(X_i-X_j)(1-s_ij),
@@ -18,6 +18,16 @@ P = K[X_1^{+-1}, ..., X_N^{+-1}]:
 
 * "cyc": the cyclotomic rational Cherednik family for S_N wr Z/l over
   Q(zeta_l), with variable scalings sigma_i and Dunkl-Opdam operators DO_i.
+
+GENERATORS[family] is the one table of a family: it maps each generator tag
+the family accepts to its action, and any other tag raises FamilyMismatch.
+A primitive (X, s, T, omega, the Dunkl operators, ...) acts by its own
+code; a composite (Y, pi, Dl, s_0, ...) is the list of its factors exactly
+as displayed above, left to right, which Rep._product applies right to
+left.  A factor is a scalar, a Gen, or a pair (g, z) standing for g - z;
+the root factors (g - z_1)...(g - z_l) apply z_1 first.  Inside a product,
+monomial maps (X^+-1, s, s_ij, tau, omega^+-1, sigma^+-1) act directly and
+every other generator goes through apply_gen, so its images are cached.
 
 Operator words act right-to-left (the rightmost generator applies first).
 Per-generator images of monomials are cached on the representation; caching
@@ -57,16 +67,6 @@ class Gen:
         if self.i:
             return f"{self.tag}{self.i}"
         return self.tag
-
-
-# generator tags by family
-_DAHA_TAGS = {"T", "T^-1", "X", "X^-1", "Y", "Y^-1", "omega", "omega^-1",
-              "tau", "pi", "pi^-1", "pi-", "Dl", "s"}
-_DEG_TAGS = {"s", "s0", "sij", "X", "X^-1", "D", "Dtrig", "y", "pi", "pi^-1",
-             "pi-", "Dl", "tau"}
-_CYC_TAGS = {"s", "sij", "X", "X^-1", "sigma", "sigma^-1", "DO", "tau"}
-
-_FAMILY_TAGS = {FAMILY_DAHA: _DAHA_TAGS, FAMILY_DEG: _DEG_TAGS, FAMILY_CYC: _CYC_TAGS}
 
 
 class OperatorExpr:
@@ -195,6 +195,7 @@ class Rep:
         self.l = l
         self.params = dict(params or {})
         self.dom = dom
+        self._actions = GENERATORS[family]
         self._cache = {}
         if family == FAMILY_DAHA:
             tb = self.params["tb"]
@@ -240,7 +241,7 @@ class Rep:
         return LaurentPoly.monomial(self.N, exps, c, self.dom)
 
     def valid_gen(self, g):
-        return g.tag in _FAMILY_TAGS[self.family]
+        return g.tag in self._actions
 
     # -- application --------------------------------------------------------
 
@@ -255,7 +256,7 @@ class Rep:
         for e, c in p.terms.items():
             img = cache.get(e)
             if img is None:
-                img = self._apply_to_monomial(g, e)
+                img = self._actions[g.tag](self, g, self.monomial(e))
                 cache[e] = img
             out = out.addmul(img, c)
         return out
@@ -274,53 +275,41 @@ class Rep:
             out = out.addmul(self.apply_word(w, p), c)
         return out
 
-    # -- generator actions on a single monomial -----------------------------
+    def _product(self, factors, p):
+        """Apply a product whose factors are listed left to right, so the
+        rightmost acts first.  A factor is a scalar, a Gen, or a pair (g, z)
+        standing for g - z; monomial maps act directly, every other
+        generator through apply_gen and its image cache."""
+        for f in reversed(factors):
+            if isinstance(f, Gen):
+                if f.tag in _MONOMIAL_MAPS:
+                    p = self._actions[f.tag](self, f, p)
+                else:
+                    p = self.apply_gen(f, p)
+            elif isinstance(f, tuple):
+                g, z = f
+                p = self.apply_gen(g, p) - p * z
+            else:
+                p = p * f
+        return p
 
-    def _apply_to_monomial(self, g, e):
-        p = self.monomial(e)
-        return self._dispatch(g, p)
-
-    def _dispatch(self, g, p):
-        t = g.tag
-        if t == "X":
-            return p.shift(self._unit(g.i))
-        if t == "X^-1":
-            return p.shift(self._unit(g.i, -1))
-        if t == "s":
-            return p.swap(g.i, g.i + 1)
-        if t == "sij":
-            return p.swap(g.i, g.j)
-        if t == "tau":
-            return p.scale_var(g.i, self._q())
-
-        if self.family == FAMILY_DAHA:
-            return self._dispatch_daha(g, p)
-        if self.family == FAMILY_DEG:
-            return self._dispatch_deg(g, p)
-        return self._dispatch_cyc(g, p)
+    # -- primitive actions --------------------------------------------------
 
     def _unit(self, i, v=1):
         e = [0] * self.N
         e[i - 1] = v
         return tuple(e)
 
-    def _q(self):
-        return self.params["q"] if self.family == FAMILY_DAHA else self.params.get("q", 1)
-
-    # -- DAHA family --------------------------------------------------------
-
-    def _tb(self):
-        return self.params["tb"]
-
-    def _demazure_part(self, i, p):
-        """(s_i - 1)p / (X_i/X_{i+1} - 1)  =  (s_i p - p) X_{i+1} / (X_i - X_{i+1})."""
-        num = (p.swap(i, i + 1) - p).shift(self._unit(i + 1))
-        den = self.var(i) - self.var(i + 1)
-        return num.exact_divide(den, verify=False)
-
-    def _T(self, i, p):
-        tb = self._tb()
-        return p.swap(i, i + 1) * tb + self._demazure_part(i, p) * (tb - 1 / tb)
+    def _T(self, i, p, inverse=False):
+        """T_i = tb s_i + (tb - 1/tb)(s_i - 1)/(X_i/X_{i+1} - 1), where
+        (s_i p - p)/(X_i/X_{i+1} - 1) = (s_i p - p) X_{i+1}/(X_i - X_{i+1});
+        T_i^-1 = T_i - (tb - 1/tb)."""
+        tb = self.params["tb"]
+        gap = tb - 1 / tb
+        sp = p.swap(i, i + 1)
+        num = (sp - p).shift(self._unit(i + 1))
+        out = sp * tb + num.exact_divide(self.var(i) - self.var(i + 1), verify=False) * gap
+        return out - p * gap if inverse else out
 
     def _omega(self, p, inverse=False):
         """(omega f)(X) = f(qX_N, X_1, ..., X_{N-1}); exponentwise a cycle."""
@@ -340,74 +329,6 @@ class Rep:
                 out[(e[-1],) + e[:-1]] = coef
         return LaurentPoly(N, self.dom, out)
 
-    def _Y(self, i, p, inverse=False):
-        tb = self._tb()
-        N = self.N
-        if not inverse:
-            # Y_i = tb^(N-1) T_i^-1...T_{N-1}^-1 omega T_1...T_{i-1};
-            # rightmost factor acts first.
-            for j in range(i - 1, 0, -1):
-                p = self.apply_gen(Gen("T", j), p)
-            p = self._omega(p)
-            for j in range(N - 1, i - 1, -1):
-                p = self.apply_gen(Gen("T^-1", j), p)
-            return p * tb ** (N - 1)
-        # Y_i^-1 = tb^(1-N) T_{i-1}^-1...T_1^-1 omega^-1 T_{N-1}...T_i
-        for j in range(i, N):
-            p = self.apply_gen(Gen("T", j), p)
-        p = self._omega(p, inverse=True)
-        for j in range(1, i):
-            p = self.apply_gen(Gen("T^-1", j), p)
-        return p * (1 / tb) ** (N - 1)
-
-    def _Dl1(self, p):
-        """X_1^-1 (Y_1 - Z_1)...(Y_1 - Z_l) applied to p."""
-        for z in self.params["Z"]:
-            p = self.apply_gen(Gen("Y", 1), p) - p * z
-        return p.shift(self._unit(1, -1))
-
-    def _dispatch_daha(self, g, p):
-        t, i = g.tag, g.i
-        N = self.N
-        if t == "T":
-            return self._T(i, p)
-        if t == "T^-1":
-            tb = self._tb()
-            return self._T(i, p) - p * (tb - 1 / tb)
-        if t == "Y":
-            return self._Y(i, p)
-        if t == "Y^-1":
-            return self._Y(i, p, inverse=True)
-        if t == "omega":
-            return self._omega(p)
-        if t == "omega^-1":
-            return self._omega(p, inverse=True)
-        if t == "pi":
-            # X_1 T_1...T_{N-1}: rightmost acts first
-            for j in range(N - 1, 0, -1):
-                p = self.apply_gen(Gen("T", j), p)
-            return p.shift(self._unit(1))
-        if t == "pi^-1":
-            p = p.shift(self._unit(1, -1))
-            for j in range(1, N):
-                p = self.apply_gen(Gen("T^-1", j), p)
-            return p
-        if t == "pi-":
-            for z in self.params["Z"]:
-                p = self.apply_gen(Gen("Y", 1), p) - p * z
-            return self.apply_gen(Gen("pi^-1"), p)
-        if t == "Dl":
-            # T_{i-1}^-1 ... T_1^-1 Dl_1 T_1^-1 ... T_{i-1}^-1
-            for j in range(i - 1, 0, -1):
-                p = self.apply_gen(Gen("T^-1", j), p)
-            p = self._Dl1(p)
-            for j in range(1, i):
-                p = self.apply_gen(Gen("T^-1", j), p)
-            return p
-        raise FamilyMismatch(f"{g!r} in family daha")
-
-    # -- degenerate family --------------------------------------------------
-
     def _dunkl(self, i, p):
         """hbar * d_i - sum_{j != i} k/(X_i - X_j) (1 - s_ij)."""
         hbar, k = self.params["hbar"], self.params["k"]
@@ -421,59 +342,12 @@ class Rep:
                 out = out - num.exact_divide(den, verify=False) * k
         return out
 
-    def _dispatch_deg(self, g, p):
-        t, i = g.tag, g.i
-        N = self.N
-        k = self.params["k"]
-        if t == "D":
-            return self._dunkl(i, p)
-        if t in ("Dtrig", "y"):
-            out = self._dunkl(i, p).shift(self._unit(i))
-            for j in range(1, i):
-                out = out - p.swap(i, j) * k
-            return out
-        if t == "pi":
-            for j in range(N - 1, 0, -1):
-                p = p.swap(j, j + 1)
-            return p.shift(self._unit(1))
-        if t == "pi^-1":
-            p = p.shift(self._unit(1, -1))
-            for j in range(1, N):
-                p = p.swap(j, j + 1)
-            return p
-        if t == "s0":
-            # s_{1N} X_1^-1 X_N: multiply first, then swap
-            e = [0] * N
-            e[0] -= 1
-            e[N - 1] += 1
-            return p.shift(tuple(e)).swap(1, N)
-        if t == "pi-":
-            for z in self.params["z"]:
-                p = self.apply_gen(Gen("y", 1), p) - p * z
-            return self.apply_gen(Gen("pi^-1"), p)
-        if t == "Dl":
-            if i > 1:
-                p = p.swap(1, i)
-            for z in self.params["z"]:
-                p = self.apply_gen(Gen("y", 1), p) - p * z
-            p = p.shift(self._unit(1, -1))
-            if i > 1:
-                p = p.swap(1, i)
-            return p
-        raise FamilyMismatch(f"{g!r} in family deg")
-
-    # -- cyclotomic Cherednik family ----------------------------------------
-
-    def _dispatch_cyc(self, g, p):
-        t, i = g.tag, g.i
-        zeta = self.dom.zeta
-        if t == "sigma":
-            return p.scale_var(i, zeta)
-        if t == "sigma^-1":
-            return p.scale_var(i, zeta ** (self.l - 1))
-        if t == "DO":
-            return self._dunkl_opdam(i, p)
-        raise FamilyMismatch(f"{g!r} in family cyc")
+    def _trig_dunkl(self, i, p):
+        """y_i = X_i D_i - k sum_{j<i} s_ij."""
+        out = self._dunkl(i, p).shift(self._unit(i))
+        for j in range(1, i):
+            out = out - p.swap(i, j) * self.params["k"]
+        return out
 
     def _dunkl_opdam(self, i, p):
         """hbar d_i - x_i^-1 sum_j c_j sigma_i^j
@@ -502,6 +376,101 @@ class Rep:
 
 
 # ---------------------------------------------------------------------------
+# generator tables: GENERATORS[family][tag] is the action (rep, g, p) -> g.p
+
+# Generators that map each monomial to a single monomial; inside a product
+# they act directly instead of through the image cache.
+_MONOMIAL_MAPS = frozenset(
+    {"X", "X^-1", "s", "sij", "tau", "omega", "omega^-1", "sigma", "sigma^-1"})
+
+
+def _composite(factors):
+    """The action of a generator defined as a product: factors(rep, g)
+    lists the paper's factors left to right (see Rep._product)."""
+    return lambda rep, g, p: rep._product(factors(rep, g), p)
+
+
+def _gens(tag, indices):
+    return [Gen(tag, j) for j in indices]
+
+
+def _roots(g, roots):
+    """(g - z_1)...(g - z_l); the factors commute, and z_1 acts first."""
+    return [(g, z) for z in reversed(roots)]
+
+
+_SHARED = {
+    "X": lambda rep, g, p: p.shift(rep._unit(g.i)),
+    "X^-1": lambda rep, g, p: p.shift(rep._unit(g.i, -1)),
+    "s": lambda rep, g, p: p.swap(g.i, g.i + 1),
+    "tau": lambda rep, g, p: p.scale_var(g.i, rep.params.get("q", 1)),
+}
+
+
+def _sij(rep, g, p):
+    return p.swap(g.i, g.j)
+
+
+GENERATORS = {
+    FAMILY_DAHA: {
+        **_SHARED,
+        "T": lambda rep, g, p: rep._T(g.i, p),
+        "T^-1": lambda rep, g, p: rep._T(g.i, p, inverse=True),
+        "omega": lambda rep, g, p: rep._omega(p),
+        "omega^-1": lambda rep, g, p: rep._omega(p, inverse=True),
+        # Y_i = tb^(N-1) T_i^-1...T_{N-1}^-1 omega T_1...T_{i-1}
+        "Y": _composite(lambda rep, g: [
+            rep.params["tb"] ** (rep.N - 1), *_gens("T^-1", range(g.i, rep.N)),
+            Gen("omega"), *_gens("T", range(1, g.i))]),
+        # Y_i^-1 = tb^(1-N) T_{i-1}^-1...T_1^-1 omega^-1 T_{N-1}...T_i
+        "Y^-1": _composite(lambda rep, g: [
+            (1 / rep.params["tb"]) ** (rep.N - 1), *_gens("T^-1", range(g.i - 1, 0, -1)),
+            Gen("omega^-1"), *_gens("T", range(rep.N - 1, g.i - 1, -1))]),
+        # pi = X_1 T_1...T_{N-1}
+        "pi": _composite(lambda rep, g: [Gen("X", 1), *_gens("T", range(1, rep.N))]),
+        # pi^-1 = T_{N-1}^-1...T_1^-1 X_1^-1
+        "pi^-1": _composite(lambda rep, g: [
+            *_gens("T^-1", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)]),
+        # pi_- = pi^-1 (Y_1 - Z_1)...(Y_1 - Z_l)
+        "pi-": _composite(lambda rep, g: [
+            Gen("pi^-1"), *_roots(Gen("Y", 1), rep.params["Z"])]),
+        # Dl_i = T_{i-1}^-1...T_1^-1 X_1^-1 (Y_1 - Z_1)...(Y_1 - Z_l) T_1^-1...T_{i-1}^-1
+        "Dl": _composite(lambda rep, g: [
+            *_gens("T^-1", range(g.i - 1, 0, -1)), Gen("X^-1", 1),
+            *_roots(Gen("Y", 1), rep.params["Z"]), *_gens("T^-1", range(1, g.i))]),
+    },
+    FAMILY_DEG: {
+        **_SHARED,
+        "sij": _sij,
+        "D": lambda rep, g, p: rep._dunkl(g.i, p),
+        "Dtrig": lambda rep, g, p: rep._trig_dunkl(g.i, p),
+        "y": lambda rep, g, p: rep._trig_dunkl(g.i, p),
+        # s_0 = s_1N X_1^-1 X_N
+        "s0": _composite(lambda rep, g: [Gen("sij", 1, rep.N), Gen("X^-1", 1), Gen("X", rep.N)]),
+        # pi = X_1 s_1...s_{N-1}
+        "pi": _composite(lambda rep, g: [Gen("X", 1), *_gens("s", range(1, rep.N))]),
+        # pi^-1 = s_{N-1}...s_1 X_1^-1
+        "pi^-1": _composite(lambda rep, g: [
+            *_gens("s", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)]),
+        # pi_- = pi^-1 (y_1 - z_1)...(y_1 - z_l)
+        "pi-": _composite(lambda rep, g: [
+            Gen("pi^-1"), *_roots(Gen("y", 1), rep.params["z"])]),
+        # Dl_i = s_1i X_1^-1 (y_1 - z_1)...(y_1 - z_l) s_1i
+        "Dl": _composite(lambda rep, g: [
+            Gen("sij", 1, g.i), Gen("X^-1", 1),
+            *_roots(Gen("y", 1), rep.params["z"]), Gen("sij", 1, g.i)]),
+    },
+    FAMILY_CYC: {
+        **_SHARED,
+        "sij": _sij,
+        "sigma": lambda rep, g, p: p.scale_var(g.i, rep.dom.zeta),
+        "sigma^-1": lambda rep, g, p: p.scale_var(g.i, rep.dom.zeta ** (rep.l - 1)),
+        "DO": lambda rep, g, p: rep._dunkl_opdam(g.i, p),
+    },
+}
+
+
+# ---------------------------------------------------------------------------
 # operator equality testing
 
 def box_monomials(N, B):
@@ -525,20 +494,8 @@ def op_equal_on_box(rep, a, b, box_radius=None):
         ia = rep.apply(a, p)
         ib = rep.apply(b, p)
         if ia != ib:
-            return {
-                "lhs": repr(a),
-                "rhs": repr(b),
-                "mode": "box",
-                "B": box_radius,
-                "result": False,
-                "witness": {
-                    "monomial": list(e),
-                    "lhs_image": ia.to_json(),
-                    "rhs_image": ib.to_json(),
-                },
-            }
-    return {"lhs": repr(a), "rhs": repr(b), "mode": "box", "B": box_radius,
-            "result": True}
+            return _report(a, b, "box", box_radius, {"monomial": list(e)}, ia, ib)
+    return _report(a, b, "box", box_radius)
 
 
 def op_equal_randomized(rep, a, b, trials, seed, window=4, rebuild=None):
@@ -557,21 +514,19 @@ def op_equal_randomized(rep, a, b, trials, seed, window=4, rebuild=None):
         ia = rep_t.apply(a_t, p)
         ib = rep_t.apply(b_t, p)
         if ia != ib:
-            return {
-                "lhs": repr(a),
-                "rhs": repr(b),
-                "mode": "random",
-                "trials": trials,
-                "result": False,
-                "witness": {
-                    "trial": trial,
-                    "monomial": list(e),
-                    "lhs_image": ia.to_json(),
-                    "rhs_image": ib.to_json(),
-                },
-            }
-    return {"lhs": repr(a), "rhs": repr(b), "mode": "random", "trials": trials,
-            "result": True}
+            return _report(a, b, "random", trials,
+                           {"trial": trial, "monomial": list(e)}, ia, ib)
+    return _report(a, b, "random", trials)
+
+
+def _report(a, b, mode, extent, witness=None, ia=None, ib=None):
+    """The report of one comparison: extent is the box radius B or the trial
+    count; on failure, witness locates the monomial whose images ia != ib."""
+    out = {"lhs": repr(a), "rhs": repr(b), "mode": mode,
+           "B" if mode == "box" else "trials": extent, "result": witness is None}
+    if witness is not None:
+        out["witness"] = {**witness, "lhs_image": ia.to_json(), "rhs_image": ib.to_json()}
+    return out
 
 
 def default_box_radius(a, b):

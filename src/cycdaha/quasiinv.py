@@ -301,7 +301,8 @@ def check_member(spec, F):
                         return False
         return True
 
-    if spec.variant == TWISTED:
+    # twisted-q at q = 1 is the twisted space (its q-conditions all read F = F)
+    if spec.variant == TWISTED or (spec.variant == TWISTED_Q and spec.q == 1):
         K = 2 * spec.m
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):

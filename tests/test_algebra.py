@@ -113,6 +113,19 @@ def test_involutions(family, N, l):
     assert r["all_pass"], fails[:3]
 
 
+def test_involution_rejects_a_relation_outside_its_domain(monkeypatch):
+    """A relation with a generator phi does not map (pi) fails loudly; no
+    report entry passes it over."""
+    from cycdaha import algebra
+
+    pi = OperatorExpr.gen("pi")
+    schema = algebra.RelationSchema(
+        "outside", lambda rep: [algebra.RelationInstance("pi = pi", pi, pi)])
+    monkeypatch.setitem(algebra._CATALOGS, "cyc-daha", lambda: [schema])
+    with pytest.raises(ValueError, match="outside the involution domain"):
+        verify_involution(sample_rep("cyc-daha", 2, 1, seed=3), "cyc-daha")
+
+
 def test_cherednik_involution_images():
     rep = sample_rep("daha", 2, seed=1)
     img, rep2 = involution_image("daha-cherednik", OperatorExpr.gen("Y", 1), rep)

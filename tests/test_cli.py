@@ -175,6 +175,7 @@ def test_usage_error_exit_code_two(capsys):
     series = ["quasi", "series", "--N", "2", "--m", "1"]
     flatness = ["quasi", "flatness", "--N", "2", "--m", "1"]
     apply = ["macdonald", "apply", "--N", "2", "--poly", "p.json"]
+    commute = ["macdonald", "commute", "--N", "2"]
     for flag, cmd in (
         ("--a", series + ["--variant", "twisted", "--a", "x,0"]),
         ("--a", flatness + ["--variant", "twisted-q", "--a", "1/0,0"]),
@@ -196,11 +197,31 @@ def test_usage_error_exit_code_two(capsys):
         ("--a", series + ["--variant", "plain-q", "--a", "1,0"]),
         ("--mlist", series + ["--variant", "cyc", "--l", "2", "--mlist", "1,5,7"]),
         ("--mlist", flatness + ["--variant", "cyc", "--l", "2", "--mlist", "1,5"]),
+        ("--dims", ["bow", "sample", "--dims", "x,2"]),
+        ("--dims", ["bow", "sample", "--dims", "1,1"]),
+        ("--dims", ["bow", "sample", "--dims", "1,2,3"]),
+        ("--dims", ["bow", "sample", "--dims", "0,1,1"]),
+        ("--l", ["quiver", "sample", "--l", "0", "--N", "2"]),
+        ("--N", ["quiver", "sample", "--l", "2", "--N", "0"]),
+        ("--r1", commute + ["--r1", "0", "--r2", "1"]),
+        ("--r2", commute + ["--r1", "1", "--r2", "3"]),
+        ("--N", ["relations", "involution", "--family", "l1", "--N", "0"]),
     ):
         with pytest.raises(SystemExit) as exc:
             main(cmd)
         assert exc.value.code == 2, cmd
         assert f"error: {flag}" in capsys.readouterr().err, cmd
+    # a generator the family lacks, or an index past N, names flag and token
+    for family, token in (("deg-daha", "T1"), ("daha", "X5"), ("daha", "s2"),
+                          ("daha", "T2^-1"), ("daha", "DO1"), ("cyc-daha", "y1")):
+        cmd = ["expr", "equal", "--family", family, "--N", "2", "--l", "1",
+               "--lhs", "X1", "--rhs", f"[X1 {token}]"]
+        with pytest.raises(SystemExit) as exc:
+            main(cmd)
+        assert exc.value.code == 2, cmd
+        assert f"error: --rhs: {token} " in capsys.readouterr().err, cmd
+    assert main(["expr", "equal", "--N", "2", "--lhs", "X0", "--rhs", "X1"]) == 2
+    assert "'X0'" in capsys.readouterr().err
     assert capsys.readouterr().out == ""
 
 

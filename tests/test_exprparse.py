@@ -75,3 +75,29 @@ def test_parse_errors():
         parse_expr("T1 + +")
     with pytest.raises(ParseError):
         parse_gen("tau1^-1")
+    with pytest.raises(ParseError):
+        parse_gen("X0")
+
+
+def test_every_token_names_a_table_tag():
+    """Each generator token the grammar accepts (every tag pattern with index
+    0, 1, 2 and each suffix, and the bare tokens) names a tag that some
+    family's generator table defines."""
+    import re
+
+    from cycdaha import exprparse
+    from cycdaha.ops import GENERATORS
+
+    tags = set().union(*GENERATORS.values())
+    heads = re.search(r"\(\?P<tag>([^)]*)\)", exprparse._GEN_RE.pattern).group(1).split("|")
+    candidates = [f"{h}{i}{s}" for h in heads for i in (0, 1, 2) for s in ("", "^-1", "^(l)")]
+    accepted = []
+    for token in candidates + list(exprparse._BARE_TOKENS):
+        try:
+            accepted.append((token, parse_gen(token)))
+        except ParseError:
+            continue
+    for token, g in accepted:
+        assert g.tag in tags, token
+    # conversely every tag but s_ij (built in code, never typed) has a token
+    assert {g.tag for _, g in accepted} == tags - {"sij"}

@@ -193,6 +193,8 @@ def test_family_mismatch():
     repd = Rep.degenerate(2, 1, Fraction(1, 2))
     with pytest.raises(FamilyMismatch):
         repd.apply_gen(Gen("T", 1), repd.one())
+    with pytest.raises(FamilyMismatch):
+        rep.apply_gen(Gen("sij", 1, 2), rep.one())
 
 
 def test_t_equals_tb_squared_enforced():
@@ -212,3 +214,57 @@ def test_caching_is_semantically_invisible():
     second = rep.apply_gen(Gen("T", 1), p)
     assert first == second
     assert rep.apply_gen(Gen("T", 1), p + p) == first * 2
+
+
+def _engine_generators(family, N):
+    """Every generator of the family at rank N, tag by tag."""
+    adjacent = {"daha": ["T", "T^-1", "s"], "deg": ["s"], "cyc": ["s"]}[family]
+    single = {
+        "daha": ["X", "X^-1", "Y", "Y^-1", "tau", "Dl"],
+        "deg": ["X", "X^-1", "D", "Dtrig", "y", "Dl", "tau"],
+        "cyc": ["X", "X^-1", "sigma", "sigma^-1", "DO", "tau"],
+    }[family]
+    bare = {"daha": ["omega", "omega^-1", "pi", "pi^-1", "pi-"],
+            "deg": ["s0", "pi", "pi^-1", "pi-"], "cyc": []}[family]
+    gens = [Gen(t, i) for t in adjacent for i in range(1, N)]
+    if family != "daha":
+        gens += [Gen("sij", i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
+    gens += [Gen(t, i) for t in single for i in range(1, N + 1)]
+    return gens + [Gen(t) for t in bare]
+
+
+def _engine_reps(N):
+    for Z in ((), (Fraction(2, 3),), (Fraction(2, 3), Fraction(5, 4))):
+        yield Rep.daha(N, Fraction(7, 5), Fraction(3, 2), Z)
+    for z in ((), (Fraction(1, 3), Fraction(5, 2))):
+        yield Rep.degenerate(N, Fraction(3, 4), Fraction(2, 3), z)
+    for c in ((Fraction(1, 2), 3), (Fraction(1, 2), 3, Fraction(-2, 5))):
+        yield Rep.cyclotomic_cherednik(N, len(c), Fraction(2, 3), Fraction(1, 2), c)
+
+
+def test_engine_fingerprint():
+    """SHA-256 over the image of every generator of every table tag on the
+    B = 1 box: daha at l = 0, 1, 2, deg at l = 0, 2 and cyc at l = 2, 3, for
+    N = 2, 3 (6,363 images)."""
+    import hashlib
+    import json
+
+    from cycdaha.ops import GENERATORS
+
+    digest = hashlib.sha256()
+    count = 0
+    for N in (2, 3):
+        for rep in _engine_reps(N):
+            gens = _engine_generators(rep.family, N)
+            assert {g.tag for g in gens} == set(GENERATORS[rep.family]), rep.family
+            for g in gens:
+                for e in box_monomials(N, 1):
+                    img = rep.apply_gen(g, rep.monomial(e))
+                    digest.update(json.dumps(
+                        [rep.family, N, rep.l, repr(g), list(e), img.to_json()],
+                        sort_keys=True).encode())
+                    count += 1
+    assert count == 6363
+    assert digest.hexdigest() == (
+        "5f3a01724495eeea8ed28ac9dd98595e2c782837fbabe5082d6afa39dbd4c56c"
+    )

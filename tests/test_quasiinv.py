@@ -119,6 +119,17 @@ def test_twisted_degree_one_generator():
     assert not check_member(spec, (a - 1) * X(1) + (a + 1) * X(2))
 
 
+def test_twisted_q_at_q_one_rechecks_the_twisted_conditions():
+    """At q = 1 the q-conditions of twisted-q compare F with itself; the
+    re-check falls back to the twisted series, so both variants reject X_1."""
+    a = (Fraction(1, 2), Fraction(0))
+    twisted, twisted_q = QuasiSpec(TWISTED, 2, 1, a=a), QuasiSpec(TWISTED_Q, 2, 1, a=a)
+    assert not check_member(twisted, X(1))
+    assert not check_member(twisted_q, X(1))
+    (f,) = graded_basis(twisted_q, 1).degrees[1]
+    assert check_member(twisted, f) and check_member(twisted_q, f)
+
+
 def test_counterexample_series_and_numerator():
     spec = QuasiSpec(TWISTED, 3, 2, a=(Fraction(1), Fraction(0), Fraction(0)))
     dims = graded_basis(spec, 12).dims()
