@@ -944,7 +944,7 @@ def phi_param_transform(family, rep):
     """The transformed representation phi maps into."""
     if family in ("cyc-daha", "l1", "daha-cherednik"):
         q, tb = rep.params["q"], rep.params["tb"]
-        return Rep.daha(rep.N, 1 / q, 1 / tb, rep.params.get("Z", ()))
+        return Rep.daha(rep.N, 1 / q, 1 / tb, rep.params["Z"])
     if family == "deg-cyc":
         return Rep.degenerate(
             rep.N, -rep.params["hbar"], -rep.params["k"], rep.params["z"]

@@ -135,15 +135,12 @@ def cmd_quasi_flatness(args):
 
 
 def cmd_macdonald_apply(args):
-    from .laurent import LaurentPoly
     from .macdonald import apply_macdonald_operator
 
-    with open(args.poly, encoding="utf-8") as fh:
-        p = LaurentPoly.from_json(json.load(fh))
     q = parse_rational(args.q)
     t = parse_rational(args.t)
     img = apply_macdonald_operator(
-        args.N, q, t, p, subtract_one=(args.op == "M1l1")
+        args.N, q, t, args.data, subtract_one=(args.op == "M1l1")
     )
     config = {
         "command": "macdonald apply",
@@ -201,10 +198,9 @@ def cmd_quiver_sample(args):
 
 
 def cmd_quiver_check(args):
-    from .quiver import QuiverPoint, check_point, product_formulas
+    from .quiver import check_point, product_formulas
 
-    with open(args.file, encoding="utf-8") as fh:
-        p = QuiverPoint.from_json(json.load(fh))
+    p = args.data
     rep = check_point(p)
     payload = {"check": rep}
     if rep["certified"]:
@@ -223,21 +219,17 @@ def cmd_bow_sample(args):
 
 
 def cmd_bow_check(args):
-    from .bow import BowData, check_bow
+    from .bow import check_bow
 
-    with open(args.file, encoding="utf-8") as fh:
-        bow = BowData.from_json(json.load(fh))
-    rep = check_bow(bow)
+    rep = check_bow(args.data)
     config = {"command": "bow check", "file": args.file}
     return _wrap_report(config, rep, rep["certified"])
 
 
 def cmd_bow_hw(args):
-    from .bow import BowData, hw_round_trip_check
+    from .bow import hw_round_trip_check
 
-    with open(args.file, encoding="utf-8") as fh:
-        bow = BowData.from_json(json.load(fh))
-    rt = hw_round_trip_check(bow)
+    rt = hw_round_trip_check(args.data)
     new = rt.pop("new", None)
     rt.pop("back", None)
     out_path = args.out
@@ -370,7 +362,8 @@ def build_parser():
     ma.add_argument("--poly", required=True)
     ma.add_argument("--out")
     ma.set_defaults(fn=cmd_macdonald_apply,
-                    check=lambda a: (_number(ma, "--q", a.q), _number(ma, "--t", a.t)))
+                    check=lambda a: (_number(ma, "--q", a.q), _number(ma, "--t", a.t),
+                                     _check_poly(ma, a)))
     mc = mac_sub.add_parser("commute")
     mc.add_argument("--r1", type=int, required=True)
     mc.add_argument("--r2", type=int, required=True)
@@ -392,7 +385,8 @@ def build_parser():
     qcheck = qv_sub.add_parser("check")
     qcheck.add_argument("--file", required=True)
     qcheck.add_argument("--out")
-    qcheck.set_defaults(fn=cmd_quiver_check)
+    qcheck.set_defaults(fn=cmd_quiver_check,
+                        check=lambda a: _load_file(qcheck, a, "--file", _quiver_point))
 
     bw = sub.add_parser("bow", help="bow varieties and Hanany-Witten")
     bw_sub = bw.add_subparsers(dest="cmd", required=True)
@@ -404,11 +398,12 @@ def build_parser():
     bcheck = bw_sub.add_parser("check")
     bcheck.add_argument("--file", required=True)
     bcheck.add_argument("--out")
-    bcheck.set_defaults(fn=cmd_bow_check)
+    bcheck.set_defaults(fn=cmd_bow_check,
+                        check=lambda a: _load_file(bcheck, a, "--file", _bow_data))
     bhw = bw_sub.add_parser("hw")
     bhw.add_argument("--file", required=True)
     bhw.add_argument("--out")
-    bhw.set_defaults(fn=cmd_bow_hw)
+    bhw.set_defaults(fn=cmd_bow_hw, check=lambda a: _load_file(bhw, a, "--file", _bow_data))
 
     ex = sub.add_parser("expr", help="operator expression grammar")
     ex_sub = ex.add_subparsers(dest="cmd", required=True)
@@ -518,6 +513,40 @@ def _check_commute(ap, args):
         r = getattr(args, name)
         if not 1 <= r <= args.N:
             ap.error(f"--{name} must lie in 1..{args.N}, got {r}")
+
+
+def _load_file(ap, args, flag, from_json):
+    """Read the JSON input file a flag names into args.data; a file that is
+    missing, unreadable or not what from_json expects is a usage error."""
+    path = getattr(args, flag.lstrip("-"))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            args.data = from_json(json.load(fh))
+    except OSError as exc:
+        ap.error(f"{flag}: cannot read {path!r}: {exc.strerror}")
+    except (ValueError, KeyError, TypeError) as exc:
+        ap.error(f"{flag}: {path!r} is not a valid input file: {type(exc).__name__}: {exc}")
+
+
+def _quiver_point(data):
+    from .quiver import QuiverPoint
+
+    return QuiverPoint.from_json(data)
+
+
+def _bow_data(data):
+    from .bow import BowData
+
+    return BowData.from_json(data)
+
+
+def _check_poly(ap, args):
+    """macdonald apply: --poly holds a Laurent polynomial in --N variables."""
+    from .laurent import LaurentPoly
+
+    _load_file(ap, args, "--poly", LaurentPoly.from_json)
+    if args.data.N != args.N:
+        ap.error(f"--poly: the polynomial has N = {args.data.N}, but --N is {args.N}")
 
 
 def _check_bow_dims(ap, args):

@@ -111,16 +111,19 @@ def row_echelon(rows, ncols, field_one=None):
 
     rows: iterable of coefficient sequences.  Fraction input takes the
     integer fraction-free path; any other exact field works through
-    field_one (the field's multiplicative identity).
+    field_one (the field's multiplicative identity), which defaults to
+    x / x for the first nonzero entry x.  That entry also tells the two
+    apart.
     """
     rows = [list(r) for r in rows]
     rows = [r for r in rows if any(r)]
     if not rows:
         return 0, [], []
-    if isinstance(rows[0][0], Fraction) or isinstance(rows[0][0], int):
-        frac_rows = [[Fraction(x) for x in r] for r in rows]
+    x = next(v for v in rows[0] if v)
+    if isinstance(x, (Fraction, int)):
+        frac_rows = [[Fraction(v) for v in r] for r in rows]
         return _row_echelon_int(_int_rows(frac_rows), ncols)
-    one = field_one if field_one is not None else rows[0][0] / rows[0][0]
+    one = field_one if field_one is not None else x / x
     return _row_echelon_field(rows, ncols, one)
 
 

@@ -21,7 +21,7 @@ from .ops import (
     op_equal_on_box,
     word_product,
 )
-from .scalars import QQ
+from .scalars import QQ, field_of
 from .tableaux import partitions
 
 
@@ -169,8 +169,9 @@ def elementary_symmetric(exprs, r):
     return out
 
 
-def poly_from_roots(roots, dom=QQ):
-    """Coefficients (low-first) of prod (X - Z_i)."""
+def poly_from_roots(roots):
+    """Coefficients (low-first) of prod (X - Z_i), over the field of the roots."""
+    dom = field_of(*roots)
     coeffs = [dom.coerce(1)]
     for z in roots:
         z = dom.coerce(z)

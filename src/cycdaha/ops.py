@@ -5,7 +5,9 @@ P = K[X_1^{+-1}, ..., X_N^{+-1}]:
 
 * "daha":  Hecke generators T_i act by tb*s_i + (tb - 1/tb)/(X_i/X_{i+1} - 1)(s_i - 1),
   X_i by multiplication, omega by (omega f)(X_1,...,X_N) = f(q X_N, X_1, ..., X_{N-1}),
-  and Y_i = tb^(N-1) T_i^-1...T_{N-1}^-1 omega T_1...T_{i-1}.  Derived
+  Y_i = tb^(N-1) T_i^-1...T_{N-1}^-1 omega T_1...T_{i-1}, and the q-shift
+  tau_i by f(..., X_i, ...) -> f(..., q X_i, ...); tau is daha only, since
+  the other families have no q.  Derived
   generators: pi = X_1 T_1...T_{N-1}, pi_- = pi^-1 (Y_1-Z_1)...(Y_1-Z_l), and
   the q-deformed Dunkl operators
   Dl_i = T_{i-1}^-1...T_1^-1 X_1^-1 (Y_1-Z_1)...(Y_1-Z_l) T_1^-1...T_{i-1}^-1.
@@ -18,6 +20,13 @@ P = K[X_1^{+-1}, ..., X_N^{+-1}]:
 
 * "cyc": the cyclotomic rational Cherednik family for S_N wr Z/l over
   Q(zeta_l), with variable scalings sigma_i and Dunkl-Opdam operators DO_i.
+
+X_i^+-1 and s_i act alike in every family.  The coefficient field follows
+the parameter values (scalars.field_of): Rep.daha and Rep.degenerate work
+over QQ for rational parameters, over Q(t) when one is a RatFunc1 in t, and
+over Q(zeta_l) when one is a CycloNumber.  Rep.cyclotomic_cherednik always
+works over Q(zeta_l), since its operators use zeta even at rational
+parameters.
 
 GENERATORS[family] is the one table of a family: it maps each generator tag
 the family accepts to its action, and any other tag raises FamilyMismatch.
@@ -38,11 +47,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 
 from .laurent import LaurentPoly
-from .scalars import QQ, CycloField
+from .scalars import QQ, CycloField, field_of
 
 FAMILY_DAHA = "daha"
 FAMILY_DEG = "deg"
@@ -207,15 +215,21 @@ class Rep:
 
     @classmethod
     def daha(cls, N, q, tb, Z=()):
-        q, tb = Fraction(q), Fraction(tb)
-        Z = tuple(Fraction(z) for z in Z)
-        return cls(FAMILY_DAHA, N, len(Z), {"q": q, "tb": tb, "Z": Z})
+        """The polynomial representation of the (cyclotomic) DAHA at level
+        len(Z), over the field of q, tb and Z (see scalars.field_of)."""
+        dom = field_of(q, tb, *Z)
+        Z = tuple(dom.coerce(z) for z in Z)
+        return cls(FAMILY_DAHA, N, len(Z),
+                   {"q": dom.coerce(q), "tb": dom.coerce(tb), "Z": Z}, dom)
 
     @classmethod
     def degenerate(cls, N, hbar, k, z=()):
-        z = tuple(Fraction(x) for x in z)
+        """The degenerate representation at level len(z), over the field of
+        hbar, k and z (see scalars.field_of)."""
+        dom = field_of(hbar, k, *z)
+        z = tuple(dom.coerce(x) for x in z)
         return cls(FAMILY_DEG, N, len(z),
-                   {"hbar": Fraction(hbar), "k": Fraction(k), "z": z})
+                   {"hbar": dom.coerce(hbar), "k": dom.coerce(k), "z": z}, dom)
 
     @classmethod
     def cyclotomic_cherednik(cls, N, l, hbar, k, c):
@@ -403,7 +417,6 @@ _SHARED = {
     "X": lambda rep, g, p: p.shift(rep._unit(g.i)),
     "X^-1": lambda rep, g, p: p.shift(rep._unit(g.i, -1)),
     "s": lambda rep, g, p: p.swap(g.i, g.i + 1),
-    "tau": lambda rep, g, p: p.scale_var(g.i, rep.params.get("q", 1)),
 }
 
 
@@ -414,6 +427,7 @@ def _sij(rep, g, p):
 GENERATORS = {
     FAMILY_DAHA: {
         **_SHARED,
+        "tau": lambda rep, g, p: p.scale_var(g.i, rep.params["q"]),
         "T": lambda rep, g, p: rep._T(g.i, p),
         "T^-1": lambda rep, g, p: rep._T(g.i, p, inverse=True),
         "omega": lambda rep, g, p: rep._omega(p),

@@ -356,13 +356,7 @@ def graded_basis(spec, maxdeg):
     out = []
     for d in range(maxdeg + 1):
         rows, basis = conditions_matrix(spec, d)
-        if rows:
-            vecs = nullspace(rows, len(basis), field_one=spec.dom.one)
-        else:
-            vecs = [
-                [spec.dom.one if i == k else spec.dom.zero for i in range(len(basis))]
-                for k in range(len(basis))
-            ]
+        vecs = nullspace(rows, len(basis), field_one=spec.dom.one)
         polys = []
         for v in vecs:
             terms = {}
@@ -465,8 +459,7 @@ def graded_basis_with_symmetry(spec, maxdeg, i, j, sign):
                 continue
             row[col[se]] = row[col[se]] - spec.dom.coerce(sign)
             rows.append(row)
-        vecs = nullspace(rows, len(basis), field_one=spec.dom.one) if rows else []
-        out.append(len(vecs))
+        out.append(len(nullspace(rows, len(basis), field_one=spec.dom.one)))
     return out
 
 

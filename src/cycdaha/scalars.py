@@ -526,6 +526,21 @@ class RatFuncField(Domain):
 QQ = RationalField()
 
 
+def field_of(*values):
+    """The field the values live in: QQ(var) for a RatFunc1, QQ(zeta_l) for a
+    CycloNumber, QQ when every value is rational.  Values from two different
+    fields raise the TypeError of Domain.coerce."""
+    dom = QQ
+    for x in values:
+        if dom is not QQ:
+            dom.coerce(x)
+        elif isinstance(x, RatFunc1):
+            dom = RatFuncField(x.var)
+        elif isinstance(x, CycloNumber):
+            dom = CycloField(x.l)
+    return dom
+
+
 # ---------------------------------------------------------------------------
 # generic parameter sampling
 

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,8 @@ from cycdaha.algebra import (
     verify_family,
     verify_involution,
 )
-from cycdaha.ops import Gen, OperatorExpr, op_equal_on_box
+from cycdaha.ops import Gen, OperatorExpr, Rep, op_equal_on_box
+from cycdaha.scalars import RatFuncField
 
 
 def test_catalog_counts():
@@ -63,6 +65,23 @@ def test_families_verify_box(family, N, l):
         r = verify_family(rep, family, "box", box_radius=2)
         fails = [x for x in r["relations"] if x["status"] != "pass"]
         assert r["all_pass"], fails[:3]
+
+
+def test_symbolic_parameters_give_verdicts_for_every_value():
+    """Over Q(t) a pass holds for every value of the symbolic parameter:
+    tb = t for daha (and every relation with a wrong scalar fails there),
+    k symbolic for deg-daha."""
+    rep = Rep.daha(2, Fraction(2, 3), RatFuncField("t").gen)
+    instances = list(catalog("daha").instances(rep))
+    assert len(instances) == 10
+    r = verify_family(rep, "daha", "box", box_radius=2)
+    assert r["all_pass"] and len(r["relations"]) == 10
+    for inst in instances:
+        wrong = inst.rhs * Fraction(8, 7)
+        assert not op_equal_on_box(rep, inst.lhs, wrong, 2)["result"], inst.name
+    rep = Rep.degenerate(2, 1, RatFuncField("k").gen)
+    r = verify_family(rep, "deg-daha", "box", box_radius=2)
+    assert r["all_pass"] and len(r["relations"]) == 22
 
 
 @pytest.mark.parametrize("N,l", [(2, 1), (2, 2), (3, 1), (3, 2)])

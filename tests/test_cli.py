@@ -127,7 +127,7 @@ def test_quasi_series_cyclotomic_cli(capsys):
     assert report["report"]["dims"] == [1, 0, 1, 0, 2, 2, 4]
 
 
-def test_usage_error_exit_code_two(capsys):
+def test_usage_error_exit_code_two(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["relations", "verify", "--badflag"])
     assert exc.value.code == 2
@@ -213,7 +213,8 @@ def test_usage_error_exit_code_two(capsys):
         assert f"error: {flag}" in capsys.readouterr().err, cmd
     # a generator the family lacks, or an index past N, names flag and token
     for family, token in (("deg-daha", "T1"), ("daha", "X5"), ("daha", "s2"),
-                          ("daha", "T2^-1"), ("daha", "DO1"), ("cyc-daha", "y1")):
+                          ("daha", "T2^-1"), ("daha", "DO1"), ("cyc-daha", "y1"),
+                          ("deg-daha", "tau1"), ("deg-cyc", "tau2")):
         cmd = ["expr", "equal", "--family", family, "--N", "2", "--l", "1",
                "--lhs", "X1", "--rhs", f"[X1 {token}]"]
         with pytest.raises(SystemExit) as exc:
@@ -223,13 +224,41 @@ def test_usage_error_exit_code_two(capsys):
     assert main(["expr", "equal", "--N", "2", "--lhs", "X0", "--rhs", "X1"]) == 2
     assert "'X0'" in capsys.readouterr().err
     assert capsys.readouterr().out == ""
+    # input files: missing, not JSON, not the expected object, or (for
+    # --poly) a polynomial of another rank than --N
+    from cycdaha.laurent import LaurentPoly
+
+    missing = str(tmp_path / "missing.json")
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps({"N": 2}))
+    rank2 = tmp_path / "rank2.json"
+    rank2.write_text(json.dumps(LaurentPoly.variable(2, 1).to_json()))
+    apply3 = ["macdonald", "apply", "--N", "3", "--q", "2", "--t", "3", "--poly"]
+    cases = [("--poly", apply3 + [str(rank2)])]
+    for path in (missing, str(garbled), str(wrong)):
+        cases += [("--poly", apply3 + [path]),
+                  ("--file", ["quiver", "check", "--file", path]),
+                  ("--file", ["bow", "check", "--file", path]),
+                  ("--file", ["bow", "hw", "--file", path])]
+    for flag, cmd in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(cmd)
+        assert exc.value.code == 2, cmd
+        assert f"error: {flag}: " in capsys.readouterr().err, cmd
 
 
-def test_internal_error_exit_code_three(capsys):
-    code = main(["quiver", "check", "--file", "/nonexistent/file.json"])
+def test_internal_error_exit_code_three(capsys, monkeypatch):
+    def broken_check(point):
+        raise RuntimeError("broken check")
+
+    # a fault inside the library, not a user mistake
+    monkeypatch.setattr("cycdaha.quiver.check_point", broken_check)
+    code = main(["quiver", "sample", "--l", "2", "--N", "1"])
     assert code == 3
     # the message names the exception type and where it was raised
-    assert "internal error: FileNotFoundError at cli.py:" in capsys.readouterr().err
+    assert "internal error: RuntimeError at test_cli.py:" in capsys.readouterr().err
 
 
 def test_macdonald_apply_cli(capsys, tmp_path):

@@ -39,6 +39,16 @@ def test_nullspace_over_cyclotomic_field():
     assert rows[0][0] * v[0] + rows[0][1] * v[1] == dom.zero
 
 
+def test_row_echelon_with_a_zero_first_entry():
+    # without field_one the unit and the path come from the first nonzero entry
+    dom = CycloField(3)
+    z, o = dom.zero, dom.one
+    assert row_echelon([[z, o]], 2) == (1, [1], [[z, o]])
+    rank, pivots, ech = row_echelon([[z, dom.zeta], [o, o]], 2)
+    assert (rank, pivots, ech) == (2, [0, 1], [[o, z], [z, o]])
+    assert row_echelon([[0, Fraction(2)]], 2) == (1, [1], [[0, 1]])
+
+
 def test_row_echelon_deterministic():
     rng = Random(3)
     rows = [[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(6)]

@@ -11,6 +11,7 @@ from cycdaha.ops import (
     op_equal_on_box,
     op_equal_randomized,
 )
+from cycdaha.scalars import QQ, CycloNumber, RatFunc1, RatFuncField
 
 
 def daha_rep(N=2, l=0):
@@ -195,6 +196,25 @@ def test_family_mismatch():
         repd.apply_gen(Gen("T", 1), repd.one())
     with pytest.raises(FamilyMismatch):
         rep.apply_gen(Gen("sij", 1, 2), rep.one())
+    # tau is the q-shift, and only daha has a q
+    assert rep.apply_gen(Gen("tau", 1), rep.var(1)) == rep.var(1) * rep.params["q"]
+    repc = Rep.cyclotomic_cherednik(2, 2, 1, Fraction(1, 2), (1, 2))
+    for other in (repd, repc):
+        with pytest.raises(FamilyMismatch):
+            other.apply_gen(Gen("tau", 1), other.var(1))
+
+
+def test_field_follows_the_parameters():
+    t = RatFuncField("t").gen
+    assert Rep.daha(2, 2, 3).dom is QQ
+    rep = Rep.daha(2, Fraction(2, 3), t, (t + 1,))
+    assert rep.dom.name == "QQ(t)" and rep.params["q"] == RatFunc1.const("t", Fraction(2, 3))
+    assert Rep.degenerate(2, 1, 2, (CycloNumber.zeta(3),)).dom.name == "QQ(zeta_3)"
+    assert Rep.degenerate(2, 1, RatFuncField("k").gen).dom.name == "QQ(k)"
+    with pytest.raises(TypeError):
+        Rep.daha(2, RatFuncField("q").gen, t)
+    with pytest.raises(TypeError):
+        Rep.degenerate(2, 1, t, (CycloNumber.zeta(3),))
 
 
 def test_t_equals_tb_squared_enforced():
@@ -221,8 +241,8 @@ def _engine_generators(family, N):
     adjacent = {"daha": ["T", "T^-1", "s"], "deg": ["s"], "cyc": ["s"]}[family]
     single = {
         "daha": ["X", "X^-1", "Y", "Y^-1", "tau", "Dl"],
-        "deg": ["X", "X^-1", "D", "Dtrig", "y", "Dl", "tau"],
-        "cyc": ["X", "X^-1", "sigma", "sigma^-1", "DO", "tau"],
+        "deg": ["X", "X^-1", "D", "Dtrig", "y", "Dl"],
+        "cyc": ["X", "X^-1", "sigma", "sigma^-1", "DO"],
     }[family]
     bare = {"daha": ["omega", "omega^-1", "pi", "pi^-1", "pi-"],
             "deg": ["s0", "pi", "pi^-1", "pi-"], "cyc": []}[family]
@@ -245,7 +265,7 @@ def _engine_reps(N):
 def test_engine_fingerprint():
     """SHA-256 over the image of every generator of every table tag on the
     B = 1 box: daha at l = 0, 1, 2, deg at l = 0, 2 and cyc at l = 2, 3, for
-    N = 2, 3 (6,363 images)."""
+    N = 2, 3 (5,967 images)."""
     import hashlib
     import json
 
@@ -264,7 +284,7 @@ def test_engine_fingerprint():
                         [rep.family, N, rep.l, repr(g), list(e), img.to_json()],
                         sort_keys=True).encode())
                     count += 1
-    assert count == 6363
+    assert count == 5967
     assert digest.hexdigest() == (
-        "5f3a01724495eeea8ed28ac9dd98595e2c782837fbabe5082d6afa39dbd4c56c"
+        "96472b67ea43f8b693dfed4b38c63b44452ef6a2aba46f2b8d9b38ae8a864521"
     )

@@ -16,12 +16,8 @@ from cycdaha.ops import Gen, Rep
 from cycdaha.scalars import z_from_c
 
 
-def _rational_z(zs):
-    return tuple(z.rational_part() for z in zs)
-
-
 def _check_rank_one(l, c, kpar=Fraction(2, 3)):
-    zs = _rational_z(z_from_c(c, l))
+    zs = z_from_c(c, l)
     rep_cyc = Rep.cyclotomic_cherednik(1, l, 1, kpar, c)
     rep_deg = Rep.degenerate(1, 1, kpar, z=zs)
     scale = Fraction(l) ** l
@@ -52,13 +48,19 @@ def test_rank_one_level_three_symmetric_weights():
     _check_rank_one(3, (Fraction(1, 2), Fraction(2, 5), Fraction(2, 5)))
 
 
+def test_rank_one_irrational_levels():
+    # generic weights give z_i outside QQ; Rep.degenerate then works over Q(zeta_l)
+    _check_rank_one(3, (Fraction(1, 2), Fraction(2, 5), Fraction(3, 7)))
+    _check_rank_one(4, (Fraction(1, 2), Fraction(2, 5), Fraction(3, 7), Fraction(1, 3)))
+
+
 def test_z_from_c_values():
     # l = 2, zeta = -1: z_1 = (1 + c_0 - c_1)/2, z_2 = (c_0 + c_1)/2
     c0, c1 = Fraction(1, 2), Fraction(3, 5)
-    z1, z2 = _rational_z(z_from_c((c0, c1), 2))
+    z1, z2 = z_from_c((c0, c1), 2)
     assert z1 == (1 + c0 - c1) / 2
     assert z2 == (c0 + c1) / 2
     # hbar scales the affine part
-    z1h, z2h = _rational_z(z_from_c((c0, c1), 2, hbar=Fraction(3)))
+    z1h, z2h = z_from_c((c0, c1), 2, hbar=Fraction(3))
     assert z1h == (3 + c0 - c1) / 2
     assert z2h == z2

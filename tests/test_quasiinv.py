@@ -296,5 +296,16 @@ def test_graded_basis_fingerprint():
         split = [graded_basis_with_symmetry(spec, maxdeg, 1, 2, sign) for sign in (1, -1)]
         digest.update(json.dumps([degrees, split]).encode())
     assert digest.hexdigest() == (
-        "83a53562f9bc707593268f861aabdad6603a87fa9a5ae9c754cb29526eacf951"
+        "87c1a50cb3adb4d4a0cc0fd323995d5463c2dcb5b7b6d7d6535c5f17f71c9352"
     )
+
+
+def test_swap_split_adds_up_to_the_dimensions():
+    """When a_1 = a_2 the swap of X_1, X_2 preserves the space, so its two
+    eigenspaces fill each degree, also a degree with no condition rows."""
+    for spec, maxdeg in FINGERPRINT_SPECS:
+        if spec.a[0] != spec.a[1]:
+            continue
+        plus, minus = (graded_basis_with_symmetry(spec, maxdeg, 1, 2, sign) for sign in (1, -1))
+        dims = graded_basis(spec, maxdeg).dims()
+        assert [p + m for p, m in zip(plus, minus)] == dims, spec

@@ -13,6 +13,7 @@ from cycdaha.scalars import (
     binomial_fraction,
     cyclo_normalize,
     cyclotomic_polynomial,
+    field_of,
     poly_divmod,
     ratfunc_simplify,
     sample_generic,
@@ -198,3 +199,15 @@ def test_serialization_round_trips():
     assert CycloNumber.from_json(z.to_json()) == z
     r = RatFunc1("t", [1, 2], [1, 0, 1])
     assert RatFunc1.from_json(r.to_json()) == r
+
+
+def test_field_of_follows_the_values():
+    t = RatFuncField("t").gen
+    assert field_of() is QQ
+    assert field_of(1, Fraction(2, 3), "5/7") is QQ
+    assert field_of(Fraction(2), t, t + 1).name == "QQ(t)"
+    assert field_of(3, CycloNumber.zeta(3)).name == "QQ(zeta_3)"
+    for mixed in ((t, RatFuncField("k").gen), (CycloNumber.zeta(3), CycloNumber.zeta(4)),
+                  (t, CycloNumber.zeta(3)), (CycloNumber.zeta(3), t)):
+        with pytest.raises(TypeError):
+            field_of(*mixed)
