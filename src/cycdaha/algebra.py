@@ -855,7 +855,8 @@ def verify_family(rep, family, mode="box", box_radius=3, trials=30, seed=0):
         "mode": mode,
         "B" if mode == "box" else "trials": box_radius if mode == "box" else trials,
         "params": {
-            k: str(v) for k, v in rep.params.items() if k not in ("Z", "z", "c")
+            k: rep.dom.scalar_to_json(v)
+            for k, v in rep.params.items() if k not in ("Z", "z", "c")
         },
         "relations": results,
         "all_pass": all_pass,

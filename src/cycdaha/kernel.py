@@ -3,7 +3,11 @@
 Terms of a sparse Laurent polynomial are stored as a dict mapping exponent
 tuples (ints, negatives allowed) to nonzero coefficient objects.  The
 coefficients are opaque here: any type with exact +, *, - and truthiness
-works (Fraction, CycloNumber, RatFunc1).  No function ever stores a zero
+works.  LaurentPoly hands these functions its numerators (``nums``): ints
+over QQ, whose shared denominator it keeps itself, and the field elements
+over Q(zeta_l) (CycloNumber) and Q(t) (RatFunc1).  Field-valued dicts
+(Fraction values) work too, as in LaurentPoly's exact_divide and
+scale_var.  No function here reduces a content or ever stores a zero
 coefficient.
 """
 
@@ -38,16 +42,14 @@ def terms_sub(a, b):
     return out
 
 
-def terms_addmul(a, b, c):
-    """a + c*b, skipping the work when c is zero."""
+def terms_iaddmul(out, b, c):
+    """out += c*b in place, returning out."""
     if not c:
-        return dict(a)
-    out = dict(a)
+        return out
+    get = out.get
     for e, cb in b.items():
         v = c * cb
-        if not v:
-            continue
-        s = out.get(e)
+        s = get(e)
         if s is None:
             out[e] = v
         else:
@@ -57,6 +59,11 @@ def terms_addmul(a, b, c):
             else:
                 del out[e]
     return out
+
+
+def terms_addmul(a, b, c):
+    """a + c*b as a new dict."""
+    return terms_iaddmul(dict(a), b, c)
 
 
 def terms_neg(a):

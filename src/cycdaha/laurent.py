@@ -1,15 +1,43 @@
 """Sparse multivariate Laurent polynomials over an exact coefficient domain.
 
-A LaurentPoly is a dict from exponent tuples (length N, negative entries
-allowed) to nonzero coefficients, plus a ring context (N, domain).  All
-arithmetic is exact; the zero polynomial is the empty term map.  The
-canonical term order used for display and serialization is graded
-lexicographic, largest first.
+A LaurentPoly is a ring context (N, domain) plus a sparse map from exponent
+tuples (length N, negative entries allowed) to nonzero coefficients.  All
+arithmetic is exact; the zero polynomial has no terms.  The canonical term
+order used for display and serialization is graded lexicographic, largest
+first.
+
+Coefficients are stored fraction-free, as FLINT's fmpq_poly stores them:
+``nums`` maps each exponent tuple to a numerator and ``den`` is one positive
+int on the polynomial, shared by every term, so the coefficient of X^e is
+nums[e]/den.  Over QQ the numerators are ints; over Q(zeta_l) and Q(t) they
+are the field elements themselves and den stays 1 (Domain.split and
+Domain.join convert one coefficient).  The form is canonical: den > 0 and
+gcd(den, *nums.values()) == 1, so == compares (den, nums) directly.  A nums
+dict may be shared between polynomials and is never mutated.  ``terms`` is
+a read-only view that maps each exponent tuple to its field coefficient (a
+Fraction over QQ).
+
+Reduction happens in three places:
+
+* content: every operation that can create a common factor of den and the
+  numerators (sums, products, scalings, substitutions, series) ends with
+  one ``math.gcd(den, *nums)``.  The operator engine's ``map_linear`` (one
+  generator application) and ``combination`` (one operator sum) accumulate
+  all their terms in one dict first, so each pays for one reduction;
+* values leaving: the ``terms`` view joins a numerator and den into a
+  reduced field coefficient only when read, for hash, ``to_json`` and
+  reports, ``coefficient``, and code outside the engine;
+* division: ``exact_divide`` and ``scale_var`` work on field
+  coefficients and split their result back.  Only the quasiinvariant and
+  Macdonald code divides; the operator engine's quotients are
+  ``divided_difference``, a closed form with no division.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 from . import kernel as K
@@ -28,26 +56,104 @@ def _glex_key(e):
     return (sum(e), e)
 
 
+def _scaled(nums, m):
+    """nums times the positive int m (the dict itself when m == 1)."""
+    return nums if m == 1 else K.terms_scale(nums, m)
+
+
+class Terms(Mapping):
+    """Read-only view of a polynomial's terms: exponent tuple -> field
+    coefficient (a Fraction over QQ), joined from nums and den on access."""
+
+    __slots__ = ("_nums", "_den", "_join")
+
+    def __init__(self, nums, den, join):
+        self._nums = nums
+        self._den = den
+        self._join = join
+
+    def __getitem__(self, e):
+        return self._join(self._nums[e], self._den)
+
+    def __contains__(self, e):
+        return e in self._nums
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self):
+        return len(self._nums)
+
+
+def _canonical(N, dom, nums, den):
+    """The polynomial nums/den with den and the numerators divided by their
+    gcd; a den of 1 is canonical as it stands."""
+    if den != 1:
+        if not nums:
+            den = 1
+        else:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {e: n // g for e, n in nums.items()}
+                den //= g
+    return LaurentPoly._make(N, dom, nums, den)
+
+
+def _combine(N, dom, parts, den):
+    """(sum of n/d * nums over the (n, d, nums) in parts) / den, accumulated
+    in one dict over the lcm of the denominators and reduced once."""
+    if len(parts) == 1 and parts[0][0] == 1:
+        # one part with numerator 1, such as a generator applied to a
+        # monomial: nothing to accumulate
+        _, d, nums = parts[0]
+        return _canonical(N, dom, nums, d * den)
+    lcm = math.lcm(*[d for _, d, _ in parts])
+    out = {}
+    for n, d, nums in parts:
+        m = lcm // d
+        K.terms_iaddmul(out, nums, n if m == 1 else n * m)
+    return _canonical(N, dom, out, den * lcm)
+
+
 class LaurentPoly:
-    __slots__ = ("N", "dom", "terms")
+    __slots__ = ("N", "dom", "nums", "den")
 
     def __init__(self, N, dom, terms=None):
+        """terms maps exponent tuples to coefficients in dom; zero
+        coefficients are dropped."""
+        split, coerce = dom.split, dom.coerce
+        parts = [(e, *split(coerce(c))) for e, c in terms.items() if c] if terms else []
+        # reduced fractions over their lcm have no common content
+        den = math.lcm(*[d for _, _, d in parts])
         self.N = N
         self.dom = dom
-        self.terms = terms if terms is not None else {}
+        self.nums = {e: n if d == den else n * (den // d) for e, n, d in parts}
+        self.den = den
+
+    @classmethod
+    def _make(cls, N, dom, nums, den=1):
+        """Wrap numerators over den that are already in canonical form."""
+        p = object.__new__(cls)
+        p.N = N
+        p.dom = dom
+        p.nums = nums
+        p.den = den
+        return p
+
+    @property
+    def terms(self):
+        """The terms as a read-only map to field coefficients (see Terms)."""
+        return Terms(self.nums, self.den, self.dom.join)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, N, dom=QQ):
-        return cls(N, dom, {})
+        return cls._make(N, dom, {})
 
     @classmethod
     def const(cls, N, c, dom=QQ):
-        c = dom.coerce(c)
-        if not c:
-            return cls(N, dom, {})
-        return cls(N, dom, {(0,) * N: c})
+        return cls.monomial(N, (0,) * N, c, dom)
 
     @classmethod
     def one(cls, N, dom=QQ):
@@ -57,8 +163,9 @@ class LaurentPoly:
     def monomial(cls, N, exps, c=1, dom=QQ):
         c = dom.coerce(c)
         if not c:
-            return cls(N, dom, {})
-        return cls(N, dom, {tuple(exps): c})
+            return cls.zero(N, dom)
+        n, d = dom.split(c)
+        return cls._make(N, dom, {tuple(exps): n}, d)
 
     @classmethod
     def variable(cls, N, i, dom=QQ):
@@ -67,8 +174,55 @@ class LaurentPoly:
         e[i - 1] = 1
         return cls.monomial(N, e, 1, dom)
 
-    def _wrap(self, terms):
+    @classmethod
+    def combination(cls, N, dom, pairs):
+        """The sum of c*p over the (c, p) in pairs, c in dom: one dict, one
+        content reduction."""
+        split, coerce = dom.split, dom.coerce
+        parts = []
+        for c, p in pairs:
+            n, d = split(coerce(c))
+            parts.append((n, d * p.den, p.nums))
+        return _combine(N, dom, parts, 1)
+
+    def map_linear(self, image):
+        """The image of self under the linear map sending X^e to image(e), a
+        LaurentPoly in the same ring: one dict, one content reduction."""
+        parts = []
+        for e, n in self.nums.items():
+            img = image(e)
+            parts.append((n, img.den, img.nums))
+        return _combine(self.N, self.dom, parts, self.den)
+
+    def _wrap(self, nums, den=1):
+        """Same ring, numerators already canonical over den."""
+        return LaurentPoly._make(self.N, self.dom, nums, den)
+
+    def _reduced(self, nums, den):
+        return _canonical(self.N, self.dom, nums, den)
+
+    def _field(self, terms):
+        """Same ring, from a dict of field coefficients."""
         return LaurentPoly(self.N, self.dom, terms)
+
+    def _collect(self, parts):
+        """The sum of n/(d*den) X^e over the (e, n, d) in parts, d a positive
+        int and den self's; exponents may repeat."""
+        lcm = math.lcm(*[d for _, _, d in parts])
+        out = {}
+        for e, n, d in parts:
+            if d != lcm:
+                n = n * (lcm // d)
+            s = out.get(e)
+            if s is None:
+                out[e] = n
+            else:
+                s = s + n
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return self._reduced(out, self.den * lcm)
 
     def _coerce_other(self, other):
         if isinstance(other, LaurentPoly):
@@ -82,22 +236,25 @@ class LaurentPoly:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
+    def _sum(self, other, op):
+        """op (kernel terms_add or terms_sub) over the lcm of both dens."""
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        return self._wrap(K.terms_add(self.terms, o.terms))
+        den = math.lcm(self.den, o.den)
+        return self._reduced(
+            op(_scaled(self.nums, den // self.den), _scaled(o.nums, den // o.den)), den)
+
+    def __add__(self, other):
+        return self._sum(other, K.terms_add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(K.terms_neg(self.terms))
+        return self._wrap(K.terms_neg(self.nums), self.den)
 
     def __sub__(self, other):
-        o = self._coerce_other(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(K.terms_sub(self.terms, o.terms))
+        return self._sum(other, K.terms_sub)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -106,25 +263,31 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             if other.N != self.N:
                 raise ValueError("mixed ring contexts")
-            return self._wrap(K.terms_mul(self.terms, other.terms))
+            return self._reduced(K.terms_mul(self.nums, other.nums), self.den * other.den)
         try:
             c = self.dom.coerce(other)
         except TypeError:
             return NotImplemented
-        return self._wrap(K.terms_scale(self.terms, c))
+        n, d = self.dom.split(c)
+        return self._reduced(K.terms_scale(self.nums, n), self.den * d)
 
     __rmul__ = __mul__
 
     def addmul(self, other, c):
-        """self + c*other, in one kernel pass."""
-        return self._wrap(K.terms_addmul(self.terms, other.terms, self.dom.coerce(c)))
+        """self + c*other, in one kernel pass over the numerators."""
+        n, d = self.dom.split(self.dom.coerce(c))
+        den = math.lcm(self.den, d * other.den)
+        m = den // (d * other.den)
+        return self._reduced(
+            K.terms_addmul(_scaled(self.nums, den // self.den), other.nums,
+                           n if m == 1 else n * m), den)
 
     def __pow__(self, n):
         if n < 0:
-            if len(self.terms) == 1:
+            if len(self.nums) == 1:
                 ((e, c),) = self.terms.items()
-                inv = self.dom.one / c
-                return self._wrap({tuple(-x for x in e): inv}) ** (-n)
+                inv = LaurentPoly.monomial(self.N, [-x for x in e], self.dom.one / c, self.dom)
+                return inv ** (-n)
             raise ValueError("negative power of a non-monomial")
         out = LaurentPoly.one(self.N, self.dom)
         base = self
@@ -136,13 +299,13 @@ class LaurentPoly:
         return out
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other):
         o = self._coerce_other(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.den == o.den and self.nums == o.nums
 
     def __hash__(self):
         return hash((self.N, tuple(sorted(self.terms.items(), key=lambda t: _glex_key(t[0])))))
@@ -153,10 +316,11 @@ class LaurentPoly:
         return sorted(self.terms.items(), key=lambda t: _glex_key(t[0]), reverse=True)
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.dom.zero)
+        n = self.nums.get(tuple(exps))
+        return self.dom.zero if n is None else self.dom.join(n, self.den)
 
     def is_polynomial(self):
-        return all(min(e) >= 0 for e in self.terms) if self.terms else True
+        return all(min(e) >= 0 for e in self.nums) if self.nums else True
 
     # -- substitutions ------------------------------------------------------
 
@@ -181,9 +345,9 @@ class LaurentPoly:
     def scale_var(self, i, c):
         """Substitute X_i -> c*X_i (1-based i)."""
         c = self.dom.coerce(c)
-        if not c and any(e[i - 1] < 0 for e in self.terms):
+        if not c and any(e[i - 1] < 0 for e in self.nums):
             raise NonInvertibleScale("zero scale with negative exponent")
-        return self._wrap(K.terms_scale_var(self.terms, i - 1, c, self._pow_cache(c)))
+        return self._field(K.terms_scale_var(self.terms, i - 1, c, self._pow_cache(c)))
 
     def permute(self, sigma):
         """Apply a permutation of the variables: X_i -> X_sigma(i).
@@ -200,7 +364,7 @@ class LaurentPoly:
         # X_i^e contributes X_sigma(i)^e.
         inv = {full[i]: i for i in full}
         perm = tuple(inv[k + 1] - 1 for k in range(self.N))
-        return self._wrap(K.terms_permute(self.terms, perm))
+        return self._wrap(K.terms_permute(self.nums, perm), self.den)
 
     def swap(self, i, j):
         """Exchange X_i and X_j (1-based)."""
@@ -221,56 +385,82 @@ class LaurentPoly:
         for i, (c, j) in rules.items():
             coerced[i - 1] = (dom.coerce(c), None if j is None else j - 1)
         pow_caches = {i: self._pow_cache(c) for i, (c, _) in coerced.items()}
-        out = {}
-        for e, coef in self.terms.items():
+        split = dom.split
+        parts = []
+        for e, n in self.nums.items():
             # rules act simultaneously: clear every substituted slot first,
             # then accumulate the transferred exponents
             new_e = list(e)
             for i in coerced:
                 new_e[i] = 0
-            c_acc = coef
+            d = 1
             for i, (c, j) in coerced.items():
                 k = e[i]
                 if k == 0:
                     continue
                 if not c and k < 0:
                     raise NonInvertibleScale("zero scale with negative exponent")
-                c_acc = c_acc * pow_caches[i](k)
+                pn, pd = split(pow_caches[i](k))
+                n = n * pn
+                d *= pd
                 if j is not None:
                     new_e[j] += k
-                if not c_acc:
+                if not n:
                     break
-            if not c_acc:
-                continue
-            key = tuple(new_e)
-            s = out.get(key)
-            if s is None:
-                out[key] = c_acc
-            else:
-                s = s + c_acc
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return self._wrap(out)
+            if n:
+                parts.append((tuple(new_e), n, d))
+        return self._collect(parts)
 
     def shift(self, delta):
         """Multiply by the monomial X^delta."""
-        return self._wrap(K.terms_shift(self.terms, tuple(delta)))
+        return self._wrap(K.terms_shift(self.nums, tuple(delta)), self.den)
 
     def derivative(self, i):
         """Formal partial derivative with respect to X_i (1-based)."""
         out = {}
         k = i - 1
-        for e, c in self.terms.items():
+        for e, n in self.nums.items():
             if e[k] == 0:
                 continue
             new_e = list(e)
             new_e[k] -= 1
-            v = c * e[k]
-            if v:
-                out[tuple(new_e)] = v
-        return self._wrap(out)
+            out[tuple(new_e)] = n * e[k]
+        return self._reduced(out, self.den)
+
+    def divided_difference(self, i, j, c=1):
+        """(self - g self)/(X_i - c X_j), where g sends X_i -> c X_j and
+        X_j -> X_i/c (for c = 1, the swap of X_i and X_j).
+
+        No division runs: g fixes the hyperplane X_i = c X_j, and a monomial
+        with exponents a = e_i, b = e_j has the signed geometric sum
+        sign(a - b) * sum_t c^(t-b) X_i^(a+b-1-t) X_j^t over
+        min(a, b) <= t < max(a, b) as its quotient (the Demazure / BGG
+        operator when c = 1).
+        """
+        c = self.dom.coerce(c)
+        if not c:
+            raise ValueError("divided difference at c = 0")
+        unit = c == 1
+        cpows = self._pow_cache(c)
+        split = self.dom.split
+        ii, jj = i - 1, j - 1
+        parts = []
+        for e, n in self.nums.items():
+            a, b = e[ii], e[jj]
+            if a == b:
+                continue
+            if a < b:
+                n = -n
+            f = list(e)
+            for t in range(min(a, b), max(a, b)):
+                f[ii] = a + b - 1 - t
+                f[jj] = t
+                if unit:
+                    parts.append((tuple(f), n, 1))
+                else:
+                    pn, pd = split(cpows(t - b))
+                    parts.append((tuple(f), n * pn, pd))
+        return self._collect(parts)
 
     # -- exact division -----------------------------------------------------
 
@@ -278,20 +468,18 @@ class LaurentPoly:
         """Quotient q with self == q*d; raises NotDivisible otherwise."""
         if not isinstance(d, LaurentPoly):
             d = LaurentPoly.const(self.N, d, self.dom)
-        if not d.terms:
+        if not d.nums:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self.terms:
+        if not self.nums:
             return self._wrap({})
-        if len(d.terms) == 1:
+        if len(d.nums) == 1:
             ((e, c),) = d.terms.items()
-            inv = self.dom.one / c
-            return self._wrap(
-                K.terms_scale(K.terms_shift(self.terms, tuple(-x for x in e)), inv)
-            )
-        # shift both to honest polynomials
+            return self.shift(tuple(-x for x in e)) * (self.dom.one / c)
+        # shift both to honest polynomials; the division runs on field
+        # coefficients
         def neg_mins(p):
             mins = [0] * self.N
-            for e in p.terms:
+            for e in p.nums:
                 for i, x in enumerate(e):
                     if x < mins[i]:
                         mins[i] = x
@@ -299,20 +487,20 @@ class LaurentPoly:
 
         sp, sd = neg_mins(self), neg_mins(d)
         num = K.terms_shift(self.terms, tuple(-x for x in sp))
-        den = K.terms_shift(d.terms, tuple(-x for x in sd))
+        dvs = K.terms_shift(d.terms, tuple(-x for x in sd))
 
-        den_terms = sorted(den.items(), key=lambda t: _glex_key(t[0]), reverse=True)
-        lead_e, lead_c = den_terms[0]
+        dvs_terms = sorted(dvs.items(), key=lambda t: _glex_key(t[0]), reverse=True)
+        lead_e, lead_c = dvs_terms[0]
         lead_inv = self.dom.one / lead_c
-        den_rest = den_terms[1:]
+        dvs_rest = dvs_terms[1:]
         # graded-lex is a multiplicative total order, so for an honest
-        # quotient every term lies between trail(num)-trail(den) and
-        # lead(num)-lead(den); dropping below the trail bound proves
+        # quotient every term lies between trail(num)-trail(dvs) and
+        # lead(num)-lead(dvs); dropping below the trail bound proves
         # non-divisibility.  An iteration cap backstops pathological inputs.
         trail_num = min(num, key=_glex_key)
-        trail_den = min(den, key=_glex_key)
-        bound = _glex_key(tuple(x - y for x, y in zip(trail_num, trail_den)))
-        cap = 10000 + 16 * len(num) * max(1, len(den))
+        trail_dvs = min(dvs, key=_glex_key)
+        bound = _glex_key(tuple(x - y for x, y in zip(trail_num, trail_dvs)))
+        cap = 10000 + 16 * len(num) * max(1, len(dvs))
 
         quot = {}
         cur = dict(num)
@@ -329,7 +517,7 @@ class LaurentPoly:
             uc = c * lead_inv
             quot[ue] = uc
             del cur[e]
-            for fe, fc in den_rest:
+            for fe, fc in dvs_rest:
                 key = tuple(x + y for x, y in zip(ue, fe))
                 v = uc * fc
                 s = cur.get(key)
@@ -342,8 +530,8 @@ class LaurentPoly:
                     else:
                         del cur[key]
         delta = tuple(x - y for x, y in zip(sp, sd))
-        q = self._wrap(K.terms_shift(quot, delta))
-        if verify and (q * d).terms != self.terms:
+        q = self._field(K.terms_shift(quot, delta))
+        if verify and q * d != self:
             raise NotDivisible("re-multiplication check failed")
         return q
 
@@ -371,9 +559,10 @@ class LaurentPoly:
         """
         if i == j:
             raise ValueError("need distinct variables")
-        coeffs = [dict() for _ in range(order + 1)]
+        parts = [[] for _ in range(order + 1)]
+        split, coerce = self.dom.split, self.dom.coerce
         ii, jj = i - 1, j - 1
-        for e, c in self.terms.items():
+        for e, c in self.nums.items():
             n = e[jj]
             new_e = list(e)
             new_e[ii] += n
@@ -381,20 +570,10 @@ class LaurentPoly:
             key = tuple(new_e)
             for r in range(order + 1):
                 b = binomial_fraction(n, r)
-                if not b:
-                    continue
-                v = c * b
-                tgt = coeffs[r]
-                s = tgt.get(key)
-                if s is None:
-                    tgt[key] = v
-                else:
-                    s = s + v
-                    if s:
-                        tgt[key] = s
-                    else:
-                        del tgt[key]
-        return TruncatedSeries(order, [self._wrap(t) for t in coeffs])
+                if b:
+                    bn, bd = split(coerce(b))
+                    parts[r].append((key, c * bn, bd))
+        return TruncatedSeries(order, [self._collect(p) for p in parts])
 
     # -- io -----------------------------------------------------------------
 
@@ -415,7 +594,7 @@ class LaurentPoly:
         return cls(data["N"], dom, terms)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
         for e, c in self.sorted_terms():

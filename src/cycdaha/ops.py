@@ -41,6 +41,17 @@ every other generator goes through apply_gen, so its images are cached.
 Operator words act right-to-left (the rightmost generator applies first).
 Per-generator images of monomials are cached on the representation; caching
 is semantically invisible because representations are immutable.
+
+The engine works in LaurentPoly's fraction-free form: a cached image holds
+numerators over one shared den (ints over a positive int den for QQ, field
+elements over 1 for Q(zeta_l) and Q(t)).  Rep.apply_gen sums the images of
+its argument's terms into one dict through LaurentPoly.map_linear, and
+Rep.apply sums an OperatorExpr's words through LaurentPoly.combination;
+each ends with one gcd content reduction.  Reports read coefficients through
+LaurentPoly.terms and to_json, which join them into reduced Fractions over QQ.
+The quotients (p - g p)/(X_i - c X_j) of T_i, the Dunkl and the
+Dunkl-Opdam operators are LaurentPoly.divided_difference, a closed form with
+no division loop.
 """
 
 from __future__ import annotations
@@ -266,14 +277,15 @@ class Rep:
         cache = self._cache.get(g)
         if cache is None:
             cache = self._cache[g] = {}
-        out = self.zero()
-        for e, c in p.terms.items():
+        action = self._actions[g.tag]
+
+        def image(e):
             img = cache.get(e)
             if img is None:
-                img = self._actions[g.tag](self, g, self.monomial(e))
-                cache[e] = img
-            out = out.addmul(img, c)
-        return out
+                img = cache[e] = action(self, g, self.monomial(e))
+            return img
+
+        return p.map_linear(image)
 
     def apply_word(self, word, p):
         for g in reversed(word):
@@ -284,10 +296,8 @@ class Rep:
         """Apply an OperatorExpr (linear in the combination)."""
         if isinstance(expr, Gen):
             return self.apply_gen(expr, p)
-        out = self.zero()
-        for w, c in expr.terms.items():
-            out = out.addmul(self.apply_word(w, p), c)
-        return out
+        return LaurentPoly.combination(
+            self.N, self.dom, [(c, self.apply_word(w, p)) for w, c in expr.terms.items()])
 
     def _product(self, factors, p):
         """Apply a product whose factors are listed left to right, so the
@@ -316,32 +326,22 @@ class Rep:
 
     def _T(self, i, p, inverse=False):
         """T_i = tb s_i + (tb - 1/tb)(s_i - 1)/(X_i/X_{i+1} - 1), where
-        (s_i p - p)/(X_i/X_{i+1} - 1) = (s_i p - p) X_{i+1}/(X_i - X_{i+1});
+        (s_i p - p)/(X_i/X_{i+1} - 1) = -X_{i+1} (p - s_i p)/(X_i - X_{i+1});
         T_i^-1 = T_i - (tb - 1/tb)."""
         tb = self.params["tb"]
         gap = tb - 1 / tb
-        sp = p.swap(i, i + 1)
-        num = (sp - p).shift(self._unit(i + 1))
-        out = sp * tb + num.exact_divide(self.var(i) - self.var(i + 1), verify=False) * gap
+        dd = p.divided_difference(i, i + 1).shift(self._unit(i + 1))
+        out = p.swap(i, i + 1) * tb - dd * gap
         return out - p * gap if inverse else out
 
     def _omega(self, p, inverse=False):
-        """(omega f)(X) = f(qX_N, X_1, ..., X_{N-1}); exponentwise a cycle."""
-        q = self.params["q"]
-        N = self.N
-        out = {}
-        if not inverse:
-            # exponent vector e -> (e_2, ..., e_N, e_1), coefficient * q^{e_1}
-            for e, c in p.terms.items():
-                k = e[0]
-                coef = c * (q ** k if k >= 0 else (1 / q) ** (-k)) if k else c
-                out[e[1:] + (e[0],)] = coef
-        else:
-            for e, c in p.terms.items():
-                k = e[-1]
-                coef = c * ((1 / q) ** k if k >= 0 else q ** (-k)) if k else c
-                out[(e[-1],) + e[:-1]] = coef
-        return LaurentPoly(N, self.dom, out)
+        """(omega f)(X) = f(qX_N, X_1, ..., X_{N-1}): scale X_1 by q, then
+        send X_1 -> X_N and X_i -> X_{i-1}, so exponent vectors rotate left;
+        omega^-1 scales X_N by 1/q and rotates back."""
+        N, q = self.N, self.params["q"]
+        if inverse:
+            return p.scale_var(N, 1 / q).permute([*range(2, N + 1), 1])
+        return p.scale_var(1, q).permute([N, *range(1, N)])
 
     def _dunkl(self, i, p):
         """hbar * d_i - sum_{j != i} k/(X_i - X_j) (1 - s_ij)."""
@@ -351,9 +351,7 @@ class Rep:
             for j in range(1, self.N + 1):
                 if j == i:
                     continue
-                num = p - p.swap(i, j)
-                den = self.var(i) - self.var(j)
-                out = out - num.exact_divide(den, verify=False) * k
+                out = out - p.divided_difference(i, j) * k
         return out
 
     def _trig_dunkl(self, i, p):
@@ -380,12 +378,9 @@ class Rep:
                 if r == i:
                     continue
                 for m in range(l):
-                    # g = s_ir sigma_i^m sigma_r^-m: apply sigma_r^-m,
-                    # then sigma_i^m, then the swap
-                    gp = p.scale_var(r, zeta ** ((l - m) % l)).scale_var(i, zeta ** m).swap(i, r)
-                    num = p - gp
-                    den = self.var(i) - self.var(r) * (zeta ** m)
-                    out = out - num.exact_divide(den, verify=False) * k
+                    # g = s_ir sigma_i^m sigma_r^-m sends x_i -> zeta^m x_r
+                    # and x_r -> zeta^-m x_i
+                    out = out - p.divided_difference(i, r, zeta ** m) * k
         return out
 
 

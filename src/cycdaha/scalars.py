@@ -14,6 +14,7 @@ constraints, re-checked exactly after sampling.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from random import Random
@@ -438,6 +439,16 @@ class Domain:
     def one(self):
         return self.coerce(1)
 
+    def split(self, x):
+        """x as (numerator, den) with den a positive int.  A LaurentPoly
+        stores numerators over one shared den; only QQ has den > 1, every
+        other field keeps its elements as numerators over 1."""
+        return x, 1
+
+    def join(self, n, den):
+        """The coefficient n/den; the inverse of split."""
+        return n
+
     def scalar_to_json(self, x):
         raise NotImplementedError
 
@@ -461,6 +472,12 @@ class RationalField(Domain):
         if isinstance(x, CycloNumber):
             return x.rational_part()
         raise TypeError(f"cannot coerce {x!r} into QQ")
+
+    def split(self, x):
+        return x.numerator, x.denominator
+
+    def join(self, n, den):
+        return Fraction(n, den)
 
     def scalar_to_json(self, x):
         return format_rational(x)
@@ -631,8 +648,12 @@ def z_from_c(c, l, hbar=Fraction(1)):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=4096)
 def binomial_fraction(a, r):
-    """Generalized binomial coefficient C(a, r) for a rational (or integer) a."""
+    """Generalized binomial coefficient C(a, r) for a rational (or integer) a.
+
+    Memoized on (a, r): an int and the equal Fraction share an entry, which is
+    safe because a is converted to a Fraction before use."""
     if r < 0:
         return Fraction(0)
     num = Fraction(1)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from cycdaha.algebra import (
     verify_family,
     verify_involution,
 )
-from cycdaha.ops import Gen, OperatorExpr, Rep, op_equal_on_box
+from cycdaha.ops import Gen, OperatorExpr, Rep, box_monomials, op_equal_on_box
 from cycdaha.scalars import RatFuncField
 
 
@@ -82,6 +83,18 @@ def test_symbolic_parameters_give_verdicts_for_every_value():
     rep = Rep.degenerate(2, 1, RatFuncField("k").gen)
     r = verify_family(rep, "deg-daha", "box", box_radius=2)
     assert r["all_pass"] and len(r["relations"]) == 22
+
+
+def test_verify_family_reports_parameters_as_json_scalars():
+    t = RatFuncField("t").gen
+    r = verify_family(Rep.daha(2, Fraction(2, 3), t), "daha", "box", box_radius=0)
+    assert r["params"] == {
+        "q": {"var": "t", "num": ["2/3"], "den": ["1"]},
+        "tb": {"var": "t", "num": ["0", "1"], "den": ["1"]},
+        "t": {"var": "t", "num": ["0", "0", "1"], "den": ["1"]},
+    }
+    r = verify_family(Rep.daha(2, Fraction(2, 3), 3), "daha", "box", box_radius=0)
+    assert r["params"] == {"q": "2/3", "tb": "3", "t": "9"}
 
 
 @pytest.mark.parametrize("N,l", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -286,3 +299,30 @@ def catalog_fingerprint():
 
 def test_catalog_fingerprint():
     assert catalog_fingerprint() == (CATALOG_INSTANCES, CATALOG_SHA256)
+
+
+# SHA-256 over the lhs and rhs images (to_json) of every catalog instance on
+# every monomial of the B = 1 box: daha and deg-daha at N = 2, 3 and
+# cyc-daha at N = 2, 3 and l = 1, 2, each at sample_rep seed 1.  The
+# constant was computed while LaurentPoly stored Fraction coefficients, under
+# PYTHONHASHSEED 0 and 1; any change to a word image changes it.
+WORD_IMAGE_SHA256 = "0191bc6249195b9f6d9c6f4ac6442038af9f5f1e91d6b89a5fd13fa871d04273"
+WORD_IMAGES = 5004
+
+
+def test_word_image_fingerprint():
+    h = hashlib.sha256()
+    count = 0
+    reps = [(f, N, 0) for f in ("daha", "deg-daha") for N in (2, 3)]
+    reps += [("cyc-daha", N, l) for N in (2, 3) for l in (1, 2)]
+    for family, N, l in reps:
+        rep = sample_rep(family, N, l, seed=1)
+        for inst in catalog(family).instances(rep):
+            for e in box_monomials(N, 1):
+                p = rep.monomial(e)
+                h.update(json.dumps(
+                    [family, N, l, inst.name, list(e),
+                     rep.apply(inst.lhs, p).to_json(), rep.apply(inst.rhs, p).to_json()],
+                    sort_keys=True).encode())
+                count += 1
+    assert (count, h.hexdigest()) == (WORD_IMAGES, WORD_IMAGE_SHA256)

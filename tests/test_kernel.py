@@ -38,6 +38,14 @@ def test_addmul_is_add_of_scale(a, b, c):
     assert kernel.terms_addmul(a, b, c) == kernel.terms_add(a, kernel.terms_scale(b, c))
 
 
+@given(terms, terms, coefficients)
+def test_iaddmul_accumulates_in_place(a, b, c):
+    out = dict(a)
+    assert kernel.terms_iaddmul(out, b, c) is out
+    assert out == kernel.terms_add(a, kernel.terms_scale(b, c))
+    assert all(out.values())
+
+
 @given(terms)
 def test_sub_self_is_empty(a):
     assert kernel.terms_sub(a, a) == {}

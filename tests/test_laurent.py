@@ -1,10 +1,14 @@
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cycdaha import kernel as K
 from cycdaha.laurent import LaurentPoly, NotDivisible, one_plus_u_power
-from cycdaha.scalars import QQ
+from cycdaha.scalars import QQ, CycloField, binomial_fraction, format_rational
 
 
 def X(i, N=2):
@@ -159,3 +163,82 @@ def test_derivative():
     p = X(1) ** 3 * X(2) + X(1) ** -1
     d = p.derivative(1)
     assert d == 3 * X(1) ** 2 * X(2) - X(1) ** -2
+
+
+def test_divided_difference_is_the_exact_quotient():
+    """(p - g p)/(X_i - c X_j), g: X_i -> c X_j, X_j -> X_i/c, in closed form
+    against exact division, over QQ and over Q(zeta_3)."""
+    rng = Random(3)
+    for _ in range(60):
+        p = random_poly(rng, N=3, terms=4)
+        for i, j in ((1, 2), (3, 1)):
+            quot = (p - p.swap(i, j)).exact_divide(X(i, 3) - X(j, 3))
+            assert p.divided_difference(i, j) == quot
+            c = Fraction(2, 3)
+            gp = p.scale_var(j, 1 / c).scale_var(i, c).swap(i, j)
+            quot = (p - gp).exact_divide(X(i, 3) - X(j, 3) * c)
+            assert p.divided_difference(i, j, c) == quot
+    dom = CycloField(3)
+    for _ in range(20):
+        p = LaurentPoly(2, dom, random_poly(rng, terms=3).terms)
+        for m in range(3):
+            c = dom.zeta ** m
+            gp = p.scale_var(2, 1 / c).scale_var(1, c).swap(1, 2)
+            x1, x2 = LaurentPoly.variable(2, 1, dom), LaurentPoly.variable(2, 2, dom)
+            assert p.divided_difference(1, 2, c) == (p - gp).exact_divide(x1 - x2 * c)
+
+
+# -- fraction-free storage: every result is canonical and agrees with plain
+# Fraction arithmetic on the same inputs (the kernel on Fraction dicts)
+
+exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+field_terms = st.dictionaries(exponents, fractions.filter(bool), max_size=5)
+
+
+def _glex(e):
+    return (sum(e), e)
+
+
+def assert_agrees(p, ref):
+    """p is canonical and equals the Fraction-valued term dict ref in its
+    terms, ==, hash and to_json."""
+    assert p.den > 0 and math.gcd(p.den, *p.nums.values()) == 1
+    assert all(type(n) is int and n for n in p.nums.values())
+    assert dict(p.terms) == ref and all(type(c) is Fraction for c in p.terms.values())
+    q = LaurentPoly(2, QQ, ref)
+    assert p == q and hash(p) == hash(q)
+    assert p.to_json() == {"N": 2, "terms": [
+        {"e": list(e), "c": format_rational(ref[e])}
+        for e in sorted(ref, key=_glex, reverse=True)]}
+
+
+@given(field_terms, field_terms, fractions, fractions)
+def test_fraction_free_results_agree_with_fractions(fa, fb, c, d):
+    a, b = LaurentPoly(2, QQ, fa), LaurentPoly(2, QQ, fb)
+    assert_agrees(a, fa)
+    assert_agrees(a + b, K.terms_add(fa, fb))
+    assert_agrees(a - b, K.terms_sub(fa, fb))
+    assert_agrees(-a, K.terms_neg(fa))
+    assert_agrees(a * b, K.terms_mul(fa, fb))
+    assert_agrees(a * c, K.terms_scale(fa, c))
+    assert_agrees(c + a, K.terms_add(fa, {(0, 0): c} if c else {}))
+    assert_agrees(a.addmul(b, c), K.terms_addmul(fa, fb, c))
+    assert_agrees(LaurentPoly.combination(2, QQ, [(c, a), (d, b)]),
+                  K.terms_add(K.terms_scale(fa, c), K.terms_scale(fb, d)))
+    assert_agrees(a.map_linear(b.shift), K.terms_mul(fa, fb))
+    assert_agrees(a.shift((1, -2)), K.terms_shift(fa, (1, -2)))
+    assert_agrees(a.swap(1, 2), K.terms_permute(fa, (1, 0)))
+    assert_agrees(a.derivative(1), {(e[0] - 1, e[1]): v * e[0] for e, v in fa.items() if e[0]})
+    if c:
+        assert_agrees(a.scale_var(2, c), K.terms_scale_var(fa, 1, c, lambda k: c ** k))
+        assert_agrees((a * b).exact_divide(b) if b else a, fa)
+    ref = {}
+    for e, v in fa.items():
+        K.terms_iaddmul(ref, {(e[0] + e[1], 0): v}, 1)
+    assert_agrees(a.substitute({2: (1, 1)}), ref)
+    for r, s in enumerate(a.series_on_hyperplane(1, 2, 2).coeffs):
+        ref = {}
+        for e, v in fa.items():
+            K.terms_iaddmul(ref, {(e[0] + e[1], 0): v}, binomial_fraction(e[1], r))
+        assert_agrees(s, ref)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -192,6 +193,33 @@ def test_generalized_binomials():
     assert binomial_fraction(a, 2) == Fraction(-1, 8)
     assert binomial_fraction(-2, 2) == 3  # C(-2,2) = 3
     assert binomial_fraction(3, 5) == 0
+
+
+def test_binomial_cache_matches_the_formula():
+    def formula(a, r):
+        out = Fraction(1)
+        for i in range(r):
+            out *= Fraction(a) - i
+        return out / math.factorial(r)
+
+    binomial_fraction.cache_clear()
+    for a in (-3, 0, 2, 7, Fraction(2), Fraction(1, 2), Fraction(-5, 3)):
+        for r in range(-1, 7):
+            expect = formula(a, r) if r >= 0 else 0
+            assert binomial_fraction(a, r) == expect
+            assert binomial_fraction(a, r) == expect  # the memoized value
+            assert type(binomial_fraction(a, r)) is Fraction
+    assert binomial_fraction.cache_info().hits > 0
+
+
+def test_split_and_join_invert_each_other():
+    for c in (Fraction(-6, 4), Fraction(0), Fraction(5), 7):
+        n, d = QQ.split(c)
+        assert d > 0 and math.gcd(n, d) == 1 and QQ.join(n, d) == c
+    # fields other than QQ keep their elements as numerators over 1
+    for dom, c in ((CycloField(3), CycloNumber.zeta(3)),
+                   (RatFuncField("t"), RatFunc1.variable("t"))):
+        assert dom.split(c) == (c, 1) and dom.join(c, 1) == c
 
 
 def test_serialization_round_trips():
