@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
+from .laurent import coefficient_rows
 from .linalg import matrix_rank
 from .ops import (
     FAMILY_DAHA,
@@ -786,8 +787,10 @@ def rep_family_for(family):
 
 # -- generic-parameter representation samplers --------------------------------
 
-def sample_rep(family, N, l=0, seed=0, root_window=24, ratio_window=8):
-    """A representation with generic parameters drawn deterministically."""
+def sample_rep(family, N, l=0, seed=0):
+    """A representation with generic parameters drawn deterministically: q
+    and tb are no root of unity of order up to 24, and no ratio Z_i / Z_j is
+    a power q^p with |p| <= 8."""
     # at l = 0 every cyclotomic product is the empty product 1, so the
     # cyclotomic relations would hold vacuously
     if family in ("cyc-daha", "deg-cyc") and l < 1:
@@ -797,13 +800,13 @@ def sample_rep(family, N, l=0, seed=0, root_window=24, ratio_window=8):
         cons = [
             ("nonzero", "q"),
             ("nonzero", "tb"),
-            ("not_root_of_unity", "q", root_window),
-            ("not_root_of_unity", "tb", root_window),
+            ("not_root_of_unity", "q", 24),
+            ("not_root_of_unity", "tb", 24),
         ]
         for i in range(1, l + 1):
             cons.append(("nonzero", f"Z{i}"))
             for j in range(i + 1, l + 1):
-                cons.append(("ratio_not_q_power", f"Z{i}", f"Z{j}", "q", ratio_window))
+                cons.append(("ratio_not_q_power", f"Z{i}", f"Z{j}", "q", 8))
         vals = sample_generic(names, cons, seed)
         if family in ("l1", "lastrel"):
             # the level-one generators are normalized to Z_1 = 1
@@ -1079,32 +1082,16 @@ def basis_monomials(shape, N, l, caps):
 
 
 def independence_check(rep, exprs, probes):
-    """Exact rank of the evaluation matrix (operator x (probe, monomial)).
+    """Exact rank of the evaluation matrix ((probe, monomial) x operator).
 
     Full rank certifies linear independence of the operators at the
-    representation's parameters.
+    representation's parameters; a nullspace vector would be a vanishing
+    operator combination.
     """
-    columns = {}
-    rows = []
-    images = []
-    for expr in exprs:
-        imgs = [rep.apply(expr, p) for p in probes]
-        images.append(imgs)
-        for pi, img in enumerate(imgs):
-            for e in img.terms:
-                columns.setdefault((pi, e), len(columns))
-    ncols = len(columns)
-    zero = rep.dom.zero
-    for imgs in images:
-        row = [zero] * ncols
-        for pi, img in enumerate(imgs):
-            for e, c in img.terms.items():
-                row[columns[(pi, e)]] = c
-        rows.append(row)
-    if ncols == 0:
-        rank = 0
-    else:
-        rank = matrix_rank(rows, ncols, field_one=rep.dom.one)
+    images = [[rep.apply(expr, p) for p in probes] for expr in exprs]
+    # one block of rows per probe, one column per operator
+    rows = [row for imgs in zip(*images) for row in coefficient_rows(imgs)]
+    rank = matrix_rank(rows, len(exprs))
     return {
         "count": len(exprs),
         "rank": rank,

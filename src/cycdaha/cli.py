@@ -529,15 +529,19 @@ def _load_file(ap, args, flag, from_json):
 
 
 def _quiver_point(data):
+    """A quiver point: the bare object, or the report `quiver sample --out`
+    writes."""
     from .quiver import QuiverPoint
 
-    return QuiverPoint.from_json(data)
+    return QuiverPoint.from_json(data["report"]["point"] if "report" in data else data)
 
 
 def _bow_data(data):
+    """A bow: the bare object (as `bow hw --out` writes it), or the report
+    `bow sample --out` writes."""
     from .bow import BowData
 
-    return BowData.from_json(data)
+    return BowData.from_json(data["report"]["bow"] if "report" in data else data)
 
 
 def _check_poly(ap, args):

@@ -6,9 +6,9 @@ coefficients are opaque here: any type with exact +, *, - and truthiness
 works.  LaurentPoly hands these functions its numerators (``nums``): ints
 over QQ, whose shared denominator it keeps itself, and the field elements
 over Q(zeta_l) (CycloNumber) and Q(t) (RatFunc1).  Field-valued dicts
-(Fraction values) work too, as in LaurentPoly's exact_divide and
-scale_var.  No function here reduces a content or ever stores a zero
-coefficient.
+(Fraction values) work too; in the library they appear only in
+LaurentPoly.exact_divide.  No function here reduces a content or ever
+stores a zero coefficient.
 """
 
 
@@ -61,11 +61,6 @@ def terms_iaddmul(out, b, c):
     return out
 
 
-def terms_addmul(a, b, c):
-    """a + c*b as a new dict."""
-    return terms_iaddmul(dict(a), b, c)
-
-
 def terms_neg(a):
     return {e: -c for e, c in a.items()}
 
@@ -114,23 +109,3 @@ def terms_permute(a, perm):
     """Reindex variables: output exponent at slot k is input exponent at perm[k]."""
     return {tuple(e[p] for p in perm): c for e, c in a.items()}
 
-
-def terms_scale_var(a, i, c, cpows):
-    """Substitute X_i -> c*X_i.
-
-    cpows caches integer powers of c; exponent e_i contributes c**e_i.
-    Raises ZeroDivisionError via the caller's power cache when c == 0 meets
-    a negative exponent.  Exponents are unchanged, so output keys never
-    collide.
-    """
-    out = {}
-    for e, v in a.items():
-        k = e[i]
-        if k:
-            w = v * cpows(k)
-            if not w:
-                continue
-        else:
-            w = v
-        out[e] = w
-    return out

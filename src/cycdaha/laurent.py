@@ -26,11 +26,14 @@ Reduction happens in three places:
   all their terms in one dict first, so each pays for one reduction;
 * values leaving: the ``terms`` view joins a numerator and den into a
   reduced field coefficient only when read, for hash, ``to_json`` and
-  reports, ``coefficient``, and code outside the engine;
-* division: ``exact_divide`` and ``scale_var`` work on field
-  coefficients and split their result back.  Only the quasiinvariant and
-  Macdonald code divides; the operator engine's quotients are
-  ``divided_difference``, a closed form with no division.
+  reports, ``coefficient``, and code outside the engine.  Coefficient
+  matrices do not go through it: ``coefficient_rows`` scales the numerators
+  of several polynomials to one common den, so over QQ their rows reach
+  elimination as ints;
+* division: ``exact_divide`` works on field coefficients and splits its
+  result back.  Only the quasiinvariant and Macdonald code divides; the
+  operator engine's quotients are ``divided_difference``, a closed form
+  with no division.
 """
 
 from __future__ import annotations
@@ -201,10 +204,6 @@ class LaurentPoly:
     def _reduced(self, nums, den):
         return _canonical(self.N, self.dom, nums, den)
 
-    def _field(self, terms):
-        """Same ring, from a dict of field coefficients."""
-        return LaurentPoly(self.N, self.dom, terms)
-
     def _collect(self, parts):
         """The sum of n/(d*den) X^e over the (e, n, d) in parts, d a positive
         int and den self's; exponents may repeat."""
@@ -273,15 +272,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def addmul(self, other, c):
-        """self + c*other, in one kernel pass over the numerators."""
-        n, d = self.dom.split(self.dom.coerce(c))
-        den = math.lcm(self.den, d * other.den)
-        m = den // (d * other.den)
-        return self._reduced(
-            K.terms_addmul(_scaled(self.nums, den // self.den), other.nums,
-                           n if m == 1 else n * m), den)
-
     def __pow__(self, n):
         if n < 0:
             if len(self.nums) == 1:
@@ -344,10 +334,7 @@ class LaurentPoly:
 
     def scale_var(self, i, c):
         """Substitute X_i -> c*X_i (1-based i)."""
-        c = self.dom.coerce(c)
-        if not c and any(e[i - 1] < 0 for e in self.nums):
-            raise NonInvertibleScale("zero scale with negative exponent")
-        return self._field(K.terms_scale_var(self.terms, i - 1, c, self._pow_cache(c)))
+        return self.substitute({i: (c, i)})
 
     def permute(self, sigma):
         """Apply a permutation of the variables: X_i -> X_sigma(i).
@@ -464,7 +451,7 @@ class LaurentPoly:
 
     # -- exact division -----------------------------------------------------
 
-    def exact_divide(self, d, verify=True):
+    def exact_divide(self, d):
         """Quotient q with self == q*d; raises NotDivisible otherwise."""
         if not isinstance(d, LaurentPoly):
             d = LaurentPoly.const(self.N, d, self.dom)
@@ -530,8 +517,8 @@ class LaurentPoly:
                     else:
                         del cur[key]
         delta = tuple(x - y for x, y in zip(sp, sd))
-        q = self._field(K.terms_shift(quot, delta))
-        if verify and q * d != self:
+        q = LaurentPoly(self.N, self.dom, K.terms_shift(quot, delta))
+        if q * d != self:
             raise NotDivisible("re-multiplication check failed")
         return q
 
@@ -588,10 +575,15 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data, dom=QQ):
+        """Inverse of to_json; every exponent must be a list of N ints."""
+        N = data["N"]
         terms = {}
         for t in data["terms"]:
-            terms[tuple(t["e"])] = dom.scalar_from_json(t["c"])
-        return cls(data["N"], dom, terms)
+            e = t["e"]
+            if not (isinstance(e, list) and len(e) == N and all(type(x) is int for x in e)):
+                raise ValueError(f"exponent {e!r} is not a list of N = {N} integers")
+            terms[tuple(e)] = dom.scalar_from_json(t["c"])
+        return cls(N, dom, terms)
 
     def __repr__(self):
         if not self.nums:
@@ -605,6 +597,30 @@ class LaurentPoly:
             )
             bits.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def coefficient_rows(polys):
+    """The coefficient matrix of polys: one column per polynomial and one row
+    per monomial of their joint support, in first-seen order.
+
+    Each column's numerators are scaled to the lcm of the dens, so the
+    matrix is that lcm times the field coefficients: over QQ every entry is
+    an int, elsewhere a field element.
+    """
+    if not polys:
+        return []
+    dom = polys[0].dom
+    zero = dom.split(dom.zero)[0]  # 0 over QQ, the field's zero elsewhere
+    den = math.lcm(*[p.den for p in polys])
+    rows = {}
+    for k, p in enumerate(polys):
+        m = den // p.den
+        for e, n in p.nums.items():
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = [zero] * len(polys)
+            row[k] = n if m == 1 else n * m
+    return list(rows.values())
 
 
 class TruncatedSeries:

@@ -1,18 +1,21 @@
 """Exact dense linear algebra over Fraction and other exact fields.
 
-Rank and nullspace computations over the rationals clear denominators and
-run fraction-free (Bareiss-style with per-row content stripping) on Python
-integers; other exact fields (cyclotomics, rational functions) use ordinary
-Gaussian elimination, which stays exact.
+There is one elimination per field.  Rational rows, given as ints or
+Fractions (``laurent.coefficient_rows`` gives ints), are cleared to
+primitive integer rows and reduced fraction-free (Bareiss-style with
+per-row content stripping) on Python integers; other exact fields
+(cyclotomics, rational functions) use ordinary Gaussian elimination, which
+stays exact.  The first nonzero entry tells the two apart, and ``x / x`` of
+that entry is the field's unit, so no caller passes one.
 
 A small immutable Matrix class over Fraction covers the matrix work of the
-quiver/bow modules.
+quiver/bow modules; its inverse and solver use the same row_echelon.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -47,20 +50,14 @@ def _row_echelon_field(rows, ncols, one):
 
 
 def _int_rows(rows):
-    """Clear denominators and strip content from Fraction rows."""
+    """Rational rows (ints or Fractions, none all zero) as primitive integer
+    rows: denominators cleared, content stripped."""
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        if any(ints):
-            out.append(ints)
+        den = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+        out.append(ints if g == 1 else [v // g for v in ints])
     return out
 
 
@@ -106,14 +103,13 @@ def _row_echelon_int(rows, ncols):
     return r, pivots, ech
 
 
-def row_echelon(rows, ncols, field_one=None):
+def row_echelon(rows, ncols):
     """Reduced row echelon form; returns (rank, pivot_cols, rows).
 
-    rows: iterable of coefficient sequences.  Fraction input takes the
-    integer fraction-free path; any other exact field works through
-    field_one (the field's multiplicative identity), which defaults to
-    x / x for the first nonzero entry x.  That entry also tells the two
-    apart.
+    rows: iterable of coefficient sequences.  Rational rows (ints or
+    Fractions) take the integer fraction-free path and come back as
+    Fractions; any other exact field eliminates with x / x as its unit, x
+    the first nonzero entry.  That entry also tells the two apart.
     """
     rows = [list(r) for r in rows]
     rows = [r for r in rows if any(r)]
@@ -121,29 +117,25 @@ def row_echelon(rows, ncols, field_one=None):
         return 0, [], []
     x = next(v for v in rows[0] if v)
     if isinstance(x, (Fraction, int)):
-        frac_rows = [[Fraction(v) for v in r] for r in rows]
-        return _row_echelon_int(_int_rows(frac_rows), ncols)
-    one = field_one if field_one is not None else x / x
-    return _row_echelon_field(rows, ncols, one)
+        return _row_echelon_int(_int_rows(rows), ncols)
+    return _row_echelon_field(rows, ncols, x / x)
 
 
-def matrix_rank(rows, ncols, field_one=None):
-    return row_echelon(rows, ncols, field_one)[0]
+def matrix_rank(rows, ncols):
+    return row_echelon(rows, ncols)[0]
 
 
-def nullspace(rows, ncols, field_one=None):
+def nullspace(rows, ncols):
     """Basis of the right kernel of the matrix, as coefficient vectors.
 
     Free variables are set to 1 one at a time (the standard parametrization),
-    so the output is deterministic.
+    so the output is deterministic.  With no nonzero row the basis is the
+    standard one, over Fraction.
     """
-    rank, pivots, ech = row_echelon(rows, ncols, field_one)
+    rank, pivots, ech = row_echelon(rows, ncols)
     if ech:
         zero = ech[0][0] - ech[0][0]
         one = ech[0][pivots[0]]
-    elif field_one is not None:
-        one = field_one
-        zero = one - one
     else:
         one = Fraction(1)
         zero = Fraction(0)
@@ -199,10 +191,11 @@ class Matrix:
         return cls([[c if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def random(cls, rng, m, n, span=5):
+    def random(cls, rng, m, n):
+        """Entries a/b with -5 <= a <= 5 and 1 <= b <= 3."""
         return cls(
             [
-                [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(n)]
+                [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
                 for _ in range(m)
             ]
         )
@@ -285,39 +278,14 @@ class Matrix:
         if self.m != self.n:
             raise ValueError("not square")
         n = self.n
-        aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(self.rows)]
-        rank, pivots, ech = _row_echelon_field([list(r) for r in aug], 2 * n, Fraction(1))
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
+        rank, pivots, ech = row_echelon(aug, 2 * n)
         if rank < n or pivots[:n] != list(range(n)):
             raise ZeroDivisionError("singular matrix")
         return Matrix([r[n:] for r in ech])
 
     def is_invertible(self):
         return self.m == self.n and self.rank() == self.n
-
-    def det(self):
-        if self.m != self.n:
-            raise ValueError("not square")
-        rows = [list(r) for r in self.rows]
-        n = self.n
-        det = Fraction(1)
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                return Fraction(0)
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                det = -det
-            det *= rows[c][c]
-            inv = 1 / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
 
     def char_poly(self):
         """Characteristic polynomial det(xI - A), low-degree first (Faddeev-LeVerrier)."""
@@ -378,9 +346,7 @@ class Matrix:
     def solve_right(self, rhs):
         """X with self * X = rhs; raises if inconsistent (least structure wins)."""
         aug = self.hstack(rhs)
-        rank, pivots, ech = _row_echelon_field(
-            [list(r) for r in aug.rows], aug.n, Fraction(1)
-        )
+        rank, pivots, ech = row_echelon(aug.rows, aug.n)
         if any(p >= self.n for p in pivots):
             raise ValueError("inconsistent system")
         out = [[Fraction(0)] * rhs.n for _ in range(self.n)]
@@ -475,21 +441,15 @@ def algebra_closure_dim(generators):
 
 def rational_eigenvalues(mat):
     """All rational eigenvalues of a Fraction matrix, found exactly."""
-    coeffs = mat.char_poly()
-    # clear denominators -> integer polynomial
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[0] == 0:
-        ints = ints[1:]  # factor out x; x=0 handled below
+    poly = mat.char_poly()
+    # the same roots as a primitive integer polynomial (char_poly is monic)
+    (ints,) = _int_rows([poly])
     out = []
-    if any(not c for c in mat.char_poly()[:1]):
+    if not ints[0]:
         # constant coefficient zero => 0 is an eigenvalue
-        if mat.det() == 0:
-            out.append(Fraction(0))
-    if not ints:
-        return out
+        out.append(Fraction(0))
+    while not ints[0]:
+        ints = ints[1:]  # factor out x
     a0, an = abs(ints[0]), abs(ints[-1])
 
     def divisors(v):
@@ -508,7 +468,6 @@ def rational_eigenvalues(mat):
         for q in divisors(an) or [1]:
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
-    poly = mat.char_poly()
 
     def peval(x):
         acc = Fraction(0)

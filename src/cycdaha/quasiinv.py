@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .laurent import LaurentPoly, one_plus_u_power
+from .laurent import LaurentPoly, coefficient_rows, one_plus_u_power
 from .linalg import nullspace
 from .scalars import QQ, CycloField
 from .tableaux import (
@@ -68,9 +68,10 @@ class QuasiSpec:
     common denominator M of the a_i (qq is stored).
 
     Construction fixes what conditions_matrix reads: l (1 unless CYC), the
-    weights a (zeros unless twisted) and common_denominator M (1 unless
-    TWISTED_Q).  A space the variant cannot mean raises ValueError with a
-    message that starts with the offending parameter's name.
+    weights a (zeros unless twisted), common_denominator M (1 unless
+    TWISTED_Q) and the field dom (QQ for l <= 2, else Q(zeta_l)).  A space
+    the variant cannot mean raises ValueError with a message that starts
+    with the offending parameter's name.
     """
 
     variant: str
@@ -80,7 +81,7 @@ class QuasiSpec:
     mlist: tuple = ()
     q: Fraction = Fraction(1)
     a: tuple = ()
-    dom: object = field(default=None)
+    dom: object = field(init=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -117,7 +118,7 @@ class QuasiSpec:
             raise ValueError(f"q must be 1 for twisted (see twisted-q), got {self.q}")
         if self.q == 0:
             raise ValueError("q must be nonzero")
-        self.dom = self.dom or (QQ if self.l <= 2 else CycloField(self.l))
+        self.dom = QQ if self.l <= 2 else CycloField(self.l)
         self.common_denominator = (
             lcm(*(x.denominator for x in self.a)) if self.variant == TWISTED_Q else 1
         )
@@ -176,20 +177,6 @@ def conditions_matrix(spec, d):
     dom, l, K, M, q = spec.dom, spec.l, 2 * spec.m, spec.common_denominator, spec.q
     monomials = [LaurentPoly.monomial(spec.N, e, 1, dom) for e in basis]
     rows = []
-
-    def add_rows_from_images(images):
-        """images: per-basis-monomial output polynomial; rows indexed by the
-        union of output monomials."""
-        support = {}
-        for img in images:
-            for e in img.terms:
-                support.setdefault(e, len(support))
-        block = [[dom.zero] * len(basis) for _ in range(len(support))]
-        for bi, img in enumerate(images):
-            for e, c in img.terms.items():
-                block[support[e]][bi] = c
-        rows.extend(r for r in block if any(r))
-
     for i in range(1, spec.N + 1):
         for j in range(i + 1, spec.N + 1):
             ai, aj = spec.a[i - 1], spec.a[j - 1]
@@ -209,7 +196,7 @@ def conditions_matrix(spec, d):
 
                     series = [(expand(F, wi) - expand(g, wj)).coeffs for F, g in pairs]
                     for order in range(K + 1):
-                        add_rows_from_images([s[order] for s in series])
+                        rows += coefficient_rows([s[order] for s in series])
                 else:
                     for p in range(-spec.m, spec.m + 1):
                         if p == 0:
@@ -217,7 +204,7 @@ def conditions_matrix(spec, d):
                         wi = dom.coerce(q ** int(p * ai * M))
                         wj = dom.coerce(q ** int(p * aj * M))
                         at = {i: (zr * dom.coerce(q ** (p * M)), j)}
-                        add_rows_from_images(
+                        rows += coefficient_rows(
                             [(F * wi - g * wj).substitute(at) for F, g in pairs]
                         )
     # projector divisibility: monomials with x_i-exponent congruent to r
@@ -356,7 +343,7 @@ def graded_basis(spec, maxdeg):
     out = []
     for d in range(maxdeg + 1):
         rows, basis = conditions_matrix(spec, d)
-        vecs = nullspace(rows, len(basis), field_one=spec.dom.one)
+        vecs = nullspace(rows, len(basis))
         polys = []
         for v in vecs:
             terms = {}
@@ -459,7 +446,7 @@ def graded_basis_with_symmetry(spec, maxdeg, i, j, sign):
                 continue
             row[col[se]] = row[col[se]] - spec.dom.coerce(sign)
             rows.append(row)
-        out.append(len(nullspace(rows, len(basis), field_one=spec.dom.one)))
+        out.append(len(nullspace(rows, len(basis))))
     return out
 
 

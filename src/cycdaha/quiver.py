@@ -137,13 +137,13 @@ def check_point(p):
     return {"certified": ok, "residuals": residuals, "T_in_special_class": in_class}
 
 
-def psi(p, *, require_certified=True):
+def psi(p):
     """Collapse a quiver point to the quadruple (X, D, Y, T).
 
     X = X_1 X_2 ... X_l, D = D_l ... D_1, Y = Z_1 (1 + X_1 D_1); the
     quadruple equations are verified as a postcondition.
     """
-    if require_certified and not check_point(p)["certified"]:
+    if not check_point(p)["certified"]:
         raise UncertifiedInput("psi needs a certified point")
     X = _eye(p.N)
     for m in p.X:
@@ -155,7 +155,7 @@ def psi(p, *, require_certified=True):
     Y = (_eye(p.N) + p.X[0] * p.D[0]) * p.Z[0]
     quad = Quadruple(p.l, p.N, p.Z, p.t, X, D, Y, p.T)
     rep = check_quadruple(quad)
-    if require_certified and not rep["certified"]:
+    if not rep["certified"]:
         raise AssertionError("psi image fails the quadruple equations")
     return quad
 
@@ -242,12 +242,12 @@ def sample_chain(l, N, Z, seed, t=None, max_attempts=200):
     raise SamplingExhausted("could not sample a certified point")
 
 
-def lift_open_locus(q, *, require_certified=True):
+def lift_open_locus(q):
     """Lift a quadruple with invertible X back to a quiver point:
     X_i = 1 for i < l, X_l = X, D_i = Z_i^-1 Y - 1 for i < l and
     D_l = X^-1 (Z_l^-1 Y - 1); the result is re-certified and satisfies
     psi(lift(q)) = q."""
-    if require_certified and not check_quadruple(q)["certified"]:
+    if not check_quadruple(q)["certified"]:
         raise UncertifiedInput("lift needs a certified quadruple")
     if not q.X.is_invertible():
         raise XNotInvertible("the open-locus lift needs invertible X")

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -57,12 +59,14 @@ def test_quiver_sample_check_round_trip(capsys, tmp_path):
         capsys,
     )
     assert code == 0
-    point = json.loads(out.read_text())["report"]["point"]
-    pfile = tmp_path / "p.json"
-    pfile.write_text(json.dumps(point))
-    code, report = run_cli(["quiver", "check", "--file", str(pfile)], capsys)
+    # check reads the report sample wrote, as well as the bare point
+    code, report = run_cli(["quiver", "check", "--file", str(out)], capsys)
     assert code == 0
     assert report["report"]["product_formulas"]["Lplus_matches"]
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(json.loads(out.read_text())["report"]["point"]))
+    code, bare = run_cli(["quiver", "check", "--file", str(pfile)], capsys)
+    assert code == 0 and bare["report"] == report["report"]
 
 
 def test_quiver_check_failure_exit_code(capsys, tmp_path):
@@ -79,18 +83,18 @@ def test_quiver_check_failure_exit_code(capsys, tmp_path):
 
 
 def test_bow_hw_cli(capsys, tmp_path):
+    bfile = tmp_path / "bow.json"
     code, report = run_cli(
-        ["bow", "sample", "--dims", "2,2,2", "--seed", "11"], capsys
+        ["bow", "sample", "--dims", "2,2,2", "--seed", "11", "--out", str(bfile)], capsys
     )
     assert code == 0
-    bfile = tmp_path / "bow.json"
-    bfile.write_text(json.dumps(report["report"]["bow"]))
-    code, report = run_cli(
-        ["bow", "hw", "--file", str(bfile), "--out", str(tmp_path / "b2.json")],
-        capsys,
-    )
+    # hw reads the report sample wrote, and the bare bow hw --out writes
+    b2 = tmp_path / "b2.json"
+    code, report = run_cli(["bow", "hw", "--file", str(bfile), "--out", str(b2)], capsys)
     assert code == 0
     assert report["report"]["ok"]
+    code, report = run_cli(["bow", "check", "--file", str(b2)], capsys)
+    assert code == 0
 
 
 def test_expr_parse_cli(capsys):
@@ -237,6 +241,12 @@ def test_usage_error_exit_code_two(capsys, tmp_path):
     rank2.write_text(json.dumps(LaurentPoly.variable(2, 1).to_json()))
     apply3 = ["macdonald", "apply", "--N", "3", "--q", "2", "--t", "3", "--poly"]
     cases = [("--poly", apply3 + [str(rank2)])]
+    # every exponent is exactly N ints
+    for k, e in enumerate(([1, 0, 0], [1], [1.5, 0])):
+        bad = tmp_path / f"exponent{k}.json"
+        bad.write_text(json.dumps({"N": 2, "terms": [{"e": e, "c": "1"}]}))
+        cases.append(("--poly", ["macdonald", "apply", "--N", "2", "--q", "2", "--t", "3",
+                                 "--poly", str(bad)]))
     for path in (missing, str(garbled), str(wrong)):
         cases += [("--poly", apply3 + [path]),
                   ("--file", ["quiver", "check", "--file", path]),
@@ -247,6 +257,19 @@ def test_usage_error_exit_code_two(capsys, tmp_path):
             main(cmd)
         assert exc.value.code == 2, cmd
         assert f"error: {flag}: " in capsys.readouterr().err, cmd
+
+
+def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
+    # every command in the README's "CLI examples" block, in order (later
+    # ones read the files earlier ones write), exits 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI examples", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert len(commands) == 12 and all(c[0] == "cycdaha" for c in commands)
+    monkeypatch.chdir(tmp_path)
+    for cmd in commands:
+        assert main(cmd[1:]) == 0, " ".join(cmd)
+        capsys.readouterr()
 
 
 def test_internal_error_exit_code_three(capsys, monkeypatch):

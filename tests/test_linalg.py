@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cycdaha.linalg import (
     Matrix,
+    _row_echelon_field,
     algebra_closure_dim,
     matrix_rank,
     nullspace,
@@ -13,6 +17,8 @@ from cycdaha.linalg import (
     span_closure,
 )
 from cycdaha.scalars import CycloField
+
+entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 def test_rank_and_nullspace_rational():
@@ -33,14 +39,14 @@ def test_nullspace_over_cyclotomic_field():
     dom = CycloField(3)
     z = dom.zeta
     rows = [[dom.one, z], [z ** 2, dom.one]]  # second row = z^2 * first
-    basis = nullspace(rows, 2, field_one=dom.one)
+    basis = nullspace(rows, 2)
     assert len(basis) == 1
     v = basis[0]
     assert rows[0][0] * v[0] + rows[0][1] * v[1] == dom.zero
 
 
 def test_row_echelon_with_a_zero_first_entry():
-    # without field_one the unit and the path come from the first nonzero entry
+    # the unit and the path come from the first nonzero entry
     dom = CycloField(3)
     z, o = dom.zero, dom.one
     assert row_echelon([[z, o]], 2) == (1, [1], [[z, o]])
@@ -57,9 +63,25 @@ def test_row_echelon_deterministic():
     assert r1 == r2
 
 
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4)),
+    st.lists(st.integers(1, 6), min_size=4, max_size=4))
+def test_fraction_free_echelon_matches_field_elimination(rows, scales):
+    # the Fraction elimination is the reference; nonzero rows only, as
+    # row_echelon drops zero rows before eliminating
+    ncols = len(rows[0])
+    ref = _row_echelon_field([r for r in rows if any(r)], ncols, Fraction(1))
+    assert row_echelon(rows, ncols) == ref
+    # each row scaled by a positive int and given as ints
+    ints = [[int(x * lcm(*[y.denominator for y in r]) * k) for x in r]
+            for r, k in zip(rows, scales)]
+    assert all(type(x) is int for r in ints for x in r)
+    assert row_echelon(ints, ncols) == ref
+
+
 def test_matrix_inverse_and_det():
     m = Matrix([[1, 2], [3, 5]])
-    assert m.det() == -1
+    assert m.char_poly()[0] == -1  # det(-A) = det(A) for a 2 x 2 matrix
     inv = m.inverse()
     assert m * inv == Matrix.identity(2)
     with pytest.raises(ZeroDivisionError):
@@ -76,6 +98,11 @@ def test_char_poly_and_rational_eigenvalues():
     # no rational eigenvalues
     r = Matrix([[0, -1], [1, 0]])
     assert rational_eigenvalues(r) == []
+    # singular: the constant coefficient of x (x - 2) (x - 1/2) vanishes
+    # and 0 is an eigenvalue
+    s = Matrix([[1, 2, 0], [Fraction(1, 2), 1, 0], [3, 4, Fraction(1, 2)]])
+    assert s.char_poly()[0] == 0
+    assert rational_eigenvalues(s) == [0, Fraction(1, 2), 2]
 
 
 def test_solve_right():
