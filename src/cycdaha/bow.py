@@ -455,9 +455,8 @@ def sample_cobalanced_segment(n, seed, t=Fraction(2), Z2=Fraction(3),
 
 
 def cobalanced_reduction_check(data):
-    """Verify the factorized chain identity
+    """Verify the factorized chain identity: the segment relations
 
-        1 + C1 D1 = t^-2 ... wait -- exactly:
         1 + C1 D1 = Z2 B2^-1,  B2 = B3 + a3 b2,  B3 = B4 + a4 b3,
         B4^-1 = (t Z4)^-1 (1 + D4 C4)
 

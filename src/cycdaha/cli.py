@@ -134,14 +134,23 @@ def cmd_quasi_flatness(args):
     return _wrap_report(config, report, report["all_match"])
 
 
-def cmd_macdonald_apply(args):
+def cmd_macdonald_apply(ap, args):
+    """The operator's image of --poly; an input it cannot map into the
+    Laurent ring is a usage error naming the flag at fault."""
+    from .laurent import NonInvertibleScale, NotDivisible
     from .macdonald import apply_macdonald_operator
 
     q = parse_rational(args.q)
     t = parse_rational(args.t)
-    img = apply_macdonald_operator(
-        args.N, q, t, args.data, subtract_one=(args.op == "M1l1")
-    )
+    try:
+        img = apply_macdonald_operator(
+            args.N, q, t, args.data, subtract_one=(args.op == "M1l1")
+        )
+    except NotDivisible:
+        ap.error(f"--poly: {args.op} does not map this polynomial to a Laurent "
+                 f"polynomial at q = {args.q}, t = {args.t}")
+    except NonInvertibleScale:
+        ap.error("--q: q = 0 cannot shift a negative power of a variable")
     config = {
         "command": "macdonald apply",
         "op": args.op,
@@ -361,7 +370,7 @@ def build_parser():
     ma.add_argument("--t", required=True)
     ma.add_argument("--poly", required=True)
     ma.add_argument("--out")
-    ma.set_defaults(fn=cmd_macdonald_apply,
+    ma.set_defaults(fn=lambda a: cmd_macdonald_apply(ma, a),
                     check=lambda a: (_number(ma, "--q", a.q), _number(ma, "--t", a.t),
                                      _check_poly(ma, a)))
     mc = mac_sub.add_parser("commute")
@@ -508,6 +517,8 @@ def _check_generators(ap, args):
 
 def _check_commute(ap, args):
     _at_least_one(ap, args, "N")
+    if args.maxdeg < 0:
+        ap.error(f"--maxdeg must be non-negative, got {args.maxdeg}")
     _check_level(ap, "cyc-daha", args.l)
     for name in ("r1", "r2"):
         r = getattr(args, name)

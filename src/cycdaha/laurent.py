@@ -34,6 +34,10 @@ Reduction happens in three places:
   result back.  Only the quasiinvariant and Macdonald code divides; the
   operator engine's quotients are ``divided_difference``, a closed form
   with no division.
+
+A truncated series along a hyperplane is a plain list of polynomials, the
+coefficients of u^0..u^order (``series_on_hyperplane``).  Its weight
+(1+u)^a is folded into the expansion: X_j^n contributes C(n + a, r) to u^r.
 """
 
 from __future__ import annotations
@@ -538,11 +542,13 @@ class LaurentPoly:
 
     # -- series -------------------------------------------------------------
 
-    def series_on_hyperplane(self, i, j, order):
-        """Expand with X_j -> X_i*(1+u), truncated at u^order.
+    def series_on_hyperplane(self, i, j, order, a=0):
+        """The coefficients of u^0..u^order in self*(1+u)^a with
+        X_j -> X_i*(1+u): a list of order + 1 polynomials free of X_j.
 
-        Returns a TruncatedSeries whose coefficients live in the same ring
-        (with no X_j dependence).
+        a may be any rational.  A monomial with X_j-exponent n carries
+        (1+u)^(n+a), so it adds C(n + a, r) to u^r (by Chu-Vandermonde, the
+        product of the expansions of (1+u)^n and (1+u)^a).
         """
         if i == j:
             raise ValueError("need distinct variables")
@@ -556,11 +562,11 @@ class LaurentPoly:
             new_e[jj] = 0
             key = tuple(new_e)
             for r in range(order + 1):
-                b = binomial_fraction(n, r)
+                b = binomial_fraction(n + a, r)
                 if b:
                     bn, bd = split(coerce(b))
                     parts[r].append((key, c * bn, bd))
-        return TruncatedSeries(order, [self._collect(p) for p in parts])
+        return [self._collect(p) for p in parts]
 
     # -- io -----------------------------------------------------------------
 
@@ -621,46 +627,3 @@ def coefficient_rows(polys):
                 row = rows[e] = [zero] * len(polys)
             row[k] = n if m == 1 else n * m
     return list(rows.values())
-
-
-class TruncatedSeries:
-    """Element of R[u]/(u^(order+1)) with LaurentPoly coefficients."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs):
-        self.order = order
-        self.coeffs = list(coeffs)
-        if len(self.coeffs) != order + 1:
-            raise ValueError("coefficient list must have length order+1")
-
-    def __sub__(self, other):
-        if self.order != other.order:
-            raise ValueError("mixed truncation orders")
-        return TruncatedSeries(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def scale_by_scalar_series(self, scalars):
-        """Multiply by sum scalars[r]*u^r (a list of field scalars)."""
-        zero = self.coeffs[0] - self.coeffs[0]
-        out = [zero for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(0, self.order + 1 - i):
-                s = scalars[j] if j < len(scalars) else 0
-                if s:
-                    out[i + j] = out[i + j] + a * s
-        return TruncatedSeries(self.order, out)
-
-    def __repr__(self):
-        return " + ".join(f"({c})*u^{r}" for r, c in enumerate(self.coeffs))
-
-
-def one_plus_u_power(a, order):
-    """Scalar coefficient list of (1+u)^a to the given truncation order.
-
-    a may be any rational; generalized binomial coefficients are exact.
-    """
-    return [binomial_fraction(a, r) for r in range(order + 1)]

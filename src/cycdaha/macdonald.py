@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .laurent import LaurentPoly, NotDivisible
+from .laurent import LaurentPoly
 from .ops import (
     Gen,
     OperatorExpr,

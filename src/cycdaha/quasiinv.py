@@ -19,8 +19,9 @@ q^(p a_i):
                l >= 1, a = 0, any q (the deformation base 'bold q'), M = 1,
                weights m_1..m_{l-1} of the projector conditions.
 * TWISTED   -- monomial-weight-twisted quasiinvariants: l = 1, rational a,
-               q = 1, M = 1; order-(2m+1) vanishing is encoded through
-               generalized binomial series in (1+u)^a.
+               q = 1, M = 1; the weight (1+u)^{a_i} rides in the expansion
+               itself: along x_j = x_i (1+u) a monomial with x_j-exponent n
+               contributes C(n + a_i, r) to u^r (series_on_hyperplane).
 * TWISTED_Q -- the q-deformation of TWISTED: l = 1, rational a, M the common
                denominator of the a_i, and q stores the base parameter
                qq = q^(1/M).
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .laurent import LaurentPoly, coefficient_rows, one_plus_u_power
+from .laurent import LaurentPoly, NotDivisible, coefficient_rows
 from .linalg import nullspace
 from .scalars import QQ, CycloField
 from .tableaux import (
@@ -185,16 +186,11 @@ def conditions_matrix(spec, d):
                 reflect = {i: (zr, j), j: (_zeta_power(dom, -r % l), i)}
                 pairs = [(F, F.substitute(reflect)) for F in monomials]
                 if q == 1:
-                    wi, wj = one_plus_u_power(ai, K), one_plus_u_power(aj, K)
-
-                    def expand(G, w):
-                        return (
-                            G.scale_var(i, zr)
-                            .series_on_hyperplane(j, i, K)
-                            .scale_by_scalar_series(w)
-                        )
-
-                    series = [(expand(F, wi) - expand(g, wj)).coeffs for F, g in pairs]
+                    series = []
+                    for F, g in pairs:
+                        sf = F.scale_var(i, zr).series_on_hyperplane(j, i, K, ai)
+                        sg = g.scale_var(i, zr).series_on_hyperplane(j, i, K, aj)
+                        series.append([x - y for x, y in zip(sf, sg)])
                     for order in range(K + 1):
                         rows += coefficient_rows([s[order] for s in series])
                 else:
@@ -226,104 +222,70 @@ def conditions_matrix(spec, d):
 def check_member(spec, F):
     """Direct verification that F satisfies every defining condition.
 
-    Uses exact division by the full hyperplane products (or series
-    expansion) on the concrete polynomial, independent of the row builder.
+    Works on the concrete polynomial, independent of the row builder: the
+    difference F - g_r F must vanish to order 2m+1 in a series expansion
+    along x_i = zeta^r x_j (q = 1), or be exactly divisible by
+    prod_{|p| <= m} (X_i - zeta^r q^p X_j) (q != 1); PLAIN_Q is CYC at l = 1.
+    The twisted variants compare the weighted expansions, or the
+    substitutions x_i = q^p x_j, of F and s_ij F.
     """
-    dom = spec.dom
-    N = spec.N
-
-    if spec.variant == PLAIN_Q:
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                g = F - F.swap(i, j)
-                if not g:
-                    continue
-                if spec.q == 1:
-                    ser = g.series_on_hyperplane(i, j, 2 * spec.m)
-                    if any(ser.coeffs[: 2 * spec.m + 1]):
-                        return False
-                else:
-                    div = LaurentPoly.one(N, dom)
-                    Xi = LaurentPoly.variable(N, i, dom)
-                    Xj = LaurentPoly.variable(N, j, dom)
-                    for p_exp in range(-spec.m, spec.m + 1):
-                        div = div * (Xi - Xj * dom.coerce(spec.q ** p_exp))
-                    try:
-                        g.exact_divide(div)
-                    except Exception:
-                        return False
-        return True
-
-    if spec.variant == CYC:
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                for r in range(spec.l):
-                    zr = _zeta_power(dom, r)
-                    zr_inv = _zeta_power(dom, (spec.l - r) % spec.l)
-                    g = F - F.substitute({i: (zr, j), j: (zr_inv, i)})
-                    if not g:
-                        continue
-                    if spec.q == 1:
-                        h = g.scale_var(i, zr)
-                        ser = h.series_on_hyperplane(j, i, 2 * spec.m)
-                        if any(ser.coeffs[: 2 * spec.m + 1]):
-                            return False
-                    else:
-                        div = LaurentPoly.one(N, dom)
-                        xi = LaurentPoly.variable(N, i, dom)
-                        xj = LaurentPoly.variable(N, j, dom)
-                        for p_exp in range(-spec.m, spec.m + 1):
-                            c = zr * dom.coerce(spec.q ** p_exp)
-                            div = div * (xi - xj * c)
-                        try:
-                            g.exact_divide(div)
-                        except Exception:
-                            return False
-        for i in range(1, N + 1):
-            for r in range(1, spec.l):
-                m_r = spec.mlist[r - 1] if len(spec.mlist) >= r else 0
-                bound = r + m_r * spec.l
-                for e in F.terms:
-                    if e[i - 1] % spec.l == r and e[i - 1] < bound:
-                        return False
-        return True
+    dom, N, m, q = spec.dom, spec.N, spec.m, spec.q
+    pairs = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
 
     # twisted-q at q = 1 is the twisted space (its q-conditions all read F = F)
-    if spec.variant == TWISTED or (spec.variant == TWISTED_Q and spec.q == 1):
-        K = 2 * spec.m
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                wi = one_plus_u_power(spec.a[i - 1], K)
-                wj = one_plus_u_power(spec.a[j - 1], K)
-                s1 = F.series_on_hyperplane(i, j, K).scale_by_scalar_series(wj)
-                s2 = (
-                    F.swap(i, j)
-                    .series_on_hyperplane(i, j, K)
-                    .scale_by_scalar_series(wi)
-                )
-                if any((s1 - s2).coeffs[: K + 1]):
-                    return False
+    if spec.variant == TWISTED or (spec.variant == TWISTED_Q and q == 1):
+        for i, j in pairs:
+            s1 = F.series_on_hyperplane(i, j, 2 * m, spec.a[j - 1])
+            s2 = F.swap(i, j).series_on_hyperplane(i, j, 2 * m, spec.a[i - 1])
+            if s1 != s2:
+                return False
         return True
 
     if spec.variant == TWISTED_Q:
         M = spec.common_denominator
-        qq = spec.q
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                ai, aj = spec.a[i - 1], spec.a[j - 1]
-                for p_exp in range(-spec.m, spec.m + 1):
-                    if p_exp == 0:
-                        continue
-                    qp = qq ** (p_exp * M)
-                    ei, ej = p_exp * ai * M, p_exp * aj * M
-                    assert ei.denominator == 1 and ej.denominator == 1
-                    lhs = F.substitute({i: (qp, j)}) * (qq ** int(ei))
-                    rhs = F.swap(i, j).substitute({i: (qp, j)}) * (qq ** int(ej))
-                    if lhs != rhs:
-                        return False
+        for i, j in pairs:
+            ai, aj = spec.a[i - 1], spec.a[j - 1]
+            for p in range(-m, m + 1):
+                if p == 0:
+                    continue
+                at = {i: (q ** (p * M), j)}
+                ei, ej = p * ai * M, p * aj * M
+                assert ei.denominator == 1 and ej.denominator == 1
+                if F.substitute(at) * q ** int(ei) != F.swap(i, j).substitute(at) * q ** int(ej):
+                    return False
         return True
 
-    raise ValueError(f"unknown variant {spec.variant!r}")
+    l = spec.l
+    for i, j in pairs:
+        xi, xj = LaurentPoly.variable(N, i, dom), LaurentPoly.variable(N, j, dom)
+        for r in range(l):
+            zr = _zeta_power(dom, r)
+            if r == 0:
+                g = F - F.swap(i, j)
+            else:
+                g = F - F.substitute({i: (zr, j), j: (_zeta_power(dom, l - r), i)})
+            if not g:
+                continue
+            if q == 1:
+                h = g if r == 0 else g.scale_var(i, zr)
+                if any(h.series_on_hyperplane(j, i, 2 * m)):
+                    return False
+            else:
+                div = LaurentPoly.one(N, dom)
+                for p in range(-m, m + 1):
+                    div = div * (xi - xj * (zr * dom.coerce(q ** p)))
+                try:
+                    g.exact_divide(div)
+                except NotDivisible:
+                    return False
+    # projector exponents
+    for i in range(1, N + 1):
+        for r in range(1, l):
+            m_r = spec.mlist[r - 1] if len(spec.mlist) >= r else 0
+            for e in F.nums:
+                if e[i - 1] % l == r and e[i - 1] < r + m_r * l:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,8 @@ def cyclotomic_polynomial(l):
     """Coefficients of the l-th cyclotomic polynomial, low-degree first."""
     if l in _CYCLO_CACHE:
         return _CYCLO_CACHE[l]
+    if l < 1:
+        raise ValueError(f"cyclotomic order must be at least 1, got {l}")
     # x^l - 1 divided by the product of Phi_d for proper divisors d
     num = [Fraction(-1)] + [Fraction(0)] * (l - 1) + [Fraction(1)]
     for d in _divisors(l):
@@ -273,13 +275,6 @@ class CycloNumber:
         return f"CycloNumber(l={self.l}, {list(self.coeffs)})"
 
 
-def cyclo_normalize(raw, l):
-    """Reduce a raw coefficient vector mod Phi_l into canonical form."""
-    if l < 1:
-        raise ValueError("order must be >= 1")
-    return CycloNumber(l, raw)
-
-
 # ---------------------------------------------------------------------------
 # univariate rational functions
 
@@ -415,11 +410,6 @@ class RatFunc1:
         return f"RatFunc1({self.var!r}, {list(self.num)}, {list(self.den)})"
 
 
-def ratfunc_simplify(num, den, var="t"):
-    """gcd-reduce num/den into a RatFunc1 with monic denominator."""
-    return RatFunc1(var, num, den)
-
-
 # ---------------------------------------------------------------------------
 # coefficient domains
 
@@ -488,6 +478,8 @@ class RationalField(Domain):
 
 class CycloField(Domain):
     def __init__(self, l):
+        if l < 1:
+            raise ValueError(f"cyclotomic order must be at least 1, got {l}")
         self.l = l
         self.name = f"QQ(zeta_{l})"
 

@@ -209,6 +209,7 @@ def test_usage_error_exit_code_two(capsys, tmp_path):
         ("--N", ["quiver", "sample", "--l", "2", "--N", "0"]),
         ("--r1", commute + ["--r1", "0", "--r2", "1"]),
         ("--r2", commute + ["--r1", "1", "--r2", "3"]),
+        ("--maxdeg", commute + ["--r1", "1", "--r2", "2", "--maxdeg", "-1"]),
         ("--N", ["relations", "involution", "--family", "l1", "--N", "0"]),
     ):
         with pytest.raises(SystemExit) as exc:
@@ -247,6 +248,18 @@ def test_usage_error_exit_code_two(capsys, tmp_path):
         bad.write_text(json.dumps({"N": 2, "terms": [{"e": e, "c": "1"}]}))
         cases.append(("--poly", ["macdonald", "apply", "--N", "2", "--q", "2", "--t", "3",
                                  "--poly", str(bad)]))
+    # inputs the operator cannot map into the Laurent ring: a polynomial whose
+    # image keeps a pole on X1 = X2, and q = 0 on a negative exponent
+    outside = tmp_path / "outside.json"
+    outside.write_text(json.dumps({"N": 2, "terms": [
+        {"e": [2, 0], "c": "3/2"}, {"e": [1, 1], "c": "-1"}, {"e": [0, 1], "c": "1"}]}))
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({"N": 2, "terms": [{"e": [-1, 0], "c": "1"}]}))
+    apply2 = ["macdonald", "apply", "--N", "2", "--t", "9/4", "--poly"]
+    cases += [("--poly", ["macdonald", "apply", "--op", "M1", "--N", "2", "--q", "7/5",
+                          "--t", "9/4", "--poly", str(outside)]),
+              ("--q", apply2 + [str(negative), "--q", "0"]),
+              ("--q", apply2 + [str(negative), "--q", "0", "--op", "M1l1"])]
     for path in (missing, str(garbled), str(wrong)):
         cases += [("--poly", apply3 + [path]),
                   ("--file", ["quiver", "check", "--file", path]),

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cycdaha import kernel as K
-from cycdaha.laurent import LaurentPoly, NotDivisible, coefficient_rows, one_plus_u_power
+from cycdaha.laurent import LaurentPoly, NotDivisible, coefficient_rows
 from cycdaha.scalars import QQ, CycloField, CycloNumber, binomial_fraction, format_rational
 
 
@@ -114,18 +114,18 @@ def test_series_on_hyperplane_examples():
     N = 2
     p = X(1) - X(2)
     s = p.series_on_hyperplane(1, 2, 2)
-    assert not s.coeffs[0]
-    assert s.coeffs[1] == -X(1)
-    assert not s.coeffs[2]
+    assert not s[0]
+    assert s[1] == -X(1)
+    assert not s[2]
     p2 = (X(1) - X(2)) ** 2
     s2 = p2.series_on_hyperplane(1, 2, 3)
-    assert [bool(c) for c in s2.coeffs] == [False, False, True, False]
-    assert s2.coeffs[2] == X(1) ** 2
+    assert [bool(c) for c in s2] == [False, False, True, False]
+    assert s2[2] == X(1) ** 2
     p3 = X(2) ** 3
     s3 = p3.series_on_hyperplane(1, 2, 2)
-    assert s3.coeffs[0] == X(1) ** 3
-    assert s3.coeffs[1] == 3 * X(1) ** 3
-    assert s3.coeffs[2] == 3 * X(1) ** 3
+    assert s3[0] == X(1) ** 3
+    assert s3[1] == 3 * X(1) ** 3
+    assert s3[2] == 3 * X(1) ** 3
 
 
 def test_series_constant_term_is_substitution():
@@ -133,14 +133,15 @@ def test_series_constant_term_is_substitution():
     for _ in range(40):
         p = random_poly(rng, span=2)
         s = p.series_on_hyperplane(1, 2, 1)
-        assert s.coeffs[0] == p.substitute({2: (1, 1)})
+        assert s[0] == p.substitute({2: (1, 1)})
 
 
-def test_one_plus_u_power():
+def test_weighted_series_of_a_constant_is_the_binomial_series():
     # integer exponent: plain binomials; negative: alternating; fractional
-    assert one_plus_u_power(2, 3) == [1, 2, 1, 0]
-    assert one_plus_u_power(-1, 3) == [1, -1, 1, -1]
-    half = one_plus_u_power(Fraction(1, 2), 2)
+    one = LaurentPoly.one(2)
+    assert one.series_on_hyperplane(1, 2, 3, 2) == [1, 2, 1, 0]
+    assert one.series_on_hyperplane(1, 2, 3, -1) == [1, -1, 1, -1]
+    half = one.series_on_hyperplane(1, 2, 2, Fraction(1, 2))
     assert half == [1, Fraction(1, 2), Fraction(-1, 8)]
 
 
@@ -259,8 +260,24 @@ def test_fraction_free_results_agree_with_fractions(fa, fb, c, d):
     for e, v in fa.items():
         K.terms_iaddmul(ref, {(e[0] + e[1], 0): v}, 1)
     assert_agrees(a.substitute({2: (1, 1)}), ref)
-    for r, s in enumerate(a.series_on_hyperplane(1, 2, 2).coeffs):
+    for r, s in enumerate(a.series_on_hyperplane(1, 2, 2)):
         ref = {}
         for e, v in fa.items():
             K.terms_iaddmul(ref, {(e[0] + e[1], 0): v}, binomial_fraction(e[1], r))
         assert_agrees(s, ref)
+
+
+@given(field_terms, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_weighted_series_is_the_convolution_with_binomials(fa, a):
+    """The weight a of series_on_hyperplane multiplies the unweighted series
+    by (1+u)^a = sum_s C(a, s) u^s, truncated at the same order."""
+    p = LaurentPoly(2, QQ, fa)
+    order = 3
+    plain = p.series_on_hyperplane(1, 2, order)
+    want = []
+    for r in range(order + 1):
+        acc = LaurentPoly.zero(2)
+        for s in range(r + 1):
+            acc = acc + plain[r - s] * binomial_fraction(a, s)
+        want.append(acc)
+    assert p.series_on_hyperplane(1, 2, order, a) == want

@@ -213,6 +213,9 @@ def test_field_follows_the_parameters():
     assert Rep.degenerate(2, 1, RatFuncField("k").gen).dom.name == "QQ(k)"
     with pytest.raises(TypeError):
         Rep.daha(2, RatFuncField("q").gen, t)
+    # Q(zeta_l) needs l >= 1: there is no QQ(zeta_0)
+    with pytest.raises(ValueError):
+        Rep.cyclotomic_cherednik(2, 0, 1, 1, ())
     with pytest.raises(TypeError):
         Rep.degenerate(2, 1, t, (CycloNumber.zeta(3),))
 

@@ -309,3 +309,15 @@ def test_swap_split_adds_up_to_the_dimensions():
         plus, minus = (graded_basis_with_symmetry(spec, maxdeg, 1, 2, sign) for sign in (1, -1))
         dims = graded_basis(spec, maxdeg).dims()
         assert [p + m for p, m in zip(plus, minus)] == dims, spec
+
+
+def test_check_member_propagates_unexpected_errors(monkeypatch):
+    """Only NotDivisible means "not a member": any other error in the
+    division check is a fault and must surface, not read as a verdict."""
+    def broken(self, d):
+        raise RuntimeError("broken division")
+
+    monkeypatch.setattr(LaurentPoly, "exact_divide", broken)
+    spec = QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(3, 2))
+    with pytest.raises(RuntimeError):
+        check_member(spec, X(1))

@@ -12,22 +12,26 @@ from cycdaha.scalars import (
     RatFuncField,
     SamplingExhausted,
     binomial_fraction,
-    cyclo_normalize,
     cyclotomic_polynomial,
     field_of,
     poly_divmod,
-    ratfunc_simplify,
     sample_generic,
 )
 
 
 def test_cyclo_normalize_examples():
     # zeta_2 = -1
-    assert cyclo_normalize([3, 5], 2).coeffs == (Fraction(-2),)
+    assert CycloNumber(2, [3, 5]).coeffs == (Fraction(-2),)
     # zeta_4^2 = -1
-    assert cyclo_normalize([0, 0, 1, 0], 4).coeffs == (Fraction(-1), Fraction(0))
+    assert CycloNumber(4, [0, 0, 1, 0]).coeffs == (Fraction(-1), Fraction(0))
     # 1 + zeta_3 + zeta_3^2 = 0
-    assert not cyclo_normalize([1, 1, 1], 3)
+    assert not CycloNumber(3, [1, 1, 1])
+    # there is no zeta_0: the order must be at least 1
+    for l in (0, -2):
+        with pytest.raises(ValueError):
+            CycloNumber(l, [1, 2])
+        with pytest.raises(ValueError):
+            CycloField(l)
 
 
 def test_cyclotomic_polynomials():
@@ -105,15 +109,15 @@ def test_field_axioms_ratfunc():
 def test_ratfunc_simplify_examples():
     t = RatFunc1.variable("t")
     # (1 - t^3)/(1 - t) = 1 + t + t^2
-    r = ratfunc_simplify([1, 0, 0, -1], [1, -1])
+    r = RatFunc1("t", [1, 0, 0, -1], [1, -1])
     assert r == 1 + t + t * t
     # (t^2 - 1)/(t - 1) = t + 1
-    assert ratfunc_simplify([-1, 0, 1], [-1, 1]) == t + 1
+    assert RatFunc1("t", [-1, 0, 1], [-1, 1]) == t + 1
     # (1 - t^4)/((1-t)(1-t^2)): the gcd is 1 - t^2, leaving (1 + t^2)/(1 - t);
     # cross-checked by long division of both numerator and denominator by
     # the gcd
     den = [1, -1, -1, 1]  # (1-t)(1-t^2)
-    r = ratfunc_simplify([1, 0, 0, 0, -1], den)
+    r = RatFunc1("t", [1, 0, 0, 0, -1], den)
     gcd = [Fraction(1), Fraction(0), Fraction(-1)]  # 1 - t^2
     qn, rn = poly_divmod([Fraction(1), 0, 0, 0, Fraction(-1)], gcd)
     qd, rd = poly_divmod([Fraction(c) for c in den], gcd)
@@ -124,7 +128,7 @@ def test_ratfunc_simplify_examples():
 
 def test_ratfunc_zero_denominator_raises():
     with pytest.raises(ZeroDivisionError):
-        ratfunc_simplify([1], [0])
+        RatFunc1("t", [1], [0])
 
 
 def test_sample_generic_deterministic_and_valid():
