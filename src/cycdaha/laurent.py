@@ -59,6 +59,26 @@ class NonInvertibleScale(Exception):
     """A zero scale factor met a negative exponent in a substitution."""
 
 
+def power_table(dom, c):
+    """k -> c**k in dom for any int k, each power computed on first use;
+    a negative k raises NonInvertibleScale when c == 0."""
+    cache = {}
+
+    def cpows(k):
+        v = cache.get(k)
+        if v is None:
+            if k >= 0:
+                v = c ** k
+            else:
+                if not c:
+                    raise NonInvertibleScale("zero scale with negative exponent")
+                v = (dom.one / c) ** (-k)
+            cache[k] = v
+        return v
+
+    return cpows
+
+
 def _glex_key(e):
     return (sum(e), e)
 
@@ -318,24 +338,6 @@ class LaurentPoly:
 
     # -- substitutions ------------------------------------------------------
 
-    def _pow_cache(self, c):
-        cache = {}
-        dom = self.dom
-
-        def cpows(k):
-            v = cache.get(k)
-            if v is None:
-                if k >= 0:
-                    v = c ** k
-                else:
-                    if not c:
-                        raise NonInvertibleScale("zero scale with negative exponent")
-                    v = (dom.one / c) ** (-k)
-                cache[k] = v
-            return v
-
-        return cpows
-
     def scale_var(self, i, c):
         """Substitute X_i -> c*X_i (1-based i)."""
         return self.substitute({i: (c, i)})
@@ -375,7 +377,7 @@ class LaurentPoly:
         coerced = {}
         for i, (c, j) in rules.items():
             coerced[i - 1] = (dom.coerce(c), None if j is None else j - 1)
-        pow_caches = {i: self._pow_cache(c) for i, (c, _) in coerced.items()}
+        pow_caches = {i: power_table(dom, c) for i, (c, _) in coerced.items()}
         split = dom.split
         parts = []
         for e, n in self.nums.items():
@@ -432,7 +434,7 @@ class LaurentPoly:
         if not c:
             raise ValueError("divided difference at c = 0")
         unit = c == 1
-        cpows = self._pow_cache(c)
+        cpows = power_table(self.dom, c)
         split = self.dom.split
         ii, jj = i - 1, j - 1
         parts = []
@@ -456,7 +458,9 @@ class LaurentPoly:
     # -- exact division -----------------------------------------------------
 
     def exact_divide(self, d):
-        """Quotient q with self == q*d; raises NotDivisible otherwise."""
+        """Quotient q with self == q*d; raises NotDivisible otherwise,
+        usually at the first quotient term that leaves the exponent box a
+        true quotient must lie in."""
         if not isinstance(d, LaurentPoly):
             d = LaurentPoly.const(self.N, d, self.dom)
         if not d.nums:
@@ -484,10 +488,19 @@ class LaurentPoly:
         lead_e, lead_c = dvs_terms[0]
         lead_inv = self.dom.one / lead_c
         dvs_rest = dvs_terms[1:]
-        # graded-lex is a multiplicative total order, so for an honest
-        # quotient every term lies between trail(num)-trail(dvs) and
-        # lead(num)-lead(dvs); dropping below the trail bound proves
-        # non-divisibility.  An iteration cap backstops pathological inputs.
+        # over an integral domain the lowest and the highest exponent of
+        # each variable add under multiplication, so every term of an honest
+        # quotient lies in the box min(num) - min(dvs) <= u <= max(num) -
+        # max(dvs), variable by variable
+        lo = [min(col) for col in zip(*num)]
+        hi = [max(col) for col in zip(*num)]
+        for i, col in enumerate(zip(*dvs)):
+            lo[i] -= min(col)
+            hi[i] -= max(col)
+        # graded-lex is a multiplicative total order, so every quotient term
+        # also lies between trail(num)-trail(dvs) and lead(num)-lead(dvs).
+        # The box rejects first; the trail bound and an iteration cap
+        # backstop pathological inputs.
         trail_num = min(num, key=_glex_key)
         trail_dvs = min(dvs, key=_glex_key)
         bound = _glex_key(tuple(x - y for x, y in zip(trail_num, trail_dvs)))
@@ -503,6 +516,8 @@ class LaurentPoly:
             e = max(cur, key=_glex_key)
             c = cur[e]
             ue = tuple(x - y for x, y in zip(e, lead_e))
+            if any(u < a or u > b for u, a, b in zip(ue, lo, hi)):
+                raise NotDivisible("quotient term outside the exponent box")
             if _glex_key(ue) < bound:
                 raise NotDivisible("leading term falls below the trail bound")
             uc = c * lead_inv

@@ -44,14 +44,21 @@ is semantically invisible because representations are immutable.
 
 The engine works in LaurentPoly's fraction-free form: a cached image holds
 numerators over one shared den (ints over a positive int den for QQ, field
-elements over 1 for Q(zeta_l) and Q(t)).  Rep.apply_gen sums the images of
-its argument's terms into one dict through LaurentPoly.map_linear, and
-Rep.apply sums an OperatorExpr's words through LaurentPoly.combination;
-each ends with one gcd content reduction.  Reports read coefficients through
-LaurentPoly.terms and to_json, which join them into reduced Fractions over QQ.
-The quotients (p - g p)/(X_i - c X_j) of T_i, the Dunkl and the
-Dunkl-Opdam operators are LaurentPoly.divided_difference, a closed form with
-no division loop.
+elements over 1 for Q(zeta_l) and Q(t); a CycloNumber is itself int
+numerators over one den).  Rep.apply_gen sums the images of its argument's
+terms into one dict through LaurentPoly.map_linear, and Rep.apply sums an
+OperatorExpr's words through LaurentPoly.combination; each ends with one gcd
+content reduction.  Reports read coefficients through LaurentPoly.terms and
+to_json, which join them into reduced Fractions over QQ.
+
+Fresh images are built without intermediate polynomials where the action
+has a closed form.  T_i^+-1 and omega^+-1 make one pass over the terms of
+their argument into one LaurentPoly._collect: T_i's quotient by
+X_i/X_{i+1} - 1 is a signed geometric sum.  tb, tb - 1/tb and the powers of
+q they use are computed once per representation.  The quotients (p - g p)/(X_i - c X_j) of the Dunkl and
+the Dunkl-Opdam operators are LaurentPoly.divided_difference, the same
+closed form with no division loop.  A composite's factor list is built once
+per (representation, generator).
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ import itertools
 from dataclasses import dataclass
 from random import Random
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, power_table
 from .scalars import QQ, CycloField, field_of
 
 FAMILY_DAHA = "daha"
@@ -216,11 +223,17 @@ class Rep:
         self.dom = dom
         self._actions = GENERATORS[family]
         self._cache = {}
+        self._factors = {}
         if family == FAMILY_DAHA:
             tb = self.params["tb"]
             self.params.setdefault("t", tb * tb)
             if self.params["t"] != tb * tb:
                 raise ValueError("t must equal tb^2")
+            # T_i's scalars tb and tb - 1/tb as (numerator, den) pairs, and
+            # omega's powers of q
+            self._tb = dom.split(dom.coerce(tb))
+            self._gap = dom.split(dom.coerce(tb - 1 / tb))
+            self._qpows = power_table(dom, dom.coerce(self.params["q"]))
 
     # -- constructors -------------------------------------------------------
 
@@ -322,23 +335,49 @@ class Rep:
         return tuple(e)
 
     def _T(self, i, p, inverse=False):
-        """T_i = tb s_i + (tb - 1/tb)(s_i - 1)/(X_i/X_{i+1} - 1), where
-        (s_i p - p)/(X_i/X_{i+1} - 1) = -X_{i+1} (p - s_i p)/(X_i - X_{i+1});
+        """T_i = tb s_i + (tb - 1/tb)(s_i - 1)/(X_i/X_{i+1} - 1), in one pass
+        over the terms of p.  With a = e_i and b = e_{i+1},
+        (s_i - 1)/(X_i/X_{i+1} - 1) sends X^e to
+        -X_{i+1} (X^e - X^{s_i e})/(X_i - X_{i+1}): minus sign(a - b) times
+        the sum of X^f over f_i = a + b - 1 - t, f_{i+1} = t + 1 for
+        min(a, b) <= t < max(a, b) (see LaurentPoly.divided_difference).
         T_i^-1 = T_i - (tb - 1/tb)."""
-        tb = self.params["tb"]
-        gap = tb - 1 / tb
-        dd = p.divided_difference(i, i + 1).shift(self._unit(i + 1))
-        out = p.swap(i, i + 1) * tb - dd * gap
-        return out - p * gap if inverse else out
+        (tn, td), (gn, gd) = self._tb, self._gap
+        ii, jj = i - 1, i
+        parts = []
+        for e, n in p.nums.items():
+            a, b = e[ii], e[jj]
+            f = list(e)
+            f[ii], f[jj] = b, a
+            parts.append((tuple(f), n * tn, td))
+            if a != b:
+                m = -n * gn if a > b else n * gn
+                for t in range(min(a, b), max(a, b)):
+                    f[ii] = a + b - 1 - t
+                    f[jj] = t + 1
+                    parts.append((tuple(f), m, gd))
+            if inverse:
+                parts.append((e, -n * gn, gd))
+        return p._collect(parts)
 
     def _omega(self, p, inverse=False):
-        """(omega f)(X) = f(qX_N, X_1, ..., X_{N-1}): scale X_1 by q, then
-        send X_1 -> X_N and X_i -> X_{i-1}, so exponent vectors rotate left;
-        omega^-1 scales X_N by 1/q and rotates back."""
-        N, q = self.N, self.params["q"]
-        if inverse:
-            return p.scale_var(N, 1 / q).permute([*range(2, N + 1), 1])
-        return p.scale_var(1, q).permute([N, *range(1, N)])
+        """(omega f)(X) = f(qX_N, X_1, ..., X_{N-1}), in one pass over the
+        terms of p: X^e goes to q^(e_1) X^e' with e' the exponent vector
+        rotated left.  omega^-1 sends X^e to q^(-e_N) X^e'' with e'' rotated
+        right."""
+        cpows, split = self._qpows, self.dom.split
+        parts = []
+        for e, n in p.nums.items():
+            if inverse:
+                k, f = -e[-1], (e[-1], *e[:-1])
+            else:
+                k, f = e[0], (*e[1:], e[0])
+            if k:
+                qn, qd = split(cpows(k))
+                parts.append((f, n * qn, qd))
+            else:
+                parts.append((f, n, 1))
+        return p._collect(parts)
 
     def _dunkl(self, i, p):
         """hbar * d_i - sum_{j != i} k/(X_i - X_j) (1 - s_ij)."""
@@ -390,8 +429,15 @@ _MONOMIAL_MAPS = frozenset(
 
 def _composite(factors):
     """The action of a generator defined as a product: factors(rep, g)
-    lists the paper's factors left to right (see Rep._product)."""
-    return lambda rep, g, p: rep._product(factors(rep, g), p)
+    lists the paper's factors left to right (see Rep._product).  The list
+    is built once per (rep, g) and kept on the representation."""
+    def action(rep, g, p):
+        fs = rep._factors.get(g)
+        if fs is None:
+            fs = rep._factors[g] = factors(rep, g)
+        return rep._product(fs, p)
+
+    return action
 
 
 def _gens(tag, indices):

@@ -4,7 +4,11 @@ Three fields are supported as coefficient domains for Laurent polynomials:
 
 * QQ          -- rationals, represented by fractions.Fraction;
 * CycloField  -- Q(zeta_l), elements reduced mod the l-th cyclotomic
-                 polynomial in the power basis;
+                 polynomial Phi_l in the power basis and stored
+                 fraction-free: phi(l) int numerators over one positive int
+                 den (CycloNumber).  Phi_l is monic with int coefficients,
+                 so products are int convolutions folded back with a table
+                 of zeta^k mod Phi_l; only the inverse runs on Fractions;
 * RatFuncField -- univariate rational functions Q(t) in one named
                   parameter, stored gcd-reduced with monic denominator.
 
@@ -38,9 +42,9 @@ def format_rational(x):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction (helpers for RatFunc1 and
-# cyclotomic arithmetic).  Coefficient lists are low-degree first with no
-# trailing zeros; [] is the zero polynomial.
+# dense univariate polynomials over Fraction (helpers for RatFunc1, the
+# cyclotomic polynomials and CycloNumber.inverse).  Coefficient lists are
+# low-degree first with no trailing zeros; [] is the zero polynomial.
 
 def poly_trim(c):
     c = list(c)
@@ -135,44 +139,143 @@ def cyclotomic_polynomial(l):
     return num
 
 
+_ZETA_ROWS = {}
+
+
+def _zeta_rows(l, top):
+    """(phi, rows) with phi = deg Phi_l and rows[k - phi] the nonzero
+    (i, c) of zeta^k = sum_i c zeta^i mod Phi_l, for phi <= k <= top.
+
+    Phi_l is monic with int coefficients, so every c is an int.  A product
+    of two reduced elements reaches k = 2 phi - 2; the table grows on demand
+    for longer constructor input."""
+    entry = _ZETA_ROWS.get(l)
+    if entry is None:
+        poly = cyclotomic_polynomial(l)
+        # Phi_l = c_0 + ... + c_{phi-1} zeta^(phi-1) + zeta^phi = 0
+        entry = _ZETA_ROWS[l] = (
+            len(poly) - 1, [tuple((i, -int(c)) for i, c in enumerate(poly[:-1]) if c)])
+    phi, rows = entry
+    while phi + len(rows) <= top:
+        first, prev = rows[0], rows[-1]
+        nxt = [0] * phi
+        for i, c in prev:
+            if i + 1 < phi:
+                nxt[i + 1] += c
+            else:
+                for j, r in first:
+                    nxt[j] += c * r
+        rows.append(tuple((i, c) for i, c in enumerate(nxt) if c))
+    return entry
+
+
+def _fold(l, nums):
+    """The int coefficients nums of 1, zeta, zeta^2, ... reduced mod Phi_l:
+    a list of exactly phi ints."""
+    phi, rows = _zeta_rows(l, len(nums) - 1)
+    out = list(nums[:phi]) + [0] * (phi - len(nums))
+    for k in range(phi, len(nums)):
+        c = nums[k]
+        if c:
+            for i, r in rows[k - phi]:
+                out[i] += c * r
+    return out
+
+
+_ZETA_POWERS = {}
+
+
+def _zeta_powers(l):
+    """(powers, index): powers[k] = z^k for 0 <= k < l, shared instances,
+    and index maps the nums of each power to its k."""
+    entry = _ZETA_POWERS.get(l)
+    if entry is None:
+        _zeta_rows(l, l - 1)  # rejects l < 1 before anything is stored
+        powers = [CycloNumber(l, [0] * k + [1]) for k in range(l)]
+        entry = _ZETA_POWERS[l] = (powers, {z.nums: k for k, z in enumerate(powers)})
+    return entry
+
+
+def _canon(nums, den):
+    """nums/den with den and the numerators divided by their gcd, as
+    (tuple, den); den is a positive int, and zero comes out as 0/1."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    return tuple(nums), den
+
+
+def _cyclo(l, nums, den):
+    """The CycloNumber nums/den, nums already reduced mod Phi_l."""
+    x = object.__new__(CycloNumber)
+    x.l = l
+    x.nums, x.den = _canon(nums, den)
+    return x
+
+
+def _mul(a, b):
+    x, y = a.nums, b.nums
+    if len(x) == 1:
+        return _cyclo(a.l, (x[0] * y[0],), a.den * b.den)
+    conv = [0] * (2 * len(x) - 1)
+    for i, u in enumerate(x):
+        if u:
+            for j, v in enumerate(y):
+                conv[i + j] += u * v
+    return _cyclo(a.l, _fold(a.l, conv), a.den * b.den)
+
+
+def _add(a, b, sign=1):
+    """a + b, or a - b for sign = -1."""
+    da, db = a.den, b.den
+    if da == db:
+        return _cyclo(a.l, [x + sign * y for x, y in zip(a.nums, b.nums)], da)
+    return _cyclo(a.l, [x * db + sign * y * da for x, y in zip(a.nums, b.nums)], da * db)
+
+
 class CycloNumber:
-    """Element of Q(zeta_l) in the power basis 1, z, ..., z^(phi(l)-1)."""
+    """Element of Q(zeta_l) in the power basis 1, z, ..., z^(phi-1), phi the
+    degree of Phi_l.
 
-    __slots__ = ("l", "coeffs")
+    Stored fraction-free, the way LaurentPoly stores QQ coefficients:
+    ``nums`` is a tuple of phi ints and ``den`` one positive int, with
+    gcd(den, *nums) == 1, so the element is sum_i nums[i]/den z^i and ==
+    compares (nums, den).  A product is an int convolution folded back with
+    the table of z^k mod Phi_l (_zeta_rows); only ``inverse`` runs on
+    Fractions.  ``coeffs`` is the read-only tuple of the Fraction
+    coefficients.  The constructor takes any list of rationals, reduces it
+    mod Phi_l and pads it to phi entries.
+    """
 
-    def __init__(self, l, coeffs, _reduced=False):
+    __slots__ = ("l", "nums", "den")
+
+    def __init__(self, l, coeffs):
+        fr = [Fraction(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in fr])
         self.l = l
-        if _reduced:
-            self.coeffs = tuple(coeffs)
-        else:
-            self.coeffs = self._reduce(l, [Fraction(c) for c in coeffs])
+        self.nums, self.den = _canon(
+            _fold(l, [c.numerator * (den // c.denominator) for c in fr]), den)
 
-    @staticmethod
-    def _reduce(l, coeffs):
-        phi = cyclotomic_polynomial(l)
-        deg = len(phi) - 1
-        coeffs = list(coeffs)
-        if len(coeffs) > deg:
-            _, coeffs = poly_divmod(coeffs, phi)
-        coeffs = poly_trim(coeffs)
-        coeffs += [Fraction(0)] * (deg - len(coeffs))
-        return tuple(coeffs)
+    @property
+    def coeffs(self):
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @classmethod
     def zeta(cls, l, power=1):
-        power %= l
-        c = [Fraction(0)] * (power + 1)
-        c[power] = Fraction(1)
-        return cls(l, c)
+        return _zeta_powers(l)[0][power % l]
 
     @classmethod
     def from_rational(cls, l, x):
-        return cls(l, [Fraction(x)])
+        n, d = (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
+        phi, _ = _zeta_rows(l, 0)
+        return _cyclo(l, (n,) + (0,) * (phi - 1), d)
 
     def _coerce(self, other):
         if isinstance(other, CycloNumber):
             if other.l != self.l:
-                raise ValueError(f"mixed cyclotomic orders {self.l} and {other.l}")
+                raise TypeError(f"mixed cyclotomic orders {self.l} and {other.l}")
             return other
         if isinstance(other, (int, Fraction)):
             return CycloNumber.from_rational(self.l, other)
@@ -182,36 +285,48 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNumber(self.l, poly_add(self.coeffs, o.coeffs))
+        return _add(self, o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.l, [-c for c in self.coeffs], _reduced=True)
+        x = object.__new__(CycloNumber)
+        x.l, x.nums, x.den = self.l, tuple(-n for n in self.nums), self.den
+        return x
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNumber(self.l, poly_sub(self.coeffs, o.coeffs))
+        return _add(self, o, -1)
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _add(o, self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNumber(self.l, poly_mul(self.coeffs, o.coeffs))
+        return _mul(self, o)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse mod Phi_l by the extended Euclidean algorithm."""
+        """Inverse mod Phi_l: z^-k = z^(l-k) for a power of z (read off
+        _zeta_powers), the extended Euclidean algorithm on the Fraction
+        coefficients otherwise."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        if self.den == 1:
+            powers, index = _zeta_powers(self.l)
+            k = index.get(self.nums)
+            if k is not None:
+                return powers[-k]  # z^-k = z^(l-k)
         phi = cyclotomic_polynomial(self.l)
-        r0, r1 = phi, poly_trim(list(self.coeffs))
+        r0, r1 = phi, poly_trim(self.coeffs)
         s0, s1 = [], [Fraction(1)]
         while len(r1) > 1:
             q, r = poly_divmod(r0, r1)
@@ -226,43 +341,43 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _mul(self, o.inverse())
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _mul(o, self.inverse())
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CycloNumber.from_rational(self.l, 1)
-        base = self
+        base = self.inverse() if n < 0 else self
+        n = abs(n)
+        out = None
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else _mul(out, base)
             n >>= 1
-        return out
+            if n:
+                base = _mul(base, base)
+        return CycloNumber.from_rational(self.l, 1) if out is None else out
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
-        return hash((self.l, self.coeffs))
+        return hash((self.l, self.nums, self.den))
 
     def rational_part(self):
         """The element as a Fraction; raises if it is not rational."""
-        if any(self.coeffs[1:]):
+        if any(self.nums[1:]):
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def to_json(self):
         return {"l": self.l, "coeffs": [format_rational(c) for c in self.coeffs]}
@@ -318,7 +433,7 @@ class RatFunc1:
     def _coerce(self, other):
         if isinstance(other, RatFunc1):
             if other.var != self.var:
-                raise ValueError(f"mixed parameters {self.var!r} and {other.var!r}")
+                raise TypeError(f"mixed parameters {self.var!r} and {other.var!r}")
             return other
         if isinstance(other, (int, Fraction)):
             return RatFunc1.const(self.var, other)

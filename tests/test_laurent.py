@@ -63,6 +63,18 @@ def test_exact_divide_failure():
         X(1).exact_divide(LaurentPoly.zero(2))
 
 
+def test_exact_divide_rejects_a_quotient_term_outside_the_exponent_box():
+    # g = F - s12 F for F = X1^4 X2 + X2^3/2 spans exponents 0..4 in each
+    # variable and the divisor 0..3, so every quotient term has exponents
+    # in 0..1; the division leaves that box long before its term budget
+    q = Fraction(3, 2)
+    F = X(1) ** 4 * X(2) + X(2) ** 3 * Fraction(1, 2)
+    g = F - F.swap(1, 2)
+    d = (X(1) - X(2) * (1 / q)) * (X(1) - X(2)) * (X(1) - X(2) * q)
+    with pytest.raises(NotDivisible, match="quotient term outside the exponent box"):
+        g.exact_divide(d)
+
+
 def test_substitute_examples():
     q = Fraction(7, 5)
     p = X(1) * X(2)
@@ -265,6 +277,13 @@ def test_fraction_free_results_agree_with_fractions(fa, fb, c, d):
         for e, v in fa.items():
             K.terms_iaddmul(ref, {(e[0] + e[1], 0): v}, binomial_fraction(e[1], r))
         assert_agrees(s, ref)
+
+
+@given(field_terms, field_terms.filter(bool))
+def test_exact_divide_recovers_the_factor(fp, fd):
+    """exact_divide(p*d, d) == p for Laurent p and nonzero Laurent d."""
+    p, d = LaurentPoly(2, QQ, fp), LaurentPoly(2, QQ, fd)
+    assert (p * d).exact_divide(d) == p
 
 
 @given(field_terms, st.fractions(min_value=-3, max_value=3, max_denominator=4))

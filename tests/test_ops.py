@@ -291,3 +291,31 @@ def test_engine_fingerprint():
     assert digest.hexdigest() == (
         "96472b67ea43f8b693dfed4b38c63b44452ef6a2aba46f2b8d9b38ae8a864521"
     )
+
+
+def test_cyclotomic_engine_fingerprint():
+    """SHA-256 over the image of every cyc generator on the N = 2, B = 1 box
+    at l = 4 and 5 (phi = 2 and 4), where the reduction mod Phi_l is
+    nontrivial (216 images)."""
+    import hashlib
+    import json
+
+    from cycdaha.ops import GENERATORS
+
+    digest = hashlib.sha256()
+    count = 0
+    for c in ((Fraction(1, 2), 3, Fraction(-2, 5), Fraction(7, 3)),
+              (Fraction(1, 2), 3, Fraction(-2, 5), Fraction(7, 3), -1)):
+        rep = Rep.cyclotomic_cherednik(2, len(c), Fraction(2, 3), Fraction(1, 2), c)
+        gens = _engine_generators("cyc", 2)
+        assert {g.tag for g in gens} == set(GENERATORS["cyc"])
+        for g in gens:
+            for e in box_monomials(2, 1):
+                img = rep.apply_gen(g, rep.monomial(e))
+                digest.update(json.dumps(
+                    [rep.l, repr(g), list(e), img.to_json()], sort_keys=True).encode())
+                count += 1
+    assert count == 216
+    assert digest.hexdigest() == (
+        "80c82d9e44114d06c50fe46da242a306453e574974e9c26af3b9730d3499c148"
+    )

@@ -62,6 +62,15 @@ def test_membership_ideal_spot_check():
         assert check_member(spec, prod * extra)
 
 
+def test_non_member_is_rejected_by_the_exponent_box():
+    """F - s12 F of this F is not a multiple of the three shifted
+    hyperplanes; the division stops at a quotient term outside the exponent
+    box instead of running its term budget."""
+    spec = QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(3, 2))
+    F = X(1) ** 4 * X(2) + X(2) ** 3 * Fraction(1, 2)
+    assert check_member(spec, F) is False
+
+
 def test_q_collision_detected():
     for variant in (PLAIN_Q, CYC):
         with pytest.raises(ParameterDegenerate):

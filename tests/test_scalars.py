@@ -1,8 +1,11 @@
 import math
+import operator
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cycdaha.scalars import (
     CycloField,
@@ -14,7 +17,10 @@ from cycdaha.scalars import (
     binomial_fraction,
     cyclotomic_polynomial,
     field_of,
+    poly_add,
     poly_divmod,
+    poly_mul,
+    poly_sub,
     sample_generic,
 )
 
@@ -91,6 +97,88 @@ def test_field_axioms_cyclotomic():
         )
 
     _axiom_trials(dom, sampler, trials=300)
+
+
+# -- Q(zeta_l) against a Fraction reference: poly_mul, then the remainder
+# of poly_divmod by the cyclotomic polynomial
+
+def _reduced(l, coeffs):
+    """coeffs mod Phi_l in Fraction arithmetic, padded to phi entries."""
+    phi = cyclotomic_polynomial(l)
+    _, r = poly_divmod(coeffs, phi)
+    return tuple(r) + (Fraction(0),) * (len(phi) - 1 - len(r))
+
+
+def _reduced_power(l, coeffs, n):
+    out = _reduced(l, [1])
+    for _ in range(n):
+        out = _reduced(l, poly_mul(out, coeffs))
+    return out
+
+
+def assert_cyclo(x, l, ref):
+    """x is canonical in Q(zeta_l) and its coefficients are ref."""
+    assert x.l == l and len(x.nums) == len(cyclotomic_polynomial(l)) - 1
+    assert all(type(n) is int for n in x.nums) and type(x.den) is int
+    assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+    assert x.coeffs == ref and all(type(c) is Fraction for c in x.coeffs)
+    y = CycloNumber(l, list(ref))
+    assert x == y and hash(x) == hash(y)
+    assert CycloNumber.from_json(x.to_json()) == x
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(st.integers(1, 8), st.lists(small, max_size=10), st.lists(small, max_size=10),
+       small, st.integers(-3, 3), st.integers(-10, 10))
+def test_cyclotomic_arithmetic_matches_the_fraction_reference(l, ca, cb, c, n, k):
+    a, b = CycloNumber(l, ca), CycloNumber(l, cb)
+    ra, rb = _reduced(l, ca), _reduced(l, cb)
+    one = _reduced(l, [1])
+    assert_cyclo(a, l, ra)
+    assert_cyclo(a + b, l, _reduced(l, poly_add(ra, rb)))
+    assert_cyclo(a - b, l, _reduced(l, poly_sub(ra, rb)))
+    assert_cyclo(-a, l, _reduced(l, [-x for x in ra]))
+    assert_cyclo(a * b, l, _reduced(l, poly_mul(ra, rb)))
+    assert_cyclo(a * c, l, _reduced(l, [x * c for x in ra]))
+    assert_cyclo(c + a, l, _reduced(l, poly_add([c], ra)))
+    assert_cyclo(c - a, l, _reduced(l, poly_sub([c], ra)))
+    z, rz = CycloNumber.zeta(l, k), _reduced(l, [0] * (k % l) + [1])
+    assert_cyclo(z, l, rz)
+    assert_cyclo(z.inverse(), l, _reduced(l, [0] * (-k % l) + [1]))
+    assert _reduced(l, poly_mul(z.inverse().coeffs, rz)) == one
+    assert (CycloNumber(l, [c]) == c) and (CycloNumber(l, [c]) != c + 1)
+    assert (a == b) == (ra == rb)
+    if b:
+        # (a / b) * b == a in the reference
+        assert _reduced(l, poly_mul((a / b).coeffs, rb)) == ra
+        assert_cyclo(a / b, l, (a / b).coeffs)
+    if a:
+        assert _reduced(l, poly_mul((c / a).coeffs, ra)) == _reduced(l, [c])
+        assert _reduced(l, poly_mul(a.inverse().coeffs, ra)) == one
+    if n >= 0:
+        assert_cyclo(a ** n, l, _reduced_power(l, ra, n))
+    elif a:
+        p = a ** n
+        assert_cyclo(p, l, p.coeffs)
+        assert _reduced(l, poly_mul(p.coeffs, _reduced_power(l, ra, -n))) == one
+
+
+def test_mixed_fields_raise_type_error():
+    """Two cyclotomic orders, or two parameters of Q(t), are two fields:
+    arithmetic across them raises TypeError, as Domain.coerce and field_of
+    do."""
+    t, k = RatFunc1.variable("t"), RatFunc1.variable("k")
+    z3, z4 = CycloNumber.zeta(3), CycloNumber.zeta(4)
+    for a, b in ((z3, z4), (t, k)):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq):
+            with pytest.raises(TypeError):
+                op(a, b)
+    with pytest.raises(TypeError):
+        CycloField(3).coerce(z4)
+    with pytest.raises(TypeError):
+        RatFuncField("t").coerce(k)
 
 
 def test_field_axioms_ratfunc():
