@@ -22,8 +22,11 @@ Reduction happens in three places:
 * content: every operation that can create a common factor of den and the
   numerators (sums, products, scalings, substitutions, series) ends with
   one ``math.gcd(den, *nums)``.  The operator engine's ``map_linear`` (one
-  generator application) and ``combination`` (one operator sum) accumulate
-  all their terms in one dict first, so each pays for one reduction;
+  generator application) is one loop over the terms: it looks each image up
+  in the generator's cache, computes it only on a miss, and adds its
+  numerators into one dict over the lcm of the image dens.
+  ``combination`` (one operator sum) accumulates its polynomials in one
+  dict the same way.  Each pays for one reduction;
 * values leaving: the ``terms`` view joins a numerator and den into a
   reduced field coefficient only when read, for hash, ``to_json`` and
   reports, ``coefficient``, and code outside the engine.  Coefficient
@@ -126,22 +129,6 @@ def _canonical(N, dom, nums, den):
     return LaurentPoly._make(N, dom, nums, den)
 
 
-def _combine(N, dom, parts, den):
-    """(sum of n/d * nums over the (n, d, nums) in parts) / den, accumulated
-    in one dict over the lcm of the denominators and reduced once."""
-    if len(parts) == 1 and parts[0][0] == 1:
-        # one part with numerator 1, such as a generator applied to a
-        # monomial: nothing to accumulate
-        _, d, nums = parts[0]
-        return _canonical(N, dom, nums, d * den)
-    lcm = math.lcm(*[d for _, d, _ in parts])
-    out = {}
-    for n, d, nums in parts:
-        m = lcm // d
-        K.terms_iaddmul(out, nums, n if m == 1 else n * m)
-    return _canonical(N, dom, out, den * lcm)
-
-
 class LaurentPoly:
     __slots__ = ("N", "dom", "nums", "den")
 
@@ -203,23 +190,66 @@ class LaurentPoly:
 
     @classmethod
     def combination(cls, N, dom, pairs):
-        """The sum of c*p over the (c, p) in pairs, c in dom: one dict, one
-        content reduction."""
+        """The sum of c*p over the (c, p) in pairs, c in dom: one dict over
+        the lcm of the denominators, one content reduction."""
         split, coerce = dom.split, dom.coerce
         parts = []
         for c, p in pairs:
             n, d = split(coerce(c))
             parts.append((n, d * p.den, p.nums))
-        return _combine(N, dom, parts, 1)
+        if len(parts) == 1 and parts[0][0] == 1:
+            # one polynomial with coefficient 1: nothing to accumulate
+            _, d, nums = parts[0]
+            return _canonical(N, dom, nums, d)
+        lcm = math.lcm(*[d for _, d, _ in parts])
+        out = {}
+        for n, d, nums in parts:
+            K.terms_iaddmul(out, nums, n if d == lcm else n * (lcm // d))
+        return _canonical(N, dom, out, lcm)
 
-    def map_linear(self, image):
-        """The image of self under the linear map sending X^e to image(e), a
-        LaurentPoly in the same ring: one dict, one content reduction."""
-        parts = []
-        for e, n in self.nums.items():
-            img = image(e)
-            parts.append((n, img.den, img.nums))
-        return _combine(self.N, self.dom, parts, self.den)
+    def map_linear(self, cache, fresh):
+        """The image of self under the linear map sending X^e to cache[e], a
+        LaurentPoly in the same ring; an image not yet in cache is fresh(e),
+        stored there.  One loop adds n * image over the lcm of the image dens
+        into one dict, then one content reduction."""
+        nums = self.nums
+        if len(nums) == 1:
+            ((e, n),) = nums.items()
+            if n == 1:
+                # a generator applied to a monomial: the image as it stands
+                img = cache.get(e)
+                if img is None:
+                    img = cache[e] = fresh(e)
+                return _canonical(self.N, self.dom, img.nums, img.den * self.den)
+        out = {}
+        lcm = 1
+        for e, n in nums.items():
+            img = cache.get(e)
+            if img is None:
+                img = cache[e] = fresh(e)
+            d = img.den
+            if d != lcm:
+                if lcm % d:
+                    # a new factor of the lcm: rescale what is already summed
+                    m = d // math.gcd(lcm, d)
+                    lcm *= m
+                    if out:
+                        out = {f: v * m for f, v in out.items()}
+                if d != lcm:
+                    n = n * (lcm // d)
+            get = out.get
+            for f, v in img.nums.items():
+                v = n * v
+                s = get(f)
+                if s is None:
+                    out[f] = v
+                else:
+                    s = s + v
+                    if s:
+                        out[f] = s
+                    else:
+                        del out[f]
+        return _canonical(self.N, self.dom, out, lcm * self.den)
 
     def _wrap(self, nums, den=1):
         """Same ring, numerators already canonical over den."""

@@ -45,11 +45,15 @@ is semantically invisible because representations are immutable.
 The engine works in LaurentPoly's fraction-free form: a cached image holds
 numerators over one shared den (ints over a positive int den for QQ, field
 elements over 1 for Q(zeta_l) and Q(t); a CycloNumber is itself int
-numerators over one den).  Rep.apply_gen sums the images of its argument's
-terms into one dict through LaurentPoly.map_linear, and Rep.apply sums an
-OperatorExpr's words through LaurentPoly.combination; each ends with one gcd
-content reduction.  Reports read coefficients through LaurentPoly.terms and
-to_json, which join them into reduced Fractions over QQ.
+numerators over one den).  Rep.apply_gen hands its argument the generator's
+image cache and a fresh-image function; LaurentPoly.map_linear then runs one
+loop over the argument's terms that looks up each image, computes it only on
+a miss (from a monomial wrapping the unit numerator split once per
+representation) and adds its numerators into one dict.  Rep.apply sums an
+OperatorExpr's words through LaurentPoly.combination.  Each ends with one
+gcd content reduction.  A Gen is a named tuple, so the cache lookups hash
+and compare it in C.  Reports read coefficients through LaurentPoly.terms
+and to_json, which join them into reduced Fractions over QQ.
 
 Fresh images are built without intermediate polynomials where the action
 has a closed form.  T_i^+-1 and omega^+-1 make one pass over the terms of
@@ -64,8 +68,8 @@ per (representation, generator).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, power_table
 from .scalars import QQ, CycloField, field_of
@@ -79,8 +83,7 @@ class FamilyMismatch(Exception):
     """Generator not defined in this representation family."""
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(NamedTuple):
     """A named generator; i, j are 1-based variable indices where used."""
 
     tag: str
@@ -224,6 +227,8 @@ class Rep:
         self._actions = GENERATORS[family]
         self._cache = {}
         self._factors = {}
+        # the numerator of 1, wrapped as the monomial argument of each fresh image
+        self._one = dom.split(dom.one)[0]
         if family == FAMILY_DAHA:
             tb = self.params["tb"]
             self.params.setdefault("t", tb * tb)
@@ -281,21 +286,16 @@ class Rep:
     # -- application --------------------------------------------------------
 
     def apply_gen(self, g, p):
-        """Apply one generator to a Laurent polynomial (exact, linear)."""
-        if not self.valid_gen(g):
-            raise FamilyMismatch(f"{g!r} not available in family {self.family!r}")
+        """Apply one generator to a Laurent polynomial (exact, linear).  A
+        Gen outside the family gets no cache, so it raises on every call."""
         cache = self._cache.get(g)
         if cache is None:
+            if not self.valid_gen(g):
+                raise FamilyMismatch(f"{g!r} not available in family {self.family!r}")
             cache = self._cache[g] = {}
-        action = self._actions[g.tag]
-
-        def image(e):
-            img = cache.get(e)
-            if img is None:
-                img = cache[e] = action(self, g, self.monomial(e))
-            return img
-
-        return p.map_linear(image)
+        action, N, dom, one = self._actions[g.tag], self.N, self.dom, self._one
+        return p.map_linear(
+            cache, lambda e: action(self, g, LaurentPoly._make(N, dom, {e: one})))
 
     def apply_word(self, word, p):
         for g in reversed(word):
@@ -303,9 +303,14 @@ class Rep:
         return p
 
     def apply(self, expr, p):
-        """Apply an OperatorExpr (linear in the combination)."""
+        """Apply an OperatorExpr (linear in the combination); a single word
+        with coefficient 1 needs no sum."""
         if isinstance(expr, Gen):
             return self.apply_gen(expr, p)
+        if len(expr.terms) == 1:
+            ((w, c),) = expr.terms.items()
+            if c == 1:
+                return self.apply_word(w, p)
         return LaurentPoly.combination(
             self.N, self.dom, [(c, self.apply_word(w, p)) for w, c in expr.terms.items()])
 
@@ -380,42 +385,39 @@ class Rep:
         return p._collect(parts)
 
     def _dunkl(self, i, p):
-        """hbar * d_i - sum_{j != i} k/(X_i - X_j) (1 - s_ij)."""
+        """hbar * d_i - sum_{j != i} k/(X_i - X_j) (1 - s_ij), summed in one
+        combination."""
         hbar, k = self.params["hbar"], self.params["k"]
-        out = p.derivative(i) * hbar
+        parts = [(hbar, p.derivative(i))]
         if k:
-            for j in range(1, self.N + 1):
-                if j == i:
-                    continue
-                out = out - p.divided_difference(i, j) * k
-        return out
+            neg_k = -k
+            parts += [(neg_k, p.divided_difference(i, j))
+                      for j in range(1, self.N + 1) if j != i]
+        return LaurentPoly.combination(self.N, self.dom, parts)
 
     def _trig_dunkl(self, i, p):
-        """y_i = X_i D_i - k sum_{j<i} s_ij."""
-        out = self._dunkl(i, p).shift(self._unit(i))
-        for j in range(1, i):
-            out = out - p.swap(i, j) * self.params["k"]
-        return out
+        """y_i = X_i D_i - k sum_{j<i} s_ij, summed in one combination."""
+        neg_k = -self.params["k"]
+        return LaurentPoly.combination(
+            self.N, self.dom, [(1, self._dunkl(i, p).shift(self._unit(i))),
+                               *((neg_k, p.swap(i, j)) for j in range(1, i))])
 
     def _dunkl_opdam(self, i, p):
         """hbar d_i - x_i^-1 sum_j c_j sigma_i^j
-        - k sum_{r != i, m} (1 - s_ir sigma_i^m sigma_r^-m)/(x_i - zeta^m x_r)."""
+        - k sum_{r != i, m} (1 - s_ir sigma_i^m sigma_r^-m)/(x_i - zeta^m x_r),
+        the outer sum in one combination."""
         hbar, k, c = self.params["hbar"], self.params["k"], self.params["c"]
-        l = self.l
         zeta = self.dom.zeta
-        out = p.derivative(i) * hbar
         acc = LaurentPoly.combination(
             self.N, self.dom, [(cj, p.scale_var(i, zeta ** j)) for j, cj in enumerate(c) if cj])
-        out = out - acc.shift(self._unit(i, -1))
+        parts = [(hbar, p.derivative(i)), (-1, acc.shift(self._unit(i, -1)))]
         if k:
-            for r in range(1, self.N + 1):
-                if r == i:
-                    continue
-                for m in range(l):
-                    # g = s_ir sigma_i^m sigma_r^-m sends x_i -> zeta^m x_r
-                    # and x_r -> zeta^-m x_i
-                    out = out - p.divided_difference(i, r, zeta ** m) * k
-        return out
+            neg_k = -k
+            # g = s_ir sigma_i^m sigma_r^-m sends x_i -> zeta^m x_r and
+            # x_r -> zeta^-m x_i
+            parts += [(neg_k, p.divided_difference(i, r, zeta ** m))
+                      for r in range(1, self.N + 1) if r != i for m in range(self.l)]
+        return LaurentPoly.combination(self.N, self.dom, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +541,9 @@ def op_equal_on_box(rep, a, b, box_radius=None):
     """
     if box_radius is None:
         box_radius = default_box_radius(a, b)
-    for e in box_monomials(rep.N, box_radius):
-        p = rep.monomial(e)
+    N, dom, one = rep.N, rep.dom, rep._one
+    for e in box_monomials(N, box_radius):
+        p = LaurentPoly._make(N, dom, {e: one})
         ia = rep.apply(a, p)
         ib = rep.apply(b, p)
         if ia != ib:
@@ -551,9 +554,10 @@ def op_equal_on_box(rep, a, b, box_radius=None):
 def op_equal_randomized(rep, a, b, trials, seed):
     """Compare on random monomials with exponents in [-4, 4]."""
     rng = Random(seed)
+    N, dom, one = rep.N, rep.dom, rep._one
     for trial in range(trials):
-        e = tuple(rng.randint(-4, 4) for _ in range(rep.N))
-        p = rep.monomial(e)
+        e = tuple(rng.randint(-4, 4) for _ in range(N))
+        p = LaurentPoly._make(N, dom, {e: one})
         ia = rep.apply(a, p)
         ib = rep.apply(b, p)
         if ia != ib:

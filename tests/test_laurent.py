@@ -261,7 +261,9 @@ def test_fraction_free_results_agree_with_fractions(fa, fb, c, d):
     assert_agrees(c + a, K.terms_add(fa, {(0, 0): c} if c else {}))
     assert_agrees(LaurentPoly.combination(2, QQ, [(c, a), (d, b)]),
                   K.terms_add(K.terms_scale(fa, c), K.terms_scale(fb, d)))
-    assert_agrees(a.map_linear(b.shift), K.terms_mul(fa, fb))
+    cache = {}
+    assert_agrees(a.map_linear(cache, b.shift), K.terms_mul(fa, fb))
+    assert cache.keys() == fa.keys() and all(cache[e] == b.shift(e) for e in fa)
     assert_agrees(a.shift((1, -2)), K.terms_shift(fa, (1, -2)))
     assert_agrees(a.swap(1, 2), K.terms_permute(fa, (1, 0)))
     assert_agrees(a.derivative(1), {(e[0] - 1, e[1]): v * e[0] for e, v in fa.items() if e[0]})

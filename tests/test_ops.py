@@ -1,7 +1,12 @@
 from fractions import Fraction
 
-import pytest
+import math
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cycdaha.laurent import LaurentPoly
 from cycdaha.ops import (
     FamilyMismatch,
     Gen,
@@ -204,6 +209,25 @@ def test_family_mismatch():
             other.apply_gen(Gen("tau", 1), other.var(1))
 
 
+def test_family_mismatch_raises_every_time_and_leaves_no_cache():
+    """The family check sits on the cache-miss path, so a Gen outside the
+    family never gets a cache and raises on every call, also after valid
+    generators have filled theirs."""
+    rep = daha_rep(2)
+    repd = Rep.degenerate(2, 1, Fraction(1, 2))
+    cases = ((rep, Gen("sij", 1, 2)), (rep, Gen("DO", 1)), (repd, Gen("T", 1)),
+             (repd, Gen("tau", 1)))
+    for r, g in cases:
+        for _ in range(2):
+            with pytest.raises(FamilyMismatch):
+                r.apply_gen(g, r.monomial((1, -1)))
+            assert g not in r._cache
+        r.apply_gen(Gen("s", 1), r.var(1))
+        with pytest.raises(FamilyMismatch):
+            r.apply_gen(g, r.var(1))
+        assert g not in r._cache and Gen("s", 1) in r._cache
+
+
 def test_field_follows_the_parameters():
     t = RatFuncField("t").gen
     assert Rep.daha(2, 2, 3).dom is QQ
@@ -319,3 +343,60 @@ def test_cyclotomic_engine_fingerprint():
     assert digest.hexdigest() == (
         "80c82d9e44114d06c50fe46da242a306453e574974e9c26af3b9730d3499c148"
     )
+
+
+def test_a_rep_is_freed_without_the_cycle_collector():
+    """Nothing the engine keeps on a Rep refers back to it, so its image
+    caches go with the last reference; a cycle would keep them until a full
+    collection and raise the peak memory of a sweep."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        for rep in _engine_reps(2):
+            for g in _engine_generators(rep.family, 2):
+                rep.apply_gen(g, rep.monomial((1, -1)) + rep.var(2))
+            ref = weakref.ref(rep)
+            del rep
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _reference_word(rep, word, p):
+    """word applied to p one generator at a time: each step sums c * (image
+    of X^e) over the terms c X^e in a plain dict of field coefficients, read
+    through .terms from a monomial image of rep."""
+    zero = rep.dom.zero
+    terms = dict(p.terms)
+    for g in reversed(word):
+        out = {}
+        for e, c in terms.items():
+            for f, v in rep.apply_gen(g, rep.monomial(e)).terms.items():
+                out[f] = out.get(f, zero) + c * v
+        terms = {f: v for f, v in out.items() if v}
+    return terms
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_composition_matches_a_termwise_reference(data):
+    """Rep.apply_word, whose map_linear sums cached images in one loop over
+    the lcm of their dens, agrees with summing monomial images one term at a
+    time, on random words over every table tag and multi-term polynomials
+    (den > 1 over QQ)."""
+    N = data.draw(st.sampled_from((2, 3)))
+    k = data.draw(st.integers(0, len(list(_engine_reps(N))) - 1))
+    rep, ref = (list(_engine_reps(N))[k] for _ in range(2))
+    gens = _engine_generators(rep.family, N)
+    word = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * N),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        min_size=2, max_size=4))
+    p = LaurentPoly(N, rep.dom, terms)
+    assume(rep.dom is not QQ or p.den > 1)
+    out = rep.apply_word(word, p)
+    assert dict(out.terms) == _reference_word(ref, word, p)
+    assert out.den > 0 and (rep.dom is not QQ or math.gcd(out.den, *out.nums.values()) == 1)

@@ -19,8 +19,10 @@ from cycdaha.scalars import (
     field_of,
     poly_add,
     poly_divmod,
+    poly_gcd,
     poly_mul,
     poly_sub,
+    poly_trim,
     sample_generic,
 )
 
@@ -68,18 +70,34 @@ def test_low_order_cyclotomics_match_rationals():
         assert a.rational_part() == expected
 
 
+def _assert_field_axioms(dom, a, b, c):
+    """Associativity, commutativity, distributivity and inverses in dom;
+    equal results must also be equal canonical forms, so they hash alike."""
+    zero, one = dom.zero, dom.one
+
+    def same(x, y):
+        assert x == y and hash(x) == hash(y)
+
+    same((a + b) + c, a + (b + c))
+    same((a * b) * c, a * (b * c))
+    same(a * (b + c), a * b + a * c)
+    same((a - b) * c, a * c - b * c)
+    same(a + b, b + a)
+    same(a * b, b * a)
+    same(a + zero, a)
+    same(a * one, a)
+    same(a + (-a), zero)
+    same(a - b, -(b - a))
+    if a:
+        same(a * (one / a), one)
+        same((b / a) * a, b)
+        same(a ** -2 * a ** 2, one)
+
+
 def _axiom_trials(dom, sampler, trials=1000, seed=3):
     rng = Random(seed)
-    one = dom.one
     for _ in range(trials):
-        a, b, c = sampler(rng), sampler(rng), sampler(rng)
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a
-        assert a * b == b * a
-        if a:
-            assert a * (one / a) == one
+        _assert_field_axioms(dom, sampler(rng), sampler(rng), sampler(rng))
 
 
 def test_field_axioms_rationals():
@@ -192,6 +210,40 @@ def test_field_axioms_ratfunc():
         return RatFunc1("t", num, den)
 
     _axiom_trials(dom, sampler, trials=150)
+
+
+@given(small, small, small)
+def test_field_axioms_rationals_property(a, b, c):
+    _assert_field_axioms(QQ, a, b, c)
+    for x in (a, a + b, a * b, a - c, a / b if b else c):
+        n, d = QQ.split(x)
+        assert type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1
+        assert QQ.join(n, d) == x and QQ.coerce(x) is x
+
+
+def _assert_ratfunc_canonical(x):
+    """Numerator and denominator trimmed, coprime, and the denominator
+    monic; zero is 0/1."""
+    assert x.num == tuple(poly_trim(x.num)) and x.den == tuple(poly_trim(x.den))
+    assert all(type(v) is Fraction for v in x.num + x.den)
+    assert x.den and x.den[-1] == 1
+    if x.num:
+        assert len(poly_gcd(list(x.num), list(x.den))) == 1
+    else:
+        assert x.den == (Fraction(1),)
+
+
+ratfuncs = st.builds(
+    lambda num, den: RatFunc1("t", num, den),
+    st.lists(small, max_size=3), st.lists(small, min_size=1, max_size=3).filter(any))
+
+
+@given(ratfuncs, ratfuncs, ratfuncs)
+def test_field_axioms_ratfunc_property(a, b, c):
+    _assert_field_axioms(RatFuncField("t"), a, b, c)
+    for x in (a, a + b, a * b, a - c, a / b if b else c, -a):
+        _assert_ratfunc_canonical(x)
+        assert RatFunc1.from_json(x.to_json()) == x
 
 
 def test_ratfunc_simplify_examples():
