@@ -6,10 +6,11 @@ coefficients are opaque here: any type with exact +, *, - and truthiness
 works.  LaurentPoly hands these functions its numerators (``nums``): ints
 over QQ, whose shared denominator it keeps itself, and the field elements
 over Q(zeta_l) (CycloNumber) and Q(t) (RatFunc1).  Field-valued dicts
-(Fraction values) work too; in the library they appear only in
-LaurentPoly.exact_divide.  No function here reduces a content or ever
-stores a zero coefficient.
+(Fraction values) work too, as the tests' references use them.  No
+function here reduces a content or ever stores a zero coefficient.
 """
+
+import operator
 
 
 def terms_add(a, b):
@@ -102,7 +103,8 @@ def terms_mul(a, b):
 
 def terms_shift(a, delta):
     """Multiply by the monomial with exponent vector delta."""
-    return {tuple(x + y for x, y in zip(e, delta)): c for e, c in a.items()}
+    add = operator.add
+    return {tuple(map(add, e, delta)): c for e, c in a.items()}
 
 
 def terms_permute(a, perm):

@@ -33,20 +33,25 @@ Reduction happens in three places:
   matrices do not go through it: ``coefficient_rows`` scales the numerators
   of several polynomials to one common den, so over QQ their rows reach
   elimination as ints;
-* division: ``exact_divide`` works on field coefficients and splits its
-  result back.  Only the quasiinvariant and Macdonald code divides; the
+* division: ``exact_divide`` runs one long-division loop on numerators
+  for every domain.  Over QQ it makes the divisor primitive first, so by
+  Gauss's lemma the quotient of a divisible input comes out in ints with
+  no Fraction; the content and the dens are restored in one reduction at
+  the end.  Only the quasiinvariant and Macdonald code divides; the
   operator engine's quotients are ``divided_difference``, a closed form
   with no division.
 
 A truncated series along a hyperplane is a plain list of polynomials, the
 coefficients of u^0..u^order (``series_on_hyperplane``).  Its weight
-(1+u)^a is folded into the expansion: X_j^n contributes C(n + a, r) to u^r.
+(1+u)^a is folded into the expansion: X_j^n contributes C(n + a, r) to u^r,
+split into numerator and den once per distinct n in each call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -490,7 +495,17 @@ class LaurentPoly:
     def exact_divide(self, d):
         """Quotient q with self == q*d; raises NotDivisible otherwise,
         usually at the first quotient term that leaves the exponent box a
-        true quotient must lie in."""
+        true quotient must lie in.
+
+        The division runs on numerators.  Over QQ the divisor is first made
+        primitive (its content g stripped); by Gauss's lemma an honest
+        quotient of an integer polynomial by a primitive one is integral, so
+        every quotient coefficient of a divisible input is an exact int
+        quotient.  A coefficient that is not (the input is then not
+        divisible) rescales the remainder and the partial quotient instead
+        of raising, so the division fails at the same step, with the same
+        message, as long division over the field coefficients.
+        """
         if not isinstance(d, LaurentPoly):
             d = LaurentPoly.const(self.N, d, self.dom)
         if not d.nums:
@@ -500,8 +515,10 @@ class LaurentPoly:
         if len(d.nums) == 1:
             ((e, c),) = d.terms.items()
             return self.shift(tuple(-x for x in e)) * (self.dom.one / c)
-        # shift both to honest polynomials; the division runs on field
-        # coefficients
+        integral = self.dom is QQ
+        content = math.gcd(*d.nums.values()) if integral else 1
+
+        # shift both to honest polynomials
         def neg_mins(p):
             mins = [0] * self.N
             for e in p.nums:
@@ -511,12 +528,14 @@ class LaurentPoly:
             return tuple(mins)
 
         sp, sd = neg_mins(self), neg_mins(d)
-        num = K.terms_shift(self.terms, tuple(-x for x in sp))
-        dvs = K.terms_shift(d.terms, tuple(-x for x in sd))
+        num = K.terms_shift(self.nums, tuple(-x for x in sp))
+        dvs = K.terms_shift(d.nums, tuple(-x for x in sd))
+        if content != 1:
+            dvs = {e: n // content for e, n in dvs.items()}
 
         dvs_terms = sorted(dvs.items(), key=lambda t: _glex_key(t[0]), reverse=True)
         lead_e, lead_c = dvs_terms[0]
-        lead_inv = self.dom.one / lead_c
+        lead_inv = None if integral else self.dom.one / lead_c
         dvs_rest = dvs_terms[1:]
         # over an integral domain the lowest and the highest exponent of
         # each variable add under multiplication, so every term of an honest
@@ -533,30 +552,44 @@ class LaurentPoly:
         # backstop pathological inputs.
         trail_num = min(num, key=_glex_key)
         trail_dvs = min(dvs, key=_glex_key)
-        bound = _glex_key(tuple(x - y for x, y in zip(trail_num, trail_dvs)))
+        bound = _glex_key(tuple(map(operator.sub, trail_num, trail_dvs)))
         cap = 10000 + 16 * len(num) * max(1, len(dvs))
 
+        # quot * dvs + cur == scale * num throughout
         quot = {}
         cur = dict(num)
+        scale = 1
         steps = 0
         while cur:
             steps += 1
             if steps > cap:
                 raise NotDivisible("no quotient within the term budget")
             e = max(cur, key=_glex_key)
-            c = cur[e]
-            ue = tuple(x - y for x, y in zip(e, lead_e))
+            ue = tuple(map(operator.sub, e, lead_e))
             if any(u < a or u > b for u, a, b in zip(ue, lo, hi)):
                 raise NotDivisible("quotient term outside the exponent box")
             if _glex_key(ue) < bound:
                 raise NotDivisible("leading term falls below the trail bound")
-            uc = c * lead_inv
+            c = cur.pop(e)
+            if integral:
+                if c % lead_c:
+                    # not integral, so not divisible: carry on over a larger
+                    # scale until the box, the trail bound or the budget
+                    # rejects, as long division over Fractions would
+                    m = abs(lead_c) // math.gcd(c, lead_c)
+                    scale *= m
+                    c *= m
+                    cur = K.terms_scale(cur, m)
+                    quot = K.terms_scale(quot, m)
+                uc = c // lead_c
+            else:
+                uc = c * lead_inv
             quot[ue] = uc
-            del cur[e]
+            get = cur.get
             for fe, fc in dvs_rest:
-                key = tuple(x + y for x, y in zip(ue, fe))
+                key = tuple(map(operator.add, ue, fe))
                 v = uc * fc
-                s = cur.get(key)
+                s = get(key)
                 if s is None:
                     cur[key] = -v
                 else:
@@ -565,8 +598,9 @@ class LaurentPoly:
                         cur[key] = s
                     else:
                         del cur[key]
-        delta = tuple(x - y for x, y in zip(sp, sd))
-        q = LaurentPoly(self.N, self.dom, K.terms_shift(quot, delta))
+        # self/d = (quot/scale) * den(d) / (den(self) * content), shifted back
+        quot = K.terms_shift(quot, tuple(map(operator.sub, sp, sd)))
+        q = self._reduced(_scaled(quot, d.den), scale * self.den * content)
         if q * d != self:
             raise NotDivisible("re-multiplication check failed")
         return q
@@ -600,17 +634,22 @@ class LaurentPoly:
         parts = [[] for _ in range(order + 1)]
         split, coerce = self.dom.split, self.dom.coerce
         ii, jj = i - 1, j - 1
+        # C(n + a, r) for r = 0..order, split once per distinct n
+        table = {}
         for e, c in self.nums.items():
             n = e[jj]
+            row = table.get(n)
+            if row is None:
+                x = n + a
+                row = table[n] = [split(coerce(binomial_fraction(x, r)))
+                                  for r in range(order + 1)]
             new_e = list(e)
             new_e[ii] += n
             new_e[jj] = 0
             key = tuple(new_e)
-            for r in range(order + 1):
-                b = binomial_fraction(n + a, r)
-                if b:
-                    bn, bd = split(coerce(b))
-                    parts[r].append((key, c * bn, bd))
+            for part, (bn, bd) in zip(parts, row):
+                if bn:
+                    part.append((key, c * bn, bd))
         return [self._collect(p) for p in parts]
 
     # -- io -----------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Exact dense linear algebra over Fraction and other exact fields.
 
 There is one elimination per field.  Rational rows, given as ints or
-Fractions (``laurent.coefficient_rows`` gives ints), are cleared to
-primitive integer rows and reduced fraction-free (Bareiss-style with
-per-row content stripping) on Python integers; other exact fields
-(cyclotomics, rational functions) use ordinary Gaussian elimination, which
-stays exact.  The first nonzero entry tells the two apart, and ``x / x`` of
-that entry is the field's unit, so no caller passes one.
+Fractions (``laurent.coefficient_rows`` and ``quasiinv.conditions_matrix``
+give ints), are cleared to primitive integer rows and reduced
+fraction-free (Bareiss-style with per-row content stripping) on Python
+integers; ``nullspace`` reads its vectors off those integer rows, one
+Fraction per free-column entry.  Other exact fields (cyclotomics, rational
+functions) use ordinary Gaussian elimination, which stays exact.  The
+first nonzero entry tells the two apart, and ``x / x`` of that entry is
+the field's unit, so no caller passes one.
 
 A small immutable Matrix class over Fraction covers the matrix work of the
 quiver/bow modules; its inverse and solver use the same row_echelon.
@@ -66,7 +68,8 @@ def _row_echelon_int(rows, ncols):
 
     Keeps entries as exact integers; divides out row gcds after every
     elimination step so coefficient growth stays modest.  Returns
-    (rank, pivot_cols, echelon rows as Fractions normalized to pivot 1).
+    (rank, pivot_cols, echelon rows as ints); row i over its pivot entry is
+    the reduced row.
     """
     rows = [list(r) for r in rows]
     pivots = []
@@ -96,20 +99,18 @@ def _row_echelon_int(rows, ncols):
         r += 1
         if r == len(rows):
             break
-    ech = []
-    for i, c in enumerate(pivots):
-        pv = rows[i][c]
-        ech.append([Fraction(v, pv) for v in rows[i]])
-    return r, pivots, ech
+    return r, pivots, rows[:r]
 
 
-def row_echelon(rows, ncols):
+def row_echelon(rows, ncols, ints=False):
     """Reduced row echelon form; returns (rank, pivot_cols, rows).
 
     rows: iterable of coefficient sequences.  Rational rows (ints or
     Fractions) take the integer fraction-free path and come back as
-    Fractions; any other exact field eliminates with x / x as its unit, x
-    the first nonzero entry.  That entry also tells the two apart.
+    Fractions, or with ints as the integer rows of that elimination (row i
+    over its pivot entry is the reduced row); any other exact field
+    eliminates with x / x as its unit, x the first nonzero entry.  That
+    entry also tells the two apart.
     """
     rows = [list(r) for r in rows]
     rows = [r for r in rows if any(r)]
@@ -117,7 +118,10 @@ def row_echelon(rows, ncols):
         return 0, [], []
     x = next(v for v in rows[0] if v)
     if isinstance(x, (Fraction, int)):
-        return _row_echelon_int(_int_rows(rows), ncols)
+        rank, pivots, ech = _row_echelon_int(_int_rows(rows), ncols)
+        if not ints:
+            ech = [[Fraction(v, row[c]) for v in row] for row, c in zip(ech, pivots)]
+        return rank, pivots, ech
     return _row_echelon_field(rows, ncols, x / x)
 
 
@@ -129,26 +133,27 @@ def nullspace(rows, ncols):
     """Basis of the right kernel of the matrix, as coefficient vectors.
 
     Free variables are set to 1 one at a time (the standard parametrization),
-    so the output is deterministic.  With no nonzero row the basis is the
-    standard one, over Fraction.
+    so the output is deterministic.  Rational rows give Fraction vectors,
+    read off the integer echelon only at the free columns; with no nonzero
+    row the basis is the standard one, over Fraction.
     """
-    rank, pivots, ech = row_echelon(rows, ncols)
-    if ech:
+    rank, pivots, ech = row_echelon(rows, ncols, ints=True)
+    integral = not ech or type(ech[0][pivots[0]]) is int
+    if integral:
+        zero, one = Fraction(0), Fraction(1)
+    else:
         zero = ech[0][0] - ech[0][0]
         one = ech[0][pivots[0]]
-    else:
-        one = Fraction(1)
-        zero = Fraction(0)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
         vec = [zero] * ncols
         vec[fc] = one
-        for i, pc in enumerate(pivots):
-            v = ech[i][fc]
+        for row, pc in zip(ech, pivots):
+            v = row[fc]
             if v:
-                vec[pc] = -v
+                vec[pc] = Fraction(-v, row[pc]) if integral else -v
         basis.append(vec)
     return basis
 

@@ -327,7 +327,8 @@ class Rep:
                     p = self.apply_gen(f, p)
             elif isinstance(f, tuple):
                 g, z = f
-                p = self.apply_gen(g, p) - p * z
+                p = LaurentPoly.combination(
+                    self.N, self.dom, [(1, self.apply_gen(g, p)), (-z, p)])
             else:
                 p = p * f
         return p

@@ -26,9 +26,19 @@ q^(p a_i):
                denominator of the a_i, and q stores the base parameter
                qq = q^(1/M).
 
+The condition rows need no polynomial arithmetic.  For a pair i < j and a
+twist r, both X^e and g_r X^e land on the one monomial X^k(e), k(e) being e
+with e_j += e_i and e_i = 0, so column e has a single entry per order (or
+hyperplane), in the row of k(e):
+
+* q = 1, order s: zeta^{r e_i} (C(e_i + a_i, s) - C(e_j + a_j, s));
+* q != 1, hyperplane p: zeta^{r e_i} (w_i Q^{e_i} - w_j Q^{e_j}), with
+  Q = q^{pM} and w = q^{p a M}.
+
+conditions_matrix reads these off the exponent tuples, as ints over QQ.
 Every basis element returned by graded_basis is re-verified against the raw
-conditions by a direct checker that does not share code with the row
-builder.
+conditions by a direct checker (check_member) that expands, substitutes and
+divides the polynomial itself and shares no code with the row builder.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .laurent import LaurentPoly, NotDivisible, coefficient_rows
+from .laurent import LaurentPoly, NotDivisible
 from .linalg import nullspace
 from .scalars import QQ, CycloField
 from .tableaux import (
@@ -153,11 +163,38 @@ def degree_monomials(N, d):
 # ---------------------------------------------------------------------------
 # condition rows
 
-def _zeta_power(dom, r):
-    if isinstance(dom, CycloField):
-        return dom.zeta ** r
-    # l <= 2 over QQ: zeta_1 = 1, zeta_2 = -1
-    return dom.coerce((-1) ** r)
+def _value_tables(spec, i, j, d):
+    """The (u, v) tables of each block of rows for the pair i < j, one
+    block per order of u (q = 1) or per hyperplane p (q != 1): u[n] and v[n]
+    for n = 0..d, ints over one positive den per block."""
+    m, M, q = spec.m, spec.common_denominator, spec.q
+
+    def side(a):
+        """One (ints, den) pair per block for the weight a: the values
+        C(n + a, s) = prod_{t<s} (n b + c - t b) / (b^s s!) with a = c/b
+        (q = 1), or w Q^n = q^(p (a M + M n)) (q != 1)."""
+        out = []
+        if q == 1:
+            c, b = a.numerator, a.denominator
+            prods, den = [1] * (d + 1), 1
+            for s in range(2 * m + 1):
+                out.append((prods, den))
+                prods = [x * (n * b + c - s * b) for n, x in enumerate(prods)]
+                den *= b * (s + 1)
+            return out
+        A = int(a * M)
+        for p in range(-m, m + 1):
+            if p:
+                fr = [q ** (p * (A + M * n)) for n in range(d + 1)]
+                den = lcm(*[x.denominator for x in fr])
+                out.append(([x.numerator * (den // x.denominator) for x in fr], den))
+        return out
+
+    out = []
+    for (u, du), (v, dv) in zip(side(spec.a[i - 1]), side(spec.a[j - 1])):
+        den = lcm(du, dv)
+        out.append(([x * (den // du) for x in u], [x * (den // dv) for x in v]))
+    return out
 
 
 def conditions_matrix(spec, d):
@@ -165,44 +202,49 @@ def conditions_matrix(spec, d):
     component, together with the monomial basis indexing the columns.
 
     For each pair i < j, twist r < l and basis monomial F, with
-    g = g_r F and K = 2m:
+    g = g_r F and K = 2m, the condition reads
 
     * q = 1: the coefficients of u^0..u^K in F (1+u)^{a_i} - g (1+u)^{a_j}
       at x_i = zeta^r x_j (1+u), one block of rows per power of u;
     * q != 1: q^{p a_i M} F - q^{p a_j M} g at x_i = zeta^r q^{pM} x_j, one
       block per 0 < |p| <= m (p = 0 holds by antisymmetry).
 
-    The projector rows come last; for l = 1 there are none.
+    Both sides of a monomial X^e land on the one monomial X^k(e), where k(e)
+    is e with e_j += e_i and e_i = 0, so column e has exactly one entry per
+    block, in the row of k(e), and the rows are built from the exponents
+    alone:
+
+    * q = 1, order s: zeta^{r e_i} (C(e_i + a_i, s) - C(e_j + a_j, s));
+    * q != 1, hyperplane p: zeta^{r e_i} (w_i Q^{e_i} - w_j Q^{e_j}), with
+      Q = q^{pM} and w = q^{p a M}.
+
+    Each block is scaled by one positive den, so over QQ the entries are
+    ints.  The projector rows come last; for l = 1 there are none.
     """
     basis = degree_monomials(spec.N, d)
-    dom, l, K, M, q = spec.dom, spec.l, 2 * spec.m, spec.common_denominator, spec.q
-    monomials = [LaurentPoly.monomial(spec.N, e, 1, dom) for e in basis]
+    dom, l, ncols = spec.dom, spec.l, len(basis)
+    if isinstance(dom, CycloField):
+        zero, zeta = dom.zero, [dom.zeta ** k for k in range(l)]
+    else:
+        zero, zeta = 0, [(-1) ** k for k in range(l)]  # l <= 2: zeta_2 = -1
     rows = []
     for i in range(1, spec.N + 1):
         for j in range(i + 1, spec.N + 1):
-            ai, aj = spec.a[i - 1], spec.a[j - 1]
+            cols = [(c, e[i - 1], e[j - 1],
+                     e[:i - 1] + (0,) + e[i:j - 1] + (e[j - 1] + e[i - 1],) + e[j:])
+                    for c, e in enumerate(basis)]
+            tables = _value_tables(spec, i, j, d)
             for r in range(l):
-                zr = _zeta_power(dom, r)
-                reflect = {i: (zr, j), j: (_zeta_power(dom, -r % l), i)}
-                pairs = [(F, F.substitute(reflect)) for F in monomials]
-                if q == 1:
-                    series = []
-                    for F, g in pairs:
-                        sf = F.scale_var(i, zr).series_on_hyperplane(j, i, K, ai)
-                        sg = g.scale_var(i, zr).series_on_hyperplane(j, i, K, aj)
-                        series.append([x - y for x, y in zip(sf, sg)])
-                    for order in range(K + 1):
-                        rows += coefficient_rows([s[order] for s in series])
-                else:
-                    for p in range(-spec.m, spec.m + 1):
-                        if p == 0:
-                            continue
-                        wi = dom.coerce(q ** int(p * ai * M))
-                        wj = dom.coerce(q ** int(p * aj * M))
-                        at = {i: (zr * dom.coerce(q ** (p * M)), j)}
-                        rows += coefficient_rows(
-                            [(F * wi - g * wj).substitute(at) for F, g in pairs]
-                        )
+                for u, v in tables:
+                    block = {}
+                    for c, ei, ej, k in cols:
+                        x = u[ei] - v[ej]
+                        if x:
+                            row = block.get(k)
+                            if row is None:
+                                row = block[k] = [zero] * ncols
+                            row[c] = zeta[r * ei % l] * x
+                    rows += block.values()
     # projector divisibility: monomials with x_i-exponent congruent to r
     # mod l but smaller than r + m_r l are forbidden
     for i in range(1, spec.N + 1):
@@ -219,7 +261,14 @@ def conditions_matrix(spec, d):
 # ---------------------------------------------------------------------------
 # independent membership checker (used to re-verify solver output)
 
-def check_member(spec, F):
+def _zeta_power(dom, r):
+    if isinstance(dom, CycloField):
+        return dom.zeta ** r
+    # l <= 2 over QQ: zeta_1 = 1, zeta_2 = -1
+    return dom.coerce((-1) ** r)
+
+
+def check_member(spec, F, divisors=None):
     """Direct verification that F satisfies every defining condition.
 
     Works on the concrete polynomial, independent of the row builder: the
@@ -228,6 +277,9 @@ def check_member(spec, F):
     prod_{|p| <= m} (X_i - zeta^r q^p X_j) (q != 1); PLAIN_Q is CYC at l = 1.
     The twisted variants compare the weighted expansions, or the
     substitutions x_i = q^p x_j, of F and s_ij F.
+
+    divisors, a dict, keeps those products by (i, j, r) between calls on
+    the same spec; each is built on first use.
     """
     dom, N, m, q = spec.dom, spec.N, spec.m, spec.q
     pairs = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
@@ -256,8 +308,9 @@ def check_member(spec, F):
         return True
 
     l = spec.l
+    if divisors is None:
+        divisors = {}
     for i, j in pairs:
-        xi, xj = LaurentPoly.variable(N, i, dom), LaurentPoly.variable(N, j, dom)
         for r in range(l):
             zr = _zeta_power(dom, r)
             if r == 0:
@@ -271,9 +324,13 @@ def check_member(spec, F):
                 if any(h.series_on_hyperplane(j, i, 2 * m)):
                     return False
             else:
-                div = LaurentPoly.one(N, dom)
-                for p in range(-m, m + 1):
-                    div = div * (xi - xj * (zr * dom.coerce(q ** p)))
+                div = divisors.get((i, j, r))
+                if div is None:
+                    xi, xj = LaurentPoly.variable(N, i, dom), LaurentPoly.variable(N, j, dom)
+                    div = LaurentPoly.one(N, dom)
+                    for p in range(-m, m + 1):
+                        div = div * (xi - xj * (zr * dom.coerce(q ** p)))
+                    divisors[(i, j, r)] = div
                 try:
                     g.exact_divide(div)
                 except NotDivisible:
@@ -303,6 +360,7 @@ class GradedBasis:
 def graded_basis(spec, maxdeg):
     """Exact degree-wise bases up to maxdeg, re-verified post-solve."""
     out = []
+    divisors = {}
     for d in range(maxdeg + 1):
         rows, basis = conditions_matrix(spec, d)
         vecs = nullspace(rows, len(basis))
@@ -313,7 +371,7 @@ def graded_basis(spec, maxdeg):
                 if c:
                     terms[e] = c
             F = LaurentPoly(spec.N, spec.dom, terms)
-            if not check_member(spec, F):
+            if not check_member(spec, F, divisors):
                 raise AssertionError(
                     f"solver output fails raw conditions at degree {d}"
                 )

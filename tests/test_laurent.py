@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -302,3 +303,66 @@ def test_weighted_series_is_the_convolution_with_binomials(fa, a):
             acc = acc + plain[r - s] * binomial_fraction(a, s)
         want.append(acc)
     assert p.series_on_hyperplane(1, 2, order, a) == want
+
+
+def _fraction_long_division(p, d):
+    """Quotient terms of p / d by long division over Fraction coefficients,
+    with exact_divide's exponent box, trail bound, term budget and
+    re-multiplication check; raises NotDivisible with exact_divide's
+    messages.  d has at least two terms."""
+    num, dvs = dict(p.terms), dict(d.terms)
+    sp = tuple(min(0, *col) for col in zip(*num))
+    sd = tuple(min(0, *col) for col in zip(*dvs))
+    num = K.terms_shift(num, tuple(-x for x in sp))
+    dvs = K.terms_shift(dvs, tuple(-x for x in sd))
+    dvs_terms = sorted(dvs.items(), key=lambda t: _glex(t[0]), reverse=True)
+    (lead_e, lead_c), rest = dvs_terms[0], dvs_terms[1:]
+    lo = [min(a) - min(b) for a, b in zip(zip(*num), zip(*dvs))]
+    hi = [max(a) - max(b) for a, b in zip(zip(*num), zip(*dvs))]
+    bound = _glex(tuple(x - y for x, y in zip(min(num, key=_glex), min(dvs, key=_glex))))
+    cap = 10000 + 16 * len(num) * len(dvs)
+    quot, cur = {}, dict(num)
+    for steps in itertools.count(1):
+        if not cur:
+            break
+        if steps > cap:
+            raise NotDivisible("no quotient within the term budget")
+        e = max(cur, key=_glex)
+        ue = tuple(x - y for x, y in zip(e, lead_e))
+        if any(u < a or u > b for u, a, b in zip(ue, lo, hi)):
+            raise NotDivisible("quotient term outside the exponent box")
+        if _glex(ue) < bound:
+            raise NotDivisible("leading term falls below the trail bound")
+        uc = cur.pop(e) / lead_c
+        quot[ue] = uc
+        K.terms_iaddmul(cur, K.terms_shift(dict(rest), ue), -uc)
+    quot = K.terms_shift(quot, tuple(x - y for x, y in zip(sp, sd)))
+    if K.terms_mul(quot, dict(d.terms)) != dict(p.terms):
+        raise NotDivisible("re-multiplication check failed")
+    return quot
+
+
+def _divide_outcome(f, *args):
+    try:
+        return f(*args)
+    except NotDivisible as exc:
+        return str(exc)
+
+
+@given(field_terms, field_terms.filter(lambda t: len(t) > 1), field_terms,
+       st.integers(1, 12), st.booleans())
+def test_exact_divide_agrees_with_fraction_long_division(fp, fd, fr, content, divisible):
+    """Over QQ the fraction-free exact_divide returns the quotient of long
+    division over Fractions, and fails at the same step with the same
+    message, also for a divisor with integer content and dens > 1."""
+    d = LaurentPoly(2, QQ, fd) * content
+    p = LaurentPoly(2, QQ, fp) * d
+    if not divisible:
+        p = p + LaurentPoly(2, QQ, fr)
+    if not p:
+        return
+    want = _divide_outcome(_fraction_long_division, p, d)
+    got = _divide_outcome(lambda: dict(p.exact_divide(d).terms))
+    assert got == want
+    if divisible:
+        assert got == fp

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cycdaha.laurent import LaurentPoly
+from cycdaha.laurent import LaurentPoly, coefficient_rows
+from cycdaha.linalg import nullspace
 from cycdaha.macdonald import apply_macdonald_operator
 from cycdaha.quasiinv import (
     CYC,
@@ -12,6 +13,8 @@ from cycdaha.quasiinv import (
     ParameterDegenerate,
     QuasiSpec,
     check_member,
+    conditions_matrix,
+    degree_monomials,
     expected_twisted_series,
     flatness_report,
     freeness_numerator,
@@ -19,6 +22,7 @@ from cycdaha.quasiinv import (
     graded_basis_with_symmetry,
     kostka,
 )
+from cycdaha.scalars import CycloField
 from cycdaha.tableaux import invariants_series, series_mul
 
 
@@ -330,3 +334,107 @@ def test_check_member_propagates_unexpected_errors(monkeypatch):
     spec = QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(3, 2))
     with pytest.raises(RuntimeError):
         check_member(spec, X(1))
+
+
+def _zeta_power(dom, r):
+    return dom.zeta ** r if isinstance(dom, CycloField) else dom.coerce((-1) ** r)
+
+
+def _reference_rows(spec, d, swap_weights=False):
+    """The condition rows of conditions_matrix built from the polynomials
+    themselves: reflect each basis monomial with substitute, then expand
+    along the hyperplane (q = 1) or substitute onto it (q != 1).
+    swap_weights gives F the weight a_j and g_r F the weight a_i."""
+    basis = degree_monomials(spec.N, d)
+    dom, l, K, M, q = spec.dom, spec.l, 2 * spec.m, spec.common_denominator, spec.q
+    monomials = [LaurentPoly.monomial(spec.N, e, 1, dom) for e in basis]
+    rows = []
+    for i in range(1, spec.N + 1):
+        for j in range(i + 1, spec.N + 1):
+            ai, aj = spec.a[i - 1], spec.a[j - 1]
+            if swap_weights:
+                ai, aj = aj, ai
+            for r in range(l):
+                zr = _zeta_power(dom, r)
+                reflect = {i: (zr, j), j: (_zeta_power(dom, -r % l), i)}
+                pairs = [(F, F.substitute(reflect)) for F in monomials]
+                if q == 1:
+                    series = []
+                    for F, g in pairs:
+                        sf = F.scale_var(i, zr).series_on_hyperplane(j, i, K, ai)
+                        sg = g.scale_var(i, zr).series_on_hyperplane(j, i, K, aj)
+                        series.append([x - y for x, y in zip(sf, sg)])
+                    for order in range(K + 1):
+                        rows += coefficient_rows([s[order] for s in series])
+                    continue
+                for p in range(-spec.m, spec.m + 1):
+                    if p:
+                        wi = dom.coerce(q ** int(p * ai * M))
+                        wj = dom.coerce(q ** int(p * aj * M))
+                        at = {i: (zr * dom.coerce(q ** (p * M)), j)}
+                        rows += coefficient_rows(
+                            [(F * wi - g * wj).substitute(at) for F, g in pairs])
+    return rows, _projector_rows(spec, basis), basis
+
+
+def _projector_rows(spec, basis):
+    """One unit row per monomial whose x_i-exponent is r mod l but below
+    r + m_r l, 0 < r < l."""
+    l, dom = spec.l, spec.dom
+    mlist = tuple(spec.mlist) + (0,) * l
+    rows = []
+    for i in range(spec.N):
+        for r in range(1, l):
+            for k, e in enumerate(basis):
+                if e[i] % l == r and e[i] < r + mlist[r - 1] * l:
+                    rows.append([dom.one if c == k else dom.zero for c in range(len(basis))])
+    return rows
+
+
+ROW_SPECS = [
+    QuasiSpec(PLAIN_Q, 2, 2, q=1),
+    QuasiSpec(PLAIN_Q, 3, 1, q=Fraction(-2, 3)),
+    QuasiSpec(PLAIN_Q, 3, 2, q=Fraction(5, 3)),
+    QuasiSpec(CYC, 2, 1, l=2, mlist=(1,), q=Fraction(-3, 2)),
+    QuasiSpec(CYC, 3, 1, l=2, mlist=(0,), q=1),
+    QuasiSpec(CYC, 2, 1, l=3, mlist=(1, 0), q=1),
+    QuasiSpec(CYC, 2, 1, l=3, mlist=(0, 1), q=Fraction(-5, 3)),
+    QuasiSpec(CYC, 2, 1, l=4, mlist=(1, 0, 1), q=1),
+    QuasiSpec(CYC, 3, 1, l=4, q=Fraction(3, 2)),
+    QuasiSpec(TWISTED, 2, 2, a=(Fraction(1, 3), Fraction(-1, 2))),
+    QuasiSpec(TWISTED, 3, 1, a=(Fraction(1, 2), Fraction(2, 3), Fraction(0))),
+    QuasiSpec(TWISTED_Q, 2, 1, a=(Fraction(1, 2), Fraction(-1, 3)), q=Fraction(-3, 2)),
+    QuasiSpec(TWISTED_Q, 3, 1, a=(Fraction(1, 2), Fraction(0), Fraction(1, 3)),
+              q=Fraction(5, 4)),
+    QuasiSpec(TWISTED_Q, 2, 1, a=(Fraction(1, 2), Fraction(0)), q=1),
+]
+
+
+def test_closed_form_rows_have_the_reference_nullspace():
+    """conditions_matrix reads its rows off the exponents; its null space at
+    every degree up to 5 is the one of the rows built by substitution and
+    series expansion, for every variant, over QQ and Q(zeta_3), Q(zeta_4).
+    Over QQ its condition rows are ints; the projector rows come last."""
+    for spec in ROW_SPECS:
+        for d in range(6):
+            rows, basis = conditions_matrix(spec, d)
+            ref, projector, ref_basis = _reference_rows(spec, d)
+            assert basis == ref_basis
+            assert rows[len(rows) - len(projector):] == projector
+            if not isinstance(spec.dom, CycloField):
+                assert all(type(x) is int for row in rows[:len(rows) - len(projector)]
+                           for x in row)
+            assert nullspace(rows, len(basis)) == nullspace(ref + projector, len(basis)), (spec, d)
+
+
+def test_swapped_weights_change_the_reference_nullspace():
+    """Control: the reference with a_i and a_j exchanged differs from
+    conditions_matrix on some spec, so the comparison above can fail."""
+    differs = []
+    for spec in ROW_SPECS:
+        for d in range(6):
+            ref, projector, basis = _reference_rows(spec, d, swap_weights=True)
+            if nullspace(ref + projector, len(basis)) != nullspace(
+                    conditions_matrix(spec, d)[0], len(basis)):
+                differs.append(spec)
+    assert differs and all(spec.variant in (TWISTED, TWISTED_Q) for spec in differs)
