@@ -100,20 +100,29 @@ def criterion_2():
 
 @_criterion("3. cyclotomic DAHA presentation, randomized 30 trials, N=2,3 l=1,2")
 def criterion_3():
-    from .algebra import sample_rep, verify_family
+    from .algebra import cd11_instance, sample_rep, verify_family
+    from .ops import op_equal_randomized
 
     details = {}
     ok = True
     for N in (2, 3):
         for l in (1, 2):
-            good = True
+            good = cd11 = control = True
             # 30 trials split over 3 generic parameter draws
             for seed in (11, 12, 13):
                 rep = sample_rep("cyc-daha", N, l, seed=seed)
                 r = verify_family(rep, "cyc-daha", "random", trials=10, seed=seed)
                 good &= r["all_pass"]
+                # cd11, the phi-image of cd10, holds on the same draws; with
+                # its right side scaled by 8/7 it must fail on each of them
+                inst = cd11_instance(rep)
+                cd11 &= op_equal_randomized(rep, inst.lhs, inst.rhs, 10, seed)["result"]
+                wrong = Fraction(8, 7) * inst.rhs
+                control &= not op_equal_randomized(rep, inst.lhs, wrong, 10, seed)["result"]
             details[f"N={N},l={l}"] = good
-            ok &= good
+            details[f"cd11 N={N},l={l}"] = cd11
+            details[f"cd11 with rhs * 8/7 rejected N={N},l={l}"] = control
+            ok &= good and cd11 and control
         # the Jucys-Murphy relation lives at level one (Z_1 = 1)
         good = True
         for seed in (11, 12, 13):
@@ -388,8 +397,10 @@ def criterion_9():
 @_criterion("10. quiver identities: product formulas, psi/lift, soundness")
 def criterion_10():
     from .quiver import (
+        Quadruple,
         check_point,
         check_quadruple,
+        irreducibility_check,
         lift_open_locus,
         product_formulas,
         psi,
@@ -409,11 +420,13 @@ def criterion_10():
                 good &= pf["Lplus_matches"] and pf["Lminus_matches"]
             details[f"prodfor l={l} N={N} (10 seeds)"] = good
             ok &= good
-    # psi / lift round trips on the open locus
-    good = True
+    # psi / lift round trips on the open locus; every psi image acts
+    # irreducibly on C^N (Burnside)
+    good = irreducible = True
     for seed in (3, 4, 5):
         p = sample_chain(2, 2, (Fraction(2), Fraction(5, 3)), seed=seed)
         q = psi(p)
+        irreducible &= irreducibility_check(q)["irreducible"]
         if not q.X.is_invertible():
             continue
         p2 = lift_open_locus(q)
@@ -421,6 +434,16 @@ def criterion_10():
         good &= (q2.X, q2.D, q2.Y, q2.T) == (q.X, q.D, q.Y, q.T)
         good &= check_quadruple(q2)["certified"]
     details["psi/lift round trips"] = good
+    details["psi images irreducible"] = irreducible
+    ok &= good and irreducible
+    # a diagonal quadruple keeps the coordinate lines: reducible, with a witness
+    diagonal = Quadruple(
+        1, 2, (Fraction(1),), Fraction(2), Matrix.zero(2, 2), Matrix.zero(2, 2),
+        Matrix([[1, 0], [0, 2]]), Matrix.identity(2),
+    )
+    r = irreducibility_check(diagonal)
+    good = not r["irreducible"] and r["witness"] is not None
+    details["diagonal quadruple reducible, with witness"] = good
     ok &= good
     # perturbation soundness
     p = sample_chain(2, 2, (Fraction(2), Fraction(5, 3)), seed=8)
@@ -437,10 +460,12 @@ def criterion_10():
 def criterion_11():
     from .bow import (
         BowDiagram,
+        cobalanced_reduction_check,
         hw_diagram,
         hw_round_trip_check,
         linkage_invariants,
         sample_bow,
+        sample_cobalanced_segment,
     )
 
     details = {}
@@ -458,6 +483,22 @@ def criterion_11():
             good &= diag2.dims[2] == new.dims[1]
         details[f"dims={dims} (5 seeds)"] = good
         ok &= good
+    # a cobalanced two-cross segment reduces to the multiplicative quiver
+    # relation at its ends; one perturbed entry of D4 must break the chain
+    good = True
+    for n in (1, 2, 3):
+        for seed in (5, 7):
+            r = cobalanced_reduction_check(sample_cobalanced_segment(n, seed))
+            good &= all(r.values())
+    details["cobalanced reduction n=1,2,3 (seeds 5, 7)"] = good
+    ok &= good
+    data = sample_cobalanced_segment(2, 5)
+    rows = [list(r) for r in data["D4"].rows]
+    rows[0][0] += 1
+    data["D4"] = Matrix(rows)
+    good = not cobalanced_reduction_check(data)["chain_identity"]
+    details["perturbed D4 breaks the chain identity"] = good
+    ok &= good
     return ok, details
 
 

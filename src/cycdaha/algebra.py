@@ -65,13 +65,6 @@ class RelationCatalog:
     family: str
     schemas: list
 
-    @property
-    def count(self):
-        return len(self.schemas)
-
-    def schema_names(self):
-        return [s.name for s in self.schemas]
-
     def instances(self, rep):
         out = []
         for s in self.schemas:
@@ -893,19 +886,6 @@ def _phi_gen_map_cyc(rep):
     return image
 
 
-def _phi_gen_map_cherednik(rep):
-    """Cherednik involution: X_i -> Y_i^-1, Y_i -> X_i^-1, T_i -> T_i^-1."""
-
-    def image(g):
-        table = {"X": ("Y^-1",), "X^-1": ("Y",), "Y": ("X^-1",), "Y^-1": ("X",),
-                 "T": ("T^-1",), "T^-1": ("T",)}
-        if g.tag in table:
-            return _g(table[g.tag][0], g.i)
-        raise ValueError(f"{g!r} outside the involution domain")
-
-    return image
-
-
 def _phi_gen_map_deg(rep):
     """Degenerate involution: X <-> D, s fixed, and
 
@@ -940,13 +920,12 @@ _PHI_MAPS = {
     "cyc-daha": _phi_gen_map_cyc,
     "l1": _phi_gen_map_cyc,
     "deg-cyc": _phi_gen_map_deg,
-    "daha-cherednik": _phi_gen_map_cherednik,
 }
 
 
 def phi_param_transform(family, rep):
     """The transformed representation phi maps into."""
-    if family in ("cyc-daha", "l1", "daha-cherednik"):
+    if family in ("cyc-daha", "l1"):
         q, tb = rep.params["q"], rep.params["tb"]
         return Rep.daha(rep.N, 1 / q, 1 / tb, rep.params["Z"])
     if family == "deg-cyc":
@@ -968,15 +947,6 @@ def apply_gen_map(expr, gen_image):
             prod = prod * img
         out = out + prod
     return out
-
-
-def involution_image(family, expr, rep):
-    """The syntactic image of expr under the family involution, together with
-    the parameter-transformed representation it lives in."""
-    if family not in _PHI_MAPS:
-        raise UnknownFamily(family)
-    gen_image = _PHI_MAPS[family](rep)
-    return apply_gen_map(expr, gen_image), phi_param_transform(family, rep)
 
 
 def verify_involution(rep, family, box_radius=2):

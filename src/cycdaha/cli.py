@@ -318,7 +318,7 @@ def build_parser():
     rv.add_argument("--family", required=True,
                     choices=["daha", "deg-daha", "deg-cyc", "cyc-daha", "l1", "lastrel"])
     rv.add_argument("--N", type=int, required=True)
-    rv.add_argument("--l", type=int, default=0)
+    rv.add_argument("--l", type=int)
     rv.add_argument("--mode", choices=["box", "random"], default="box")
     rv.add_argument("--B", type=int, default=3)
     rv.add_argument("--trials", type=int, default=30)
@@ -332,7 +332,7 @@ def build_parser():
     ri.add_argument("--seed", type=int, default=0)
     ri.add_argument("--out")
     ri.set_defaults(fn=cmd_relations_involution,
-                    check=lambda a: (_at_least_one(ri, a, "N"), _check_level(ri, a.family, a.l)))
+                    check=lambda a: (_at_least_one(ri, a, "N"), _check_level(ri, a, a.family)))
 
     qa = sub.add_parser("quasi", help="quasiinvariant spaces")
     qa_sub = qa.add_subparsers(dest="cmd", required=True)
@@ -424,7 +424,7 @@ def build_parser():
     ee.add_argument("--family", default="daha",
                     choices=["daha", "deg-daha", "deg-cyc", "cyc-daha", "l1"])
     ee.add_argument("--N", type=int, required=True)
-    ee.add_argument("--l", type=int, default=0)
+    ee.add_argument("--l", type=int)
     ee.add_argument("--lhs", required=True)
     ee.add_argument("--rhs", required=True)
     ee.add_argument("--mode", choices=["box", "random"], default="box")
@@ -452,10 +452,25 @@ def _at_least_one(ap, args, *names):
             ap.error(f"--{name} must be at least 1, got {getattr(args, name)}")
 
 
-def _check_level(ap, family, l):
-    """The cyclotomic families need l >= 1; at l = 0 they pass vacuously."""
-    if family in ("cyc-daha", "deg-cyc") and l < 1:
-        ap.error(f"--l must be at least 1 for {family}, got {l}")
+# The families whose level is fixed: daha and deg-daha have no cyclotomic
+# parameters, and sample_rep normalizes l1 and lastrel to Z = (1,).
+_FIXED_LEVEL = {"daha": 0, "deg-daha": 0, "l1": 1, "lastrel": 1}
+
+
+def _check_level(ap, args, family):
+    """--l of a family: a fixed-level family takes no other level, and
+    args.l becomes that level when --l is not given.  The cyclotomic
+    families need l >= 1; at l = 0 they pass vacuously."""
+    fixed = _FIXED_LEVEL.get(family)
+    if fixed is None:
+        if args.l is None:
+            ap.error(f"--l must be given for {family} (at least 1)")
+        if args.l < 1:
+            ap.error(f"--l must be at least 1 for {family}, got {args.l}")
+    elif args.l is None:
+        args.l = fixed
+    elif args.l != fixed:
+        ap.error(f"--l: {family} has level {fixed}, got {args.l}")
 
 
 def _number(ap, flag, text, parse=parse_rational):
@@ -487,9 +502,7 @@ def _check_quasi(ap, args, q):
 def _check_sweep_args(ap, args):
     """Relation and expression checks."""
     _at_least_one(ap, args, "N")
-    if args.l < 0:
-        ap.error(f"--l must be non-negative, got {args.l}")
-    _check_level(ap, args.family, args.l)
+    _check_level(ap, args, args.family)
     if args.mode == "box" and args.B < 0:
         ap.error(f"--B must be non-negative in box mode, got {args.B}")
     if args.mode == "random" and args.trials < 1:
@@ -519,7 +532,7 @@ def _check_commute(ap, args):
     _at_least_one(ap, args, "N")
     if args.maxdeg < 0:
         ap.error(f"--maxdeg must be non-negative, got {args.maxdeg}")
-    _check_level(ap, "cyc-daha", args.l)
+    _check_level(ap, args, "cyc-daha")
     for name in ("r1", "r2"):
         r = getattr(args, name)
         if not 1 <= r <= args.N:

@@ -49,11 +49,9 @@ split into numerator and den once per distinct n in each call.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Mapping
-from fractions import Fraction
 
 from . import kernel as K
 from .scalars import QQ, binomial_fraction
@@ -364,13 +362,6 @@ class LaurentPoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _glex_key(t[0]), reverse=True)
 
-    def coefficient(self, exps):
-        n = self.nums.get(tuple(exps))
-        return self.dom.zero if n is None else self.dom.join(n, self.den)
-
-    def is_polynomial(self):
-        return all(min(e) >= 0 for e in self.nums) if self.nums else True
-
     # -- substitutions ------------------------------------------------------
 
     def scale_var(self, i, c):
@@ -606,15 +597,6 @@ class LaurentPoly:
         return q
 
     # -- symmetry -----------------------------------------------------------
-
-    def symmetrize(self):
-        """Average over all N! variable permutations."""
-        total = LaurentPoly.zero(self.N, self.dom)
-        count = 0
-        for perm in itertools.permutations(range(1, self.N + 1)):
-            total = total + self.permute(list(perm))
-            count += 1
-        return total * Fraction(1, count)
 
     def is_symmetric(self):
         return all(self.swap(i, i + 1) == self for i in range(1, self.N))

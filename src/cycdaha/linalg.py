@@ -8,7 +8,9 @@ integers; ``nullspace`` reads its vectors off those integer rows, one
 Fraction per free-column entry.  Other exact fields (cyclotomics, rational
 functions) use ordinary Gaussian elimination, which stays exact.  The
 first nonzero entry tells the two apart, and ``x / x`` of that entry is
-the field's unit, so no caller passes one.
+the field's unit, so no caller passes one.  ``_row_echelon_field`` stays
+beside the integer path: it is the only elimination for Q(zeta_l) and Q(t)
+rows, and the tests use it as the reference for the integer path.
 
 A small immutable Matrix class over Fraction covers the matrix work of the
 quiver/bow modules; its inverse and solver use the same row_echelon.

@@ -54,11 +54,6 @@ def hecke_symmetrizer_expr(rep):
     return (1 / total) * expr
 
 
-def hecke_symmetrize(rep, p):
-    """Apply the finite Hecke symmetrizer to a Laurent polynomial."""
-    return rep.apply(hecke_symmetrizer_expr(rep), p)
-
-
 # ---------------------------------------------------------------------------
 # rational-coefficient difference operators
 

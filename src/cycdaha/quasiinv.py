@@ -434,14 +434,6 @@ def expected_twisted_series(Ns, m, shapes, truncation):
     return series
 
 
-def kostka(shape, truncation=None):
-    """Kostka polynomial coefficients (charge statistic); optionally padded."""
-    k = kostka_polynomial(tuple(shape))
-    if truncation is not None:
-        k = (k + [0] * (truncation + 1))[: truncation + 1]
-    return k
-
-
 # ---------------------------------------------------------------------------
 # symmetry-split series (for the h_+ / h_- refinement)
 

@@ -1,6 +1,7 @@
 """Exact matrix realization of multiplicative quiver varieties on the cyclic
 quiver with a Calogero-Moser vertex, the associated quadruple variety, the
-product formulas linking them, and Van den Bergh / fusion moment maps.
+product formulas linking them, Van den Bergh moment maps and the fusion
+telescoping of framing pairs.
 
 Points are matrices over the rationals; every certification is an exact
 residual check.
@@ -303,34 +304,6 @@ def vdb_moment(X, Y):
     if not one_plus_xy.is_invertible() or not one_plus_yx.is_invertible():
         raise SingularFactor("1 + XY must be invertible")
     return one_plus_yx.inverse(), one_plus_xy
-
-
-def fusion_moment(arrow_pairs, framing_pairs):
-    """Moment-map factor at one vertex: the ordered product
-    prod (1 + C_h C_h*)^{eps(h)} over arrows times prod (1 + a_j b_j) over
-    framing lines.
-
-    arrow_pairs: list of (C, Cstar, eps) with eps = +1 or -1;
-    framing_pairs: list of (a, b) with a a column and b a row.
-    """
-    size = None
-    for C, Cs, _ in arrow_pairs:
-        size = (C * Cs).m
-        break
-    if size is None and framing_pairs:
-        a, b = framing_pairs[0]
-        size = a.m
-    out = _eye(size)
-    for C, Cs, eps in arrow_pairs:
-        f = _eye(size) + C * Cs
-        if eps < 0:
-            if not f.is_invertible():
-                raise SingularFactor("non-invertible fusion factor")
-            f = f.inverse()
-        out = out * f
-    for a, b in framing_pairs:
-        out = out * (_eye(size) + a * b)
-    return out
 
 
 def telescoped_framing(framing_pairs):

@@ -26,14 +26,6 @@ def content_sum(shape):
     return sum(j - i for i, row in enumerate(shape) for j in range(row))
 
 
-def conjugate(shape):
-    if not shape:
-        return ()
-    return tuple(
-        sum(1 for r in shape if r > i) for i in range(shape[0])
-    )
-
-
 def standard_tableaux(shape):
     """All standard Young tableaux of the given shape, entries 1..n."""
     n = sum(shape)

@@ -28,6 +28,11 @@ def test_relations_verify_passes(capsys):
     assert code == 0
     assert report["status"] == "pass"
     assert report["report"]["all_pass"]
+    # without --l, a fixed-level family runs at its own level and says so
+    code, report = run_cli(
+        ["relations", "verify", "--family", "lastrel", "--N", "2", "--B", "1"], capsys
+    )
+    assert code == 0 and report["config"]["l"] == 1
 
 
 def test_report_determinism(capsys, tmp_path):
@@ -149,7 +154,8 @@ def test_usage_error_exit_code_two(capsys, tmp_path):
             with pytest.raises(SystemExit) as exc:
                 main(cmd + bad)
             assert exc.value.code == 2, cmd + bad
-    # the cyclotomic families at the default --l 0 would pass vacuously
+    # the cyclotomic families need --l of at least 1 (at l = 0 they pass
+    # vacuously)
     for cmd in (["relations", "verify", "--family", "cyc-daha", "--N", "2", "--B", "1"],
                 ["relations", "verify", "--family", "deg-cyc", "--N", "2"],
                 ["relations", "involution", "--family", "cyc-daha", "--N", "2", "--l", "0"],
@@ -211,6 +217,16 @@ def test_usage_error_exit_code_two(capsys, tmp_path):
         ("--r2", commute + ["--r1", "1", "--r2", "3"]),
         ("--maxdeg", commute + ["--r1", "1", "--r2", "2", "--maxdeg", "-1"]),
         ("--N", ["relations", "involution", "--family", "l1", "--N", "0"]),
+        # --l other than the level of a fixed-level family
+        ("--l", ["relations", "involution", "--family", "l1", "--N", "2", "--l", "2"]),
+        ("--l", ["relations", "verify", "--family", "lastrel", "--N", "2", "--l", "3",
+                 "--B", "0"]),
+        ("--l", ["relations", "verify", "--family", "daha", "--N", "2", "--l", "2"]),
+        ("--l", ["relations", "verify", "--family", "deg-daha", "--N", "2", "--l", "1"]),
+        ("--l", ["expr", "equal", "--family", "daha", "--N", "2", "--l", "2",
+                 "--lhs", "X1", "--rhs", "X1"]),
+        ("--l", ["expr", "equal", "--family", "l1", "--N", "2", "--l", "0",
+                 "--lhs", "X1", "--rhs", "X1"]),
     ):
         with pytest.raises(SystemExit) as exc:
             main(cmd)
@@ -220,7 +236,8 @@ def test_usage_error_exit_code_two(capsys, tmp_path):
     for family, token in (("deg-daha", "T1"), ("daha", "X5"), ("daha", "s2"),
                           ("daha", "T2^-1"), ("daha", "DO1"), ("cyc-daha", "y1"),
                           ("deg-daha", "tau1"), ("deg-cyc", "tau2")):
-        cmd = ["expr", "equal", "--family", family, "--N", "2", "--l", "1",
+        level = ["--l", "1"] if family in ("cyc-daha", "deg-cyc") else []
+        cmd = ["expr", "equal", "--family", family, "--N", "2", *level,
                "--lhs", "X1", "--rhs", f"[X1 {token}]"]
         with pytest.raises(SystemExit) as exc:
             main(cmd)

@@ -135,7 +135,7 @@ def test_polynomial_preservation():
         p = rep.monomial(e)
         for g in (Gen("Dl", 1), Gen("Dl", 2), Gen("pi-")):
             img = rep.apply_gen(g, p)
-            assert img.is_polynomial(), (g, e)
+            assert all(min(x) >= 0 for x in img.terms), (g, e)
 
 
 def test_box_equality_examples():

@@ -28,8 +28,8 @@ def _check_rank_one(l, c, kpar=Fraction(2, 3)):
             p = rep_cyc.apply_gen(Gen("DO", 1), p)
         q = rep_deg.apply_gen(Gen("Dl", 1), rep_deg.monomial((k,)))
         # compare coefficients: p = coeff * x^(l(k-1)), q = coeff' * X^(k-1)
-        pc = p.coefficient((l * (k - 1),))
-        qc = q.coefficient((k - 1,))
+        pc = p.terms.get((l * (k - 1),), 0)
+        qc = q.terms.get((k - 1,), 0)
         assert p.terms.keys() <= {(l * (k - 1),)}
         assert q.terms.keys() <= {(k - 1,)}
         assert pc == scale * qc, (l, k, pc, qc)

@@ -11,7 +11,6 @@ from cycdaha.quiver import (
     XNotInvertible,
     check_point,
     check_quadruple,
-    fusion_moment,
     irreducibility_check,
     lift_open_locus,
     moment_equivariance_check,
@@ -153,24 +152,13 @@ def test_fusion_moment_and_telescoping():
     rng = Random(4)
     a1, b1 = Matrix.random(rng, 2, 1), Matrix.random(rng, 1, 2)
     a2, b2 = Matrix.random(rng, 2, 1), Matrix.random(rng, 1, 2)
-    mu = fusion_moment([], [(a1, b1), (a2, b2)])
     I = Matrix.identity(2)
-    assert mu == (I + a1 * b1) * (I + a2 * b2)
     tilded, ok = telescoped_framing([(a1, b1), (a2, b2)])
     assert ok
     assert tilded[0][0] == a1 and tilded[1][0] == (I + a1 * b1) * a2
-
-
-def test_fusion_moment_with_arrows():
-    rng = Random(9)
-    C = Matrix.random(rng, 2, 2)
-    Cs = Matrix.random(rng, 2, 2)
-    I = Matrix.identity(2)
-    mu = fusion_moment([(C, Cs, 1)], [])
-    assert mu == I + C * Cs
-    if (I + C * Cs).is_invertible():
-        mu_inv = fusion_moment([(C, Cs, -1)], [])
-        assert mu * mu_inv == I
+    # the repackaged framing sums to the fusion product of the framing factors
+    total = I + sum((a * b for a, b in tilded), Matrix.zero(2, 2))
+    assert total == (I + a1 * b1) * (I + a2 * b2)
 
 
 def test_point_json_round_trip():

@@ -1,5 +1,6 @@
 """Repository hygiene: git tracks no file that .gitignore excludes (generated
-or stale), and every name a module imports is used in it."""
+or stale), every name a module imports is used in it, and every function,
+class and method in src/ is reached from the acceptance battery or the CLI."""
 
 import ast
 import shutil
@@ -48,3 +49,121 @@ def test_every_import_is_used():
         (ROOT / "tests").glob("*.py"))
     unused = [u for path in modules for u in _unused_imports(path)]
     assert not unused, "imported but unused:\n" + "\n".join(unused)
+
+
+# Where the library's verdicts reach users: the acceptance battery and the
+# command line.  Module-level statements are roots too, since they run on
+# import (catalog tables, the criterion list).
+REACH_ROOTS = ("acceptance.run_all", "cli.main")
+
+# Defs kept although no verdict calls them yet, each for a planned criterion
+# (ROADMAP open items):
+REACH_ALLOWLIST = (
+    "scalars.z_from_c",             # item 1: the deg-cyc <-> cyc parameter map
+    "algebra.basis_monomials",      # item 3: the PBW criterion over QQ
+    "algebra.independence_check",   # item 3
+)
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _loaded_names(nodes):
+    """Names the nodes load as a Name or an attribute (string constants and
+    import aliases do not count)."""
+    out = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add(node.attr)
+    return out
+
+
+def unreached_defs(sources, roots, allowlist):
+    """(unreached, stale) for {module: source text}.
+
+    The defs are each module's top-level functions and classes and the
+    methods of those classes, named "module.name" or "module.Class.name".
+    Starting from the roots, the allowlist and every module-level statement,
+    a def is reached when a reached body loads its bare name; a reached class
+    also brings its dunder methods.  stale lists allowlist entries that name
+    no def."""
+    defs = {}  # qualified name -> (bare name, body nodes, dunder methods)
+    names = set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, _DEFS):
+                defs[f"{module}.{node.name}"] = (node.name, [node], [])
+            elif isinstance(node, ast.ClassDef):
+                dunders = []
+                for sub in node.body:
+                    if isinstance(sub, _DEFS):
+                        qual = f"{module}.{node.name}.{sub.name}"
+                        defs[qual] = (sub.name, [sub], [])
+                        if sub.name.startswith("__") and sub.name.endswith("__"):
+                            dunders.append(qual)
+                rest = [sub for sub in node.body if not isinstance(sub, _DEFS)]
+                body = node.bases + node.keywords + node.decorator_list + rest
+                defs[f"{module}.{node.name}"] = (node.name, body, dunders)
+            else:
+                names |= _loaded_names([node])
+    reached = set()
+    todo = [q for q in (*roots, *allowlist) if q in defs]
+    while True:
+        todo += [q for q, (name, _, _) in defs.items() if name in names and q not in reached]
+        if not todo:
+            break
+        qual = todo.pop()
+        if qual not in reached:
+            reached.add(qual)
+            _, body, dunders = defs[qual]
+            names |= _loaded_names(body)
+            todo += dunders
+    return sorted(set(defs) - reached), sorted(set(allowlist) - set(defs))
+
+
+def test_unreached_defs_checker_reports_both_faults():
+    source = """
+TABLE = {"x": lambda: kept()}
+
+
+def main():
+    return helper() + Box().size
+
+
+def helper():
+    return 1
+
+
+def kept():
+    pass
+
+
+def planted():
+    pass
+
+
+class Box:
+    def __init__(self):
+        self.n = 1
+
+    @property
+    def size(self):
+        return self.n
+
+    def unused(self):
+        return "planted"
+"""
+    unreached, stale = unreached_defs({"m": source}, ("m.main",), ("m.gone",))
+    assert unreached == ["m.Box.unused", "m.planted"]
+    assert stale == ["m.gone"]
+
+
+def test_every_def_serves_a_verdict():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "cycdaha").glob("*.py"))}
+    unreached, stale = unreached_defs(sources, REACH_ROOTS, REACH_ALLOWLIST)
+    assert not (unreached or stale), (
+        "reached from neither acceptance.run_all nor cli.main:\n" + "\n".join(unreached)
+        + "\nallowlist entries that name no def:\n" + "\n".join(stale))
