@@ -556,13 +556,8 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(names=None):
-    out = []
-    for fn in ALL_CRITERIA:
-        if names and not any(n in fn.criterion_name for n in names):
-            continue
-        out.append(fn())
-    return out
+def run_all():
+    return [fn() for fn in ALL_CRITERIA]
 
 
 def run_smoke():

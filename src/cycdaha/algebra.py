@@ -780,10 +780,19 @@ def rep_family_for(family):
 
 # -- generic-parameter representation samplers --------------------------------
 
+# The families whose level is fixed: daha and deg-daha have no cyclotomic
+# parameters, and l1 and lastrel are normalized to Z = (1,).  cyc-daha and
+# deg-cyc take any level l >= 1.
+FIXED_LEVEL = {"daha": 0, "deg-daha": 0, "l1": 1, "lastrel": 1}
+
+
 def sample_rep(family, N, l=0, seed=0):
     """A representation with generic parameters drawn deterministically: q
     and tb are no root of unity of order up to 24, and no ratio Z_i / Z_j is
     a power q^p with |p| <= 8."""
+    fixed = FIXED_LEVEL.get(family)
+    if fixed is not None and l != fixed:
+        raise ValueError(f"{family} has level {fixed}, got {l}")
     # at l = 0 every cyclotomic product is the empty product 1, so the
     # cyclotomic relations would hold vacuously
     if family in ("cyc-daha", "deg-cyc") and l < 1:

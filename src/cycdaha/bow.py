@@ -94,80 +94,53 @@ class BowData:
         )
 
 
-def _largest_stable_subspace(inside_kernels, op):
-    """Largest op-stable subspace contained in the intersection of the
-    kernels of the given matrices (decreasing fixed-point iteration).
-
-    Returns a list of independent column vectors (empty = zero subspace).
-    """
-    if not inside_kernels:
-        raise ValueError("need at least one kernel constraint")
-    stacked = inside_kernels[0]
-    for m in inside_kernels[1:]:
-        stacked = stacked.vstack(m)
-    basis = stacked.kernel_basis()
-    while basis:
-        # W_next = W cap op^-1(W): solve for v in W with op v in W
-        span = Matrix([[v.rows[i][0] for v in basis] for i in range(basis[0].m)])
-        img = op * span
-        # op v in W  <=>  img coefficients solvable: find kernel of the
-        # composite map W -> ambient/W
-        comp = span.left_kernel_matrix()
-        if comp.m == 0:
+def _largest_stable_subspace(M, op):
+    """Largest op-stable subspace of ker M (decreasing fixed-point
+    iteration W -> W cap op^-1(W)), as the matrix whose columns are a
+    basis (no columns = zero subspace)."""
+    W = M.kernel()
+    while W.n:
+        # op v in W for v = W c  <=>  c in ker(ann(W) op W)
+        ann = W.T.kernel().T
+        if ann.m == 0:
             break  # W is the whole space and op-stable
-        rows = comp * img
-        coeff_kernel = rows.kernel_basis()
-        new_basis = [span * c for c in coeff_kernel]
-        if len(new_basis) == len(basis):
+        smaller = W * (ann * (op * W)).kernel()
+        if smaller.n == W.n:
             break
-        basis = new_basis
-    return basis
-
-
-def _smallest_stable_containing(seed_columns, op):
-    """Smallest op-stable subspace containing the given column spans."""
-    seeds = []
-    for m in seed_columns:
-        for j in range(m.n):
-            col = Matrix.column([m.rows[i][j] for i in range(m.m)])
-            if not col.is_zero():
-                seeds.append(col)
-    return span_closure(seeds, [op])
+        W = smaller
+    return W
 
 
 def check_bow(bow):
     """Exact equation residuals plus the two stability conditions."""
     d1, d2, d3 = bow.dims
-    res = []
-    ok = True
     if bow.orientation == CIRCLE_CROSS:
         IA = Matrix.identity(d1)
         IB = Matrix.identity(d2)
         e1 = bow.B1 * (IA + bow.D * bow.C) - IA * (bow.t * bow.Z)
         e2 = bow.B2 * (IB + bow.C * bow.D) - IB * bow.Zp
         e3 = bow.B3 * bow.A - bow.A * bow.B2 + bow.a * bow.b
-        s1_space = _largest_stable_subspace([bow.A, bow.b], bow.B2)
-        s2_space = _smallest_stable_containing([bow.A, bow.a], bow.B3)
-        s2_ok = len(s2_space) == d3
+        source_loop, target_loop = bow.B2, bow.B3
     else:
         IB = Matrix.identity(d2)
         IC = Matrix.identity(d3)
         e1 = bow.B2 * (IB + bow.D * bow.C) - IB * (bow.t * bow.Z)
         e2 = bow.B3 * (IC + bow.C * bow.D) - IC * bow.Zp
         e3 = bow.B2 * bow.A - bow.A * bow.B1 + bow.a * bow.b
-        s1_space = _largest_stable_subspace([bow.A, bow.b], bow.B1)
-        s2_space = _smallest_stable_containing([bow.A, bow.a], bow.B2)
-        s2_ok = len(s2_space) == d2
-    for name, e in (("loop-left", e1), ("loop-right", e2), ("cross", e3)):
-        res.append({"equation": name, "zero": e.is_zero()})
-        ok &= e.is_zero()
-    s1_ok = len(s1_space) == 0
+        source_loop, target_loop = bow.B1, bow.B2
+    res = [{"equation": name, "zero": e.is_zero()}
+           for name, e in (("loop-left", e1), ("loop-right", e2), ("cross", e3))]
+    ok = all(r["zero"] for r in res)
+    s1_space = _largest_stable_subspace(bow.A.vstack(bow.b), source_loop)
+    s1_ok = s1_space.n == 0
+    seeds = [Matrix.column(c) for c in bow.A.hstack(bow.a).T.rows]
+    s2_ok = len(span_closure(seeds, [target_loop])) == target_loop.m
     return {
         "certified": ok and s1_ok and s2_ok,
         "equations_ok": ok,
         "residuals": res,
         "S1": s1_ok,
-        "S1_witness": [v.to_json() for v in s1_space] if not s1_ok else None,
+        "S1_witness": None if s1_ok else [Matrix.column(c).to_json() for c in s1_space.T.rows],
         "S2": s2_ok,
     }
 
@@ -220,12 +193,10 @@ def hw_transition(bow):
     alpha = bow.D.vstack(bow.A, bow.b)
     if alpha.rank() < d2:
         raise AlphaNotInjective("alpha = [D; A; b] is not injective")
-    beta = (bow.A * bow.B2 * bow.C).hstack(
-        bow.B3 - Matrix.scalar(d3, Zp), bow.a
-    )
+    beta = (bow.A * bow.B2 * bow.C).hstack(bow.B3 - Matrix.identity(d3) * Zp, bow.a)
     if not (beta * alpha).is_zero():
         raise InconsistentEquations("betaALPHA != 0")
-    proj = alpha.left_kernel_matrix()  # rows span the cokernel
+    proj = alpha.T.kernel().T  # rows span the cokernel
     d2n = proj.m
     assert d2n == d1 + d3 + 1 - d2
     An = proj.submatrix(range(d2n), range(d1))
@@ -238,11 +209,11 @@ def hw_transition(bow):
     if Cn * proj != target:
         raise InconsistentEquations("Cn does not descend")
     one_plus_CnDn = Matrix.identity(d3) + Cn * Dn
-    if one_plus_CnDn != Matrix.scalar(d3, Zp) * bow.B3.inverse():
+    if one_plus_CnDn != bow.B3.inverse() * Zp:
         raise InconsistentEquations("1 + Cn Dn != Z' B3^-1")
     B2n = (Matrix.identity(d2n) + Dn * Cn).inverse() * (t * Z)
     # internal identity: alpha_n = alpha C B1, entrywise
-    alpha_n = (Matrix.scalar(d1, t * Z) - bow.B1).vstack(
+    alpha_n = (Matrix.identity(d1) * (t * Z) - bow.B1).vstack(
         (Cn * B2n * An) * Fraction(-1), bn
     )
     if alpha_n != alpha * bow.C * bow.B1:
@@ -283,16 +254,15 @@ def hw_inverse(bow):
     d1, d2n, d3 = bow.dims
     t, Z, Zp = bow.t, bow.Z, bow.Zp
     beta_n = bow.A.hstack(bow.D, bow.a)
-    kern = beta_n.kernel_basis()
-    d2 = len(kern)
+    K = beta_n.kernel()
+    d2 = K.n
     if d2 != d1 + d3 + 1 - d2n:
         raise InconsistentEquations("kernel dimension mismatch")
-    K = Matrix([[v.rows[i][0] for v in kern] for i in range(d1 + d3 + 1)])
     D = K.submatrix(range(d1), range(d2))
     A = K.submatrix(range(d1, d1 + d3), range(d2))
     b = K.submatrix(range(d1 + d3, d1 + d3 + 1), range(d2))
     a = bow.B3 * bow.C * bow.a * Fraction(-1)
-    alpha_n = (Matrix.scalar(d1, t * Z) - bow.B1).vstack(
+    alpha_n = (Matrix.identity(d1) * (t * Z) - bow.B1).vstack(
         (bow.C * bow.B2 * bow.A) * Fraction(-1), bow.b
     )
     C = K.solve_right(alpha_n * bow.B1.inverse())
@@ -319,11 +289,7 @@ def hw_round_trip_check(bow):
     if back.dims != bow.dims:
         return {"ok": False, "reason": "dimension mismatch"}
     alpha = bow.D.vstack(bow.A, bow.b)
-    beta_n = new.A.hstack(new.D, new.a)
-    kern = beta_n.kernel_basis()
-    K = Matrix(
-        [[v.rows[i][0] for v in kern] for i in range(sum(bow.dims) - bow.dims[1] + 1)]
-    )
+    K = new.A.hstack(new.D, new.a).kernel()
     try:
         g = K.solve_right(alpha)
     except ValueError:
@@ -406,16 +372,17 @@ def hw_diagram(diagram, cross_edge):
 # ---------------------------------------------------------------------------
 # cobalanced two-cross segment (reduction toward a multiplicative quiver variety)
 
-def sample_cobalanced_segment(n, seed, t=Fraction(2), Z2=Fraction(3),
-                              Z4=Fraction(5, 2), max_attempts=300):
+def sample_cobalanced_segment(n, seed, max_attempts=300):
     """Random certified data on V1 -o- V2 -x- V3 -x- V4 -o- V5 with
-    dim V2 = dim V3 = dim V4 = n and the crosses normalized to A = id:
+    dim V2 = dim V3 = dim V4 = n, t = 2, Z2 = 3, Z4 = 5/2 and the crosses
+    normalized to A = id:
 
         B2 = Z2 (1 + C1 D1)^-1,   B3 = B2 - a3 b2,
         B4 = B3 - a4 b3,          B4 = t Z4 (1 + D4 C4)^-1.
 
     Returns the data dict; the last equation is solved for D4 with C4 = id.
     """
+    t, Z2, Z4 = Fraction(2), Fraction(3), Fraction(5, 2)
     rng = Random(seed)
     I = Matrix.identity(n)
     for _ in range(max_attempts):
@@ -466,33 +433,25 @@ def cobalanced_reduction_check(data):
 
     together with the rank-one telescoping repackaging of the two framings.
     """
-    n = data["n"]
-    I = Matrix.identity(n)
+    I = Matrix.identity(data["n"])
+    B3inv, B4inv = data["B3"].inverse(), data["B4"].inverse()
+    # the two rank-one factors (1 + B3^-1 a3 b2) and (1 + B4^-1 a4 b3)
+    f3 = I + B3inv * data["a3"] * data["b2"]
+    f4 = I + B4inv * data["a4"] * data["b3"]
     lhs = I + data["C1"] * data["D1"]
-    f1 = (I + data["B3"].inverse() * data["a3"] * data["b2"]).inverse()
-    f2 = (I + data["B4"].inverse() * data["a4"] * data["b3"]).inverse()
     rhs = (
-        f1
-        * f2
+        f3.inverse()
+        * f4.inverse()
         * (I + data["D4"] * data["C4"])
         * (data["Z2"] / (data["t"] * data["Z4"]))
     )
-    chain_ok = lhs == rhs
-    # framing repackaging: (1 + B4^-1 a4 b3)(1 + B3^-1 a3 b2)
-    #   = 1 + [a~3 a~4][b2; b3]
-    ta3 = (I + data["B4"].inverse() * data["a4"] * data["b3"]) * (
-        data["B3"].inverse() * data["a3"]
-    )
-    ta4 = data["B4"].inverse() * data["a4"]
-    lhs2 = (I + data["B4"].inverse() * data["a4"] * data["b3"]) * (
-        I + data["B3"].inverse() * data["a3"] * data["b2"]
-    )
-    rhs2 = I + ta3 * data["b2"] + ta4 * data["b3"]
-    telescoping_ok = lhs2 == rhs2
+    # framing repackaging: f4 f3 = 1 + [a~3 a~4][b2; b3]
+    ta3 = f4 * (B3inv * data["a3"])
+    ta4 = B4inv * data["a4"]
     # cobalanced stability forces the (normalized) cross maps invertible;
     # here A = id by construction, so check the derived loops instead
     return {
-        "chain_identity": chain_ok,
-        "telescoping": telescoping_ok,
+        "chain_identity": lhs == rhs,
+        "telescoping": f4 * f3 == I + ta3 * data["b2"] + ta4 * data["b3"],
         "loops_invertible": data["B3"].is_invertible() and data["B4"].is_invertible(),
     }

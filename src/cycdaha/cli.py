@@ -452,16 +452,13 @@ def _at_least_one(ap, args, *names):
             ap.error(f"--{name} must be at least 1, got {getattr(args, name)}")
 
 
-# The families whose level is fixed: daha and deg-daha have no cyclotomic
-# parameters, and sample_rep normalizes l1 and lastrel to Z = (1,).
-_FIXED_LEVEL = {"daha": 0, "deg-daha": 0, "l1": 1, "lastrel": 1}
-
-
 def _check_level(ap, args, family):
     """--l of a family: a fixed-level family takes no other level, and
     args.l becomes that level when --l is not given.  The cyclotomic
     families need l >= 1; at l = 0 they pass vacuously."""
-    fixed = _FIXED_LEVEL.get(family)
+    from .algebra import FIXED_LEVEL
+
+    fixed = FIXED_LEVEL.get(family)
     if fixed is None:
         if args.l is None:
             ap.error(f"--l must be given for {family} (at least 1)")

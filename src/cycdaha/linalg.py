@@ -12,9 +12,12 @@ the field's unit, so no caller passes one.  ``_row_echelon_field`` stays
 beside the integer path: it is the only elimination for Q(zeta_l) and Q(t)
 rows, and the tests use it as the reference for the integer path.
 
-A small immutable Matrix class over Fraction covers the matrix work of the
-quiver/bow modules; its inverse and solver use the same row_echelon.
-"""
+A small immutable Matrix class covers the matrix work of the quiver and
+bow modules.  It holds the exact int and Fraction entries it is given and
+never re-casts them; its inverse and solver use the same row_echelon.
+There is one kernel, ``Matrix.kernel`` (the left kernel of M is
+``M.T.kernel().T``), and one invariant-subspace closure, ``span_closure``,
+which also gives the dimension of a generated matrix algebra."""
 
 from __future__ import annotations
 
@@ -161,28 +164,27 @@ def nullspace(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# small exact matrices over Fraction
+# small exact matrices
 
 class Matrix:
-    """Immutable dense matrix over Fraction.
+    """Immutable dense matrix holding exact entries (ints, Fractions) as given.
 
-    Zero-dimensional shapes are supported through the explicit shape
-    argument (rows cannot carry a column count when there are no rows).
+    Nothing re-casts an entry: sums and products keep the type the exact
+    arithmetic gives.  Zero-dimensional shapes are supported through the
+    explicit shape argument (rows cannot carry a column count when there
+    are no rows).  ``kernel`` is the one kernel: its columns span the right
+    kernel, and ``M.T.kernel().T`` has rows spanning the left one.
     """
 
     __slots__ = ("m", "n", "rows")
 
     def __init__(self, rows, shape=None):
-        self.rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        if shape is not None:
-            self.m, self.n = shape
-            if self.rows and (len(self.rows) != self.m or len(self.rows[0]) != self.n):
-                raise ValueError("shape disagrees with rows")
-        else:
-            self.m = len(self.rows)
-            self.n = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.n for r in self.rows):
-            raise ValueError("ragged rows")
+        self.rows = tuple(tuple(r) for r in rows)
+        if shape is None:
+            shape = (len(self.rows), len(self.rows[0]) if self.rows else 0)
+        self.m, self.n = shape
+        if len(self.rows) != self.m or any(len(r) != self.n for r in self.rows):
+            raise ValueError(f"rows disagree with shape {shape}")
 
     @classmethod
     def identity(cls, n):
@@ -191,11 +193,6 @@ class Matrix:
     @classmethod
     def zero(cls, m, n):
         return cls([[0] * n for _ in range(m)], shape=(m, n))
-
-    @classmethod
-    def scalar(cls, n, c):
-        c = Fraction(c)
-        return cls([[c if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def random(cls, rng, m, n):
@@ -210,10 +207,6 @@ class Matrix:
     @classmethod
     def column(cls, entries):
         return cls([[x] for x in entries])
-
-    @classmethod
-    def row(cls, entries):
-        return cls([list(entries)])
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -231,25 +224,16 @@ class Matrix:
             shape=self.shape,
         )
 
-    def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.rows], shape=self.shape)
-
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.n != other.m:
-                raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-            if self.n == 0 or self.m == 0 or other.n == 0:
-                return Matrix.zero(self.m, other.n)
-            cols = list(zip(*other.rows))
-            return Matrix(
-                [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self.rows]
-            )
-        c = Fraction(other)
-        return Matrix([[c * a for a in r] for r in self.rows], shape=self.shape)
-
-    def __rmul__(self, other):
-        c = Fraction(other)
-        return Matrix([[c * a for a in r] for r in self.rows], shape=self.shape)
+        if not isinstance(other, Matrix):
+            return Matrix([[other * a for a in r] for r in self.rows], shape=self.shape)
+        if self.n != other.m:
+            raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
+        cols = other.T.rows
+        return Matrix(
+            [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self.rows],
+            shape=(self.m, other.n),
+        )
 
     def __eq__(self, other):
         return (
@@ -257,9 +241,6 @@ class Matrix:
             and self.shape == other.shape
             and self.rows == other.rows
         )
-
-    def __hash__(self):
-        return hash((self.shape, self.rows))
 
     @property
     def shape(self):
@@ -270,16 +251,13 @@ class Matrix:
 
     @property
     def T(self):
-        return Matrix(list(zip(*self.rows)), shape=(self.n, self.m))
+        return Matrix(zip(*self.rows) if self.m else [()] * self.n, shape=(self.n, self.m))
 
     def trace(self):
         return sum(self.rows[i][i] for i in range(min(self.m, self.n)))
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def rank(self):
-        return matrix_rank([list(r) for r in self.rows], self.n) if self.rows else 0
+        return matrix_rank(self.rows, self.n)
 
     def inverse(self):
         if self.m != self.n:
@@ -289,7 +267,7 @@ class Matrix:
         rank, pivots, ech = row_echelon(aug, 2 * n)
         if rank < n or pivots[:n] != list(range(n)):
             raise ZeroDivisionError("singular matrix")
-        return Matrix([r[n:] for r in ech])
+        return Matrix([r[n:] for r in ech], shape=(n, n))
 
     def is_invertible(self):
         return self.m == self.n and self.rank() == self.n
@@ -304,22 +282,15 @@ class Matrix:
         M = Matrix.zero(n, n)
         c = Fraction(1)
         for k in range(1, n + 1):
-            M = self * M + Matrix.scalar(n, c)
-            c = -(self * M).trace() / k
+            M = self * M + Matrix.identity(n) * c
+            c = Fraction(-(self * M).trace(), k)
             coeffs[n - k] = c
         return coeffs
 
-    def kernel_basis(self):
-        """Columns spanning the right kernel, as a list of column Matrices."""
-        vecs = nullspace([list(r) for r in self.rows], self.n)
-        return [Matrix.column(v) for v in vecs]
-
-    def left_kernel_matrix(self):
-        """Matrix whose rows span the left null space (may have 0 rows)."""
-        vecs = nullspace([list(r) for r in self.T.rows], self.m)
-        if not vecs:
-            return Matrix.zero(0, self.m) if self.m else Matrix([])
-        return Matrix(vecs)
+    def kernel(self):
+        """The n x k matrix whose columns span the right kernel."""
+        vecs = nullspace(self.rows, self.n)
+        return Matrix(vecs, shape=(len(vecs), self.n)).T
 
     def hstack(self, *others):
         rows = [list(r) for r in self.rows]
@@ -356,7 +327,7 @@ class Matrix:
         rank, pivots, ech = row_echelon(aug.rows, aug.n)
         if any(p >= self.n for p in pivots):
             raise ValueError("inconsistent system")
-        out = [[Fraction(0)] * rhs.n for _ in range(self.n)]
+        out = [[0] * rhs.n for _ in range(self.n)]
         for i, p in enumerate(pivots):
             for j in range(rhs.n):
                 out[p][j] = ech[i][self.n + j]
@@ -366,10 +337,7 @@ class Matrix:
         return X
 
     def to_json(self):
-        def fmt(x):
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-        return [[fmt(x) for x in r] for r in self.rows]
+        return [[str(x) for x in r] for r in self.rows]
 
     @classmethod
     def from_json(cls, data):
@@ -379,71 +347,47 @@ class Matrix:
         return "Matrix(" + "; ".join(" ".join(str(x) for x in r) for r in self.rows) + ")"
 
 
-def span_closure(seed_vectors, operators):
-    """Smallest operator-invariant subspace containing the seed vectors.
+def span_closure(seeds, operators):
+    """Smallest operator-invariant subspace containing the seeds.
 
-    seed_vectors: list of column Matrices; operators: list of square
-    Matrices.  Returns a list of linearly independent column vectors.
+    seeds: Matrices of one shape (columns, or n x n matrices); operators:
+    square Matrices acting on them from the left.  Each candidate is
+    reduced against an integer echelon basis of what is kept so far, which
+    grows one row at a time.  Returns the kept Matrices, in the order they
+    were found: a basis of the subspace.
     """
-    if not seed_vectors:
-        return []
-    dim = seed_vectors[0].m
-    basis_rows = []
+    echelon = []  # (pivot column, primitive integer row), in insertion order
+    kept = []
 
-    def add(vec):
-        row = [vec.rows[i][0] for i in range(dim)]
-        cand = basis_rows + [row]
-        if matrix_rank(cand, dim) > len(basis_rows):
-            basis_rows.append(row)
-            return True
-        return False
+    def add(mat):
+        row = [x for r in mat.rows for x in r]
+        if not any(row):
+            return False
+        (row,) = _int_rows([row])
+        for p, e in echelon:
+            c = row[p]
+            if c:
+                row = [e[p] * a - c * b for a, b in zip(row, e)]
+        if not any(row):
+            return False
+        g = gcd(*row)
+        echelon.append((next(j for j, x in enumerate(row) if x), [v // g for v in row]))
+        kept.append(mat)
+        return True
 
-    frontier = []
-    for v in seed_vectors:
-        if add(v):
-            frontier.append(v)
+    frontier = [v for v in seeds if add(v)]
     while frontier:
-        new_frontier = []
-        for v in frontier:
-            for op in operators:
-                w = op * v
-                if not w.is_zero() and add(w):
-                    new_frontier.append(w)
-        frontier = new_frontier
-    return [Matrix.column(r) for r in basis_rows]
+        frontier = [w for w in (op * v for v in frontier for op in operators) if add(w)]
+    return kept
 
 
 def algebra_closure_dim(generators):
-    """Dimension of the unital matrix algebra generated by the given matrices.
+    """Dimension of the unital matrix algebra generated by the given matrices:
+    left multiplication from the identity reaches every word in them.
 
     Burnside: the generators act irreducibly on C^n iff this equals n^2.
     """
-    if not generators:
-        return 1
-    n = generators[0].m
-    flat = []
-
-    def add(mat):
-        row = [mat.rows[i][j] for i in range(n) for j in range(n)]
-        cand = flat + [row]
-        if matrix_rank(cand, n * n) > len(flat):
-            flat.append(row)
-            return True
-        return False
-
-    frontier = []
-    for m in [Matrix.identity(n)] + list(generators):
-        if add(m):
-            frontier.append(m)
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            for g in generators:
-                for prod in (g * m, m * g):
-                    if add(prod):
-                        new_frontier.append(prod)
-        frontier = new_frontier
-    return len(flat)
+    return len(span_closure([Matrix.identity(generators[0].m)], generators))
 
 
 def rational_eigenvalues(mat):

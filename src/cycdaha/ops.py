@@ -530,18 +530,16 @@ def box_monomials(N, B):
     return itertools.product(range(-B, B + 1), repeat=N)
 
 
-def op_equal_on_box(rep, a, b, box_radius=None):
+def op_equal_on_box(rep, a, b, box_radius):
     """Compare two operator expressions on every monomial with exponents in
-    [-B, B]^N.  Returns a report dict with a witness on failure.
+    [-B, B]^N, B = box_radius.  Returns a report dict with a witness on
+    failure.
 
-    When box_radius is omitted the conservative default 2*(longest word)+2
-    applies.  Equality on a box certifies representation-level equality at
+    Equality on a box certifies representation-level equality at
     the given parameters; at generic parameters the polynomial
     representation is faithful, so this is the algebra-level claim being
     tested.
     """
-    if box_radius is None:
-        box_radius = default_box_radius(a, b)
     N, dom, one = rep.N, rep.dom, rep._one
     for e in box_monomials(N, box_radius):
         p = LaurentPoly._make(N, dom, {e: one})
@@ -575,15 +573,6 @@ def _report(a, b, mode, extent, witness=None, ia=None, ib=None):
     if witness is not None:
         out["witness"] = {**witness, "lhs_image": ia.to_json(), "rhs_image": ib.to_json()}
     return out
-
-
-def default_box_radius(a, b):
-    """Conservative default: 2 * (longest word length) + 2."""
-    n = 0
-    for expr in (a, b):
-        for w in expr.terms:
-            n = max(n, len(w))
-    return 2 * n + 2
 
 
 def _permutations_with_words(N, tag):

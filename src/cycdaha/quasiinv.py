@@ -380,15 +380,13 @@ def graded_basis(spec, maxdeg):
     return GradedBasis(spec, out)
 
 
-def freeness_numerator(dims, N, truncation=None):
-    """Coefficients of series * prod_{i=1}^N (1 - t^i), with a negativity flag.
+def freeness_numerator(dims, N):
+    """Coefficients of series * prod_{i=1}^N (1 - t^i) up to the degree of
+    dims, with a negativity flag.
 
-    A negative coefficient within the valid truncation obstructs freeness
-    over the symmetric polynomials.
+    A negative coefficient obstructs freeness over the symmetric
+    polynomials.
     """
-    if truncation is None:
-        truncation = len(dims) - 1
-    truncation = min(truncation, len(dims) - 1)
     poly = [1]
     for i in range(1, N + 1):
         new = [0] * (len(poly) + i)
@@ -396,8 +394,8 @@ def freeness_numerator(dims, N, truncation=None):
             new[d] += c
             new[d + i] -= c
         poly = new
-    numer = [0] * (truncation + 1)
-    for k in range(truncation + 1):
+    numer = [0] * len(dims)
+    for k in range(len(dims)):
         acc = 0
         for d, c in enumerate(poly):
             if d > k:

@@ -211,9 +211,10 @@ def product_formulas(p):
     }
 
 
-def sample_chain(l, N, Z, seed, t=None, max_attempts=200):
-    """A certified random point: draw invertible X_i and D_1, solve the
-    chain equations for D_2..D_l, and read T off the closing equation.
+def sample_chain(l, N, Z, seed, max_attempts=200):
+    """A certified random point at t = 2: draw invertible X_i and D_1,
+    solve the chain equations for D_2..D_l, and read T off the closing
+    equation.
 
     T is derived, not necessarily in the special conjugacy class; the
     caller can inspect check_point()['T_in_special_class'].
@@ -236,8 +237,7 @@ def sample_chain(l, N, Z, seed, t=None, max_attempts=200):
         if not M.is_invertible():
             continue
         T = M.inverse() * (I + D[l - 1] * X[l - 1]) * (Z[l - 1] / Z[0])
-        tval = Fraction(t) if t is not None else Fraction(2)
-        point = QuiverPoint(l, N, Z, tval, X, D, T)
+        point = QuiverPoint(l, N, Z, Fraction(2), X, D, T)
         if check_point(point)["certified"]:
             return point
     raise SamplingExhausted("could not sample a certified point")
@@ -282,8 +282,8 @@ def irreducibility_check(q):
     witness = None
     if not irreducible:
         for lam in rational_eigenvalues(q.Y):
-            for v in (q.Y - Matrix.scalar(q.N, lam)).kernel_basis():
-                closure = span_closure([v], gens)
+            for v in (q.Y - _eye(q.N) * lam).kernel().T.rows:
+                closure = span_closure([Matrix.column(v)], gens)
                 if 0 < len(closure) < q.N:
                     witness = [c.to_json() for c in closure]
                     break

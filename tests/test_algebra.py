@@ -47,6 +47,13 @@ def test_cyclotomic_families_need_positive_level():
             sample_rep(family, 2, 0, seed=1)
 
 
+def test_fixed_level_families_reject_other_levels():
+    # daha would draw two Z values its catalog never reads; l1 has Z = (1,)
+    for family in ("daha", "l1"):
+        with pytest.raises(ValueError, match="has level"):
+            sample_rep(family, 2, 2)
+
+
 def test_deg_daha_contains_pi_y_relation():
     rep = sample_rep("deg-daha", 2, seed=1)
     names = [i.name for i in catalog("deg-daha").instances(rep)]

@@ -64,9 +64,37 @@ def test_unstable_data_detected_with_witness():
     )
     r = check_bow(broken)
     assert not r["S1"]
-    assert r["S1_witness"]
+    assert r["S1_witness"] == [[["1"]]]
     with pytest.raises(Exception):
         hw_transition(broken)
+
+
+def test_s1_witness_bytes():
+    # A = 0 and b = 0 on a sampled (2, 2, 2) bow: all of V2 is unstable
+    b = bow((2, 2, 2), 11)
+    broken = BowData(
+        CIRCLE_CROSS, b.dims, b.t, b.Z, b.Zp, b.C, b.D,
+        Matrix.zero(2, 2), b.a, Matrix.zero(1, 2), b.B1, b.B2, b.B3,
+    )
+    assert check_bow(broken)["S1_witness"] == [[["1"], ["0"]], [["0"], ["1"]]]
+    # ker A = <e1, e2>, B2 e1 = 2 e1 and B2 e2 = e3: the iteration shrinks
+    # the kernel to the B2-stable line <e1>
+    z = Matrix.zero
+    shrinking = BowData(
+        CIRCLE_CROSS, (1, 3, 1), Fraction(2), Fraction(3), Fraction(5, 2),
+        C=z(3, 1), D=z(1, 3), A=Matrix([[0, 0, 1]]), a=Matrix([[1]]), b=z(1, 3),
+        B1=Matrix([[1]]), B2=Matrix([[2, 0, 0], [0, 0, 0], [0, 1, 0]]), B3=Matrix([[1]]),
+    )
+    r = check_bow(shrinking)
+    assert (r["S1"], r["S2"]) == (False, True)
+    assert r["S1_witness"] == [[["1"], ["0"], ["0"]]]
+
+
+def test_results_hold_exact_entries():
+    b = bow((2, 2, 2), 11)
+    new = hw_transition(b)
+    mats = [getattr(x, k) for x in (b, new) for k in ("C", "D", "A", "a", "b", "B1", "B2", "B3")]
+    assert all(type(v) in (int, Fraction) for m in mats for r in m.rows for v in r)
 
 
 def test_alpha_injectivity_guard():

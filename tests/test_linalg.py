@@ -116,11 +116,31 @@ def test_solve_right():
 
 def test_left_kernel_and_stack():
     m = Matrix([[1, 2], [2, 4], [0, 1]])
-    lk = m.left_kernel_matrix()
+    lk = m.T.kernel().T
     assert lk.m == 1
     assert (lk * m).is_zero()
     assert m.hstack(m).shape == (3, 4)
     assert m.vstack(m).shape == (6, 2)
+
+
+def test_kernel_columns_and_left_kernel_shapes():
+    m = Matrix([[1, 2, 3], [2, 4, 6]])
+    k = m.kernel()
+    assert k.shape == (3, 2) and (m * k).is_zero()
+    # an injective map: no kernel columns, and a full-rank left kernel
+    # through the empty transpose
+    inj = Matrix([[1, 0], [0, 1], [1, 1]])
+    assert inj.kernel() == Matrix.zero(2, 0)
+    assert inj.T.kernel().T.shape == (1, 3)
+    assert Matrix.identity(2).T.kernel().T == Matrix.zero(0, 2)
+
+
+def test_entries_are_kept_exact():
+    m = Matrix([[1, 2], [3, 4]])
+    assert all(type(x) is int for r in (m * m * 3 + m).rows for x in r)
+    half = m * Fraction(1, 2)
+    assert half.rows[0] == (Fraction(1, 2), 1)
+    assert all(type(x) is Fraction for r in half.rows for x in r)
 
 
 def test_span_closure():
@@ -141,11 +161,33 @@ def test_algebra_closure_dim():
     d1 = Matrix([[1, 0], [0, 2]])
     d2 = Matrix([[3, 0], [0, 5]])
     assert algebra_closure_dim([d1, d2]) == 2
+    # a nilpotent generator: span of 1, N, N^2 in M_3
+    n = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    assert algebra_closure_dim([n]) == 3
+
+
+def test_span_closure_of_matrices_matches_rank():
+    # closing the identity under left multiplication gives every word; the
+    # dimension equals the rank of the words of length <= n^2 flattened
+    rng = Random(5)
+    for _ in range(20):
+        gens = [Matrix([[rng.randint(-1, 1) for _ in range(2)] for _ in range(2)])
+                for _ in range(2)]
+        words = [Matrix.identity(2)]
+        frontier = list(words)
+        for _ in range(4):
+            frontier = [g * w for w in frontier for g in gens]
+            words += frontier
+        flat = [[x for r in w.rows for x in r] for w in words]
+        assert algebra_closure_dim(gens) == matrix_rank(flat, 4)
 
 
 def test_zero_dimensional_shapes():
     z = Matrix.zero(0, 3)
     assert z.shape == (0, 3)
     assert z.T.shape == (3, 0)
+    # the transpose of an empty shape keeps one (empty) row per column
+    assert z.T == Matrix.zero(3, 0)
+    assert z.T.hstack(Matrix.zero(3, 2)) == Matrix.zero(3, 2)
     assert (Matrix.zero(2, 0) * Matrix.zero(0, 3)).shape == (2, 3)
     assert Matrix.zero(2, 0).rank() == 0

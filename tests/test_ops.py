@@ -80,15 +80,6 @@ def test_inverse_pairs_on_box():
     assert op_equal_on_box(repc, w, OperatorExpr.one(), 2)["result"]
 
 
-def test_default_box_radius():
-    rep = daha_rep(2)
-    tb = rep.params["tb"]
-    T1 = OperatorExpr.gen("T", 1)
-    # default radius = 2 * longest word + 2 = 6 for T1^2
-    r = op_equal_on_box(rep, T1 * T1, (tb - 1 / tb) * T1 + OperatorExpr.one())
-    assert r["result"] and r["B"] == 6
-
-
 def test_pi_power_N_is_multiplication_by_all_variables():
     for N in (2, 3, 4):
         rep = Rep.degenerate(N, 1, Fraction(2, 3))

@@ -37,10 +37,10 @@ def test_trivial_point_certifies():
 def test_scalar_chain_closed_form():
     # l = 2, N = 1: T = Z_2 (1 + D_2 X_2) / (Z_1 (1 + X_1 D_1))
     p = sample_chain(2, 1, Zs(2), seed=5)
-    x1, d1 = p.X[0].entry(0, 0), p.D[0].entry(0, 0)
-    x2, d2 = p.X[1].entry(0, 0), p.D[1].entry(0, 0)
+    (x1,), (d1,) = p.X[0].rows[0], p.D[0].rows[0]
+    (x2,), (d2,) = p.X[1].rows[0], p.D[1].rows[0]
     expect = p.Z[1] * (1 + d2 * x2) / (p.Z[0] * (1 + x1 * d1))
-    assert p.T.entry(0, 0) == expect
+    assert p.T.rows[0][0] == expect
 
 
 def test_sample_chain_certifies_and_product_formulas():
@@ -117,8 +117,14 @@ def test_irreducibility():
         Matrix([[1, 0], [0, 2]]), Matrix.identity(2),
     )
     r = irreducibility_check(bd)
-    assert not r["irreducible"]
-    assert r["witness"]
+    assert r == {"irreducible": False, "algebra_dim": 2, "witness": [[["1"], ["0"]]]}
+
+
+def test_results_hold_exact_entries():
+    p = sample_chain(2, 2, Zs(2), seed=5)
+    q = psi(p)
+    mats = p.X + p.D + [p.T, q.X, q.D, q.Y, q.T]
+    assert all(type(x) in (int, Fraction) for m in mats for r in m.rows for x in r)
 
 
 def test_vdb_moment_examples():
@@ -127,8 +133,8 @@ def test_vdb_moment_examples():
     assert mu == (Matrix.identity(2), Matrix.identity(2))
     x, y = Matrix([[Fraction(1, 2)]]), Matrix([[3]])
     mu1, mu2 = vdb_moment(x, y)
-    assert mu1.entry(0, 0) == 1 / (1 + Fraction(3) / 2)
-    assert mu2.entry(0, 0) == 1 + Fraction(3) / 2
+    assert mu1.rows[0][0] == 1 / (1 + Fraction(3) / 2)
+    assert mu2.rows[0][0] == 1 + Fraction(3) / 2
 
 
 def test_vdb_singular_factor():
