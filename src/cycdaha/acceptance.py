@@ -1,6 +1,10 @@
 """The acceptance battery: twelve criteria, each an exact check with zero
-tolerance.  Every criterion function returns a report dict with a pass/fail
-status and enough detail to reproduce the run.
+tolerance.  Every criterion function returns only its details, one True or
+False verdict per thing it checked; its report entry passes exactly when
+the details are non-empty and every value is True, so a criterion that
+checked nothing fails.  A detail over sampled draws, some of which the
+sampler skips, names how many draws it checked and is False when it
+checked none.
 
 Box radii are configuration: rank-N sweeps use radius 3 for N <= 3 and 2
 for N = 4 (the exponent boxes grow as (2B+1)^N).  Randomized checks split
@@ -9,6 +13,7 @@ their trial budget over three independent generic-parameter draws.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 import traceback
@@ -16,7 +21,7 @@ from fractions import Fraction
 
 from .laurent import LaurentPoly
 from .linalg import Matrix
-from .ops import Gen, OperatorExpr, Rep, op_equal_on_box
+from .ops import OperatorExpr, Rep, op_equal_on_box
 from .scalars import RatFuncField
 
 
@@ -28,13 +33,15 @@ def _error_text(exc):
 
 
 def _timed(name, fn):
-    """Run fn() -> (ok, details) as one report entry.  An exception is a
+    """Run fn() -> details as one report entry, which passes exactly when
+    details is non-empty and every value is True.  An exception is a
     failure whose details name its type and where it was raised."""
     t0 = time.perf_counter()
     try:
-        ok, details = fn()
+        details = fn()
     except Exception as exc:  # noqa: BLE001 - reported, not raised
-        ok, details = False, {"error": _error_text(exc)}
+        details = {"error": _error_text(exc)}
+    ok = bool(details) and all(v is True for v in details.values())
     return {
         "name": name,
         "status": "pass" if ok else "fail",
@@ -54,6 +61,19 @@ def _criterion(name):
     return wrap
 
 
+def _commuting(rep, family, B):
+    """Every two operators of the family commute on the box of radius B."""
+    return all(op_equal_on_box(rep, a * b, b * a, B)["result"]
+               for a, b in itertools.combinations(family, 2))
+
+
+def _draws(label, verdicts, draws):
+    """The detail of a check over `draws` sampled draws of which the sampler
+    skipped some: it names how many were checked, and is False when none
+    was."""
+    return {f"{label} ({len(verdicts)} of {draws} draws)": bool(verdicts) and all(verdicts)}
+
+
 # ---------------------------------------------------------------------------
 
 @_criterion("1. DAHA relation suite (12 schemas, N=2,3, B=3, 3 seeds)")
@@ -61,14 +81,11 @@ def criterion_1():
     from .algebra import sample_rep, verify_family
 
     details = {}
-    ok = True
     for N in (2, 3):
         for seed in (1, 2, 3):
             rep = sample_rep("daha", N, seed=seed)
-            r = verify_family(rep, "daha", "box", box_radius=3)
-            details[f"N={N},seed={seed}"] = r["all_pass"]
-            ok &= r["all_pass"]
-    return ok, details
+            details[f"N={N},seed={seed}"] = verify_family(rep, "daha", "box", box_radius=3)["all_pass"]
+    return details
 
 
 @_criterion("2. degenerate suite + Dunkl commutativity (N<=4)")
@@ -76,26 +93,18 @@ def criterion_2():
     from .algebra import sample_rep, verify_family
 
     details = {}
-    ok = True
     for N in (2, 3):
         for seed in (1, 2, 3):
             rep = sample_rep("deg-daha", N, seed=seed)
             r = verify_family(rep, "deg-daha", "box", box_radius=3)
             details[f"relations N={N},seed={seed}"] = r["all_pass"]
-            ok &= r["all_pass"]
     for N in (2, 3, 4):
         rep = sample_rep("deg-daha", N, seed=5)
         B = 3 if N <= 3 else 2
         for tag in ("D", "Dtrig"):
-            good = True
-            for i in range(1, N + 1):
-                for j in range(i + 1, N + 1):
-                    a = OperatorExpr.word([Gen(tag, i), Gen(tag, j)])
-                    b = OperatorExpr.word([Gen(tag, j), Gen(tag, i)])
-                    good &= op_equal_on_box(rep, a, b, B)["result"]
-            details[f"[{tag}_i,{tag}_j]=0 N={N}"] = good
-            ok &= good
-    return ok, details
+            family = [OperatorExpr.gen(tag, i) for i in range(1, N + 1)]
+            details[f"[{tag}_i,{tag}_j]=0 N={N}"] = _commuting(rep, family, B)
+    return details
 
 
 @_criterion("3. cyclotomic DAHA presentation, randomized 30 trials, N=2,3 l=1,2")
@@ -104,7 +113,6 @@ def criterion_3():
     from .ops import op_equal_randomized
 
     details = {}
-    ok = True
     for N in (2, 3):
         for l in (1, 2):
             good = cd11 = control = True
@@ -122,16 +130,13 @@ def criterion_3():
             details[f"N={N},l={l}"] = good
             details[f"cd11 N={N},l={l}"] = cd11
             details[f"cd11 with rhs * 8/7 rejected N={N},l={l}"] = control
-            ok &= good and cd11 and control
         # the Jucys-Murphy relation lives at level one (Z_1 = 1)
-        good = True
-        for seed in (11, 12, 13):
-            rep = sample_rep("l1", N, 1, seed=seed)
-            r = verify_family(rep, "lastrel", "random", trials=10, seed=seed)
-            good &= r["all_pass"]
-        details[f"lastrel N={N}"] = good
-        ok &= good
-    return ok, details
+        details[f"lastrel N={N}"] = all(
+            verify_family(sample_rep("l1", N, 1, seed=seed), "lastrel", "random",
+                          trials=10, seed=seed)["all_pass"]
+            for seed in (11, 12, 13)
+        )
+    return details
 
 
 @_criterion("4. Dunkl-Opdam commutativity over Q(zeta_l), N=2,3 l=2,3")
@@ -139,7 +144,6 @@ def criterion_4():
     from .scalars import sample_generic
 
     details = {}
-    ok = True
     for N in (2, 3):
         for l in (2, 3):
             vals = sample_generic(
@@ -151,16 +155,9 @@ def criterion_4():
             rep = Rep.cyclotomic_cherednik(
                 N, l, 1, vals["k"], tuple(vals[f"c{i}"] for i in range(l))
             )
-            B = 2
-            good = True
-            for i in range(1, N + 1):
-                for j in range(i + 1, N + 1):
-                    a = OperatorExpr.word([Gen("DO", i), Gen("DO", j)])
-                    b = OperatorExpr.word([Gen("DO", j), Gen("DO", i)])
-                    good &= op_equal_on_box(rep, a, b, B)["result"]
-            details[f"N={N},l={l}"] = good
-            ok &= good
-    return ok, details
+            family = [OperatorExpr.gen("DO", i) for i in range(1, N + 1)]
+            details[f"N={N},l={l}"] = _commuting(rep, family, 2)
+    return details
 
 
 @_criterion("5. Macdonald identity: (sum Y_i)e = M on sym deg<=5; M.1 symbolic N<=4")
@@ -174,30 +171,23 @@ def criterion_5():
     )
 
     details = {}
-    ok = True
     for N in (2, 3):
         rep = sample_rep("daha", N, seed=9)
         e = hecke_symmetrizer_expr(rep)
         ysum = OperatorExpr.zero()
         for i in range(1, N + 1):
             ysum = ysum + OperatorExpr.gen("Y", i)
-        good = True
-        for p in symmetric_basis(rep, 5):
-            lhs = rep.apply(ysum * e, p)
-            rhs = macdonald_M1(rep, p)
-            good &= lhs == rhs
-        details[f"(sumY)e == M, N={N}, deg<=5"] = good
-        ok &= good
+        details[f"(sumY)e == M, N={N}, deg<=5"] = all(
+            rep.apply(ysum * e, p) == macdonald_M1(rep, p) for p in symmetric_basis(rep, 5)
+        )
     F = RatFuncField("t")
     t = F.gen
     for N in (2, 3, 4):
         one = LaurentPoly.one(N, F)
         img = apply_macdonald_operator(N, F.coerce(1), t, one, F)
         expect = LaurentPoly.const(N, (1 - t ** N) / (1 - t), F)
-        good = img == expect
-        details[f"M.1 == (1-t^{N})/(1-t) symbolically"] = good
-        ok &= good
-    return ok, details
+        details[f"M.1 == (1-t^{N})/(1-t) symbolically"] = img == expect
+    return details
 
 
 @_criterion("6. commuting families, [M1,M2]=0, level-one Hamiltonian formula")
@@ -212,45 +202,35 @@ def criterion_6():
     )
 
     details = {}
-    ok = True
     # [Y_i(f), Y_j(f)] = 0 and [Dl_i, Dl_j] = 0, N <= 3, l <= 2
     for N in (2, 3):
         for l in (1, 2):
             rep = sample_rep("cyc-daha", N, l, seed=21)
             f = poly_from_roots(rep.params["Z"])
-            good = True
-            for i in range(1, N + 1):
-                for j in range(i + 1, N + 1):
-                    yi, yj = y_f(rep, i, f), y_f(rep, j, f)
-                    good &= op_equal_on_box(rep, yi * yj, yj * yi, 2)["result"]
-                    di = OperatorExpr.gen("Dl", i)
-                    dj = OperatorExpr.gen("Dl", j)
-                    good &= op_equal_on_box(rep, di * dj, dj * di, 2)["result"]
-            details[f"[Y_i(f),Y_j(f)]=[D_i,D_j]=0 N={N} l={l}"] = good
-            ok &= good
+            ys = [y_f(rep, i, f) for i in range(1, N + 1)]
+            dls = [OperatorExpr.gen("Dl", i) for i in range(1, N + 1)]
+            details[f"[Y_i(f),Y_j(f)]=[D_i,D_j]=0 N={N} l={l}"] = (
+                _commuting(rep, ys, 2) and _commuting(rep, dls, 2)
+            )
     # [M_1, M_2] = 0 on symmetric inputs, N=3, l=1
     rep = sample_rep("cyc-daha", 3, 1, seed=23)
     f = poly_from_roots(rep.params["Z"])
     h1 = hamiltonian(rep, 1, f, dual=True)
     h2 = hamiltonian(rep, 2, f, dual=True)
-    good = True
-    for p in symmetric_basis(rep, 4):
-        good &= h1.apply(h2.apply(p)) == h2.apply(h1.apply(p))
-    good &= h1.certify(3) and h2.certify(3)
-    details["[M1,M2]=0 on symmetric inputs N=3 l=1"] = good
-    ok &= good
+    details["[M1,M2]=0 on symmetric inputs N=3 l=1"] = (
+        all(h1.apply(h2.apply(p)) == h2.apply(h1.apply(p)) for p in symmetric_basis(rep, 4))
+        and h1.certify(3) and h2.certify(3)
+    )
     # level-one displayed formula equals sum of the q-Dunkl operators
     for N in (2, 3):
         rep = sample_rep("l1", N, 1, seed=25)
         dsum = OperatorExpr.zero()
         for i in range(1, N + 1):
             dsum = dsum + OperatorExpr.gen("Dl", i)
-        good = True
-        for p in symmetric_basis(rep, 4):
-            good &= rep.apply(dsum, p) == M1_l1(rep, p)
-        details[f"M1^(1) displayed == sum Dl_i, N={N}"] = good
-        ok &= good
-    return ok, details
+        details[f"M1^(1) displayed == sum Dl_i, N={N}"] = all(
+            rep.apply(dsum, p) == M1_l1(rep, p) for p in symmetric_basis(rep, 4)
+        )
+    return details
 
 
 @_criterion("7. quasiinvariant series: closed-form dimension tables")
@@ -264,35 +244,25 @@ def criterion_7():
     from .tableaux import invariants_series, series_mul
 
     details = {}
-    ok = True
     # Q_m(a,0), a = 1, m = 2: (t^1 + t^4)/((1-t)(1-t^2)), degrees <= 10
     spec = QuasiSpec(TWISTED, 2, 2, a=(Fraction(1), Fraction(0)))
     dims = graded_basis(spec, 10).dims()
     expect = series_mul([0, 1, 0, 0, 1], invariants_series(2, 10), 10)
-    good = dims == expect
-    details["Q_2(1,0) dims == (t+t^4)/((1-t)(1-t^2))"] = good
-    ok &= good
+    details["Q_2(1,0) dims == (t+t^4)/((1-t)(1-t^2))"] = dims == expect
     # a = 1/2, m = 1, 2: t^m/(1-t)^2
     for m in (1, 2):
         spec = QuasiSpec(TWISTED, 2, m, a=(Fraction(1, 2), Fraction(0)))
         dims = graded_basis(spec, 10).dims()
         expect = [max(0, d - m + 1) if d >= m else 0 for d in range(11)]
-        good = dims == expect
-        details[f"Q_{m}(1/2,0) dims == t^{m}/(1-t)^2"] = good
-        ok &= good
+        details[f"Q_{m}(1/2,0) dims == t^{m}/(1-t)^2"] = dims == expect
     # Q_2(1,0,0): the non-free example, with the telltale -1 at t^12
     spec = QuasiSpec(TWISTED, 3, 2, a=(Fraction(1), Fraction(0), Fraction(0)))
     dims = graded_basis(spec, 12).dims()
-    expect = [0, 0, 1, 1, 2, 3, 5, 7, 10, 15, 20, 26, 33]
-    good = dims == expect
-    details["Q_2(1,0,0) dims"] = good
-    ok &= good
+    details["Q_2(1,0,0) dims"] = dims == [0, 0, 1, 1, 2, 3, 5, 7, 10, 15, 20, 26, 33]
     numer, neg = freeness_numerator(dims, 3)
-    good = (
+    details["Q_2(1,0,0) numerator has the expected -1 at t^12"] = (
         numer == [0, 0, 1, 0, 0, 0, 1, 1, 0, 2, 1, 0, -1] and neg
     )
-    details["Q_2(1,0,0) numerator has the expected -1 at t^12"] = good
-    ok &= good
     # degree-1 generator of Q_1(a,0).  The defining conditions force the
     # vector ((1-a) X_1 + (1+a) X_2), unique up to scale.
     a = Fraction(1, 3)
@@ -309,30 +279,24 @@ def criterion_7():
         scale = f.terms.get(e, Fraction(0)) / c
         good = bool(scale) and f == target * scale
     details["P_{a,1} recovered as the degree-1 null space"] = good
-    ok &= good
-    return ok, details
+    return details
 
 
 @_criterion("8. flatness protocols (plain-q, cyclotomic, twisted-q)")
 def criterion_8():
     from .quasiinv import CYC, PLAIN_Q, TWISTED_Q, flatness_report
 
-    details = {}
-    ok = True
-    for N in (2, 3):
-        for m in (1, 2):
-            r = flatness_report(PLAIN_Q, N, m, 10, 3)
-            details[f"plain-q N={N} m={m} deg<=10 3 seeds"] = r["all_match"]
-            ok &= r["all_match"]
+    details = {
+        f"plain-q N={N} m={m} deg<=10 3 seeds": flatness_report(PLAIN_Q, N, m, 10, 3)["all_match"]
+        for N in (2, 3) for m in (1, 2)
+    }
     r = flatness_report(CYC, 2, 1, 8, 3, l=2, mlist=(1,))
     details["cyclotomic N=2 l=2 deg<=8"] = r["all_match"]
-    ok &= r["all_match"]
     r = flatness_report(
         TWISTED_Q, 2, 1, 8, 3, a=(Fraction(1, 2), Fraction(0))
     )
     details["twisted-q N=2 generic a deg<=8"] = r["all_match"]
-    ok &= r["all_match"]
-    return ok, details
+    return details
 
 
 @_criterion("9. expected twisted series and Kostka/Molien cross-checks")
@@ -353,45 +317,33 @@ def criterion_9():
     )
 
     details = {}
-    ok = True
     m = 1
     # (N, l) = (2, 2): full series of Q_m(a1, a2) with generic a
     spec = QuasiSpec(TWISTED, 2, m, a=(Fraction(1, 3), Fraction(0)))
-    good = graded_basis(spec, 10).dims() == expected_twisted_series(
-        (1, 1), m, ((1,), (1,)), 10
-    )
-    details["(2,2) computed == expected"] = good
-    ok &= good
+    expect = expected_twisted_series((1, 1), m, ((1,), (1,)), 10)
+    details["(2,2) computed == expected"] = graded_basis(spec, 10).dims() == expect
     # (3, 3): all weights distinct
     spec = QuasiSpec(
         TWISTED, 3, m, a=(Fraction(1, 3), Fraction(1, 7), Fraction(0))
     )
-    good = graded_basis(spec, 10).dims() == expected_twisted_series(
-        (1, 1, 1), m, ((1,), (1,), (1,)), 10
-    )
-    details["(3,3) computed == expected"] = good
-    ok &= good
+    expect = expected_twisted_series((1, 1, 1), m, ((1,), (1,), (1,)), 10)
+    details["(3,3) computed == expected"] = graded_basis(spec, 10).dims() == expect
     # (3, 2): h+/h- split under swapping the two equal weights
     spec = QuasiSpec(TWISTED, 3, m, a=(Fraction(1, 2), Fraction(0), Fraction(0)))
     hp = graded_basis_with_symmetry(spec, 10, 2, 3, +1)
     hm = graded_basis_with_symmetry(spec, 10, 2, 3, -1)
-    good_p = hp == expected_twisted_series((1, 2), m, ((1,), (2,)), 10)
-    good_m = hm == expected_twisted_series((1, 2), m, ((1,), (1, 1)), 10)
-    details["(3,2) h+ matches t^{2m} numerator"] = good_p
-    details["(3,2) h- matches t^{4m+1} numerator"] = good_m
-    ok &= good_p and good_m
+    details["(3,2) h+ matches t^{2m} numerator"] = hp == expected_twisted_series(
+        (1, 2), m, ((1,), (2,)), 10
+    )
+    details["(3,2) h- matches t^{4m+1} numerator"] = hm == expected_twisted_series(
+        (1, 2), m, ((1,), (1, 1)), 10
+    )
     # Kostka values cross-validated against the Molien sum, |pi| <= 4
-    good = True
-    for n in range(1, 5):
-        for shape in partitions(n):
-            lhs = molien_series(shape, 8)
-            rhs = series_mul(
-                kostka_polynomial(shape), invariants_series(n, 8), 8
-            )
-            good &= lhs == rhs
-    details["Kostka == Molien oracle for |pi| <= 4"] = good
-    ok &= good
-    return ok, details
+    details["Kostka == Molien oracle for |pi| <= 4"] = all(
+        molien_series(shape, 8) == series_mul(kostka_polynomial(shape), invariants_series(n, 8), 8)
+        for n in range(1, 5) for shape in partitions(n)
+    )
+    return details
 
 
 @_criterion("10. quiver identities: product formulas, psi/lift, soundness")
@@ -408,52 +360,42 @@ def criterion_10():
     )
 
     details = {}
-    ok = True
     for l in (1, 2, 3, 4):
         for N in (1, 2, 3):
             Z = tuple(Fraction(2 + i, 1 + ((3 * i) % 5)) for i in range(l))
-            good = True
-            for seed in range(10):
-                p = sample_chain(l, N, Z, seed=100 * l + 10 * N + seed)
-                good &= check_point(p)["certified"]
-                pf = product_formulas(p)
-                good &= pf["Lplus_matches"] and pf["Lminus_matches"]
-            details[f"prodfor l={l} N={N} (10 seeds)"] = good
-            ok &= good
-    # psi / lift round trips on the open locus; every psi image acts
-    # irreducibly on C^N (Burnside)
-    good = irreducible = True
+            points = (sample_chain(l, N, Z, seed=100 * l + 10 * N + seed) for seed in range(10))
+            details[f"prodfor l={l} N={N} (10 seeds)"] = all(
+                check_point(p)["certified"] and all(product_formulas(p).values()) for p in points
+            )
+    # psi / lift round trips on the open locus, where X is invertible; every
+    # psi image acts irreducibly on C^N (Burnside)
+    round_trips = []
+    irreducible = True
     for seed in (3, 4, 5):
-        p = sample_chain(2, 2, (Fraction(2), Fraction(5, 3)), seed=seed)
-        q = psi(p)
+        q = psi(sample_chain(2, 2, (Fraction(2), Fraction(5, 3)), seed=seed))
         irreducible &= irreducibility_check(q)["irreducible"]
-        if not q.X.is_invertible():
-            continue
-        p2 = lift_open_locus(q)
-        q2 = psi(p2)
-        good &= (q2.X, q2.D, q2.Y, q2.T) == (q.X, q.D, q.Y, q.T)
-        good &= check_quadruple(q2)["certified"]
-    details["psi/lift round trips"] = good
+        if q.X.is_invertible():
+            q2 = psi(lift_open_locus(q))
+            round_trips.append((q2.X, q2.D, q2.Y, q2.T) == (q.X, q.D, q.Y, q.T)
+                               and check_quadruple(q2)["certified"])
+    details.update(_draws("psi/lift round trips", round_trips, 3))
     details["psi images irreducible"] = irreducible
-    ok &= good and irreducible
     # a diagonal quadruple keeps the coordinate lines: reducible, with a witness
     diagonal = Quadruple(
         1, 2, (Fraction(1),), Fraction(2), Matrix.zero(2, 2), Matrix.zero(2, 2),
         Matrix([[1, 0], [0, 2]]), Matrix.identity(2),
     )
     r = irreducibility_check(diagonal)
-    good = not r["irreducible"] and r["witness"] is not None
-    details["diagonal quadruple reducible, with witness"] = good
-    ok &= good
+    details["diagonal quadruple reducible, with witness"] = (
+        not r["irreducible"] and r["witness"] is not None
+    )
     # perturbation soundness
     p = sample_chain(2, 2, (Fraction(2), Fraction(5, 3)), seed=8)
     rows = [list(r) for r in p.X[0].rows]
     rows[0][0] += 1
     p.X[0] = Matrix(rows)
-    good = not check_point(p)["certified"]
-    details["perturbed point rejected"] = good
-    ok &= good
-    return ok, details
+    details["perturbed point rejected"] = not check_point(p)["certified"]
+    return details
 
 
 @_criterion("11. Hanany-Witten transition round trips and invariants")
@@ -469,37 +411,29 @@ def criterion_11():
     )
 
     details = {}
-    ok = True
     for dims in ((1, 1, 1), (2, 2, 2)):
-        good = True
+        diag = BowDiagram([0, *dims, 0], ["x", "o", "x", "x"])
+        diag2 = hw_diagram(diag, 1)
+        good = linkage_invariants(diag) == linkage_invariants(diag2)
         for seed in (11, 12, 13, 14, 15):
             bow = sample_bow(dims, Fraction(2), Fraction(3), Fraction(5, 2), seed)
             rt = hw_round_trip_check(bow)
-            good &= rt["ok"]
-            new = rt["new"]
-            diag = BowDiagram([0, *dims, 0], ["x", "o", "x", "x"])
-            diag2 = hw_diagram(diag, 1)
-            good &= linkage_invariants(diag) == linkage_invariants(diag2)
-            good &= diag2.dims[2] == new.dims[1]
+            good &= rt["ok"] and diag2.dims[2] == rt["new"].dims[1]
         details[f"dims={dims} (5 seeds)"] = good
-        ok &= good
     # a cobalanced two-cross segment reduces to the multiplicative quiver
     # relation at its ends; one perturbed entry of D4 must break the chain
-    good = True
-    for n in (1, 2, 3):
-        for seed in (5, 7):
-            r = cobalanced_reduction_check(sample_cobalanced_segment(n, seed))
-            good &= all(r.values())
-    details["cobalanced reduction n=1,2,3 (seeds 5, 7)"] = good
-    ok &= good
+    details["cobalanced reduction n=1,2,3 (seeds 5, 7)"] = all(
+        all(cobalanced_reduction_check(sample_cobalanced_segment(n, seed)).values())
+        for n in (1, 2, 3) for seed in (5, 7)
+    )
     data = sample_cobalanced_segment(2, 5)
     rows = [list(r) for r in data["D4"].rows]
     rows[0][0] += 1
     data["D4"] = Matrix(rows)
-    good = not cobalanced_reduction_check(data)["chain_identity"]
-    details["perturbed D4 breaks the chain identity"] = good
-    ok &= good
-    return ok, details
+    details["perturbed D4 breaks the chain identity"] = (
+        not cobalanced_reduction_check(data)["chain_identity"]
+    )
+    return details
 
 
 @_criterion("12. Van den Bergh moment maps and fusion telescoping")
@@ -508,11 +442,9 @@ def criterion_12():
 
     from .quiver import SingularFactor, moment_equivariance_check, telescoped_framing
 
-    details = {}
-    ok = True
     rng = Random(31)
-    good = True
-    for seed in range(5):
+    checked = []
+    for _ in range(5):
         X = Matrix.random(rng, 2, 3)
         Y = Matrix.random(rng, 3, 2)
         g = Matrix.random(rng, 3, 3)
@@ -520,24 +452,18 @@ def criterion_12():
         if not (g.is_invertible() and h.is_invertible()):
             continue
         try:
-            good &= moment_equivariance_check(X, Y, g, h)
+            checked.append(moment_equivariance_check(X, Y, g, h))
         except SingularFactor:  # 1 + XY not invertible: no moment map here
             continue
-    details["moment-map equivariance (5 draws)"] = good
-    ok &= good
+    details = _draws("moment-map equivariance", checked, 5)
     for ell in (2, 3, 4):
         good = True
         for seed in range(5):
-            rng2 = Random(100 * ell + seed)
-            pairs = [
-                (Matrix.random(rng2, 2, 1), Matrix.random(rng2, 1, 2))
-                for _ in range(ell)
-            ]
-            _, identity_holds = telescoped_framing(pairs)
-            good &= identity_holds
+            rng = Random(100 * ell + seed)
+            pairs = [(Matrix.random(rng, 2, 1), Matrix.random(rng, 1, 2)) for _ in range(ell)]
+            good &= telescoped_framing(pairs)[1]
         details[f"telescoping l={ell} (5 seeds)"] = good
-        ok &= good
-    return ok, details
+    return details
 
 
 ALL_CRITERIA = [
@@ -561,7 +487,8 @@ def run_all():
 
 
 def run_smoke():
-    """A fast battery covering every subsystem (finishes well under a minute)."""
+    """A fast battery covering every subsystem (finishes well under a minute);
+    each step's details are its one verdict."""
     from .algebra import jucys_murphy_consistency, sample_rep, verify_family
     from .quasiinv import TWISTED, QuasiSpec, graded_basis
     from .quiver import product_formulas, sample_chain
@@ -613,4 +540,5 @@ def run_smoke():
             )["ok"],
         ),
     ]
-    return [_timed(name, lambda check=check: (check(), {})) for name, check in steps]
+    return [_timed(name, lambda name=name, check=check: {name: check()})
+            for name, check in steps]

@@ -841,7 +841,6 @@ def verify_family(rep, family, mode="box", box_radius=3, trials=30, seed=0):
             f"representation family {rep.family!r} incompatible with {family!r}"
         )
     results = []
-    all_pass = True
     rng = Random(seed)
     for inst in cat.instances(rep):
         if mode == "box":
@@ -850,11 +849,7 @@ def verify_family(rep, family, mode="box", box_radius=3, trials=30, seed=0):
             r = op_equal_randomized(
                 rep, inst.lhs, inst.rhs, trials, rng.randrange(1 << 30)
             )
-        entry = {"relation": inst.name, "status": "pass" if r["result"] else "fail"}
-        if not r["result"]:
-            entry["witness"] = r["witness"]
-            all_pass = False
-        results.append(entry)
+        results.append(_relation_entry(inst.name, r))
     return {
         "family": family,
         "mode": mode,
@@ -864,8 +859,21 @@ def verify_family(rep, family, mode="box", box_radius=3, trials=30, seed=0):
             for k, v in rep.params.items() if k not in ("Z", "z", "c")
         },
         "relations": results,
-        "all_pass": all_pass,
+        "all_pass": _all_pass(results),
     }
+
+
+def _relation_entry(name, r):
+    """The report entry of one relation from its comparison report r; a
+    failure carries the witness."""
+    entry = {"relation": name, "status": "pass" if r["result"] else "fail"}
+    if not r["result"]:
+        entry["witness"] = r["witness"]
+    return entry
+
+
+def _all_pass(results):
+    return all(entry["status"] == "pass" for entry in results)
 
 
 # -- involutions ----------------------------------------------------------------
@@ -968,7 +976,6 @@ def verify_involution(rep, family, box_radius=2):
     rep2 = phi_param_transform(family, rep)
     gen_image2 = _PHI_MAPS[family](rep2)
     results = []
-    all_pass = True
     # The involution is semilinear over the parameter inversion, so the
     # image of a relation instance built at the source parameters (its
     # sigma-transformed coefficients re-evaluated at the target parameters
@@ -980,12 +987,7 @@ def verify_involution(rep, family, box_radius=2):
         lhs = apply_gen_map(inst.lhs, gen_image2)
         rhs = apply_gen_map(inst.rhs, gen_image2)
         r = op_equal_on_box(rep2, lhs, rhs, box_radius)
-        ok = r["result"]
-        all_pass &= ok
-        entry = {"relation": f"phi({inst.name})", "status": "pass" if ok else "fail"}
-        if not ok:
-            entry["witness"] = r["witness"]
-        results.append(entry)
+        results.append(_relation_entry(f"phi({inst.name})", r))
     # phi^2 = id on generators: source -> target uses target coefficients,
     # target -> source uses source coefficients
     gen_image1 = _PHI_MAPS[family](rep)
@@ -1008,13 +1010,8 @@ def verify_involution(rep, family, box_radius=2):
         once = apply_gen_map(OperatorExpr.word([g]), gen_image2)
         twice = apply_gen_map(once, gen_image1)
         r = op_equal_on_box(rep, twice, OperatorExpr.word([g]), box_radius)
-        ok = r["result"]
-        all_pass &= ok
-        entry = {"relation": f"phi^2({g!r})", "status": "pass" if ok else "fail"}
-        if not ok:
-            entry["witness"] = r["witness"]
-        results.append(entry)
-    return {"family": family, "relations": results, "all_pass": all_pass}
+        results.append(_relation_entry(f"phi^2({g!r})", r))
+    return {"family": family, "relations": results, "all_pass": _all_pass(results)}
 
 
 # -- PBW-style bases -------------------------------------------------------------

@@ -81,16 +81,29 @@ class BowData:
 
     @classmethod
     def from_json(cls, data):
+        """The segment to_json wrote; ValueError when the orientation is
+        unknown or a matrix's shape disagrees with dims and orientation."""
+        d1, d2, d3 = dims = tuple(data["dims"])
+        if data["orientation"] == CIRCLE_CROSS:
+            shapes = {"C": (d2, d1), "D": (d1, d2), "A": (d3, d2), "a": (d3, 1), "b": (1, d2)}
+        elif data["orientation"] == CROSS_CIRCLE:
+            shapes = {"C": (d3, d2), "D": (d2, d3), "A": (d2, d1), "a": (d2, 1), "b": (1, d1)}
+        else:
+            raise ValueError(f"unknown orientation {data['orientation']!r}")
+        shapes.update(B1=(d1, d1), B2=(d2, d2), B3=(d3, d3))
+        matrices = {}
+        for k, shape in shapes.items():
+            try:
+                matrices[k] = Matrix.from_json(data[k], shape)
+            except ValueError as exc:
+                raise ValueError(f"{k} at dims {list(dims)}: {exc}") from None
         return cls(
             orientation=data["orientation"],
-            dims=tuple(data["dims"]),
+            dims=dims,
             t=Fraction(data["t"]),
             Z=Fraction(data["Z"]),
             Zp=Fraction(data["Zp"]),
-            **{
-                k: Matrix.from_json(data[k])
-                for k in ("C", "D", "A", "a", "b", "B1", "B2", "B3")
-            },
+            **matrices,
         )
 
 
@@ -433,6 +446,10 @@ def cobalanced_reduction_check(data):
 
     together with the rank-one telescoping repackaging of the two framings.
     """
+    # cobalanced stability forces the (normalized) cross maps invertible;
+    # here A = id by construction, so check the derived loops instead
+    if not (data["B3"].is_invertible() and data["B4"].is_invertible()):
+        return {"chain_identity": False, "telescoping": False, "loops_invertible": False}
     I = Matrix.identity(data["n"])
     B3inv, B4inv = data["B3"].inverse(), data["B4"].inverse()
     # the two rank-one factors (1 + B3^-1 a3 b2) and (1 + B4^-1 a4 b3)
@@ -448,10 +465,8 @@ def cobalanced_reduction_check(data):
     # framing repackaging: f4 f3 = 1 + [a~3 a~4][b2; b3]
     ta3 = f4 * (B3inv * data["a3"])
     ta4 = B4inv * data["a4"]
-    # cobalanced stability forces the (normalized) cross maps invertible;
-    # here A = id by construction, so check the derived loops instead
     return {
         "chain_identity": lhs == rhs,
         "telescoping": f4 * f3 == I + ta3 * data["b2"] + ta4 * data["b3"],
-        "loops_invertible": data["B3"].is_invertible() and data["B4"].is_invertible(),
+        "loops_invertible": True,
     }

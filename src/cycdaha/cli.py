@@ -7,7 +7,8 @@ Subcommands:
   relations involution --family F --N n [--l L] --seed s [--out ...]
   quasi series   --variant V --N n --m m [--l L] [--mlist a,b] [--a list]
                  [--q p/q] --maxdeg d [--out ...]
-  quasi flatness --variant V --N n --m m --maxdeg d --seeds k [--out ...]
+  quasi flatness --variant V --N n --m m [--l L] [--mlist a,b] [--a list]
+                 --maxdeg d --seeds k [--out ...]
   macdonald apply   --op M1|M1l1 --N n --q p/q --t p/q --poly file.json
   macdonald commute --r1 i --r2 j --N n --l L --maxdeg d --seed s
   quiver sample --l L --N n --seed s [--out point.json]
@@ -19,8 +20,9 @@ Subcommands:
   expr parse --text "..."    (grammar check for the operator syntax)
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
-3 internal error.  Reports are canonical JSON; reruns with the same
-configuration and seed are byte-identical up to the timing field.
+3 internal error.  Reports are canonical JSON whose config echoes every
+flag but --out; reruns with the same configuration and seed are
+byte-identical up to the timing field.
 """
 
 from __future__ import annotations
@@ -49,10 +51,14 @@ def _emit(report, out_path):
         print(text)
 
 
-def _wrap_report(config, payload, ok):
+def _wrap_report(args, flags, payload, ok):
+    """The report of one command.  Its config is the command name and every
+    parsed flag in `flags` (all but --out), with the values the argument
+    checks left in args."""
+    command = " ".join(getattr(args, k) for k in ("group", "cmd") if hasattr(args, k))
     return {
         "engine": {"name": "cycdaha", "version": __version__},
-        "config": config,
+        "config": {"command": command, **{k: getattr(args, k) for k in flags}},
         "report": payload,
         "status": "pass" if ok else "fail",
     }
@@ -64,22 +70,11 @@ def cmd_relations_verify(args):
     from .algebra import sample_rep, verify_family
 
     rep = sample_rep(args.family, args.N, args.l, seed=args.seed)
-    mode = args.mode
     report = verify_family(
-        rep, args.family, mode=mode, box_radius=args.B, trials=args.trials,
+        rep, args.family, mode=args.mode, box_radius=args.B, trials=args.trials,
         seed=args.seed,
     )
-    config = {
-        "command": "relations verify",
-        "family": args.family,
-        "N": args.N,
-        "l": args.l,
-        "mode": mode,
-        "B": args.B,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    return _wrap_report(config, report, report["all_pass"])
+    return report, report["all_pass"]
 
 
 def cmd_relations_involution(args):
@@ -87,14 +82,7 @@ def cmd_relations_involution(args):
 
     rep = sample_rep(args.family, args.N, args.l, seed=args.seed)
     report = verify_involution(rep, args.family)
-    config = {
-        "command": "relations involution",
-        "family": args.family,
-        "N": args.N,
-        "l": args.l,
-        "seed": args.seed,
-    }
-    return _wrap_report(config, report, report["all_pass"])
+    return report, report["all_pass"]
 
 
 def cmd_quasi_series(args):
@@ -102,19 +90,7 @@ def cmd_quasi_series(args):
 
     dims = graded_basis(args.spec, args.maxdeg).dims()
     numer, flag = freeness_numerator(dims, args.N)
-    payload = {"dims": dims, "numerator": numer, "free_flag": not flag}
-    config = {
-        "command": "quasi series",
-        "variant": args.variant,
-        "N": args.N,
-        "m": args.m,
-        "maxdeg": args.maxdeg,
-        "a": args.a,
-        "q": args.q,
-        "l": args.l,
-        "mlist": args.mlist,
-    }
-    return _wrap_report(config, payload, True)
+    return {"dims": dims, "numerator": numer, "free_flag": not flag}, True
 
 
 def cmd_quasi_flatness(args):
@@ -123,15 +99,7 @@ def cmd_quasi_flatness(args):
     spec = args.spec
     report = flatness_report(spec.variant, spec.N, spec.m, args.maxdeg, args.seeds,
                              l=spec.l, mlist=spec.mlist, a=spec.a)
-    config = {
-        "command": "quasi flatness",
-        "variant": args.variant,
-        "N": args.N,
-        "m": args.m,
-        "maxdeg": args.maxdeg,
-        "seeds": args.seeds,
-    }
-    return _wrap_report(config, report, report["all_match"])
+    return report, report["all_match"]
 
 
 def cmd_macdonald_apply(ap, args):
@@ -151,14 +119,7 @@ def cmd_macdonald_apply(ap, args):
                  f"polynomial at q = {args.q}, t = {args.t}")
     except NonInvertibleScale:
         ap.error("--q: q = 0 cannot shift a negative power of a variable")
-    config = {
-        "command": "macdonald apply",
-        "op": args.op,
-        "N": args.N,
-        "q": args.q,
-        "t": args.t,
-    }
-    return _wrap_report(config, {"image": img.to_json()}, True)
+    return {"image": img.to_json()}, True
 
 
 def cmd_macdonald_commute(args):
@@ -169,24 +130,10 @@ def cmd_macdonald_commute(args):
     f = poly_from_roots(rep.params["Z"])
     h1 = hamiltonian(rep, args.r1, f)
     h2 = hamiltonian(rep, args.r2, f)
-    ok = True
-    for p in symmetric_basis(rep, args.maxdeg):
-        if h1.apply(h2.apply(p)) != h2.apply(h1.apply(p)):
-            ok = False
-            break
-    c1 = h1.certify(min(args.maxdeg, 3))
-    c2 = h2.certify(min(args.maxdeg, 3))
-    payload = {"commute": ok, "certified": [c1, c2]}
-    config = {
-        "command": "macdonald commute",
-        "r1": args.r1,
-        "r2": args.r2,
-        "N": args.N,
-        "l": args.l,
-        "maxdeg": args.maxdeg,
-        "seed": args.seed,
-    }
-    return _wrap_report(config, payload, ok and c1 and c2)
+    commute = all(h1.apply(h2.apply(p)) == h2.apply(h1.apply(p))
+                  for p in symmetric_basis(rep, args.maxdeg))
+    certified = [h.certify(min(args.maxdeg, 3)) for h in (h1, h2)]
+    return {"commute": commute, "certified": certified}, commute and all(certified)
 
 
 def cmd_quiver_sample(args):
@@ -195,15 +142,7 @@ def cmd_quiver_sample(args):
     Z = tuple(Fraction(2 + i, 1 + ((3 * i) % 5)) for i in range(args.l))
     p = sample_chain(args.l, args.N, Z, args.seed)
     rep = check_point(p)
-    config = {
-        "command": "quiver sample",
-        "l": args.l,
-        "N": args.N,
-        "seed": args.seed,
-    }
-    payload = {"point": p.to_json(), "check": rep}
-    report = _wrap_report(config, payload, rep["certified"])
-    return report
+    return {"point": p.to_json(), "check": rep}, rep["certified"]
 
 
 def cmd_quiver_check(args):
@@ -214,25 +153,21 @@ def cmd_quiver_check(args):
     payload = {"check": rep}
     if rep["certified"]:
         payload["product_formulas"] = product_formulas(p)
-    config = {"command": "quiver check", "file": args.file}
-    ok = rep["certified"] and all(payload.get("product_formulas", {}).values())
-    return _wrap_report(config, payload, ok)
+    return payload, rep["certified"] and all(payload.get("product_formulas", {}).values())
 
 
 def cmd_bow_sample(args):
     from .bow import sample_bow
 
     bow = sample_bow(args.dims, Fraction(2), Fraction(3), Fraction(5, 2), args.seed)
-    config = {"command": "bow sample", "dims": list(args.dims), "seed": args.seed}
-    return _wrap_report(config, {"bow": bow.to_json()}, True)
+    return {"bow": bow.to_json()}, True
 
 
 def cmd_bow_check(args):
     from .bow import check_bow
 
     rep = check_bow(args.data)
-    config = {"command": "bow check", "file": args.file}
-    return _wrap_report(config, rep, rep["certified"])
+    return rep, rep["certified"]
 
 
 def cmd_bow_hw(args):
@@ -241,22 +176,18 @@ def cmd_bow_hw(args):
     rt = hw_round_trip_check(args.data)
     new = rt.pop("new", None)
     rt.pop("back", None)
-    out_path = args.out
-    if out_path and new is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out and new is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_canonical(new.to_json()) + "\n")
     # --out holds the transitioned bow; the report itself goes to stdout
     args.out = None
-    config = {"command": "bow hw", "file": args.file, "out": out_path}
-    return _wrap_report(config, rt, rt["ok"])
+    return rt, rt["ok"]
 
 
 def cmd_expr_parse(args):
     from .exprparse import parse_expr
 
-    expr = parse_expr(args.text)
-    config = {"command": "expr parse", "text": args.text}
-    return _wrap_report(config, {"parsed": repr(expr)}, True)
+    return {"parsed": repr(parse_expr(args.text))}, True
 
 
 def cmd_expr_equal(args):
@@ -271,19 +202,7 @@ def cmd_expr_equal(args):
         report = op_equal_on_box(rep, lhs, rhs, args.B)
     else:
         report = op_equal_randomized(rep, lhs, rhs, args.trials, args.seed)
-    config = {
-        "command": "expr equal",
-        "family": args.family,
-        "N": args.N,
-        "l": args.l,
-        "lhs": args.lhs,
-        "rhs": args.rhs,
-        "mode": args.mode,
-        "B": args.B,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    return _wrap_report(config, report, report["result"])
+    return report, report["result"]
 
 
 def cmd_suite(args):
@@ -295,12 +214,10 @@ def cmd_suite(args):
         results = acceptance.run_all()
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.name)
-    ok = all(r["status"] == "pass" for r in results)
     for r in results:
         print(f"[{r['status'].upper():4}] {r['name']} ({r['seconds']:.1f}s)",
               file=sys.stderr)
-    config = {"command": "suite", "name": args.name}
-    return _wrap_report(config, {"criteria": results}, ok)
+    return {"criteria": results}, all(r["status"] == "pass" for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +507,14 @@ def _check_bow_dims(ap, args):
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    # the flags as parsed: not the dispatch attributes, nor what the checks
+    # attach to args (args.data, args.spec)
+    flags = [k for k in vars(args) if k not in ("group", "cmd", "fn", "check", "out")]
     t0 = time.perf_counter()
     try:
         if getattr(args, "check", None) is not None:
             args.check(args)
-        report = args.fn(args)
+        payload, ok = args.fn(args)
     except SystemExit:
         raise
     except ParseError as exc:  # malformed operator expression: a usage error
@@ -605,6 +525,7 @@ def main(argv=None):
 
         print(f"internal error: {_error_text(exc)}", file=sys.stderr)
         return 3
+    report = _wrap_report(args, flags, payload, ok)
     report["seconds"] = round(time.perf_counter() - t0, 3)
     _emit(report, getattr(args, "out", None))
     return 0 if report["status"] == "pass" else 1

@@ -340,8 +340,9 @@ class Matrix:
         return [[str(x) for x in r] for r in self.rows]
 
     @classmethod
-    def from_json(cls, data):
-        return cls([[Fraction(x) for x in r] for r in data])
+    def from_json(cls, data, shape):
+        """The matrix to_json wrote; ValueError unless it has the given shape."""
+        return cls([[Fraction(x) for x in r] for r in data], shape=shape)
 
     def __repr__(self):
         return "Matrix(" + "; ".join(" ".join(str(x) for x in r) for r in self.rows) + ")"

@@ -179,25 +179,20 @@ def poly_from_roots(roots):
 
 
 class SymmetricOperator:
-    """An operator expression with a box-checked symmetry-preservation flag."""
+    """A named operator expression meant to preserve symmetric polynomials."""
 
-    def __init__(self, rep, expr, name=""):
+    def __init__(self, rep, expr, name):
         self.rep = rep
         self.expr = expr
         self.name = name
-        self.certified = False
 
     def apply(self, p):
         return self.rep.apply(self.expr, p)
 
-    def certify(self, maxdeg=3):
-        """Check that symmetric inputs map to symmetric outputs."""
-        for p in symmetric_basis(self.rep, maxdeg):
-            if not self.apply(p).is_symmetric():
-                self.certified = False
-                return False
-        self.certified = True
-        return True
+    def certify(self, maxdeg):
+        """Check that symmetric inputs of degree <= maxdeg map to symmetric
+        outputs."""
+        return all(self.apply(p).is_symmetric() for p in symmetric_basis(self.rep, maxdeg))
 
 
 def symmetric_basis(rep, maxdeg):

@@ -477,21 +477,18 @@ def flatness_report(variant, N, m, maxdeg, seeds, l=1, mlist=(), a=()):
 
     reference = graded_basis(spec(1), maxdeg).dims()
     runs = []
-    all_match = True
     for s in range(seeds):
         vals = sample_generic(
             ["q"], [("nonzero", "q"), ("not_root_of_unity", "q", 24)], seed=1000 + s
         )
         q = vals["q"]
         dims = graded_basis(spec(q), maxdeg).dims()
-        match = dims == reference
-        all_match &= match
-        runs.append({"q": str(q), "dims": dims, "match": match})
+        runs.append({"q": str(q), "dims": dims, "match": dims == reference})
     return {
         "variant": variant,
         "N": N,
         "m": m,
         "reference_dims": reference,
         "runs": runs,
-        "all_match": all_match,
+        "all_match": all(run["match"] for run in runs),
     }

@@ -61,27 +61,28 @@ class QuiverPoint:
 
     @classmethod
     def from_json(cls, data):
+        """The point to_json wrote.  ValueError unless l and N are
+        positive, Z, X and D have l entries, t and the Z are nonzero and
+        every matrix is N x N."""
         l, N = data["l"], data["N"]
         Z = tuple(Fraction(z) for z in data["Z"])
-        X = [Matrix.from_json(m) for m in data["X"]]
-        D = [Matrix.from_json(m) for m in data["D"]]
-        if "T" in data:
-            T = Matrix.from_json(data["T"])
-        else:
-            # T is determined by the closing relation
-            I = Matrix.identity(N)
-            T = (I + X[0] * D[0]).inverse() * (I + D[l - 1] * X[l - 1]) * (
-                Z[l - 1] / Z[0]
-            )
-        return cls(
-            l=l,
-            N=N,
-            Z=Z,
-            t=Fraction(data["t"]),
-            X=X,
-            D=D,
-            T=T,
-        )
+        t = Fraction(data["t"])
+        if not (isinstance(l, int) and isinstance(N, int) and l >= 1 and N >= 1):
+            raise ValueError(f"l and N must be positive integers, got {l!r} and {N!r}")
+        if not len(Z) == len(data["X"]) == len(data["D"]) == l:
+            raise ValueError(f"Z, X and D need l = {l} entries each")
+        if t == 0 or 0 in Z:
+            raise ValueError("t and every Z must be nonzero")
+
+        def square(name, m):
+            try:
+                return Matrix.from_json(m, (N, N))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+
+        X = [square(f"X[{i}]", m) for i, m in enumerate(data["X"])]
+        D = [square(f"D[{i}]", m) for i, m in enumerate(data["D"])]
+        return cls(l=l, N=N, Z=Z, t=t, X=X, D=D, T=square("T", data["T"]))
 
 
 @dataclass
@@ -118,24 +119,20 @@ def check_point(p):
     """Exact residuals of the chain and closing equations; also reports
     whether T lies in the special conjugacy class diag(t^-1,..,t^-1,t^(N-1))."""
     residuals = []
-    ok = True
     I = _eye(p.N)
     for i in range(1, p.l):
         # Z_{i+1}(1 + X_{i+1} D_{i+1}) = Z_i (1 + D_i X_i), 0-based i
         lhs = (I + p.X[i] * p.D[i]) * p.Z[i]
         rhs = (I + p.D[i - 1] * p.X[i - 1]) * p.Z[i - 1]
-        res = lhs - rhs
-        residuals.append({"equation": f"chain[{i + 1}]", "zero": res.is_zero()})
-        ok &= res.is_zero()
+        residuals.append({"equation": f"chain[{i + 1}]", "zero": (lhs - rhs).is_zero()})
     lhs = (I + p.X[0] * p.D[0]) * p.Z[0] * p.T
     rhs = (I + p.D[p.l - 1] * p.X[p.l - 1]) * p.Z[p.l - 1]
-    res = lhs - rhs
-    residuals.append({"equation": "closing", "zero": res.is_zero()})
-    ok &= res.is_zero()
+    residuals.append({"equation": "closing", "zero": (lhs - rhs).is_zero()})
 
     tclass = (p.T - I * (1 / p.t)) * (p.T - I * (p.t ** (p.N - 1)))
     in_class = tclass.is_zero() if p.N > 1 else (p.T == I)
-    return {"certified": ok, "residuals": residuals, "T_in_special_class": in_class}
+    return {"certified": all(r["zero"] for r in residuals), "residuals": residuals,
+            "T_in_special_class": in_class}
 
 
 def psi(p):
@@ -171,20 +168,19 @@ def check_quadruple(q):
     YT = q.Y * q.T
     for z in q.Z:
         prod_minus = prod_minus * (YT * (1 / z) - I)
-    r1 = q.X * q.D - prod_plus
-    r2 = q.D * q.X - prod_minus
-    r3 = q.Y * q.X - q.X * YT
-    r4 = YT * q.D - q.D * q.Y
-    ok = r1.is_zero() and r2.is_zero() and r3.is_zero() and r4.is_zero()
+    residuals = [
+        {"equation": name, "zero": r.is_zero()}
+        for name, r in (
+            ("XD", q.X * q.D - prod_plus),
+            ("DX", q.D * q.X - prod_minus),
+            ("YX=XYT", q.Y * q.X - q.X * YT),
+            ("YTD=DY", YT * q.D - q.D * q.Y),
+        )
+    ]
     inv = q.Y.is_invertible()
     return {
-        "certified": ok and inv,
-        "residuals": [
-            {"equation": "XD", "zero": r1.is_zero()},
-            {"equation": "DX", "zero": r2.is_zero()},
-            {"equation": "YX=XYT", "zero": r3.is_zero()},
-            {"equation": "YTD=DY", "zero": r4.is_zero()},
-        ],
+        "certified": inv and all(r["zero"] for r in residuals),
+        "residuals": residuals,
         "Y_invertible": inv,
     }
 
@@ -229,7 +225,6 @@ def sample_chain(l, N, Z, seed, max_attempts=200):
         if any(not m.is_invertible() for m in X):
             continue
         D = [Matrix.random(rng, N, N)]
-        ok = True
         for i in range(1, l):
             rhs = (I + D[i - 1] * X[i - 1]) * (Z[i - 1] / Z[i]) - I
             D.append(X[i].inverse() * rhs)

@@ -45,3 +45,23 @@ def test_criterion_12_fails_on_an_unexpected_error(monkeypatch):
     entry = acceptance.criterion_12()
     assert entry["status"] == "fail"
     assert entry["details"]["error"].startswith("RuntimeError at test_acceptance.py:")
+
+
+def test_criterion_12_fails_when_no_draw_is_checked(monkeypatch):
+    from cycdaha import quiver
+
+    def singular(X, Y, g, h):
+        raise quiver.SingularFactor("1 + XY must be invertible")
+
+    monkeypatch.setattr(quiver, "moment_equivariance_check", singular)
+    entry = acceptance.criterion_12()
+    assert entry["status"] == "fail"
+    assert entry["details"]["moment-map equivariance (0 of 5 draws)"] is False
+
+
+def test_status_is_derived_from_the_details():
+    # a criterion passes only when it checked something and all of it held
+    assert acceptance._timed("empty", lambda: {})["status"] == "fail"
+    assert acceptance._timed("one false", lambda: {"a": True, "b": False})["status"] == "fail"
+    assert acceptance._timed("not a bool", lambda: {"a": 1})["status"] == "fail"
+    assert acceptance._timed("all true", lambda: {"a": True, "b": True})["status"] == "pass"

@@ -135,6 +135,14 @@ def test_cobalanced_segment_identities():
             assert r["loops_invertible"]
 
 
+def test_cobalanced_singular_loop_is_reported():
+    data = sample_cobalanced_segment(2, 5)
+    data["B3"] = Matrix.zero(2, 2)
+    assert cobalanced_reduction_check(data) == {
+        "chain_identity": False, "telescoping": False, "loops_invertible": False,
+    }
+
+
 def test_bow_json_round_trip():
     b = bow((2, 2, 2), 11)
     b2 = BowData.from_json(b.to_json())

@@ -1,5 +1,7 @@
+import argparse
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -277,7 +279,25 @@ def test_usage_error_exit_code_two(capsys, tmp_path):
                           "--t", "9/4", "--poly", str(outside)]),
               ("--q", apply2 + [str(negative), "--q", "0"]),
               ("--q", apply2 + [str(negative), "--q", "0", "--op", "M1l1"])]
-    for path in (missing, str(garbled), str(wrong)):
+    # matrices whose shapes disagree with the declared dims, or with N; a
+    # quiver point at t = 0
+    from cycdaha.bow import sample_bow
+    from cycdaha.quiver import sample_chain
+
+    bow = sample_bow((2, 2, 2), 2, 3, Fraction(5, 2), 11).to_json()
+    point = sample_chain(2, 2, (2, Fraction(5, 3)), 3).to_json()
+    malformed = []
+    for k, (data, key, value) in enumerate((
+        (bow, "dims", [2, 3, 2]),
+        (bow, "A", bow["A"][:-1]),
+        (point, "X", [point["X"][0][:-1], point["X"][1]]),
+        (point, "N", 3),
+        (point, "t", "0"),
+    )):
+        path = tmp_path / f"malformed{k}.json"
+        path.write_text(json.dumps({**data, key: value}))
+        malformed.append(str(path))
+    for path in (missing, str(garbled), str(wrong), *malformed):
         cases += [("--poly", apply3 + [path]),
                   ("--file", ["quiver", "check", "--file", path]),
                   ("--file", ["bow", "check", "--file", path]),
@@ -287,6 +307,39 @@ def test_usage_error_exit_code_two(capsys, tmp_path):
             main(cmd)
         assert exc.value.code == 2, cmd
         assert f"error: {flag}: " in capsys.readouterr().err, cmd
+
+
+def _leaf_parsers(parser, path=()):
+    """(argv prefix, subparser) for every command of the parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield list(path), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+def test_config_echoes_every_flag_but_out(capsys, monkeypatch):
+    # config is derived from the parser: command plus every flag but --out,
+    # so a new flag cannot be left out of it
+    from cycdaha import cli
+
+    ap = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: ap)
+    for path, sub in _leaf_parsers(ap):
+        sub.set_defaults(fn=lambda args: ({}, True), check=None)
+        argv = list(path)
+        for action in sub._actions:
+            value = "1" if action.choices is None else next(iter(action.choices))
+            if not action.option_strings:
+                argv.append(value)
+            elif action.required:
+                argv += [action.option_strings[0], value]
+        code, report = run_cli(argv, capsys)
+        assert code == 0, argv
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        assert set(report["config"]) == {"command"} | dests - {"out"}, argv
+        assert report["config"]["command"] == " ".join(path)
 
 
 def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
@@ -328,6 +381,9 @@ def test_macdonald_apply_cli(capsys, tmp_path):
     assert code == 0
     img = LaurentPoly.from_json(report["report"]["image"])
     assert img.is_symmetric()
+    # the input file is echoed; the polynomial read from it is not
+    assert report["config"] == {"command": "macdonald apply", "op": "M1", "N": 2,
+                                "q": "7/5", "t": "9/4", "poly": str(pfile)}
 
 
 def test_macdonald_commute_cli(capsys):
