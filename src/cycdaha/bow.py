@@ -29,6 +29,7 @@ from fractions import Fraction
 from random import Random
 
 from .linalg import Matrix, span_closure
+from .quiver import UncertifiedInput
 from .scalars import SamplingExhausted
 
 CIRCLE_CROSS = "circle-cross"
@@ -198,9 +199,8 @@ def hw_transition(bow):
     """
     if bow.orientation != CIRCLE_CROSS:
         raise ValueError("transition starts from the circle-cross orientation")
-    rep = check_bow(bow)
-    if not rep["certified"]:
-        raise InconsistentEquations("input bow not certified")
+    if not check_bow(bow)["certified"]:
+        raise UncertifiedInput("input bow not certified")
     d1, d2, d3 = bow.dims
     t, Z, Zp = bow.t, bow.Z, bow.Zp
     alpha = bow.D.vstack(bow.A, bow.b)
@@ -261,9 +261,8 @@ def hw_inverse(bow):
     """
     if bow.orientation != CROSS_CIRCLE:
         raise ValueError("inverse starts from the cross-circle orientation")
-    rep = check_bow(bow)
-    if not rep["certified"]:
-        raise InconsistentEquations("input bow not certified")
+    if not check_bow(bow)["certified"]:
+        raise UncertifiedInput("input bow not certified")
     d1, d2n, d3 = bow.dims
     t, Z, Zp = bow.t, bow.Z, bow.Zp
     beta_n = bow.A.hstack(bow.D, bow.a)

@@ -171,16 +171,22 @@ def cmd_bow_check(args):
 
 
 def cmd_bow_hw(args):
-    from .bow import hw_round_trip_check
+    """The round trip of --file; an input that fails certification is a
+    failed check (exit 1), reported as bow check reports it."""
+    from .bow import check_bow, hw_round_trip_check
+    from .quiver import UncertifiedInput
 
-    rt = hw_round_trip_check(args.data)
+    # --out holds the transitioned bow; the report itself goes to stdout
+    out, args.out = args.out, None
+    try:
+        rt = hw_round_trip_check(args.data)
+    except UncertifiedInput as exc:
+        return {"ok": False, "reason": str(exc), "check": check_bow(args.data)}, False
     new = rt.pop("new", None)
     rt.pop("back", None)
-    if args.out and new is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out and new is not None:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(_canonical(new.to_json()) + "\n")
-    # --out holds the transitioned bow; the report itself goes to stdout
-    args.out = None
     return rt, rt["ok"]
 
 

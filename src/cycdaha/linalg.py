@@ -1,28 +1,36 @@
-"""Exact dense linear algebra over Fraction and other exact fields.
+"""Exact linear algebra over QQ and other exact fields.
 
-There is one elimination per field.  Rational rows, given as ints or
-Fractions (``laurent.coefficient_rows`` and ``quasiinv.conditions_matrix``
-give ints), are cleared to primitive integer rows and reduced
-fraction-free (Bareiss-style with per-row content stripping) on Python
-integers; ``nullspace`` reads its vectors off those integer rows, one
-Fraction per free-column entry.  Other exact fields (cyclotomics, rational
-functions) use ordinary Gaussian elimination, which stays exact.  The
-first nonzero entry tells the two apart, and ``x / x`` of that entry is
-the field's unit, so no caller passes one.  ``_row_echelon_field`` stays
-beside the integer path: it is the only elimination for Q(zeta_l) and Q(t)
-rows, and the tests use it as the reference for the integer path.
+There is one elimination per field.  Over QQ it is a fraction-free
+Gauss-Jordan elimination on sparse integer rows ``{column: int}``
+(``_reduce``): each incoming row is reduced against the kept pivot rows in
+column order, its content is stripped, and its pivot column is then cleared
+from every kept row.  Kept rows therefore stay fully reduced, so a reduction
+never creates an entry in another pivot column, and row i over its pivot
+entry is row i of the reduced row echelon form.  Rational rows (ints or
+Fractions; ``laurent.coefficient_rows`` and ``quasiinv.conditions_matrix``
+give ints) have their denominators cleared on the way in, and the
+quasiinvariant condition rows, which hold a few entries each, stay sparse
+throughout.  ``row_echelon``, ``nullspace``, the ``Matrix`` rank, inverse,
+kernel and solver, and ``span_closure`` all take this one path.  Other
+exact fields (cyclotomics, rational functions) use ordinary Gaussian
+elimination, ``_row_echelon_field``, which stays exact; the tests also use
+it as the reference for the integer path.  The first nonzero entry tells
+the two apart, and ``x / x`` of that entry is the field's unit, so no
+caller passes one.
 
 A small immutable Matrix class covers the matrix work of the quiver and
-bow modules.  It holds the exact int and Fraction entries it is given and
-never re-casts them; its inverse and solver use the same row_echelon.
-There is one kernel, ``Matrix.kernel`` (the left kernel of M is
-``M.T.kernel().T``), and one invariant-subspace closure, ``span_closure``,
-which also gives the dimension of a generated matrix algebra."""
+bow modules.  It stores integer numerators over one positive denominator
+in canonical form, so its arithmetic runs on ints.  There is one kernel,
+``Matrix.kernel`` (the left kernel of M is ``M.T.kernel().T``), and one
+invariant-subspace closure, ``span_closure``, which also gives the
+dimension of a generated matrix algebra."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add, mul, sub
 
 
 # ---------------------------------------------------------------------------
@@ -56,82 +64,113 @@ def _row_echelon_field(rows, ncols, one):
     return r, pivots, rows[:r]
 
 
-def _int_rows(rows):
-    """Rational rows (ints or Fractions, none all zero) as primitive integer
-    rows: denominators cleared, content stripped."""
-    out = []
-    for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        g = gcd(*ints)
-        out.append(ints if g == 1 else [v // g for v in ints])
-    return out
+# ---------------------------------------------------------------------------
+# the rational elimination: sparse integer rows
+
+def _sparse(row):
+    """A rational row (ints or Fractions) as {column: int}: its nonzero
+    entries times the lcm of their denominators."""
+    cols = {c: x for c, x in enumerate(row) if x}
+    den = lcm(*[x.denominator for x in cols.values()])
+    return {c: x.numerator * (den // x.denominator) for c, x in cols.items()}
 
 
-def _row_echelon_int(rows, ncols):
-    """Fraction-free elimination with row-content stripping over the integers.
+def _axpy(a, row, b, other):
+    """a row - b other for sparse integer rows, without zero entries; row
+    is consumed."""
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in other.items():
+        w = row.get(c, 0) - b * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+    return row
 
-    Keeps entries as exact integers; divides out row gcds after every
-    elimination step so coefficient growth stays modest.  Returns
-    (rank, pivot_cols, echelon rows as ints); row i over its pivot entry is
-    the reduced row.
+
+def _reduce(kept, row):
+    """Grow the reduced echelon form kept by one sparse integer row.
+
+    kept maps each pivot column to its row: primitive, with a positive
+    pivot entry that is also its first entry, and zero at every other pivot
+    column.  The row (consumed) is reduced against kept in column order;
+    if anything is left, its content is stripped, its pivot column is
+    cleared from every kept row, and it is kept.  Returns whether it was.
     """
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        for i in range(len(rows)):
-            if i == r or not rows[i][c]:
-                continue
-            f = rows[i][c]
-            new = [pv * a - f * b for a, b in zip(rows[i], rows[r])]
-            g = 0
-            for v in new:
-                g = gcd(g, v)
-            if g > 1:
-                new = [v // g for v in new]
-            rows[i] = new
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return r, pivots, rows[:r]
+    for c in sorted(row.keys() & kept.keys()):
+        piv = kept[c]
+        a, b = piv[c], row[c]
+        g = gcd(a, b)
+        row = _axpy(a // g, row, b // g, piv)
+    if not row:
+        return False
+    p = min(row)
+    g = gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    if g != 1:
+        row = {c: v // g for c, v in row.items()}
+    a = row[p]
+    for q, other in kept.items():
+        b = other.get(p)
+        if b:
+            g = gcd(a, b)
+            other = _axpy(a // g, other, b // g, row)
+            g = gcd(*other.values())
+            kept[q] = {c: v // g for c, v in other.items()} if g != 1 else other
+    kept[p] = row
+    return True
+
+
+def _echelon(rows):
+    """The reduced echelon form (as _reduce keeps it) of sparse integer rows."""
+    kept = {}
+    for row in rows:
+        _reduce(kept, row)
+    return kept
+
+
+def _int_sparse(nums):
+    """Dense integer rows as sparse ones."""
+    return ({c: v for c, v in enumerate(r) if v} for r in nums)
 
 
 def row_echelon(rows, ncols, ints=False):
     """Reduced row echelon form; returns (rank, pivot_cols, rows).
 
     rows: iterable of coefficient sequences.  Rational rows (ints or
-    Fractions) take the integer fraction-free path and come back as
-    Fractions, or with ints as the integer rows of that elimination (row i
-    over its pivot entry is the reduced row); any other exact field
-    eliminates with x / x as its unit, x the first nonzero entry.  That
-    entry also tells the two apart.
+    Fractions) take the sparse integer elimination and come back as
+    Fractions, or with ints as its primitive integer rows (row i over its
+    pivot entry, which is positive, is the reduced row); any other exact
+    field eliminates with x / x as its unit, x the first nonzero entry.
+    That entry also tells the two apart.
     """
-    rows = [list(r) for r in rows]
     rows = [r for r in rows if any(r)]
     if not rows:
         return 0, [], []
     x = next(v for v in rows[0] if v)
-    if isinstance(x, (Fraction, int)):
-        rank, pivots, ech = _row_echelon_int(_int_rows(rows), ncols)
-        if not ints:
-            ech = [[Fraction(v, row[c]) for v in row] for row, c in zip(ech, pivots)]
-        return rank, pivots, ech
-    return _row_echelon_field(rows, ncols, x / x)
+    if not isinstance(x, (Fraction, int)):
+        return _row_echelon_field(rows, ncols, x / x)
+    kept = _echelon(map(_sparse, rows))
+    pivots = sorted(kept)
+    ech = []
+    for p in pivots:
+        row = kept[p]
+        if ints:
+            dense = [0] * ncols
+            for c, v in row.items():
+                dense[c] = v
+        else:
+            dense = [Fraction(0)] * ncols
+            for c, v in row.items():
+                dense[c] = Fraction(v, row[p])
+        ech.append(dense)
+    return len(pivots), pivots, ech
 
 
 def matrix_rank(rows, ncols):
-    return row_echelon(rows, ncols)[0]
+    return row_echelon(rows, ncols, ints=True)[0]
 
 
 def nullspace(rows, ncols):
@@ -167,32 +206,54 @@ def nullspace(rows, ncols):
 # small exact matrices
 
 class Matrix:
-    """Immutable dense matrix holding exact entries (ints, Fractions) as given.
+    """Immutable dense rational matrix: integer numerators over one
+    denominator.
 
-    Nothing re-casts an entry: sums and products keep the type the exact
-    arithmetic gives.  Zero-dimensional shapes are supported through the
-    explicit shape argument (rows cannot carry a column count when there
-    are no rows).  ``kernel`` is the one kernel: its columns span the right
+    ``nums`` holds tuples of ints and ``den`` is a positive int with
+    gcd(den, every numerator) = 1, so equal matrices store equal data and
+    sums, products, scalar multiples, comparisons and the eliminations all
+    run on ints.  ``rows`` is the entry view: the ints themselves when
+    den = 1, Fractions otherwise.  The constructor takes int and Fraction
+    entries.  Zero-dimensional shapes are supported through the explicit
+    shape argument (rows cannot carry a column count when there are no
+    rows).  ``kernel`` is the one kernel: its columns span the right
     kernel, and ``M.T.kernel().T`` has rows spanning the left one.
     """
 
-    __slots__ = ("m", "n", "rows")
+    __slots__ = ("m", "n", "nums", "den")
 
     def __init__(self, rows, shape=None):
-        self.rows = tuple(tuple(r) for r in rows)
+        rows = [tuple(r) for r in rows]
         if shape is None:
-            shape = (len(self.rows), len(self.rows[0]) if self.rows else 0)
+            shape = (len(rows), len(rows[0]) if rows else 0)
         self.m, self.n = shape
-        if len(self.rows) != self.m or any(len(r) != self.n for r in self.rows):
+        if len(rows) != self.m or any(len(r) != self.n for r in rows):
             raise ValueError(f"rows disagree with shape {shape}")
+        # over the lcm of the reduced denominators the form is canonical
+        den = lcm(*[x.denominator for r in rows for x in r])
+        self.nums = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows)
+        self.den = den
+
+    @classmethod
+    def _make(cls, nums, den, shape):
+        """The matrix nums / den (den > 0), brought to canonical form."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(nums))
+            if g != 1:
+                nums = tuple(tuple(v // g for v in r) for r in nums)
+                den //= g
+        out = cls.__new__(cls)
+        out.nums, out.den = nums, den
+        out.m, out.n = shape
+        return out
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], shape=(n, n))
+        return cls._make(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, (n, n))
 
     @classmethod
     def zero(cls, m, n):
-        return cls([[0] * n for _ in range(m)], shape=(m, n))
+        return cls._make(((0,) * n,) * m, 1, (m, n))
 
     @classmethod
     def random(cls, rng, m, n):
@@ -208,38 +269,50 @@ class Matrix:
     def column(cls, entries):
         return cls([[x] for x in entries])
 
-    def __add__(self, other):
+    @property
+    def rows(self):
+        if self.den == 1:
+            return self.nums
+        den = self.den
+        return tuple(tuple(Fraction(v, den) for v in r) for r in self.nums)
+
+    def _scaled(self, den):
+        """The numerators over den, a multiple of self.den."""
+        if den == self.den:
+            return self.nums
+        k = den // self.den
+        return tuple(tuple(k * v for v in r) for r in self.nums)
+
+    def _entrywise(self, other, op, sign):
         if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            shape=self.shape,
-        )
+            raise ValueError(f"shape mismatch {self.shape} {sign} {other.shape}")
+        den = lcm(self.den, other.den)
+        nums = tuple(tuple(map(op, r, s)) for r, s in zip(self._scaled(den), other._scaled(den)))
+        return Matrix._make(nums, den, self.shape)
+
+    def __add__(self, other):
+        return self._entrywise(other, add, "+")
 
     def __sub__(self, other):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            shape=self.shape,
-        )
+        return self._entrywise(other, sub, "-")
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
-            return Matrix([[other * a for a in r] for r in self.rows], shape=self.shape)
+            k = other.numerator
+            nums = tuple(tuple(k * v for v in r) for r in self.nums)
+            return Matrix._make(nums, self.den * other.denominator, self.shape)
         if self.n != other.m:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        cols = other.T.rows
-        return Matrix(
-            [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self.rows],
-            shape=(self.m, other.n),
-        )
+        cols = tuple(zip(*other.nums)) if other.m else ((),) * other.n
+        nums = tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.nums)
+        return Matrix._make(nums, self.den * other.den, (self.m, other.n))
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.shape == other.shape
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     @property
@@ -247,27 +320,36 @@ class Matrix:
         return (self.m, self.n)
 
     def is_zero(self):
-        return all(not x for r in self.rows for x in r)
+        return not any(map(any, self.nums))
 
     @property
     def T(self):
-        return Matrix(zip(*self.rows) if self.m else [()] * self.n, shape=(self.n, self.m))
+        nums = tuple(zip(*self.nums)) if self.m else ((),) * self.n
+        return Matrix._make(nums, self.den, (self.n, self.m))
 
     def trace(self):
-        return sum(self.rows[i][i] for i in range(min(self.m, self.n)))
+        t = sum(self.nums[i][i] for i in range(min(self.m, self.n)))
+        return t if self.den == 1 else Fraction(t, self.den)
 
     def rank(self):
-        return matrix_rank(self.rows, self.n)
+        return len(_echelon(_int_sparse(self.nums)))
 
     def inverse(self):
+        """(nums / den)^-1 = den nums^-1; row i of nums^-1 is the right half
+        of the echelon row of [nums | 1] with pivot i, over that pivot."""
         if self.m != self.n:
             raise ValueError("not square")
         n = self.n
-        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
-        rank, pivots, ech = row_echelon(aug, 2 * n)
-        if rank < n or pivots[:n] != list(range(n)):
+        rows = list(_int_sparse(self.nums))
+        for i, row in enumerate(rows):
+            row[n + i] = 1
+        kept = _echelon(rows)
+        if any(p >= n for p in kept):
             raise ZeroDivisionError("singular matrix")
-        return Matrix([r[n:] for r in ech], shape=(n, n))
+        den = lcm(*[kept[i][i] for i in range(n)])
+        nums = tuple(tuple(kept[i].get(n + j, 0) * (self.den * den // kept[i][i])
+                           for j in range(n)) for i in range(n))
+        return Matrix._make(nums, den, (n, n))
 
     def is_invertible(self):
         return self.m == self.n and self.rank() == self.n
@@ -288,50 +370,57 @@ class Matrix:
         return coeffs
 
     def kernel(self):
-        """The n x k matrix whose columns span the right kernel."""
-        vecs = nullspace(self.rows, self.n)
-        return Matrix(vecs, shape=(len(vecs), self.n)).T
+        """The n x k matrix whose columns span the right kernel, one per
+        free column f as nullspace gives them: 1 at f and -row[f] / row[p]
+        at each pivot p, over the lcm of the pivot entries."""
+        kept = _echelon(_int_sparse(self.nums))
+        den = lcm(*[row[p] for p, row in kept.items()])
+        cols = []
+        for f in range(self.n):
+            if f in kept:
+                continue
+            col = [0] * self.n
+            col[f] = den
+            for p, row in kept.items():
+                v = row.get(f)
+                if v:
+                    col[p] = -v * (den // row[p])
+            cols.append(col)
+        nums = tuple(zip(*cols)) if cols else ((),) * self.n
+        return Matrix._make(nums, den, (self.n, len(cols)))
 
     def hstack(self, *others):
-        rows = [list(r) for r in self.rows]
-        n = self.n
-        for o in others:
-            if o.m != self.m:
-                raise ValueError("row count mismatch")
-            for i in range(self.m):
-                rows[i].extend(o.rows[i])
-            n += o.n
-        return Matrix(rows, shape=(self.m, n))
+        if any(o.m != self.m for o in others):
+            raise ValueError("row count mismatch")
+        mats = (self, *others)
+        den = lcm(*[o.den for o in mats])
+        nums = tuple(tuple(chain.from_iterable(r)) for r in zip(*[o._scaled(den) for o in mats]))
+        return Matrix._make(nums, den, (self.m, sum(o.n for o in mats)))
 
     def vstack(self, *others):
-        rows = [list(r) for r in self.rows]
-        m = self.m
-        for o in others:
-            if o.n != self.n:
-                raise ValueError("column count mismatch")
-            rows.extend(list(r) for r in o.rows)
-            m += o.m
-        return Matrix(rows, shape=(m, self.n))
+        if any(o.n != self.n for o in others):
+            raise ValueError("column count mismatch")
+        mats = (self, *others)
+        den = lcm(*[o.den for o in mats])
+        nums = tuple(chain.from_iterable(o._scaled(den) for o in mats))
+        return Matrix._make(nums, den, (len(nums), self.n))
 
     def submatrix(self, row_range, col_range):
-        rows = list(row_range)
         cols = list(col_range)
-        return Matrix(
-            [[self.rows[i][j] for j in cols] for i in rows],
-            shape=(len(rows), len(cols)),
-        )
+        nums = tuple(tuple(self.nums[i][j] for j in cols) for i in row_range)
+        return Matrix._make(nums, self.den, (len(nums), len(cols)))
 
     def solve_right(self, rhs):
         """X with self * X = rhs; raises if inconsistent (least structure wins)."""
-        aug = self.hstack(rhs)
-        rank, pivots, ech = row_echelon(aug.rows, aug.n)
-        if any(p >= self.n for p in pivots):
+        n = self.n
+        kept = _echelon(_int_sparse(self.hstack(rhs).nums))
+        if any(p >= n for p in kept):
             raise ValueError("inconsistent system")
-        out = [[0] * rhs.n for _ in range(self.n)]
-        for i, p in enumerate(pivots):
+        out = [[0] * rhs.n for _ in range(n)]
+        for p, row in kept.items():
             for j in range(rhs.n):
-                out[p][j] = ech[i][self.n + j]
-        X = Matrix(out, shape=(self.n, rhs.n))
+                out[p][j] = Fraction(row.get(n + j, 0), row[p])
+        X = Matrix(out, shape=(n, rhs.n))
         if self * X != rhs:
             raise ValueError("inconsistent system")
         return X
@@ -352,29 +441,20 @@ def span_closure(seeds, operators):
     """Smallest operator-invariant subspace containing the seeds.
 
     seeds: Matrices of one shape (columns, or n x n matrices); operators:
-    square Matrices acting on them from the left.  Each candidate is
-    reduced against an integer echelon basis of what is kept so far, which
-    grows one row at a time.  Returns the kept Matrices, in the order they
-    were found: a basis of the subspace.
+    square Matrices acting on them from the left.  Each candidate's
+    numerators, flattened, are reduced into one echelon form of what is
+    kept so far (the denominator does not change the span).  Returns the
+    kept Matrices, in the order they were found: a basis of the subspace.
     """
-    echelon = []  # (pivot column, primitive integer row), in insertion order
+    echelon = {}
     kept = []
 
     def add(mat):
-        row = [x for r in mat.rows for x in r]
-        if not any(row):
-            return False
-        (row,) = _int_rows([row])
-        for p, e in echelon:
-            c = row[p]
-            if c:
-                row = [e[p] * a - c * b for a, b in zip(row, e)]
-        if not any(row):
-            return False
-        g = gcd(*row)
-        echelon.append((next(j for j, x in enumerate(row) if x), [v // g for v in row]))
-        kept.append(mat)
-        return True
+        row = {c: v for c, v in enumerate(chain.from_iterable(mat.nums)) if v}
+        if _reduce(echelon, row):
+            kept.append(mat)
+            return True
+        return False
 
     frontier = [v for v in seeds if add(v)]
     while frontier:
@@ -395,7 +475,10 @@ def rational_eigenvalues(mat):
     """All rational eigenvalues of a Fraction matrix, found exactly."""
     poly = mat.char_poly()
     # the same roots as a primitive integer polynomial (char_poly is monic)
-    (ints,) = _int_rows([poly])
+    den = lcm(*[c.denominator for c in poly])
+    ints = [c.numerator * (den // c.denominator) for c in poly]
+    g = gcd(*ints)
+    ints = [v // g for v in ints]
     out = []
     if not ints[0]:
         # constant coefficient zero => 0 is an eigenvalue

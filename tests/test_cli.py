@@ -104,6 +104,27 @@ def test_bow_hw_cli(capsys, tmp_path):
     assert code == 0
 
 
+def test_bow_hw_cli_on_an_uncertified_bow(capsys, tmp_path):
+    # a user's bow that fails certification is a failed check, as bow check
+    # reports it, not an internal error
+    from cycdaha.bow import sample_bow
+
+    bow = sample_bow((2, 2, 2), 2, 3, Fraction(5, 2), 11).to_json()
+    bow["A"][0][0] = "7"
+    bfile = tmp_path / "bow.json"
+    bfile.write_text(json.dumps(bow))
+    code, report = run_cli(["bow", "check", "--file", str(bfile)], capsys)
+    assert code == 1 and not report["report"]["certified"]
+    b2 = tmp_path / "b2.json"
+    code, report = run_cli(["bow", "hw", "--file", str(bfile), "--out", str(b2)], capsys)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["report"]["ok"] is False
+    assert report["report"]["reason"] == "input bow not certified"
+    assert not report["report"]["check"]["certified"]
+    assert not b2.exists()
+
+
 def test_expr_parse_cli(capsys):
     code, report = run_cli(
         ["expr", "parse", "--text", "(3/2)*[T1 T2] + [X1]"], capsys

@@ -1,9 +1,9 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycdaha.linalg import (
@@ -16,6 +16,7 @@ from cycdaha.linalg import (
     row_echelon,
     span_closure,
 )
+from cycdaha.quasiinv import CYC, PLAIN_Q, TWISTED, QuasiSpec, conditions_matrix
 from cycdaha.scalars import CycloField
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -77,6 +78,73 @@ def test_fraction_free_echelon_matches_field_elimination(rows, scales):
             for r, k in zip(rows, scales)]
     assert all(type(x) is int for r in ints for x in r)
     assert row_echelon(ints, ncols) == ref
+
+
+def _field_nullspace(rows, ncols):
+    """The nullspace parametrization read off the Fraction elimination."""
+    rows = [[Fraction(x) for x in r] for r in rows if any(r)]
+    rank, pivots, ech = _row_echelon_field(rows, ncols, Fraction(1))
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(ech, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+nonzero_entries = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-4, max_value=4, max_denominator=5)
+).filter(bool)
+
+
+@st.composite
+def wide_sparse_rows(draw):
+    """About 30 columns at about 10% density, with int and Fraction
+    entries, plus duplicate rows and rows that reduce to zero."""
+    ncols = draw(st.integers(24, 36))
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        row = [0] * ncols
+        for c in draw(st.lists(st.integers(0, ncols - 1), max_size=6)):
+            row[c] = draw(nonzero_entries)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        k = draw(nonzero_entries)
+        if draw(st.booleans()):
+            rows.append(list(rows[i]))  # a duplicate
+        else:
+            rows.append([a * k - b for a, b in zip(rows[i], rows[j])])  # reduces to zero
+    return rows, ncols
+
+
+@settings(deadline=None)
+@given(wide_sparse_rows())
+def test_sparse_elimination_matches_field_elimination(case):
+    rows, ncols = case
+    ref = _row_echelon_field([r for r in rows if any(r)], ncols, Fraction(1))
+    assert row_echelon(rows, ncols) == ref
+    # the integer rows: primitive, a positive pivot, the reduced row over it
+    rank, pivots, ech = row_echelon(rows, ncols, ints=True)
+    assert (rank, pivots) == ref[:2]
+    assert all(type(x) is int for r in ech for x in r)
+    for row, p, ref_row in zip(ech, pivots, ref[2]):
+        assert row[p] > 0 and gcd(*row) == 1
+        assert [Fraction(x, row[p]) for x in row] == ref_row
+    assert nullspace(rows, ncols) == _field_nullspace(rows, ncols)
+
+
+@pytest.mark.parametrize("spec, d", [
+    (QuasiSpec(PLAIN_Q, 3, 1, q=Fraction(3, 2)), 6),
+    (QuasiSpec(CYC, 2, 1, l=2, mlist=(1,), q=Fraction(7, 5)), 7),
+    (QuasiSpec(CYC, 2, 1, l=2, mlist=(1,), q=1), 7),
+    (QuasiSpec(TWISTED, 3, 1, a=(Fraction(1, 2), Fraction(1, 3), Fraction(0))), 5),
+])
+def test_condition_row_nullspace_matches_field_elimination(spec, d):
+    rows, basis = conditions_matrix(spec, d)
+    assert nullspace(rows, len(basis)) == _field_nullspace(rows, len(basis))
 
 
 def test_matrix_inverse_and_det():
@@ -141,6 +209,82 @@ def test_entries_are_kept_exact():
     half = m * Fraction(1, 2)
     assert half.rows[0] == (Fraction(1, 2), 1)
     assert all(type(x) is Fraction for r in half.rows for x in r)
+
+
+def _canonical(m):
+    """The storage invariant: den > 0 and gcd(den, every numerator) = 1;
+    rows are the ints themselves when den = 1, else all Fractions."""
+    flat = [v for r in m.nums for v in r]
+    assert m.den > 0 and gcd(m.den, *flat) == 1
+    assert all(type(v) is int for v in flat)
+    kind = int if m.den == 1 else Fraction
+    assert all(type(x) is kind for r in m.rows for x in r)
+    return True
+
+
+def _ref_mul(a, b, inner, ncols):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(ncols)]
+            for i in range(len(a))]
+
+
+matrix_entries = st.one_of(st.integers(-6, 6), entries)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two m x n entry lists, an n x p one and a scalar."""
+    m, n, p = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def grid(r, c):
+        return [[draw(matrix_entries) for _ in range(c)] for _ in range(r)]
+
+    return (m, n, p), grid(m, n), grid(m, n), grid(n, p), draw(matrix_entries)
+
+
+@settings(deadline=None)
+@given(matrix_pairs())
+def test_matrix_arithmetic_matches_fraction_reference(case):
+    (m, n, p), a, b, c, k = case
+    A, B, C = Matrix(a, (m, n)), Matrix(b, (m, n)), Matrix(c, (n, p))
+    assert all(_canonical(x) for x in (A, B, C))
+    fa = [[Fraction(x) for x in r] for r in a]
+    assert [list(r) for r in A.rows] == fa
+    for got, want in (
+        (A + B, [[x + y for x, y in zip(r, s)] for r, s in zip(fa, b)]),
+        (A - B, [[x - y for x, y in zip(r, s)] for r, s in zip(fa, b)]),
+        (A * k, [[x * k for x in r] for r in fa]),
+        (A * C, _ref_mul(fa, c, n, p)),
+    ):
+        assert _canonical(got)
+        assert [list(r) for r in got.rows] == want
+        assert got == Matrix(want, got.shape)
+        assert got.to_json() == [[str(Fraction(x)) for x in r] for r in want]
+    assert (A == B) == (fa == [[Fraction(x) for x in r] for r in b])
+    assert A == Matrix(A.rows, A.shape) and A == Matrix.from_json(A.to_json(), A.shape)
+    # the kernel is the nullspace parametrization of the Fraction elimination
+    K = A.kernel()
+    assert _canonical(K) and K.shape == (n, n - A.rank())
+    assert [list(r) for r in K.T.rows] == _field_nullspace(fa, n)
+    # the inverse is the right half of the Fraction elimination of [A | 1]
+    if m == n:
+        aug = [r + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(fa)]
+        rank, pivots, ech = _row_echelon_field(aug, 2 * n, Fraction(1))
+        if pivots[:n] == list(range(n)):
+            inv = A.inverse()
+            assert _canonical(inv) and [list(r) for r in inv.rows] == [r[n:] for r in ech]
+            assert A * inv == Matrix.identity(n)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                A.inverse()
+
+
+def test_matrix_json_strings():
+    # integral entries are written as ints, whatever the denominator
+    m = Matrix([[3, Fraction(1, 2)], [Fraction(6, 2), -1]])
+    assert (m.nums, m.den) == (((6, 1), (6, -2)), 2)
+    assert m.to_json() == [["3", "1/2"], ["3", "-1"]]
+    assert (m * 2).to_json() == [["6", "1"], ["6", "-2"]] and (m * 2).den == 1
+    assert Matrix.from_json([["3/1", "-4/2"]], (1, 2)).to_json() == [["3", "-2"]]
 
 
 def test_span_closure():

@@ -229,6 +229,15 @@ def test_plain_q_flatness_small():
     assert r["all_match"]
 
 
+def test_plain_q_flatness_at_n_four():
+    # the q = 1 dimensions are the closed form
+    # sum_lambda f_lambda t^(m(N(N-1)/2 - c(lambda))) K_lambda(t) / prod_i (1 - t^i)
+    # of Felder-Veselov and Berest-Etingof-Ginzburg at N = 4, m = 1
+    r = flatness_report(PLAIN_Q, 4, 1, 10, 1)
+    assert r["reference_dims"] == [1, 1, 2, 3, 5, 9, 15, 23, 35, 50, 71]
+    assert r["all_match"]
+
+
 def test_expected_twisted_series_examples():
     # N=2, l=2: t^m/(1-t)^2
     for m in (1, 2):
