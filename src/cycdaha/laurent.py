@@ -24,7 +24,8 @@ Reduction happens in three places:
   one ``math.gcd(den, *nums)``.  The operator engine's ``map_linear`` (one
   generator application) is one loop over the terms: it looks each image up
   in the generator's cache, computes it only on a miss, and adds its
-  numerators into one dict over the lcm of the image dens.
+  numerators into one dict over the lcm of the image dens (a unit monomial
+  over den 1 gets the cached image itself, which is canonical).
   ``combination`` (one operator sum) accumulates its polynomials in one
   dict the same way.  Each pays for one reduction;
 * values leaving: the ``terms`` view joins a numerator and den into a
@@ -37,9 +38,12 @@ Reduction happens in three places:
   for every domain.  Over QQ it makes the divisor primitive first, so by
   Gauss's lemma the quotient of a divisible input comes out in ints with
   no Fraction; the content and the dens are restored in one reduction at
-  the end.  Only the quasiinvariant and Macdonald code divides; the
-  operator engine's quotients are ``divided_difference``, a closed form
-  with no division.
+  the end.  The remainder's leading term comes off a heap keyed on the
+  graded-lex order, which skips the entries of terms that have cancelled,
+  so each step costs a logarithm of the remainder's size instead of a scan.
+  Only the quasiinvariant and Macdonald code divides; the operator
+  engine's quotients are closed forms with no division
+  (``divided_difference`` and the one-pass T_i and Dunkl-Opdam images).
 
 A truncated series along a hyperplane is a plain list of polynomials, the
 coefficients of u^0..u^order (``series_on_hyperplane``).  Its weight
@@ -49,6 +53,7 @@ split into numerator and den once per distinct n in each call.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from collections.abc import Mapping
@@ -214,7 +219,8 @@ class LaurentPoly:
         """The image of self under the linear map sending X^e to cache[e], a
         LaurentPoly in the same ring; an image not yet in cache is fresh(e),
         stored there.  One loop adds n * image over the lcm of the image dens
-        into one dict, then one content reduction."""
+        into one dict, then one content reduction.  The image of a unit
+        monomial over den 1 is the cached image itself."""
         nums = self.nums
         if len(nums) == 1:
             ((e, n),) = nums.items()
@@ -223,6 +229,8 @@ class LaurentPoly:
                 img = cache.get(e)
                 if img is None:
                     img = cache[e] = fresh(e)
+                if self.den == 1:
+                    return img
                 return _canonical(self.N, self.dom, img.nums, img.den * self.den)
         out = {}
         lcm = 1
@@ -546,16 +554,23 @@ class LaurentPoly:
         bound = _glex_key(tuple(map(operator.sub, trail_num, trail_dvs)))
         cap = 10000 + 16 * len(num) * max(1, len(dvs))
 
-        # quot * dvs + cur == scale * num throughout
+        # quot * dvs + cur == scale * num throughout.  heap holds an entry
+        # for every term of cur, keyed so that the smallest entry is the
+        # glex-largest term; an entry whose term has cancelled since it was
+        # pushed is skipped when it comes up.
         quot = {}
         cur = dict(num)
+        heap = [(-sum(e), tuple(map(operator.neg, e)), e) for e in cur]
+        heapq.heapify(heap)
         scale = 1
         steps = 0
         while cur:
             steps += 1
             if steps > cap:
                 raise NotDivisible("no quotient within the term budget")
-            e = max(cur, key=_glex_key)
+            e = heapq.heappop(heap)[2]
+            while e not in cur:
+                e = heapq.heappop(heap)[2]
             ue = tuple(map(operator.sub, e, lead_e))
             if any(u < a or u > b for u, a, b in zip(ue, lo, hi)):
                 raise NotDivisible("quotient term outside the exponent box")
@@ -583,6 +598,7 @@ class LaurentPoly:
                 s = get(key)
                 if s is None:
                     cur[key] = -v
+                    heapq.heappush(heap, (-sum(key), tuple(map(operator.neg, key)), key))
                 else:
                     s = s - v
                     if s:

@@ -49,20 +49,29 @@ numerators over one den).  Rep.apply_gen hands its argument the generator's
 image cache and a fresh-image function; LaurentPoly.map_linear then runs one
 loop over the argument's terms that looks up each image, computes it only on
 a miss (from a monomial wrapping the unit numerator split once per
-representation) and adds its numerators into one dict.  Rep.apply sums an
+representation) and adds its numerators into one dict; on a monomial with
+coefficient 1 it returns the cached image itself.  Rep.apply sums an
 OperatorExpr's words through LaurentPoly.combination.  Each ends with one
 gcd content reduction.  A Gen is a named tuple, so the cache lookups hash
 and compare it in C.  Reports read coefficients through LaurentPoly.terms
 and to_json, which join them into reduced Fractions over QQ.
 
 Fresh images are built without intermediate polynomials where the action
-has a closed form.  T_i^+-1 and omega^+-1 make one pass over the terms of
-their argument into one LaurentPoly._collect: T_i's quotient by
-X_i/X_{i+1} - 1 is a signed geometric sum.  tb, tb - 1/tb and the powers of
-q they use are computed once per representation.  The quotients (p - g p)/(X_i - c X_j) of the Dunkl and
-the Dunkl-Opdam operators are LaurentPoly.divided_difference, the same
-closed form with no division loop.  A composite's factor list is built once
-per (representation, generator).
+has a closed form.  T_i^+-1, omega^+-1 and DO_i make one pass over the
+terms of their argument into one LaurentPoly._collect: T_i's quotient by
+X_i/X_{i+1} - 1 is a signed geometric sum, and so is DO_i's sum over m of
+its quotients by x_i - zeta^m x_r, whose coefficients add up to the
+integers l and 0 (see Rep._dunkl_opdam).  The scalars they use are
+computed once per representation: tb, tb - 1/tb and the powers of q;
+DO's l values w(s) = sum_j c_j zeta^(js) and k l.  The quotients
+(p - s_ij p)/(X_i - X_j) of the rational Dunkl operators are
+LaurentPoly.divided_difference, the same closed form with no division
+loop.  A composite's factor list is built once per (representation,
+generator).  Where a composite contains another composite's factors, it
+lists that composite as one Gen, so those images come from its cache:
+Dl_i = T_{i-1}^-1 Dl_{i-1} T_{i-1}^-1 (daha) and s_1i Dl_1 s_1i (deg), and
+pi_- = T_{N-1}^-1...T_1^-1 Dl_1 (daha) and s_{N-1}...s_1 Dl_1 (deg), the
+displayed products grouped.
 """
 
 from __future__ import annotations
@@ -72,7 +81,7 @@ from random import Random
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, power_table
-from .scalars import QQ, CycloField, field_of
+from .scalars import QQ, CycloField, CycloNumber, field_of
 
 FAMILY_DAHA = "daha"
 FAMILY_DEG = "deg"
@@ -239,6 +248,15 @@ class Rep:
             self._tb = dom.split(dom.coerce(tb))
             self._gap = dom.split(dom.coerce(tb - 1 / tb))
             self._qpows = power_table(dom, dom.coerce(self.params["q"]))
+        elif family == FAMILY_CYC:
+            # DO_i's scalars: w(s) = sum_j c_j zeta^(js), by which
+            # sum_j c_j sigma_i^j scales X^e when e_i = s mod l, and -k l
+            # and k l as (numerator, den) pairs
+            c = self.params["c"]
+            self._w = tuple(sum((cj * CycloNumber.zeta(l, j * s) for j, cj in enumerate(c)),
+                                dom.zero) for s in range(l))
+            kl = self.params["k"] * l
+            self._kl = (dom.split(-kl), dom.split(kl)) if kl else None
 
     # -- constructors -------------------------------------------------------
 
@@ -404,21 +422,47 @@ class Rep:
                                *((neg_k, p.swap(i, j)) for j in range(1, i))])
 
     def _dunkl_opdam(self, i, p):
-        """hbar d_i - x_i^-1 sum_j c_j sigma_i^j
-        - k sum_{r != i, m} (1 - s_ir sigma_i^m sigma_r^-m)/(x_i - zeta^m x_r),
-        the outer sum in one combination."""
-        hbar, k, c = self.params["hbar"], self.params["k"], self.params["c"]
-        zeta = self.dom.zeta
-        acc = LaurentPoly.combination(
-            self.N, self.dom, [(cj, p.scale_var(i, zeta ** j)) for j, cj in enumerate(c) if cj])
-        parts = [(hbar, p.derivative(i)), (-1, acc.shift(self._unit(i, -1)))]
-        if k:
-            neg_k = -k
-            # g = s_ir sigma_i^m sigma_r^-m sends x_i -> zeta^m x_r and
-            # x_r -> zeta^-m x_i
-            parts += [(neg_k, p.divided_difference(i, r, zeta ** m))
-                      for r in range(1, self.N + 1) if r != i for m in range(self.l)]
-        return LaurentPoly.combination(self.N, self.dom, parts)
+        """DO_i = hbar d_i - x_i^-1 sum_j c_j sigma_i^j
+        - k sum_{r != i} sum_m (1 - s_ir sigma_i^m sigma_r^-m)/(x_i - zeta^m x_r),
+        in one pass over the terms of p.
+
+        sigma_i^j scales X^e by zeta^(j e_i), so the c-part scales it by
+        w(e_i mod l) and meets the derivative at X^e/X_i: one term with
+        coefficient hbar e_i - w(e_i mod l).  The quotient at zeta^m (see
+        LaurentPoly.divided_difference) sends X^e, a = e_i and b = e_r, to
+        sign(a - b) sum_t zeta^(m(t-b)) X_i^(a+b-1-t) X_r^t over
+        min(a, b) <= t < max(a, b).  Summed over m, zeta^(m(t-b)) adds up
+        to l when t = b mod l and to 0 otherwise, so the k-part has integer
+        coefficients and 1/l of the terms, and no power of zeta is
+        computed."""
+        hbar, w, kl, l = self.params["hbar"], self._w, self._kl, self.l
+        split = self.dom.split
+        ii = i - 1
+        parts = []
+        for e, n in p.nums.items():
+            a = e[ii]
+            c = hbar * a - w[a % l]
+            if c:
+                cn, cd = split(c)
+                f = list(e)
+                f[ii] = a - 1
+                parts.append((tuple(f), n * cn, cd))
+            if kl is None:
+                continue
+            for r, b in enumerate(e):
+                if r == ii or a == b:
+                    continue
+                # -k l sign(a - b)
+                kn, kd = kl[a < b]
+                m = n * kn
+                lo, hi = (b, a) if a > b else (a, b)
+                f = list(e)
+                # t runs over lo <= t < hi with t = b mod l
+                for t in range(lo + (b - lo) % l, hi, l):
+                    f[ii] = a + b - 1 - t
+                    f[r] = t
+                    parts.append((tuple(f), m, kd))
+        return p._collect(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +528,14 @@ GENERATORS = {
         # pi^-1 = T_{N-1}^-1...T_1^-1 X_1^-1
         "pi^-1": _composite(lambda rep, g: [
             *_gens("T^-1", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)]),
-        # pi_- = pi^-1 (Y_1 - Z_1)...(Y_1 - Z_l)
+        # pi_- = pi^-1 (Y_1 - Z_1)...(Y_1 - Z_l) = T_{N-1}^-1...T_1^-1 Dl_1
         "pi-": _composite(lambda rep, g: [
-            Gen("pi^-1"), *_roots(Gen("Y", 1), rep.params["Z"])]),
-        # Dl_i = T_{i-1}^-1...T_1^-1 X_1^-1 (Y_1 - Z_1)...(Y_1 - Z_l) T_1^-1...T_{i-1}^-1
+            *_gens("T^-1", range(rep.N - 1, 0, -1)), Gen("Dl", 1)]),
+        # Dl_1 = X_1^-1 (Y_1 - Z_1)...(Y_1 - Z_l), and
+        # Dl_i = T_{i-1}^-1...T_1^-1 Dl_1 T_1^-1...T_{i-1}^-1 = T_{i-1}^-1 Dl_{i-1} T_{i-1}^-1
         "Dl": _composite(lambda rep, g: [
-            *_gens("T^-1", range(g.i - 1, 0, -1)), Gen("X^-1", 1),
-            *_roots(Gen("Y", 1), rep.params["Z"]), *_gens("T^-1", range(1, g.i))]),
+            Gen("X^-1", 1), *_roots(Gen("Y", 1), rep.params["Z"])] if g.i == 1 else [
+            Gen("T^-1", g.i - 1), Gen("Dl", g.i - 1), Gen("T^-1", g.i - 1)]),
     },
     FAMILY_DEG: {
         **_SHARED,
@@ -505,13 +550,13 @@ GENERATORS = {
         # pi^-1 = s_{N-1}...s_1 X_1^-1
         "pi^-1": _composite(lambda rep, g: [
             *_gens("s", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)]),
-        # pi_- = pi^-1 (y_1 - z_1)...(y_1 - z_l)
+        # pi_- = pi^-1 (y_1 - z_1)...(y_1 - z_l) = s_{N-1}...s_1 Dl_1
         "pi-": _composite(lambda rep, g: [
-            Gen("pi^-1"), *_roots(Gen("y", 1), rep.params["z"])]),
-        # Dl_i = s_1i X_1^-1 (y_1 - z_1)...(y_1 - z_l) s_1i
+            *_gens("s", range(rep.N - 1, 0, -1)), Gen("Dl", 1)]),
+        # Dl_1 = X_1^-1 (y_1 - z_1)...(y_1 - z_l), and Dl_i = s_1i Dl_1 s_1i
         "Dl": _composite(lambda rep, g: [
-            Gen("sij", 1, g.i), Gen("X^-1", 1),
-            *_roots(Gen("y", 1), rep.params["z"]), Gen("sij", 1, g.i)]),
+            Gen("X^-1", 1), *_roots(Gen("y", 1), rep.params["z"])] if g.i == 1 else [
+            Gen("sij", 1, g.i), Gen("Dl", 1), Gen("sij", 1, g.i)]),
     },
     FAMILY_CYC: {
         **_SHARED,

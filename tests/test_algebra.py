@@ -94,6 +94,15 @@ def test_symbolic_parameters_give_verdicts_for_every_value():
     assert r["all_pass"] and len(r["relations"]) == 22
 
 
+def test_a_wrong_cd5_instance_fails():
+    """Control: Dl_2 is built from the cached Dl_1, and cd5[1] says
+    T_1^-1 Dl_1 T_1^-1 = Dl_2; scaled by 8/7 it must fail."""
+    rep = sample_rep("cyc-daha", 3, 2, seed=1)
+    (inst,) = [r for r in catalog("cyc-daha").instances(rep) if r.name == "cd5[1]"]
+    assert op_equal_on_box(rep, inst.lhs, inst.rhs, 2)["result"]
+    assert not op_equal_on_box(rep, inst.lhs, inst.rhs * Fraction(8, 7), 2)["result"]
+
+
 def test_verify_family_reports_parameters_as_json_scalars():
     t = RatFuncField("t").gen
     r = verify_family(Rep.daha(2, Fraction(2, 3), t), "daha", "box", box_radius=0)

@@ -364,3 +364,24 @@ def test_exact_divide_agrees_with_fraction_long_division(fp, fd, fr, content, di
     assert got == want
     if divisible:
         assert got == fp
+
+
+def test_exact_divide_with_cancelling_remainder_terms():
+    """d = X1 - X2 times q = sum of (1 + a + b)/3 X1^a X2^b over a + b <= 6
+    telescopes to 14 terms (56 products), so most remainder terms the
+    division creates
+    cancel again; the heap skips them.  With one more term the input is
+    not divisible, and exact_divide fails where long division over
+    Fractions fails."""
+    d = X(1) - X(2)
+    q = LaurentPoly(2, QQ, {(a, b): Fraction(1 + a + b, 3)
+                            for a in range(7) for b in range(7 - a)})
+    p = d * q
+    assert len(p.nums) == 14
+    assert p.exact_divide(d) == q
+    for extra in ((3, 3), (0, 0), (6, 0)):
+        r = p + LaurentPoly.monomial(2, extra, Fraction(5, 3))
+        want = _divide_outcome(_fraction_long_division, r, d)
+        with pytest.raises(NotDivisible) as exc:
+            r.exact_divide(d)
+        assert str(exc.value) == want

@@ -108,6 +108,75 @@ def test_dunkl_opdam_commutativity_small():
     assert op_equal_on_box(rep, a, b, 2)["result"]
 
 
+def _literal_dunkl_opdam(rep, i, p):
+    """DO_i as displayed: l scale_vars for the c-part, the divided
+    differences at c = zeta^m for the k-part, one combination."""
+    hbar, k, c = rep.params["hbar"], rep.params["k"], rep.params["c"]
+    N, dom, zeta = rep.N, rep.dom, rep.dom.zeta
+    acc = LaurentPoly.combination(
+        N, dom, [(cj, p.scale_var(i, zeta ** j)) for j, cj in enumerate(c) if cj])
+    unit = tuple(-1 if r == i else 0 for r in range(1, N + 1))
+    parts = [(hbar, p.derivative(i)), (-1, acc.shift(unit))]
+    parts += [(-k, p.divided_difference(i, r, zeta ** m))
+              for r in range(1, N + 1) if r != i for m in range(rep.l)]
+    return LaurentPoly.combination(N, dom, parts)
+
+
+@pytest.mark.parametrize("k", [0, Fraction(2, 3)])
+@pytest.mark.parametrize("N,l", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_dunkl_opdam_matches_the_literal_form(N, l, k):
+    """The one-pass DO_i, with its integer k-part over the Z/l orbit, equals
+    the literal sum on every monomial of the B = 3 box (c_1 = 0 for l > 1),
+    and on one polynomial of several terms."""
+    c = tuple(0 if j == 1 else Fraction(2 * j + 1, 3) for j in range(l))
+    rep = Rep.cyclotomic_cherednik(N, l, Fraction(3, 4), k, c)
+    several = LaurentPoly(N, rep.dom, {
+        e: Fraction(j + 1, 5) for j, e in enumerate(list(box_monomials(N, 2))[::7])})
+    for i in range(1, N + 1):
+        for p in [rep.monomial(e) for e in box_monomials(N, 3)] + [several]:
+            assert rep._dunkl_opdam(i, p) == _literal_dunkl_opdam(rep, i, p), (i, p)
+
+
+def _displayed_factors(rep, g):
+    """Dl_i and pi_- as the ops docstring displays them, every factor
+    written out: no factor is another Dl."""
+    if rep.family == "daha":
+        roots = [(Gen("Y", 1), z) for z in reversed(rep.params["Z"])]
+        if g.tag == "pi-":
+            return [Gen("pi^-1"), *roots]
+        return [*(Gen("T^-1", j) for j in range(g.i - 1, 0, -1)), Gen("X^-1", 1),
+                *roots, *(Gen("T^-1", j) for j in range(1, g.i))]
+    roots = [(Gen("y", 1), z) for z in reversed(rep.params["z"])]
+    if g.tag == "pi-":
+        return [Gen("pi^-1"), *roots]
+    return [Gen("sij", 1, g.i), Gen("X^-1", 1), *roots, Gen("sij", 1, g.i)]
+
+
+def test_dl_and_pi_minus_equal_their_displayed_factor_lists():
+    """Dl_i built from the cached Dl_{i-1} (daha) or Dl_1 (deg), and pi_-
+    built from Dl_1, equal the displayed products applied through
+    Rep._product, on the B = 2 box at N = 3."""
+    from cycdaha.algebra import sample_rep
+
+    reps = [daha_rep(3, l=2), sample_rep("l1", 3, 1, seed=1),
+            Rep.degenerate(3, Fraction(3, 4), Fraction(2, 3), (Fraction(1, 3), Fraction(5, 2)))]
+    for rep in reps:
+        for g in [Gen("Dl", 1), Gen("Dl", 2), Gen("Dl", 3), Gen("pi-")]:
+            factors = _displayed_factors(rep, g)
+            for e in box_monomials(3, 2):
+                p = rep.monomial(e)
+                assert rep.apply_gen(g, p) == rep._product(factors, p), (rep.family, g, e)
+
+
+def test_a_wrong_dunkl_opdam_commutator_fails():
+    """Control: DO_1 DO_2 = DO_2 DO_1 holds on the box, and fails with DO_2
+    scaled by 8/7 on one side."""
+    rep = Rep.cyclotomic_cherednik(3, 3, 1, Fraction(2, 3), (Fraction(1, 2), 3, Fraction(-2, 5)))
+    a, b = OperatorExpr.gen("DO", 1), OperatorExpr.gen("DO", 2)
+    assert op_equal_on_box(rep, a * b, b * a, 2)["result"]
+    assert not op_equal_on_box(rep, a * (b * Fraction(8, 7)), b * a, 2)["result"]
+
+
 def test_q_dunkl_commutativity():
     rep = daha_rep(3, l=2)
     for i, j in [(1, 2), (1, 3), (2, 3)]:
