@@ -42,8 +42,8 @@ Reduction happens in three places:
   graded-lex order, which skips the entries of terms that have cancelled,
   so each step costs a logarithm of the remainder's size instead of a scan.
   Only the quasiinvariant and Macdonald code divides; the operator
-  engine's quotients are closed forms with no division
-  (``divided_difference`` and the one-pass T_i and Dunkl-Opdam images).
+  engine's quotients are closed forms with no division (the one-pass
+  T_i, Dunkl and Dunkl-Opdam images).
 
 A truncated series along a hyperplane is a plain list of polynomials, the
 coefficients of u^0..u^order (``series_on_hyperplane``).  Its weight
@@ -441,53 +441,6 @@ class LaurentPoly:
     def shift(self, delta):
         """Multiply by the monomial X^delta."""
         return self._wrap(K.terms_shift(self.nums, tuple(delta)), self.den)
-
-    def derivative(self, i):
-        """Formal partial derivative with respect to X_i (1-based)."""
-        out = {}
-        k = i - 1
-        for e, n in self.nums.items():
-            if e[k] == 0:
-                continue
-            new_e = list(e)
-            new_e[k] -= 1
-            out[tuple(new_e)] = n * e[k]
-        return self._reduced(out, self.den)
-
-    def divided_difference(self, i, j, c=1):
-        """(self - g self)/(X_i - c X_j), where g sends X_i -> c X_j and
-        X_j -> X_i/c (for c = 1, the swap of X_i and X_j).
-
-        No division runs: g fixes the hyperplane X_i = c X_j, and a monomial
-        with exponents a = e_i, b = e_j has the signed geometric sum
-        sign(a - b) * sum_t c^(t-b) X_i^(a+b-1-t) X_j^t over
-        min(a, b) <= t < max(a, b) as its quotient (the Demazure / BGG
-        operator when c = 1).
-        """
-        c = self.dom.coerce(c)
-        if not c:
-            raise ValueError("divided difference at c = 0")
-        unit = c == 1
-        cpows = power_table(self.dom, c)
-        split = self.dom.split
-        ii, jj = i - 1, j - 1
-        parts = []
-        for e, n in self.nums.items():
-            a, b = e[ii], e[jj]
-            if a == b:
-                continue
-            if a < b:
-                n = -n
-            f = list(e)
-            for t in range(min(a, b), max(a, b)):
-                f[ii] = a + b - 1 - t
-                f[jj] = t
-                if unit:
-                    parts.append((tuple(f), n, 1))
-                else:
-                    pn, pd = split(cpows(t - b))
-                    parts.append((tuple(f), n * pn, pd))
-        return self._collect(parts)
 
     # -- exact division -----------------------------------------------------
 

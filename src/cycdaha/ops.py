@@ -50,23 +50,29 @@ image cache and a fresh-image function; LaurentPoly.map_linear then runs one
 loop over the argument's terms that looks up each image, computes it only on
 a miss (from a monomial wrapping the unit numerator split once per
 representation) and adds its numerators into one dict; on a monomial with
-coefficient 1 it returns the cached image itself.  Rep.apply sums an
-OperatorExpr's words through LaurentPoly.combination.  Each ends with one
-gcd content reduction.  A Gen is a named tuple, so the cache lookups hash
-and compare it in C.  Reports read coefficients through LaurentPoly.terms
-and to_json, which join them into reduced Fractions over QQ.
+coefficient 1 it returns the cached image itself.  Rep.apply evaluates
+an OperatorExpr's words along their shared right-hand suffixes: it groups
+the words by their rightmost generator, applies that generator once per
+group and recurses on the shortened words, so a suffix common to several
+words acts once; a group of one word goes straight to apply_word.  One
+LaurentPoly.combination sums the results.  map_linear and combination each
+end with one gcd content reduction.  A Gen is a named tuple, so the cache
+lookups hash and compare it in C.  Reports read coefficients through
+LaurentPoly.terms and to_json, which join them into reduced Fractions over
+QQ.
 
 Fresh images are built without intermediate polynomials where the action
-has a closed form.  T_i^+-1, omega^+-1 and DO_i make one pass over the
-terms of their argument into one LaurentPoly._collect: T_i's quotient by
-X_i/X_{i+1} - 1 is a signed geometric sum, and so is DO_i's sum over m of
-its quotients by x_i - zeta^m x_r, whose coefficients add up to the
-integers l and 0 (see Rep._dunkl_opdam).  The scalars they use are
-computed once per representation: tb, tb - 1/tb and the powers of q;
-DO's l values w(s) = sum_j c_j zeta^(js) and k l.  The quotients
-(p - s_ij p)/(X_i - X_j) of the rational Dunkl operators are
-LaurentPoly.divided_difference, the same closed form with no division
-loop.  A composite's factor list is built once per (representation,
+has a closed form.  T_i^+-1, omega^+-1, D_i, y_i (= Dtrig_i) and DO_i
+make one pass over the terms of their argument into one
+LaurentPoly._collect: T_i's quotient by X_i/X_{i+1} - 1 is a signed
+geometric sum, and so is each quotient (p - s_ij p)/(X_i - X_j) of D_i,
+which meets the derivative term in the same pass; y_i shifts both by X_i
+and adds its s_ij terms there too (see Rep._dunkl).  DO_i's sum over m of
+its quotients by x_i - zeta^m x_r is one geometric sum whose coefficients
+add up to the integers l and 0 (see Rep._dunkl_opdam).  The scalars they
+use are computed once per representation: tb, tb - 1/tb and the powers of
+q; hbar, -k and k; DO's l values w(s) = sum_j c_j zeta^(js) and k l.
+A composite's factor list is built once per (representation,
 generator).  Where a composite contains another composite's factors, it
 lists that composite as one Gen, so those images come from its cache:
 Dl_i = T_{i-1}^-1 Dl_{i-1} T_{i-1}^-1 (daha) and s_1i Dl_1 s_1i (deg), and
@@ -187,6 +193,10 @@ class OperatorExpr:
         return OperatorExpr({w: other * c for w, c in self.terms.items()})
 
     def __pow__(self, n):
+        """self to a power n, an int >= 0; any other exponent raises
+        ValueError (an OperatorExpr has no inverse)."""
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"operator power {n!r} is not an int >= 0")
         out = OperatorExpr.one()
         for _ in range(n):
             out = out * self
@@ -248,6 +258,12 @@ class Rep:
             self._tb = dom.split(dom.coerce(tb))
             self._gap = dom.split(dom.coerce(tb - 1 / tb))
             self._qpows = power_table(dom, dom.coerce(self.params["q"]))
+        elif family == FAMILY_DEG:
+            # the Dunkl operators' scalars hbar, and -k and k, as
+            # (numerator, den) pairs; None when zero
+            hbar, k = self.params["hbar"], self.params["k"]
+            self._hbar = dom.split(hbar) if hbar else None
+            self._k = (dom.split(-k), dom.split(k)) if k else None
         elif family == FAMILY_CYC:
             # DO_i's scalars: w(s) = sum_j c_j zeta^(js), by which
             # sum_j c_j sigma_i^j scales X^e when e_i = s mod l, and -k l
@@ -321,16 +337,39 @@ class Rep:
         return p
 
     def apply(self, expr, p):
-        """Apply an OperatorExpr (linear in the combination); a single word
-        with coefficient 1 needs no sum."""
+        """Apply an OperatorExpr (linear in the combination).  Its words are
+        applied along their shared right-hand suffixes (see _apply_words), so
+        a generator common to several words acts once; a single word with
+        coefficient 1 needs no sum."""
         if isinstance(expr, Gen):
             return self.apply_gen(expr, p)
         if len(expr.terms) == 1:
             ((w, c),) = expr.terms.items()
             if c == 1:
                 return self.apply_word(w, p)
-        return LaurentPoly.combination(
-            self.N, self.dom, [(c, self.apply_word(w, p)) for w, c in expr.terms.items()])
+        pairs = []
+        self._apply_words(expr.terms.items(), 0, p, pairs)
+        return LaurentPoly.combination(self.N, self.dom, pairs)
+
+    def _apply_words(self, words, depth, p, out):
+        """Append (c, w' p) to out for each (w, c) in words, where w' is w
+        without its last depth generators and p the image of that shared
+        suffix.  The words are grouped by the generator to the left of the
+        suffix, which acts once per group; a group of one word is applied
+        by apply_word."""
+        groups = {}
+        for w, c in words:
+            k = len(w) - depth
+            if k:
+                groups.setdefault(w[k - 1], []).append((w, c))
+            else:
+                out.append((c, p))
+        for g, group in groups.items():
+            if len(group) == 1:
+                ((w, c),) = group
+                out.append((c, self.apply_word(w[:len(w) - depth], p)))
+            else:
+                self._apply_words(group, depth + 1, self.apply_gen(g, p), out)
 
     def _product(self, factors, p):
         """Apply a product whose factors are listed left to right, so the
@@ -364,8 +403,7 @@ class Rep:
         (s_i - 1)/(X_i/X_{i+1} - 1) sends X^e to
         -X_{i+1} (X^e - X^{s_i e})/(X_i - X_{i+1}): minus sign(a - b) times
         the sum of X^f over f_i = a + b - 1 - t, f_{i+1} = t + 1 for
-        min(a, b) <= t < max(a, b) (see LaurentPoly.divided_difference).
-        T_i^-1 = T_i - (tb - 1/tb)."""
+        min(a, b) <= t < max(a, b).  T_i^-1 = T_i - (tb - 1/tb)."""
         (tn, td), (gn, gd) = self._tb, self._gap
         ii, jj = i - 1, i
         parts = []
@@ -403,23 +441,47 @@ class Rep:
                 parts.append((f, n, 1))
         return p._collect(parts)
 
-    def _dunkl(self, i, p):
-        """hbar * d_i - sum_{j != i} k/(X_i - X_j) (1 - s_ij), summed in one
-        combination."""
-        hbar, k = self.params["hbar"], self.params["k"]
-        parts = [(hbar, p.derivative(i))]
-        if k:
-            neg_k = -k
-            parts += [(neg_k, p.divided_difference(i, j))
-                      for j in range(1, self.N + 1) if j != i]
-        return LaurentPoly.combination(self.N, self.dom, parts)
+    def _dunkl(self, i, p, trig=False):
+        """D_i = hbar d_i - k sum_{j != i} (1 - s_ij)/(X_i - X_j), in one pass
+        over the terms of p; with trig, y_i = X_i D_i - k sum_{j<i} s_ij.
 
-    def _trig_dunkl(self, i, p):
-        """y_i = X_i D_i - k sum_{j<i} s_ij, summed in one combination."""
-        neg_k = -self.params["k"]
-        return LaurentPoly.combination(
-            self.N, self.dom, [(1, self._dunkl(i, p).shift(self._unit(i))),
-                               *((neg_k, p.swap(i, j)) for j in range(1, i))])
+        With a = e_i and b = e_j, d_i sends X^e to a X^e/X_i, and the
+        quotient (1 - s_ij)/(X_i - X_j) sends it to sign(a - b) times the
+        sum of X_i^(a+b-1-t) X_j^t over min(a, b) <= t < max(a, b), the
+        signed geometric sum of T_i's quotient.  y_i shifts both by X_i and
+        adds -k X^(s_ij e) for each j < i."""
+        hbar, k = self._hbar, self._k
+        ii = i - 1
+        up = 1 if trig else 0  # the exponent of X_i in front of D_i
+        parts = []
+        for e, n in p.nums.items():
+            a = e[ii]
+            if a and hbar is not None:
+                f = list(e)
+                f[ii] = a - 1 + up
+                parts.append((tuple(f), n * hbar[0] * a, hbar[1]))
+            if k is None:
+                continue
+            for j, b in enumerate(e):
+                if j == ii or a == b:
+                    continue
+                # -k sign(a - b)
+                kn, kd = k[a < b]
+                m = n * kn
+                lo, hi = (b, a) if a > b else (a, b)
+                f = list(e)
+                for t in range(lo, hi):
+                    f[ii] = a + b - 1 - t + up
+                    f[j] = t
+                    parts.append((tuple(f), m, kd))
+            if trig:
+                kn, kd = k[0]
+                m = n * kn
+                for j in range(ii):
+                    f = list(e)
+                    f[ii], f[j] = e[j], a
+                    parts.append((tuple(f), m, kd))
+        return p._collect(parts)
 
     def _dunkl_opdam(self, i, p):
         """DO_i = hbar d_i - x_i^-1 sum_j c_j sigma_i^j
@@ -428,8 +490,9 @@ class Rep:
 
         sigma_i^j scales X^e by zeta^(j e_i), so the c-part scales it by
         w(e_i mod l) and meets the derivative at X^e/X_i: one term with
-        coefficient hbar e_i - w(e_i mod l).  The quotient at zeta^m (see
-        LaurentPoly.divided_difference) sends X^e, a = e_i and b = e_r, to
+        coefficient hbar e_i - w(e_i mod l).  The quotient
+        (1 - s_ir sigma_i^m sigma_r^-m)/(x_i - zeta^m x_r) sends X^e,
+        a = e_i and b = e_r, to
         sign(a - b) sum_t zeta^(m(t-b)) X_i^(a+b-1-t) X_r^t over
         min(a, b) <= t < max(a, b).  Summed over m, zeta^(m(t-b)) adds up
         to l when t = b mod l and to 0 otherwise, so the k-part has integer
@@ -541,8 +604,8 @@ GENERATORS = {
         **_SHARED,
         "sij": _sij,
         "D": lambda rep, g, p: rep._dunkl(g.i, p),
-        "Dtrig": lambda rep, g, p: rep._trig_dunkl(g.i, p),
-        "y": lambda rep, g, p: rep._trig_dunkl(g.i, p),
+        "Dtrig": lambda rep, g, p: rep._dunkl(g.i, p, trig=True),
+        "y": lambda rep, g, p: rep._dunkl(g.i, p, trig=True),
         # s_0 = s_1N X_1^-1 X_N
         "s0": _composite(lambda rep, g: [Gen("sij", 1, rep.N), Gen("X^-1", 1), Gen("X", rep.N)]),
         # pi = X_1 s_1...s_{N-1}

@@ -17,6 +17,7 @@ from cycdaha.ops import (
     op_equal_randomized,
 )
 from cycdaha.scalars import QQ, CycloNumber, RatFunc1, RatFuncField
+from test_laurent import derivative, divided_difference
 
 
 def daha_rep(N=2, l=0):
@@ -88,6 +89,18 @@ def test_pi_power_N_is_multiplication_by_all_variables():
         assert op_equal_on_box(rep, lhs, rhs, 2)["result"]
 
 
+def test_operator_power_takes_only_ints_at_least_zero():
+    """T_1^-1 is not (T_1)^-1 as an OperatorExpr power: a negative or non-int
+    exponent raises instead of returning the identity, which would let
+    op_equal_on_box pass T_1^-1 = 1."""
+    T1 = OperatorExpr.gen("T", 1)
+    for n in (-1, -2, Fraction(1, 2), 2.0):
+        with pytest.raises(ValueError):
+            T1 ** n
+    assert T1 ** 0 == OperatorExpr.one() and T1 ** 2 == T1 * T1
+    assert not op_equal_on_box(daha_rep(2), T1 * T1, OperatorExpr.one(), 1)["result"]
+
+
 def test_rational_dunkl_commutativity():
     for N in (2, 3, 4):
         rep = Rep.degenerate(N, 1, Fraction(2, 3))
@@ -116,8 +129,8 @@ def _literal_dunkl_opdam(rep, i, p):
     acc = LaurentPoly.combination(
         N, dom, [(cj, p.scale_var(i, zeta ** j)) for j, cj in enumerate(c) if cj])
     unit = tuple(-1 if r == i else 0 for r in range(1, N + 1))
-    parts = [(hbar, p.derivative(i)), (-1, acc.shift(unit))]
-    parts += [(-k, p.divided_difference(i, r, zeta ** m))
+    parts = [(hbar, derivative(p, i)), (-1, acc.shift(unit))]
+    parts += [(-k, divided_difference(p, i, r, zeta ** m))
               for r in range(1, N + 1) if r != i for m in range(rep.l)]
     return LaurentPoly.combination(N, dom, parts)
 
@@ -135,6 +148,64 @@ def test_dunkl_opdam_matches_the_literal_form(N, l, k):
     for i in range(1, N + 1):
         for p in [rep.monomial(e) for e in box_monomials(N, 3)] + [several]:
             assert rep._dunkl_opdam(i, p) == _literal_dunkl_opdam(rep, i, p), (i, p)
+
+
+def _literal_dunkl(rep, i, p, sign=1):
+    """D_i = hbar d_i - k sum_{j != i} (1 - s_ij)/(X_i - X_j) as displayed,
+    from the reference derivative and divided differences in one
+    combination; sign = -1 flips the k-part (a wrong variant)."""
+    hbar, k = rep.params["hbar"], rep.params["k"]
+    parts = [(hbar, derivative(p, i))]
+    parts += [(-sign * k, divided_difference(p, i, j)) for j in range(1, rep.N + 1) if j != i]
+    return LaurentPoly.combination(rep.N, rep.dom, parts)
+
+
+def _literal_trig_dunkl(rep, i, p, d, sij=True):
+    """y_i = X_i D_i - k sum_{j<i} s_ij as displayed, d being D_i p;
+    sij=False drops the s_ij terms (a wrong variant)."""
+    unit = tuple(1 if r == i else 0 for r in range(1, rep.N + 1))
+    parts = [(1, d.shift(unit))]
+    if sij:
+        parts += [(-rep.params["k"], p.swap(i, j)) for j in range(1, i)]
+    return LaurentPoly.combination(rep.N, rep.dom, parts)
+
+
+@pytest.mark.parametrize("N,k", [(N, k) for N in (2, 3, 4) for k in (0, Fraction(2, 3))]
+                         + [(3, "t")])
+def test_degenerate_dunkl_matches_the_literal_form(N, k):
+    """The one-pass D_i and y_i (Dtrig_i) equal hbar d_i - k sum (1 - s_ij)/(X_i - X_j)
+    and X_i D_i - k sum_{j<i} s_ij on every monomial of the B = 3 box, and on
+    one polynomial of several terms, at hbar = 3/4: N = 2, 3, 4 at k = 0 and
+    2/3, and over Q(t) at k = t."""
+    rep = Rep.degenerate(N, Fraction(3, 4), RatFuncField(k).gen if k == "t" else k)
+    several = LaurentPoly(N, rep.dom, {
+        e: Fraction(j + 1, 5) for j, e in enumerate(list(box_monomials(N, 2))[::7])})
+    for i in range(1, N + 1):
+        for p in [rep.monomial(e) for e in box_monomials(N, 3)] + [several]:
+            d = _literal_dunkl(rep, i, p)
+            assert rep.apply_gen(Gen("D", i), p) == d, (i, p)
+            y = _literal_trig_dunkl(rep, i, p, d)
+            assert rep.apply_gen(Gen("y", i), p) == y, (i, p)
+            assert rep.apply_gen(Gen("Dtrig", i), p) == y, (i, p)
+
+
+@pytest.mark.parametrize("wrong", [{"sign": -1}, {"sij": False}], ids=["k-sign", "no-sij"])
+def test_a_wrong_degenerate_dunkl_fails_the_deg_daha_suite(monkeypatch, wrong):
+    """Control: the literal D_i and y_i pass the deg-daha suite on the B = 3
+    box at N = 3, and fail it with the sign of the k-part of D_i flipped, or
+    with the s_ij terms of y_i dropped."""
+    from cycdaha.algebra import sample_rep, verify_family
+
+    def variant(sign=1, sij=True):
+        def dunkl(rep, i, p, trig=False):
+            d = _literal_dunkl(rep, i, p, sign)
+            return _literal_trig_dunkl(rep, i, p, d, sij) if trig else d
+
+        monkeypatch.setattr(Rep, "_dunkl", dunkl)
+        return verify_family(sample_rep("deg-daha", 3), "deg-daha", "box", 3)
+
+    assert variant()["all_pass"]
+    assert any(r["status"] == "fail" for r in variant(**wrong)["relations"])
 
 
 def _displayed_factors(rep, g):
@@ -460,3 +531,61 @@ def test_composition_matches_a_termwise_reference(data):
     out = rep.apply_word(word, p)
     assert dict(out.terms) == _reference_word(ref, word, p)
     assert out.den > 0 and (rep.dom is not QQ or math.gcd(out.den, *out.nums.values()) == 1)
+
+
+def _suffix_reps():
+    """daha at l = 1, deg at l = 2 and cyc over Q(zeta_3), N = 2."""
+    yield Rep.daha(2, Fraction(7, 5), Fraction(3, 2), (Fraction(2, 3),))
+    yield Rep.degenerate(2, Fraction(3, 4), Fraction(2, 3), (Fraction(1, 3), Fraction(5, 2)))
+    yield Rep.cyclotomic_cherednik(2, 3, Fraction(2, 3), Fraction(1, 2),
+                                   (Fraction(1, 2), 3, Fraction(-2, 5)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_apply_along_shared_suffixes_equals_the_word_by_word_sum(data):
+    """Rep.apply, which applies a suffix shared by several words once, equals
+    the combination of the words applied one by one (on a second rep, so no
+    cache is shared): on sums of words over three generators of the family
+    that hold the empty word, a word and its suffix one shorter, and a
+    repeated generator."""
+    k = data.draw(st.integers(0, 2))
+    rep, ref = (list(_suffix_reps())[k] for _ in range(2))
+    gens = data.draw(st.lists(st.sampled_from(_engine_generators(rep.family, 2)),
+                              min_size=3, max_size=3, unique=True))
+    word = st.lists(st.sampled_from(gens), max_size=4).map(tuple)
+    words = data.draw(st.lists(word, max_size=5))
+    longer = data.draw(word.filter(len))
+    g = gens[0]
+    words += [(), longer, longer[1:], (g, g), (gens[1], g, g)]
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    expr = OperatorExpr({w: data.draw(coeff) for w in words})
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * 2),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        min_size=1, max_size=3))
+    p = LaurentPoly(2, rep.dom, terms)
+    expected = LaurentPoly.combination(
+        2, ref.dom, [(c, ref.apply_word(w, p)) for w, c in expr.terms.items()])
+    assert rep.apply(expr, p) == expected
+
+
+def test_apply_applies_a_shared_suffix_once():
+    """In a [T_1 omega] + b [T_1^-1 omega] + c [omega] + d, the shared omega
+    acts once: three generator applications, not five."""
+    rep = daha_rep(2)
+    calls = []
+
+    def counted(g, p):
+        calls.append(g)
+        return Rep.apply_gen(rep, g, p)
+
+    rep.apply_gen = counted
+    T, Ti, w = Gen("T", 1), Gen("T^-1", 1), Gen("omega")
+    expr = OperatorExpr({(T, w): 2, (Ti, w): Fraction(1, 3), (w,): -1, (): 5})
+    p = rep.monomial((1, -2))
+    out = rep.apply(expr, p)
+    assert sorted(calls) == sorted([w, T, Ti])
+    ref = daha_rep(2)
+    assert out == LaurentPoly.combination(
+        2, ref.dom, [(c, ref.apply_word(w, p)) for w, c in expr.terms.items()])
