@@ -82,10 +82,11 @@ def terms_mul(a, b):
         return {}
     if len(a) > len(b):
         a, b = b, a
+    add = operator.add
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             v = ca * cb
             if not v:
                 continue
@@ -109,5 +110,8 @@ def terms_shift(a, delta):
 
 def terms_permute(a, perm):
     """Reindex variables: output exponent at slot k is input exponent at perm[k]."""
-    return {tuple(e[p] for p in perm): c for e, c in a.items()}
+    if len(perm) == 1:
+        return dict(a)
+    get = operator.itemgetter(*perm)  # a tuple, for two or more slots
+    return {get(e): c for e, c in a.items()}
 

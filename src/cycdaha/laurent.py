@@ -41,18 +41,28 @@ Reduction happens in three places:
   the end.  The remainder's leading term comes off a heap keyed on the
   graded-lex order, which skips the entries of terms that have cancelled,
   so each step costs a logarithm of the remainder's size instead of a scan.
-  Only the quasiinvariant and Macdonald code divides; the operator
-  engine's quotients are closed forms with no division (the one-pass
-  T_i, Dunkl and Dunkl-Opdam images).
+  Only the Macdonald code divides; the quasiinvariant membership check
+  substitutes onto hyperplanes instead, and the operator engine's
+  quotients are closed forms with no division (the one-pass T_i, Dunkl and
+  Dunkl-Opdam images).
 
-A truncated series along a hyperplane is a plain list of polynomials, the
-coefficients of u^0..u^order (``series_on_hyperplane``).  Its weight
-(1+u)^a is folded into the expansion: X_j^n contributes C(n + a, r) to u^r,
-split into numerator and den once per distinct n in each call.
+Two tables are kept across calls, each keyed on the domain object as well
+as on its values, so equal values of two fields never share an entry:
+
+* ``substitute`` reads the powers c^k of each scale factor split as
+  (numerator, den) from ``split_powers``.  A call scales the powers its
+  exponents need to their lcm, so each term takes one multiply per rule
+  (one int multiply over QQ) and the result one content reduction;
+* a truncated series along a hyperplane is a plain list of polynomials, the
+  coefficients of u^0..u^order (``series_on_hyperplane``).  Its weight
+  (1+u)^a is folded into the expansion: X_j^n contributes C(n + a, r) to
+  u^r, and the split row of these binomials for each n + a comes from
+  ``_binomial_rows``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -70,24 +80,48 @@ class NonInvertibleScale(Exception):
     """A zero scale factor met a negative exponent in a substitution."""
 
 
-def power_table(dom, c):
-    """k -> c**k in dom for any int k, each power computed on first use;
-    a negative k raises NonInvertibleScale when c == 0."""
-    cache = {}
+@functools.lru_cache(maxsize=256)
+def split_powers(dom, c):
+    """The table k -> c**k of dom for any int k, split as (numerator, den)
+    (Domain.split), each entry made on first use and kept across calls:
+    substitute reads it for every rule, and the operator engine's omega
+    for q.  Keyed on the domain object as well as on c, so equal values of
+    two domains (2 in QQ and 2 in Q(zeta_3)) never share a table.  A
+    negative k raises NonInvertibleScale when c == 0."""
+    split = dom.split
 
-    def cpows(k):
-        v = cache.get(k)
-        if v is None:
-            if k >= 0:
-                v = c ** k
-            else:
-                if not c:
-                    raise NonInvertibleScale("zero scale with negative exponent")
-                v = (dom.one / c) ** (-k)
-            cache[k] = v
+    def make(k):
+        if k >= 0:
+            return split(c ** k)
+        if not c:
+            raise NonInvertibleScale("zero scale with negative exponent")
+        return split((dom.one / c) ** -k)
+
+    return _Table(make)
+
+
+@functools.lru_cache(maxsize=256)
+def _binomial_rows(dom, a, order):
+    """The table n -> (C(n + a, r) for r = 0..order) split in dom as
+    (numerator, den) pairs, each row made on first use and kept across
+    calls of series_on_hyperplane; keyed on the domain object too."""
+    split, coerce = dom.split, dom.coerce
+    return _Table(lambda n: tuple(split(coerce(binomial_fraction(n + a, r)))
+                                  for r in range(order + 1)))
+
+
+class _Table(dict):
+    """A dict that fills a missing key k with make(k) and keeps it."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, k):
+        v = self[k] = self._make(k)
         return v
-
-    return cpows
 
 
 def _glex_key(e):
@@ -406,37 +440,47 @@ class LaurentPoly:
         index or None for a pure scalar substitution.  Unlisted variables map
         to themselves.  Raises NonInvertibleScale when c == 0 meets a
         negative exponent.
+
+        The powers of each c come split from a table kept across calls
+        (split_powers).  Each rule scales the powers its exponents need to
+        the lcm of their dens, so a term takes one multiply per rule and the
+        result one content reduction over den times those lcms.
         """
-        dom = self.dom
-        coerced = {}
+        dom, nums = self.dom, self.nums
+        slots = []
+        den = self.den
         for i, (c, j) in rules.items():
-            coerced[i - 1] = (dom.coerce(c), None if j is None else j - 1)
-        pow_caches = {i: power_table(dom, c) for i, (c, _) in coerced.items()}
-        split = dom.split
-        parts = []
-        for e, n in self.nums.items():
-            # rules act simultaneously: clear every substituted slot first,
-            # then accumulate the transferred exponents
+            powers = split_powers(dom, dom.coerce(c))
+            split = {k: powers[k] for k in {e[i - 1] for e in nums}}
+            lcm = math.lcm(*[d for _, d in split.values()])
+            table = {k: n if d == lcm else n * (lcm // d) for k, (n, d) in split.items()}
+            slots.append((i - 1, None if j is None else j - 1, table))
+            den *= lcm
+        out = {}
+        get = out.get
+        for e, n in nums.items():
+            # rules act simultaneously: each takes its own exponent out of
+            # its slot and adds it to its target, whatever the others moved
             new_e = list(e)
-            for i in coerced:
-                new_e[i] = 0
-            d = 1
-            for i, (c, j) in coerced.items():
+            for i, j, table in slots:
                 k = e[i]
-                if k == 0:
-                    continue
-                if not c and k < 0:
-                    raise NonInvertibleScale("zero scale with negative exponent")
-                pn, pd = split(pow_caches[i](k))
-                n = n * pn
-                d *= pd
+                n = n * table[k]
+                new_e[i] -= k
                 if j is not None:
                     new_e[j] += k
-                if not n:
-                    break
-            if n:
-                parts.append((tuple(new_e), n, d))
-        return self._collect(parts)
+            if not n:
+                continue
+            key = tuple(new_e)
+            s = get(key)
+            if s is None:
+                out[key] = n
+            else:
+                s = s + n
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return self._reduced(out, den)
 
     def shift(self, delta):
         """Multiply by the monomial X^delta."""
@@ -583,22 +627,16 @@ class LaurentPoly:
         if i == j:
             raise ValueError("need distinct variables")
         parts = [[] for _ in range(order + 1)]
-        split, coerce = self.dom.split, self.dom.coerce
         ii, jj = i - 1, j - 1
-        # C(n + a, r) for r = 0..order, split once per distinct n
-        table = {}
+        # the split rows C(n + a, r), r = 0..order, kept across calls
+        rows = _binomial_rows(self.dom, a, order)
         for e, c in self.nums.items():
             n = e[jj]
-            row = table.get(n)
-            if row is None:
-                x = n + a
-                row = table[n] = [split(coerce(binomial_fraction(x, r)))
-                                  for r in range(order + 1)]
             new_e = list(e)
             new_e[ii] += n
             new_e[jj] = 0
             key = tuple(new_e)
-            for part, (bn, bd) in zip(parts, row):
+            for part, (bn, bd) in zip(parts, rows[n]):
                 if bn:
                     part.append((key, c * bn, bd))
         return [self._collect(p) for p in parts]

@@ -86,7 +86,7 @@ import itertools
 from random import Random
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, power_table
+from .laurent import LaurentPoly, split_powers
 from .scalars import QQ, CycloField, CycloNumber, field_of
 
 FAMILY_DAHA = "daha"
@@ -257,7 +257,7 @@ class Rep:
             # omega's powers of q
             self._tb = dom.split(dom.coerce(tb))
             self._gap = dom.split(dom.coerce(tb - 1 / tb))
-            self._qpows = power_table(dom, dom.coerce(self.params["q"]))
+            self._qpows = split_powers(dom, dom.coerce(self.params["q"]))
         elif family == FAMILY_DEG:
             # the Dunkl operators' scalars hbar, and -k and k, as
             # (numerator, den) pairs; None when zero
@@ -427,7 +427,7 @@ class Rep:
         terms of p: X^e goes to q^(e_1) X^e' with e' the exponent vector
         rotated left.  omega^-1 sends X^e to q^(-e_N) X^e'' with e'' rotated
         right."""
-        cpows, split = self._qpows, self.dom.split
+        qpows = self._qpows
         parts = []
         for e, n in p.nums.items():
             if inverse:
@@ -435,7 +435,7 @@ class Rep:
             else:
                 k, f = e[0], (*e[1:], e[0])
             if k:
-                qn, qd = split(cpows(k))
+                qn, qd = qpows[k]
                 parts.append((f, n * qn, qd))
             else:
                 parts.append((f, n, 1))

@@ -37,17 +37,20 @@ hyperplane), in the row of k(e):
 
 conditions_matrix reads these off the exponent tuples, as ints over QQ.
 Every basis element returned by graded_basis is re-verified against the raw
-conditions by a direct checker (check_member) that expands, substitutes and
-divides the polynomial itself and shares no code with the row builder.
+conditions by a direct checker (check_member) that works on the polynomial
+itself and shares no code with the row builder: it expands F - g_r F along
+the hyperplane (q = 1), or substitutes each hyperplane x_i = zeta^r q^p x_j,
+|p| <= m, into it and requires zero (q != 1).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .laurent import LaurentPoly, NotDivisible
+from .laurent import LaurentPoly
 from .linalg import nullspace
 from .scalars import QQ, CycloField
 from .tableaux import (
@@ -268,18 +271,35 @@ def _zeta_power(dom, r):
     return dom.coerce((-1) ** r)
 
 
-def check_member(spec, F, divisors=None):
+@functools.lru_cache(maxsize=64)
+def _twists(dom, l, q, m):
+    """For each twist r < l: zeta^r, zeta^-r and the scales zeta^r q^p,
+    |p| <= m, of the hyperplanes x_i = zeta^r q^p x_j; built once per
+    (domain, l, q, m) and kept across calls."""
+    qpows = [dom.coerce(q ** p) for p in range(-m, m + 1)]
+    out = []
+    for r in range(l):
+        zr = _zeta_power(dom, r)
+        out.append((zr, _zeta_power(dom, -r % l), tuple(zr * x for x in qpows)))
+    return tuple(out)
+
+
+def check_member(spec, F):
     """Direct verification that F satisfies every defining condition.
 
     Works on the concrete polynomial, independent of the row builder: the
-    difference F - g_r F must vanish to order 2m+1 in a series expansion
-    along x_i = zeta^r x_j (q = 1), or be exactly divisible by
-    prod_{|p| <= m} (X_i - zeta^r q^p X_j) (q != 1); PLAIN_Q is CYC at l = 1.
+    difference g = F - g_r F must vanish to order 2m+1 in a series expansion
+    along x_i = zeta^r x_j (q = 1), or vanish under each substitution
+    x_i = zeta^r q^p x_j, |p| <= m (q != 1); PLAIN_Q is CYC at l = 1.
     The twisted variants compare the weighted expansions, or the
     substitutions x_i = q^p x_j, of F and s_ij F.
 
-    divisors, a dict, keeps those products by (i, j, r) between calls on
-    the same spec; each is built on first use.
+    For q != 1 the substitutions decide what division by
+    prod_{|p| <= m} (X_i - zeta^r q^p X_j) would: each X_i - c X_j generates
+    a prime ideal of the Laurent ring, two of them with c != c' are
+    comaximal ((c' - c) X_j is a unit), so g lies in their product exactly
+    when it vanishes on every hyperplane.  p = 0 is kept so that the
+    equivalence holds as stated.
     """
     dom, N, m, q = spec.dom, spec.N, spec.m, spec.q
     pairs = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
@@ -308,33 +328,20 @@ def check_member(spec, F, divisors=None):
         return True
 
     l = spec.l
-    if divisors is None:
-        divisors = {}
-    for i, j in pairs:
-        for r in range(l):
-            zr = _zeta_power(dom, r)
+    for r, (zr, zr_inv, hyperplanes) in enumerate(_twists(dom, l, q, m)):
+        for i, j in pairs:
             if r == 0:
                 g = F - F.swap(i, j)
             else:
-                g = F - F.substitute({i: (zr, j), j: (_zeta_power(dom, l - r), i)})
+                g = F - F.substitute({i: (zr, j), j: (zr_inv, i)})
             if not g:
                 continue
             if q == 1:
                 h = g if r == 0 else g.scale_var(i, zr)
                 if any(h.series_on_hyperplane(j, i, 2 * m)):
                     return False
-            else:
-                div = divisors.get((i, j, r))
-                if div is None:
-                    xi, xj = LaurentPoly.variable(N, i, dom), LaurentPoly.variable(N, j, dom)
-                    div = LaurentPoly.one(N, dom)
-                    for p in range(-m, m + 1):
-                        div = div * (xi - xj * (zr * dom.coerce(q ** p)))
-                    divisors[(i, j, r)] = div
-                try:
-                    g.exact_divide(div)
-                except NotDivisible:
-                    return False
+            elif any(g.substitute({i: (c, j)}) for c in hyperplanes):
+                return False
     # projector exponents
     for i in range(1, N + 1):
         for r in range(1, l):
@@ -360,7 +367,6 @@ class GradedBasis:
 def graded_basis(spec, maxdeg):
     """Exact degree-wise bases up to maxdeg, re-verified post-solve."""
     out = []
-    divisors = {}
     for d in range(maxdeg + 1):
         rows, basis = conditions_matrix(spec, d)
         vecs = nullspace(rows, len(basis))
@@ -371,7 +377,7 @@ def graded_basis(spec, maxdeg):
                 if c:
                     terms[e] = c
             F = LaurentPoly(spec.N, spec.dom, terms)
-            if not check_member(spec, F, divisors):
+            if not check_member(spec, F):
                 raise AssertionError(
                     f"solver output fails raw conditions at degree {d}"
                 )

@@ -60,3 +60,21 @@ def test_no_output_stores_a_zero(a, b, c, delta, perm):
     for out in outs:
         assert all(out.values())
 
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.dictionaries(st.tuples(*[st.integers(-2, 2)] * n), coefficients.filter(bool), max_size=5),
+    st.dictionaries(st.tuples(*[st.integers(-2, 2)] * n), coefficients.filter(bool), max_size=5),
+    st.permutations(range(n)))))
+def test_mul_and_permute_match_term_by_term_references(args):
+    """terms_mul against the convolution and terms_permute against slot-by-slot
+    reindexing, for one to four variables (one variable permutes trivially)."""
+    a, b, perm = args
+    product = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            product[e] = product.get(e, 0) + ca * cb
+    assert kernel.terms_mul(a, b) == {e: c for e, c in product.items() if c}
+    assert kernel.terms_permute(a, tuple(perm)) == {
+        tuple(e[p] for p in perm): c for e, c in a.items()}

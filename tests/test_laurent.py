@@ -4,12 +4,20 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cycdaha import kernel as K
 from cycdaha.laurent import LaurentPoly, NotDivisible, coefficient_rows
-from cycdaha.scalars import QQ, CycloField, CycloNumber, binomial_fraction, format_rational
+from cycdaha.laurent import NonInvertibleScale
+from cycdaha.scalars import (
+    QQ,
+    CycloField,
+    CycloNumber,
+    RatFuncField,
+    binomial_fraction,
+    format_rational,
+)
 
 
 def X(i, N=2):
@@ -134,8 +142,6 @@ def test_substitute_composes():
 
 
 def test_substitute_zero_scale_with_negative_exponent():
-    from cycdaha.laurent import NonInvertibleScale
-
     p = X(1) ** -1
     with pytest.raises(NonInvertibleScale):
         p.scale_var(1, 0)
@@ -339,6 +345,101 @@ def test_weighted_series_is_the_convolution_with_binomials(fa, a):
             acc = acc + plain[r - s] * binomial_fraction(a, s)
         want.append(acc)
     assert p.series_on_hyperplane(1, 2, order, a) == want
+
+
+def substitute_reference(p, rules):
+    """Reference: p.substitute(rules) term by term over the field
+    coefficients (Fractions over QQ), c^k for k < 0 as (1/c)^-k."""
+    dom = p.dom
+    out = {}
+    for e, v in p.terms.items():
+        f = list(e)
+        for i in rules:
+            f[i - 1] = 0
+        for i, (c, j) in rules.items():
+            c, k = dom.coerce(c), e[i - 1]
+            v = v * (c ** k if k >= 0 else (dom.one / c) ** -k)
+            if j is not None:
+                f[j - 1] += k
+        out[tuple(f)] = out.get(tuple(f), dom.zero) + v
+    return LaurentPoly(p.N, dom, out)
+
+
+SUBSTITUTE_DOMAINS = (QQ, CycloField(3), RatFuncField("t"))
+
+
+def _in_field(dom, x, y):
+    """x + y zeta over Q(zeta_3), x + y t over Q(t), x over QQ."""
+    if isinstance(dom, CycloField):
+        return dom.coerce(x) + dom.zeta * y
+    if isinstance(dom, RatFuncField):
+        return dom.coerce(x) + dom.gen * y
+    return dom.coerce(x)
+
+
+def assert_substitutes_like_the_reference(p, rules):
+    got = p.substitute(rules)
+    assert got == substitute_reference(p, rules)
+    assert got.den > 0 and (p.dom is QQ or got.den == 1)
+    field_type = {QQ: int}.get(p.dom, type(p.dom.one))
+    assert all(type(n) is field_type for n in got.nums.values())
+    return got
+
+
+three_exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(st.sampled_from(SUBSTITUTE_DOMAINS),
+       st.dictionaries(three_exponents, st.tuples(fractions, fractions), max_size=5),
+       st.sampled_from(["move", "scale", "scalar", "reflect", "two"]),
+       st.tuples(fractions, fractions).filter(any),
+       st.tuples(fractions, fractions).filter(any))
+def test_substitute_agrees_with_the_term_by_term_reference(dom, fp, kind, c1, c2):
+    """substitute against the Fraction reference over QQ, Q(zeta_3) and
+    Q(t), with negative exponents: one rule X_1 -> c X_3, a scaling, a pure
+    scalar rule (j = None), the simultaneous two-rule reflection of
+    check_member and two rules with independent scales.  The split powers
+    are kept across calls, so every example after the first reads tables
+    an earlier one filled; a second call must agree with the first."""
+    p = LaurentPoly(3, dom, {e: _in_field(dom, *xy) for e, xy in fp.items()})
+    a, b = _in_field(dom, *c1), _in_field(dom, *c2)
+    assume(a and b)
+    if isinstance(dom, CycloField):
+        zeta = dom.zeta
+        reflect = {1: (zeta, 2), 2: (zeta ** 2, 1)}
+    else:
+        reflect = {1: (a, 2), 2: (dom.one / a, 1)}
+    rules = {"move": {1: (a, 3)}, "scale": {2: (a, 2)}, "scalar": {3: (a, None)},
+             "reflect": reflect, "two": {1: (a, 2), 3: (b, 1)}}[kind]
+    got = assert_substitutes_like_the_reference(p, rules)
+    assert p.substitute(rules) == got
+
+
+def test_substitute_by_zero_raises_only_on_a_negative_exponent():
+    """c = 0 sends every term with a positive exponent in the slot to 0 and
+    keeps the others; a negative exponent there raises NonInvertibleScale,
+    one elsewhere does not, in every domain."""
+    for dom in SUBSTITUTE_DOMAINS:
+        x1, x2 = (LaurentPoly.variable(2, i, dom) for i in (1, 2))
+        p = x1 ** 2 * x2 ** -1 + x2 ** -2 * 3 + x1 * x2
+        for rules in ({1: (0, 2)}, {1: (0, None)}, {1: (0, 1)}):
+            assert assert_substitutes_like_the_reference(p, rules) == x2 ** -2 * 3
+        for rules in ({2: (0, 1)}, {2: (0, None)}, {1: (1, 2), 2: (0, 1)}):
+            with pytest.raises(NonInvertibleScale):
+                p.substitute(rules)
+
+
+def test_equal_scales_in_two_domains_never_share_a_table():
+    """2/3 in QQ, in Q(zeta_3) and in Q(t) are equal values that split
+    differently (over den 3, and over den 1 in the other two fields); each
+    domain's substitution keeps its own split powers, in either order."""
+    c = Fraction(2, 3)
+    for order in (SUBSTITUTE_DOMAINS, SUBSTITUTE_DOMAINS[::-1]):
+        for dom in order + order:
+            x1, x2 = (LaurentPoly.variable(2, i, dom) for i in (1, 2))
+            p = x1 ** 3 * x2 + x1 ** -2 + x2 * Fraction(1, 5)
+            for rules in ({1: (c, 2)}, {1: (c, None)}, {1: (c, 2), 2: (1 / c, 1)}):
+                assert_substitutes_like_the_reference(p, rules)
 
 
 def _fraction_long_division(p, d):

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cycdaha.laurent import LaurentPoly, coefficient_rows
+from cycdaha.laurent import LaurentPoly, NotDivisible, coefficient_rows
 from cycdaha.linalg import nullspace
 from cycdaha.macdonald import apply_macdonald_operator
 from cycdaha.quasiinv import (
@@ -21,7 +23,7 @@ from cycdaha.quasiinv import (
     graded_basis,
     graded_basis_with_symmetry,
 )
-from cycdaha.scalars import CycloField
+from cycdaha.scalars import QQ, CycloField
 from cycdaha.tableaux import invariants_series, kostka_polynomial, series_mul
 
 
@@ -67,11 +69,30 @@ def test_membership_ideal_spot_check():
 
 def test_non_member_is_rejected_by_the_exponent_box():
     """F - s12 F of this F is not a multiple of the three shifted
-    hyperplanes; the division stops at a quotient term outside the exponent
-    box instead of running its term budget."""
+    hyperplanes, so it fails to vanish on one of them.  Division by their
+    product stops at a quotient term outside the exponent box (test_laurent's
+    test_exact_divide_rejects_a_quotient_term_outside_the_exponent_box)."""
     spec = QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(3, 2))
     F = X(1) ** 4 * X(2) + X(2) ** 3 * Fraction(1, 2)
     assert check_member(spec, F) is False
+
+
+def test_plain_q_m_two_rejects_an_m_one_member():
+    """Control for the outer hyperplanes |p| = m: the product over |p| <= 1
+    is anti-invariant, so it lies in the m = 1 space, but it does not vanish
+    at X_1 = q^{+-2} X_2 and check_member must reject it at m = 2; the product
+    over |p| <= 2 is accepted."""
+    q = Fraction(3, 2)
+
+    def product(m):
+        out = LaurentPoly.one(2)
+        for p in range(-m, m + 1):
+            out = out * (X(1) - X(2) * q ** p)
+        return out
+
+    assert check_member(QuasiSpec(PLAIN_Q, 2, 1, q=q), product(1))
+    assert not check_member(QuasiSpec(PLAIN_Q, 2, 2, q=q), product(1))
+    assert check_member(QuasiSpec(PLAIN_Q, 2, 2, q=q), product(2))
 
 
 def test_q_collision_detected():
@@ -233,8 +254,8 @@ def test_plain_q_flatness_at_n_four():
     # the q = 1 dimensions are the closed form
     # sum_lambda f_lambda t^(m(N(N-1)/2 - c(lambda))) K_lambda(t) / prod_i (1 - t^i)
     # of Felder-Veselov and Berest-Etingof-Ginzburg at N = 4, m = 1
-    r = flatness_report(PLAIN_Q, 4, 1, 10, 1)
-    assert r["reference_dims"] == [1, 1, 2, 3, 5, 9, 15, 23, 35, 50, 71]
+    r = flatness_report(PLAIN_Q, 4, 1, 12, 1)
+    assert r["reference_dims"] == [1, 1, 2, 3, 5, 9, 15, 23, 35, 50, 71, 98, 132]
     assert r["all_match"]
 
 
@@ -333,15 +354,60 @@ def test_swap_split_adds_up_to_the_dimensions():
 
 
 def test_check_member_propagates_unexpected_errors(monkeypatch):
-    """Only NotDivisible means "not a member": any other error in the
-    division check is a fault and must surface, not read as a verdict."""
-    def broken(self, d):
-        raise RuntimeError("broken division")
+    """Only a nonzero substitution means "not a member": any error in the
+    hyperplane check is a fault and must surface, not read as a verdict."""
+    def broken(self, rules):
+        raise RuntimeError("broken substitution")
 
-    monkeypatch.setattr(LaurentPoly, "exact_divide", broken)
+    monkeypatch.setattr(LaurentPoly, "substitute", broken)
     spec = QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(3, 2))
     with pytest.raises(RuntimeError):
         check_member(spec, X(1))
+
+
+_small = st.integers(-3, 3)
+_scales = st.lists(st.tuples(_small, _small, st.integers(1, 3)), min_size=1, max_size=3)
+_cofactor = st.dictionaries(st.tuples(st.integers(-1, 2), st.integers(-1, 2)),
+                            _small.filter(bool), min_size=1, max_size=3)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([QQ, CycloField(3)]), _scales, _cofactor,
+       st.lists(st.sampled_from([True, True, False]), min_size=3, max_size=3),
+       st.none() | st.tuples(st.integers(-1, 3), st.integers(-1, 3)),
+       st.sampled_from([(1, 2), (2, 1)]))
+def test_vanishing_on_hyperplanes_is_divisibility_by_their_product(
+        dom, scales, cofactor, chosen, extra, ij):
+    """For distinct nonzero c_p, g vanishes at every X_i = c_p X_j exactly
+    when exact_divide by prod_p (X_i - c_p X_j) succeeds (check_member's
+    q != 1 test against the division it replaces).  g is h times the factors
+    of a random subset, with or without one added monomial; over Q(zeta_3)
+    the c_p are a/d + b zeta, over QQ a/d."""
+    i, j = ij
+    cs = []
+    for a, b, d in scales:
+        c = dom.coerce(Fraction(a, d))
+        if dom is not QQ:
+            c = c + dom.zeta * b
+        if c and all(c != x for x in cs):
+            cs.append(c)
+    assume(cs)
+    xi, xj = LaurentPoly.variable(2, i, dom), LaurentPoly.variable(2, j, dom)
+    g = LaurentPoly(2, dom, cofactor)
+    product = LaurentPoly.one(2, dom)
+    for c, keep in zip(cs, chosen):
+        product = product * (xi - xj * c)
+        if keep:
+            g = g * (xi - xj * c)
+    if extra is not None:
+        g = g + LaurentPoly.monomial(2, extra, 1, dom)
+    vanishes = all(not g.substitute({i: (c, j)}) for c in cs)
+    try:
+        g.exact_divide(product)
+        divides = True
+    except NotDivisible:
+        divides = False
+    assert vanishes == divides
 
 
 def _zeta_power(dom, r):
