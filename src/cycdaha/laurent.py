@@ -17,7 +17,7 @@ dict may be shared between polynomials and is never mutated.  ``terms`` is
 a read-only view that maps each exponent tuple to its field coefficient (a
 Fraction over QQ).
 
-Reduction happens in three places:
+Reduction happens in two places:
 
 * content: every operation that can create a common factor of den and the
   numerators (sums, products, scalings, substitutions, series) ends with
@@ -33,18 +33,15 @@ Reduction happens in three places:
   reports, ``coefficient``, and code outside the engine.  Coefficient
   matrices do not go through it: ``coefficient_rows`` scales the numerators
   of several polynomials to one common den, so over QQ their rows reach
-  elimination as ints;
-* division: ``exact_divide`` runs one long-division loop on numerators
-  for every domain.  Over QQ it makes the divisor primitive first, so by
-  Gauss's lemma the quotient of a divisible input comes out in ints with
-  no Fraction; the content and the dens are restored in one reduction at
-  the end.  The remainder's leading term comes off a heap keyed on the
-  graded-lex order, which skips the entries of terms that have cancelled,
-  so each step costs a logarithm of the remainder's size instead of a scan.
-  Only the Macdonald code divides; the quasiinvariant membership check
-  substitutes onto hyperplanes instead, and the operator engine's
-  quotients are closed forms with no division (the one-pass T_i, Dunkl and
-  Dunkl-Opdam images).
+  elimination as ints.
+
+Division needs no reduction.  The one division is by X_i - X_j
+(``divide_by_difference``), for the Macdonald operator: the quotient's
+numerators are partial sums of the input's, so no coefficient is divided,
+and by Gauss's lemma the quotient keeps the input's den.  The
+quasiinvariant membership check substitutes onto hyperplanes instead, and
+the operator engine's quotients are closed forms (the one-pass T_i, Dunkl
+and Dunkl-Opdam images).
 
 Two tables are kept across calls, each keyed on the domain object as well
 as on its values, so equal values of two fields never share an entry:
@@ -63,9 +60,7 @@ as on its values, so equal values of two fields never share an entry:
 from __future__ import annotations
 
 import functools
-import heapq
 import math
-import operator
 from collections.abc import Mapping
 
 from . import kernel as K
@@ -73,7 +68,8 @@ from .scalars import QQ, binomial_fraction
 
 
 class NotDivisible(Exception):
-    """Exact division failed; for operator combinations this signals a bug."""
+    """X_i - X_j does not divide the polynomial (divide_by_difference): the
+    Macdonald operator's image of the input is not a Laurent polynomial."""
 
 
 class NonInvertibleScale(Exception):
@@ -488,126 +484,45 @@ class LaurentPoly:
 
     # -- exact division -----------------------------------------------------
 
-    def exact_divide(self, d):
-        """Quotient q with self == q*d; raises NotDivisible otherwise,
-        usually at the first quotient term that leaves the exponent box a
-        true quotient must lie in.
+    def divide_by_difference(self, i, j):
+        """The quotient of self by X_i - X_j (1-based, i != j); raises
+        NotDivisible when there is none.
 
-        The division runs on numerators.  Over QQ the divisor is first made
-        primitive (its content g stripped); by Gauss's lemma an honest
-        quotient of an integer polynomial by a primitive one is integral, so
-        every quotient coefficient of a divisible input is an exact int
-        quotient.  A coefficient that is not (the input is then not
-        divisible) rescales the remainder and the partial quotient instead
-        of raising, so the division fails at the same step, with the same
-        message, as long division over the field coefficients.
+        The terms that share their exponents off {i, j} and s = e_i + e_j
+        form a binary form sum_k c_k X_i^k X_j^(s-k).  X_i - X_j divides it
+        exactly when sum_k c_k == 0, and the quotient's coefficient at
+        X_i^k X_j^(s-1-k) is then the partial sum of the c_k' over k' > k.
+        No coefficient is divided, so one pass serves every domain; X_i - X_j
+        is primitive, so by Gauss's lemma the quotient keeps den and stays
+        canonical.
         """
-        if not isinstance(d, LaurentPoly):
-            d = LaurentPoly.const(self.N, d, self.dom)
-        if not d.nums:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self.nums:
-            return self._wrap({})
-        if len(d.nums) == 1:
-            ((e, c),) = d.terms.items()
-            return self.shift(tuple(-x for x in e)) * (self.dom.one / c)
-        integral = self.dom is QQ
-        content = math.gcd(*d.nums.values()) if integral else 1
-
-        # shift both to honest polynomials
-        def neg_mins(p):
-            mins = [0] * self.N
-            for e in p.nums:
-                for i, x in enumerate(e):
-                    if x < mins[i]:
-                        mins[i] = x
-            return tuple(mins)
-
-        sp, sd = neg_mins(self), neg_mins(d)
-        num = K.terms_shift(self.nums, tuple(-x for x in sp))
-        dvs = K.terms_shift(d.nums, tuple(-x for x in sd))
-        if content != 1:
-            dvs = {e: n // content for e, n in dvs.items()}
-
-        dvs_terms = sorted(dvs.items(), key=lambda t: _glex_key(t[0]), reverse=True)
-        lead_e, lead_c = dvs_terms[0]
-        lead_inv = None if integral else self.dom.one / lead_c
-        dvs_rest = dvs_terms[1:]
-        # over an integral domain the lowest and the highest exponent of
-        # each variable add under multiplication, so every term of an honest
-        # quotient lies in the box min(num) - min(dvs) <= u <= max(num) -
-        # max(dvs), variable by variable
-        lo = [min(col) for col in zip(*num)]
-        hi = [max(col) for col in zip(*num)]
-        for i, col in enumerate(zip(*dvs)):
-            lo[i] -= min(col)
-            hi[i] -= max(col)
-        # graded-lex is a multiplicative total order, so every quotient term
-        # also lies between trail(num)-trail(dvs) and lead(num)-lead(dvs).
-        # The box rejects first; the trail bound and an iteration cap
-        # backstop pathological inputs.
-        trail_num = min(num, key=_glex_key)
-        trail_dvs = min(dvs, key=_glex_key)
-        bound = _glex_key(tuple(map(operator.sub, trail_num, trail_dvs)))
-        cap = 10000 + 16 * len(num) * max(1, len(dvs))
-
-        # quot * dvs + cur == scale * num throughout.  heap holds an entry
-        # for every term of cur, keyed so that the smallest entry is the
-        # glex-largest term; an entry whose term has cancelled since it was
-        # pushed is skipped when it comes up.
-        quot = {}
-        cur = dict(num)
-        heap = [(-sum(e), tuple(map(operator.neg, e)), e) for e in cur]
-        heapq.heapify(heap)
-        scale = 1
-        steps = 0
-        while cur:
-            steps += 1
-            if steps > cap:
-                raise NotDivisible("no quotient within the term budget")
-            e = heapq.heappop(heap)[2]
-            while e not in cur:
-                e = heapq.heappop(heap)[2]
-            ue = tuple(map(operator.sub, e, lead_e))
-            if any(u < a or u > b for u, a, b in zip(ue, lo, hi)):
-                raise NotDivisible("quotient term outside the exponent box")
-            if _glex_key(ue) < bound:
-                raise NotDivisible("leading term falls below the trail bound")
-            c = cur.pop(e)
-            if integral:
-                if c % lead_c:
-                    # not integral, so not divisible: carry on over a larger
-                    # scale until the box, the trail bound or the budget
-                    # rejects, as long division over Fractions would
-                    m = abs(lead_c) // math.gcd(c, lead_c)
-                    scale *= m
-                    c *= m
-                    cur = K.terms_scale(cur, m)
-                    quot = K.terms_scale(quot, m)
-                uc = c // lead_c
-            else:
-                uc = c * lead_inv
-            quot[ue] = uc
-            get = cur.get
-            for fe, fc in dvs_rest:
-                key = tuple(map(operator.add, ue, fe))
-                v = uc * fc
-                s = get(key)
-                if s is None:
-                    cur[key] = -v
-                    heapq.heappush(heap, (-sum(key), tuple(map(operator.neg, key)), key))
-                else:
-                    s = s - v
-                    if s:
-                        cur[key] = s
-                    else:
-                        del cur[key]
-        # self/d = (quot/scale) * den(d) / (den(self) * content), shifted back
-        quot = K.terms_shift(quot, tuple(map(operator.sub, sp, sd)))
-        q = self._reduced(_scaled(quot, d.den), scale * self.den * content)
-        if q * d != self:
-            raise NotDivisible("re-multiplication check failed")
-        return q
+        if i == j:
+            raise ValueError("need distinct variables")
+        ii, jj = i - 1, j - 1
+        groups = {}
+        for e, n in self.nums.items():
+            # the group key moves e_i onto e_j: exponents off {i, j}, and s
+            f = list(e)
+            f[jj] += f[ii]
+            f[ii] = 0
+            groups.setdefault(tuple(f), []).append((e[ii], n))
+        out = {}
+        for f, terms in groups.items():
+            terms.sort(reverse=True)  # by k, distinct within a group
+            f = list(f)
+            s = f[jj] - 1
+            (k, total), *rest = terms
+            for k_next, n in rest:
+                if total:
+                    # X_i^x for k_next <= x < k: the partial sum over k' >= k
+                    for x in range(k_next, k):
+                        f[ii], f[jj] = x, s - x
+                        out[tuple(f)] = total
+                total = total + n
+                k = k_next
+            if total:
+                raise NotDivisible(f"X{i} - X{j} does not divide the polynomial")
+        return self._wrap(out, self.den)
 
     # -- symmetry -----------------------------------------------------------
 

@@ -3,9 +3,9 @@ Hecke symmetrizer, the first Macdonald difference operator, and the
 symmetric Hamiltonians built from elementary symmetric functions of the
 commuting families.
 
-The displayed difference operators have rational coefficients in X; they
-are evaluated by clearing a common Vandermonde-type denominator and
-dividing exactly at the end, so everything stays inside the Laurent ring.
+The Macdonald operator has rational coefficients in X; it is evaluated by
+clearing the Vandermonde denominator and dividing the numerator by one
+X_a - X_b at a time, so everything stays inside the Laurent ring.
 """
 
 from __future__ import annotations
@@ -57,14 +57,6 @@ def hecke_symmetrizer_expr(rep):
 # ---------------------------------------------------------------------------
 # rational-coefficient difference operators
 
-def _vandermonde(N, dom):
-    out = LaurentPoly.one(N, dom)
-    for a in range(1, N + 1):
-        for b in range(a + 1, N + 1):
-            out = out * (LaurentPoly.variable(N, a, dom) - LaurentPoly.variable(N, b, dom))
-    return out
-
-
 def _cofactor(N, j, dom):
     """Vandermonde of all variables except X_j, with the sign such that
     prod_{i != j} (X_i - X_j) * cofactor * sign = full Vandermonde."""
@@ -82,15 +74,18 @@ def apply_macdonald_operator(N, q, t, p, dom=QQ, subtract_one=False):
 
     shift_j is tau_j (X_j -> q X_j); with subtract_one the factor becomes
     (1/X_j)(tau_j - 1) instead, which is the level-one Hamiltonian.
-    Raises NotDivisible when the result is not a Laurent polynomial (it
-    always is on symmetric inputs, and on q-deformed quasiinvariants at
-    t = q^-m).
+    The summands are brought over the Vandermonde prod_{a<b} (X_a - X_b),
+    and their summed numerator is divided by each X_a - X_b in turn
+    (LaurentPoly.divide_by_difference).  These factors are pairwise
+    non-associate primes of the Laurent ring, a UFD, so every division
+    succeeds exactly when the Vandermonde divides the numerator.  Raises
+    NotDivisible when the result is not a Laurent polynomial (it always is
+    on symmetric inputs, and on q-deformed quasiinvariants at t = q^-m).
     """
     q = dom.coerce(q)
     t = dom.coerce(t)
     if p.N != N:
         raise ValueError("rank mismatch")
-    vand = _vandermonde(N, dom)
     total = LaurentPoly.zero(N, dom)
     for j in range(1, N + 1):
         numer = LaurentPoly.one(N, dom)
@@ -104,7 +99,9 @@ def apply_macdonald_operator(N, q, t, p, dom=QQ, subtract_one=False):
             shifted = (shifted - p).shift(tuple(-1 if v == j - 1 else 0 for v in range(N)))
         sign = Fraction(-1) ** (N - j)
         total = total + numer * _cofactor(N, j, dom) * shifted * sign
-    return total.exact_divide(vand)
+    for a, b in itertools.combinations(range(1, N + 1), 2):
+        total = total.divide_by_difference(a, b)
+    return total
 
 
 def macdonald_M1(rep, p):

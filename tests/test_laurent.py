@@ -72,6 +72,50 @@ def divided_difference(p, i, j, c=1):
     return LaurentPoly(p.N, dom, out)
 
 
+def fraction_long_division(p, d):
+    """Reference: p / d by long division over the field coefficients, the
+    glex-leading remainder term first, for d with at least two terms.  A
+    quotient term outside the exponent box or below the trail bound, a
+    step past the term budget, or a failed re-multiplication check raises
+    NotDivisible."""
+    if not p:
+        return p
+    num, dvs = dict(p.terms), dict(d.terms)
+    sp = tuple(min(0, *col) for col in zip(*num))
+    sd = tuple(min(0, *col) for col in zip(*dvs))
+    num = K.terms_shift(num, tuple(-x for x in sp))
+    dvs = K.terms_shift(dvs, tuple(-x for x in sd))
+    dvs_terms = sorted(dvs.items(), key=lambda t: _glex(t[0]), reverse=True)
+    (lead_e, lead_c), rest = dvs_terms[0], dvs_terms[1:]
+    lo = [min(a) - min(b) for a, b in zip(zip(*num), zip(*dvs))]
+    hi = [max(a) - max(b) for a, b in zip(zip(*num), zip(*dvs))]
+    bound = _glex(tuple(x - y for x, y in zip(min(num, key=_glex), min(dvs, key=_glex))))
+    cap = 10000 + 16 * len(num) * len(dvs)
+    quot, cur = {}, dict(num)
+    for steps in itertools.count(1):
+        if not cur:
+            break
+        if steps > cap:
+            raise NotDivisible("no quotient within the term budget")
+        e = max(cur, key=_glex)
+        ue = tuple(x - y for x, y in zip(e, lead_e))
+        if any(u < a or u > b for u, a, b in zip(ue, lo, hi)):
+            raise NotDivisible("quotient term outside the exponent box")
+        if _glex(ue) < bound:
+            raise NotDivisible("leading term falls below the trail bound")
+        uc = cur.pop(e) / lead_c
+        quot[ue] = uc
+        K.terms_iaddmul(cur, K.terms_shift(dict(rest), ue), -uc)
+    quot = K.terms_shift(quot, tuple(x - y for x, y in zip(sp, sd)))
+    if K.terms_mul(quot, dict(d.terms)) != dict(p.terms):
+        raise NotDivisible("re-multiplication check failed")
+    return LaurentPoly(p.N, p.dom, quot)
+
+
+def _glex(e):
+    return (sum(e), e)
+
+
 def test_ring_axioms_randomized():
     rng = Random(11)
     for _ in range(200):
@@ -84,42 +128,23 @@ def test_ring_axioms_randomized():
 
 
 def test_exact_divide_examples():
-    assert (X(2) - X(1)).exact_divide(X(1) - X(2)) == LaurentPoly.const(2, -1)
-    assert (X(1) ** 2 - X(2) ** 2).exact_divide(X(1) - X(2)) == X(1) + X(2)
+    """Exact division by X_1 - X_2 (divide_by_difference), and by X_2 - X_1."""
+    assert (X(2) - X(1)).divide_by_difference(1, 2) == LaurentPoly.const(2, -1)
+    assert (X(2) - X(1)).divide_by_difference(2, 1) == LaurentPoly.one(2)
+    assert (X(1) ** 2 - X(2) ** 2).divide_by_difference(1, 2) == X(1) + X(2)
     # ((1 - s_12)(X1^2 X2)) / (X1 - X2) = X1 X2
     p = X(1) ** 2 * X(2) - X(1) * X(2) ** 2
-    q = p.exact_divide(X(1) - X(2))
+    q = p.divide_by_difference(1, 2)
     assert q == X(1) * X(2)
     assert q * (X(1) - X(2)) == p
-
-
-def test_exact_divide_round_trip_randomized():
-    rng = Random(5)
-    for _ in range(100):
-        p = random_poly(rng, terms=4)
-        d = random_poly(rng, terms=3)
-        if not d:
-            continue
-        assert (p * d).exact_divide(d) == p
+    assert not LaurentPoly.zero(2).divide_by_difference(1, 2)
 
 
 def test_exact_divide_failure():
     with pytest.raises(NotDivisible):
-        (X(1) + 1).exact_divide(X(1) - X(2))
-    with pytest.raises(ZeroDivisionError):
-        X(1).exact_divide(LaurentPoly.zero(2))
-
-
-def test_exact_divide_rejects_a_quotient_term_outside_the_exponent_box():
-    # g = F - s12 F for F = X1^4 X2 + X2^3/2 spans exponents 0..4 in each
-    # variable and the divisor 0..3, so every quotient term has exponents
-    # in 0..1; the division leaves that box long before its term budget
-    q = Fraction(3, 2)
-    F = X(1) ** 4 * X(2) + X(2) ** 3 * Fraction(1, 2)
-    g = F - F.swap(1, 2)
-    d = (X(1) - X(2) * (1 / q)) * (X(1) - X(2)) * (X(1) - X(2) * q)
-    with pytest.raises(NotDivisible, match="quotient term outside the exponent box"):
-        g.exact_divide(d)
+        (X(1) + 1).divide_by_difference(1, 2)
+    with pytest.raises(ValueError):
+        X(1).divide_by_difference(2, 2)
 
 
 def test_substitute_examples():
@@ -246,17 +271,18 @@ def test_derivative():
 
 def test_divided_difference_is_the_exact_quotient():
     """The reference divided_difference, (p - g p)/(X_i - c X_j) with
-    g: X_i -> c X_j, X_j -> X_i/c in closed form, against exact division,
-    over QQ and over Q(zeta_3)."""
+    g: X_i -> c X_j, X_j -> X_i/c in closed form, against long division,
+    over QQ and over Q(zeta_3); at c = 1 against divide_by_difference too."""
     rng = Random(3)
     for _ in range(60):
         p = random_poly(rng, N=3, terms=4)
         for i, j in ((1, 2), (3, 1)):
-            quot = (p - p.swap(i, j)).exact_divide(X(i, 3) - X(j, 3))
-            assert divided_difference(p, i, j) == quot
+            g = p - p.swap(i, j)
+            quot = fraction_long_division(g, X(i, 3) - X(j, 3))
+            assert divided_difference(p, i, j) == quot == g.divide_by_difference(i, j)
             c = Fraction(2, 3)
             gp = p.scale_var(j, 1 / c).scale_var(i, c).swap(i, j)
-            quot = (p - gp).exact_divide(X(i, 3) - X(j, 3) * c)
+            quot = fraction_long_division(p - gp, X(i, 3) - X(j, 3) * c)
             assert divided_difference(p, i, j, c) == quot
     dom = CycloField(3)
     for _ in range(20):
@@ -265,7 +291,7 @@ def test_divided_difference_is_the_exact_quotient():
             c = dom.zeta ** m
             gp = p.scale_var(2, 1 / c).scale_var(1, c).swap(1, 2)
             x1, x2 = LaurentPoly.variable(2, 1, dom), LaurentPoly.variable(2, 2, dom)
-            assert divided_difference(p, 1, 2, c) == (p - gp).exact_divide(x1 - x2 * c)
+            assert divided_difference(p, 1, 2, c) == fraction_long_division(p - gp, x1 - x2 * c)
 
 
 # -- fraction-free storage: every result is canonical and agrees with plain
@@ -274,10 +300,6 @@ def test_divided_difference_is_the_exact_quotient():
 exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 field_terms = st.dictionaries(exponents, fractions.filter(bool), max_size=5)
-
-
-def _glex(e):
-    return (sum(e), e)
 
 
 def assert_agrees(p, ref):
@@ -310,9 +332,10 @@ def test_fraction_free_results_agree_with_fractions(fa, fb, c, d):
     assert cache.keys() == fa.keys() and all(cache[e] == b.shift(e) for e in fa)
     assert_agrees(a.shift((1, -2)), K.terms_shift(fa, (1, -2)))
     assert_agrees(a.swap(1, 2), K.terms_permute(fa, (1, 0)))
+    assert_agrees((a * (X(1) - X(2))).divide_by_difference(1, 2), fa)
+    assert_agrees((a * (X(1) - X(2))).divide_by_difference(2, 1), K.terms_neg(fa))
     if c:
         assert_agrees(a.scale_var(2, c), {e: v * c ** e[1] for e, v in fa.items()})
-        assert_agrees((a * b).exact_divide(b) if b else a, fa)
     ref = {}
     for e, v in fa.items():
         K.terms_iaddmul(ref, {(e[0] + e[1], 0): v}, 1)
@@ -322,13 +345,6 @@ def test_fraction_free_results_agree_with_fractions(fa, fb, c, d):
         for e, v in fa.items():
             K.terms_iaddmul(ref, {(e[0] + e[1], 0): v}, binomial_fraction(e[1], r))
         assert_agrees(s, ref)
-
-
-@given(field_terms, field_terms.filter(bool))
-def test_exact_divide_recovers_the_factor(fp, fd):
-    """exact_divide(p*d, d) == p for Laurent p and nonzero Laurent d."""
-    p, d = LaurentPoly(2, QQ, fp), LaurentPoly(2, QQ, fd)
-    assert (p * d).exact_divide(d) == p
 
 
 @given(field_terms, st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -442,85 +458,38 @@ def test_equal_scales_in_two_domains_never_share_a_table():
                 assert_substitutes_like_the_reference(p, rules)
 
 
-def _fraction_long_division(p, d):
-    """Quotient terms of p / d by long division over Fraction coefficients,
-    with exact_divide's exponent box, trail bound, term budget and
-    re-multiplication check; raises NotDivisible with exact_divide's
-    messages.  d has at least two terms."""
-    num, dvs = dict(p.terms), dict(d.terms)
-    sp = tuple(min(0, *col) for col in zip(*num))
-    sd = tuple(min(0, *col) for col in zip(*dvs))
-    num = K.terms_shift(num, tuple(-x for x in sp))
-    dvs = K.terms_shift(dvs, tuple(-x for x in sd))
-    dvs_terms = sorted(dvs.items(), key=lambda t: _glex(t[0]), reverse=True)
-    (lead_e, lead_c), rest = dvs_terms[0], dvs_terms[1:]
-    lo = [min(a) - min(b) for a, b in zip(zip(*num), zip(*dvs))]
-    hi = [max(a) - max(b) for a, b in zip(zip(*num), zip(*dvs))]
-    bound = _glex(tuple(x - y for x, y in zip(min(num, key=_glex), min(dvs, key=_glex))))
-    cap = 10000 + 16 * len(num) * len(dvs)
-    quot, cur = {}, dict(num)
-    for steps in itertools.count(1):
-        if not cur:
-            break
-        if steps > cap:
-            raise NotDivisible("no quotient within the term budget")
-        e = max(cur, key=_glex)
-        ue = tuple(x - y for x, y in zip(e, lead_e))
-        if any(u < a or u > b for u, a, b in zip(ue, lo, hi)):
-            raise NotDivisible("quotient term outside the exponent box")
-        if _glex(ue) < bound:
-            raise NotDivisible("leading term falls below the trail bound")
-        uc = cur.pop(e) / lead_c
-        quot[ue] = uc
-        K.terms_iaddmul(cur, K.terms_shift(dict(rest), ue), -uc)
-    quot = K.terms_shift(quot, tuple(x - y for x, y in zip(sp, sd)))
-    if K.terms_mul(quot, dict(d.terms)) != dict(p.terms):
-        raise NotDivisible("re-multiplication check failed")
-    return quot
-
-
-def _divide_outcome(f, *args):
+@given(st.sampled_from(SUBSTITUTE_DOMAINS),
+       st.dictionaries(three_exponents, st.tuples(fractions, fractions), max_size=5),
+       st.permutations([1, 2, 3]), three_exponents, st.tuples(fractions, fractions),
+       st.integers(-2, 2), st.sampled_from([0, 1, -1]))
+def test_divide_by_difference_agrees_with_vanishing(dom, fp, perm, m, c, shift, sign):
+    """Over QQ, Q(zeta_3) and Q(t), with negative exponents and i < j or
+    i > j: (p (X_i - X_j)) / (X_i - X_j) gives back p in canonical form.
+    Adding to p (X_i - X_j) a random monomial c X^m, or that and
+    sign * c X^m' with m' on its line X_i^k X_j^(s-k), makes the division
+    raise NotDivisible exactly when the sum does not vanish at X_i = X_j;
+    a quotient it does return times X_i - X_j is the sum."""
+    i, j = perm[:2]
+    p = LaurentPoly(3, dom, {e: _in_field(dom, *xy) for e, xy in fp.items()})
+    d = LaurentPoly.variable(3, i, dom) - LaurentPoly.variable(3, j, dom)
+    got = (p * d).divide_by_difference(i, j)
+    assert got == p and got.den > 0
+    if dom is QQ:
+        assert math.gcd(got.den, *got.nums.values()) == 1
+    else:
+        assert got.den == 1
+    field_type = {QQ: int}.get(dom, type(dom.one))
+    assert all(type(n) is field_type for n in got.nums.values())
+    c = _in_field(dom, *c)
+    m2 = list(m)
+    m2[i - 1] += shift
+    m2[j - 1] -= shift
+    g = (p * d + LaurentPoly.monomial(3, m, c, dom)
+         + LaurentPoly.monomial(3, m2, c * sign, dom))
+    vanishes = not g.substitute({i: (1, j)})
     try:
-        return f(*args)
-    except NotDivisible as exc:
-        return str(exc)
-
-
-@given(field_terms, field_terms.filter(lambda t: len(t) > 1), field_terms,
-       st.integers(1, 12), st.booleans())
-def test_exact_divide_agrees_with_fraction_long_division(fp, fd, fr, content, divisible):
-    """Over QQ the fraction-free exact_divide returns the quotient of long
-    division over Fractions, and fails at the same step with the same
-    message, also for a divisor with integer content and dens > 1."""
-    d = LaurentPoly(2, QQ, fd) * content
-    p = LaurentPoly(2, QQ, fp) * d
-    if not divisible:
-        p = p + LaurentPoly(2, QQ, fr)
-    if not p:
-        return
-    want = _divide_outcome(_fraction_long_division, p, d)
-    got = _divide_outcome(lambda: dict(p.exact_divide(d).terms))
-    assert got == want
-    if divisible:
-        assert got == fp
-
-
-def test_exact_divide_with_cancelling_remainder_terms():
-    """d = X1 - X2 times q = sum of (1 + a + b)/3 X1^a X2^b over a + b <= 6
-    telescopes to 14 terms (56 products), so most remainder terms the
-    division creates
-    cancel again; the heap skips them.  With one more term the input is
-    not divisible, and exact_divide fails where long division over
-    Fractions fails."""
-    d = X(1) - X(2)
-    q = LaurentPoly(2, QQ, {(a, b): Fraction(1 + a + b, 3)
-                            for a in range(7) for b in range(7 - a)})
-    p = d * q
-    assert len(p.nums) == 14
-    assert p.exact_divide(d) == q
-    for extra in ((3, 3), (0, 0), (6, 0)):
-        r = p + LaurentPoly.monomial(2, extra, Fraction(5, 3))
-        want = _divide_outcome(_fraction_long_division, r, d)
-        with pytest.raises(NotDivisible) as exc:
-            r.exact_divide(d)
-        assert str(exc.value) == want
+        q = g.divide_by_difference(i, j)
+    except NotDivisible:
+        assert not vanishes
+    else:
+        assert vanishes and q * d == g

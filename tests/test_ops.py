@@ -17,7 +17,7 @@ from cycdaha.ops import (
     op_equal_randomized,
 )
 from cycdaha.scalars import QQ, CycloNumber, RatFunc1, RatFuncField
-from test_laurent import derivative, divided_difference
+from test_laurent import derivative, divided_difference, fraction_long_division
 
 
 def daha_rep(N=2, l=0):
@@ -294,7 +294,8 @@ def test_Y1_against_reflection_product_formula():
 
         Y_1 = (1 + (1-t)X_1/(X_2-X_1)(1-s_12)) ... (1 + (1-t)X_1/(X_N-X_1)(1-s_1N)) tau_1
 
-    evaluated by exact division, with the rightmost factor acting first."""
+    evaluated by long division (test_laurent's reference), with the
+    rightmost factor acting first."""
     for N in (2, 3):
         rep = daha_rep(N)
         t, q = rep.params["t"], rep.params["q"]
@@ -306,7 +307,7 @@ def test_Y1_against_reflection_product_formula():
                     tuple(1 if v == 0 else 0 for v in range(N))
                 )
                 den = rep.var(j) - rep.var(1)
-                x = x + num.exact_divide(den) * (1 - t)
+                x = x + fraction_long_division(num, den) * (1 - t)
             return x
 
         for e in box_monomials(N, 2):

@@ -25,6 +25,7 @@ from cycdaha.quasiinv import (
 )
 from cycdaha.scalars import QQ, CycloField
 from cycdaha.tableaux import invariants_series, kostka_polynomial, series_mul
+from test_laurent import fraction_long_division
 
 
 def X(i, N=2):
@@ -69,9 +70,10 @@ def test_membership_ideal_spot_check():
 
 def test_non_member_is_rejected_by_the_exponent_box():
     """F - s12 F of this F is not a multiple of the three shifted
-    hyperplanes, so it fails to vanish on one of them.  Division by their
-    product stops at a quotient term outside the exponent box (test_laurent's
-    test_exact_divide_rejects_a_quotient_term_outside_the_exponent_box)."""
+    hyperplanes, so it fails to vanish on one of them.  It spans exponents
+    0..4 in each variable and their product 0..3, so a quotient would lie in
+    the box 0..1; long division by the product (test_laurent's
+    fraction_long_division) leaves that box."""
     spec = QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(3, 2))
     F = X(1) ** 4 * X(2) + X(2) ** 3 * Fraction(1, 2)
     assert check_member(spec, F) is False
@@ -291,15 +293,29 @@ def test_kostka_padding():
     assert kostka_polynomial((2, 1)) == [0, 1, 1]
 
 
+def _macdonald_images_inside(N, maxdeg, t_power):
+    """How many of the plain-q (q = 3/2, m = 1) basis elements of degree <=
+    maxdeg the Macdonald operator at t = q^t_power keeps in the space, and
+    how many there are.  12 of the 22 at (N, maxdeg) = (2, 6) and (3, 5)
+    are not symmetric, so N = 3 divides a numerator that is not
+    antisymmetric by each X_a - X_b in turn."""
+    q, m = Fraction(3, 2), 1
+    spec = QuasiSpec(PLAIN_Q, N, m, q=q)
+    basis = [F for polys in graded_basis(spec, maxdeg).degrees for F in polys]
+    inside = sum(check_member(spec, apply_macdonald_operator(N, q, q ** t_power, F))
+                 for F in basis)
+    return inside, len(basis)
+
+
 def test_macdonald_preserves_q_quasiinvariants():
-    q = Fraction(3, 2)
-    m = 1
-    spec = QuasiSpec(PLAIN_Q, 2, m, q=q)
-    gb = graded_basis(spec, 6)
-    for polys in gb.degrees:
-        for F in polys:
-            img = apply_macdonald_operator(2, q, q ** (-m), F)
-            assert check_member(spec, img)
+    assert _macdonald_images_inside(2, 6, -1) == (22, 22)
+    assert _macdonald_images_inside(3, 5, -1) == (22, 22)
+
+
+def test_macdonald_at_t_equal_q_to_the_m_leaves_q_quasiinvariants():
+    """Control: at t = q^m instead of q^-m, 12 of the 22 images escape."""
+    assert _macdonald_images_inside(2, 6, 1) == (10, 22)
+    assert _macdonald_images_inside(3, 5, 1) == (10, 22)
 
 
 # Every variant, both branches of q, an empty condition set (m = 0), the
@@ -379,8 +395,8 @@ _cofactor = st.dictionaries(st.tuples(st.integers(-1, 2), st.integers(-1, 2)),
 def test_vanishing_on_hyperplanes_is_divisibility_by_their_product(
         dom, scales, cofactor, chosen, extra, ij):
     """For distinct nonzero c_p, g vanishes at every X_i = c_p X_j exactly
-    when exact_divide by prod_p (X_i - c_p X_j) succeeds (check_member's
-    q != 1 test against the division it replaces).  g is h times the factors
+    when long division by prod_p (X_i - c_p X_j) succeeds (check_member's
+    q != 1 test against test_laurent's division reference).  g is h times the factors
     of a random subset, with or without one added monomial; over Q(zeta_3)
     the c_p are a/d + b zeta, over QQ a/d."""
     i, j = ij
@@ -403,7 +419,7 @@ def test_vanishing_on_hyperplanes_is_divisibility_by_their_product(
         g = g + LaurentPoly.monomial(2, extra, 1, dom)
     vanishes = all(not g.substitute({i: (c, j)}) for c in cs)
     try:
-        g.exact_divide(product)
+        fraction_long_division(g, product)
         divides = True
     except NotDivisible:
         divides = False
