@@ -26,8 +26,10 @@ Reduction happens in two places:
   in the generator's cache, computes it only on a miss, and adds its
   numerators into one dict over the lcm of the image dens (a unit monomial
   over den 1 gets the cached image itself, which is canonical).
-  ``combination`` (one operator sum) accumulates its polynomials in one
-  dict the same way.  Each pays for one reduction;
+  ``linear_sum`` (one operator sum, its coefficients split beforehand; the
+  engine keeps them split in its compiled plans) and ``combination`` (the
+  same from field coefficients) accumulate their polynomials in one dict
+  the same way.  Each pays for one reduction;
 * values leaving: the ``terms`` view joins a numerator and den into a
   reduced field coefficient only when read, for hash, ``to_json`` and
   reports, ``coefficient``, and code outside the engine.  Coefficient
@@ -228,21 +230,21 @@ class LaurentPoly:
 
     @classmethod
     def combination(cls, N, dom, pairs):
-        """The sum of c*p over the (c, p) in pairs, c in dom: one dict over
-        the lcm of the denominators, one content reduction."""
+        """The sum of c*p over the (c, p) in pairs, c in dom (see
+        linear_sum)."""
         split, coerce = dom.split, dom.coerce
-        parts = []
-        for c, p in pairs:
-            n, d = split(coerce(c))
-            parts.append((n, d * p.den, p.nums))
-        if len(parts) == 1 and parts[0][0] == 1:
-            # one polynomial with coefficient 1: nothing to accumulate
-            _, d, nums = parts[0]
-            return _canonical(N, dom, nums, d)
-        lcm = math.lcm(*[d for _, d, _ in parts])
+        return cls.linear_sum(N, dom, [(*split(coerce(c)), p) for c, p in pairs])
+
+    @staticmethod
+    def linear_sum(N, dom, parts):
+        """The sum of (n/d)*p over the (n, d, p) in parts, n/d a coefficient
+        already split in dom: one dict over the lcm of the denominators, one
+        content reduction."""
+        lcm = math.lcm(*[d * p.den for _, d, p in parts])
         out = {}
-        for n, d, nums in parts:
-            K.terms_iaddmul(out, nums, n if d == lcm else n * (lcm // d))
+        for n, d, p in parts:
+            d *= p.den
+            K.terms_iaddmul(out, p.nums, n if d == lcm else n * (lcm // d))
         return _canonical(N, dom, out, lcm)
 
     def map_linear(self, cache, fresh):

@@ -46,20 +46,24 @@ The engine works in LaurentPoly's fraction-free form: a cached image holds
 numerators over one shared den (ints over a positive int den for QQ, field
 elements over 1 for Q(zeta_l) and Q(t); a CycloNumber is itself int
 numerators over one den).  Rep.apply_gen hands its argument the generator's
-image cache and a fresh-image function; LaurentPoly.map_linear then runs one
-loop over the argument's terms that looks up each image, computes it only on
-a miss (from a monomial wrapping the unit numerator split once per
-representation) and adds its numerators into one dict; on a monomial with
-coefficient 1 it returns the cached image itself.  Rep.apply evaluates
-an OperatorExpr's words along their shared right-hand suffixes: it groups
-the words by their rightmost generator, applies that generator once per
-group and recurses on the shortened words, so a suffix common to several
-words acts once; a group of one word goes straight to apply_word.  One
-LaurentPoly.combination sums the results.  map_linear and combination each
-end with one gcd content reduction.  A Gen is a named tuple, so the cache
-lookups hash and compare it in C.  Reports read coefficients through
-LaurentPoly.terms and to_json, which join them into reduced Fractions over
-QQ.
+image cache and fresh-image function, a slot bound once per (representation,
+generator) that reaches the representation through a weak reference, so no
+closure is built per call and the slot makes no reference cycle;
+LaurentPoly.map_linear then runs one loop over the argument's terms that
+looks up each image, computes it only on a miss (from a monomial wrapping
+the unit numerator split once per representation) and adds its numerators
+into one dict; on a monomial with coefficient 1 it returns the cached image
+itself.  Rep.apply compiles an OperatorExpr once and keeps the plan on the
+expression, keyed by the coefficient field: a single word with coefficient
+1 goes straight to apply_word, and a sum becomes the suffix trie of its
+words (grouped by their rightmost generator, then the next, ...), with each
+coefficient split once.  Walking the trie for a monomial applies each node's
+generator once, so a suffix common to several words acts once, and a leaf
+of one word goes to apply_word; one LaurentPoly.linear_sum adds the parts
+over one lcm.  map_linear and linear_sum each end with one gcd content
+reduction.  A Gen is a named tuple, so the cache lookups hash and compare it
+in C.  Reports read coefficients through LaurentPoly.terms and to_json,
+which join them into reduced Fractions over QQ.
 
 Fresh images are built without intermediate polynomials where the action
 has a closed form.  T_i^+-1, omega^+-1, D_i, y_i (= Dtrig_i) and DO_i
@@ -83,6 +87,7 @@ displayed products grouped.
 from __future__ import annotations
 
 import itertools
+import weakref
 from random import Random
 from typing import NamedTuple
 
@@ -117,13 +122,17 @@ class OperatorExpr:
     """Formal linear combination of words in generators.
 
     terms: dict mapping word tuples to scalar coefficients.  Purely
-    syntactic; evaluation is linear and words compose right-to-left.
+    syntactic; evaluation is linear and words compose right-to-left.  An
+    expression is immutable after construction (the operators build new
+    ones), so Rep.apply compiles it once and keeps the plan (see _compile)
+    in _plan; a rep over another coefficient field compiles it anew.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_plan")
 
     def __init__(self, terms=None):
         self.terms = dict(terms) if terms else {}
+        self._plan = None
 
     @classmethod
     def word(cls, gens, coeff=1):
@@ -222,6 +231,44 @@ class OperatorExpr:
         return " + ".join(bits)
 
 
+def _compile(dom, terms):
+    """The plan (dom, word, root) by which Rep.apply applies terms: word is
+    the one word of terms when its coefficient is 1, else None and root the
+    suffix trie of the words, each coefficient c split once as
+    dom.split(dom.coerce(c)).  A node is (here, children): here is the
+    split coefficient of the word that ends at the node, or None, and
+    children lists (g, word, sub) in first-seen order, one per generator g
+    to the left of the node's suffix.  A child that holds one word is a
+    leaf: word is that word without the node's suffix and sub its
+    coefficient; otherwise word is None and sub the child node."""
+    split, coerce = dom.split, dom.coerce
+    words = [(w, split(coerce(c))) for w, c in terms.items()]
+    if len(words) == 1 and words[0][1] == (1, 1):
+        return dom, words[0][0], None
+    return dom, None, _trie_node(words, 0)
+
+
+def _trie_node(words, depth):
+    """The node of the (word, split coefficient) pairs in words, which share
+    their last depth generators."""
+    here = None
+    groups = {}
+    for w, c in words:
+        k = len(w) - depth
+        if k:
+            groups.setdefault(w[k - 1], []).append((w, c))
+        else:
+            here = c
+    children = []
+    for g, group in groups.items():
+        if len(group) == 1:
+            ((w, c),) = group
+            children.append((g, w[:len(w) - depth], c))
+        else:
+            children.append((g, None, _trie_node(group, depth + 1)))
+    return here, children
+
+
 def word_product(exprs):
     """Product of a list of OperatorExprs, left to right."""
     out = OperatorExpr.one()
@@ -245,6 +292,7 @@ class Rep:
         self.dom = dom
         self._actions = GENERATORS[family]
         self._cache = {}
+        self._slots = {}  # g -> (self._cache[g], fresh-image function)
         self._factors = {}
         # the numerator of 1, wrapped as the monomial argument of each fresh image
         self._one = dom.split(dom.one)[0]
@@ -321,15 +369,28 @@ class Rep:
 
     def apply_gen(self, g, p):
         """Apply one generator to a Laurent polynomial (exact, linear).  A
-        Gen outside the family gets no cache, so it raises on every call."""
-        cache = self._cache.get(g)
-        if cache is None:
-            if not self.valid_gen(g):
-                raise FamilyMismatch(f"{g!r} not available in family {self.family!r}")
-            cache = self._cache[g] = {}
+        Gen outside the family gets no slot, so it raises on every call."""
+        slot = self._slots.get(g)
+        if slot is None:
+            slot = self._slot(g)
+        cache, fresh = slot
+        return p.map_linear(cache, fresh)
+
+    def _slot(self, g):
+        """The image cache of g and its fresh-image function, bound once per
+        (rep, g).  The function reaches the rep through a weak reference, so
+        the slot kept on the rep makes no reference cycle."""
+        if not self.valid_gen(g):
+            raise FamilyMismatch(f"{g!r} not available in family {self.family!r}")
         action, N, dom, one = self._actions[g.tag], self.N, self.dom, self._one
-        return p.map_linear(
-            cache, lambda e: action(self, g, LaurentPoly._make(N, dom, {e: one})))
+        rep = weakref.ref(self)
+
+        def fresh(e):
+            return action(rep(), g, LaurentPoly._make(N, dom, {e: one}))
+
+        cache = self._cache[g] = {}
+        slot = self._slots[g] = (cache, fresh)
+        return slot
 
     def apply_word(self, word, p):
         for g in reversed(word):
@@ -337,39 +398,33 @@ class Rep:
         return p
 
     def apply(self, expr, p):
-        """Apply an OperatorExpr (linear in the combination).  Its words are
-        applied along their shared right-hand suffixes (see _apply_words), so
-        a generator common to several words acts once; a single word with
-        coefficient 1 needs no sum."""
+        """Apply an OperatorExpr (linear in the combination) along its
+        compiled suffix trie (see _compile): a generator common to several
+        words acts once, and the parts are summed over one lcm."""
         if isinstance(expr, Gen):
             return self.apply_gen(expr, p)
-        if len(expr.terms) == 1:
-            ((w, c),) = expr.terms.items()
-            if c == 1:
-                return self.apply_word(w, p)
-        pairs = []
-        self._apply_words(expr.terms.items(), 0, p, pairs)
-        return LaurentPoly.combination(self.N, self.dom, pairs)
+        plan = expr._plan
+        if plan is None or plan[0] is not self.dom:
+            plan = expr._plan = _compile(self.dom, expr.terms)
+        _, word, root = plan
+        if word is not None:
+            return self.apply_word(word, p)
+        parts = []
+        self._walk(root, p, parts)
+        return LaurentPoly.linear_sum(self.N, self.dom, parts)
 
-    def _apply_words(self, words, depth, p, out):
-        """Append (c, w' p) to out for each (w, c) in words, where w' is w
-        without its last depth generators and p the image of that shared
-        suffix.  The words are grouped by the generator to the left of the
-        suffix, which acts once per group; a group of one word is applied
-        by apply_word."""
-        groups = {}
-        for w, c in words:
-            k = len(w) - depth
-            if k:
-                groups.setdefault(w[k - 1], []).append((w, c))
+    def _walk(self, node, p, parts):
+        """Append (n, d, w' p) to parts for each word w with coefficient n/d
+        under node, where p is the image of node's suffix and w' is w without
+        it.  A leaf's word is applied by apply_word."""
+        here, children = node
+        if here is not None:
+            parts.append((*here, p))
+        for g, word, sub in children:
+            if word is None:
+                self._walk(sub, self.apply_gen(g, p), parts)
             else:
-                out.append((c, p))
-        for g, group in groups.items():
-            if len(group) == 1:
-                ((w, c),) = group
-                out.append((c, self.apply_word(w[:len(w) - depth], p)))
-            else:
-                self._apply_words(group, depth + 1, self.apply_gen(g, p), out)
+                parts.append((*sub, self.apply_word(word, p)))
 
     def _product(self, factors, p):
         """Apply a product whose factors are listed left to right, so the
@@ -646,8 +701,11 @@ def op_equal_on_box(rep, a, b, box_radius):
     Equality on a box certifies representation-level equality at
     the given parameters; at generic parameters the polynomial
     representation is faithful, so this is the algebra-level claim being
-    tested.
+    tested.  B < 0 gives an empty box, which checks nothing, and raises
+    ValueError; B = 0 checks the monomial 1.
     """
+    if box_radius < 0:
+        raise ValueError(f"box radius must be at least 0, got {box_radius}")
     N, dom, one = rep.N, rep.dom, rep._one
     for e in box_monomials(N, box_radius):
         p = LaurentPoly._make(N, dom, {e: one})
@@ -659,7 +717,10 @@ def op_equal_on_box(rep, a, b, box_radius):
 
 
 def op_equal_randomized(rep, a, b, trials, seed):
-    """Compare on random monomials with exponents in [-4, 4]."""
+    """Compare on random monomials with exponents in [-4, 4].  Fewer than
+    one trial checks nothing and raises ValueError."""
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
     rng = Random(seed)
     N, dom, one = rep.N, rep.dom, rep._one
     for trial in range(trials):

@@ -115,6 +115,16 @@ def test_verify_family_reports_parameters_as_json_scalars():
     assert r["params"] == {"q": "2/3", "tb": "3", "t": "9"}
 
 
+def test_verify_family_rejects_a_sweep_that_checks_nothing():
+    """A negative box radius or zero trials would check no monomial; the
+    library raises ValueError instead of reporting all_pass."""
+    rep = sample_rep("daha", 2, 0, seed=1)
+    with pytest.raises(ValueError):
+        verify_family(rep, "daha", "box", box_radius=-2)
+    with pytest.raises(ValueError):
+        verify_family(rep, "daha", "random", trials=0)
+
+
 @pytest.mark.parametrize("N,l", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_cyc_daha_randomized(N, l):
     rep = sample_rep("cyc-daha", N, l, seed=5)

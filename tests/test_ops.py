@@ -324,6 +324,23 @@ def test_randomized_equality():
     assert not op_equal_randomized(rep, s1, bad, trials=10, seed=4)["result"]
 
 
+def test_a_check_of_no_monomial_is_rejected():
+    """T_1 = X_1 is false, so a pass on it would mean nothing was checked: a
+    negative box radius (an empty box) and zero trials raise ValueError,
+    and B = 0, the monomial 1 alone, finds the difference."""
+    rep = daha_rep(2)
+    T1, X1 = OperatorExpr.gen("T", 1), OperatorExpr.gen("X", 1)
+    for B in (-1, -2):
+        with pytest.raises(ValueError):
+            op_equal_on_box(rep, T1, X1, B)
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            op_equal_randomized(rep, T1, X1, trials, seed=0)
+    r = op_equal_on_box(rep, T1, X1, 0)
+    assert not r["result"] and r["witness"]["monomial"] == [0, 0]
+    assert not op_equal_randomized(rep, T1, X1, 1, seed=0)["result"]
+
+
 def test_family_mismatch():
     rep = daha_rep(2)
     with pytest.raises(FamilyMismatch):
@@ -492,6 +509,22 @@ def test_a_rep_is_freed_without_the_cycle_collector():
             ref = weakref.ref(rep)
             del rep
             assert ref() is None
+        # fresh reps whose caches are filled through Rep.apply of a sum of
+        # words and through composite generators alone (cyc has none, so
+        # DO stands in)
+        for rep in _engine_reps(2):
+            gens = {"daha": [Gen("Y", 1), Gen("Dl", 1)],
+                    "deg": [Gen("Dl", 1)], "cyc": [Gen("DO", 1)]}[rep.family]
+            s1 = Gen("s", 1)
+            expr = OperatorExpr({(gens[0], s1): 2, (Gen("X", 1), s1): Fraction(1, 3),
+                                 (Gen("X", 2), gens[-1]): -1, (): 5})
+            rep.apply(expr, rep.monomial((1, -1)) + rep.var(2))
+            for g in gens:
+                rep.apply_gen(g, rep.monomial((2, 0)))
+            assert all(rep._cache[g] for g in gens)
+            ref = weakref.ref(rep)
+            del rep
+            assert ref() is None
     finally:
         gc.enable()
 
@@ -590,3 +623,24 @@ def test_apply_applies_a_shared_suffix_once():
     ref = daha_rep(2)
     assert out == LaurentPoly.combination(
         2, ref.dom, [(c, ref.apply_word(w, p)) for w, c in expr.terms.items()])
+
+
+def test_one_expression_applies_in_two_fields():
+    """The plan Rep.apply keeps on an expression holds coefficients split in
+    one field, so the same OperatorExpr object applied in a rep over QQ and
+    in one over Q(t) (tb = t), and then over QQ again, must give each
+    field's own images: an expression with a scalar term, a suffix shared
+    by two words and a one-word leaf."""
+    t = RatFuncField("t").gen
+    reps = [daha_rep(2), Rep.daha(2, Fraction(7, 5), t), daha_rep(2)]
+    refs = [daha_rep(2), Rep.daha(2, Fraction(7, 5), t), daha_rep(2)]
+    T, Ti, om, X = Gen("T", 1), Gen("T^-1", 1), Gen("omega"), Gen("X", 2)
+    expr = OperatorExpr({(T, om): 2, (Ti, om): Fraction(1, 3), (X,): -1, (): Fraction(5, 2)})
+    for rep, ref in zip(reps, refs):
+        for e in box_monomials(2, 1):
+            p = rep.monomial(e)
+            expected = LaurentPoly.combination(
+                2, ref.dom, [(c, ref.apply_word(w, p)) for w, c in expr.terms.items()])
+            out = rep.apply(expr, p)
+            assert out.dom is rep.dom and out == expected
+    assert reps[0].apply(expr, reps[0].one()) != reps[1].apply(expr, reps[1].one())
