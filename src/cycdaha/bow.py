@@ -36,14 +36,6 @@ CIRCLE_CROSS = "circle-cross"
 CROSS_CIRCLE = "cross-circle"
 
 
-class AlphaNotInjective(Exception):
-    pass
-
-
-class InconsistentEquations(Exception):
-    pass
-
-
 @dataclass
 class BowData:
     """One bow segment; dims = (dim V1, dim V2, dim V3).
@@ -204,11 +196,14 @@ def hw_transition(bow):
     d1, d2, d3 = bow.dims
     t, Z, Zp = bow.t, bow.Z, bow.Zp
     alpha = bow.D.vstack(bow.A, bow.b)
+    # alpha is injective on every certified circle-cross bow: for v in
+    # ker alpha, Dv = 0, so B2 (1 + C D) = Z' gives B2 v = Z' v, and span{v}
+    # is a B2-stable line in ker A cap ker b, which (S1) forbids
     if alpha.rank() < d2:
-        raise AlphaNotInjective("alpha = [D; A; b] is not injective")
+        raise AssertionError("alpha = [D; A; b] is not injective")
     beta = (bow.A * bow.B2 * bow.C).hstack(bow.B3 - Matrix.identity(d3) * Zp, bow.a)
     if not (beta * alpha).is_zero():
-        raise InconsistentEquations("betaALPHA != 0")
+        raise AssertionError("betaALPHA != 0")
     proj = alpha.T.kernel().T  # rows span the cokernel
     d2n = proj.m
     assert d2n == d1 + d3 + 1 - d2
@@ -220,17 +215,17 @@ def hw_transition(bow):
     target = bow.B3.inverse() * beta * Fraction(-1)
     Cn = (proj.T).solve_right(target.T).T
     if Cn * proj != target:
-        raise InconsistentEquations("Cn does not descend")
+        raise AssertionError("Cn does not descend")
     one_plus_CnDn = Matrix.identity(d3) + Cn * Dn
     if one_plus_CnDn != bow.B3.inverse() * Zp:
-        raise InconsistentEquations("1 + Cn Dn != Z' B3^-1")
+        raise AssertionError("1 + Cn Dn != Z' B3^-1")
     B2n = (Matrix.identity(d2n) + Dn * Cn).inverse() * (t * Z)
     # internal identity: alpha_n = alpha C B1, entrywise
     alpha_n = (Matrix.identity(d1) * (t * Z) - bow.B1).vstack(
         (Cn * B2n * An) * Fraction(-1), bn
     )
     if alpha_n != alpha * bow.C * bow.B1:
-        raise InconsistentEquations("alpha_n != alpha C B1")
+        raise AssertionError("alpha_n != alpha C B1")
     new = BowData(
         CROSS_CIRCLE,
         (d1, d2n, d3),
@@ -248,7 +243,7 @@ def hw_transition(bow):
     )
     new_rep = check_bow(new)
     if not new_rep["certified"]:
-        raise InconsistentEquations("transitioned bow fails certification")
+        raise AssertionError("transitioned bow fails certification")
     return new
 
 
@@ -269,7 +264,7 @@ def hw_inverse(bow):
     K = beta_n.kernel()
     d2 = K.n
     if d2 != d1 + d3 + 1 - d2n:
-        raise InconsistentEquations("kernel dimension mismatch")
+        raise AssertionError("kernel dimension mismatch")
     D = K.submatrix(range(d1), range(d2))
     A = K.submatrix(range(d1, d1 + d3), range(d2))
     b = K.submatrix(range(d1 + d3, d1 + d3 + 1), range(d2))
@@ -286,7 +281,7 @@ def hw_inverse(bow):
     )
     out_rep = check_bow(out)
     if not out_rep["certified"]:
-        raise InconsistentEquations("inverse-transitioned bow fails certification")
+        raise AssertionError("inverse-transitioned bow fails certification")
     return out
 
 

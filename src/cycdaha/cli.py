@@ -335,7 +335,7 @@ def build_parser():
     bhw = bw_sub.add_parser("hw")
     bhw.add_argument("--file", required=True)
     bhw.add_argument("--out")
-    bhw.set_defaults(fn=cmd_bow_hw, check=lambda a: _load_file(bhw, a, "--file", _bow_data))
+    bhw.set_defaults(fn=cmd_bow_hw, check=lambda a: _check_hw_bow(bhw, a))
 
     ex = sub.add_parser("expr", help="operator expression grammar")
     ex_sub = ex.add_subparsers(dest="cmd", required=True)
@@ -486,6 +486,17 @@ def _bow_data(data):
     from .bow import BowData
 
     return BowData.from_json(data["report"]["bow"] if "report" in data else data)
+
+
+def _check_hw_bow(ap, args):
+    """bow hw: --file holds a bow in the circle-cross orientation, where the
+    transition starts (bow check takes both orientations)."""
+    from .bow import CIRCLE_CROSS
+
+    _load_file(ap, args, "--file", _bow_data)
+    if args.data.orientation != CIRCLE_CROSS:
+        ap.error(f"--file: bow hw starts from a {CIRCLE_CROSS} bow, "
+                 f"got a {args.data.orientation} one")
 
 
 def _check_poly(ap, args):

@@ -21,15 +21,11 @@ from .ops import (
     op_equal_on_box,
     word_product,
 )
-from .scalars import QQ, field_of
+from .scalars import QQ, ParameterDegenerate, field_of
 from .tableaux import partitions
 
 
 class InputNotSymmetric(Exception):
-    pass
-
-
-class BadParameter(Exception):
     pass
 
 
@@ -40,7 +36,7 @@ def hecke_symmetrizer_expr(rep):
     """e = (sum_w tb^len(w) T_w) / (sum_w t^len(w)) as an OperatorExpr.
 
     Normalized so that T_i e = tb * e = e T_i and e^2 = e; fixes symmetric
-    polynomials.  Raises BadParameter when sum_w t^len(w) vanishes.
+    polynomials.  Raises ParameterDegenerate when sum_w t^len(w) vanishes.
     """
     tb = rep.params["tb"]
     t = rep.params["t"]
@@ -50,7 +46,7 @@ def hecke_symmetrizer_expr(rep):
         total = total + t ** len(word)
         expr = expr + OperatorExpr.word(word, tb ** len(word))
     if not total:
-        raise BadParameter("Hecke symmetrizer undefined: sum_w t^l(w) = 0")
+        raise ParameterDegenerate("Hecke symmetrizer undefined: sum_w t^l(w) = 0")
     return (1 / total) * expr
 
 

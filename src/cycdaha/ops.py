@@ -19,7 +19,8 @@ P = K[X_1^{+-1}, ..., X_N^{+-1}]:
   Dl_i = s_1i X_1^-1 (y_1-z_1)...(y_1-z_l) s_1i.
 
 * "cyc": the cyclotomic rational Cherednik family for S_N wr Z/l over
-  Q(zeta_l), with variable scalings sigma_i and Dunkl-Opdam operators DO_i.
+  Q(zeta_l), with variable scalings sigma_i and Dunkl-Opdam operators DO_i;
+  deg's D_i is DO_i at l = 1 with no c-part.
 
 X_i^+-1 and s_i act alike in every family.  The coefficient field follows
 the parameter values (scalars.field_of): Rep.daha and Rep.degenerate work
@@ -66,19 +67,19 @@ in C.  Reports read coefficients through LaurentPoly.terms and to_json,
 which join them into reduced Fractions over QQ.
 
 Fresh images are built without intermediate polynomials where the action
-has a closed form.  T_i^+-1, omega^+-1, D_i, y_i (= Dtrig_i) and DO_i
-make one pass over the terms of their argument into one
-LaurentPoly._collect: T_i's quotient by X_i/X_{i+1} - 1 is a signed
-geometric sum, and so is each quotient (p - s_ij p)/(X_i - X_j) of D_i,
-which meets the derivative term in the same pass; y_i shifts both by X_i
-and adds its s_ij terms there too (see Rep._dunkl).  DO_i's sum over m of
-its quotients by x_i - zeta^m x_r is one geometric sum whose coefficients
-add up to the integers l and 0 (see Rep._dunkl_opdam).  The scalars they
-use are computed once per representation: tb, tb - 1/tb and the powers of
-q; hbar, -k and k; DO's l values w(s) = sum_j c_j zeta^(js) and k l.
-A composite's factor list is built once per (representation,
-generator).  Where a composite contains another composite's factors, it
-lists that composite as one Gen, so those images come from its cache:
+has a closed form.  T_i^+-1, omega^+-1 and the Dunkl operators make one pass
+over the terms of their argument into one LaurentPoly._collect: T_i's
+quotient by X_i/X_{i+1} - 1 is a signed geometric sum.  One pass,
+Rep._dunkl, serves DO_i, D_i and y_i (= Dtrig_i): DO_i's quotients by
+x_i - zeta^m x_r, summed over m, are one geometric sum with integer
+coefficients, D_i is DO_i at l = 1 with no c-part, and y_i shifts D_i by
+X_i and adds its s_ij terms.  The scalars they use are computed once per
+representation: tb, tb - 1/tb and the powers of q; the Dunkl step l, the
+table a -> hbar a - w(a mod l) of DO's c-part and derivative (w = 0 for
+deg), and -k l and k l.  A composite's factor list is built once per
+(representation, generator).  Where a composite contains another
+composite's factors, it lists that composite as one Gen, so those images
+come from its cache:
 Dl_i = T_{i-1}^-1 Dl_{i-1} T_{i-1}^-1 (daha) and s_1i Dl_1 s_1i (deg), and
 pi_- = T_{N-1}^-1...T_1^-1 Dl_1 (daha) and s_{N-1}...s_1 Dl_1 (deg), the
 displayed products grouped.
@@ -91,7 +92,7 @@ import weakref
 from random import Random
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, split_powers
+from .laurent import LaurentPoly, _Table, split_powers
 from .scalars import QQ, CycloField, CycloNumber, field_of
 
 FAMILY_DAHA = "daha"
@@ -306,20 +307,26 @@ class Rep:
             self._tb = dom.split(dom.coerce(tb))
             self._gap = dom.split(dom.coerce(tb - 1 / tb))
             self._qpows = split_powers(dom, dom.coerce(self.params["q"]))
-        elif family == FAMILY_DEG:
-            # the Dunkl operators' scalars hbar, and -k and k, as
-            # (numerator, den) pairs; None when zero
+        else:
+            # the Dunkl scalars (see _dunkl; deg is l = 1 with w = 0): the
+            # step l, the table a -> hbar a - w(a mod l) with
+            # w(s) = sum_j c_j zeta^(js), and -k l and k l, split; None when 0
             hbar, k = self.params["hbar"], self.params["k"]
-            self._hbar = dom.split(hbar) if hbar else None
-            self._k = (dom.split(-k), dom.split(k)) if k else None
-        elif family == FAMILY_CYC:
-            # DO_i's scalars: w(s) = sum_j c_j zeta^(js), by which
-            # sum_j c_j sigma_i^j scales X^e when e_i = s mod l, and -k l
-            # and k l as (numerator, den) pairs
-            c = self.params["c"]
-            self._w = tuple(sum((cj * CycloNumber.zeta(l, j * s) for j, cj in enumerate(c)),
-                                dom.zero) for s in range(l))
-            kl = self.params["k"] * l
+            if family == FAMILY_CYC:
+                step = l
+                w = tuple(sum((cj * CycloNumber.zeta(l, j * s)
+                               for j, cj in enumerate(self.params["c"])), dom.zero)
+                          for s in range(l))
+            else:
+                step, w = 1, (dom.zero,)
+
+            def scalar(a):
+                c = hbar * a - w[a % step]
+                return dom.split(c) if c else None
+
+            self._step = step
+            self._dc = _Table(scalar)
+            kl = k * step
             self._kl = (dom.split(-kl), dom.split(kl)) if kl else None
 
     # -- constructors -------------------------------------------------------
@@ -497,74 +504,30 @@ class Rep:
         return p._collect(parts)
 
     def _dunkl(self, i, p, trig=False):
-        """D_i = hbar d_i - k sum_{j != i} (1 - s_ij)/(X_i - X_j), in one pass
-        over the terms of p; with trig, y_i = X_i D_i - k sum_{j<i} s_ij.
+        """DO_i = hbar d_i - x_i^-1 sum_j c_j sigma_i^j
+        - k sum_{r != i} sum_m (1 - s_ir sigma_i^m sigma_r^-m)/(x_i - zeta^m x_r),
+        in one pass over the terms of p.  At l = 1 with no c-part it is
+        deg's D_i = hbar d_i - k sum_{r != i} (1 - s_ir)/(X_i - X_r); with
+        trig, y_i = X_i D_i - k sum_{r<i} s_ir.
 
-        With a = e_i and b = e_j, d_i sends X^e to a X^e/X_i, and the
-        quotient (1 - s_ij)/(X_i - X_j) sends it to sign(a - b) times the
-        sum of X_i^(a+b-1-t) X_j^t over min(a, b) <= t < max(a, b), the
-        signed geometric sum of T_i's quotient.  y_i shifts both by X_i and
-        adds -k X^(s_ij e) for each j < i."""
-        hbar, k = self._hbar, self._k
+        sigma_i^j scales X^e by zeta^(j e_i), so the c-part meets the
+        derivative at X^e/X_i in one term, hbar e_i - w(e_i mod l) (self._dc).
+        With a = e_i and b = e_r, the m-th quotient sends X^e to
+        sign(a - b) sum_t zeta^(m(t-b)) X_i^(a+b-1-t) X_r^t over
+        min(a, b) <= t < max(a, b), and zeta^(m(t-b)) sums over m to l when
+        t = b mod l and to 0 otherwise: an integer k-part with 1/l of the
+        terms.  y_i shifts both parts by X_i and adds -k X^(s_ir e), r < i."""
+        dc, kl, step = self._dc, self._kl, self._step
         ii = i - 1
         up = 1 if trig else 0  # the exponent of X_i in front of D_i
         parts = []
         for e, n in p.nums.items():
             a = e[ii]
-            if a and hbar is not None:
+            c = dc[a]
+            if c is not None:
                 f = list(e)
                 f[ii] = a - 1 + up
-                parts.append((tuple(f), n * hbar[0] * a, hbar[1]))
-            if k is None:
-                continue
-            for j, b in enumerate(e):
-                if j == ii or a == b:
-                    continue
-                # -k sign(a - b)
-                kn, kd = k[a < b]
-                m = n * kn
-                lo, hi = (b, a) if a > b else (a, b)
-                f = list(e)
-                for t in range(lo, hi):
-                    f[ii] = a + b - 1 - t + up
-                    f[j] = t
-                    parts.append((tuple(f), m, kd))
-            if trig:
-                kn, kd = k[0]
-                m = n * kn
-                for j in range(ii):
-                    f = list(e)
-                    f[ii], f[j] = e[j], a
-                    parts.append((tuple(f), m, kd))
-        return p._collect(parts)
-
-    def _dunkl_opdam(self, i, p):
-        """DO_i = hbar d_i - x_i^-1 sum_j c_j sigma_i^j
-        - k sum_{r != i} sum_m (1 - s_ir sigma_i^m sigma_r^-m)/(x_i - zeta^m x_r),
-        in one pass over the terms of p.
-
-        sigma_i^j scales X^e by zeta^(j e_i), so the c-part scales it by
-        w(e_i mod l) and meets the derivative at X^e/X_i: one term with
-        coefficient hbar e_i - w(e_i mod l).  The quotient
-        (1 - s_ir sigma_i^m sigma_r^-m)/(x_i - zeta^m x_r) sends X^e,
-        a = e_i and b = e_r, to
-        sign(a - b) sum_t zeta^(m(t-b)) X_i^(a+b-1-t) X_r^t over
-        min(a, b) <= t < max(a, b).  Summed over m, zeta^(m(t-b)) adds up
-        to l when t = b mod l and to 0 otherwise, so the k-part has integer
-        coefficients and 1/l of the terms, and no power of zeta is
-        computed."""
-        hbar, w, kl, l = self.params["hbar"], self._w, self._kl, self.l
-        split = self.dom.split
-        ii = i - 1
-        parts = []
-        for e, n in p.nums.items():
-            a = e[ii]
-            c = hbar * a - w[a % l]
-            if c:
-                cn, cd = split(c)
-                f = list(e)
-                f[ii] = a - 1
-                parts.append((tuple(f), n * cn, cd))
+                parts.append((tuple(f), n * c[0], c[1]))
             if kl is None:
                 continue
             for r, b in enumerate(e):
@@ -576,9 +539,16 @@ class Rep:
                 lo, hi = (b, a) if a > b else (a, b)
                 f = list(e)
                 # t runs over lo <= t < hi with t = b mod l
-                for t in range(lo + (b - lo) % l, hi, l):
-                    f[ii] = a + b - 1 - t
+                for t in range(lo + (b - lo) % step, hi, step):
+                    f[ii] = a + b - 1 - t + up
                     f[r] = t
+                    parts.append((tuple(f), m, kd))
+            if trig:
+                kn, kd = kl[0]
+                m = n * kn
+                for r in range(ii):
+                    f = list(e)
+                    f[ii], f[r] = e[r], a
                     parts.append((tuple(f), m, kd))
         return p._collect(parts)
 
@@ -681,7 +651,7 @@ GENERATORS = {
         "sij": _sij,
         "sigma": lambda rep, g, p: p.scale_var(g.i, rep.dom.zeta),
         "sigma^-1": lambda rep, g, p: p.scale_var(g.i, rep.dom.zeta ** (rep.l - 1)),
-        "DO": lambda rep, g, p: rep._dunkl_opdam(g.i, p),
+        "DO": lambda rep, g, p: rep._dunkl(g.i, p),
     },
 }
 

@@ -52,7 +52,7 @@ from math import lcm
 
 from .laurent import LaurentPoly
 from .linalg import nullspace
-from .scalars import QQ, CycloField
+from .scalars import QQ, CycloField, ParameterDegenerate
 from .tableaux import (
     content_sum,
     invariants_series,
@@ -65,10 +65,6 @@ CYC = "cyc"
 TWISTED = "twisted"
 TWISTED_Q = "twisted-q"
 VARIANTS = (PLAIN_Q, CYC, TWISTED, TWISTED_Q)
-
-
-class ParameterDegenerate(Exception):
-    pass
 
 
 @dataclass

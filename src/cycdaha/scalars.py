@@ -28,6 +28,12 @@ class SamplingExhausted(Exception):
     """Raised when constraint-compatible parameters could not be sampled."""
 
 
+class ParameterDegenerate(Exception):
+    """Raised when a parameter value degenerates a construction: two
+    hyperplanes X_i = q^p X_j coincide (quasiinv), or sum_w t^len(w) = 0
+    leaves the Hecke symmetrizer undefined (macdonald)."""
+
+
 # ---------------------------------------------------------------------------
 # rationals
 

@@ -102,6 +102,11 @@ def test_bow_hw_cli(capsys, tmp_path):
     assert report["report"]["ok"]
     code, report = run_cli(["bow", "check", "--file", str(b2)], capsys)
     assert code == 0
+    # the transitioned bow is cross-circle, where hw cannot start: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["bow", "hw", "--file", str(b2)])
+    assert exc.value.code == 2
+    assert "error: --file" in capsys.readouterr().err
 
 
 def test_bow_hw_cli_on_an_uncertified_bow(capsys, tmp_path):

@@ -16,8 +16,17 @@ from cycdaha.macdonald import (
     symmetric_basis,
     y_f,
 )
-from cycdaha.ops import Gen, OperatorExpr, op_equal_on_box
-from cycdaha.scalars import RatFuncField
+from cycdaha.ops import Gen, OperatorExpr, Rep, op_equal_on_box
+from cycdaha.scalars import CycloNumber, ParameterDegenerate, RatFuncField
+
+
+@pytest.mark.parametrize("N,order", [(2, 4), (3, 6)])
+def test_symmetrizer_at_a_root_of_sum_t_to_the_length(N, order):
+    """tb = zeta_4 gives t = -1, where 1 + t = 0 (N = 2); tb = zeta_6 gives
+    t = zeta_3, where (1 + t)(1 + t + t^2) = 0 (N = 3): no symmetrizer."""
+    rep = Rep.daha(N, Fraction(3, 2), CycloNumber.zeta(order, 1))
+    with pytest.raises(ParameterDegenerate):
+        hecke_symmetrizer_expr(rep)
 
 
 def test_symmetrizer_projector_identities():

@@ -147,7 +147,19 @@ def test_dunkl_opdam_matches_the_literal_form(N, l, k):
         e: Fraction(j + 1, 5) for j, e in enumerate(list(box_monomials(N, 2))[::7])})
     for i in range(1, N + 1):
         for p in [rep.monomial(e) for e in box_monomials(N, 3)] + [several]:
-            assert rep._dunkl_opdam(i, p) == _literal_dunkl_opdam(rep, i, p), (i, p)
+            assert rep.apply_gen(Gen("DO", i), p) == _literal_dunkl_opdam(rep, i, p), (i, p)
+
+
+@pytest.mark.parametrize("N,k", [(N, k) for N in (2, 3) for k in (0, Fraction(2, 3))])
+def test_dunkl_opdam_at_l_1_without_c_is_the_rational_dunkl(N, k):
+    """DO_i at l = 1 and c = (0,) over Q(zeta_1) equals deg's D_i over QQ
+    at the same hbar and k, on every monomial of the B = 3 box."""
+    cyc = Rep.cyclotomic_cherednik(N, 1, Fraction(3, 4), k, (0,))
+    deg = Rep.degenerate(N, Fraction(3, 4), k)
+    for i in range(1, N + 1):
+        for e in box_monomials(N, 3):
+            d = LaurentPoly(N, cyc.dom, deg.apply_gen(Gen("D", i), deg.monomial(e)).terms)
+            assert cyc.apply_gen(Gen("DO", i), cyc.monomial(e)) == d, (i, e)
 
 
 def _literal_dunkl(rep, i, p, sign=1):

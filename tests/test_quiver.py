@@ -99,10 +99,18 @@ def test_lift_round_trip():
 
 
 def test_lift_needs_invertible_X():
+    # a sampled quadruple with X set to 0 is no longer certified
     q = psi(sample_chain(1, 2, Zs(1), seed=3))
     bad = Quadruple(q.l, q.N, q.Z, q.t, Matrix.zero(2, 2), q.D, q.Y, q.T)
-    with pytest.raises((XNotInvertible, UncertifiedInput)):
+    with pytest.raises(UncertifiedInput):
         lift_open_locus(bad)
+    # X = 0, D = 5, Y = Z = 2, T = 1 is certified (XD = Y/Z - 1 = 0), and
+    # its X is not invertible
+    q0 = Quadruple(1, 1, (Fraction(2),), Fraction(2), Matrix.zero(1, 1),
+                   Matrix([[5]]), Matrix([[2]]), Matrix([[1]]))
+    assert check_quadruple(q0)["certified"]
+    with pytest.raises(XNotInvertible):
+        lift_open_locus(q0)
 
 
 def test_irreducibility():

@@ -1,8 +1,10 @@
 """Repository hygiene: git tracks no file that .gitignore excludes (generated
-or stale), every name a module imports is used in it, and every function,
-class and method in src/ is reached from the acceptance battery or the CLI."""
+or stale), every name a module imports is used in it, every function, class
+and method in src/ is reached from the acceptance battery or the CLI, and
+every exception class in src/ is raised there and tested on its own."""
 
 import ast
+import builtins
 import shutil
 import subprocess
 from pathlib import Path
@@ -167,3 +169,98 @@ def test_every_def_serves_a_verdict():
     assert not (unreached or stale), (
         "reached from neither acceptance.run_all nor cli.main:\n" + "\n".join(unreached)
         + "\nallowlist entries that name no def:\n" + "\n".join(stale))
+
+
+def _is_exception_base(node, local):
+    """Whether a class base names a built-in exception or one of local."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    if name in local:
+        return True
+    obj = getattr(builtins, name or "", None)
+    return isinstance(obj, type) and issubclass(obj, BaseException)
+
+
+def exception_faults(sources, tests):
+    """(unraised, untested) for {module: source text} and {name: test text}.
+
+    The exception classes are each module's top-level classes derived from
+    a built-in exception or from another such class, named "module.Class".
+    unraised lists those that no raise statement in sources names; untested
+    those that no pytest.raises in tests takes as its sole first argument
+    (a tuple of types does not count: it passes on any one of them)."""
+    classes = {}  # bare name -> qualified name
+    grew = True
+    while grew:
+        grew = False
+        for module, text in sources.items():
+            for node in ast.parse(text).body:
+                if (isinstance(node, ast.ClassDef) and node.name not in classes
+                        and any(_is_exception_base(b, classes) for b in node.bases)):
+                    classes[node.name] = f"{module}.{node.name}"
+                    grew = True
+
+    def named(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    raised = {named(node.exc) for text in sources.values()
+              for node in ast.walk(ast.parse(text))
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    tested = {named(node.args[0]) for text in tests.values()
+              for node in ast.walk(ast.parse(text))
+              if isinstance(node, ast.Call) and named(node) == "raises" and node.args
+              and isinstance(node.args[0], (ast.Name, ast.Attribute))}
+    return (sorted(q for name, q in classes.items() if name not in raised),
+            sorted(q for name, q in classes.items() if name not in tested))
+
+
+def test_exception_checker_reports_both_faults():
+    source = """
+class Raised(Exception):
+    pass
+
+
+class Unraised(ValueError):
+    pass
+
+
+class Tupled(Raised):
+    pass
+
+
+class Plain:
+    pass
+
+
+def f(x):
+    if x:
+        raise Raised("x")
+    raise Tupled
+"""
+    tests = {"t": """
+import pytest
+
+
+def test_f():
+    with pytest.raises(Raised):
+        f(1)
+    with pytest.raises((Tupled, Raised)):
+        f(0)
+    with pytest.raises(m.Unraised, match="never"):
+        pass
+"""}
+    unraised, untested = exception_faults({"m": source}, tests)
+    assert unraised == ["m.Unraised"]
+    assert untested == ["m.Tupled"]
+
+
+def test_every_exception_is_raised_and_tested_alone():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "cycdaha").glob("*.py"))}
+    tests = {path.stem: path.read_text(encoding="utf-8")
+             for path in sorted((ROOT / "tests").glob("*.py"))}
+    unraised, untested = exception_faults(sources, tests)
+    assert not (unraised or untested), (
+        "exception classes never raised in src/:\n" + "\n".join(unraised)
+        + "\nnot the sole type of any pytest.raises in tests/:\n" + "\n".join(untested))
