@@ -38,7 +38,7 @@ from .ops import (
     _permutations_with_words,
     op_equal_on_box,
     op_equal_randomized,
-    word_product,
+    root_product,
 )
 from .scalars import sample_generic
 
@@ -118,17 +118,12 @@ def _commutator(a, b):
     return a * b - b * a
 
 
-def _root_product(a, roots):
-    """prod_s (a - roots_s), left to right."""
-    return word_product([a - OperatorExpr.scalar(z) for z in roots])
-
-
 def _telescope(head, mid, tail, roots):
     """sum_r prod_{s<r} (head - z_s) * mid * prod_{s>r} (tail - z_s)."""
     out = OperatorExpr.zero()
     for r in range(len(roots)):
-        before = _root_product(head, roots[:r])
-        out = out + before * mid * _root_product(tail, roots[r + 1:])
+        before = root_product(head, roots[:r])
+        out = out + before * mid * root_product(tail, roots[r + 1:])
     return out
 
 
@@ -548,7 +543,7 @@ def _deg_cyc_schemas():
 
     def x1d1(rep):
         lhs = _w([Gen("X", 1), Gen("Dl", 1)])
-        return [RelationInstance("X1D1", lhs, _root_product(_g("y", 1), rep.params["z"]))]
+        return [RelationInstance("X1D1", lhs, root_product(_g("y", 1), rep.params["z"]))]
 
     return [
         RelationSchema("sy", _s_y("sy")),
@@ -625,15 +620,15 @@ def _cd_schemas():
         Z = rep.params["Z"]
         out = []
         lhs = _w([Gen("X", 1), Gen("Dl", 1)])
-        out.append(RelationInstance("cd9a", lhs, _root_product(_g("Y", 1), Z)))
+        out.append(RelationInstance("cd9a", lhs, root_product(_g("Y", 1), Z)))
         qJY = q * _w(right_jm(1, rep.N) + (Gen("Y", 1),))
         lhs2 = _w([Gen("Dl", 1), Gen("X", 1)])
-        out.append(RelationInstance("cd9b", lhs2, _root_product(qJY, Z)))
+        out.append(RelationInstance("cd9b", lhs2, root_product(qJY, Z)))
         # conjugated instances X_i Dl_i = prod (Y_i L(i) - Z_r)
         for i in range(2, rep.N + 1):
             YL = _w((Gen("Y", i),) + left_jm_inv(i))
             lhs3 = _w([Gen("X", i), Gen("Dl", i)])
-            out.append(RelationInstance(f"cd9a[{i}]", lhs3, _root_product(YL, Z)))
+            out.append(RelationInstance(f"cd9a[{i}]", lhs3, root_product(YL, Z)))
         return out
 
     def cd10(rep):

@@ -22,14 +22,14 @@ Reduction happens in two places:
 * content: every operation that can create a common factor of den and the
   numerators (sums, products, scalings, substitutions, series) ends with
   one ``math.gcd(den, *nums)``.  The operator engine's ``map_linear`` (one
-  generator application) is one loop over the terms: it looks each image up
-  in the generator's cache, computes it only on a miss, and adds its
-  numerators into one dict over the lcm of the image dens (a unit monomial
-  over den 1 gets the cached image itself, which is canonical).
-  ``linear_sum`` (one operator sum, its coefficients split beforehand; the
-  engine keeps them split in its compiled plans) and ``combination`` (the
-  same from field coefficients) accumulate their polynomials in one dict
-  the same way.  Each pays for one reduction;
+  generator applied to a polynomial that is not a unit monomial; the engine
+  answers that from its cache, whose images are canonical) is one loop over
+  the terms: it looks each image up in the generator's cache, computes it
+  only on a miss, and adds its numerators into one dict over the lcm of the
+  image dens.  ``linear_sum`` (one operator sum, its coefficients split
+  beforehand; the engine keeps them split in its compiled plans)
+  accumulates its polynomials in one dict the same way.  Each pays for one
+  reduction;
 * values leaving: the ``terms`` view joins a numerator and den into a
   reduced field coefficient only when read, for hash, ``to_json`` and
   reports, ``coefficient``, and code outside the engine.  Coefficient
@@ -228,13 +228,6 @@ class LaurentPoly:
         e[i - 1] = 1
         return cls.monomial(N, e, 1, dom)
 
-    @classmethod
-    def combination(cls, N, dom, pairs):
-        """The sum of c*p over the (c, p) in pairs, c in dom (see
-        linear_sum)."""
-        split, coerce = dom.split, dom.coerce
-        return cls.linear_sum(N, dom, [(*split(coerce(c)), p) for c, p in pairs])
-
     @staticmethod
     def linear_sum(N, dom, parts):
         """The sum of (n/d)*p over the (n, d, p) in parts, n/d a coefficient
@@ -251,22 +244,11 @@ class LaurentPoly:
         """The image of self under the linear map sending X^e to cache[e], a
         LaurentPoly in the same ring; an image not yet in cache is fresh(e),
         stored there.  One loop adds n * image over the lcm of the image dens
-        into one dict, then one content reduction.  The image of a unit
-        monomial over den 1 is the cached image itself."""
-        nums = self.nums
-        if len(nums) == 1:
-            ((e, n),) = nums.items()
-            if n == 1:
-                # a generator applied to a monomial: the image as it stands
-                img = cache.get(e)
-                if img is None:
-                    img = cache[e] = fresh(e)
-                if self.den == 1:
-                    return img
-                return _canonical(self.N, self.dom, img.nums, img.den * self.den)
+        into one dict, then one content reduction.  (Rep.apply_gen answers a
+        unit monomial over den 1 from the cache itself.)"""
         out = {}
         lcm = 1
-        for e, n in nums.items():
+        for e, n in self.nums.items():
             img = cache.get(e)
             if img is None:
                 img = cache[e] = fresh(e)

@@ -130,11 +130,7 @@ def y_f(rep, i, f_coeffs):
     if all(not c for c in f_coeffs[1:]):
         # constant f: the conjugators cancel
         return OperatorExpr.word([Gen("Y", i)], f_coeffs[0] if f_coeffs else 0)
-    fX = OperatorExpr.zero()
-    for d, c in enumerate(f_coeffs):
-        if not c:
-            continue
-        fX = fX + OperatorExpr.word([Gen("X^-1", 1)] * d, c)
+    fX = OperatorExpr({(Gen("X^-1", 1),) * d: c for d, c in enumerate(f_coeffs) if c})
     left = tuple([Gen("Y", i)] + [Gen("T^-1", r) for r in range(i - 1, 0, -1)])
     right = tuple(Gen("T", r) for r in range(1, i))
     return OperatorExpr.word(left) * fX * OperatorExpr.word(right)

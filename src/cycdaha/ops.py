@@ -32,12 +32,10 @@ parameters.
 GENERATORS[family] is the one table of a family: it maps each generator tag
 the family accepts to its action, and any other tag raises FamilyMismatch.
 A primitive (X, s, T, omega, the Dunkl operators, ...) acts by its own
-code; a composite (Y, pi, Dl, s_0, ...) is the list of its factors exactly
-as displayed above, left to right, which Rep._product applies right to
-left.  A factor is a scalar, a Gen, or a pair (g, z) standing for g - z;
-the root factors (g - z_1)...(g - z_l) apply z_1 first.  Inside a product,
-monomial maps (X^+-1, s, s_ij, tau, omega^+-1, sigma^+-1) act directly and
-every other generator goes through apply_gen, so its images are cached.
+code; a composite (Y, pi, Dl, s_0, ...) is an OperatorExpr, the product
+displayed above, built once per (representation, generator) and evaluated
+like any other expression, so every generator in it acts through apply_gen
+and its images are cached.
 
 Operator words act right-to-left (the rightmost generator applies first).
 Per-generator images of monomials are cached on the representation; caching
@@ -46,25 +44,31 @@ is semantically invisible because representations are immutable.
 The engine works in LaurentPoly's fraction-free form: a cached image holds
 numerators over one shared den (ints over a positive int den for QQ, field
 elements over 1 for Q(zeta_l) and Q(t); a CycloNumber is itself int
-numerators over one den).  Rep.apply_gen hands its argument the generator's
-image cache and fresh-image function, a slot bound once per (representation,
+numerators over one den).  Rep.apply_gen reads the generator's image cache
+and fresh-image function from a slot bound once per (representation,
 generator) that reaches the representation through a weak reference, so no
-closure is built per call and the slot makes no reference cycle;
-LaurentPoly.map_linear then runs one loop over the argument's terms that
-looks up each image, computes it only on a miss (from a monomial wrapping
-the unit numerator split once per representation) and adds its numerators
-into one dict; on a monomial with coefficient 1 it returns the cached image
-itself.  Rep.apply compiles an OperatorExpr once and keeps the plan on the
-expression, keyed by the coefficient field: a single word with coefficient
-1 goes straight to apply_word, and a sum becomes the suffix trie of its
-words (grouped by their rightmost generator, then the next, ...), with each
-coefficient split once.  Walking the trie for a monomial applies each node's
-generator once, so a suffix common to several words acts once, and a leaf
-of one word goes to apply_word; one LaurentPoly.linear_sum adds the parts
-over one lcm.  map_linear and linear_sum each end with one gcd content
-reduction.  A Gen is a named tuple, so the cache lookups hash and compare it
-in C.  Reports read coefficients through LaurentPoly.terms and to_json,
-which join them into reduced Fractions over QQ.
+closure is built per call and the slot makes no reference cycle.  A
+monomial with coefficient 1 gets its cached image itself, computed only on
+a miss (from a monomial wrapping the unit numerator split once per
+representation); any other argument goes to LaurentPoly.map_linear, one
+loop over its terms that looks up each image the same way and adds its
+numerators into one dict.
+
+Rep.apply evaluates an OperatorExpr as it was built, through Rep._eval (so
+the public Rep.apply is entered once per call).  A product of sums keeps
+its two factors (see OperatorExpr): the right factor is applied in full,
+then the left.  Any other expression is compiled once, with the plan kept
+on the expression and keyed by the coefficient field: a single word with
+coefficient 1 goes straight to apply_word, and a sum becomes the suffix
+trie of its words (grouped by their rightmost generator, then the next,
+...), with each coefficient split once.  Walking the trie for a polynomial
+applies each node's generator once, so a suffix common to several words
+acts once, and a leaf of one word goes to apply_word; one
+LaurentPoly.linear_sum adds the parts over one lcm.  map_linear and
+linear_sum each end with one gcd content reduction.  A Gen is a named
+tuple, so the cache lookups hash and compare it in C.  Reports read
+coefficients through LaurentPoly.terms and to_json, which join them into
+reduced Fractions over QQ.
 
 Fresh images are built without intermediate polynomials where the action
 has a closed form.  T_i^+-1, omega^+-1 and the Dunkl operators make one pass
@@ -76,9 +80,8 @@ coefficients, D_i is DO_i at l = 1 with no c-part, and y_i shifts D_i by
 X_i and adds its s_ij terms.  The scalars they use are computed once per
 representation: tb, tb - 1/tb and the powers of q; the Dunkl step l, the
 table a -> hbar a - w(a mod l) of DO's c-part and derivative (w = 0 for
-deg), and -k l and k l.  A composite's factor list is built once per
-(representation, generator).  Where a composite contains another
-composite's factors, it lists that composite as one Gen, so those images
+deg), and -k l and k l.  Where a composite contains another composite's
+factors, its expression holds that composite as one Gen, so those images
 come from its cache:
 Dl_i = T_{i-1}^-1 Dl_{i-1} T_{i-1}^-1 (daha) and s_1i Dl_1 s_1i (deg), and
 pi_- = T_{N-1}^-1...T_1^-1 Dl_1 (daha) and s_{N-1}...s_1 Dl_1 (deg), the
@@ -125,15 +128,37 @@ class OperatorExpr:
     terms: dict mapping word tuples to scalar coefficients.  Purely
     syntactic; evaluation is linear and words compose right-to-left.  An
     expression is immutable after construction (the operators build new
-    ones), so Rep.apply compiles it once and keeps the plan (see _compile)
-    in _plan; a rep over another coefficient field compiles it anew.
+    ones).  A product keeps its two factors (_factors = (left, right)) when
+    either is a sum of several words or a kept product, and so does a
+    nonzero scalar times a kept product; terms, == and repr expand it on
+    first use, exactly as the product of the expanded factors.  Rep.apply
+    evaluates a kept product factor by factor, and compiles any other
+    expression once, keeping the plan (see _compile) in _plan; a rep over
+    another coefficient field compiles it anew.
     """
 
-    __slots__ = ("terms", "_plan")
+    __slots__ = ("_terms", "_factors", "_plan")
 
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+    def __init__(self, terms=None, factors=None):
+        """terms, or the two factors (left, right) of a kept product."""
+        self._terms = None if factors else dict(terms) if terms else {}
+        self._factors = factors
         self._plan = None
+
+    @property
+    def terms(self):
+        """The expanded terms; a kept product is expanded once, down its
+        chain of left factors (so a long power needs no deep recursion)."""
+        if self._terms is None:
+            rights, e = [], self
+            while e._terms is None:
+                e, right = e._factors
+                rights.append(right)
+            terms = e._terms
+            for right in reversed(rights):
+                terms = _word_products(terms, right.terms)
+            self._terms = terms
+        return self._terms
 
     @classmethod
     def word(cls, gens, coeff=1):
@@ -184,22 +209,17 @@ class OperatorExpr:
     def __mul__(self, other):
         """Operator product: words concatenate (self acts after other)."""
         if not isinstance(other, OperatorExpr):
+            if other and self._factors is not None:
+                return OperatorExpr(factors=(self, OperatorExpr.scalar(other)))
             return OperatorExpr({w: c * other for w, c in self.terms.items()})
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                elif w in out:
-                    del out[w]
-        return OperatorExpr(out)
+        if any(e._factors is not None or len(e._terms) > 1 for e in (self, other)):
+            return OperatorExpr(factors=(self, other))
+        return OperatorExpr(_word_products(self._terms, other._terms))
 
     def __rmul__(self, other):
         # scalar * expr
+        if other and self._factors is not None:
+            return OperatorExpr(factors=(OperatorExpr.scalar(other), self))
         return OperatorExpr({w: other * c for w, c in self.terms.items()})
 
     def __pow__(self, n):
@@ -207,20 +227,13 @@ class OperatorExpr:
         ValueError (an OperatorExpr has no inverse)."""
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"operator power {n!r} is not an int >= 0")
-        out = OperatorExpr.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return word_product([self] * n)
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, OperatorExpr) and self.terms == other.terms
-
-    def gens(self):
-        for w in self.terms:
-            yield from w
 
     def __repr__(self):
         if not self.terms:
@@ -230,6 +243,23 @@ class OperatorExpr:
             word = " ".join(repr(g) for g in w) if w else "1"
             bits.append(f"({c})*[{word}]")
         return " + ".join(bits)
+
+
+def _word_products(a, b):
+    """The terms of the product of the terms a and b: every word of a
+    followed by every word of b, like words summed and zeros dropped."""
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            c = c1 * c2
+            s = out.get(w)
+            s = c if s is None else s + c
+            if s:
+                out[w] = s
+            elif w in out:
+                del out[w]
+    return out
 
 
 def _compile(dom, terms):
@@ -278,6 +308,11 @@ def word_product(exprs):
     return out
 
 
+def root_product(a, roots):
+    """prod_s (a - roots_s), left to right."""
+    return word_product([a - OperatorExpr.scalar(z) for z in roots])
+
+
 class Rep:
     """A representation context: family, rank, level, parameter values.
 
@@ -294,7 +329,7 @@ class Rep:
         self._actions = GENERATORS[family]
         self._cache = {}
         self._slots = {}  # g -> (self._cache[g], fresh-image function)
-        self._factors = {}
+        self._exprs = {}  # composite g -> its OperatorExpr
         # the numerator of 1, wrapped as the monomial argument of each fresh image
         self._one = dom.split(dom.one)[0]
         if family == FAMILY_DAHA:
@@ -376,11 +411,20 @@ class Rep:
 
     def apply_gen(self, g, p):
         """Apply one generator to a Laurent polynomial (exact, linear).  A
-        Gen outside the family gets no slot, so it raises on every call."""
+        monomial with coefficient 1 gets its cached image itself; a Gen
+        outside the family gets no slot, so it raises on every call."""
         slot = self._slots.get(g)
         if slot is None:
             slot = self._slot(g)
         cache, fresh = slot
+        nums = p.nums
+        if p.den == 1 and len(nums) == 1:
+            for e, n in nums.items():
+                if n == 1:
+                    img = cache.get(e)
+                    if img is None:
+                        img = cache[e] = fresh(e)
+                    return img
         return p.map_linear(cache, fresh)
 
     def _slot(self, g):
@@ -405,14 +449,20 @@ class Rep:
         return p
 
     def apply(self, expr, p):
-        """Apply an OperatorExpr (linear in the combination) along its
-        compiled suffix trie (see _compile): a generator common to several
-        words acts once, and the parts are summed over one lcm."""
+        """Apply an OperatorExpr (linear) as it was built (see _eval)."""
         if isinstance(expr, Gen):
             return self.apply_gen(expr, p)
+        return self._eval(expr, p)
+
+    def _eval(self, expr, p):
+        """expr applied to p: a kept product right factor first, looping down
+        its left factors; anything else along its suffix trie (_compile)."""
+        while expr._factors is not None:
+            expr, right = expr._factors
+            p = self._eval(right, p)
         plan = expr._plan
         if plan is None or plan[0] is not self.dom:
-            plan = expr._plan = _compile(self.dom, expr.terms)
+            plan = expr._plan = _compile(self.dom, expr._terms)
         _, word, root = plan
         if word is not None:
             return self.apply_word(word, p)
@@ -432,25 +482,6 @@ class Rep:
                 self._walk(sub, self.apply_gen(g, p), parts)
             else:
                 parts.append((*sub, self.apply_word(word, p)))
-
-    def _product(self, factors, p):
-        """Apply a product whose factors are listed left to right, so the
-        rightmost acts first.  A factor is a scalar, a Gen, or a pair (g, z)
-        standing for g - z; monomial maps act directly, every other
-        generator through apply_gen and its image cache."""
-        for f in reversed(factors):
-            if isinstance(f, Gen):
-                if f.tag in _MONOMIAL_MAPS:
-                    p = self._actions[f.tag](self, f, p)
-                else:
-                    p = self.apply_gen(f, p)
-            elif isinstance(f, tuple):
-                g, z = f
-                p = LaurentPoly.combination(
-                    self.N, self.dom, [(1, self.apply_gen(g, p)), (-z, p)])
-            else:
-                p = p * f
-        return p
 
     # -- primitive actions --------------------------------------------------
 
@@ -556,32 +587,21 @@ class Rep:
 # ---------------------------------------------------------------------------
 # generator tables: GENERATORS[family][tag] is the action (rep, g, p) -> g.p
 
-# Generators that map each monomial to a single monomial; inside a product
-# they act directly instead of through the image cache.
-_MONOMIAL_MAPS = frozenset(
-    {"X", "X^-1", "s", "sij", "tau", "omega", "omega^-1", "sigma", "sigma^-1"})
-
-
-def _composite(factors):
-    """The action of a generator defined as a product: factors(rep, g)
-    lists the paper's factors left to right (see Rep._product).  The list
-    is built once per (rep, g) and kept on the representation."""
+def _composite(build):
+    """The action of a generator defined as an OperatorExpr: build(rep, g)
+    is the paper's product, built once per (rep, g), kept on the
+    representation and evaluated by Rep._eval."""
     def action(rep, g, p):
-        fs = rep._factors.get(g)
-        if fs is None:
-            fs = rep._factors[g] = factors(rep, g)
-        return rep._product(fs, p)
+        expr = rep._exprs.get(g)
+        if expr is None:
+            expr = rep._exprs[g] = build(rep, g)
+        return rep._eval(expr, p)
 
     return action
 
 
 def _gens(tag, indices):
     return [Gen(tag, j) for j in indices]
-
-
-def _roots(g, roots):
-    """(g - z_1)...(g - z_l); the factors commute, and z_1 acts first."""
-    return [(g, z) for z in reversed(roots)]
 
 
 _SHARED = {
@@ -604,26 +624,28 @@ GENERATORS = {
         "omega": lambda rep, g, p: rep._omega(p),
         "omega^-1": lambda rep, g, p: rep._omega(p, inverse=True),
         # Y_i = tb^(N-1) T_i^-1...T_{N-1}^-1 omega T_1...T_{i-1}
-        "Y": _composite(lambda rep, g: [
-            rep.params["tb"] ** (rep.N - 1), *_gens("T^-1", range(g.i, rep.N)),
-            Gen("omega"), *_gens("T", range(1, g.i))]),
+        "Y": _composite(lambda rep, g: OperatorExpr.word([
+            *_gens("T^-1", range(g.i, rep.N)), Gen("omega"), *_gens("T", range(1, g.i))],
+            rep.params["tb"] ** (rep.N - 1))),
         # Y_i^-1 = tb^(1-N) T_{i-1}^-1...T_1^-1 omega^-1 T_{N-1}...T_i
-        "Y^-1": _composite(lambda rep, g: [
-            (1 / rep.params["tb"]) ** (rep.N - 1), *_gens("T^-1", range(g.i - 1, 0, -1)),
-            Gen("omega^-1"), *_gens("T", range(rep.N - 1, g.i - 1, -1))]),
+        "Y^-1": _composite(lambda rep, g: OperatorExpr.word([
+            *_gens("T^-1", range(g.i - 1, 0, -1)), Gen("omega^-1"),
+            *_gens("T", range(rep.N - 1, g.i - 1, -1))], (1 / rep.params["tb"]) ** (rep.N - 1))),
         # pi = X_1 T_1...T_{N-1}
-        "pi": _composite(lambda rep, g: [Gen("X", 1), *_gens("T", range(1, rep.N))]),
+        "pi": _composite(lambda rep, g: OperatorExpr.word(
+            [Gen("X", 1), *_gens("T", range(1, rep.N))])),
         # pi^-1 = T_{N-1}^-1...T_1^-1 X_1^-1
-        "pi^-1": _composite(lambda rep, g: [
-            *_gens("T^-1", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)]),
+        "pi^-1": _composite(lambda rep, g: OperatorExpr.word(
+            [*_gens("T^-1", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)])),
         # pi_- = pi^-1 (Y_1 - Z_1)...(Y_1 - Z_l) = T_{N-1}^-1...T_1^-1 Dl_1
-        "pi-": _composite(lambda rep, g: [
-            *_gens("T^-1", range(rep.N - 1, 0, -1)), Gen("Dl", 1)]),
+        "pi-": _composite(lambda rep, g: OperatorExpr.word(
+            [*_gens("T^-1", range(rep.N - 1, 0, -1)), Gen("Dl", 1)])),
         # Dl_1 = X_1^-1 (Y_1 - Z_1)...(Y_1 - Z_l), and
         # Dl_i = T_{i-1}^-1...T_1^-1 Dl_1 T_1^-1...T_{i-1}^-1 = T_{i-1}^-1 Dl_{i-1} T_{i-1}^-1
-        "Dl": _composite(lambda rep, g: [
-            Gen("X^-1", 1), *_roots(Gen("Y", 1), rep.params["Z"])] if g.i == 1 else [
-            Gen("T^-1", g.i - 1), Gen("Dl", g.i - 1), Gen("T^-1", g.i - 1)]),
+        "Dl": _composite(lambda rep, g: (
+            OperatorExpr.gen("X^-1", 1) * root_product(OperatorExpr.gen("Y", 1), rep.params["Z"])
+            if g.i == 1 else
+            OperatorExpr.word([Gen("T^-1", g.i - 1), Gen("Dl", g.i - 1), Gen("T^-1", g.i - 1)]))),
     },
     FAMILY_DEG: {
         **_SHARED,
@@ -632,19 +654,22 @@ GENERATORS = {
         "Dtrig": lambda rep, g, p: rep._dunkl(g.i, p, trig=True),
         "y": lambda rep, g, p: rep._dunkl(g.i, p, trig=True),
         # s_0 = s_1N X_1^-1 X_N
-        "s0": _composite(lambda rep, g: [Gen("sij", 1, rep.N), Gen("X^-1", 1), Gen("X", rep.N)]),
+        "s0": _composite(lambda rep, g: OperatorExpr.word(
+            [Gen("sij", 1, rep.N), Gen("X^-1", 1), Gen("X", rep.N)])),
         # pi = X_1 s_1...s_{N-1}
-        "pi": _composite(lambda rep, g: [Gen("X", 1), *_gens("s", range(1, rep.N))]),
+        "pi": _composite(lambda rep, g: OperatorExpr.word(
+            [Gen("X", 1), *_gens("s", range(1, rep.N))])),
         # pi^-1 = s_{N-1}...s_1 X_1^-1
-        "pi^-1": _composite(lambda rep, g: [
-            *_gens("s", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)]),
+        "pi^-1": _composite(lambda rep, g: OperatorExpr.word(
+            [*_gens("s", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)])),
         # pi_- = pi^-1 (y_1 - z_1)...(y_1 - z_l) = s_{N-1}...s_1 Dl_1
-        "pi-": _composite(lambda rep, g: [
-            *_gens("s", range(rep.N - 1, 0, -1)), Gen("Dl", 1)]),
+        "pi-": _composite(lambda rep, g: OperatorExpr.word(
+            [*_gens("s", range(rep.N - 1, 0, -1)), Gen("Dl", 1)])),
         # Dl_1 = X_1^-1 (y_1 - z_1)...(y_1 - z_l), and Dl_i = s_1i Dl_1 s_1i
-        "Dl": _composite(lambda rep, g: [
-            Gen("X^-1", 1), *_roots(Gen("y", 1), rep.params["z"])] if g.i == 1 else [
-            Gen("sij", 1, g.i), Gen("Dl", 1), Gen("sij", 1, g.i)]),
+        "Dl": _composite(lambda rep, g: (
+            OperatorExpr.gen("X^-1", 1) * root_product(OperatorExpr.gen("y", 1), rep.params["z"])
+            if g.i == 1 else
+            OperatorExpr.word([Gen("sij", 1, g.i), Gen("Dl", 1), Gen("sij", 1, g.i)]))),
     },
     FAMILY_CYC: {
         **_SHARED,

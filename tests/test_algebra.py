@@ -6,6 +6,7 @@ import pytest
 
 from cycdaha.algebra import (
     _PHI_MAPS,
+    FIXED_LEVEL,
     UnknownFamily,
     apply_gen_map,
     basis_monomials,
@@ -347,3 +348,24 @@ def test_word_image_fingerprint():
                     sort_keys=True).encode())
                 count += 1
     assert (count, h.hexdigest()) == (WORD_IMAGES, WORD_IMAGE_SHA256)
+
+
+@pytest.mark.parametrize("family", ["daha", "deg-daha", "cyc-daha", "deg-cyc", "l1", "lastrel"])
+def test_every_relation_scaled_by_8_7_fails(family):
+    """Mutation control: with its right side scaled by 8/7, every catalog
+    instance at N = 2, 3 (levels 1 and 2 where the level is free) fails on
+    the box of every radius B = 1, 2, 3, so a pass of the unscaled
+    relation is not vacuous."""
+    levels = [FIXED_LEVEL[family]] if family in FIXED_LEVEL else [1, 2]
+    checked = 0
+    for N in (2, 3):
+        for l in levels:
+            rep = sample_rep(family, N, l, seed=1)
+            for inst in catalog(family).instances(rep):
+                wrong = inst.rhs * Fraction(8, 7)
+                for B in (1, 2, 3):
+                    assert not op_equal_on_box(rep, inst.lhs, wrong, B)["result"], (
+                        family, N, l, inst.name, B)
+                checked += 1
+    assert checked == {"daha": 34, "deg-daha": 68, "cyc-daha": 130, "deg-cyc": 90,
+                       "l1": 35, "lastrel": 2}[family]

@@ -15,9 +15,10 @@ from cycdaha.ops import (
     box_monomials,
     op_equal_on_box,
     op_equal_randomized,
+    word_product,
 )
 from cycdaha.scalars import QQ, CycloNumber, RatFunc1, RatFuncField
-from test_laurent import derivative, divided_difference, fraction_long_division
+from test_laurent import combination, derivative, divided_difference, fraction_long_division
 
 
 def daha_rep(N=2, l=0):
@@ -126,13 +127,13 @@ def _literal_dunkl_opdam(rep, i, p):
     differences at c = zeta^m for the k-part, one combination."""
     hbar, k, c = rep.params["hbar"], rep.params["k"], rep.params["c"]
     N, dom, zeta = rep.N, rep.dom, rep.dom.zeta
-    acc = LaurentPoly.combination(
+    acc = combination(
         N, dom, [(cj, p.scale_var(i, zeta ** j)) for j, cj in enumerate(c) if cj])
     unit = tuple(-1 if r == i else 0 for r in range(1, N + 1))
     parts = [(hbar, derivative(p, i)), (-1, acc.shift(unit))]
     parts += [(-k, divided_difference(p, i, r, zeta ** m))
               for r in range(1, N + 1) if r != i for m in range(rep.l)]
-    return LaurentPoly.combination(N, dom, parts)
+    return combination(N, dom, parts)
 
 
 @pytest.mark.parametrize("k", [0, Fraction(2, 3)])
@@ -169,7 +170,7 @@ def _literal_dunkl(rep, i, p, sign=1):
     hbar, k = rep.params["hbar"], rep.params["k"]
     parts = [(hbar, derivative(p, i))]
     parts += [(-sign * k, divided_difference(p, i, j)) for j in range(1, rep.N + 1) if j != i]
-    return LaurentPoly.combination(rep.N, rep.dom, parts)
+    return combination(rep.N, rep.dom, parts)
 
 
 def _literal_trig_dunkl(rep, i, p, d, sij=True):
@@ -179,7 +180,7 @@ def _literal_trig_dunkl(rep, i, p, d, sij=True):
     parts = [(1, d.shift(unit))]
     if sij:
         parts += [(-rep.params["k"], p.swap(i, j)) for j in range(1, i)]
-    return LaurentPoly.combination(rep.N, rep.dom, parts)
+    return combination(rep.N, rep.dom, parts)
 
 
 @pytest.mark.parametrize("N,k", [(N, k) for N in (2, 3, 4) for k in (0, Fraction(2, 3))]
@@ -220,35 +221,39 @@ def test_a_wrong_degenerate_dunkl_fails_the_deg_daha_suite(monkeypatch, wrong):
     assert any(r["status"] == "fail" for r in variant(**wrong)["relations"])
 
 
-def _displayed_factors(rep, g):
+def _displayed_product(rep, g):
     """Dl_i and pi_- as the ops docstring displays them, every factor
-    written out: no factor is another Dl."""
-    if rep.family == "daha":
-        roots = [(Gen("Y", 1), z) for z in reversed(rep.params["Z"])]
-        if g.tag == "pi-":
-            return [Gen("pi^-1"), *roots]
-        return [*(Gen("T^-1", j) for j in range(g.i - 1, 0, -1)), Gen("X^-1", 1),
-                *roots, *(Gen("T^-1", j) for j in range(1, g.i))]
-    roots = [(Gen("y", 1), z) for z in reversed(rep.params["z"])]
+    written out (no factor is another Dl), as an OperatorExpr."""
+    y, roots = {"daha": ("Y", "Z"), "deg": ("y", "z")}[rep.family]
+    roots = [OperatorExpr.gen(y, 1) - z for z in rep.params[roots]]
     if g.tag == "pi-":
-        return [Gen("pi^-1"), *roots]
-    return [Gen("sij", 1, g.i), Gen("X^-1", 1), *roots, Gen("sij", 1, g.i)]
+        return word_product([OperatorExpr.gen("pi^-1"), *roots])
+    if rep.family == "daha":
+        left = [Gen("T^-1", j) for j in range(g.i - 1, 0, -1)]
+        right = left[::-1]
+    else:
+        left = right = [Gen("sij", 1, g.i)] if g.i > 1 else []
+    return word_product([OperatorExpr.word(left + [Gen("X^-1", 1)]), *roots,
+                         OperatorExpr.word(right)])
 
 
 def test_dl_and_pi_minus_equal_their_displayed_factor_lists():
     """Dl_i built from the cached Dl_{i-1} (daha) or Dl_1 (deg), and pi_-
-    built from Dl_1, equal the displayed products applied through
-    Rep._product, on the B = 2 box at N = 3."""
+    built from Dl_1, equal the displayed products applied by Rep.apply on a
+    second rep (so no cache is shared), on the B = 2 box at N = 3."""
     from cycdaha.algebra import sample_rep
 
-    reps = [daha_rep(3, l=2), sample_rep("l1", 3, 1, seed=1),
-            Rep.degenerate(3, Fraction(3, 4), Fraction(2, 3), (Fraction(1, 3), Fraction(5, 2)))]
-    for rep in reps:
+    def reps():
+        return [daha_rep(3, l=2), sample_rep("l1", 3, 1, seed=1),
+                Rep.degenerate(3, Fraction(3, 4), Fraction(2, 3),
+                               (Fraction(1, 3), Fraction(5, 2)))]
+
+    for rep, ref in zip(reps(), reps()):
         for g in [Gen("Dl", 1), Gen("Dl", 2), Gen("Dl", 3), Gen("pi-")]:
-            factors = _displayed_factors(rep, g)
+            displayed = _displayed_product(ref, g)
             for e in box_monomials(3, 2):
                 p = rep.monomial(e)
-                assert rep.apply_gen(g, p) == rep._product(factors, p), (rep.family, g, e)
+                assert rep.apply_gen(g, p) == ref.apply(displayed, p), (rep.family, g, e)
 
 
 def test_a_wrong_dunkl_opdam_commutator_fails():
@@ -522,18 +527,25 @@ def test_a_rep_is_freed_without_the_cycle_collector():
             del rep
             assert ref() is None
         # fresh reps whose caches are filled through Rep.apply of a sum of
-        # words and through composite generators alone (cyc has none, so
-        # DO stands in)
+        # words and of a kept product, and through the composite generators
+        # alone, whose images come from expressions kept on the rep (cyc
+        # has none, so DO stands in)
         for rep in _engine_reps(2):
-            gens = {"daha": [Gen("Y", 1), Gen("Dl", 1)],
-                    "deg": [Gen("Dl", 1)], "cyc": [Gen("DO", 1)]}[rep.family]
+            gens = {"daha": [Gen("Y", 1), Gen("Dl", 2), Gen("Y^-1", 2), Gen("pi"),
+                             Gen("pi^-1"), Gen("pi-")],
+                    "deg": [Gen("Dl", 2), Gen("s0"), Gen("pi"), Gen("pi^-1"), Gen("pi-")],
+                    "cyc": [Gen("DO", 1)]}[rep.family]
             s1 = Gen("s", 1)
             expr = OperatorExpr({(gens[0], s1): 2, (Gen("X", 1), s1): Fraction(1, 3),
                                  (Gen("X", 2), gens[-1]): -1, (): 5})
-            rep.apply(expr, rep.monomial((1, -1)) + rep.var(2))
+            p = rep.monomial((1, -1)) + rep.var(2)
+            rep.apply(expr, p)
+            rep.apply((expr + 1) * (OperatorExpr.word([gens[-1]]) - 2), p)
             for g in gens:
                 rep.apply_gen(g, rep.monomial((2, 0)))
             assert all(rep._cache[g] for g in gens)
+            if rep.family != "cyc":
+                assert set(gens) <= rep._exprs.keys()
             ref = weakref.ref(rep)
             del rep
             assert ref() is None
@@ -611,7 +623,7 @@ def test_apply_along_shared_suffixes_equals_the_word_by_word_sum(data):
         st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
         min_size=1, max_size=3))
     p = LaurentPoly(2, rep.dom, terms)
-    expected = LaurentPoly.combination(
+    expected = combination(
         2, ref.dom, [(c, ref.apply_word(w, p)) for w, c in expr.terms.items()])
     assert rep.apply(expr, p) == expected
 
@@ -633,7 +645,7 @@ def test_apply_applies_a_shared_suffix_once():
     out = rep.apply(expr, p)
     assert sorted(calls) == sorted([w, T, Ti])
     ref = daha_rep(2)
-    assert out == LaurentPoly.combination(
+    assert out == combination(
         2, ref.dom, [(c, ref.apply_word(w, p)) for w, c in expr.terms.items()])
 
 
@@ -651,8 +663,148 @@ def test_one_expression_applies_in_two_fields():
     for rep, ref in zip(reps, refs):
         for e in box_monomials(2, 1):
             p = rep.monomial(e)
-            expected = LaurentPoly.combination(
+            expected = combination(
                 2, ref.dom, [(c, ref.apply_word(w, p)) for w, c in expr.terms.items()])
             out = rep.apply(expr, p)
             assert out.dom is rep.dom and out == expected
     assert reps[0].apply(expr, reps[0].one()) != reps[1].apply(expr, reps[1].one())
+
+
+def _factored_reps():
+    """daha over QQ at l = 1, cyc over Q(zeta_3) and daha over Q(t) with
+    tb = t, N = 2, each with a scalar of its field beyond QQ (or None)."""
+    t = RatFuncField("t").gen
+    yield Rep.daha(2, Fraction(7, 5), Fraction(3, 2), (Fraction(2, 3),)), None
+    yield Rep.cyclotomic_cherednik(2, 3, Fraction(2, 3), Fraction(1, 2),
+                                   (Fraction(1, 2), 3, Fraction(-2, 5))), CycloNumber.zeta(3, 1)
+    yield Rep.daha(2, Fraction(7, 5), t), t
+
+
+_PARSED = {
+    "daha": ["(3/2)*[T1 Y1] + [X1] - 2*[Y1^-1]", "[pi] - [omega^-1 X2] + 1/2",
+             "[D1^(l) T1^-1] - 3"],
+    "cyc": ["[DO1 sigma2] - 3*[s1]", "(2/3)*[X1^-1 DO2] + 2 - [sigma1^-1]"],
+}
+
+
+def _reference_add(out, w, c):
+    """out[w] += c in place, a zero sum dropped."""
+    s = out[w] + c if w in out else c
+    if s:
+        out[w] = s
+    else:
+        out.pop(w, None)
+
+
+def _reference_product(a, b):
+    """The terms of a times b as OperatorExpr expanded them eagerly: every
+    word of a followed by every word of b, like words summed, zeros dropped."""
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            _reference_add(out, w1 + w2, c1 * c2)
+    return out
+
+
+def _draw_expr(data, rep, special, gens, depth):
+    """A random expression and its eagerly expanded reference terms: a leaf
+    is a short sum of words, a y_f product (daha) or a parsed expression;
+    above it, products, sums, scalar multiples on either side and powers."""
+    from cycdaha.exprparse import parse_expr
+    from cycdaha.macdonald import y_f
+
+    scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if special is not None:
+        scalars = st.one_of(scalars, st.just(special))
+    kind = data.draw(st.sampled_from(["words", "y_f", "parsed"] + ["op"] * 3 * bool(depth)))
+    if kind == "y_f" and rep.family == "daha":
+        f = data.draw(st.lists(scalars, min_size=1, max_size=3))
+        e = y_f(rep, data.draw(st.integers(1, 2)), f)
+        return e, dict(e.terms)
+    if kind == "parsed":
+        e = parse_expr(data.draw(st.sampled_from(_PARSED[rep.family])))
+        return e, dict(e.terms)
+    if kind != "op":
+        word = st.lists(st.sampled_from(gens), max_size=2).map(tuple)
+        words = data.draw(st.lists(word, min_size=1, max_size=3))
+        terms = {w: data.draw(scalars.filter(bool)) for w in words}
+        return OperatorExpr(terms), terms
+    op = data.draw(st.sampled_from(["mul", "add", "lscale", "rscale", "pow"]))
+    a, ra = _draw_expr(data, rep, special, gens, depth - 1)
+    if op == "pow":
+        n = data.draw(st.integers(0, 2))
+        ref = {(): 1}
+        for _ in range(n):
+            ref = _reference_product(ref, ra)
+        return a ** n, ref
+    if op in ("lscale", "rscale"):
+        c = data.draw(scalars)
+        if op == "lscale":
+            return c * a, {w: c * v for w, v in ra.items()}
+        return a * c, {w: v * c for w, v in ra.items()}
+    b, rb = _draw_expr(data, rep, special, gens, depth - 1)
+    if op == "mul":
+        return a * b, _reference_product(ra, rb)
+    out = dict(ra)
+    for w, c in rb.items():
+        _reference_add(out, w, c)
+    return a + b, out
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_factored_products_evaluate_like_their_expansion(data):
+    """Rep.apply of an expression as built (products kept as factors)
+    equals Rep.apply of its expansion OperatorExpr(expr.terms), applied on a
+    second rep so no cache is shared; and the expansion (terms, ==, repr)
+    is the one the eager product gave, in the same order."""
+    k = data.draw(st.integers(0, 2))
+    (rep, special), (ref, _) = (list(_factored_reps())[k] for _ in range(2))
+    gens = data.draw(st.lists(st.sampled_from(_engine_generators(rep.family, 2)),
+                              min_size=3, max_size=3, unique=True))
+    expr, terms = _draw_expr(data, rep, special, gens, 3)
+    assert list(expr.terms.items()) == list(terms.items())
+    assert expr == OperatorExpr(terms) and repr(expr) == repr(OperatorExpr(terms))
+    p = LaurentPoly(2, rep.dom, data.draw(st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * 2),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        min_size=1, max_size=3)))
+    assert rep.apply(expr, p) == ref.apply(OperatorExpr(expr.terms), p)
+
+
+def test_apply_is_entered_once_per_call(monkeypatch):
+    """Rep.apply evaluates kept products and composite generators through
+    an internal method, so the public Rep.apply is entered once per call
+    (a benchmark harness counts two per compared monomial): a product of
+    sums, and a Dl_2 and pi_- whose images, cold, come from expressions."""
+    calls = []
+    apply = Rep.apply
+
+    def counted(self, expr, p):
+        calls.append(expr)
+        return apply(self, expr, p)
+
+    monkeypatch.setattr(Rep, "apply", counted)
+    rep = daha_rep(3, l=2)
+    Y, T = OperatorExpr.gen("Y", 1), OperatorExpr.gen("T", 2)
+    product = (Y - 2) * (T + Fraction(1, 3)) * (Y + T)
+    assert product._factors is not None
+    p = rep.monomial((1, 0, -1))
+    for expr in (product, Gen("Dl", 2), OperatorExpr.gen("pi-")):
+        calls.clear()
+        rep.apply(expr, p)
+        assert calls == [expr]
+    assert {Gen("Dl", 1), Gen("Dl", 2), Gen("pi-")} <= rep._exprs.keys()
+
+
+def test_a_long_power_of_a_sum_applies_without_deep_recursion():
+    """A power keeps one factor per multiplication, and Rep.apply loops
+    down that chain: (X_1 + X_1 s_1 s_1)^n, n beyond the interpreter's
+    recursion limit, is 2^n X_1^n."""
+    import sys
+
+    rep = daha_rep(2)
+    twice = OperatorExpr.gen("X", 1) + OperatorExpr.word([Gen("X", 1), Gen("s", 1), Gen("s", 1)])
+    n = sys.getrecursionlimit() + 200
+    power = twice ** n
+    assert rep.apply(power, rep.one()) == rep.monomial((n, 0), 2 ** n)
