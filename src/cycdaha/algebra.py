@@ -16,8 +16,20 @@ Families:
 * "l1"       -- the level-one presentation with q-deformed Dunkl operators;
 * "lastrel"  -- the single Jucys-Murphy relation D_1 X_1 + 1 = q J_N (X_1 D_1 + 1).
 
+FAMILIES is the one table of the families.  Each entry holds the family's
+schema builder, the representation family it acts in (ops.FAMILY_DAHA or
+FAMILY_DEG), its fixed level (None: any l >= 1) and whether the involution
+phi covers it; catalog, rep_family_for, sample_rep, verify_involution and
+the CLI's level check read it.  phi's generator map, the representation it
+maps into and the generators phi^2 = id is checked on depend only on the
+representation family (_PHI).
+
 Index-quantified schemas are expanded to explicit instances at catalog
-build time for the given rank.
+build time for the given rank, through a few shapes: _each (one instance
+label[i] per index i), _pairwise (label[i,j] per pair i < j), _commuting
+and _far_commuting (generators that commute), and _one (a single
+instance).  A relation that two catalogs state is built by one relation
+function in both: deg-daha's yX[i,1] is deg-cyc's yX1[i] and y1X1.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import NamedTuple
 
 from .laurent import coefficient_rows
 from .linalg import matrix_rank
@@ -36,6 +49,7 @@ from .ops import (
     OperatorExpr,
     Rep,
     _permutations_with_words,
+    index_ok,
     op_equal_on_box,
     op_equal_randomized,
     root_product,
@@ -127,9 +141,19 @@ def _telescope(head, mid, tail, roots):
     return out
 
 
+def _gen_sum(tag, N):
+    """A_1 + ... + A_N."""
+    return sum((_g(tag, i) for i in range(1, N + 1)), OperatorExpr.zero())
+
+
+def _gen_product(tag, N):
+    """The word A_1 ... A_N."""
+    return _w([Gen(tag, i) for i in range(1, N + 1)])
+
+
 # -- relation shapes -------------------------------------------------------------
 # Each shape returns a schema build (rep -> list of instances) whose
-# instances are named label[indices].
+# instances are named label[indices]; a relation returns (lhs, rhs).
 
 def _swap(name, a, b):
     """The instance a b = b a for two generators a, b."""
@@ -141,8 +165,21 @@ def _chain(*builds):
     return lambda rep: [inst for build in builds for inst in build(rep)]
 
 
+def _one(name, relation, min_N=1):
+    """The single instance relation(rep), named name, at every N >= min_N."""
+    return lambda rep: [RelationInstance(name, *relation(rep))] if rep.N >= min_N else []
+
+
+def _each(label, relation, lo, hi):
+    """relation(rep, i) for every lo <= i <= N + hi."""
+    return lambda rep: [
+        RelationInstance(f"{label}[{i}]", *relation(rep, i))
+        for i in range(lo, rep.N + hi + 1)
+    ]
+
+
 def _pairwise(label, relation):
-    """relation(rep, i, j) -> (lhs, rhs) for every 1 <= i < j <= N."""
+    """relation(rep, i, j) for every 1 <= i < j <= N."""
     return lambda rep: [
         RelationInstance(f"{label}[{i},{j}]", *relation(rep, i, j))
         for i, j in itertools.combinations(range(1, rep.N + 1), 2)
@@ -173,57 +210,51 @@ def _far_commuting(label, s, tag):
     ]
 
 
-def _t_conjugation(label, tag):
+# -- relations stated by more than one catalog -------------------------------------
+
+def _t_conjugation(tag):
     """T_i A_i T_i = A_{i+1}."""
-    return lambda rep: [
-        RelationInstance(f"{label}[{i}]", _w([_T(i), Gen(tag, i), _T(i)]), _g(tag, i + 1))
-        for i in range(1, rep.N)
-    ]
+    return lambda rep, i: (_w([_T(i), Gen(tag, i), _T(i)]), _g(tag, i + 1))
 
 
-def _s_y(label):
+def _s_y(rep, i):
     """s_i y_i = y_{i+1} s_i + k."""
-    def build(rep):
-        k = OperatorExpr.scalar(rep.params["k"])
-        return [
-            RelationInstance(
-                f"{label}[{i}]",
-                _w([Gen("s", i), Gen("y", i)]),
-                _w([Gen("y", i + 1), Gen("s", i)]) + k,
-            )
-            for i in range(1, rep.N)
-        ]
-
-    return build
+    return _w([Gen("s", i), Gen("y", i)]), _w([Gen("y", i + 1), Gen("s", i)]) + rep.params["k"]
 
 
-def _s_x(i):
-    """The instance s_i X_i = X_{i+1} s_i."""
-    return RelationInstance(
-        f"sX[{i}]", _w([Gen("s", i), Gen("X", i)]), _w([Gen("X", i + 1), Gen("s", i)])
-    )
+def _s_x(rep, i):
+    """s_i X_i = X_{i+1} s_i."""
+    return _w([Gen("s", i), Gen("X", i)]), _w([Gen("X", i + 1), Gen("s", i)])
+
+
+def _y_x(rep, i, j):
+    """[y_i, X_j] = k X_a s_ab for i != j, {a < b} = {i, j}, and
+    [y_i, X_i] = hbar X_i - k sum_{r != i} X_a s_ab, {a < b} = {r, i}."""
+    k = rep.params["k"]
+
+    def x_s(a, b):
+        a, b = sorted((a, b))
+        return k * _w([Gen("X", a), Gen("sij", a, b)])
+
+    lhs = _commutator(_g("y", i), _g("X", j))
+    if i != j:
+        return lhs, x_s(i, j)
+    rhs = rep.params["hbar"] * _g("X", i)
+    for r in range(1, rep.N + 1):
+        if r != i:
+            rhs = rhs - x_s(r, i)
+    return lhs, rhs
 
 
 # -- DAHA schemas ------------------------------------------------------------
 
 def _daha_schemas():
-    def r1(rep):
-        tb = rep.params["tb"]
-        out = []
-        for i in range(1, rep.N):
-            Ti = _g("T", i)
-            out.append(
-                RelationInstance(f"R1[{i}]", Ti * Ti, (tb - 1 / tb) * Ti + OperatorExpr.one())
-            )
-        return out
+    def r1(rep, i):
+        tb, Ti = rep.params["tb"], _g("T", i)
+        return Ti * Ti, (tb - 1 / tb) * Ti + OperatorExpr.one()
 
-    def r2(rep):
-        out = []
-        for i in range(1, rep.N - 1):
-            a = _w([_T(i), _T(i + 1), _T(i)])
-            b = _w([_T(i + 1), _T(i), _T(i + 1)])
-            out.append(RelationInstance(f"R2[{i}]", a, b))
-        return out
+    def r2(rep, i):
+        return _w([_T(i), _T(i + 1), _T(i)]), _w([_T(i + 1), _T(i), _T(i + 1)])
 
     def r3(rep):
         return [
@@ -233,42 +264,28 @@ def _daha_schemas():
         ]
 
     def r8(rep):
-        if rep.N < 2:
-            return []
         lhs = _w([Gen("X^-1", 1), Gen("Y^-1", 2), Gen("X", 1), Gen("Y", 2)])
-        return [RelationInstance("R8", lhs, _w([_T(1), _T(1)]))]
+        return lhs, _w([_T(1), _T(1)])
 
-    def r9(rep):
-        q = rep.params["q"]
-        Xt = _w([Gen("X", i) for i in range(1, rep.N + 1)])
-        return [
-            RelationInstance(
-                f"R9[{i}]", _g("Y", i) * Xt, q * (Xt * _g("Y", i))
-            )
-            for i in range(1, rep.N + 1)
-        ]
+    def r9(rep, i):
+        Xt = _gen_product("X", rep.N)
+        return _g("Y", i) * Xt, rep.params["q"] * (Xt * _g("Y", i))
 
-    def r10(rep):
-        q = rep.params["q"]
-        Yt = _w([Gen("Y", i) for i in range(1, rep.N + 1)])
-        return [
-            RelationInstance(
-                f"R10[{i}]", _g("X", i) * Yt, (1 / q) * (Yt * _g("X", i))
-            )
-            for i in range(1, rep.N + 1)
-        ]
+    def r10(rep, i):
+        Yt = _gen_product("Y", rep.N)
+        return _g("X", i) * Yt, (1 / rep.params["q"]) * (Yt * _g("X", i))
 
     return [
-        RelationSchema("R1", r1),
-        RelationSchema("R2", r2),
+        RelationSchema("R1", _each("R1", r1, 1, -1)),
+        RelationSchema("R2", _each("R2", r2, 1, -2)),
         RelationSchema("R3", r3),
-        RelationSchema("R4", _t_conjugation("R4", "X")),
+        RelationSchema("R4", _each("R4", _t_conjugation("X"), 1, -1)),
         RelationSchema("R5", _far_commuting("R5", "T", "X")),
-        RelationSchema("R6", _t_conjugation("R6", "Y")),
+        RelationSchema("R6", _each("R6", _t_conjugation("Y"), 1, -1)),
         RelationSchema("R7", _far_commuting("R7", "T", "Y")),
-        RelationSchema("R8", r8),
-        RelationSchema("R9", r9),
-        RelationSchema("R10", r10),
+        RelationSchema("R8", _one("R8", r8, min_N=2)),
+        RelationSchema("R9", _each("R9", r9, 1, 0)),
+        RelationSchema("R10", _each("R10", r10, 1, 0)),
         RelationSchema("R11", _commuting("R11", "X")),
         RelationSchema("R12", _commuting("R12", "Y")),
     ]
@@ -282,12 +299,8 @@ def _deg_s(i):
 
 
 def _deg_daha_schemas():
-    def sq(rep):
-        out = []
-        for i in range(rep.N):
-            si = _w([_deg_s(i)])
-            out.append(RelationInstance(f"s^2[{i}]", si * si, OperatorExpr.one()))
-        return out
+    def sq(rep, i):
+        return _w([_deg_s(i)] * 2), OperatorExpr.one()
 
     def braid(rep):
         if rep.N < 3:
@@ -309,36 +322,19 @@ def _deg_daha_schemas():
             if (i - j) % N not in (1, N - 1)
         ]
 
-    def pi_s(rep):
-        out = []
-        for i in range(rep.N):
-            j = (i + 1) % rep.N
-            a = _w([Gen("pi"), _deg_s(i)])
-            b = _w([_deg_s(j), Gen("pi")])
-            out.append(RelationInstance(f"pi-s[{i}]", a, b))
-        return out
+    def pi_s(rep, i):
+        return _w([Gen("pi"), _deg_s(i)]), _w([_deg_s((i + 1) % rep.N), Gen("pi")])
 
-    def pi_y(rep):
-        return [
-            RelationInstance(
-                f"pi-y[{i}]",
-                _w([Gen("pi"), Gen("y", i)]),
-                _w([Gen("y", i + 1), Gen("pi")]),
-            )
-            for i in range(1, rep.N)
-        ]
+    def pi_y(rep, i):
+        return _w([Gen("pi"), Gen("y", i)]), _w([Gen("y", i + 1), Gen("pi")])
 
     def pi_yN(rep):
-        hbar = rep.params["hbar"]
         lhs = _w([Gen("pi"), Gen("y", rep.N)])
-        rhs = (_g("y", 1) - OperatorExpr.scalar(hbar)) * _g("pi")
-        return [RelationInstance("pi-yN", lhs, rhs)]
+        return lhs, (_g("y", 1) - rep.params["hbar"]) * _g("pi")
 
     def s0_yN(rep):
-        hbar, k = rep.params["hbar"], rep.params["k"]
         lhs = _w([Gen("s0"), Gen("y", rep.N)])
-        rhs = (_g("y", 1) - OperatorExpr.scalar(hbar)) * _g("s0") + OperatorExpr.scalar(k)
-        return [RelationInstance("s0-yN", lhs, rhs)]
+        return lhs, (_g("y", 1) - rep.params["hbar"]) * _g("s0") + rep.params["k"]
 
     def s_y_comm(rep):
         N = rep.N
@@ -356,31 +352,16 @@ def _deg_daha_schemas():
         return [
             inst
             for i in range(1, rep.N)
-            for inst in [_s_x(i)] + _far_at("sX-comm", "s", "X", i, rep.N)
+            for inst in [RelationInstance(f"sX[{i}]", *_s_x(rep, i))]
+            + _far_at("sX-comm", "s", "X", i, rep.N)
         ]
 
     def y_X(rep):
-        k = rep.params["k"]
-        hbar = rep.params["hbar"]
-        out = []
-        N = rep.N
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                lhs = _commutator(_g("y", i), _g("X", j))
-                if i > j:
-                    rhs = k * _w([Gen("X", j), Gen("sij", j, i)])
-                    out.append(RelationInstance(f"yX[{i},{j}]", lhs, rhs))
-                elif i < j:
-                    rhs = k * _w([Gen("X", i), Gen("sij", i, j)])
-                    out.append(RelationInstance(f"yX[{i},{j}]", lhs, rhs))
-                else:
-                    rhs = hbar * _g("X", i)
-                    for r in range(1, i):
-                        rhs = rhs - k * _w([Gen("X", r), Gen("sij", r, i)])
-                    for r in range(i + 1, N + 1):
-                        rhs = rhs - k * _w([Gen("X", i), Gen("sij", i, r)])
-                    out.append(RelationInstance(f"yX[{i},{i}]", lhs, rhs))
-        return out
+        return [
+            RelationInstance(f"yX[{i},{j}]", *_y_x(rep, i, j))
+            for i in range(1, rep.N + 1)
+            for j in range(1, rep.N + 1)
+        ]
 
     def transition(rep):
         N = rep.N
@@ -390,91 +371,48 @@ def _deg_daha_schemas():
         out.append(RelationInstance("s0-word", _g("s0"), _w(s0_word)))
         return out
 
-    def firrel_prod(rep):
-        hbar = rep.params["hbar"]
-        Xt = _w([Gen("X", i) for i in range(1, rep.N + 1)])
-        return [
-            RelationInstance(
-                f"firrel-prod[{i}]",
-                _commutator(_g("y", i), Xt),
-                hbar * Xt,
-            )
-            for i in range(1, rep.N + 1)
-        ]
+    def firrel_prod(rep, i):
+        Xt = _gen_product("X", rep.N)
+        return _commutator(_g("y", i), Xt), rep.params["hbar"] * Xt
 
-    def firrel_sum(rep):
-        hbar = rep.params["hbar"]
-        ysum = OperatorExpr.zero()
-        for i in range(1, rep.N + 1):
-            ysum = ysum + _g("y", i)
-        return [
-            RelationInstance(
-                f"firrel-sum[{j}]",
-                _commutator(ysum, _g("X", j)),
-                hbar * _g("X", j),
-            )
-            for j in range(1, rep.N + 1)
-        ]
+    def firrel_sum(rep, j):
+        return _commutator(_gen_sum("y", rep.N), _g("X", j)), rep.params["hbar"] * _g("X", j)
 
     def secrel(rep):
-        if rep.N < 2:
-            return []
-        k = rep.params["k"]
         lhs = _commutator(_g("y", 2), _g("X", 1))
-        rhs = k * _w([Gen("X", 1), Gen("s", 1)])
-        return [RelationInstance("secrel", lhs, rhs)]
+        return lhs, rep.params["k"] * _w([Gen("X", 1), Gen("s", 1)])
 
     return [
-        RelationSchema("s^2", sq),
+        RelationSchema("s^2", _each("s^2", sq, 0, -1)),
         RelationSchema("braid", braid),
         RelationSchema("ss-comm", comm),
-        RelationSchema("pi-s", pi_s),
+        RelationSchema("pi-s", _each("pi-s", pi_s, 0, -1)),
         RelationSchema("yy", _commuting("yy", "y")),
-        RelationSchema("pi-y", pi_y),
-        RelationSchema("pi-yN", pi_yN),
-        RelationSchema("s-y", _s_y("s-y")),
-        RelationSchema("s0-yN", s0_yN),
+        RelationSchema("pi-y", _each("pi-y", pi_y, 1, -1)),
+        RelationSchema("pi-yN", _one("pi-yN", pi_yN)),
+        RelationSchema("s-y", _each("s-y", _s_y, 1, -1)),
+        RelationSchema("s0-yN", _one("s0-yN", s0_yN)),
         RelationSchema("sy-comm", s_y_comm),
         RelationSchema("sX", s_X),
         RelationSchema("XX", _commuting("XX", "X")),
         RelationSchema("yX", y_X),
         RelationSchema("transition", transition),
-        RelationSchema("firrel-prod", firrel_prod),
-        RelationSchema("firrel-sum", firrel_sum),
-        RelationSchema("secrel", secrel),
+        RelationSchema("firrel-prod", _each("firrel-prod", firrel_prod, 1, 0)),
+        RelationSchema("firrel-sum", _each("firrel-sum", firrel_sum, 1, 0)),
+        RelationSchema("secrel", _one("secrel", secrel, min_N=2)),
     ]
 
 
 # -- degenerate cyclotomic schemas (11 displayed lines) ------------------------
 
 def _deg_cyc_schemas():
-    def _refl_sum(rep):
+    def refl_sum(rep):
         """hbar - k * sum_{j>1} s_1j as an OperatorExpr."""
         hbar, k = rep.params["hbar"], rep.params["k"]
         e = OperatorExpr.scalar(hbar)
         for j in range(2, rep.N + 1):
             e = e - k * _g("sij", 1, j)
         return e
-
-    def s_x(rep):
-        return [_s_x(i) for i in range(1, rep.N)]
-
-    def yX1(rep):
-        k = rep.params["k"]
-        out = []
-        for i in range(2, rep.N + 1):
-            lhs = _commutator(_g("y", i), _g("X", 1))
-            rhs = k * _w([Gen("X", 1), Gen("sij", 1, i)])
-            out.append(RelationInstance(f"yX1[{i}]", lhs, rhs))
-        return out
-
-    def y1X1(rep):
-        hbar, k = rep.params["hbar"], rep.params["k"]
-        lhs = _commutator(_g("y", 1), _g("X", 1))
-        rhs = hbar * _g("X", 1)
-        for i in range(2, rep.N + 1):
-            rhs = rhs - k * _w([Gen("X", 1), Gen("sij", 1, i)])
-        return [RelationInstance("y1X1", lhs, rhs)]
 
     def s_d(rep):
         out = []
@@ -494,34 +432,27 @@ def _deg_cyc_schemas():
                 )
         return out
 
-    def yD1(rep):
+    def y_dl1(rep, i):
+        # [y_i, Dl_1] = -k s_1i Dl_1 for i > 1; [y_1, Dl_1] = -hbar Dl_1 + k sum_{r>1} s_1r Dl_1
         k = rep.params["k"]
-        out = []
-        for j in range(2, rep.N + 1):
-            lhs = _commutator(_g("y", j), _g("Dl", 1))
-            rhs = -k * _w([Gen("sij", 1, j), Gen("Dl", 1)])
-            out.append(RelationInstance(f"yD1[{j}]", lhs, rhs))
-        return out
-
-    def y1D1(rep):
-        hbar, k = rep.params["hbar"], rep.params["k"]
-        lhs = _commutator(_g("y", 1), _g("Dl", 1))
-        rhs = -hbar * _g("Dl", 1)
-        for i in range(2, rep.N + 1):
-            rhs = rhs + k * _w([Gen("sij", 1, i), Gen("Dl", 1)])
-        return [RelationInstance("y1D1", lhs, rhs)]
+        lhs = _commutator(_g("y", i), _g("Dl", 1))
+        if i > 1:
+            return lhs, -k * _w([Gen("sij", 1, i), Gen("Dl", 1)])
+        rhs = -rep.params["hbar"] * _g("Dl", 1)
+        for r in range(2, rep.N + 1):
+            rhs = rhs + k * _w([Gen("sij", 1, r), Gen("Dl", 1)])
+        return lhs, rhs
 
     # D1X1 and D1Xm telescope over r: the factors before the r-th are
     # (y_1 - z_i + hbar - k sum_{j>1} s_1j), the ones after it (y_1 - z_i)
     def d1x1(rep):
-        refl = _refl_sum(rep)
+        refl = refl_sum(rep)
         lhs = _commutator(_g("Dl", 1), _g("X", 1))
-        rhs = _telescope(_g("y", 1) + refl, refl, _g("y", 1), rep.params["z"])
-        return [RelationInstance("D1X1", lhs, rhs)]
+        return lhs, _telescope(_g("y", 1) + refl, refl, _g("y", 1), rep.params["z"])
 
     def d1xm(rep):
         k = rep.params["k"]
-        head = _g("y", 1) + _refl_sum(rep)
+        head = _g("y", 1) + refl_sum(rep)
         out = []
         for m in range(2, rep.N + 1):
             lhs = _commutator(_g("Dl", 1), _g("X", m))
@@ -542,21 +473,20 @@ def _deg_cyc_schemas():
         return out
 
     def x1d1(rep):
-        lhs = _w([Gen("X", 1), Gen("Dl", 1)])
-        return [RelationInstance("X1D1", lhs, root_product(_g("y", 1), rep.params["z"]))]
+        return _w([Gen("X", 1), Gen("Dl", 1)]), root_product(_g("y", 1), rep.params["z"])
 
     return [
-        RelationSchema("sy", _s_y("sy")),
+        RelationSchema("sy", _each("sy", _s_y, 1, -1)),
         RelationSchema("yy", _commuting("yy", "y")),
-        RelationSchema("sX+XX", _chain(s_x, _commuting("XX", "X"))),
-        RelationSchema("yX1", yX1),
-        RelationSchema("y1X1", y1X1),
+        RelationSchema("sX+XX", _chain(_each("sX", _s_x, 1, -1), _commuting("XX", "X"))),
+        RelationSchema("yX1", _each("yX1", lambda rep, i: _y_x(rep, i, 1), 2, 0)),
+        RelationSchema("y1X1", _one("y1X1", lambda rep: _y_x(rep, 1, 1))),
         RelationSchema("sD+DD", _chain(s_d, _commuting("DD", "Dl"))),
-        RelationSchema("yD1", yD1),
-        RelationSchema("y1D1", y1D1),
-        RelationSchema("D1X1", d1x1),
+        RelationSchema("yD1", _each("yD1", y_dl1, 2, 0)),
+        RelationSchema("y1D1", _one("y1D1", lambda rep: y_dl1(rep, 1))),
+        RelationSchema("D1X1", _one("D1X1", d1x1)),
         RelationSchema("D1Xm", d1xm),
-        RelationSchema("X1D1", x1d1),
+        RelationSchema("X1D1", _one("X1D1", x1d1)),
     ]
 
 
@@ -574,26 +504,21 @@ def _cd_schemas():
         rhs = _w(_sandwich(i, j, "T", "T^-1", "T^-1", 2) + (Gen("X", j), Gen("Y", i)))
         return _w([Gen("Y", i), Gen("X", j)]), rhs
 
-    def cd3(rep):
-        q = rep.params["q"]
-        out = []
-        for i in range(1, rep.N + 1):
-            lhs = _w((Gen("Y", i),) + left_jm_inv(i) + (Gen("X", i),))
-            rhs = q * _w((Gen("X", i),) + right_jm(i, rep.N) + (Gen("Y", i),))
-            out.append(RelationInstance(f"cd3[{i}]", lhs, rhs))
-        return out
+    def cd3(rep, i):
+        lhs = _w((Gen("Y", i),) + left_jm_inv(i) + (Gen("X", i),))
+        return lhs, rep.params["q"] * _w((Gen("X", i),) + right_jm(i, rep.N) + (Gen("Y", i),))
 
-    def cd5(rep):
+    def cd5(rep, i):
+        return _w([_Ti(i), Gen("Dl", i), _Ti(i)]), _g("Dl", i + 1)
+
+    def cd5_comm(rep):
         # the commuting part skips |i - j| < 2, which is not the far set of R5
-        out = []
-        for i in range(1, rep.N):
-            lhs = _w([_Ti(i), Gen("Dl", i), _Ti(i)])
-            out.append(RelationInstance(f"cd5[{i}]", lhs, _g("Dl", i + 1)))
-        for i in range(1, rep.N + 1):
-            for j in range(1, rep.N):
-                if abs(i - j) >= 2:
-                    out.append(_swap(f"cd5-comm[{j},{i}]", _T(j), Gen("Dl", i)))
-        return out
+        return [
+            _swap(f"cd5-comm[{j},{i}]", _T(j), Gen("Dl", i))
+            for i in range(1, rep.N + 1)
+            for j in range(1, rep.N)
+            if abs(i - j) >= 2
+        ]
 
     def cd6(rep, i, j):
         # D_i Y_j = Y_j T_{j-1}^-1 ... T_{i+1}^-1 T_i^-2 T_{i+1} ... T_{j-1} D_i
@@ -605,53 +530,40 @@ def _cd_schemas():
         lhs = _w((Gen("Dl", j),) + _sandwich(i, j, "T", "T", "T^-1", 2) + (Gen("Y", i),))
         return lhs, _w([Gen("Y", i), Gen("Dl", j)])
 
-    def cd8(rep):
+    def cd8(rep, i):
         # the factor q comes from D_1 Y_1 = q T_1...T_{N-1}^2...T_1 Y_1 D_1
-        q = rep.params["q"]
-        out = []
-        for i in range(1, rep.N + 1):
-            lhs = _w((Gen("Dl", i), Gen("Y", i)) + left_jm_inv(i))
-            rhs = q * _w(right_jm(i, rep.N) + (Gen("Y", i), Gen("Dl", i)))
-            out.append(RelationInstance(f"cd8[{i}]", lhs, rhs))
-        return out
+        lhs = _w((Gen("Dl", i), Gen("Y", i)) + left_jm_inv(i))
+        return lhs, rep.params["q"] * _w(right_jm(i, rep.N) + (Gen("Y", i), Gen("Dl", i)))
 
-    def cd9(rep):
-        q = rep.params["q"]
-        Z = rep.params["Z"]
-        out = []
-        lhs = _w([Gen("X", 1), Gen("Dl", 1)])
-        out.append(RelationInstance("cd9a", lhs, root_product(_g("Y", 1), Z)))
-        qJY = q * _w(right_jm(1, rep.N) + (Gen("Y", 1),))
-        lhs2 = _w([Gen("Dl", 1), Gen("X", 1)])
-        out.append(RelationInstance("cd9b", lhs2, root_product(qJY, Z)))
-        # conjugated instances X_i Dl_i = prod (Y_i L(i) - Z_r)
-        for i in range(2, rep.N + 1):
-            YL = _w((Gen("Y", i),) + left_jm_inv(i))
-            lhs3 = _w([Gen("X", i), Gen("Dl", i)])
-            out.append(RelationInstance(f"cd9a[{i}]", lhs3, root_product(YL, Z)))
-        return out
+    def cd9a(rep, i):
+        # X_i Dl_i = prod_r (Y_i L(i) - Z_r), L(i) = left_jm_inv(i), empty for i = 1
+        YL = _w((Gen("Y", i),) + left_jm_inv(i))
+        return _w([Gen("X", i), Gen("Dl", i)]), root_product(YL, rep.params["Z"])
+
+    def cd9b(rep):
+        qJY = rep.params["q"] * _w(right_jm(1, rep.N) + (Gen("Y", 1),))
+        return _w([Gen("Dl", 1), Gen("X", 1)]), root_product(qJY, rep.params["Z"])
 
     def cd10(rep):
-        if rep.N < 2:
-            return []
         q, tb = rep.params["q"], rep.params["tb"]
         qJY = q * _w(right_jm(1, rep.N) + (Gen("Y", 1),))
         Y2T = _w([Gen("Y", 2), _Ti(1), _Ti(1)])
         lhs = _commutator(_g("Dl", 1), _g("X", 2))
         rhs = _telescope(qJY, Y2T, Y2T, rep.params["Z"]) * _g("T", 1)
-        return [RelationInstance("cd10", lhs, (1 / tb - tb) * rhs)]
+        return lhs, (1 / tb - tb) * rhs
 
     return [
         RelationSchema("cd1", _pairwise("cd1", cd1)),
         RelationSchema("cd2", _pairwise("cd2", cd2)),
-        RelationSchema("cd3", cd3),
+        RelationSchema("cd3", _each("cd3", cd3, 1, 0)),
         RelationSchema("cd4", _commuting("cd4", "Dl")),
-        RelationSchema("cd5", cd5),
+        RelationSchema("cd5", _chain(_each("cd5", cd5, 1, -1), cd5_comm)),
         RelationSchema("cd6", _pairwise("cd6", cd6)),
         RelationSchema("cd7", _pairwise("cd7", cd7)),
-        RelationSchema("cd8", cd8),
-        RelationSchema("cd9", cd9),
-        RelationSchema("cd10", cd10),
+        RelationSchema("cd8", _each("cd8", cd8, 1, 0)),
+        RelationSchema("cd9", _chain(_one("cd9a", lambda rep: cd9a(rep, 1)),
+                                     _one("cd9b", cd9b), _each("cd9a", cd9a, 2, 0))),
+        RelationSchema("cd10", _one("cd10", cd10, min_N=2)),
     ]
 
 
@@ -676,15 +588,8 @@ def _cyc_daha_schemas():
 def _l1_schemas():
     daha = {s.name: s for s in _daha_schemas()}
 
-    def tdt(rep):
-        return [
-            RelationInstance(
-                f"TDT[{i}]",
-                _g("Dl", i),
-                _w([_T(i), Gen("Dl", i + 1), _T(i)]),
-            )
-            for i in range(1, rep.N)
-        ]
+    def tdt(rep, i):
+        return _g("Dl", i), _w([_T(i), Gen("Dl", i + 1), _T(i)])
 
     def xidj(rep, i, j):
         tb = rep.params["tb"]
@@ -698,101 +603,94 @@ def _l1_schemas():
         rhs = _w((Gen("X", i),) + _sandwich(j, i, "T^-1", "T^-1", "T", 2) + (Gen("Dl", j),))
         return lhs, rhs - (tb - 1 / tb) * _w(_sandwich(j, i, "T", "T", "T", 1))
 
-    def dsum(rep):
-        q = rep.params["q"]
-        Xsum = OperatorExpr.zero()
-        for j in range(1, rep.N + 1):
-            Xsum = Xsum + _g("X", j)
-        out = []
-        for i in range(1, rep.N + 1):
-            lhs = _commutator(_g("Dl", i), Xsum)
-            inner = _w([Gen("Dl", i), Gen("X", i)]) + OperatorExpr.one()
-            rhs = (1 - 1 / q) * (inner * _w(left_jm_inv(i)))
-            out.append(RelationInstance(f"Dsum[{i}]", lhs, rhs))
-        return out
+    def dsum(rep, i):
+        inner = _w([Gen("Dl", i), Gen("X", i)]) + OperatorExpr.one()
+        rhs = (1 - 1 / rep.params["q"]) * (inner * _w(left_jm_inv(i)))
+        return _commutator(_g("Dl", i), _gen_sum("X", rep.N)), rhs
 
     return [
         daha["R1"],
         daha["R2"],
         daha["R3"],
-        RelationSchema("TXT", _t_conjugation("TXT", "X")),
+        RelationSchema("TXT", _each("TXT", _t_conjugation("X"), 1, -1)),
         RelationSchema("TX-comm", _far_commuting("TX-comm", "T", "X")),
-        RelationSchema("TDT", tdt),
+        RelationSchema("TDT", _each("TDT", tdt, 1, -1)),
         RelationSchema("TD-comm", _far_commuting("TD-comm", "T", "Dl")),
         # the level-one X relations keep their DAHA instance names
         RelationSchema("XX", _commuting("R11", "X")),
         RelationSchema("DD", _commuting("DD", "Dl")),
         RelationSchema("XiDj", _pairwise("XiDj", xidj)),
         RelationSchema("DjXi", _pairwise("DjXi", djxi)),
-        RelationSchema("Dsum", dsum),
+        RelationSchema("Dsum", _each("Dsum", dsum, 1, 0)),
     ]
 
 
 def _lastrel_schemas():
     def lastrel(rep):
-        q = rep.params["q"]
         lhs = _w([Gen("Dl", 1), Gen("X", 1)]) + OperatorExpr.one()
-        rhs = q * (
+        rhs = rep.params["q"] * (
             _w(right_jm(1, rep.N))
             * (_w([Gen("X", 1), Gen("Dl", 1)]) + OperatorExpr.one())
         )
-        return [RelationInstance("lastrel", lhs, rhs)]
+        return lhs, rhs
 
-    return [RelationSchema("lastrel", lastrel)]
+    return [RelationSchema("lastrel", _one("lastrel", lastrel))]
 
 
-_CATALOGS = {
-    "daha": _daha_schemas,
-    "deg-daha": _deg_daha_schemas,
-    "deg-cyc": _deg_cyc_schemas,
-    "cyc-daha": _cyc_daha_schemas,
-    "l1": _l1_schemas,
-    "lastrel": _lastrel_schemas,
+# -- the family table --------------------------------------------------------------
+
+class Family(NamedTuple):
+    """What makes a relation family: schemas() lists its relation schemas,
+    rep is the representation family it acts in, level its fixed level
+    (None: any l >= 1, since at l = 0 every cyclotomic product is the empty
+    product 1 and the cyclotomic relations would hold vacuously), and phi
+    whether the involution covers it."""
+
+    schemas: object  # () -> list[RelationSchema]
+    rep: str
+    level: int | None
+    phi: bool
+
+
+# daha and deg-daha have no cyclotomic parameters; l1 and lastrel are
+# normalized to Z = (1,)
+FAMILIES = {
+    "daha": Family(_daha_schemas, FAMILY_DAHA, level=0, phi=False),
+    "deg-daha": Family(_deg_daha_schemas, FAMILY_DEG, level=0, phi=False),
+    "deg-cyc": Family(_deg_cyc_schemas, FAMILY_DEG, level=None, phi=True),
+    "cyc-daha": Family(_cyc_daha_schemas, FAMILY_DAHA, level=None, phi=True),
+    "l1": Family(_l1_schemas, FAMILY_DAHA, level=1, phi=True),
+    "lastrel": Family(_lastrel_schemas, FAMILY_DAHA, level=1, phi=False),
 }
 
-_FAMILY_REP = {
-    "daha": FAMILY_DAHA,
-    "deg-daha": FAMILY_DEG,
-    "deg-cyc": FAMILY_DEG,
-    "cyc-daha": FAMILY_DAHA,
-    "l1": FAMILY_DAHA,
-    "lastrel": FAMILY_DAHA,
-}
+
+def _family(name):
+    if name not in FAMILIES:
+        raise UnknownFamily(name)
+    return FAMILIES[name]
 
 
 def catalog(family):
     """The relation catalog for a named family."""
-    if family not in _CATALOGS:
-        raise UnknownFamily(family)
-    return RelationCatalog(family, _CATALOGS[family]())
+    return RelationCatalog(family, _family(family).schemas())
 
 
 def rep_family_for(family):
-    if family not in _FAMILY_REP:
-        raise UnknownFamily(family)
-    return _FAMILY_REP[family]
+    return _family(family).rep
 
 
 # -- generic-parameter representation samplers --------------------------------
-
-# The families whose level is fixed: daha and deg-daha have no cyclotomic
-# parameters, and l1 and lastrel are normalized to Z = (1,).  cyc-daha and
-# deg-cyc take any level l >= 1.
-FIXED_LEVEL = {"daha": 0, "deg-daha": 0, "l1": 1, "lastrel": 1}
-
 
 def sample_rep(family, N, l=0, seed=0):
     """A representation with generic parameters drawn deterministically: q
     and tb are no root of unity of order up to 24, and no ratio Z_i / Z_j is
     a power q^p with |p| <= 8."""
-    fixed = FIXED_LEVEL.get(family)
-    if fixed is not None and l != fixed:
-        raise ValueError(f"{family} has level {fixed}, got {l}")
-    # at l = 0 every cyclotomic product is the empty product 1, so the
-    # cyclotomic relations would hold vacuously
-    if family in ("cyc-daha", "deg-cyc") and l < 1:
+    fam = _family(family)
+    if fam.level is None and l < 1:
         raise ValueError(f"{family} needs level l >= 1, got {l}")
-    if family in ("daha", "cyc-daha", "l1", "lastrel"):
+    if fam.level is not None and l != fam.level:
+        raise ValueError(f"{family} has level {fam.level}, got {l}")
+    if fam.rep == FAMILY_DAHA:
         names = ["q", "tb"] + [f"Z{i}" for i in range(1, l + 1)]
         cons = [
             ("nonzero", "q"),
@@ -805,22 +703,20 @@ def sample_rep(family, N, l=0, seed=0):
             for j in range(i + 1, l + 1):
                 cons.append(("ratio_not_q_power", f"Z{i}", f"Z{j}", "q", 8))
         vals = sample_generic(names, cons, seed)
-        if family in ("l1", "lastrel"):
+        if fam.level == 1:
             # the level-one generators are normalized to Z_1 = 1
             Z = (Fraction(1),)
         else:
             Z = tuple(vals[f"Z{i}"] for i in range(1, l + 1))
         return Rep.daha(N, vals["q"], vals["tb"], Z)
-    if family in ("deg-daha", "deg-cyc"):
-        names = ["k"] + [f"z{i}" for i in range(1, l + 1)]
-        cons = [("nonzero", "k")]
-        for i in range(1, l + 1):
-            for j in range(i + 1, l + 1):
-                cons.append(("diff_not_integer", f"z{i}", f"z{j}", 0))
-        vals = sample_generic(names, cons, seed)
-        z = tuple(vals[f"z{i}"] for i in range(1, l + 1))
-        return Rep.degenerate(N, 1, vals["k"], z)
-    raise UnknownFamily(family)
+    names = ["k"] + [f"z{i}" for i in range(1, l + 1)]
+    cons = [("nonzero", "k")]
+    for i in range(1, l + 1):
+        for j in range(i + 1, l + 1):
+            cons.append(("diff_not_integer", f"z{i}", f"z{j}", 0))
+    vals = sample_generic(names, cons, seed)
+    z = tuple(vals[f"z{i}"] for i in range(1, l + 1))
+    return Rep.degenerate(N, 1, vals["k"], z)
 
 
 # -- batch verification --------------------------------------------------------
@@ -873,7 +769,7 @@ def _all_pass(results):
 
 # -- involutions ----------------------------------------------------------------
 
-def _phi_gen_map_cyc(rep):
+def _phi_daha(rep):
     """phi on the cyclotomic DAHA: X <-> D, T -> T^-1, Y -> q R(i) Y L(i)."""
     q = rep.params["q"]
     N = rep.N
@@ -898,7 +794,7 @@ def _phi_gen_map_cyc(rep):
     return image
 
 
-def _phi_gen_map_deg(rep):
+def _phi_deg(rep):
     """Degenerate involution: X <-> D, s fixed, and
 
         y_i -> y_i + hbar - k sum_{j>i} s_ij + k sum_{j<i} s_ij,
@@ -928,23 +824,21 @@ def _phi_gen_map_deg(rep):
     return image
 
 
-_PHI_MAPS = {
-    "cyc-daha": _phi_gen_map_cyc,
-    "l1": _phi_gen_map_cyc,
-    "deg-cyc": _phi_gen_map_deg,
+# phi on each representation family: its generator map at the parameters
+# of a representation, the representation it maps into, and the tags of the
+# generators phi^2 = id is checked on
+_PHI = {
+    FAMILY_DAHA: (
+        _phi_daha,
+        lambda rep: Rep.daha(rep.N, 1 / rep.params["q"], 1 / rep.params["tb"], rep.params["Z"]),
+        ("X", "Dl", "T", "Y"),
+    ),
+    FAMILY_DEG: (
+        _phi_deg,
+        lambda rep: Rep.degenerate(rep.N, -rep.params["hbar"], -rep.params["k"], rep.params["z"]),
+        ("X", "Dl", "y", "s"),
+    ),
 }
-
-
-def phi_param_transform(family, rep):
-    """The transformed representation phi maps into."""
-    if family in ("cyc-daha", "l1"):
-        q, tb = rep.params["q"], rep.params["tb"]
-        return Rep.daha(rep.N, 1 / q, 1 / tb, rep.params["Z"])
-    if family == "deg-cyc":
-        return Rep.degenerate(
-            rep.N, -rep.params["hbar"], -rep.params["k"], rep.params["z"]
-        )
-    raise UnknownFamily(family)
 
 
 def apply_gen_map(expr, gen_image):
@@ -965,11 +859,11 @@ def verify_involution(rep, family, box_radius=2):
     """Check that the involution maps every catalog relation to a relation
     holding in the parameter-transformed representation, and squares to the
     identity on the generators of its domain."""
-    if family not in ("cyc-daha", "deg-cyc", "l1"):
+    if not _family(family).phi:
         raise UnknownFamily(f"no involution catalog for {family}")
-    cat = catalog(family)
-    rep2 = phi_param_transform(family, rep)
-    gen_image2 = _PHI_MAPS[family](rep2)
+    phi, target, tags = _PHI[rep_family_for(family)]
+    rep2 = target(rep)
+    gen_image2 = phi(rep2)
     results = []
     # The involution is semilinear over the parameter inversion, so the
     # image of a relation instance built at the source parameters (its
@@ -978,30 +872,17 @@ def verify_involution(rep, family, box_radius=2):
     # Composite generator images (e.g. the conjugated Y_i) carry the target
     # parameter values, hence the map is built from rep2.
     # A generator outside the involution's domain raises ValueError.
-    for inst in cat.instances(rep):
+    for inst in catalog(family).instances(rep):
         lhs = apply_gen_map(inst.lhs, gen_image2)
         rhs = apply_gen_map(inst.rhs, gen_image2)
         r = op_equal_on_box(rep2, lhs, rhs, box_radius)
         results.append(_relation_entry(f"phi({inst.name})", r))
     # phi^2 = id on generators: source -> target uses target coefficients,
     # target -> source uses source coefficients
-    gen_image1 = _PHI_MAPS[family](rep)
-    domain_gens = []
-    if family in ("cyc-daha", "l1"):
-        domain_gens = (
-            [Gen("X", i) for i in range(1, rep.N + 1)]
-            + [Gen("Dl", i) for i in range(1, rep.N + 1)]
-            + [Gen("T", i) for i in range(1, rep.N)]
-            + [Gen("Y", i) for i in range(1, rep.N + 1)]
-        )
-    else:
-        domain_gens = (
-            [Gen("X", i) for i in range(1, rep.N + 1)]
-            + [Gen("Dl", i) for i in range(1, rep.N + 1)]
-            + [Gen("y", i) for i in range(1, rep.N + 1)]
-            + [Gen("s", i) for i in range(1, rep.N)]
-        )
-    for g in domain_gens:
+    gen_image1 = phi(rep)
+    for g in [Gen(tag, i) for tag in tags for i in range(1, rep.N + 1)]:
+        if not index_ok(g, rep.N):
+            continue
         once = apply_gen_map(OperatorExpr.word([g]), gen_image2)
         twice = apply_gen_map(once, gen_image1)
         r = op_equal_on_box(rep, twice, OperatorExpr.word([g]), box_radius)

@@ -379,9 +379,9 @@ def _check_level(ap, args, family):
     """--l of a family: a fixed-level family takes no other level, and
     args.l becomes that level when --l is not given.  The cyclotomic
     families need l >= 1; at l = 0 they pass vacuously."""
-    from .algebra import FIXED_LEVEL
+    from .algebra import FAMILIES
 
-    fixed = FIXED_LEVEL.get(family)
+    fixed = FAMILIES[family].level
     if fixed is None:
         if args.l is None:
             ap.error(f"--l must be given for {family} (at least 1)")
@@ -431,11 +431,11 @@ def _check_sweep_args(ap, args):
 
 def _check_generators(ap, args):
     """expr equal: every generator token names a tag of the family's table,
-    with an index of at most N (N - 1 for T, T^-1 and s, which act on X_i
-    and X_{i+1}).  A malformed expression raises ParseError (exit 2)."""
+    with an index the rank allows (ops.index_ok).  A malformed expression
+    raises ParseError (exit 2)."""
     from .algebra import rep_family_for
     from .exprparse import generator_tokens, parse_gen
-    from .ops import GENERATORS
+    from .ops import GENERATORS, index_ok
 
     table = GENERATORS[rep_family_for(args.family)]
     for flag, text in (("--lhs", args.lhs), ("--rhs", args.rhs)):
@@ -443,9 +443,8 @@ def _check_generators(ap, args):
             g = parse_gen(token)
             if g.tag not in table:
                 ap.error(f"{flag}: {token} is not a generator of {args.family}")
-            top = args.N - 1 if g.tag in ("T", "T^-1", "s") else args.N
-            if g.i > top:
-                ap.error(f"{flag}: {token} needs an index of at most {top} at N = {args.N}")
+            if not index_ok(g, args.N):
+                ap.error(f"{flag}: {token} has an index out of range at N = {args.N}")
 
 
 def _check_commute(ap, args):

@@ -6,8 +6,10 @@ coefficients are opaque here: any type with exact +, *, - and truthiness
 works.  LaurentPoly hands these functions its numerators (``nums``): ints
 over QQ, whose shared denominator it keeps itself, and the field elements
 over Q(zeta_l) (CycloNumber) and Q(t) (RatFunc1).  Field-valued dicts
-(Fraction values) work too, as the tests' references use them.  No
-function here reduces a content or ever stores a zero coefficient.
+(Fraction values) work too, as the tests' references use them.
+OperatorExpr adds, negates and scales its {word: coefficient} dicts with
+the same functions: the keys need only hash.  No function here reduces a
+content or ever stores a zero coefficient.
 """
 
 import operator

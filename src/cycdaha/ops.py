@@ -95,6 +95,7 @@ import weakref
 from random import Random
 from typing import NamedTuple
 
+from .kernel import terms_add, terms_neg, terms_scale, terms_sub
 from .laurent import LaurentPoly, _Table, split_powers
 from .scalars import QQ, CycloField, CycloNumber, field_of
 
@@ -125,16 +126,17 @@ class Gen(NamedTuple):
 class OperatorExpr:
     """Formal linear combination of words in generators.
 
-    terms: dict mapping word tuples to scalar coefficients.  Purely
-    syntactic; evaluation is linear and words compose right-to-left.  An
-    expression is immutable after construction (the operators build new
-    ones).  A product keeps its two factors (_factors = (left, right)) when
-    either is a sum of several words or a kept product, and so does a
-    nonzero scalar times a kept product; terms, == and repr expand it on
-    first use, exactly as the product of the expanded factors.  Rep.apply
-    evaluates a kept product factor by factor, and compiles any other
-    expression once, keeping the plan (see _compile) in _plan; a rep over
-    another coefficient field compiles it anew.
+    terms: dict mapping word tuples to nonzero scalar coefficients (a zero
+    scalar gives the zero expression).  Purely syntactic; evaluation is
+    linear and words compose right-to-left.  An expression is immutable
+    after construction (the operators build new ones).  A product keeps
+    its two factors (_factors = (left, right)) when either is a sum of
+    several words or a kept product, and so does a nonzero scalar times a
+    kept product; terms, == and repr expand it on first use, exactly as the
+    product of the expanded factors.  Rep.apply evaluates a kept product
+    factor by factor, and compiles any other expression once, keeping the
+    plan (see _compile) in _plan; a rep over another coefficient field
+    compiles it anew.
     """
 
     __slots__ = ("_terms", "_factors", "_plan")
@@ -162,7 +164,8 @@ class OperatorExpr:
 
     @classmethod
     def word(cls, gens, coeff=1):
-        return cls({tuple(gens): coeff})
+        """coeff times the word gens; zero when coeff is 0."""
+        return cls({tuple(gens): coeff} if coeff else None)
 
     @classmethod
     def gen(cls, tag, i=0, j=0):
@@ -170,7 +173,7 @@ class OperatorExpr:
 
     @classmethod
     def scalar(cls, c):
-        return cls({(): c})
+        return cls.word((), c)
 
     @classmethod
     def one(cls):
@@ -183,25 +186,17 @@ class OperatorExpr:
     def __add__(self, other):
         if not isinstance(other, OperatorExpr):
             other = OperatorExpr.scalar(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return OperatorExpr(out)
+        return OperatorExpr(terms_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return OperatorExpr({w: -c for w, c in self.terms.items()})
+        return OperatorExpr(terms_neg(self.terms))
 
     def __sub__(self, other):
         if not isinstance(other, OperatorExpr):
             other = OperatorExpr.scalar(other)
-        return self + (-other)
+        return OperatorExpr(terms_sub(self.terms, other.terms))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -211,7 +206,7 @@ class OperatorExpr:
         if not isinstance(other, OperatorExpr):
             if other and self._factors is not None:
                 return OperatorExpr(factors=(self, OperatorExpr.scalar(other)))
-            return OperatorExpr({w: c * other for w, c in self.terms.items()})
+            return OperatorExpr(terms_scale(self.terms, other))
         if any(e._factors is not None or len(e._terms) > 1 for e in (self, other)):
             return OperatorExpr(factors=(self, other))
         return OperatorExpr(_word_products(self._terms, other._terms))
@@ -220,7 +215,7 @@ class OperatorExpr:
         # scalar * expr
         if other and self._factors is not None:
             return OperatorExpr(factors=(OperatorExpr.scalar(other), self))
-        return OperatorExpr({w: other * c for w, c in self.terms.items()})
+        return OperatorExpr(terms_scale(self.terms, other))
 
     def __pow__(self, n):
         """self to a power n, an int >= 0; any other exponent raises
@@ -433,6 +428,8 @@ class Rep:
         the slot kept on the rep makes no reference cycle."""
         if not self.valid_gen(g):
             raise FamilyMismatch(f"{g!r} not available in family {self.family!r}")
+        if not index_ok(g, self.N):
+            raise ValueError(f"index i={g.i}, j={g.j} of {g.tag} is out of range at N = {self.N}")
         action, N, dom, one = self._actions[g.tag], self.N, self.dom, self._one
         rep = weakref.ref(self)
 
@@ -613,6 +610,24 @@ _SHARED = {
 
 def _sij(rep, g, p):
     return p.swap(g.i, g.j)
+
+
+# the tags that take no index, and those of T_i, T_i^-1 and s_i, which act on
+# X_i and X_{i+1}
+_NO_INDEX = ("omega", "omega^-1", "pi", "pi^-1", "pi-", "s0")
+_ADJACENT = ("T", "T^-1", "s")
+
+
+def index_ok(g, N):
+    """Whether the indices of g name variables at rank N: none for omega,
+    pi, pi_- and s_0 (and the inverses); 1 <= i < N for T, T^-1 and s; two
+    indices 1 <= i, j <= N for sij (s_ii is the identity, as in
+    s_0 = s_1N X_1^-1 X_N at N = 1); 1 <= i <= N and no j otherwise."""
+    if g.tag in _NO_INDEX:
+        return g.i == g.j == 0
+    if g.tag == "sij":
+        return 1 <= g.i <= N and 1 <= g.j <= N
+    return 1 <= g.i <= (N - 1 if g.tag in _ADJACENT else N) and g.j == 0
 
 
 GENERATORS = {

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from cycdaha.algebra import (
-    _PHI_MAPS,
-    FIXED_LEVEL,
+    _PHI,
+    FAMILIES,
     UnknownFamily,
     apply_gen_map,
     basis_monomials,
@@ -14,7 +14,6 @@ from cycdaha.algebra import (
     cd11_instance,
     independence_check,
     jucys_murphy_consistency,
-    phi_param_transform,
     sample_rep,
     verify_family,
     verify_involution,
@@ -182,20 +181,22 @@ def test_involution_rejects_a_relation_outside_its_domain(monkeypatch):
     pi = OperatorExpr.gen("pi")
     schema = algebra.RelationSchema(
         "outside", lambda rep: [algebra.RelationInstance("pi = pi", pi, pi)])
-    monkeypatch.setitem(algebra._CATALOGS, "cyc-daha", lambda: [schema])
+    monkeypatch.setitem(algebra.FAMILIES, "cyc-daha",
+                        algebra.FAMILIES["cyc-daha"]._replace(schemas=lambda: [schema]))
     with pytest.raises(ValueError, match="outside the involution domain"):
         verify_involution(sample_rep("cyc-daha", 2, 1, seed=3), "cyc-daha")
 
 
 def test_phi_involution_images():
     rep = sample_rep("cyc-daha", 2, 1, seed=3)
-    rep2 = phi_param_transform("cyc-daha", rep)
+    gen_map, target, _ = _PHI[rep.family]
+    rep2 = target(rep)
     assert rep2.params["q"] == 1 / rep.params["q"]
-    phi = _PHI_MAPS["cyc-daha"](rep)
+    phi = gen_map(rep)
     assert apply_gen_map(OperatorExpr.gen("X", 1), phi) == OperatorExpr.gen("Dl", 1)
     # phi(phi(T_1)) = T_1 syntactically
     timg = apply_gen_map(OperatorExpr.gen("T", 1), phi)
-    t2 = apply_gen_map(timg, _PHI_MAPS["cyc-daha"](rep2))
+    t2 = apply_gen_map(timg, gen_map(rep2))
     assert t2 == OperatorExpr.gen("T", 1)
 
 
@@ -302,8 +303,8 @@ def catalog_fingerprint():
                 count += 1
                 h.update(repr((family, N, l, inst.name, _terms(inst.lhs),
                                _terms(inst.rhs))).encode())
-                if family in ("cyc-daha", "l1", "deg-cyc"):
-                    img = apply_gen_map(inst.lhs, _PHI_MAPS[family](rep))
+                if FAMILIES[family].phi:
+                    img = apply_gen_map(inst.lhs, _PHI[rep.family][0](rep))
                     h.update(repr(_terms(img)).encode())
             if family == "cyc-daha":
                 inst = cd11_instance(rep)
@@ -356,7 +357,8 @@ def test_every_relation_scaled_by_8_7_fails(family):
     instance at N = 2, 3 (levels 1 and 2 where the level is free) fails on
     the box of every radius B = 1, 2, 3, so a pass of the unscaled
     relation is not vacuous."""
-    levels = [FIXED_LEVEL[family]] if family in FIXED_LEVEL else [1, 2]
+    level = FAMILIES[family].level
+    levels = [1, 2] if level is None else [level]
     checked = 0
     for N in (2, 3):
         for l in levels:

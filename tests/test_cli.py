@@ -345,6 +345,23 @@ def _leaf_parsers(parser, path=()):
             yield from _leaf_parsers(sub, (*path, name))
 
 
+def test_family_choices_follow_the_family_table():
+    # the parser lists the families literally (importing algebra at parse
+    # time would slow every command), so they must match algebra.FAMILIES
+    from cycdaha.algebra import FAMILIES
+    from cycdaha.cli import build_parser
+
+    leaves = {" ".join(path): sub for path, sub in _leaf_parsers(build_parser())}
+
+    def choices(command):
+        (action,) = [a for a in leaves[command]._actions if a.dest == "family"]
+        return list(action.choices)
+
+    assert choices("relations verify") == list(FAMILIES)
+    assert sorted(choices("relations involution")) == sorted(
+        name for name, family in FAMILIES.items() if family.phi)
+
+
 def test_config_echoes_every_flag_but_out(capsys, monkeypatch):
     # config is derived from the parser: command plus every flag but --out,
     # so a new flag cannot be left out of it

@@ -13,6 +13,7 @@ from cycdaha.ops import (
     OperatorExpr,
     Rep,
     box_monomials,
+    index_ok,
     op_equal_on_box,
     op_equal_randomized,
     word_product,
@@ -100,6 +101,16 @@ def test_operator_power_takes_only_ints_at_least_zero():
             T1 ** n
     assert T1 ** 0 == OperatorExpr.one() and T1 ** 2 == T1 * T1
     assert not op_equal_on_box(daha_rep(2), T1 * T1, OperatorExpr.one(), 1)["result"]
+
+
+def test_a_zero_scalar_gives_the_zero_expression():
+    """0 * e and e * 0 keep no word with coefficient 0, also for a kept
+    product, and so does y_f of the zero polynomial."""
+    from cycdaha.macdonald import y_f
+
+    e = OperatorExpr.gen("T", 1) + OperatorExpr.gen("X", 2)
+    for zero in (0 * e, e * 0, 0 * (e * e), (e * e) * 0, y_f(daha_rep(2), 1, [0])):
+        assert not zero and zero == OperatorExpr.zero() and repr(zero) == "0"
 
 
 def test_rational_dunkl_commutativity():
@@ -392,6 +403,28 @@ def test_family_mismatch_raises_every_time_and_leaves_no_cache():
         with pytest.raises(FamilyMismatch):
             r.apply_gen(g, r.var(1))
         assert g not in r._cache and Gen("s", 1) in r._cache
+
+
+def test_generator_indices_outside_the_rank_raise():
+    """An index the rank does not have raises ValueError on every call:
+    X_0 used to act as X_N and T_0 on (X_N, X_1), while T_N, X_{N+1} and
+    s_N raised IndexError or KeyError.  s_0 = s_1N X_1^-1 X_N is the
+    identity at N = 1, where s_1N = s_11."""
+    rep = daha_rep(3)
+    repd = Rep.degenerate(3, 1, Fraction(1, 2))
+    cases = [(rep, Gen(tag, i)) for tag, i in (("X", 0), ("T", 0), ("T", 3), ("X", 4),
+                                                ("s", 3), ("omega", 1), ("Y", 4))]
+    cases += [(repd, g) for g in (Gen("sij", 0, 2), Gen("sij", 1, 4), Gen("s0", 1))]
+    for r, g in cases:
+        assert not index_ok(g, 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                r.apply_gen(g, r.var(1))
+    assert [index_ok(Gen(tag, i), 3) for tag in ("T", "X") for i in (1, 2, 3)] == [
+        True, True, False, True, True, True]
+    assert index_ok(Gen("pi-"), 3) and index_ok(Gen("sij", 1, 3), 3)
+    rep1 = Rep.degenerate(1, 1, Fraction(1, 2))
+    assert rep1.apply_gen(Gen("s0"), rep1.var(1)) == rep1.var(1)
 
 
 def test_field_follows_the_parameters():
@@ -739,9 +772,10 @@ def _draw_expr(data, rep, special, gens, depth):
         return a ** n, ref
     if op in ("lscale", "rscale"):
         c = data.draw(scalars)
+        # a zero scalar gives the zero expression
         if op == "lscale":
-            return c * a, {w: c * v for w, v in ra.items()}
-        return a * c, {w: v * c for w, v in ra.items()}
+            return c * a, {w: c * v for w, v in ra.items() if c}
+        return a * c, {w: v * c for w, v in ra.items() if c}
     b, rb = _draw_expr(data, rep, special, gens, depth - 1)
     if op == "mul":
         return a * b, _reference_product(ra, rb)

@@ -1,7 +1,8 @@
 """Repository hygiene: git tracks no file that .gitignore excludes (generated
 or stale), every name a module imports is used in it, every function, class
-and method in src/ is reached from the acceptance battery or the CLI, and
-every exception class in src/ is raised there and tested on its own."""
+and method in src/ is reached from the acceptance battery or the CLI,
+every exception class in src/ is raised there and tested on its own, and
+README's Layout block names every module."""
 
 import ast
 import builtins
@@ -28,6 +29,17 @@ def test_no_tracked_file_is_ignored():
         capture_output=True, text=True, check=True,
     )
     assert listed.stdout == "", "tracked but ignored:\n" + listed.stdout
+
+
+def test_readme_layout_names_every_module():
+    """The Layout block of README.md names exactly the modules of
+    src/cycdaha/ (the package __init__ aside)."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Layout", 1)[1].split("```", 2)[1]
+    named = {line.split()[0] for line in block.splitlines()
+             if line.strip() and line.split()[0].endswith(".py")}
+    modules = {path.name for path in (ROOT / "src" / "cycdaha").glob("*.py")}
+    assert named == modules - {"__init__.py"}
 
 
 def _unused_imports(path):
