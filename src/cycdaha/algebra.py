@@ -721,16 +721,20 @@ def sample_rep(family, N, l=0, seed=0):
 
 # -- batch verification --------------------------------------------------------
 
+def _check_rep_family(rep, family):
+    if rep.family != rep_family_for(family):
+        raise ValueError(
+            f"representation family {rep.family!r} incompatible with {family!r}"
+        )
+
+
 def verify_family(rep, family, mode="box", box_radius=3, trials=30, seed=0):
     """Check every relation instance of the family in the given representation.
 
     Returns a report dict; failures are data (status fields), not errors.
     """
     cat = catalog(family)
-    if rep.family != rep_family_for(family):
-        raise ValueError(
-            f"representation family {rep.family!r} incompatible with {family!r}"
-        )
+    _check_rep_family(rep, family)
     results = []
     rng = Random(seed)
     for inst in cat.instances(rep):
@@ -861,7 +865,8 @@ def verify_involution(rep, family, box_radius=2):
     identity on the generators of its domain."""
     if not _family(family).phi:
         raise UnknownFamily(f"no involution catalog for {family}")
-    phi, target, tags = _PHI[rep_family_for(family)]
+    _check_rep_family(rep, family)
+    phi, target, tags = _PHI[rep.family]
     rep2 = target(rep)
     gen_image2 = phi(rep2)
     results = []

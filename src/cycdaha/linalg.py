@@ -136,15 +136,15 @@ def _int_sparse(nums):
     return ({c: v for c, v in enumerate(r) if v} for r in nums)
 
 
-def row_echelon(rows, ncols, ints=False):
+def row_echelon(rows, ncols):
     """Reduced row echelon form; returns (rank, pivot_cols, rows).
 
     rows: iterable of coefficient sequences.  Rational rows (ints or
-    Fractions) take the sparse integer elimination and come back as
-    Fractions, or with ints as its primitive integer rows (row i over its
-    pivot entry, which is positive, is the reduced row); any other exact
-    field eliminates with x / x as its unit, x the first nonzero entry.
-    That entry also tells the two apart.
+    Fractions) take the sparse integer elimination and come back as its
+    primitive int rows: row i over its pivot entry, which is positive, is
+    the reduced row.  Any other exact field eliminates with x / x as its
+    unit, x the first nonzero entry, and returns the reduced rows.  That
+    entry also tells the two apart.
     """
     rows = [r for r in rows if any(r)]
     if not rows:
@@ -156,21 +156,15 @@ def row_echelon(rows, ncols, ints=False):
     pivots = sorted(kept)
     ech = []
     for p in pivots:
-        row = kept[p]
-        if ints:
-            dense = [0] * ncols
-            for c, v in row.items():
-                dense[c] = v
-        else:
-            dense = [Fraction(0)] * ncols
-            for c, v in row.items():
-                dense[c] = Fraction(v, row[p])
+        dense = [0] * ncols
+        for c, v in kept[p].items():
+            dense[c] = v
         ech.append(dense)
     return len(pivots), pivots, ech
 
 
 def matrix_rank(rows, ncols):
-    return row_echelon(rows, ncols, ints=True)[0]
+    return row_echelon(rows, ncols)[0]
 
 
 def nullspace(rows, ncols):
@@ -181,7 +175,7 @@ def nullspace(rows, ncols):
     read off the integer echelon only at the free columns; with no nonzero
     row the basis is the standard one, over Fraction.
     """
-    rank, pivots, ech = row_echelon(rows, ncols, ints=True)
+    rank, pivots, ech = row_echelon(rows, ncols)
     integral = not ech or type(ech[0][pivots[0]]) is int
     if integral:
         zero, one = Fraction(0), Fraction(1)

@@ -399,9 +399,6 @@ class Rep:
     def monomial(self, exps, c=1):
         return LaurentPoly.monomial(self.N, exps, c, self.dom)
 
-    def valid_gen(self, g):
-        return g.tag in self._actions
-
     # -- application --------------------------------------------------------
 
     def apply_gen(self, g, p):
@@ -426,7 +423,7 @@ class Rep:
         """The image cache of g and its fresh-image function, bound once per
         (rep, g).  The function reaches the rep through a weak reference, so
         the slot kept on the rep makes no reference cycle."""
-        if not self.valid_gen(g):
+        if g.tag not in self._actions:
             raise FamilyMismatch(f"{g!r} not available in family {self.family!r}")
         if not index_ok(g, self.N):
             raise ValueError(f"index i={g.i}, j={g.j} of {g.tag} is out of range at N = {self.N}")

@@ -389,22 +389,10 @@ def freeness_numerator(dims, N):
     A negative coefficient obstructs freeness over the symmetric
     polynomials.
     """
-    poly = [1]
+    numer = list(dims)
     for i in range(1, N + 1):
-        new = [0] * (len(poly) + i)
-        for d, c in enumerate(poly):
-            new[d] += c
-            new[d + i] -= c
-        poly = new
-    numer = [0] * len(dims)
-    for k in range(len(dims)):
-        acc = 0
-        for d, c in enumerate(poly):
-            if d > k:
-                break
-            if c:
-                acc += c * dims[k - d]
-        numer[k] = acc
+        for k in range(len(numer) - 1, i - 1, -1):
+            numer[k] -= numer[k - i]
     return numer, any(c < 0 for c in numer)
 
 

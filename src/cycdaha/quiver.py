@@ -111,15 +111,11 @@ class Quadruple:
         }
 
 
-def _eye(N):
-    return Matrix.identity(N)
-
-
 def check_point(p):
     """Exact residuals of the chain and closing equations; also reports
     whether T lies in the special conjugacy class diag(t^-1,..,t^-1,t^(N-1))."""
     residuals = []
-    I = _eye(p.N)
+    I = Matrix.identity(p.N)
     for i in range(1, p.l):
         # Z_{i+1}(1 + X_{i+1} D_{i+1}) = Z_i (1 + D_i X_i), 0-based i
         lhs = (I + p.X[i] * p.D[i]) * p.Z[i]
@@ -143,14 +139,14 @@ def psi(p):
     """
     if not check_point(p)["certified"]:
         raise UncertifiedInput("psi needs a certified point")
-    X = _eye(p.N)
+    X = Matrix.identity(p.N)
     for m in p.X:
         X = X * m
     # D_l ... D_1 with D_l leftmost
     D = p.D[p.l - 1]
     for i in range(p.l - 2, -1, -1):
         D = D * p.D[i]
-    Y = (_eye(p.N) + p.X[0] * p.D[0]) * p.Z[0]
+    Y = (Matrix.identity(p.N) + p.X[0] * p.D[0]) * p.Z[0]
     quad = Quadruple(p.l, p.N, p.Z, p.t, X, D, Y, p.T)
     rep = check_quadruple(quad)
     if not rep["certified"]:
@@ -160,7 +156,7 @@ def psi(p):
 
 def check_quadruple(q):
     """Exact residuals of the quadruple equations and invertibility of Y."""
-    I = _eye(q.N)
+    I = Matrix.identity(q.N)
     prod_plus = I
     prod_minus = I
     for z in q.Z:
@@ -189,7 +185,7 @@ def product_formulas(p):
     """L_+ = Z_1...Z_l X D = prod (Y - Z_i) and
     L_- = Z_1...Z_l D X = prod (Y T - Z_i), checked exactly."""
     quad = psi(p)
-    I = _eye(p.N)
+    I = Matrix.identity(p.N)
     zprod = Fraction(1)
     for z in p.Z:
         zprod *= z
@@ -219,7 +215,7 @@ def sample_chain(l, N, Z, seed, max_attempts=200):
     if len(Z) != l or any(z == 0 for z in Z):
         raise ValueError("need l nonzero scalars Z")
     rng = Random(seed)
-    I = _eye(N)
+    I = Matrix.identity(N)
     for _ in range(max_attempts):
         X = [Matrix.random(rng, N, N) for _ in range(l)]
         if any(not m.is_invertible() for m in X):
@@ -247,7 +243,7 @@ def lift_open_locus(q):
         raise UncertifiedInput("lift needs a certified quadruple")
     if not q.X.is_invertible():
         raise XNotInvertible("the open-locus lift needs invertible X")
-    I = _eye(q.N)
+    I = Matrix.identity(q.N)
     X = [I for _ in range(q.l - 1)] + [q.X]
     D = [q.Y * (1 / q.Z[i]) - I for i in range(q.l - 1)]
     D.append(q.X.inverse() * (q.Y * (1 / q.Z[q.l - 1]) - I))
@@ -277,7 +273,7 @@ def irreducibility_check(q):
     witness = None
     if not irreducible:
         for lam in rational_eigenvalues(q.Y):
-            for v in (q.Y - _eye(q.N) * lam).kernel().T.rows:
+            for v in (q.Y - Matrix.identity(q.N) * lam).kernel().T.rows:
                 closure = span_closure([Matrix.column(v)], gens)
                 if 0 < len(closure) < q.N:
                     witness = [c.to_json() for c in closure]
@@ -294,8 +290,8 @@ def vdb_moment(X, Y):
     """Group-valued moment map ((1 + YX)^-1, 1 + XY) of a pair
     X: V -> W, Y: W -> V with det(1 + XY) != 0."""
     # X: V -> W is a (dim W x dim V) matrix; YX acts on V, XY on W
-    one_plus_yx = _eye(X.n) + Y * X
-    one_plus_xy = _eye(X.m) + X * Y
+    one_plus_yx = Matrix.identity(X.n) + Y * X
+    one_plus_xy = Matrix.identity(X.m) + X * Y
     if not one_plus_xy.is_invertible() or not one_plus_yx.is_invertible():
         raise SingularFactor("1 + XY must be invertible")
     return one_plus_yx.inverse(), one_plus_xy
@@ -308,7 +304,7 @@ def telescoped_framing(framing_pairs):
     if not framing_pairs:
         raise ValueError("need at least one framing pair")
     n = framing_pairs[0][0].m
-    I = _eye(n)
+    I = Matrix.identity(n)
     prefix = I
     tilded = []
     for a, b in framing_pairs:

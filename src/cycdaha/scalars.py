@@ -8,9 +8,14 @@ Three fields are supported as coefficient domains for Laurent polynomials:
                  fraction-free: phi(l) int numerators over one positive int
                  den (CycloNumber).  Phi_l is monic with int coefficients,
                  so products are int convolutions folded back with a table
-                 of zeta^k mod Phi_l; only the inverse runs on Fractions;
+                 of zeta^k mod Phi_l, and an inverse is the product of the
+                 other Galois conjugates over the rational norm;
 * RatFuncField -- univariate rational functions Q(t) in one named
-                  parameter, stored gcd-reduced with monic denominator.
+                  parameter, stored as a coprime pair of int polynomials
+                  with no common integer factor (RatFunc1).
+
+All three rest on one core of dense int polynomials: poly_add, poly_mul,
+poly_primitive, the pseudo-remainder poly_prem, poly_gcd and poly_exact_div.
 
 Plus deterministic "generic parameter" sampling with explicit excluded-value
 constraints, re-checked exactly after sampling.
@@ -48,82 +53,78 @@ def format_rational(x):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction (helpers for RatFunc1, the
-# cyclotomic polynomials and CycloNumber.inverse).  Coefficient lists are
-# low-degree first with no trailing zeros; [] is the zero polynomial.
+# dense univariate polynomials over the ints, low-degree first; [] is zero.
+# Trimmed input (no trailing zeros) gives trimmed output.
 
-def poly_trim(c):
-    c = list(c)
+def _trim(c):
     while c and not c[-1]:
         c.pop()
     return c
 
 
 def poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return poly_trim(out)
-
-
-def poly_neg(a):
-    return [-x for x in a]
-
-
-def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
 
 def poly_mul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = [Fraction(x) for x in a]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
-    while len(a) >= len(b) and poly_trim(a):
-        a = poly_trim(a)
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        c = a[-1] / lead
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-        a = a[:-1]
-    return poly_trim(q), poly_trim(a)
+def poly_primitive(a):
+    """a over the gcd of its coefficients, with a positive leading coefficient."""
+    if not a:
+        return []
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return [c // g for c in a]
+
+
+def poly_prem(a, b):
+    """A pseudo-remainder of a by b: the remainder of lead(b)^e a for some
+    e >= 0, computed over the ints."""
+    r, n, lead = list(a), len(b), b[-1]
+    while len(r) >= n:
+        c, k = r.pop(), len(r) - n + 1
+        r = [lead * x for x in r]
+        for i, y in enumerate(b[:-1]):
+            r[k + i] -= c * y
+        _trim(r)
+    return r
 
 
 def poly_gcd(a, b):
-    a, b = poly_trim(a), poly_trim(b)
+    """The gcd of a and b in Q[x] as a primitive int polynomial with a
+    positive leading coefficient: Euclid on primitive pseudo-remainders."""
+    a, b = poly_primitive(a), poly_primitive(b)
     while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
+        a, b = b, poly_primitive(poly_prem(a, b))
     return a
+
+
+def poly_exact_div(a, b):
+    """The quotient a / b over the ints; a remainder raises ArithmeticError.
+    By Gauss's lemma, a primitive b dividing a in Q[x] divides it over Z."""
+    r, n = list(a), len(b)
+    q = [0] * (len(r) - n + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + n - 1] // b[-1]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and Q(zeta_l)
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
 
 _CYCLO_CACHE = {}
 
@@ -134,13 +135,11 @@ def cyclotomic_polynomial(l):
         return _CYCLO_CACHE[l]
     if l < 1:
         raise ValueError(f"cyclotomic order must be at least 1, got {l}")
-    # x^l - 1 divided by the product of Phi_d for proper divisors d
-    num = [Fraction(-1)] + [Fraction(0)] * (l - 1) + [Fraction(1)]
-    for d in _divisors(l):
-        if d == l:
-            continue
-        num, rem = poly_divmod(num, cyclotomic_polynomial(d))
-        assert not rem
+    # x^l - 1 divided exactly by the monic Phi_d of the proper divisors d
+    num = [-1] + [0] * (l - 1) + [1]
+    for d in range(1, l):
+        if l % d == 0:
+            num = poly_exact_div(num, cyclotomic_polynomial(d))
     _CYCLO_CACHE[l] = num
     return num
 
@@ -160,7 +159,7 @@ def _zeta_rows(l, top):
         poly = cyclotomic_polynomial(l)
         # Phi_l = c_0 + ... + c_{phi-1} zeta^(phi-1) + zeta^phi = 0
         entry = _ZETA_ROWS[l] = (
-            len(poly) - 1, [tuple((i, -int(c)) for i, c in enumerate(poly[:-1]) if c)])
+            len(poly) - 1, [tuple((i, -c) for i, c in enumerate(poly[:-1]) if c)])
     phi, rows = entry
     while phi + len(rows) <= top:
         first, prev = rows[0], rows[-1]
@@ -202,6 +201,13 @@ def _zeta_powers(l):
     return entry
 
 
+def _int_poly(coeffs):
+    """Rational coefficients as (ints, m), m > 0 their common denominator."""
+    fr = [Fraction(c) for c in coeffs]
+    m = math.lcm(*[c.denominator for c in fr])
+    return [c.numerator * (m // c.denominator) for c in fr], m
+
+
 def _canon(nums, den):
     """nums/den with den and the numerators divided by their gcd, as
     (tuple, den); den is a positive int, and zero comes out as 0/1."""
@@ -225,12 +231,7 @@ def _mul(a, b):
     x, y = a.nums, b.nums
     if len(x) == 1:
         return _cyclo(a.l, (x[0] * y[0],), a.den * b.den)
-    conv = [0] * (2 * len(x) - 1)
-    for i, u in enumerate(x):
-        if u:
-            for j, v in enumerate(y):
-                conv[i + j] += u * v
-    return _cyclo(a.l, _fold(a.l, conv), a.den * b.den)
+    return _cyclo(a.l, _fold(a.l, poly_mul(x, y)), a.den * b.den)
 
 
 def _add(a, b, sign=1):
@@ -249,8 +250,8 @@ class CycloNumber:
     ``nums`` is a tuple of phi ints and ``den`` one positive int, with
     gcd(den, *nums) == 1, so the element is sum_i nums[i]/den z^i and ==
     compares (nums, den).  A product is an int convolution folded back with
-    the table of z^k mod Phi_l (_zeta_rows); only ``inverse`` runs on
-    Fractions.  ``coeffs`` is the read-only tuple of the Fraction
+    the table of z^k mod Phi_l (_zeta_rows), and so is each factor of an
+    inverse.  ``coeffs`` is the read-only tuple of the Fraction
     coefficients.  The constructor takes any list of rationals, reduces it
     mod Phi_l and pads it to phi entries.
     """
@@ -258,11 +259,9 @@ class CycloNumber:
     __slots__ = ("l", "nums", "den")
 
     def __init__(self, l, coeffs):
-        fr = [Fraction(c) for c in coeffs]
-        den = math.lcm(*[c.denominator for c in fr])
+        nums, den = _int_poly(coeffs)
         self.l = l
-        self.nums, self.den = _canon(
-            _fold(l, [c.numerator * (den // c.denominator) for c in fr]), den)
+        self.nums, self.den = _canon(_fold(l, nums), den)
 
     @property
     def coeffs(self):
@@ -322,26 +321,28 @@ class CycloNumber:
 
     def inverse(self):
         """Inverse mod Phi_l: z^-k = z^(l-k) for a power of z (read off
-        _zeta_powers), the extended Euclidean algorithm on the Fraction
-        coefficients otherwise."""
+        _zeta_powers), c / N(a) otherwise, with c the product of the other
+        Galois conjugates z -> z^k (k prime to l) and N(a) = a c rational."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        l = self.l
         if self.den == 1:
-            powers, index = _zeta_powers(self.l)
+            powers, index = _zeta_powers(l)
             k = index.get(self.nums)
             if k is not None:
                 return powers[-k]  # z^-k = z^(l-k)
-        phi = cyclotomic_polynomial(self.l)
-        r0, r1 = phi, poly_trim(self.coeffs)
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        # r1 is a nonzero constant
-        c = r1[0]
-        inv = [x / c for x in s1]
-        return CycloNumber(self.l, inv)
+        c = CycloNumber.from_rational(l, 1)
+        for k in range(2, l):
+            if math.gcd(k, l) == 1:
+                conj = [0] * l
+                for i, n in enumerate(self.nums):
+                    conj[i * k % l] += n
+                c = _mul(c, _cyclo(l, _fold(l, conj), self.den))
+        norm = _mul(self, c)
+        n, d = norm.nums[0], norm.den  # N(a) = n / d
+        if n < 0:
+            n, d = -n, -d
+        return _cyclo(l, [x * d for x in c.nums], c.den * n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -399,34 +400,49 @@ class CycloNumber:
 # ---------------------------------------------------------------------------
 # univariate rational functions
 
+def _canonical(num, den):
+    """num/den from int lists, den nonzero, as (num, den) tuples: both
+    divided by their gcd in Q[x] and then by the gcd of all their
+    coefficients, with the sign that makes the leading coefficient of den
+    positive."""
+    _trim(num)
+    _trim(den)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return (), (1,)
+    if len(num) > 1 and len(den) > 1:
+        g = poly_gcd(num, den)
+        if len(g) > 1:
+            num, den = poly_exact_div(num, g), poly_exact_div(den, g)
+    p = poly_primitive(num + den)  # makes the leading coefficient of den positive
+    return tuple(p[:len(num)]), tuple(p[len(num):])
+
+
+def _ratfunc(var, num, den):
+    x = object.__new__(RatFunc1)
+    x.var = var
+    x.num, x.den = _canonical(num, den)
+    return x
+
+
 class RatFunc1:
-    """Rational function in one named parameter over Q, stored reduced."""
+    """Rational function in one named parameter over Q.
+
+    Stored fraction-free, as CycloNumber is: ``num`` and ``den`` are int
+    tuples, low-degree first, coprime in Q[x], with no common integer factor
+    and a positive leading coefficient of ``den`` (zero is () / (1,)).  That
+    form is canonical, so == and hash compare it; ``to_json`` and ``repr``
+    show the Fraction form over a monic denominator.
+    """
 
     __slots__ = ("var", "num", "den")
 
-    def __init__(self, var, num, den=(Fraction(1),), _reduced=False):
+    def __init__(self, var, num, den=(1,)):
+        """num / den from any lists of rationals."""
+        ints, _ = _int_poly([*num, *den])
         self.var = var
-        if _reduced:
-            self.num = tuple(num)
-            self.den = tuple(den)
-            return
-        num = poly_trim([Fraction(c) for c in num])
-        den = poly_trim([Fraction(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = poly_gcd(num, den)
-            if len(g) > 1:
-                num = poly_divmod(num, g)[0]
-                den = poly_divmod(den, g)[0]
-        else:
-            den = [Fraction(1)]
-        lead = den[-1]
-        if lead != 1:
-            num = [c / lead for c in num]
-            den = [c / lead for c in den]
-        self.num = tuple(num)
-        self.den = tuple(den)
+        self.num, self.den = _canonical(ints[:len(num)], ints[len(num):])
 
     @classmethod
     def variable(cls, var):
@@ -434,7 +450,8 @@ class RatFunc1:
 
     @classmethod
     def const(cls, var, x):
-        return cls(var, [Fraction(x)])
+        n, d = (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
+        return _ratfunc(var, [n], [d])
 
     def _coerce(self, other):
         if isinstance(other, RatFunc1):
@@ -449,13 +466,15 @@ class RatFunc1:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den))
-        return RatFunc1(self.var, num, poly_mul(self.den, o.den))
+        return _ratfunc(self.var, poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
+                        poly_mul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc1(self.var, [-c for c in self.num], self.den, _reduced=True)
+        x = object.__new__(RatFunc1)
+        x.var, x.num, x.den = self.var, tuple(-c for c in self.num), self.den
+        return x
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -470,7 +489,7 @@ class RatFunc1:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc1(self.var, poly_mul(self.num, o.num), poly_mul(self.den, o.den))
+        return _ratfunc(self.var, poly_mul(self.num, o.num), poly_mul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -480,7 +499,7 @@ class RatFunc1:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc1(self.var, poly_mul(self.num, o.den), poly_mul(self.den, o.num))
+        return _ratfunc(self.var, poly_mul(self.num, o.den), poly_mul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -512,11 +531,17 @@ class RatFunc1:
     def __hash__(self):
         return hash((self.var, self.num, self.den))
 
+    def _monic(self):
+        """(num, den) as Fraction lists over the leading coefficient of den."""
+        lead = self.den[-1]
+        return [Fraction(c, lead) for c in self.num], [Fraction(c, lead) for c in self.den]
+
     def to_json(self):
+        num, den = self._monic()
         return {
             "var": self.var,
-            "num": [format_rational(c) for c in self.num],
-            "den": [format_rational(c) for c in self.den],
+            "num": [format_rational(c) for c in num],
+            "den": [format_rational(c) for c in den],
         }
 
     @classmethod
@@ -528,7 +553,8 @@ class RatFunc1:
         )
 
     def __repr__(self):
-        return f"RatFunc1({self.var!r}, {list(self.num)}, {list(self.den)})"
+        num, den = self._monic()
+        return f"RatFunc1({self.var!r}, {num}, {den})"
 
 
 # ---------------------------------------------------------------------------

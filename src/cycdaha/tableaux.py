@@ -1,11 +1,16 @@
 """Partitions, standard Young tableaux, Kostka polynomials via the charge
 statistic, and symmetric-group characters for the Molien-series cross-check.
+
+Series are truncated int lists, low degree first: products go through
+scalars.poly_mul, and a factor 1/(1 - t^k) is a running sum with stride k.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from functools import lru_cache
+
+from .scalars import poly_mul
 
 
 def partitions(n, max_part=None):
@@ -129,8 +134,6 @@ def character_value(shape, cycle_type):
 
 def cycle_types_with_sizes(n):
     """(cycle_type, class size) pairs for S_n."""
-    import math
-
     out = []
     for ct in partitions(n):
         # class size = n! / (prod parts * prod multiplicities!)
@@ -145,6 +148,16 @@ def cycle_types_with_sizes(n):
     return out
 
 
+def _geometric_product(lengths, truncation):
+    """prod_k 1/(1 - t^k) over the given lengths, truncated: dividing by
+    1 - t^k is the running sum series[i] += series[i - k]."""
+    series = [1] + [0] * truncation
+    for k in lengths:
+        for i in range(k, truncation + 1):
+            series[i] += series[i - k]
+    return series
+
+
 def molien_series(shape, truncation):
     """Graded multiplicity of the Specht module `shape` in C[X_1..X_n],
     via character averaging: (1/n!) sum_w chi(w) / prod_cycles (1 - t^len).
@@ -152,55 +165,27 @@ def molien_series(shape, truncation):
     Returns low-first integer coefficients up to the truncation order.
     An independent oracle for kostka_polynomial / invariants products.
     """
-    import math
-
     n = sum(shape)
-    K = truncation
-    total = [Fraction(0)] * (K + 1)
+    total = [0] * (truncation + 1)
     for ct, size in cycle_types_with_sizes(n):
         chi = character_value(shape, ct)
-        if chi == 0:
-            continue
-        # product over cycles of 1/(1 - t^len), truncated
-        series = [Fraction(0)] * (K + 1)
-        series[0] = Fraction(1)
-        for length in ct:
-            new = [Fraction(0)] * (K + 1)
-            for i in range(0, K + 1, length):
-                for j in range(0, K + 1 - i):
-                    new[i + j] += series[j]
-            series = new
-        for i in range(K + 1):
-            total[i] += Fraction(chi * size) * series[i]
-    fact = math.factorial(n)
+        if chi:
+            for i, c in enumerate(_geometric_product(ct, truncation)):
+                total[i] += chi * size * c
     out = []
     for c in total:
-        v = c / fact
-        if v.denominator != 1:
+        v, r = divmod(c, math.factorial(n))
+        if r:
             raise ArithmeticError("Molien series has non-integer coefficient")
-        out.append(int(v))
+        out.append(v)
     return out
 
 
 def invariants_series(n, truncation):
     """Hilbert series of C[X_1..X_n]^{S_n} = 1/prod(1-t^i), truncated."""
-    series = [0] * (truncation + 1)
-    series[0] = 1
-    for length in range(1, n + 1):
-        new = [0] * (truncation + 1)
-        for i in range(0, truncation + 1, length):
-            for j in range(0, truncation + 1 - i):
-                new[i + j] += series[j]
-        series = new
-    return series
+    return _geometric_product(range(1, n + 1), truncation)
 
 
 def series_mul(a, b, truncation):
-    out = [0] * (truncation + 1)
-    for i, x in enumerate(a[: truncation + 1]):
-        if not x:
-            continue
-        for j, y in enumerate(b[: truncation + 1 - i]):
-            if y:
-                out[i + j] += x * y
-    return out
+    out = poly_mul(a[: truncation + 1], b[: truncation + 1])[: truncation + 1]
+    return out + [0] * (truncation + 1 - len(out))

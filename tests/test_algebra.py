@@ -79,8 +79,8 @@ def test_families_verify_box(family, N, l):
 
 def test_symbolic_parameters_give_verdicts_for_every_value():
     """Over Q(t) a pass holds for every value of the symbolic parameter:
-    tb = t for daha (and every relation with a wrong scalar fails there),
-    k symbolic for deg-daha."""
+    tb = t for daha at N = 2 and 3 (and every relation with a wrong scalar
+    fails there at N = 2), k symbolic for deg-daha."""
     rep = Rep.daha(2, Fraction(2, 3), RatFuncField("t").gen)
     instances = list(catalog("daha").instances(rep))
     assert len(instances) == 10
@@ -92,6 +92,9 @@ def test_symbolic_parameters_give_verdicts_for_every_value():
     rep = Rep.degenerate(2, 1, RatFuncField("k").gen)
     r = verify_family(rep, "deg-daha", "box", box_radius=2)
     assert r["all_pass"] and len(r["relations"]) == 22
+    rep = Rep.daha(3, Fraction(3, 2), RatFuncField("t").gen)
+    r = verify_family(rep, "daha", "box", box_radius=2)
+    assert r["all_pass"] and len(r["relations"]) == 24
 
 
 def test_a_wrong_cd5_instance_fails():
@@ -185,6 +188,17 @@ def test_involution_rejects_a_relation_outside_its_domain(monkeypatch):
                         algebra.FAMILIES["cyc-daha"]._replace(schemas=lambda: [schema]))
     with pytest.raises(ValueError, match="outside the involution domain"):
         verify_involution(sample_rep("cyc-daha", 2, 1, seed=3), "cyc-daha")
+
+
+def test_involution_rejects_a_representation_of_another_family():
+    """verify_involution checks the representation family, as verify_family
+    does, before anything reads a parameter the rep lacks."""
+    for rep, family in ((sample_rep("daha", 2, seed=1), "deg-cyc"),
+                        (sample_rep("deg-cyc", 2, 1, seed=1), "cyc-daha")):
+        with pytest.raises(ValueError, match="incompatible"):
+            verify_involution(rep, family)
+        with pytest.raises(ValueError, match="incompatible"):
+            verify_family(rep, family, "box", box_radius=0)
 
 
 def test_phi_involution_images():

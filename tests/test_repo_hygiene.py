@@ -1,8 +1,9 @@
 """Repository hygiene: git tracks no file that .gitignore excludes (generated
 or stale), every name a module imports is used in it, every function, class
 and method in src/ is reached from the acceptance battery or the CLI,
-every exception class in src/ is raised there and tested on its own, and
-README's Layout block names every module."""
+every exception class in src/ is raised there and tested on its own,
+README's Layout block names every module, and the engine modules stay
+fraction-free."""
 
 import ast
 import builtins
@@ -63,6 +64,23 @@ def test_every_import_is_used():
         (ROOT / "tests").glob("*.py"))
     unused = [u for path in modules for u in _unused_imports(path)]
     assert not unused, "imported but unused:\n" + "\n".join(unused)
+
+
+# Modules whose arithmetic runs on ints: Fraction enters only where a value
+# leaves the engine (reports, JSON, the terms view), through scalars.
+FRACTION_FREE = ("kernel", "laurent", "ops", "tableaux")
+
+
+def test_engine_modules_do_not_import_fractions():
+    importers = []
+    for name in FRACTION_FREE:
+        tree = ast.parse((ROOT / "src" / "cycdaha" / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "fractions" in modules:
+                importers.append(f"{name}.py:{node.lineno}")
+    assert not importers, "imports fractions: " + ", ".join(importers)
 
 
 # Where the library's verdicts reach users: the acceptance battery and the

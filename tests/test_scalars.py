@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cycdaha import scalars
 from cycdaha.scalars import (
     CycloField,
     CycloNumber,
@@ -17,14 +18,66 @@ from cycdaha.scalars import (
     binomial_fraction,
     cyclotomic_polynomial,
     field_of,
-    poly_add,
-    poly_divmod,
-    poly_gcd,
-    poly_mul,
-    poly_sub,
-    poly_trim,
     sample_generic,
 )
+
+
+# -- the reference: dense univariate polynomials over Fraction, low-degree
+# first with no trailing zeros; [] is the zero polynomial.  The library's
+# int core (scalars.poly_*) is checked against it.
+
+def poly_trim(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] += x
+    return poly_trim(out)
+
+
+def poly_sub(a, b):
+    return poly_add(a, [-x for x in b])
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def poly_divmod(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = poly_trim(Fraction(x) for x in a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        k = len(a) - len(b)
+        c = a[-1] / b[-1]
+        q[k] = c
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+        a = poly_trim(a[:-1])
+    return poly_trim(q), a
+
+
+def poly_gcd(a, b):
+    """The monic gcd."""
+    a, b = poly_trim(map(Fraction, a)), poly_trim(map(Fraction, b))
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return [x / a[-1] for x in a] if a else a
 
 
 def test_cyclo_normalize_examples():
@@ -43,11 +96,21 @@ def test_cyclo_normalize_examples():
 
 
 def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == [Fraction(-1), Fraction(1)]
-    assert cyclotomic_polynomial(2) == [Fraction(1), Fraction(1)]
-    assert cyclotomic_polynomial(3) == [Fraction(1), Fraction(1), Fraction(1)]
-    assert cyclotomic_polynomial(4) == [Fraction(1), Fraction(0), Fraction(1)]
-    assert cyclotomic_polynomial(6) == [Fraction(1), Fraction(-1), Fraction(1)]
+    assert cyclotomic_polynomial(1) == [-1, 1]
+    assert cyclotomic_polynomial(2) == [1, 1]
+    assert cyclotomic_polynomial(3) == [1, 1, 1]
+    assert cyclotomic_polynomial(4) == [1, 0, 1]
+    assert cyclotomic_polynomial(6) == [1, -1, 1]
+    assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+    # x^l - 1 is the product of Phi_d over the divisors d of l
+    for l in range(1, 31):
+        prod = [1]
+        for d in range(1, l + 1):
+            if l % d == 0:
+                phi = cyclotomic_polynomial(d)
+                assert all(type(c) is int for c in phi) and phi[-1] == 1
+                prod = poly_mul(prod, phi)
+        assert prod == [-1] + [0] * (l - 1) + [1]
 
 
 def test_minimal_polynomial_of_zeta_vanishes():
@@ -148,7 +211,7 @@ def assert_cyclo(x, l, ref):
 small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
-@given(st.integers(1, 8), st.lists(small, max_size=10), st.lists(small, max_size=10),
+@given(st.integers(1, 12), st.lists(small, max_size=10), st.lists(small, max_size=10),
        small, st.integers(-3, 3), st.integers(-10, 10))
 def test_cyclotomic_arithmetic_matches_the_fraction_reference(l, ca, cb, c, n, k):
     a, b = CycloNumber(l, ca), CycloNumber(l, cb)
@@ -222,15 +285,17 @@ def test_field_axioms_rationals_property(a, b, c):
 
 
 def _assert_ratfunc_canonical(x):
-    """Numerator and denominator trimmed, coprime, and the denominator
-    monic; zero is 0/1."""
+    """Numerator and denominator are trimmed int tuples, coprime in Q[t],
+    with no common integer factor and a positive leading coefficient of
+    the denominator; zero is () / (1,)."""
     assert x.num == tuple(poly_trim(x.num)) and x.den == tuple(poly_trim(x.den))
-    assert all(type(v) is Fraction for v in x.num + x.den)
-    assert x.den and x.den[-1] == 1
+    assert all(type(v) is int for v in x.num + x.den)
+    assert x.den and x.den[-1] > 0
     if x.num:
         assert len(poly_gcd(list(x.num), list(x.den))) == 1
+        assert math.gcd(*x.num, *x.den) == 1
     else:
-        assert x.den == (Fraction(1),)
+        assert x.den == (1,)
 
 
 ratfuncs = st.builds(
@@ -244,6 +309,61 @@ def test_field_axioms_ratfunc_property(a, b, c):
     for x in (a, a + b, a * b, a - c, a / b if b else c, -a):
         _assert_ratfunc_canonical(x)
         assert RatFunc1.from_json(x.to_json()) == x
+
+
+def _value(x, point):
+    """x at t = point, from its stored int coefficients."""
+    num = sum(c * point ** i for i, c in enumerate(x.num))
+    return Fraction(num, 1) / sum(c * point ** i for i, c in enumerate(x.den))
+
+
+points = [Fraction(p) for p in (-3, -1, 0, 1, 2, Fraction(1, 2), Fraction(-5, 3))]
+
+
+@given(ratfuncs, ratfuncs)
+def test_ratfunc_arithmetic_matches_evaluation(a, b):
+    """At every point where no denominator in sight vanishes, the value of
+    a sum, difference, product and quotient is that of its operands: an
+    oracle that does not go through the gcd."""
+    results = [(a + b, operator.add), (a - b, operator.sub), (a * b, operator.mul)]
+    if b:
+        results.append((a / b, operator.truediv))
+    for p in points:
+        dens = [a.den, b.den, b.num] + [x.den for x, _ in results]
+        if any(sum(c * p ** i for i, c in enumerate(d)) == 0 for d in dens):
+            continue
+        for x, op in results:
+            assert _value(x, p) == op(_value(a, p), _value(b, p))
+
+
+int_polys = st.lists(st.integers(-6, 6), max_size=5).map(poly_trim)
+
+
+@given(int_polys, int_polys, int_polys)
+def test_int_polynomial_core_matches_the_fraction_reference(a, b, g):
+    """scalars.poly_* on int lists against the Fraction reference: sum and
+    product, the primitive part, the pseudo-remainder (a nonzero rational
+    multiple of the remainder), the primitive gcd and exact division."""
+    assert scalars.poly_add(a, b) == poly_add(a, b)
+    assert scalars.poly_mul(a, b) == poly_mul(a, b)
+    if a:
+        p = scalars.poly_primitive(a)
+        assert p[-1] > 0 and math.gcd(*p) == 1
+        assert [Fraction(x, p[-1]) for x in p] == [Fraction(x, a[-1]) for x in a]
+    if b:
+        r, ref = scalars.poly_prem(a, b), poly_divmod(a, b)[1]
+        assert len(r) == len(ref)
+        assert all(x * ref[-1] == y * r[-1] for x, y in zip(r, ref))
+    if a or b:
+        d = scalars.poly_gcd(a, b)
+        assert d[-1] > 0 and math.gcd(*d) == 1
+        assert [Fraction(x, d[-1]) for x in d] == poly_gcd(a, b)
+    if g:
+        g = scalars.poly_primitive(g)
+        assert scalars.poly_exact_div(scalars.poly_mul(a, g), g) == a
+        if len(g) > 1 and a:
+            with pytest.raises(ArithmeticError):
+                scalars.poly_exact_div(scalars.poly_add(scalars.poly_mul(a, g), [1]), g)
 
 
 def test_ratfunc_simplify_examples():
