@@ -22,11 +22,12 @@ Reduction happens in two places:
 * content: every operation that can create a common factor of den and the
   numerators (sums, products, scalings, substitutions, series) ends with
   one ``math.gcd(den, *nums)``.  The operator engine's ``map_linear`` (one
-  generator applied to a polynomial that is not a unit monomial; the engine
-  answers that from its cache, whose images are canonical) is one loop over
-  the terms: it looks each image up in the generator's cache, computes it
-  only on a miss, and adds its numerators into one dict over the lcm of the
-  image dens.  ``linear_sum`` (one operator sum, its coefficients split
+  generator applied to a polynomial that is not a unit monomial, the engine
+  answering that from its cache, whose images are canonical; a composite
+  generator goes there only when its cache holds every term) is one loop
+  over the terms: it looks each image up in the generator's cache, computes
+  it only on a miss, and adds its numerators into one dict over the lcm of
+  the image dens.  ``linear_sum`` (one operator sum, its coefficients split
   beforehand; the engine keeps them split in its compiled plans)
   accumulates its polynomials in one dict the same way.  Each pays for one
   reduction;

@@ -34,25 +34,34 @@ the family accepts to its action, and any other tag raises FamilyMismatch.
 A primitive (X, s, T, omega, the Dunkl operators, ...) acts by its own
 code; a composite (Y, pi, Dl, s_0, ...) is an OperatorExpr, the product
 displayed above, built once per (representation, generator) and evaluated
-like any other expression, so every generator in it acts through apply_gen
-and its images are cached.
+like any other expression, so every generator in it acts through apply_gen.
 
 Operator words act right-to-left (the rightmost generator applies first).
 Per-generator images of monomials are cached on the representation; caching
-is semantically invisible because representations are immutable.
+is semantically invisible because representations are immutable.  A
+primitive caches the image of every monomial it meets.  A composite caches
+the image of a monomial with coefficient 1 it is applied to; applied to any
+other polynomial with a term outside its cache, it evaluates its expression
+on the whole polynomial, which merges like terms at each factor through
+the factors' caches, and stores nothing.  In randomized checks the images
+of such intermediate polynomials' terms are mostly read about once, so
+building and storing one per monomial, each along its own walk of the
+factor chain, costs more than it saves.
 
 The engine works in LaurentPoly's fraction-free form: a cached image holds
 numerators over one shared den (ints over a positive int den for QQ, field
 elements over 1 for Q(zeta_l) and Q(t); a CycloNumber is itself int
-numerators over one den).  Rep.apply_gen reads the generator's image cache
-and fresh-image function from a slot bound once per (representation,
-generator) that reaches the representation through a weak reference, so no
-closure is built per call and the slot makes no reference cycle.  A
-monomial with coefficient 1 gets its cached image itself, computed only on
-a miss (from a monomial wrapping the unit numerator split once per
-representation); any other argument goes to LaurentPoly.map_linear, one
-loop over its terms that looks up each image the same way and adds its
-numerators into one dict.
+numerators over one den).  Rep.apply_gen reads the generator's image
+cache, fresh-image function and (for a composite) whole-polynomial
+function from a slot bound once per (representation, generator) that
+reaches the representation through a weak reference, so no closure is
+built per call and the slot makes no reference cycle.  A monomial with
+coefficient 1 gets its cached image itself, computed only on a miss (from a
+monomial wrapping the unit numerator split once per representation); a
+composite's argument with a term outside its cache goes to its expression;
+any other argument goes to LaurentPoly.map_linear, one loop over its terms
+that looks up each image the same way and adds its numerators into one
+dict.
 
 Rep.apply evaluates an OperatorExpr as it was built, through Rep._eval (so
 the public Rep.apply is entered once per call).  A product of sums keeps
@@ -81,8 +90,8 @@ X_i and adds its s_ij terms.  The scalars they use are computed once per
 representation: tb, tb - 1/tb and the powers of q; the Dunkl step l, the
 table a -> hbar a - w(a mod l) of DO's c-part and derivative (w = 0 for
 deg), and -k l and k l.  Where a composite contains another composite's
-factors, its expression holds that composite as one Gen, so those images
-come from its cache:
+factors, its expression holds that composite as one Gen, applied through
+apply_gen like any other:
 Dl_i = T_{i-1}^-1 Dl_{i-1} T_{i-1}^-1 (daha) and s_1i Dl_1 s_1i (deg), and
 pi_- = T_{N-1}^-1...T_1^-1 Dl_1 (daha) and s_{N-1}...s_1 Dl_1 (deg), the
 displayed products grouped.
@@ -311,8 +320,10 @@ def root_product(a, roots):
 class Rep:
     """A representation context: family, rank, level, parameter values.
 
-    Immutable after construction; all generator applications are exact and
-    memoized per monomial.
+    Immutable after construction; all generator applications are exact.
+    Images of monomials are cached per generator: every monomial a
+    primitive meets, and the monomials with coefficient 1 a composite is
+    applied to (see the module docstring).
     """
 
     def __init__(self, family, N, l=0, params=None, dom=QQ):
@@ -403,12 +414,15 @@ class Rep:
 
     def apply_gen(self, g, p):
         """Apply one generator to a Laurent polynomial (exact, linear).  A
-        monomial with coefficient 1 gets its cached image itself; a Gen
+        monomial with coefficient 1 gets its cached image itself.  A
+        composite applied to a polynomial with a term not in its cache is
+        evaluated through its factors, and its cache is left as it was; any
+        other polynomial sums the images of its terms (map_linear).  A Gen
         outside the family gets no slot, so it raises on every call."""
         slot = self._slots.get(g)
         if slot is None:
             slot = self._slot(g)
-        cache, fresh = slot
+        cache, fresh, whole = slot
         nums = p.nums
         if p.den == 1 and len(nums) == 1:
             for e, n in nums.items():
@@ -417,12 +431,16 @@ class Rep:
                     if img is None:
                         img = cache[e] = fresh(e)
                     return img
-        return p.map_linear(cache, fresh)
+        if whole is None or cache.keys() >= nums.keys():
+            return p.map_linear(cache, fresh)
+        return whole(p)
 
     def _slot(self, g):
-        """The image cache of g and its fresh-image function, bound once per
-        (rep, g).  The function reaches the rep through a weak reference, so
-        the slot kept on the rep makes no reference cycle."""
+        """The image cache of g, its fresh-image function, and for a
+        composite the function that evaluates its expression on a whole
+        polynomial (None for a primitive), bound once per (rep, g).  The
+        functions reach the rep through a weak reference, so the slot kept
+        on the rep makes no reference cycle."""
         if g.tag not in self._actions:
             raise FamilyMismatch(f"{g!r} not available in family {self.family!r}")
         if not index_ok(g, self.N):
@@ -430,11 +448,14 @@ class Rep:
         action, N, dom, one = self._actions[g.tag], self.N, self.dom, self._one
         rep = weakref.ref(self)
 
+        def whole(p):
+            return action(rep(), g, p)
+
         def fresh(e):
-            return action(rep(), g, LaurentPoly._make(N, dom, {e: one}))
+            return whole(LaurentPoly._make(N, dom, {e: one}))
 
         cache = self._cache[g] = {}
-        slot = self._slots[g] = (cache, fresh)
+        slot = self._slots[g] = (cache, fresh, whole if isinstance(action, _Composite) else None)
         return slot
 
     def apply_word(self, word, p):
@@ -581,17 +602,22 @@ class Rep:
 # ---------------------------------------------------------------------------
 # generator tables: GENERATORS[family][tag] is the action (rep, g, p) -> g.p
 
-def _composite(build):
+class _Composite:
     """The action of a generator defined as an OperatorExpr: build(rep, g)
     is the paper's product, built once per (rep, g), kept on the
-    representation and evaluated by Rep._eval."""
-    def action(rep, g, p):
+    representation and evaluated by Rep._eval.  Rep._slot tells a composite
+    by this type."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __call__(self, rep, g, p):
         expr = rep._exprs.get(g)
         if expr is None:
-            expr = rep._exprs[g] = build(rep, g)
+            expr = rep._exprs[g] = self.build(rep, g)
         return rep._eval(expr, p)
-
-    return action
 
 
 def _gens(tag, indices):
@@ -636,25 +662,25 @@ GENERATORS = {
         "omega": lambda rep, g, p: rep._omega(p),
         "omega^-1": lambda rep, g, p: rep._omega(p, inverse=True),
         # Y_i = tb^(N-1) T_i^-1...T_{N-1}^-1 omega T_1...T_{i-1}
-        "Y": _composite(lambda rep, g: OperatorExpr.word([
+        "Y": _Composite(lambda rep, g: OperatorExpr.word([
             *_gens("T^-1", range(g.i, rep.N)), Gen("omega"), *_gens("T", range(1, g.i))],
             rep.params["tb"] ** (rep.N - 1))),
         # Y_i^-1 = tb^(1-N) T_{i-1}^-1...T_1^-1 omega^-1 T_{N-1}...T_i
-        "Y^-1": _composite(lambda rep, g: OperatorExpr.word([
+        "Y^-1": _Composite(lambda rep, g: OperatorExpr.word([
             *_gens("T^-1", range(g.i - 1, 0, -1)), Gen("omega^-1"),
             *_gens("T", range(rep.N - 1, g.i - 1, -1))], (1 / rep.params["tb"]) ** (rep.N - 1))),
         # pi = X_1 T_1...T_{N-1}
-        "pi": _composite(lambda rep, g: OperatorExpr.word(
+        "pi": _Composite(lambda rep, g: OperatorExpr.word(
             [Gen("X", 1), *_gens("T", range(1, rep.N))])),
         # pi^-1 = T_{N-1}^-1...T_1^-1 X_1^-1
-        "pi^-1": _composite(lambda rep, g: OperatorExpr.word(
+        "pi^-1": _Composite(lambda rep, g: OperatorExpr.word(
             [*_gens("T^-1", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)])),
         # pi_- = pi^-1 (Y_1 - Z_1)...(Y_1 - Z_l) = T_{N-1}^-1...T_1^-1 Dl_1
-        "pi-": _composite(lambda rep, g: OperatorExpr.word(
+        "pi-": _Composite(lambda rep, g: OperatorExpr.word(
             [*_gens("T^-1", range(rep.N - 1, 0, -1)), Gen("Dl", 1)])),
         # Dl_1 = X_1^-1 (Y_1 - Z_1)...(Y_1 - Z_l), and
         # Dl_i = T_{i-1}^-1...T_1^-1 Dl_1 T_1^-1...T_{i-1}^-1 = T_{i-1}^-1 Dl_{i-1} T_{i-1}^-1
-        "Dl": _composite(lambda rep, g: (
+        "Dl": _Composite(lambda rep, g: (
             OperatorExpr.gen("X^-1", 1) * root_product(OperatorExpr.gen("Y", 1), rep.params["Z"])
             if g.i == 1 else
             OperatorExpr.word([Gen("T^-1", g.i - 1), Gen("Dl", g.i - 1), Gen("T^-1", g.i - 1)]))),
@@ -666,19 +692,19 @@ GENERATORS = {
         "Dtrig": lambda rep, g, p: rep._dunkl(g.i, p, trig=True),
         "y": lambda rep, g, p: rep._dunkl(g.i, p, trig=True),
         # s_0 = s_1N X_1^-1 X_N
-        "s0": _composite(lambda rep, g: OperatorExpr.word(
+        "s0": _Composite(lambda rep, g: OperatorExpr.word(
             [Gen("sij", 1, rep.N), Gen("X^-1", 1), Gen("X", rep.N)])),
         # pi = X_1 s_1...s_{N-1}
-        "pi": _composite(lambda rep, g: OperatorExpr.word(
+        "pi": _Composite(lambda rep, g: OperatorExpr.word(
             [Gen("X", 1), *_gens("s", range(1, rep.N))])),
         # pi^-1 = s_{N-1}...s_1 X_1^-1
-        "pi^-1": _composite(lambda rep, g: OperatorExpr.word(
+        "pi^-1": _Composite(lambda rep, g: OperatorExpr.word(
             [*_gens("s", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)])),
         # pi_- = pi^-1 (y_1 - z_1)...(y_1 - z_l) = s_{N-1}...s_1 Dl_1
-        "pi-": _composite(lambda rep, g: OperatorExpr.word(
+        "pi-": _Composite(lambda rep, g: OperatorExpr.word(
             [*_gens("s", range(rep.N - 1, 0, -1)), Gen("Dl", 1)])),
         # Dl_1 = X_1^-1 (y_1 - z_1)...(y_1 - z_l), and Dl_i = s_1i Dl_1 s_1i
-        "Dl": _composite(lambda rep, g: (
+        "Dl": _Composite(lambda rep, g: (
             OperatorExpr.gen("X^-1", 1) * root_product(OperatorExpr.gen("y", 1), rep.params["z"])
             if g.i == 1 else
             OperatorExpr.word([Gen("sij", 1, g.i), Gen("Dl", 1), Gen("sij", 1, g.i)]))),

@@ -249,7 +249,7 @@ def _displayed_product(rep, g):
 
 
 def test_dl_and_pi_minus_equal_their_displayed_factor_lists():
-    """Dl_i built from the cached Dl_{i-1} (daha) or Dl_1 (deg), and pi_-
+    """Dl_i built from Dl_{i-1} (daha) or Dl_1 (deg), and pi_-
     built from Dl_1, equal the displayed products applied by Rep.apply on a
     second rep (so no cache is shared), on the B = 2 box at N = 3."""
     from cycdaha.algebra import sample_rep
@@ -460,6 +460,68 @@ def test_caching_is_semantically_invisible():
     second = rep.apply_gen(Gen("T", 1), p)
     assert first == second
     assert rep.apply_gen(Gen("T", 1), p + p) == first * 2
+
+
+_COMPOSITES = {"daha": ["Y", "Y^-1", "Dl", "pi", "pi^-1", "pi-"],
+               "deg": ["Dl", "s0", "pi", "pi^-1", "pi-"]}
+
+
+def _composite_reps():
+    """daha over QQ at levels 0, 1, 2 and deg at levels 0, 2, for N = 2, 3,
+    and daha over Q(t) with tb = t at level 1, N = 2."""
+    for N in (2, 3):
+        for l in (0, 1, 2):
+            yield daha_rep(N, l)
+        for z in ((), (Fraction(1, 3), Fraction(5, 2))):
+            yield Rep.degenerate(N, Fraction(3, 4), Fraction(2, 3), z)
+    yield Rep.daha(2, Fraction(7, 5), RatFuncField("t").gen, (Fraction(2, 3),))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_a_composite_on_a_polynomial_is_the_sum_of_its_monomial_images(data):
+    """A composite applied to a polynomial of several terms, on a rep whose
+    cache of it is cold or holds some of the terms (or all, or others),
+    equals the sum of the cached images of its monomials on a second rep;
+    unless every term was cached, the call leaves the composite's cache as
+    it was."""
+    k = data.draw(st.integers(0, 10))
+    rep, ref = (list(_composite_reps())[k] for _ in range(2))
+    N = rep.N
+    tag = data.draw(st.sampled_from(_COMPOSITES[rep.family]))
+    g = Gen(tag, data.draw(st.integers(1, N))) if tag in ("Y", "Y^-1", "Dl") else Gen(tag)
+    exps = st.tuples(*[st.integers(-2, 2)] * N)
+    p = LaurentPoly(N, rep.dom, data.draw(st.dictionaries(
+        exps, st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        min_size=2, max_size=4)))
+    warm = data.draw(st.lists(st.one_of(st.sampled_from(sorted(p.nums)), exps), max_size=4))
+    for e in warm:
+        rep.apply_gen(g, rep.monomial(e))
+    cached = dict(rep._cache.get(g, {}))
+    expected = combination(
+        N, ref.dom, [(c, ref.apply_gen(g, ref.monomial(e))) for e, c in p.terms.items()])
+    assert rep.apply_gen(g, p) == expected
+    assert rep._cache[g] == cached
+
+
+def test_a_composite_caches_only_the_monomials_it_is_applied_to():
+    """Dl_3 applied to a polynomial of two terms on a cold cyc-daha rep
+    (N = 3, l = 2) is evaluated through its factors, and leaves every Y and
+    Dl cache empty; applied then to a unit monomial, it adds that one image
+    to its own cache and nothing to any other Y or Dl cache."""
+    rep = daha_rep(3, l=2)
+    dl3 = Gen("Dl", 3)
+    p = rep.monomial((1, -1, 0)) + rep.monomial((0, 2, 1), Fraction(2, 3))
+    rep.apply_gen(dl3, p)
+
+    def entries():
+        return {g: dict(c) for g, c in rep._cache.items()
+                if g.tag in ("Y", "Y^-1", "Dl") and c}
+
+    assert {Gen("Dl", 1), Gen("Dl", 2), Gen("Y", 1)} <= rep._cache.keys()
+    assert entries() == {}
+    img = rep.apply_gen(dl3, rep.monomial((2, 0, -1)))
+    assert entries() == {dl3: {(2, 0, -1): img}}
 
 
 def _engine_generators(family, N):
