@@ -15,6 +15,10 @@ loop on each space.  Two orientations occur:
       B2 A - A B1 + a b = 0,
   (S1) on V1 with B1, (S2) on V2 with B2.
 
+bow_equations states the three equations once for both orientations, as an
+ordered list of (name, lhs - rhs) matrices; check_bow reads its residuals
+from it.
+
 The Hanany-Witten transition maps one orientation to the other through the
 cokernel of alpha = [D; A; b], preserving the defining equations, the
 stability conditions and the linkage invariants; the inverse reconstructs
@@ -29,7 +33,7 @@ from fractions import Fraction
 from random import Random
 
 from .linalg import Matrix, span_closure
-from .quiver import UncertifiedInput
+from .quiver import UncertifiedInput, residuals
 from .scalars import SamplingExhausted
 
 CIRCLE_CROSS = "circle-cross"
@@ -75,8 +79,10 @@ class BowData:
     @classmethod
     def from_json(cls, data):
         """The segment to_json wrote; ValueError when the orientation is
-        unknown or a matrix's shape disagrees with dims and orientation."""
+        unknown, t, Z or Zp is zero, or a matrix's shape disagrees with dims
+        and orientation."""
         d1, d2, d3 = dims = tuple(data["dims"])
+        t, Z, Zp = _nonzero_scalars(data["t"], data["Z"], data["Zp"])
         if data["orientation"] == CIRCLE_CROSS:
             shapes = {"C": (d2, d1), "D": (d1, d2), "A": (d3, d2), "a": (d3, 1), "b": (1, d2)}
         elif data["orientation"] == CROSS_CIRCLE:
@@ -90,14 +96,16 @@ class BowData:
                 matrices[k] = Matrix.from_json(data[k], shape)
             except ValueError as exc:
                 raise ValueError(f"{k} at dims {list(dims)}: {exc}") from None
-        return cls(
-            orientation=data["orientation"],
-            dims=dims,
-            t=Fraction(data["t"]),
-            Z=Fraction(data["Z"]),
-            Zp=Fraction(data["Zp"]),
-            **matrices,
-        )
+        return cls(orientation=data["orientation"], dims=dims, t=t, Z=Z, Zp=Zp, **matrices)
+
+
+def _nonzero_scalars(t, Z, Zp):
+    """(t, Z, Zp) as Fractions; ValueError naming the first that is zero."""
+    scalars = tuple(Fraction(x) for x in (t, Z, Zp))
+    for name, x in zip(("t", "Z", "Zp"), scalars):
+        if x == 0:
+            raise ValueError(f"{name} must be nonzero")
+    return scalars
 
 
 def _largest_stable_subspace(M, op):
@@ -117,26 +125,32 @@ def _largest_stable_subspace(M, op):
     return W
 
 
-def check_bow(bow):
-    """Exact equation residuals plus the two stability conditions."""
-    d1, d2, d3 = bow.dims
+def _loops(bow):
+    """((left, right), (source, target)): the loops at the circle's two ends
+    and at the cross's source and target, as the orientation places them."""
     if bow.orientation == CIRCLE_CROSS:
-        IA = Matrix.identity(d1)
-        IB = Matrix.identity(d2)
-        e1 = bow.B1 * (IA + bow.D * bow.C) - IA * (bow.t * bow.Z)
-        e2 = bow.B2 * (IB + bow.C * bow.D) - IB * bow.Zp
-        e3 = bow.B3 * bow.A - bow.A * bow.B2 + bow.a * bow.b
-        source_loop, target_loop = bow.B2, bow.B3
-    else:
-        IB = Matrix.identity(d2)
-        IC = Matrix.identity(d3)
-        e1 = bow.B2 * (IB + bow.D * bow.C) - IB * (bow.t * bow.Z)
-        e2 = bow.B3 * (IC + bow.C * bow.D) - IC * bow.Zp
-        e3 = bow.B2 * bow.A - bow.A * bow.B1 + bow.a * bow.b
-        source_loop, target_loop = bow.B1, bow.B2
-    res = [{"equation": name, "zero": e.is_zero()}
-           for name, e in (("loop-left", e1), ("loop-right", e2), ("cross", e3))]
+        return (bow.B1, bow.B2), (bow.B2, bow.B3)
+    return (bow.B2, bow.B3), (bow.B1, bow.B2)
+
+
+def bow_equations(bow):
+    """The segment equations, as (name, lhs - rhs), with the loops of _loops:
+    loop-left: left (1 + D C) = t Z,  loop-right: right (1 + C D) = Z',
+    cross: target A - A source + a b = 0."""
+    (left, right), (source, target) = _loops(bow)
+    IL, IR = Matrix.identity(left.m), Matrix.identity(right.m)
+    return [
+        ("loop-left", left * (IL + bow.D * bow.C) - IL * (bow.t * bow.Z)),
+        ("loop-right", right * (IR + bow.C * bow.D) - IR * bow.Zp),
+        ("cross", target * bow.A - bow.A * source + bow.a * bow.b),
+    ]
+
+
+def check_bow(bow):
+    """Exact residuals of bow_equations plus the two stability conditions."""
+    res = residuals(bow_equations(bow))
     ok = all(r["zero"] for r in res)
+    _, (source_loop, target_loop) = _loops(bow)
     s1_space = _largest_stable_subspace(bow.A.vstack(bow.b), source_loop)
     s1_ok = s1_space.n == 0
     seeds = [Matrix.column(c) for c in bow.A.hstack(bow.a).T.rows]
@@ -152,11 +166,12 @@ def check_bow(bow):
 
 
 def sample_bow(dims, t, Z, Zp, seed, max_attempts=400):
-    """A certified stable CIRCLE_CROSS bow with square A (needs d2 == d3)."""
+    """A certified stable CIRCLE_CROSS bow with square A; ValueError unless
+    d2 == d3 and t, Z and Zp are nonzero."""
     d1, d2, d3 = dims
     if d2 != d3:
         raise ValueError("sampler requires dim V2 == dim V3")
-    t, Z, Zp = Fraction(t), Fraction(Z), Fraction(Zp)
+    t, Z, Zp = _nonzero_scalars(t, Z, Zp)
     rng = Random(seed)
     I1 = Matrix.identity(d1)
     I2 = Matrix.identity(d2)
@@ -181,27 +196,46 @@ def sample_bow(dims, t, Z, Zp, seed, max_attempts=400):
     raise SamplingExhausted("no stable certified bow found")
 
 
+def _alpha(bow):
+    """alpha = [D; A; b] : V2 -> V1 + V3 + C of a circle-cross bow."""
+    return bow.D.vstack(bow.A, bow.b)
+
+
+def _beta_n(bow):
+    """beta_n = [A, D, a] : V1 + V3 + C -> V2 of a cross-circle bow."""
+    return bow.A.hstack(bow.D, bow.a)
+
+
+def _alpha_n(bow):
+    """alpha_n = [t Z - B1; -C B2 A; b] : V1 -> V1 + V3 + C of a
+    cross-circle bow."""
+    return (Matrix.identity(bow.dims[0]) * (bow.t * bow.Z) - bow.B1).vstack(
+        bow.C * bow.B2 * bow.A * Fraction(-1), bow.b)
+
+
 def hw_transition(bow):
     """The Hanany-Witten transition CIRCLE_CROSS -> CROSS_CIRCLE.
 
     Builds alpha = [D; A; b] : V2 -> V1 + V3 + C, checks injectivity, forms
     the cokernel V2n, and assembles the new maps.  The internal identity
     alpha_n = alpha C B1 is asserted entrywise, as are the new defining
-    equations and stability conditions.
+    equations and stability conditions.  UncertifiedInput unless the bow is
+    certified and B3 is invertible.
     """
     if bow.orientation != CIRCLE_CROSS:
         raise ValueError("transition starts from the circle-cross orientation")
     if not check_bow(bow)["certified"]:
         raise UncertifiedInput("input bow not certified")
+    if not bow.B3.is_invertible():
+        raise UncertifiedInput("B3 is singular: the transition needs B3^-1")
     d1, d2, d3 = bow.dims
-    t, Z, Zp = bow.t, bow.Z, bow.Zp
-    alpha = bow.D.vstack(bow.A, bow.b)
+    alpha = _alpha(bow)
     # alpha is injective on every certified circle-cross bow: for v in
     # ker alpha, Dv = 0, so B2 (1 + C D) = Z' gives B2 v = Z' v, and span{v}
     # is a B2-stable line in ker A cap ker b, which (S1) forbids
     if alpha.rank() < d2:
         raise AssertionError("alpha = [D; A; b] is not injective")
-    beta = (bow.A * bow.B2 * bow.C).hstack(bow.B3 - Matrix.identity(d3) * Zp, bow.a)
+    beta = (bow.A * bow.B2 * bow.C).hstack(bow.B3 - Matrix.identity(d3) * bow.Zp, bow.a)
     if not (beta * alpha).is_zero():
         raise AssertionError("betaALPHA != 0")
     proj = alpha.T.kernel().T  # rows span the cokernel
@@ -212,37 +246,20 @@ def hw_transition(bow):
     an = proj.submatrix(range(d2n), range(d1 + d3, d1 + d3 + 1))
     bn = bow.b * bow.C * bow.B1
     # Cn induced from -B3^-1 beta: Cn . proj = -B3^-1 beta
-    target = bow.B3.inverse() * beta * Fraction(-1)
+    B3inv = bow.B3.inverse()
+    target = B3inv * beta * Fraction(-1)
     Cn = (proj.T).solve_right(target.T).T
     if Cn * proj != target:
         raise AssertionError("Cn does not descend")
-    one_plus_CnDn = Matrix.identity(d3) + Cn * Dn
-    if one_plus_CnDn != bow.B3.inverse() * Zp:
+    if Matrix.identity(d3) + Cn * Dn != B3inv * bow.Zp:
         raise AssertionError("1 + Cn Dn != Z' B3^-1")
-    B2n = (Matrix.identity(d2n) + Dn * Cn).inverse() * (t * Z)
+    B2n = (Matrix.identity(d2n) + Dn * Cn).inverse() * (bow.t * bow.Z)
+    new = BowData(CROSS_CIRCLE, (d1, d2n, d3), bow.t, bow.Z, bow.Zp,
+                  Cn, Dn, An, an, bn, bow.B1, B2n, bow.B3)
     # internal identity: alpha_n = alpha C B1, entrywise
-    alpha_n = (Matrix.identity(d1) * (t * Z) - bow.B1).vstack(
-        (Cn * B2n * An) * Fraction(-1), bn
-    )
-    if alpha_n != alpha * bow.C * bow.B1:
+    if _alpha_n(new) != alpha * bow.C * bow.B1:
         raise AssertionError("alpha_n != alpha C B1")
-    new = BowData(
-        CROSS_CIRCLE,
-        (d1, d2n, d3),
-        t,
-        Z,
-        Zp,
-        Cn,
-        Dn,
-        An,
-        an,
-        bn,
-        bow.B1,
-        B2n,
-        bow.B3,
-    )
-    new_rep = check_bow(new)
-    if not new_rep["certified"]:
+    if not check_bow(new)["certified"]:
         raise AssertionError("transitioned bow fails certification")
     return new
 
@@ -259,9 +276,7 @@ def hw_inverse(bow):
     if not check_bow(bow)["certified"]:
         raise UncertifiedInput("input bow not certified")
     d1, d2n, d3 = bow.dims
-    t, Z, Zp = bow.t, bow.Z, bow.Zp
-    beta_n = bow.A.hstack(bow.D, bow.a)
-    K = beta_n.kernel()
+    K = _beta_n(bow).kernel()
     d2 = K.n
     if d2 != d1 + d3 + 1 - d2n:
         raise AssertionError("kernel dimension mismatch")
@@ -269,18 +284,11 @@ def hw_inverse(bow):
     A = K.submatrix(range(d1, d1 + d3), range(d2))
     b = K.submatrix(range(d1 + d3, d1 + d3 + 1), range(d2))
     a = bow.B3 * bow.C * bow.a * Fraction(-1)
-    alpha_n = (Matrix.identity(d1) * (t * Z) - bow.B1).vstack(
-        (bow.C * bow.B2 * bow.A) * Fraction(-1), bow.b
-    )
-    C = K.solve_right(alpha_n * bow.B1.inverse())
-    B2 = (Matrix.identity(d2) + C * D).inverse() * Zp
-    B1 = bow.B1
-    B3 = bow.B3
-    out = BowData(
-        CIRCLE_CROSS, (d1, d2, d3), t, Z, Zp, C, D, A, a, b, B1, B2, B3
-    )
-    out_rep = check_bow(out)
-    if not out_rep["certified"]:
+    C = K.solve_right(_alpha_n(bow) * bow.B1.inverse())
+    B2 = (Matrix.identity(d2) + C * D).inverse() * bow.Zp
+    out = BowData(CIRCLE_CROSS, (d1, d2, d3), bow.t, bow.Z, bow.Zp,
+                  C, D, A, a, b, bow.B1, B2, bow.B3)
+    if not check_bow(out)["certified"]:
         raise AssertionError("inverse-transitioned bow fails certification")
     return out
 
@@ -295,10 +303,9 @@ def hw_round_trip_check(bow):
     back = hw_inverse(new)
     if back.dims != bow.dims:
         return {"ok": False, "reason": "dimension mismatch"}
-    alpha = bow.D.vstack(bow.A, bow.b)
-    K = new.A.hstack(new.D, new.a).kernel()
+    K = _beta_n(new).kernel()
     try:
-        g = K.solve_right(alpha)
+        g = K.solve_right(_alpha(bow))
     except ValueError:
         return {"ok": False, "reason": "alpha does not land in ker(beta_n)"}
     checks = {
@@ -357,22 +364,20 @@ def linkage_invariants(diagram):
 
 
 def hw_diagram(diagram, cross_edge):
-    """The combinatorial effect of one transition: swap an adjacent
-    (circle, cross) pair and replace the middle dimension by
-    d_left + d_right + 1 - d_mid."""
-    dims = list(diagram.dims)
-    edges = list(diagram.edges)
-    i = cross_edge
-    if edges[i] == "o" and edges[i + 1] == "x":
-        d1, d2, d3 = dims[i], dims[i + 1], dims[i + 2]
-        dims[i + 1] = d1 + d3 + 1 - d2
-        edges[i], edges[i + 1] = "x", "o"
-    elif edges[i] == "x" and edges[i + 1] == "o":
-        d1, d2, d3 = dims[i], dims[i + 1], dims[i + 2]
-        dims[i + 1] = d1 + d3 + 1 - d2
-        edges[i], edges[i + 1] = "o", "x"
-    else:
+    """The combinatorial effect of one transition: swap the adjacent
+    (circle, cross) pair on edges i, i + 1 (i = cross_edge) and replace the
+    middle dimension dims[i + 1] by d_left + d_right + 1 - d_mid.  On a
+    circular diagram edges are taken mod E and dims mod len(dims); on a
+    linear one, ValueError unless 0 <= i <= E - 2."""
+    dims, edges = list(diagram.dims), list(diagram.edges)
+    i, E, n = cross_edge, len(edges), len(dims)
+    if not (diagram.circular or 0 <= i <= E - 2):
+        raise ValueError(f"cross_edge must lie in 0..{E - 2}, got {i}")
+    first, second, mid = i % E, (i + 1) % E, (i + 1) % n
+    if {edges[first], edges[second]} != {"o", "x"}:
         raise ValueError("need an adjacent circle/cross pair")
+    edges[first], edges[second] = edges[second], edges[first]
+    dims[mid] = dims[i % n] + dims[(i + 2) % n] + 1 - dims[mid]
     return BowDiagram(dims, edges, diagram.circular)
 
 

@@ -4,7 +4,10 @@ product formulas linking them, Van den Bergh moment maps and the fusion
 telescoping of framing pairs.
 
 Points are matrices over the rationals; every certification is an exact
-residual check.
+residual check.  Each object states its equations once, as an ordered list
+of (name, lhs - rhs) matrices: point_equations for a quiver point and
+quadruple_equations for a quadruple.  check_point, check_quadruple and
+product_formulas read their verdicts from these tables.
 """
 
 from __future__ import annotations
@@ -111,23 +114,32 @@ class Quadruple:
         }
 
 
-def check_point(p):
-    """Exact residuals of the chain and closing equations; also reports
-    whether T lies in the special conjugacy class diag(t^-1,..,t^-1,t^(N-1))."""
-    residuals = []
+def point_equations(p):
+    """The chain and closing equations of a point, as (name, lhs - rhs):
+    chain[i]: Z_i (1 + X_i D_i) = Z_{i-1} (1 + D_{i-1} X_{i-1}) for i = 2..l,
+    closing:  Z_1 (1 + X_1 D_1) T = Z_l (1 + D_l X_l)."""
     I = Matrix.identity(p.N)
-    for i in range(1, p.l):
-        # Z_{i+1}(1 + X_{i+1} D_{i+1}) = Z_i (1 + D_i X_i), 0-based i
-        lhs = (I + p.X[i] * p.D[i]) * p.Z[i]
-        rhs = (I + p.D[i - 1] * p.X[i - 1]) * p.Z[i - 1]
-        residuals.append({"equation": f"chain[{i + 1}]", "zero": (lhs - rhs).is_zero()})
-    lhs = (I + p.X[0] * p.D[0]) * p.Z[0] * p.T
-    rhs = (I + p.D[p.l - 1] * p.X[p.l - 1]) * p.Z[p.l - 1]
-    residuals.append({"equation": "closing", "zero": (lhs - rhs).is_zero()})
+    eqs = [(f"chain[{i + 1}]",
+            (I + p.X[i] * p.D[i]) * p.Z[i] - (I + p.D[i - 1] * p.X[i - 1]) * p.Z[i - 1])
+           for i in range(1, p.l)]
+    eqs.append(("closing", (I + p.X[0] * p.D[0]) * p.Z[0] * p.T
+                - (I + p.D[p.l - 1] * p.X[p.l - 1]) * p.Z[p.l - 1]))
+    return eqs
 
+
+def residuals(equations):
+    """The report of an equations table: whether each lhs - rhs is zero."""
+    return [{"equation": name, "zero": r.is_zero()} for name, r in equations]
+
+
+def check_point(p):
+    """Exact residuals of point_equations; also reports whether T lies in
+    the special conjugacy class diag(t^-1,..,t^-1,t^(N-1))."""
+    res = residuals(point_equations(p))
+    I = Matrix.identity(p.N)
     tclass = (p.T - I * (1 / p.t)) * (p.T - I * (p.t ** (p.N - 1)))
     in_class = tclass.is_zero() if p.N > 1 else (p.T == I)
-    return {"certified": all(r["zero"] for r in residuals), "residuals": residuals,
+    return {"certified": all(r["zero"] for r in res), "residuals": res,
             "T_in_special_class": in_class}
 
 
@@ -148,59 +160,43 @@ def psi(p):
         D = D * p.D[i]
     Y = (Matrix.identity(p.N) + p.X[0] * p.D[0]) * p.Z[0]
     quad = Quadruple(p.l, p.N, p.Z, p.t, X, D, Y, p.T)
-    rep = check_quadruple(quad)
-    if not rep["certified"]:
+    if not check_quadruple(quad)["certified"]:
         raise AssertionError("psi image fails the quadruple equations")
     return quad
 
 
-def check_quadruple(q):
-    """Exact residuals of the quadruple equations and invertibility of Y."""
+def quadruple_equations(q):
+    """The quadruple equations, as (name, lhs - rhs):
+    XD: X D = prod_i (Y/Z_i - 1),    DX: D X = prod_i (Y T/Z_i - 1),
+    YX=XYT: Y X = X Y T,             YTD=DY: Y T D = D Y."""
     I = Matrix.identity(q.N)
-    prod_plus = I
-    prod_minus = I
+    YT = q.Y * q.T
+    prod_plus = prod_minus = I
     for z in q.Z:
         prod_plus = prod_plus * (q.Y * (1 / z) - I)
-    YT = q.Y * q.T
-    for z in q.Z:
         prod_minus = prod_minus * (YT * (1 / z) - I)
-    residuals = [
-        {"equation": name, "zero": r.is_zero()}
-        for name, r in (
-            ("XD", q.X * q.D - prod_plus),
-            ("DX", q.D * q.X - prod_minus),
-            ("YX=XYT", q.Y * q.X - q.X * YT),
-            ("YTD=DY", YT * q.D - q.D * q.Y),
-        )
+    return [
+        ("XD", q.X * q.D - prod_plus),
+        ("DX", q.D * q.X - prod_minus),
+        ("YX=XYT", q.Y * q.X - q.X * YT),
+        ("YTD=DY", YT * q.D - q.D * q.Y),
     ]
+
+
+def check_quadruple(q):
+    """Exact residuals of quadruple_equations and invertibility of Y."""
+    res = residuals(quadruple_equations(q))
     inv = q.Y.is_invertible()
-    return {
-        "certified": inv and all(r["zero"] for r in residuals),
-        "residuals": residuals,
-        "Y_invertible": inv,
-    }
+    return {"certified": inv and all(r["zero"] for r in res), "residuals": res,
+            "Y_invertible": inv}
 
 
 def product_formulas(p):
     """L_+ = Z_1...Z_l X D = prod (Y - Z_i) and
-    L_- = Z_1...Z_l D X = prod (Y T - Z_i), checked exactly."""
-    quad = psi(p)
-    I = Matrix.identity(p.N)
-    zprod = Fraction(1)
-    for z in p.Z:
-        zprod *= z
-    Lplus = quad.X * quad.D * zprod
-    Lminus = quad.D * quad.X * zprod
-    rp = I
-    rm = I
-    YT = quad.Y * quad.T
-    for z in p.Z:
-        rp = rp * (quad.Y - I * z)
-        rm = rm * (YT - I * z)
-    return {
-        "Lplus_matches": Lplus == rp,
-        "Lminus_matches": Lminus == rm,
-    }
+    L_- = Z_1...Z_l D X = prod (Y T - Z_i) on psi(p): the XD and DX
+    quadruple equations multiplied through by the nonzero Z_1...Z_l."""
+    eqs = dict(quadruple_equations(psi(p)))
+    return {"Lplus_matches": eqs["XD"].is_zero(), "Lminus_matches": eqs["DX"].is_zero()}
 
 
 def sample_chain(l, N, Z, seed, max_attempts=200):
@@ -248,11 +244,9 @@ def lift_open_locus(q):
     D = [q.Y * (1 / q.Z[i]) - I for i in range(q.l - 1)]
     D.append(q.X.inverse() * (q.Y * (1 / q.Z[q.l - 1]) - I))
     point = QuiverPoint(q.l, q.N, q.Z, q.t, X, D, q.T)
-    rep = check_point(point)
-    if not rep["certified"]:
+    if not check_point(point)["certified"]:
         raise AssertionError("open-locus lift fails the chain equations")
-    back = psi(point)
-    if not (back.X == q.X and back.D == q.D and back.Y == q.Y and back.T == q.T):
+    if psi(point) != q:
         raise AssertionError("psi does not round-trip the lift")
     return point
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -151,3 +152,66 @@ def test_bow_json_round_trip():
     b2 = BowData.from_json(b.to_json())
     assert b2.C == b.C and b2.B3 == b.B3 and b2.dims == b.dims
     assert check_bow(b2)["certified"]
+
+
+def singular_B3_bow():
+    """A certified circle-cross bow whose B3 is singular: on the sampled
+    (2, 2, 2) bow at seed 11, a = A B2 e_1 and b = e_1^T, and the cross
+    equation solved for B3 = A B2 (1 - e_1 e_1^T) A^-1."""
+    b = bow((2, 2, 2), 11)
+    e1 = Matrix.column([1, 0])
+    a = b.A * b.B2 * e1
+    B3 = (b.A * b.B2 - a * e1.T) * b.A.inverse()
+    return BowData(CIRCLE_CROSS, b.dims, b.t, b.Z, b.Zp, b.C, b.D, b.A, a, e1.T,
+                   b.B1, b.B2, B3)
+
+
+def test_hw_transition_needs_invertible_B3():
+    s = singular_B3_bow()
+    assert check_bow(s)["certified"] and not s.B3.is_invertible()
+    with pytest.raises(UncertifiedInput, match="B3 is singular"):
+        hw_transition(s)
+
+
+@pytest.mark.parametrize("name", ["t", "Z", "Zp"])
+def test_zero_scalars_are_rejected(name):
+    scalars = {"t": 2, "Z": 3, "Zp": Fraction(5, 2), name: 0}
+    with pytest.raises(ValueError, match=f"^{name} must be nonzero$"):
+        sample_bow((1, 1, 1), seed=11, **scalars)
+    data = {**bow((1, 1, 1), 11).to_json(), name: "0"}
+    with pytest.raises(ValueError, match=f"^{name} must be nonzero$"):
+        BowData.from_json(data)
+
+
+def test_hw_diagram_linear_index_range():
+    # index -1 used to swap the last and first edges and rewrite dims[0]
+    diag = BowDiagram([0, 1, 1, 1, 0], ["x", "o", "o", "o"])
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=r"cross_edge must lie in 0\.\.2"):
+            hw_diagram(diag, i)
+    assert hw_diagram(diag, 0) == BowDiagram([0, 1, 1, 1, 0], ["o", "x", "o", "o"])
+
+
+def test_hw_diagram_circular_pairs():
+    # every (circle, cross) pair of random circular diagrams, the pair over
+    # the wrap (edges E - 1 and 0) included: the linkage invariants are
+    # kept, up to the cyclic rotation the wrap pair makes of the cross order
+    rng = Random(5)
+    wraps = 0
+    for _ in range(300):
+        E = rng.randint(2, 7)
+        edges = [rng.choice("ox") for _ in range(E)]
+        diag = BowDiagram([rng.randint(0, 4) for _ in range(E)], edges, circular=True)
+        before = linkage_invariants(diag)
+        for i in range(E):
+            if {edges[i], edges[(i + 1) % E]} != {"o", "x"}:
+                continue
+            after = hw_diagram(diag, i)
+            assert hw_diagram(diag, i - E) == after
+            if i < E - 1:
+                assert linkage_invariants(after) == before
+            else:
+                wraps += 1
+                rotations = [before[k:] + before[:k] for k in range(len(before))]
+                assert linkage_invariants(after) in rotations
+    assert wraps > 50

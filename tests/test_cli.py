@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cycdaha.cli import main
+from test_bow import singular_B3_bow
 
 
 def run_cli(args, capsys):
@@ -128,6 +129,35 @@ def test_bow_hw_cli_on_an_uncertified_bow(capsys, tmp_path):
     assert report["report"]["reason"] == "input bow not certified"
     assert not report["report"]["check"]["certified"]
     assert not b2.exists()
+
+
+def test_bow_hw_cli_on_a_singular_B3(capsys, tmp_path):
+    # a certified bow whose B3 is singular: the transition cannot start,
+    # a failed check that names B3 (exit 1), not an internal error (exit 3)
+    bfile = tmp_path / "bow.json"
+    bfile.write_text(json.dumps(singular_B3_bow().to_json()))
+    code, report = run_cli(["bow", "check", "--file", str(bfile)], capsys)
+    assert code == 0 and report["report"]["certified"]
+    b2 = tmp_path / "b2.json"
+    code, report = run_cli(["bow", "hw", "--file", str(bfile), "--out", str(b2)], capsys)
+    assert code == 1
+    assert report["report"]["reason"] == "B3 is singular: the transition needs B3^-1"
+    assert report["report"]["check"]["certified"]
+    assert not b2.exists()
+
+
+@pytest.mark.parametrize("name", ["t", "Z", "Zp"])
+def test_bow_file_with_a_zero_scalar_is_a_usage_error(capsys, tmp_path, name):
+    from cycdaha.bow import sample_bow
+
+    bfile = tmp_path / "bow.json"
+    bow = sample_bow((2, 2, 2), 2, 3, Fraction(5, 2), 11).to_json()
+    bfile.write_text(json.dumps({**bow, name: "0"}))
+    for cmd in ("check", "hw"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bow", cmd, "--file", str(bfile)])
+        assert exc.value.code == 2
+        assert f"ValueError: {name} must be nonzero" in capsys.readouterr().err
 
 
 def test_expr_parse_cli(capsys):
