@@ -269,12 +269,15 @@ def hw_inverse(bow):
 
     V2 is recovered as ker of beta_n = [A, D, a]; the maps are restrictions
     of the three projections, a = -B3 C a_n, C = alpha_n B1^-1 expressed in
-    kernel coordinates, and B2 = Z'(1 + C D)^-1.
+    kernel coordinates, and B2 = Z'(1 + C D)^-1.  UncertifiedInput unless
+    the bow is certified and B1 is invertible.
     """
     if bow.orientation != CROSS_CIRCLE:
         raise ValueError("inverse starts from the cross-circle orientation")
     if not check_bow(bow)["certified"]:
         raise UncertifiedInput("input bow not certified")
+    if not bow.B1.is_invertible():
+        raise UncertifiedInput("B1 is singular: the inverse transition needs B1^-1")
     d1, d2n, d3 = bow.dims
     K = _beta_n(bow).kernel()
     d2 = K.n

@@ -16,12 +16,22 @@ exact fields (cyclotomics, rational functions) use ordinary Gaussian
 elimination, ``_row_echelon_field``, which stays exact; the tests also use
 it as the reference for the integer path.  The first nonzero entry tells
 the two apart, and ``x / x`` of that entry is the field's unit, so no
-caller passes one.
+caller passes one (``nullspace`` takes one only for a matrix with no
+nonzero row, where no entry names the field).
+
+There is one kernel parametrization, ``_kernel``: one vector per free
+column f of the integer echelon, 1 at f and -row[f] / row[p] at each pivot
+p, as sparse int numerators over the lcm of the pivot entries it meets, in
+canonical (nums, den) form.  No Fraction is made.  ``nullspace`` returns
+these vectors (the quasiinvariant bases are built from them directly), and
+``Matrix.kernel`` puts them over their common den as its columns; over
+other fields ``nullspace`` reads the same vectors off the field echelon,
+over den 1.
 
 A small immutable Matrix class covers the matrix work of the quiver and
 bow modules.  It stores integer numerators over one positive denominator
-in canonical form, so its arithmetic runs on ints.  There is one kernel,
-``Matrix.kernel`` (the left kernel of M is ``M.T.kernel().T``), and one
+in canonical form, so its arithmetic runs on ints.  Its kernel is the one
+above (the left kernel of M is ``M.T.kernel().T``), and there is one
 invariant-subspace closure, ``span_closure``, which also gives the
 dimension of a generated matrix algebra."""
 
@@ -167,32 +177,67 @@ def matrix_rank(rows, ncols):
     return row_echelon(rows, ncols)[0]
 
 
-def nullspace(rows, ncols):
-    """Basis of the right kernel of the matrix, as coefficient vectors.
+def _kernel(kept, ncols):
+    """The kernel vectors of the reduced echelon form kept (as _reduce keeps
+    it), one per free column f: 1 at f and -row[f] / row[p] at each pivot
+    p, over the lcm of the pivot entries it meets.  Each is (nums, den),
+    nums a sparse {column: int} and den > 0 with gcd(den, *nums) == 1.
+    A kept row is zero at every other pivot column, so its entries off its
+    pivot are exactly the free columns it meets."""
+    meets = {}
+    for p, row in kept.items():
+        a = row[p]
+        for c, v in row.items():
+            if c != p:
+                meets.setdefault(c, []).append((p, a, v))
+    out = []
+    for f in range(ncols):
+        if f in kept:
+            continue
+        hits = meets.get(f, ())
+        den = lcm(*[a for _, a, _ in hits])
+        nums = {f: den}
+        for p, a, v in hits:
+            nums[p] = -v * (den // a)
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {c: v // g for c, v in nums.items()}
+            den //= g
+        out.append((nums, den))
+    return out
 
-    Free variables are set to 1 one at a time (the standard parametrization),
-    so the output is deterministic.  Rational rows give Fraction vectors,
-    read off the integer echelon only at the free columns; with no nonzero
-    row the basis is the standard one, over Fraction.
+
+def nullspace(rows, ncols, one=1):
+    """Basis of the right kernel of the matrix, one sparse vector per free
+    column f (the standard parametrization, so the output is
+    deterministic): 1 at f and minus the reduced rows' f-entries at their
+    pivots, nothing elsewhere.
+
+    Each vector is (nums, den), its entries nums[c] / den.  Rational rows
+    take the sparse integer echelon and give canonical int vectors, as
+    _kernel reads them: no Fraction is made.  Any other exact field keeps
+    its elimination and gives field elements over den 1.  With no nonzero
+    row no entry names the field, so the basis is the standard one with
+    numerator one (an int by default).
     """
-    rank, pivots, ech = row_echelon(rows, ncols)
-    integral = not ech or type(ech[0][pivots[0]]) is int
-    if integral:
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        zero = ech[0][0] - ech[0][0]
-        one = ech[0][pivots[0]]
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return [({f: one}, 1) for f in range(ncols)]
+    x = next(v for v in rows[0] if v)
+    if isinstance(x, (Fraction, int)):
+        return _kernel(_echelon(map(_sparse, rows)), ncols)
+    unit = x / x
+    rank, pivots, ech = _row_echelon_field(rows, ncols, unit)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for row, pc in zip(ech, pivots):
-            v = row[fc]
-            if v:
-                vec[pc] = Fraction(-v, row[pc]) if integral else -v
-        basis.append(vec)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        nums = {f: unit}
+        for row, p in zip(ech, pivots):
+            if row[f]:
+                nums[p] = -row[f]
+        basis.append((nums, 1))
     return basis
 
 
@@ -364,21 +409,16 @@ class Matrix:
         return coeffs
 
     def kernel(self):
-        """The n x k matrix whose columns span the right kernel, one per
-        free column f as nullspace gives them: 1 at f and -row[f] / row[p]
-        at each pivot p, over the lcm of the pivot entries."""
-        kept = _echelon(_int_sparse(self.nums))
-        den = lcm(*[row[p] for p, row in kept.items()])
+        """The n x k matrix whose columns span the right kernel: the
+        vectors of nullspace, one per free column, over their common
+        den."""
+        vecs = _kernel(_echelon(_int_sparse(self.nums)), self.n)
+        den = lcm(*[d for _, d in vecs])
         cols = []
-        for f in range(self.n):
-            if f in kept:
-                continue
+        for nums, d in vecs:
             col = [0] * self.n
-            col[f] = den
-            for p, row in kept.items():
-                v = row.get(f)
-                if v:
-                    col[p] = -v * (den // row[p])
+            for c, v in nums.items():
+                col[c] = v * (den // d)
             cols.append(col)
         nums = tuple(zip(*cols)) if cols else ((),) * self.n
         return Matrix._make(nums, den, (self.n, len(cols)))

@@ -36,11 +36,17 @@ hyperplane), in the row of k(e):
   Q = q^{pM} and w = q^{p a M}.
 
 conditions_matrix reads these off the exponent tuples, as ints over QQ.
-Every basis element returned by graded_basis is re-verified against the raw
-conditions by a direct checker (check_member) that works on the polynomial
-itself and shares no code with the row builder: it expands F - g_r F along
-the hyperplane (q = 1), or substitutes each hyperplane x_i = zeta^r q^p x_j,
-|p| <= m, into it and requires zero (q != 1).
+graded_basis does one pass per degree.  The kernel vectors come from the
+sparse integer echelon as int numerators over one den each
+(linalg.nullspace), and become the basis polynomials without a Fraction
+step.  Every basis element is then re-verified against the raw conditions
+by a direct checker (check_member) that works on the polynomial itself and
+shares no code with the row builder: it expands F - g_r F along the
+hyperplane (q = 1), or substitutes each hyperplane x_i = zeta^r q^p x_j,
+|p| <= m, into it and requires zero (q != 1).  The checker acts on
+X_1..X_N only, so the degree's vectors F_0..F_{k-1} are checked in one
+call, as the one polynomial sum_k F_k X_{N+1}^k in N + 1 variables: its
+result vanishes exactly when every F_k passes.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from fractions import Fraction
 from math import lcm
 
 from .laurent import LaurentPoly
-from .linalg import nullspace
+from .linalg import matrix_rank, nullspace
 from .scalars import QQ, CycloField, ParameterDegenerate
 from .tableaux import (
     content_sum,
@@ -296,6 +302,11 @@ def check_member(spec, F):
     comaximal ((c' - c) X_j is a unit), so g lies in their product exactly
     when it vanishes on every hyperplane.  p = 0 is kept so that the
     equivalence holds as stated.
+
+    Variables of F past spec.N are inert tags: every swap, substitution,
+    series expansion and projector test acts on X_1..X_N linearly and
+    keeps the other exponents, so F = sum_k F_k X_{N+1}^k passes exactly
+    when every F_k does (graded_basis checks a degree in one call so).
     """
     dom, N, m, q = spec.dom, spec.N, spec.m, spec.q
     pairs = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
@@ -360,24 +371,40 @@ class GradedBasis:
         return [len(d) for d in self.degrees]
 
 
+def _tagged(polys):
+    """sum_k polys[k] X_{N+1}^k: the polynomials of one degree as one
+    polynomial in N + 1 variables, the last exponent tagging the vector each
+    term comes from.  Over the lcm of the dens, which keeps it canonical
+    because each polys[k] is."""
+    N, dom = polys[0].N, polys[0].dom
+    den = lcm(*[F.den for F in polys])
+    nums = {}
+    for k, F in enumerate(polys):
+        m = den // F.den
+        for e, n in F.nums.items():
+            nums[e + (k,)] = n if m == 1 else n * m
+    return LaurentPoly._make(N + 1, dom, nums, den)
+
+
 def graded_basis(spec, maxdeg):
-    """Exact degree-wise bases up to maxdeg, re-verified post-solve."""
+    """Exact degree-wise bases up to maxdeg, re-verified post-solve.
+
+    One pass per degree: the kernel vectors of conditions_matrix become the
+    basis polynomials with their int numerators as they are (no Fraction
+    step), and check_member re-verifies all of them in one call on their
+    tagged sum (_tagged), which passes exactly when every vector does, as
+    the tag variable is inert.  A failure raises AssertionError naming the
+    degree.
+    """
+    N, dom = spec.N, spec.dom
+    one = dom.split(dom.one)[0]  # 1 over QQ, the field's one elsewhere
     out = []
     for d in range(maxdeg + 1):
         rows, basis = conditions_matrix(spec, d)
-        vecs = nullspace(rows, len(basis))
-        polys = []
-        for v in vecs:
-            terms = {}
-            for e, c in zip(basis, v):
-                if c:
-                    terms[e] = c
-            F = LaurentPoly(spec.N, spec.dom, terms)
-            if not check_member(spec, F):
-                raise AssertionError(
-                    f"solver output fails raw conditions at degree {d}"
-                )
-            polys.append(F)
+        polys = [LaurentPoly._make(N, dom, {basis[c]: n for c, n in nums.items()}, den)
+                 for nums, den in nullspace(rows, len(basis), one)]
+        if polys and not check_member(spec, _tagged(polys)):
+            raise AssertionError(f"solver output fails raw conditions at degree {d}")
         out.append(polys)
     return GradedBasis(spec, out)
 
@@ -426,7 +453,10 @@ def expected_twisted_series(Ns, m, shapes, truncation):
 # symmetry-split series (for the h_+ / h_- refinement)
 
 def graded_basis_with_symmetry(spec, maxdeg, i, j, sign):
-    """Basis of the subspace where swapping X_i, X_j acts by the given sign."""
+    """The dimensions, degree by degree up to maxdeg, of the subspace where
+    swapping X_i, X_j acts by the given sign: the number of columns less
+    the rank of the condition rows and the rows F - sign s_ij F = 0.  No
+    kernel vector is built."""
     out = []
     for d in range(maxdeg + 1):
         rows, basis = conditions_matrix(spec, d)
@@ -446,7 +476,7 @@ def graded_basis_with_symmetry(spec, maxdeg, i, j, sign):
                 continue
             row[col[se]] = row[col[se]] - spec.dom.coerce(sign)
             rows.append(row)
-        out.append(len(nullspace(rows, len(basis))))
+        out.append(len(basis) - matrix_rank(rows, len(basis)))
     return out
 
 

@@ -149,6 +149,12 @@ def psi(p):
     X = X_1 X_2 ... X_l, D = D_l ... D_1, Y = Z_1 (1 + X_1 D_1); the
     quadruple equations are verified as a postcondition.
     """
+    return _collapse(p)[0]
+
+
+def _collapse(p):
+    """psi(p) and its quadruple_equations, evaluated once for the
+    postcondition and for product_formulas."""
     if not check_point(p)["certified"]:
         raise UncertifiedInput("psi needs a certified point")
     X = Matrix.identity(p.N)
@@ -160,9 +166,10 @@ def psi(p):
         D = D * p.D[i]
     Y = (Matrix.identity(p.N) + p.X[0] * p.D[0]) * p.Z[0]
     quad = Quadruple(p.l, p.N, p.Z, p.t, X, D, Y, p.T)
-    if not check_quadruple(quad)["certified"]:
+    eqs = quadruple_equations(quad)
+    if not _quadruple_report(quad, eqs)["certified"]:
         raise AssertionError("psi image fails the quadruple equations")
-    return quad
+    return quad, eqs
 
 
 def quadruple_equations(q):
@@ -185,7 +192,12 @@ def quadruple_equations(q):
 
 def check_quadruple(q):
     """Exact residuals of quadruple_equations and invertibility of Y."""
-    res = residuals(quadruple_equations(q))
+    return _quadruple_report(q, quadruple_equations(q))
+
+
+def _quadruple_report(q, equations):
+    """check_quadruple's report from the quadruple's equations table."""
+    res = residuals(equations)
     inv = q.Y.is_invertible()
     return {"certified": inv and all(r["zero"] for r in res), "residuals": res,
             "Y_invertible": inv}
@@ -195,7 +207,7 @@ def product_formulas(p):
     """L_+ = Z_1...Z_l X D = prod (Y - Z_i) and
     L_- = Z_1...Z_l D X = prod (Y T - Z_i) on psi(p): the XD and DX
     quadruple equations multiplied through by the nonzero Z_1...Z_l."""
-    eqs = dict(quadruple_equations(psi(p)))
+    eqs = dict(_collapse(p)[1])
     return {"Lplus_matches": eqs["XD"].is_zero(), "Lminus_matches": eqs["DX"].is_zero()}
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from cycdaha.bow import (
     CIRCLE_CROSS,
+    CROSS_CIRCLE,
     BowData,
     BowDiagram,
     check_bow,
@@ -171,6 +172,28 @@ def test_hw_transition_needs_invertible_B3():
     assert check_bow(s)["certified"] and not s.B3.is_invertible()
     with pytest.raises(UncertifiedInput, match="B3 is singular"):
         hw_transition(s)
+
+
+def singular_B1_bow():
+    """A certified cross-circle bow with B1 = [[1, 2], [2, 4]] at dims
+    (2, 2, 2): A = 1, a = e_1, b = e_2^T, B2 solved from the cross equation,
+    D from loop-left (C = 1) and B3 from loop-right."""
+    t, Z, Zp = Fraction(2), Fraction(3), Fraction(5, 2)
+    I = Matrix.identity(2)
+    B1 = Matrix([[1, 2], [2, 4]])
+    A, C = I, I
+    a, b = Matrix.column([1, 0]), Matrix([[0, 1]])
+    B2 = (A * B1 - a * b) * A.inverse()
+    D = (B2.inverse() * (t * Z) - I) * C.inverse()
+    B3 = (I + C * D).inverse() * Zp
+    return BowData(CROSS_CIRCLE, (2, 2, 2), t, Z, Zp, C, D, A, a, b, B1, B2, B3)
+
+
+def test_hw_inverse_needs_invertible_B1():
+    s = singular_B1_bow()
+    assert check_bow(s)["certified"] and not s.B1.is_invertible()
+    with pytest.raises(UncertifiedInput, match="B1 is singular"):
+        hw_inverse(s)
 
 
 @pytest.mark.parametrize("name", ["t", "Z", "Zp"])

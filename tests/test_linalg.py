@@ -36,7 +36,7 @@ def test_rank_and_nullspace_rational():
         [Fraction(0), Fraction(1), Fraction(1)],
     ]
     assert matrix_rank(rows, 3) == 2
-    basis = nullspace(rows, 3)
+    basis = _dense(nullspace(rows, 3), 3)
     assert len(basis) == 1
     v = basis[0]
     for row in rows:
@@ -47,10 +47,18 @@ def test_nullspace_over_cyclotomic_field():
     dom = CycloField(3)
     z = dom.zeta
     rows = [[dom.one, z], [z ** 2, dom.one]]  # second row = z^2 * first
-    basis = nullspace(rows, 2)
-    assert len(basis) == 1
-    v = basis[0]
+    ((nums, den),) = nullspace(rows, 2)
+    assert den == 1 and all(nums.values())
+    v = [nums.get(c, dom.zero) for c in range(2)]
     assert rows[0][0] * v[0] + rows[0][1] * v[1] == dom.zero
+
+
+def test_nullspace_without_nonzero_rows():
+    # no entry names the field: the standard basis, with the one given
+    assert nullspace([], 3) == [({0: 1}, 1), ({1: 1}, 1), ({2: 1}, 1)]
+    dom = CycloField(3)
+    assert nullspace([[dom.zero, dom.zero]], 2, dom.one) == [({0: dom.one}, 1),
+                                                             ({1: dom.one}, 1)]
 
 
 def test_row_echelon_with_a_zero_first_entry():
@@ -101,6 +109,18 @@ def _field_nullspace(rows, ncols):
     return basis
 
 
+def _dense(vecs, ncols):
+    """nullspace's rational (nums, den) vectors as dense Fraction lists,
+    after checking that each is canonical: nonzero int numerators over a
+    positive den that shares no factor with them."""
+    out = []
+    for nums, den in vecs:
+        assert den > 0 and all(type(v) is int and v for v in nums.values())
+        assert gcd(den, *nums.values()) == 1
+        out.append([Fraction(nums.get(c, 0), den) for c in range(ncols)])
+    return out
+
+
 nonzero_entries = st.one_of(
     st.integers(-9, 9), st.fractions(min_value=-4, max_value=4, max_denominator=5)
 ).filter(bool)
@@ -140,7 +160,7 @@ def test_sparse_elimination_matches_field_elimination(case):
     for row, p, ref_row in zip(ech, pivots, ref[2]):
         assert row[p] > 0 and gcd(*row) == 1
         assert [Fraction(x, row[p]) for x in row] == ref_row
-    assert nullspace(rows, ncols) == _field_nullspace(rows, ncols)
+    assert _dense(nullspace(rows, ncols), ncols) == _field_nullspace(rows, ncols)
 
 
 @pytest.mark.parametrize("spec, d", [
@@ -151,7 +171,7 @@ def test_sparse_elimination_matches_field_elimination(case):
 ])
 def test_condition_row_nullspace_matches_field_elimination(spec, d):
     rows, basis = conditions_matrix(spec, d)
-    assert nullspace(rows, len(basis)) == _field_nullspace(rows, len(basis))
+    assert _dense(nullspace(rows, len(basis)), len(basis)) == _field_nullspace(rows, len(basis))
 
 
 def test_matrix_inverse_and_det():

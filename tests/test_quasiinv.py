@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -367,6 +368,76 @@ def test_swap_split_adds_up_to_the_dimensions():
         plus, minus = (graded_basis_with_symmetry(spec, maxdeg, 1, 2, sign) for sign in (1, -1))
         dims = graded_basis(spec, maxdeg).dims()
         assert [p + m for p, m in zip(plus, minus)] == dims, spec
+
+
+TAG_SPECS = [
+    QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(3, 2)),
+    QuasiSpec(PLAIN_Q, 3, 1, q=1),
+    QuasiSpec(CYC, 2, 1, l=2, mlist=(1,), q=Fraction(7, 5)),
+    QuasiSpec(CYC, 2, 1, l=3, mlist=(1, 0), q=1),
+    QuasiSpec(CYC, 2, 1, l=3, mlist=(0, 1), q=Fraction(-5, 3)),
+    QuasiSpec(TWISTED, 2, 1, a=(Fraction(1, 3), Fraction(0))),
+    QuasiSpec(TWISTED_Q, 2, 1, a=(Fraction(1, 2), Fraction(0)), q=Fraction(3, 2)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _tag_basis(k):
+    return graded_basis(TAG_SPECS[k], 4).degrees
+
+
+# one block: a degree, coefficients of a combination of that degree's basis,
+# and maybe a monomial of that degree added (most often a non-member)
+_coef = st.integers(-2, 2)
+_blocks = st.lists(st.tuples(st.integers(0, 4), st.lists(_coef, max_size=5),
+                             st.none() | st.tuples(st.integers(0, 14), _coef.filter(bool))),
+                   min_size=1, max_size=4)
+
+
+@settings(deadline=None)
+@given(st.integers(0, len(TAG_SPECS) - 1), _blocks)
+def test_check_member_on_a_tagged_block_is_the_conjunction(k, blocks):
+    """F = sum_k F_k X_{N+1}^k passes check_member exactly when every F_k
+    does, for every variant, with members and non-members mixed."""
+    spec, degrees = TAG_SPECS[k], _tag_basis(k)
+    N, dom = spec.N, spec.dom
+    polys = []
+    for d, coefs, extra in blocks:
+        F = LaurentPoly.zero(N, dom)
+        for c, B in zip(coefs, degrees[d]):
+            F = F + B * c
+        if extra is not None:
+            monomials = degree_monomials(N, d)
+            F = F + LaurentPoly.monomial(N, monomials[extra[0] % len(monomials)], extra[1], dom)
+        polys.append(F)
+    tagged = LaurentPoly(N + 1, dom, {e + (t,): c for t, F in enumerate(polys)
+                                      for e, c in F.terms.items()})
+    assert check_member(spec, tagged) == all(check_member(spec, F) for F in polys)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_graded_basis_rejects_one_corrupted_kernel_vector(monkeypatch, k):
+    """Adding X^c to one of the three degree-3 kernel vectors of plain-q
+    (N = 2, m = 1, q = 3/2) must make graded_basis fail at degree 3: at odd
+    degree no monomial is symmetric, so X^c is not a member and neither is
+    the corrupted vector."""
+    from cycdaha import quasiinv
+
+    spec = QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(3, 2))
+    assert graded_basis(spec, 5).dims()[3] == 3
+    real = quasiinv.nullspace
+
+    def corrupted(rows, ncols, *args):
+        vecs = real(rows, ncols, *args)
+        if ncols == len(degree_monomials(2, 3)):
+            nums, den = vecs[k]
+            c = min(set(range(ncols)) - nums.keys())
+            vecs[k] = ({**nums, c: den}, den)
+        return vecs
+
+    monkeypatch.setattr(quasiinv, "nullspace", corrupted)
+    with pytest.raises(AssertionError, match="fails raw conditions at degree 3$"):
+        graded_basis(spec, 5)
 
 
 def test_check_member_propagates_unexpected_errors(monkeypatch):

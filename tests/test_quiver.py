@@ -16,6 +16,7 @@ from cycdaha.quiver import (
     moment_equivariance_check,
     product_formulas,
     psi,
+    quadruple_equations,
     sample_chain,
     telescoped_framing,
     vdb_moment,
@@ -50,6 +51,23 @@ def test_sample_chain_certifies_and_product_formulas():
             assert check_point(p)["certified"]
             pf = product_formulas(p)
             assert pf["Lplus_matches"] and pf["Lminus_matches"]
+
+
+def test_product_formulas_evaluate_the_quadruple_equations_once(monkeypatch):
+    # psi's postcondition and the L+- verdicts read one equations table
+    from cycdaha import quiver
+
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return quadruple_equations(q)
+
+    monkeypatch.setattr(quiver, "quadruple_equations", counted)
+    p = sample_chain(3, 3, Zs(3), seed=33)
+    pf = product_formulas(p)
+    assert pf["Lplus_matches"] and pf["Lminus_matches"]
+    assert len(calls) == 1
 
 
 def test_l1_T_formula():
