@@ -301,12 +301,14 @@ def hw_round_trip_check(bow):
 
     The recovered segment's V2 is ker(beta_n) with basis columns K; the
     intertwiner g solves K g = alpha and must match all five maps and B2.
+    hw_inverse takes back's D, A and b as the block rows of K, so K is
+    alpha of back.
     """
     new = hw_transition(bow)
     back = hw_inverse(new)
     if back.dims != bow.dims:
         return {"ok": False, "reason": "dimension mismatch"}
-    K = _beta_n(new).kernel()
+    K = _alpha(back)
     try:
         g = K.solve_right(_alpha(bow))
     except ValueError:

@@ -3,6 +3,12 @@ Hecke symmetrizer, the first Macdonald difference operator, and the
 symmetric Hamiltonians built from elementary symmetric functions of the
 commuting families.
 
+The family is Y_i(f) = Y_i T_{i-1}^-1...T_1^-1 f(X_1^-1) T_1...T_{i-1}.
+y_f builds it, for i >= 2, as the telescoped product
+tb^(N-1) T_i^-1...T_{N-1}^-1 omega f(X_1^-1) T_1...T_{i-1}, the same
+operator: Y_i = tb^(N-1) T_i^-1...T_{N-1}^-1 omega T_1...T_{i-1} ends in
+T_1...T_{i-1}, which cancels the conjugators T_{i-1}^-1...T_1^-1.
+
 The Macdonald operator has rational coefficients in X; it is evaluated by
 clearing the Vandermonde denominator and dividing the numerator by one
 X_a - X_b at a time, so everything stays inside the Laurent ring.
@@ -15,6 +21,8 @@ from fractions import Fraction
 
 from .laurent import LaurentPoly
 from .ops import (
+    FAMILY_DAHA,
+    FamilyMismatch,
     Gen,
     OperatorExpr,
     _permutations_with_words,
@@ -122,17 +130,32 @@ def M1_l1(rep, p):
 # the commuting families
 
 def y_f(rep, i, f_coeffs):
-    """Y_i(f) = Y_i T_{i-1}^-1...T_1^-1 f(X_1^-1) T_1...T_{i-1}.
+    """Y_i(f) = Y_i T_{i-1}^-1...T_1^-1 f(X_1^-1) T_1...T_{i-1}, for
+    1 <= i <= N on a daha representation; any other i raises ValueError,
+    and any other family FamilyMismatch.
 
     f_coeffs are the coefficients of f, low-degree first; f(X_1^-1) expands
-    as a polynomial in X_1^-1.
+    as a polynomial in X_1^-1.  For i >= 2 the expression is the telescoped
+    product tb^(N-1) T_i^-1...T_{N-1}^-1 omega f(X_1^-1) T_1...T_{i-1}:
+    Y_i = tb^(N-1) T_i^-1...T_{N-1}^-1 omega T_1...T_{i-1}, whose trailing
+    T_1...T_{i-1} cancels the conjugators T_{i-1}^-1...T_1^-1.  For i = 1 it
+    is Y_1 f(X_1^-1), and for constant f it is f(0) Y_i.
     """
+    if rep.family != FAMILY_DAHA:
+        raise FamilyMismatch(f"Y_i(f) not available in family {rep.family!r}")
+    if not 1 <= i <= rep.N:
+        raise ValueError(f"Y_i(f) needs 1 <= i <= N = {rep.N}, got i = {i}")
     if all(not c for c in f_coeffs[1:]):
         # constant f: the conjugators cancel
         return OperatorExpr.word([Gen("Y", i)], f_coeffs[0] if f_coeffs else 0)
-    fX = OperatorExpr({(Gen("X^-1", 1),) * d: c for d, c in enumerate(f_coeffs) if c})
-    left = tuple([Gen("Y", i)] + [Gen("T^-1", r) for r in range(i - 1, 0, -1)])
-    right = tuple(Gen("T", r) for r in range(1, i))
+    # for i >= 2, tb^(N-1) rides on the coefficients of f(X_1^-1), so no
+    # separate pass scales the image
+    scale = rep.params["tb"] ** (rep.N - 1) if i > 1 else 1
+    fX = OperatorExpr({(Gen("X^-1", 1),) * d: scale * c for d, c in enumerate(f_coeffs) if c})
+    if i == 1:
+        return OperatorExpr.gen("Y", 1) * fX
+    left = [*(Gen("T^-1", r) for r in range(i, rep.N)), Gen("omega")]
+    right = [Gen("T", r) for r in range(1, i)]
     return OperatorExpr.word(left) * fX * OperatorExpr.word(right)
 
 

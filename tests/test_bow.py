@@ -39,6 +39,20 @@ def test_round_trips():
             assert r["ok"], (dims, seed, r)
 
 
+def test_round_trip_takes_the_kernel_of_beta_n_once(monkeypatch):
+    """hw_inverse's kernel of beta_n is alpha of the recovered bow, so the
+    round trip check builds beta_n once and takes its kernel once."""
+    import cycdaha.bow as bow_module
+
+    calls = []
+    beta_n = bow_module._beta_n
+    monkeypatch.setattr(bow_module, "_beta_n", lambda b: calls.append(b) or beta_n(b))
+    for dims in ((1, 1, 1), (2, 2, 2)):
+        calls.clear()
+        assert hw_round_trip_check(bow(dims, 11))["ok"]
+        assert len(calls) == 1, dims
+
+
 def test_transition_dimension_count():
     b = bow((2, 2, 2), 11)
     new = hw_transition(b)

@@ -16,7 +16,7 @@ from cycdaha.macdonald import (
     symmetric_basis,
     y_f,
 )
-from cycdaha.ops import Gen, OperatorExpr, Rep, op_equal_on_box
+from cycdaha.ops import FamilyMismatch, Gen, OperatorExpr, Rep, op_equal_on_box
 from cycdaha.scalars import CycloNumber, ParameterDegenerate, RatFuncField
 
 
@@ -132,6 +132,46 @@ def test_y_f_commute_and_involution_link():
                     assert op_equal_on_box(
                         rep, fam[i] * fam[j], fam[j] * fam[i], 2
                     )["result"]
+
+
+def _displayed_y_f(rep, i, f_coeffs):
+    """Y_i T_{i-1}^-1...T_1^-1 f(X_1^-1) T_1...T_{i-1}, word for word."""
+    fX = OperatorExpr({(Gen("X^-1", 1),) * d: c for d, c in enumerate(f_coeffs) if c})
+    left = [Gen("Y", i), *(Gen("T^-1", r) for r in range(i - 1, 0, -1))]
+    right = [Gen("T", r) for r in range(1, i)]
+    return OperatorExpr.word(left) * fX * OperatorExpr.word(right)
+
+
+@pytest.mark.parametrize("N,l,B", [
+    (2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2), (4, 1, 1), (4, 2, 1), (3, None, 1)])
+def test_y_f_equals_the_displayed_product(N, l, B):
+    """y_f builds Y_i(f) for i >= 2 as the telescoped product
+    tb^(N-1) T_i^-1...T_{N-1}^-1 omega f(X_1^-1) T_1...T_{i-1}; it must act
+    as the displayed product on the box, and the same product without its
+    tb^(N-1) must not.  l = None is the Q(t) rep with tb = t and Z = (2,)."""
+    if l is None:
+        rep = Rep.daha(N, Fraction(3, 2), RatFuncField("t").gen, (2,))
+    else:
+        rep = sample_rep("cyc-daha", N, l)
+    tb = rep.params["tb"]
+    f = poly_from_roots(rep.params["Z"])
+    for i in range(1, N + 1):
+        ref = _displayed_y_f(rep, i, f)
+        assert op_equal_on_box(rep, y_f(rep, i, f), ref, B)["result"], i
+        if i > 1:
+            unscaled = (1 / tb) ** (N - 1) * y_f(rep, i, f)
+            assert not op_equal_on_box(rep, unscaled, ref, B)["result"], i
+
+
+def test_y_f_rejects_an_index_outside_the_rank_when_built():
+    rep = sample_rep("cyc-daha", 3, 2, seed=13)
+    f = poly_from_roots(rep.params["Z"])
+    for i in (0, 4, -1):
+        for coeffs in (f, [Fraction(2)]):
+            with pytest.raises(ValueError, match="Y_i"):
+                y_f(rep, i, coeffs)
+    with pytest.raises(FamilyMismatch):
+        y_f(sample_rep("deg-daha", 3), 2, [Fraction(1), Fraction(1)])
 
 
 def test_hamiltonians_preserve_symmetry_and_commute():
