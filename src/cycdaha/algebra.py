@@ -333,6 +333,8 @@ def _deg_daha_schemas():
         return lhs, (_g("y", 1) - rep.params["hbar"]) * _g("pi")
 
     def s0_yN(rep):
+        # s_0 = s_1N X_1^-1 X_N is the identity at N = 1, where there is no
+        # affine reflection and the relation would read y_1 = y_1 - hbar + k
         lhs = _w([Gen("s0"), Gen("y", rep.N)])
         return lhs, (_g("y", 1) - rep.params["hbar"]) * _g("s0") + rep.params["k"]
 
@@ -391,7 +393,7 @@ def _deg_daha_schemas():
         RelationSchema("pi-y", _each("pi-y", pi_y, 1, -1)),
         RelationSchema("pi-yN", _one("pi-yN", pi_yN)),
         RelationSchema("s-y", _each("s-y", _s_y, 1, -1)),
-        RelationSchema("s0-yN", _one("s0-yN", s0_yN)),
+        RelationSchema("s0-yN", _one("s0-yN", s0_yN, min_N=2)),
         RelationSchema("sy-comm", s_y_comm),
         RelationSchema("sX", s_X),
         RelationSchema("XX", _commuting("XX", "X")),

@@ -152,7 +152,7 @@ def cmd_quiver_check(args):
     rep = check_point(p)
     payload = {"check": rep}
     if rep["certified"]:
-        payload["product_formulas"] = product_formulas(p)
+        payload["product_formulas"] = product_formulas(p, rep)
     return payload, rep["certified"] and all(payload.get("product_formulas", {}).values())
 
 

@@ -21,16 +21,21 @@ Reduction happens in two places:
 
 * content: every operation that can create a common factor of den and the
   numerators (sums, products, scalings, substitutions, series) ends with
-  one ``math.gcd(den, *nums)``.  The operator engine's ``map_linear`` (one
-  generator applied to a polynomial that is not a unit monomial, the engine
-  answering that from its cache, whose images are canonical; a composite
-  generator goes there only when its cache holds every term) is one loop
-  over the terms: it looks each image up in the generator's cache, computes
-  it only on a miss, and adds its numerators into one dict over the lcm of
-  the image dens.  ``linear_sum`` (one operator sum, its coefficients split
+  one ``math.gcd(den, *nums)``.  The operator engine's ``map_linear``
+  serves the generators that cache images: T^+-1 and the Dunkl operators
+  applied to a polynomial that is not a unit monomial (the engine answers
+  that from its cache, whose images are canonical), and a composite
+  generator only when its cache holds every term.  It is one loop over the
+  terms: it looks each image up in the generator's cache, computes it only
+  on a miss, and adds its numerators into one dict over the lcm of the
+  image dens.  ``linear_sum`` (one operator sum, its coefficients split
   beforehand; the engine keeps them split in its compiled plans)
   accumulates its polynomials in one dict the same way.  Each pays for one
-  reduction;
+  reduction.  A generator that sends each monomial to one monomial reads
+  a table of image exponents instead and caches no image:
+  ``map_exponents`` (scalar 1: X^+-1, the permutations) keeps den and
+  reduces nothing, and ``map_exponents_scaled`` (q-, zeta- and omega
+  scalings) pays for one reduction;
 * values leaving: the ``terms`` view joins a numerator and den into a
   reduced field coefficient only when read, for hash, ``to_json`` and
   reports, ``coefficient``, and code outside the engine.  Coefficient
@@ -83,10 +88,11 @@ class NonInvertibleScale(Exception):
 def split_powers(dom, c):
     """The table k -> c**k of dom for any int k, split as (numerator, den)
     (Domain.split), each entry made on first use and kept across calls:
-    substitute reads it for every rule, and the operator engine's omega
-    for q.  Keyed on the domain object as well as on c, so equal values of
-    two domains (2 in QQ and 2 in Q(zeta_3)) never share a table.  A
-    negative k raises NonInvertibleScale when c == 0."""
+    substitute reads it for every rule, and the operator engine's tables
+    of omega^+-1 and tau (for q) and sigma^+-1 (for zeta).  Keyed on the
+    domain object as well as on c, so equal values of two domains (2 in QQ
+    and 2 in Q(zeta_3)) never share a table.  A negative k raises
+    NonInvertibleScale when c == 0."""
     split = dom.split
 
     def make(k):
@@ -276,6 +282,28 @@ class LaurentPoly:
                     else:
                         del out[f]
         return _canonical(self.N, self.dom, out, lcm * self.den)
+
+    def map_exponents(self, table):
+        """The image of self under the monomial map X^e -> X^table[e], table
+        injective on exponents: one dict comprehension over the terms.  den
+        is kept and no content is reduced, since no two terms merge and no
+        coefficient changes."""
+        return LaurentPoly._make(self.N, self.dom,
+                                 {table[e]: n for e, n in self.nums.items()}, self.den)
+
+    def map_exponents_scaled(self, table):
+        """The image of self under X^e -> (n/d) X^f with (f, n, d) =
+        table[e], f injective in e and n/d split in the domain: one pass
+        over the terms into one dict over the lcm of the ds, then one
+        content reduction."""
+        images = [(table[e], n) for e, n in self.nums.items()]
+        lcm = math.lcm(*[d for (_, _, d), _ in images])
+        out = {}
+        for (f, sn, d), n in images:
+            n = n * sn if d == lcm else n * sn * (lcm // d)
+            if n:
+                out[f] = n
+        return self._reduced(out, self.den * lcm)
 
     def _wrap(self, nums, den=1):
         """Same ring, numerators already canonical over den."""

@@ -31,33 +31,50 @@ parameters.
 
 GENERATORS[family] is the one table of a family: it maps each generator tag
 the family accepts to its action, and any other tag raises FamilyMismatch.
-A primitive (X, s, T, omega, the Dunkl operators, ...) acts by its own
-code; a composite (Y, pi, Dl, s_0, ...) is an OperatorExpr, the product
-displayed above, built once per (representation, generator) and evaluated
-like any other expression, so every generator in it acts through apply_gen.
+An action is of one of three kinds.  A monomial map (_Monomial: X^+-1,
+s_i, s_ij, omega^+-1, tau_i, sigma_i^+-1, and deg's pi^+-1 and s_0, whose
+displayed products above are words in X^+-1 and s) sends each monomial to
+one monomial.  A primitive (T^+-1 and the Dunkl operators) acts by its own
+code and spreads a monomial into a polynomial.  A composite (Y^+-1, Dl,
+pi_-, and daha's pi^+-1) is an OperatorExpr, the product displayed above,
+built once per (representation, generator) and evaluated like any other
+expression, so every generator in it acts through apply_gen.
 
 Operator words act right-to-left (the rightmost generator applies first).
-Per-generator images of monomials are cached on the representation; caching
-is semantically invisible because representations are immutable.  A
-primitive caches the image of every monomial it meets.  A composite caches
-the image of a monomial with coefficient 1 it is applied to; applied to any
-other polynomial with a term outside its cache, it evaluates its expression
-on the whole polynomial, which merges like terms at each factor through
-the factors' caches, and stores nothing.  In randomized checks the images
-of such intermediate polynomials' terms are mostly read about once, so
-building and storing one per monomial, each along its own walk of the
-factor chain, costs more than it saves.
+Rep.apply_gen reads a generator's action from a slot bound once per
+(representation, generator), after the family and index checks.  A
+monomial map's slot holds one table (laurent._Table) from an exponent e to
+its image exponent e', with the image's scalar split as (numerator, den)
+where it is not 1 (omega^+-1 by q^(+-e), tau_i, sigma_i^+-1), filled on
+first use.  A unit-scalar map acts on any polynomial in one dict
+comprehension over its terms (LaurentPoly.map_exponents): the den is kept
+and nothing is reduced, since an injective exponent map with scalar 1
+keeps the canonical form.  A scaled map takes one pass and one content
+reduction (map_exponents_scaled).  deg's pi, pi^-1 and s_0 get one table
+each, composed through their factors' exponent functions.  A monomial map
+keeps no images.
+
+The other generators cache images of monomials on the representation;
+caching is semantically invisible because representations are immutable.
+A primitive caches the image of every monomial it meets.  A composite
+caches the image of a monomial with coefficient 1 it is applied to;
+applied to any other polynomial with a term outside its cache, it
+evaluates its expression on the whole polynomial, which merges like terms
+at each factor through the factors' slots, and stores nothing.  In
+randomized checks the images of such intermediate polynomials' terms are
+mostly read about once, so building and storing one per monomial, each
+along its own walk of the factor chain, costs more than it saves.
 
 The engine works in LaurentPoly's fraction-free form: a cached image holds
 numerators over one shared den (ints over a positive int den for QQ, field
 elements over 1 for Q(zeta_l) and Q(t); a CycloNumber is itself int
-numerators over one den).  Rep.apply_gen reads the generator's image
-cache, fresh-image function and (for a composite) whole-polynomial
-function from a slot bound once per (representation, generator) that
-reaches the representation through a weak reference, so no closure is
+numerators over one den).  The slot of a primitive or composite holds its
+image cache, its fresh-image function and (for a composite) its
+whole-polynomial function; they reach the representation through a weak
+reference, and no table or function in a slot holds it, so no closure is
 built per call and the slot makes no reference cycle.  A monomial with
-coefficient 1 gets its cached image itself, computed only on a miss (from a
-monomial wrapping the unit numerator split once per representation); a
+coefficient 1 gets its cached image itself, computed only on a miss (from
+a monomial wrapping the unit numerator split once per representation); a
 composite's argument with a term outside its cache goes to its expression;
 any other argument goes to LaurentPoly.map_linear, one loop over its terms
 that looks up each image the same way and adds its numerators into one
@@ -80,16 +97,17 @@ coefficients through LaurentPoly.terms and to_json, which join them into
 reduced Fractions over QQ.
 
 Fresh images are built without intermediate polynomials where the action
-has a closed form.  T_i^+-1, omega^+-1 and the Dunkl operators make one pass
-over the terms of their argument into one LaurentPoly._collect: T_i's
+has a closed form.  T_i^+-1 and the Dunkl operators make one pass over
+the terms of their argument into one LaurentPoly._collect: T_i's
 quotient by X_i/X_{i+1} - 1 is a signed geometric sum.  One pass,
 Rep._dunkl, serves DO_i, D_i and y_i (= Dtrig_i): DO_i's quotients by
 x_i - zeta^m x_r, summed over m, are one geometric sum with integer
 coefficients, D_i is DO_i at l = 1 with no c-part, and y_i shifts D_i by
 X_i and adds its s_ij terms.  The scalars they use are computed once per
-representation: tb, tb - 1/tb and the powers of q; the Dunkl step l, the
-table a -> hbar a - w(a mod l) of DO's c-part and derivative (w = 0 for
-deg), and -k l and k l.  Where a composite contains another composite's
+representation: tb, tb - 1/tb and the powers of q (which the tables of
+omega^+-1 and tau read too); the Dunkl step l, the table
+a -> hbar a - w(a mod l) of DO's c-part and derivative (w = 0 for deg),
+and -k l and k l.  Where a composite contains another composite's
 factors, its expression holds that composite as one Gen, applied through
 apply_gen like any other:
 Dl_i = T_{i-1}^-1 Dl_{i-1} T_{i-1}^-1 (daha) and s_1i Dl_1 s_1i (deg), and
@@ -323,7 +341,9 @@ class Rep:
     Immutable after construction; all generator applications are exact.
     Images of monomials are cached per generator: every monomial a
     primitive meets, and the monomials with coefficient 1 a composite is
-    applied to (see the module docstring).
+    applied to.  A monomial map (X^+-1, s, s_ij, omega^+-1, tau, sigma^+-1,
+    deg's pi^+-1 and s_0) caches no image: it keeps a table of image
+    exponents (see the module docstring).
     """
 
     def __init__(self, family, N, l=0, params=None, dom=QQ):
@@ -334,7 +354,7 @@ class Rep:
         self.dom = dom
         self._actions = GENERATORS[family]
         self._cache = {}
-        self._slots = {}  # g -> (self._cache[g], fresh-image function)
+        self._slots = {}  # g -> its slot, bound on first use (see _slot)
         self._exprs = {}  # composite g -> its OperatorExpr
         # the numerator of 1, wrapped as the monomial argument of each fresh image
         self._one = dom.split(dom.one)[0]
@@ -414,15 +434,21 @@ class Rep:
 
     def apply_gen(self, g, p):
         """Apply one generator to a Laurent polynomial (exact, linear).  A
-        monomial with coefficient 1 gets its cached image itself.  A
-        composite applied to a polynomial with a term not in its cache is
-        evaluated through its factors, and its cache is left as it was; any
-        other polynomial sums the images of its terms (map_linear).  A Gen
-        outside the family gets no slot, so it raises on every call."""
+        monomial map sends p through its exponent table.  For any other
+        generator, a monomial with coefficient 1 gets its cached image
+        itself; a composite applied to a polynomial with a term not in its
+        cache is evaluated through its factors, and its cache is left as it
+        was; any other polynomial sums the images of its terms
+        (map_linear).  A Gen outside the family gets no slot, so it raises
+        on every call."""
         slot = self._slots.get(g)
         if slot is None:
             slot = self._slot(g)
         cache, fresh, whole = slot
+        if cache is None:
+            # a monomial map: fresh is its exponent table and whole
+            # LaurentPoly.map_exponents or map_exponents_scaled
+            return whole(p, fresh)
         nums = p.nums
         if p.den == 1 and len(nums) == 1:
             for e, n in nums.items():
@@ -436,16 +462,28 @@ class Rep:
         return whole(p)
 
     def _slot(self, g):
-        """The image cache of g, its fresh-image function, and for a
-        composite the function that evaluates its expression on a whole
-        polynomial (None for a primitive), bound once per (rep, g).  The
-        functions reach the rep through a weak reference, so the slot kept
-        on the rep makes no reference cycle."""
+        """The slot of g, bound once per (rep, g) after the family and index
+        checks, with g's image cache as self._cache[g].  A monomial map
+        (_Monomial) keeps no images: its slot is (None, its exponent table,
+        the LaurentPoly method that applies the table), and its cache stays
+        empty.  Any other generator's slot is its image cache, its
+        fresh-image function, and for a composite the function that
+        evaluates its expression on a whole polynomial (None for a
+        primitive).  Nothing in a slot holds the rep, and the functions
+        reach it through a weak reference, so the slot kept on the rep
+        makes no reference cycle."""
         if g.tag not in self._actions:
             raise FamilyMismatch(f"{g!r} not available in family {self.family!r}")
         if not index_ok(g, self.N):
             raise ValueError(f"index i={g.i}, j={g.j} of {g.tag} is out of range at N = {self.N}")
-        action, N, dom, one = self._actions[g.tag], self.N, self.dom, self._one
+        action = self._actions[g.tag]
+        cache = self._cache[g] = {}
+        if isinstance(action, _Monomial):
+            slot = self._slots[g] = (
+                None, _Table(action.build(self, g)),
+                LaurentPoly.map_exponents_scaled if action.scaled else LaurentPoly.map_exponents)
+            return slot
+        N, dom, one = self.N, self.dom, self._one
         rep = weakref.ref(self)
 
         def whole(p):
@@ -454,7 +492,6 @@ class Rep:
         def fresh(e):
             return whole(LaurentPoly._make(N, dom, {e: one}))
 
-        cache = self._cache[g] = {}
         slot = self._slots[g] = (cache, fresh, whole if isinstance(action, _Composite) else None)
         return slot
 
@@ -500,11 +537,6 @@ class Rep:
 
     # -- primitive actions --------------------------------------------------
 
-    def _unit(self, i, v=1):
-        e = [0] * self.N
-        e[i - 1] = v
-        return tuple(e)
-
     def _T(self, i, p, inverse=False):
         """T_i = tb s_i + (tb - 1/tb)(s_i - 1)/(X_i/X_{i+1} - 1), in one pass
         over the terms of p.  With a = e_i and b = e_{i+1},
@@ -528,25 +560,6 @@ class Rep:
                     parts.append((tuple(f), m, gd))
             if inverse:
                 parts.append((e, -n * gn, gd))
-        return p._collect(parts)
-
-    def _omega(self, p, inverse=False):
-        """(omega f)(X) = f(qX_N, X_1, ..., X_{N-1}), in one pass over the
-        terms of p: X^e goes to q^(e_1) X^e' with e' the exponent vector
-        rotated left.  omega^-1 sends X^e to q^(-e_N) X^e'' with e'' rotated
-        right."""
-        qpows = self._qpows
-        parts = []
-        for e, n in p.nums.items():
-            if inverse:
-                k, f = -e[-1], (e[-1], *e[:-1])
-            else:
-                k, f = e[0], (*e[1:], e[0])
-            if k:
-                qn, qd = qpows[k]
-                parts.append((f, n * qn, qd))
-            else:
-                parts.append((f, n, 1))
         return p._collect(parts)
 
     def _dunkl(self, i, p, trig=False):
@@ -600,7 +613,8 @@ class Rep:
 
 
 # ---------------------------------------------------------------------------
-# generator tables: GENERATORS[family][tag] is the action (rep, g, p) -> g.p
+# generator tables: GENERATORS[family][tag] is the action of the tag: a
+# function (rep, g, p) -> g.p (a primitive), a _Composite or a _Monomial
 
 class _Composite:
     """The action of a generator defined as an OperatorExpr: build(rep, g)
@@ -620,19 +634,78 @@ class _Composite:
         return rep._eval(expr, p)
 
 
+class _Monomial:
+    """The action of a generator that sends each monomial X^e to one
+    monomial c(e) X^f(e), f injective.  build(rep, g) is the function
+    e -> f(e) when c is 1 throughout, or, when scaled, e -> (f(e), n, d)
+    with c(e) = n/d split in rep.dom.  Rep._slot tells a monomial map by
+    this type and keeps build(rep, g) on the representation as the filler
+    of one _Table, so the function must not hold rep."""
+
+    __slots__ = ("build", "scaled")
+
+    def __init__(self, build, scaled=False):
+        self.build = build
+        self.scaled = scaled
+
+
 def _gens(tag, indices):
     return [Gen(tag, j) for j in indices]
 
 
+def _shift(k, v):
+    """e -> e with v added at 0-based slot k."""
+    return lambda e: (*e[:k], e[k] + v, *e[k + 1:])
+
+
+def _swap(a, b):
+    """e -> e with 0-based slots a and b exchanged (the identity if a == b)."""
+    def f(e):
+        e = list(e)
+        e[a], e[b] = e[b], e[a]
+        return tuple(e)
+    return f
+
+
+def _scale(k, powers):
+    """e -> (e, n, d) with n/d = powers[e_k], powers a split_powers table."""
+    return lambda e: (e, *powers[e[k]])
+
+
+def _word(word):
+    """The unit monomial map of a word of unit monomial maps, word(rep) its
+    factors (the rightmost acts first), each a monomial map of the family:
+    one exponent function through the factors' functions."""
+    def build(rep, g):
+        maps = [rep._actions[h.tag].build(rep, h) for h in reversed(word(rep))]
+
+        def f(e):
+            for m in maps:
+                e = m(e)
+            return e
+        return f
+    return _Monomial(build)
+
+
 _SHARED = {
-    "X": lambda rep, g, p: p.shift(rep._unit(g.i)),
-    "X^-1": lambda rep, g, p: p.shift(rep._unit(g.i, -1)),
-    "s": lambda rep, g, p: p.swap(g.i, g.i + 1),
+    "X": _Monomial(lambda rep, g: _shift(g.i - 1, 1)),
+    "X^-1": _Monomial(lambda rep, g: _shift(g.i - 1, -1)),
+    "s": _Monomial(lambda rep, g: _swap(g.i - 1, g.i)),
 }
+_SIJ = _Monomial(lambda rep, g: _swap(g.i - 1, g.j - 1))
 
 
-def _sij(rep, g, p):
-    return p.swap(g.i, g.j)
+def _omega(rep, g):
+    """(omega f)(X) = f(qX_N, X_1, ..., X_{N-1}) sends X^e to q^(e_1) X^e'
+    with e' the exponent vector rotated left."""
+    qpows = rep._qpows
+    return lambda e: ((*e[1:], e[0]), *qpows[e[0]])
+
+
+def _omega_inverse(rep, g):
+    """omega^-1 sends X^e to q^(-e_N) X^e'' with e'' rotated right."""
+    qpows = rep._qpows
+    return lambda e: ((e[-1], *e[:-1]), *qpows[-e[-1]])
 
 
 # the tags that take no index, and those of T_i, T_i^-1 and s_i, which act on
@@ -656,11 +729,11 @@ def index_ok(g, N):
 GENERATORS = {
     FAMILY_DAHA: {
         **_SHARED,
-        "tau": lambda rep, g, p: p.scale_var(g.i, rep.params["q"]),
+        "tau": _Monomial(lambda rep, g: _scale(g.i - 1, rep._qpows), scaled=True),
         "T": lambda rep, g, p: rep._T(g.i, p),
         "T^-1": lambda rep, g, p: rep._T(g.i, p, inverse=True),
-        "omega": lambda rep, g, p: rep._omega(p),
-        "omega^-1": lambda rep, g, p: rep._omega(p, inverse=True),
+        "omega": _Monomial(_omega, scaled=True),
+        "omega^-1": _Monomial(_omega_inverse, scaled=True),
         # Y_i = tb^(N-1) T_i^-1...T_{N-1}^-1 omega T_1...T_{i-1}
         "Y": _Composite(lambda rep, g: OperatorExpr.word([
             *_gens("T^-1", range(g.i, rep.N)), Gen("omega"), *_gens("T", range(1, g.i))],
@@ -687,19 +760,16 @@ GENERATORS = {
     },
     FAMILY_DEG: {
         **_SHARED,
-        "sij": _sij,
+        "sij": _SIJ,
         "D": lambda rep, g, p: rep._dunkl(g.i, p),
         "Dtrig": lambda rep, g, p: rep._dunkl(g.i, p, trig=True),
         "y": lambda rep, g, p: rep._dunkl(g.i, p, trig=True),
         # s_0 = s_1N X_1^-1 X_N
-        "s0": _Composite(lambda rep, g: OperatorExpr.word(
-            [Gen("sij", 1, rep.N), Gen("X^-1", 1), Gen("X", rep.N)])),
+        "s0": _word(lambda rep: [Gen("sij", 1, rep.N), Gen("X^-1", 1), Gen("X", rep.N)]),
         # pi = X_1 s_1...s_{N-1}
-        "pi": _Composite(lambda rep, g: OperatorExpr.word(
-            [Gen("X", 1), *_gens("s", range(1, rep.N))])),
+        "pi": _word(lambda rep: [Gen("X", 1), *_gens("s", range(1, rep.N))]),
         # pi^-1 = s_{N-1}...s_1 X_1^-1
-        "pi^-1": _Composite(lambda rep, g: OperatorExpr.word(
-            [*_gens("s", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)])),
+        "pi^-1": _word(lambda rep: [*_gens("s", range(rep.N - 1, 0, -1)), Gen("X^-1", 1)]),
         # pi_- = pi^-1 (y_1 - z_1)...(y_1 - z_l) = s_{N-1}...s_1 Dl_1
         "pi-": _Composite(lambda rep, g: OperatorExpr.word(
             [*_gens("s", range(rep.N - 1, 0, -1)), Gen("Dl", 1)])),
@@ -711,9 +781,12 @@ GENERATORS = {
     },
     FAMILY_CYC: {
         **_SHARED,
-        "sij": _sij,
-        "sigma": lambda rep, g, p: p.scale_var(g.i, rep.dom.zeta),
-        "sigma^-1": lambda rep, g, p: p.scale_var(g.i, rep.dom.zeta ** (rep.l - 1)),
+        "sij": _SIJ,
+        # sigma_i scales X_i by zeta, sigma_i^-1 by zeta^(l-1)
+        "sigma": _Monomial(lambda rep, g: _scale(
+            g.i - 1, split_powers(rep.dom, rep.dom.zeta)), scaled=True),
+        "sigma^-1": _Monomial(lambda rep, g: _scale(
+            g.i - 1, split_powers(rep.dom, rep.dom.zeta ** (rep.l - 1))), scaled=True),
         "DO": lambda rep, g, p: rep._dunkl(g.i, p),
     },
 }

@@ -152,10 +152,11 @@ def psi(p):
     return _collapse(p)[0]
 
 
-def _collapse(p):
+def _collapse(p, point=None):
     """psi(p) and its quadruple_equations, evaluated once for the
-    postcondition and for product_formulas."""
-    if not check_point(p)["certified"]:
+    postcondition and for product_formulas.  point is check_point(p) when
+    the caller has it, so the point's equations are evaluated once."""
+    if not (point or check_point(p))["certified"]:
         raise UncertifiedInput("psi needs a certified point")
     X = Matrix.identity(p.N)
     for m in p.X:
@@ -203,11 +204,12 @@ def _quadruple_report(q, equations):
             "Y_invertible": inv}
 
 
-def product_formulas(p):
+def product_formulas(p, point=None):
     """L_+ = Z_1...Z_l X D = prod (Y - Z_i) and
     L_- = Z_1...Z_l D X = prod (Y T - Z_i) on psi(p): the XD and DX
-    quadruple equations multiplied through by the nonzero Z_1...Z_l."""
-    eqs = dict(_collapse(p)[1])
+    quadruple equations multiplied through by the nonzero Z_1...Z_l.
+    point is check_point(p) when the caller has it (see _collapse)."""
+    eqs = dict(_collapse(p, point)[1])
     return {"Lplus_matches": eqs["XD"].is_zero(), "Lminus_matches": eqs["DX"].is_zero()}
 
 

@@ -62,6 +62,16 @@ def test_deg_daha_contains_pi_y_relation():
     assert "secrel" in names  # [y_2, X_1] = k X_1 s_1
 
 
+def test_deg_daha_passes_at_rank_one():
+    """At N = 1 there is no affine reflection: s_0 = s_11 X_1^-1 X_1 is the
+    identity, and s0-yN, which would read y_1 = y_1 - hbar + k, is not an
+    instance (it used to fail at every seed)."""
+    for seed in (1, 2, 3):
+        rep = sample_rep("deg-daha", 1, seed=seed)
+        assert "s0-yN" not in [i.name for i in catalog("deg-daha").instances(rep)]
+        assert verify_family(rep, "deg-daha", "box", 3)["all_pass"], seed
+
+
 @pytest.mark.parametrize("family,N,l", [
     ("daha", 2, 0), ("daha", 3, 0),
     ("deg-daha", 2, 0), ("deg-daha", 3, 0),
@@ -290,9 +300,11 @@ def test_independence_of_pbw_monomials():
 # lhs/rhs terms, the involution image of each lhs, cd11, and four PBW bases.
 # The constant was computed on the catalogs before they were rebuilt from
 # shared relation-shape builders; any change to an instance name, order,
-# word or coefficient changes it.
-CATALOG_SHA256 = "3d2ee150f13beebbb308a4d874783ffc827c2232b0ac2d8d5072e0e1d8de97f0"
-CATALOG_INSTANCES = 1093
+# word or coefficient changes it.  Since s0-yN starts at N = 2, the constant
+# is the one of those catalogs without the deg-daha instance of s0-yN at
+# N = 1, and the count one less.
+CATALOG_SHA256 = "33532cffe76ab340fab64446f099cb03812915ec1b17ce8130adeb6c525fc4e5"
+CATALOG_INSTANCES = 1092
 
 _FINGERPRINT_REPS = (
     [("daha", 0), ("deg-daha", 0)]

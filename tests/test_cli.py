@@ -36,6 +36,11 @@ def test_relations_verify_passes(capsys):
         ["relations", "verify", "--family", "lastrel", "--N", "2", "--B", "1"], capsys
     )
     assert code == 0 and report["config"]["l"] == 1
+    # at N = 1, where s_0 is the identity and s0-yN is no instance
+    code, report = run_cli(
+        ["relations", "verify", "--family", "deg-daha", "--N", "1", "--B", "1"], capsys
+    )
+    assert code == 0 and report["status"] == "pass"
 
 
 def test_report_determinism(capsys, tmp_path):
@@ -75,6 +80,29 @@ def test_quiver_sample_check_round_trip(capsys, tmp_path):
     pfile.write_text(json.dumps(json.loads(out.read_text())["report"]["point"]))
     code, bare = run_cli(["quiver", "check", "--file", str(pfile)], capsys)
     assert code == 0 and bare["report"] == report["report"]
+
+
+def test_quiver_check_evaluates_the_point_equations_once(capsys, tmp_path, monkeypatch):
+    # the product formulas read the certification check_point has made
+    from cycdaha import quiver
+
+    out = tmp_path / "point.json"
+    code, _ = run_cli(["quiver", "sample", "--l", "3", "--N", "3", "--seed", "3",
+                       "--out", str(out)], capsys)
+    assert code == 0
+    calls = []
+    point_equations = quiver.point_equations
+
+    def counted(p):
+        calls.append(p)
+        return point_equations(p)
+
+    monkeypatch.setattr(quiver, "point_equations", counted)
+    code, report = run_cli(["quiver", "check", "--file", str(out)], capsys)
+    assert code == 0 and report["report"]["check"]["certified"]
+    assert report["report"]["product_formulas"] == {"Lplus_matches": True,
+                                                    "Lminus_matches": True}
+    assert len(calls) == 1
 
 
 def test_quiver_check_failure_exit_code(capsys, tmp_path):

@@ -462,8 +462,9 @@ def test_caching_is_semantically_invisible():
     assert rep.apply_gen(Gen("T", 1), p + p) == first * 2
 
 
+# deg's s0, pi and pi^-1 are monomial maps (see _MONOMIAL_TAGS)
 _COMPOSITES = {"daha": ["Y", "Y^-1", "Dl", "pi", "pi^-1", "pi-"],
-               "deg": ["Dl", "s0", "pi", "pi^-1", "pi-"]}
+               "deg": ["Dl", "pi-"]}
 
 
 def _composite_reps():
@@ -638,14 +639,126 @@ def test_a_rep_is_freed_without_the_cycle_collector():
             rep.apply((expr + 1) * (OperatorExpr.word([gens[-1]]) - 2), p)
             for g in gens:
                 rep.apply_gen(g, rep.monomial((2, 0)))
-            assert all(rep._cache[g] for g in gens)
+            # a monomial map (deg's s0, pi, pi^-1) keeps its exponent table
+            # in its slot, any other generator its images in its cache
+            monomial = {g for g in gens if rep._slots[g][0] is None}
+            assert all(rep._slots[g][1] for g in monomial)
+            assert all(rep._cache[g] for g in gens if g not in monomial)
             if rep.family != "cyc":
-                assert set(gens) <= rep._exprs.keys()
+                assert set(gens) - monomial <= rep._exprs.keys()
             ref = weakref.ref(rep)
             del rep
             assert ref() is None
     finally:
         gc.enable()
+
+
+def _monomial_reps():
+    """Reps of every family over QQ, Q(zeta_3) and Q(t) (cyc only over
+    Q(zeta_3)), for N = 1, 2, 3."""
+    t = RatFuncField("t").gen
+    zeta = CycloNumber.zeta(3)
+    for N in (1, 2, 3):
+        yield Rep.daha(N, Fraction(7, 5), Fraction(3, 2), (Fraction(2, 3),))
+        yield Rep.daha(N, 2 + zeta, Fraction(3, 2), (zeta,))
+        yield Rep.daha(N, t, Fraction(3, 2))
+        yield Rep.degenerate(N, Fraction(3, 4), Fraction(2, 3), (Fraction(1, 3),))
+        yield Rep.degenerate(N, Fraction(3, 4), Fraction(2, 3), (zeta,))
+        yield Rep.degenerate(N, Fraction(3, 4), t)
+        yield Rep.cyclotomic_cherednik(N, 3, Fraction(2, 3), Fraction(1, 2),
+                                       (Fraction(1, 2), 3, Fraction(-2, 5)))
+
+
+def _unit_vector(N, i, v):
+    return tuple(v if k == i else 0 for k in range(1, N + 1))
+
+
+def _monomial_reference(rep, g, p):
+    """g.p for a monomial-map tag g, from LaurentPoly's own operations: shift
+    for X^+-1, swap for s and s_ij, substitute for the q- and zeta-scalings
+    tau, sigma^+-1 and for omega^+-1; the degenerate s_0, pi and pi^-1 as
+    their displayed factor lists, applied factor by factor."""
+    N, q = rep.N, rep.params.get("q")
+    if g.tag in ("X", "X^-1"):
+        return p.shift(_unit_vector(N, g.i, 1 if g.tag == "X" else -1))
+    if g.tag == "s":
+        return p.swap(g.i, g.i + 1)
+    if g.tag == "sij":
+        return p.swap(g.i, g.j)
+    if g.tag == "tau":
+        return p.substitute({g.i: (q, g.i)})
+    if g.tag in ("sigma", "sigma^-1"):
+        zeta = rep.dom.zeta
+        return p.substitute({g.i: (zeta if g.tag == "sigma" else 1 / zeta, g.i)})
+    if g.tag == "omega":
+        # f(q X_N, X_1, ..., X_{N-1})
+        return p.substitute({1: (q, N), **{i: (1, i - 1) for i in range(2, N + 1)}})
+    if g.tag == "omega^-1":
+        # f(X_2, ..., X_N, q^-1 X_1)
+        return p.substitute({N: (1 / q, 1), **{i: (1, i + 1) for i in range(1, N)}})
+    word = {"s0": [Gen("sij", 1, N), Gen("X^-1", 1), Gen("X", N)],
+            "pi": [Gen("X", 1), *[Gen("s", i) for i in range(1, N)]],
+            "pi^-1": [*[Gen("s", i) for i in range(N - 1, 0, -1)], Gen("X^-1", 1)]}[g.tag]
+    for h in reversed(word):
+        p = _monomial_reference(rep, h, p)
+    return p
+
+
+_MONOMIAL_TAGS = {"daha": {"X", "X^-1", "s", "tau", "omega", "omega^-1"},
+                  "deg": {"X", "X^-1", "s", "sij", "s0", "pi", "pi^-1"},
+                  "cyc": {"X", "X^-1", "s", "sij", "sigma", "sigma^-1"}}
+
+
+def test_the_monomial_maps_are_the_tables_tags():
+    from cycdaha.ops import GENERATORS, _Monomial
+
+    for family, table in GENERATORS.items():
+        assert {t for t, a in table.items() if isinstance(a, _Monomial)} == \
+            _MONOMIAL_TAGS[family], family
+
+
+def _coefficient(dom, a, b, c):
+    """A coefficient of dom from the fractions a, b and the int c >= 1: a
+    over QQ, a + b zeta over Q(zeta_3), (a + b t)/(t + c) over Q(t)."""
+    if dom is QQ:
+        return a
+    if dom.name == "QQ(zeta_3)":
+        return a + b * CycloNumber.zeta(3)
+    t = dom.gen
+    return (a + b * t) / (t + c)
+
+
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * 3), _SMALL, _SMALL,
+                          st.integers(1, 3)), min_size=1, max_size=5))
+def test_a_monomial_map_equals_its_reference_and_caches_no_image(terms):
+    """Every monomial-map tag (X^+-1, s, s_ij, omega^+-1, tau, sigma^+-1 and
+    the degenerate s_0, pi^+-1) at every index, applied through its exponent
+    table to a random polynomial over QQ, Q(zeta_3) or Q(t) on a fresh rep,
+    equals the polynomial its reference builds, and leaves no image in the
+    rep's cache."""
+    for rep in _monomial_reps():
+        N = rep.N
+        p = LaurentPoly(N, rep.dom, {e[:N]: _coefficient(rep.dom, a, b, c)
+                                     for e, a, b, c in terms})
+        gens = {Gen(t, i, j) for t in _MONOMIAL_TAGS[rep.family]
+                for i in range(N + 1) for j in range(N + 1)}
+        for g in sorted(g for g in gens if index_ok(g, N)):
+            expected = _monomial_reference(rep, g, p)
+            for _ in range(2):
+                assert rep.apply_gen(g, p) == expected, (rep.dom.name, g, p)
+                assert rep._cache[g] == {}
+
+
+def test_a_scaled_monomial_map_stores_no_zero_coefficient():
+    """At q = 0, omega sends X_1 to q X_2 = 0: the image of X_1 + X_2 is X_1
+    alone, and that of X_1 is the zero polynomial (no zero numerator kept)."""
+    rep = Rep.daha(2, 0, Fraction(3, 2))
+    assert rep.apply_gen(Gen("omega"), rep.var(1) + rep.var(2)).nums == {(1, 0): 1}
+    assert not rep.apply_gen(Gen("omega"), rep.var(1))
 
 
 def _reference_word(rep, word, p):
