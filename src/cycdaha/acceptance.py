@@ -284,17 +284,16 @@ def criterion_7():
 
 @_criterion("8. flatness protocols (plain-q, cyclotomic, twisted-q)")
 def criterion_8():
-    from .quasiinv import CYC, PLAIN_Q, TWISTED_Q, flatness_report
+    from .quasiinv import CYC, PLAIN_Q, TWISTED_Q, QuasiSpec, flatness_report
 
     details = {
-        f"plain-q N={N} m={m} deg<=10 3 seeds": flatness_report(PLAIN_Q, N, m, 10, 3)["all_match"]
+        f"plain-q N={N} m={m} deg<=10 3 seeds":
+            flatness_report(QuasiSpec(PLAIN_Q, N, m), 10, 3)["all_match"]
         for N in (2, 3) for m in (1, 2)
     }
-    r = flatness_report(CYC, 2, 1, 8, 3, l=2, mlist=(1,))
+    r = flatness_report(QuasiSpec(CYC, 2, 1, l=2, mlist=(1,)), 8, 3)
     details["cyclotomic N=2 l=2 deg<=8"] = r["all_match"]
-    r = flatness_report(
-        TWISTED_Q, 2, 1, 8, 3, a=(Fraction(1, 2), Fraction(0))
-    )
+    r = flatness_report(QuasiSpec(TWISTED_Q, 2, 1, a=(Fraction(1, 2), Fraction(0))), 8, 3)
     details["twisted-q N=2 generic a deg<=8"] = r["all_match"]
     return details
 
@@ -359,14 +358,17 @@ def criterion_10():
         sample_chain,
     )
 
+    def prodfor(p):
+        # the product formulas read the certification check_point has made
+        point = check_point(p)
+        return point["certified"] and all(product_formulas(p, point).values())
+
     details = {}
     for l in (1, 2, 3, 4):
         for N in (1, 2, 3):
             Z = tuple(Fraction(2 + i, 1 + ((3 * i) % 5)) for i in range(l))
             points = (sample_chain(l, N, Z, seed=100 * l + 10 * N + seed) for seed in range(10))
-            details[f"prodfor l={l} N={N} (10 seeds)"] = all(
-                check_point(p)["certified"] and all(product_formulas(p).values()) for p in points
-            )
+            details[f"prodfor l={l} N={N} (10 seeds)"] = all(prodfor(p) for p in points)
     # psi / lift round trips on the open locus, where X is invertible; every
     # psi image acts irreducibly on C^N (Burnside)
     round_trips = []

@@ -96,9 +96,7 @@ def cmd_quasi_series(args):
 def cmd_quasi_flatness(args):
     from .quasiinv import flatness_report
 
-    spec = args.spec
-    report = flatness_report(spec.variant, spec.N, spec.m, args.maxdeg, args.seeds,
-                             l=spec.l, mlist=spec.mlist, a=spec.a)
+    report = flatness_report(args.spec, args.maxdeg, args.seeds)
     return report, report["all_match"]
 
 

@@ -11,20 +11,19 @@ X^a F - g_r(X^a F) must
 
 and for l > 1 every x_i-exponent congruent to r mod l (0 < r < l) must be at
 least r + m_r l (the projector conditions).  The variants differ only in
-(l, a, q, M), where q^(1/M) raised to integer powers gives the weights
-q^(p a_i):
+(l, a, q, M), where M is the common denominator of the a_i (1 wherever
+a = 0) and q^(1/M) raised to integer powers gives the weights q^(p a_i):
 
-* PLAIN_Q   -- q-deformed quasiinvariants: l = 1, a = 0, any q, M = 1.
+* PLAIN_Q   -- q-deformed quasiinvariants: l = 1, a = 0, any q.
 * CYC       -- cyclotomic quasiinvariants for the wreath product S_N wr Z/l:
-               l >= 1, a = 0, any q (the deformation base 'bold q'), M = 1,
+               l >= 1, a = 0, any q (the deformation base 'bold q'),
                weights m_1..m_{l-1} of the projector conditions.
 * TWISTED   -- monomial-weight-twisted quasiinvariants: l = 1, rational a,
-               q = 1, M = 1; the weight (1+u)^{a_i} rides in the expansion
-               itself: along x_j = x_i (1+u) a monomial with x_j-exponent n
-               contributes C(n + a_i, r) to u^r (series_on_hyperplane).
-* TWISTED_Q -- the q-deformation of TWISTED: l = 1, rational a, M the common
-               denominator of the a_i, and q stores the base parameter
-               qq = q^(1/M).
+               q = 1; the weight (1+u)^{a_i} rides in the expansion itself:
+               along x_i = x_j (1+u) a monomial with x_i-exponent n
+               contributes C(n + a_i, s) to u^s (series_on_hyperplane).
+* TWISTED_Q -- the q-deformation of TWISTED: l = 1, rational a, and q
+               stores the base parameter qq = q^(1/M).
 
 The condition rows need no polynomial arithmetic.  For a pair i < j and a
 twist r, both X^e and g_r X^e land on the one monomial X^k(e), k(e) being e
@@ -41,9 +40,13 @@ sparse integer echelon as int numerators over one den each
 (linalg.nullspace), and become the basis polynomials without a Fraction
 step.  Every basis element is then re-verified against the raw conditions
 by a direct checker (check_member) that works on the polynomial itself and
-shares no code with the row builder: it expands F - g_r F along the
-hyperplane (q = 1), or substitutes each hyperplane x_i = zeta^r q^p x_j,
-|p| <= m, into it and requires zero (q != 1).  The checker acts on
+shares no code with the row builder.  It states the condition once, in one
+loop over r < l and i < j for every variant: with G = g_r F and
+d = a_i - a_j, it compares the expansions of F (1+u)^d and G along
+x_i = zeta^r x_j (1+u) to order 2m (q = 1), or requires
+F - G + (q^{pdM} - 1) F to vanish at x_i = zeta^r q^{pM} x_j for
+0 < |p| <= m (q != 1).  p = 0 needs no test: g_r fixes x_i = zeta^r x_j
+pointwise, so F - G vanishes there identically.  The checker acts on
 X_1..X_N only, so the degree's vectors F_0..F_{k-1} are checked in one
 call, as the one polynomial sum_k F_k X_{N+1}^k in N + 1 variables: its
 result vanishes exactly when every F_k passes.
@@ -51,8 +54,7 @@ result vanishes exactly when every F_k passes.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
@@ -83,11 +85,13 @@ class QuasiSpec:
     For TWISTED_Q: N, m, a, q, where q must be supplied as qq**M for the
     common denominator M of the a_i (qq is stored).
 
-    Construction fixes what conditions_matrix reads: l (1 unless CYC), the
-    weights a (zeros unless twisted), common_denominator M (1 unless
-    TWISTED_Q) and the field dom (QQ for l <= 2, else Q(zeta_l)).  A space
-    the variant cannot mean raises ValueError with a message that starts
-    with the offending parameter's name.
+    Construction fixes all that conditions_matrix and check_member read,
+    for every variant alike: l (1 unless CYC), the weights a (zeros unless
+    twisted), common_denominator M (the lcm of the denominators of the a_i,
+    so 1 wherever a = 0), the field dom (QQ for l <= 2, else Q(zeta_l)) and
+    the powers zeta[k] = zeta^k, k < l (the ints 1, -1 over QQ, so rows
+    over QQ stay ints).  A space the variant cannot mean raises ValueError
+    with a message that starts with the offending parameter's name.
     """
 
     variant: str
@@ -98,6 +102,8 @@ class QuasiSpec:
     q: Fraction = Fraction(1)
     a: tuple = ()
     dom: object = field(init=False)
+    common_denominator: int = field(init=False)
+    zeta: tuple = field(init=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -135,9 +141,9 @@ class QuasiSpec:
         if self.q == 0:
             raise ValueError("q must be nonzero")
         self.dom = QQ if self.l <= 2 else CycloField(self.l)
-        self.common_denominator = (
-            lcm(*(x.denominator for x in self.a)) if self.variant == TWISTED_Q else 1
-        )
+        self.common_denominator = lcm(*(x.denominator for x in self.a))
+        self.zeta = tuple((-1) ** k if self.l <= 2 else self.dom.zeta ** k
+                          for k in range(self.l))
         if self.q != 1:
             # the 2m+1 hyperplanes X_i = q^p X_j must be distinct; for CYC a
             # rational q makes zeta^r q^p collide only when q^p does
@@ -227,11 +233,8 @@ def conditions_matrix(spec, d):
     ints.  The projector rows come last; for l = 1 there are none.
     """
     basis = degree_monomials(spec.N, d)
-    dom, l, ncols = spec.dom, spec.l, len(basis)
-    if isinstance(dom, CycloField):
-        zero, zeta = dom.zero, [dom.zeta ** k for k in range(l)]
-    else:
-        zero, zeta = 0, [(-1) ** k for k in range(l)]  # l <= 2: zeta_2 = -1
+    dom, l, zeta, ncols = spec.dom, spec.l, spec.zeta, len(basis)
+    zero = dom.split(dom.zero)[0]  # 0 over QQ, the field's zero elsewhere
     rows = []
     for i in range(1, spec.N + 1):
         for j in range(i + 1, spec.N + 1):
@@ -266,89 +269,58 @@ def conditions_matrix(spec, d):
 # ---------------------------------------------------------------------------
 # independent membership checker (used to re-verify solver output)
 
-def _zeta_power(dom, r):
-    if isinstance(dom, CycloField):
-        return dom.zeta ** r
-    # l <= 2 over QQ: zeta_1 = 1, zeta_2 = -1
-    return dom.coerce((-1) ** r)
-
-
-@functools.lru_cache(maxsize=64)
-def _twists(dom, l, q, m):
-    """For each twist r < l: zeta^r, zeta^-r and the scales zeta^r q^p,
-    |p| <= m, of the hyperplanes x_i = zeta^r q^p x_j; built once per
-    (domain, l, q, m) and kept across calls."""
-    qpows = [dom.coerce(q ** p) for p in range(-m, m + 1)]
-    out = []
-    for r in range(l):
-        zr = _zeta_power(dom, r)
-        out.append((zr, _zeta_power(dom, -r % l), tuple(zr * x for x in qpows)))
-    return tuple(out)
-
-
 def check_member(spec, F):
     """Direct verification that F satisfies every defining condition.
 
-    Works on the concrete polynomial, independent of the row builder: the
-    difference g = F - g_r F must vanish to order 2m+1 in a series expansion
-    along x_i = zeta^r x_j (q = 1), or vanish under each substitution
-    x_i = zeta^r q^p x_j, |p| <= m (q != 1); PLAIN_Q is CYC at l = 1.
-    The twisted variants compare the weighted expansions, or the
-    substitutions x_i = q^p x_j, of F and s_ij F.
+    Works on the concrete polynomial, independent of the row builder, in
+    one loop for every variant.  For each twist r < l and pair i < j let
+    G = g_r F and d = a_i - a_j; along x_i = zeta^r x_j (1+u),
+    X^a F - g_r(X^a F) is F (1+u)^d - G times a unit.  So the check reads
 
-    For q != 1 the substitutions decide what division by
-    prod_{|p| <= m} (X_i - zeta^r q^p X_j) would: each X_i - c X_j generates
-    a prime ideal of the Laurent ring, two of them with c != c' are
-    comaximal ((c' - c) X_j is a unit), so g lies in their product exactly
-    when it vanishes on every hyperplane.  p = 0 is kept so that the
-    equivalence holds as stated.
+    * q = 1: the expansions of F (1+u)^d and G agree to order u^2m (when
+      d = 0, the one expansion of F - G vanishes to that order);
+    * q != 1: F - G + (q^{pdM} - 1) F vanishes at x_i = zeta^r q^{pM} x_j
+      for each 0 < |p| <= m.
+
+    p = 0 is skipped: g_r fixes the hyperplane x_i = zeta^r x_j pointwise,
+    so F - G vanishes there identically (and q^0 - 1 = 0).  When d = 0 the
+    substitutions decide what division of F - G by
+    prod_{0 < |p| <= m} (X_i - zeta^r q^{pM} X_j) would: each X_i - c X_j
+    generates a prime ideal of the Laurent ring, two of them with c != c'
+    are comaximal ((c' - c) X_j is a unit), so F - G lies in their product
+    exactly when it vanishes on every hyperplane.
 
     Variables of F past spec.N are inert tags: every swap, substitution,
     series expansion and projector test acts on X_1..X_N linearly and
     keeps the other exponents, so F = sum_k F_k X_{N+1}^k passes exactly
     when every F_k does (graded_basis checks a degree in one call so).
     """
-    dom, N, m, q = spec.dom, spec.N, spec.m, spec.q
-    pairs = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
+    N, m, q, M, l, zeta = spec.N, spec.m, spec.q, spec.common_denominator, spec.l, spec.zeta
+    hyperplanes = [p for p in range(-m, m + 1) if p]
 
-    # twisted-q at q = 1 is the twisted space (its q-conditions all read F = F)
-    if spec.variant == TWISTED or (spec.variant == TWISTED_Q and q == 1):
-        for i, j in pairs:
-            s1 = F.series_on_hyperplane(i, j, 2 * m, spec.a[j - 1])
-            s2 = F.swap(i, j).series_on_hyperplane(i, j, 2 * m, spec.a[i - 1])
-            if s1 != s2:
-                return False
-        return True
+    def along(P, r, i, j, a=0):
+        """u^0..u^2m of P (1+u)^a along x_i = zeta^r x_j (1+u)."""
+        if r:
+            P = P.scale_var(i, zeta[r])
+        return P.series_on_hyperplane(j, i, 2 * m, a)
 
-    if spec.variant == TWISTED_Q:
-        M = spec.common_denominator
-        for i, j in pairs:
-            ai, aj = spec.a[i - 1], spec.a[j - 1]
-            for p in range(-m, m + 1):
-                if p == 0:
+    for r in range(l):
+        for i in range(1, N + 1):
+            for j in range(i + 1, N + 1):
+                d = spec.a[i - 1] - spec.a[j - 1]
+                G = F.swap(i, j) if r == 0 else F.substitute({i: (zeta[r], j), j: (zeta[-r], i)})
+                D = F - G
+                if not (D or d):
                     continue
-                at = {i: (q ** (p * M), j)}
-                ei, ej = p * ai * M, p * aj * M
-                assert ei.denominator == 1 and ej.denominator == 1
-                if F.substitute(at) * q ** int(ei) != F.swap(i, j).substitute(at) * q ** int(ej):
-                    return False
-        return True
-
-    l = spec.l
-    for r, (zr, zr_inv, hyperplanes) in enumerate(_twists(dom, l, q, m)):
-        for i, j in pairs:
-            if r == 0:
-                g = F - F.swap(i, j)
-            else:
-                g = F - F.substitute({i: (zr, j), j: (zr_inv, i)})
-            if not g:
-                continue
-            if q == 1:
-                h = g if r == 0 else g.scale_var(i, zr)
-                if any(h.series_on_hyperplane(j, i, 2 * m)):
-                    return False
-            elif any(g.substitute({i: (c, j)}) for c in hyperplanes):
-                return False
+                if q == 1:
+                    if (along(F, r, i, j, d) != along(G, r, i, j) if d
+                            else any(along(D, r, i, j))):
+                        return False
+                    continue
+                for p in hyperplanes:
+                    h = D + F * (q ** (p * d * M) - 1) if d else D
+                    if h.substitute({i: (zeta[r] * q ** (p * M), j)}):
+                        return False
     # projector exponents
     for i in range(1, N + 1):
         for r in range(1, l):
@@ -483,31 +455,33 @@ def graded_basis_with_symmetry(spec, maxdeg, i, j, sign):
 # ---------------------------------------------------------------------------
 # flatness protocols
 
-def flatness_report(variant, N, m, maxdeg, seeds, l=1, mlist=(), a=()):
-    """Compare dimension sequences at sampled generic q against q = 1; the
-    q = 1 reference of TWISTED_Q is the TWISTED space."""
+def flatness_report(spec, maxdeg, seeds):
+    """Compare the dimension sequences of the space of spec (at q = 1) up to
+    maxdeg with those of dataclasses.replace(spec, q=q) at seeds sampled
+    generic q.  A q-deformable variant, q = 1 and seeds >= 1 are required
+    (ValueError otherwise): with no draw the report would pass having
+    checked nothing."""
     from .scalars import sample_generic
 
-    if variant not in (PLAIN_Q, CYC, TWISTED_Q):
+    if spec.variant not in (PLAIN_Q, CYC, TWISTED_Q):
         raise ValueError("flatness protocol needs a q-deformable variant")
-
-    def spec(q):
-        at_q = TWISTED if variant == TWISTED_Q and q == 1 else variant
-        return QuasiSpec(at_q, N, m, l=l, mlist=mlist, q=q, a=a)
-
-    reference = graded_basis(spec(1), maxdeg).dims()
+    if spec.q != 1:
+        raise ValueError(f"q must be 1 in the reference space, got {spec.q}")
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
+    reference = graded_basis(spec, maxdeg).dims()
     runs = []
     for s in range(seeds):
         vals = sample_generic(
             ["q"], [("nonzero", "q"), ("not_root_of_unity", "q", 24)], seed=1000 + s
         )
         q = vals["q"]
-        dims = graded_basis(spec(q), maxdeg).dims()
+        dims = graded_basis(replace(spec, q=q), maxdeg).dims()
         runs.append({"q": str(q), "dims": dims, "match": dims == reference})
     return {
-        "variant": variant,
-        "N": N,
-        "m": m,
+        "variant": spec.variant,
+        "N": spec.N,
+        "m": spec.m,
         "reference_dims": reference,
         "runs": runs,
         "all_match": all(run["match"] for run in runs),

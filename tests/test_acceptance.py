@@ -65,3 +65,33 @@ def test_status_is_derived_from_the_details():
     assert acceptance._timed("one false", lambda: {"a": True, "b": False})["status"] == "fail"
     assert acceptance._timed("not a bool", lambda: {"a": 1})["status"] == "fail"
     assert acceptance._timed("all true", lambda: {"a": True, "b": True})["status"] == "pass"
+
+
+def test_criterion_10_evaluates_the_point_equations_once_per_point(monkeypatch):
+    """Beyond the certification sample_chain makes, each point criterion 10
+    draws has its point equations evaluated once: the product formulas read
+    the report check_point has made."""
+    from cycdaha import quiver
+
+    point_equations, sample_chain = quiver.point_equations, quiver.sample_chain
+    sampled, outside, inside = [], {}, []
+
+    def counted(p):
+        if not inside:
+            outside[id(p)] = outside.get(id(p), 0) + 1
+        return point_equations(p)
+
+    def sampling(*args, **kwargs):
+        inside.append(True)
+        try:
+            p = sample_chain(*args, **kwargs)
+        finally:
+            inside.pop()
+        sampled.append(p)
+        return p
+
+    monkeypatch.setattr(quiver, "point_equations", counted)
+    monkeypatch.setattr(quiver, "sample_chain", sampling)
+    assert acceptance.criterion_10()["status"] == "pass"
+    assert len(sampled) > 120  # the 120 product-formula points and the others
+    assert [outside.get(id(p)) for p in sampled] == [1] * len(sampled)

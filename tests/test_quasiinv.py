@@ -156,8 +156,8 @@ def test_twisted_degree_one_generator():
 
 
 def test_twisted_q_at_q_one_rechecks_the_twisted_conditions():
-    """At q = 1 the q-conditions of twisted-q compare F with itself; the
-    re-check falls back to the twisted series, so both variants reject X_1."""
+    """At q = 1 twisted-q is the twisted space: check_member reads the same
+    weighted expansions for both, so both variants reject X_1."""
     a = (Fraction(1, 2), Fraction(0))
     twisted, twisted_q = QuasiSpec(TWISTED, 2, 1, a=a), QuasiSpec(TWISTED_Q, 2, 1, a=a)
     assert not check_member(twisted, X(1))
@@ -242,14 +242,12 @@ def test_cyclotomic_level_three_over_cyclo_field():
 
 
 def test_twisted_q_flatness_small():
-    r = flatness_report(
-        TWISTED_Q, 2, 1, 6, 2, a=(Fraction(1, 2), Fraction(0))
-    )
+    r = flatness_report(QuasiSpec(TWISTED_Q, 2, 1, a=(Fraction(1, 2), Fraction(0))), 6, 2)
     assert r["all_match"]
 
 
 def test_plain_q_flatness_small():
-    r = flatness_report(PLAIN_Q, 2, 1, 6, 2)
+    r = flatness_report(QuasiSpec(PLAIN_Q, 2, 1), 6, 2)
     assert r["all_match"]
 
 
@@ -257,7 +255,7 @@ def test_plain_q_flatness_at_n_four():
     # the q = 1 dimensions are the closed form
     # sum_lambda f_lambda t^(m(N(N-1)/2 - c(lambda))) K_lambda(t) / prod_i (1 - t^i)
     # of Felder-Veselov and Berest-Etingof-Ginzburg at N = 4, m = 1
-    r = flatness_report(PLAIN_Q, 4, 1, 12, 1)
+    r = flatness_report(QuasiSpec(PLAIN_Q, 4, 1), 12, 1)
     assert r["reference_dims"] == [1, 1, 2, 3, 5, 9, 15, 23, 35, 50, 71, 98, 132]
     assert r["all_match"]
 
@@ -599,3 +597,48 @@ def test_swapped_weights_change_the_reference_nullspace():
                     conditions_matrix(spec, d)[0], len(basis)):
                 differs.append(spec)
     assert differs and all(spec.variant in (TWISTED, TWISTED_Q) for spec in differs)
+
+
+def test_check_member_agrees_with_the_reference_rows():
+    """check_member against the reference rows of every ROW_SPECS space at
+    degrees <= 4: random combinations of the reference null-space vectors
+    pass, and such a combination plus one monomial passes exactly when the
+    reference rows accept it (its column is zero).  This reaches cyc at
+    l = 3, 4 over Q(zeta) with q != 1 and twisted-q with two unequal nonzero
+    weights, which no other membership test does."""
+    from random import Random
+
+    rng = Random(31)
+    verdicts = set()
+    for spec in ROW_SPECS:
+        N, dom = spec.N, spec.dom
+        for d in range(5):
+            ref, projector, basis = _reference_rows(spec, d)
+            rows = ref + projector
+            vectors = [LaurentPoly(N, dom, {basis[c]: dom.coerce(n) for c, n in nums.items()})
+                       for nums, _ in nullspace(rows, len(basis))]
+            for _ in range(2):
+                F = LaurentPoly.zero(N, dom)
+                for v in vectors:
+                    F = F + v * rng.randint(-3, 3)
+                assert check_member(spec, F), (spec, d)
+                for c, e in enumerate(basis):
+                    accepted = not any(row[c] for row in rows)
+                    member = check_member(spec, F + LaurentPoly.monomial(N, e, 1, dom))
+                    assert member == accepted, (spec, d, e)
+                    verdicts.add(member)
+    assert verdicts == {True, False}
+
+
+def test_flatness_report_needs_a_draw_and_the_q_one_space():
+    """No draw would be a pass that checked nothing; a reference away from
+    q = 1 or a variant without q is not the protocol."""
+    spec = QuasiSpec(PLAIN_Q, 2, 1)
+    for seeds in (0, -1):
+        with pytest.raises(ValueError, match="^seeds must be at least 1"):
+            flatness_report(spec, 4, seeds)
+    with pytest.raises(ValueError, match="^q must be 1"):
+        flatness_report(QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(3, 2)), 4, 1)
+    with pytest.raises(ValueError, match="q-deformable"):
+        flatness_report(QuasiSpec(TWISTED, 2, 1, a=(Fraction(1, 2), Fraction(0))), 4, 1)
+    assert flatness_report(spec, 4, 1)["runs"]

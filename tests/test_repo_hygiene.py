@@ -2,8 +2,9 @@
 or stale), every name a module imports is used in it, every function, class
 and method in src/ is reached from the acceptance battery or the CLI,
 every exception class in src/ is raised there and tested on its own,
-README's Layout block names every module, and the engine modules stay
-fraction-free."""
+README's Layout block names every module, the engine modules stay
+fraction-free, and quasiinv states its conditions without asking which
+variant a space is."""
 
 import ast
 import builtins
@@ -294,3 +295,56 @@ def test_every_exception_is_raised_and_tested_alone():
     assert not (unraised or untested), (
         "exception classes never raised in src/:\n" + "\n".join(unraised)
         + "\nnot the sole type of any pytest.raises in tests/:\n" + "\n".join(untested))
+
+
+# The quasiinvariant conditions are stated once, from (l, a, q, M): the
+# variant name is read only where a space is built and checked, and where
+# the flatness protocol checks and reports its input.
+VARIANT_READERS = ("QuasiSpec.__post_init__", "flatness_report")
+
+
+def variant_readers(source):
+    """The defs of a module that load an attribute named variant: top-level
+    functions and methods, named "name" or "Class.name", a nested def
+    counting as part of the def around it."""
+    readers = []
+    for node in ast.parse(source).body:
+        if isinstance(node, _DEFS):
+            defs = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                    if isinstance(sub, _DEFS)]
+        else:
+            continue
+        readers += [name for name, d in defs
+                    if any(isinstance(n, ast.Attribute) and n.attr == "variant"
+                           and isinstance(n.ctx, ast.Load) for n in ast.walk(d))]
+    return sorted(readers)
+
+
+def test_variant_reader_checker_finds_methods_and_nested_defs():
+    source = """
+class Spec:
+    def __post_init__(self):
+        self.variant = str(self.variant)
+
+    def rows(self):
+        self.variant = "stored, not read"
+
+
+def check(spec):
+    def inner():
+        return spec.variant
+    return inner()
+
+
+def label(variant):
+    return variant
+"""
+    assert variant_readers(source) == ["Spec.__post_init__", "check"]
+
+
+def test_quasiinv_reads_the_variant_only_to_build_check_and_report():
+    source = (ROOT / "src" / "cycdaha" / "quasiinv.py").read_text(encoding="utf-8")
+    extra = [name for name in variant_readers(source) if name not in VARIANT_READERS]
+    assert not extra, "quasiinv defs that fork on the variant: " + ", ".join(extra)
