@@ -9,15 +9,15 @@ tb^(N-1) T_i^-1...T_{N-1}^-1 omega f(X_1^-1) T_1...T_{i-1}, the same
 operator: Y_i = tb^(N-1) T_i^-1...T_{N-1}^-1 omega T_1...T_{i-1} ends in
 T_1...T_{i-1}, which cancels the conjugators T_{i-1}^-1...T_1^-1.
 
-The Macdonald operator has rational coefficients in X; it is evaluated by
-clearing the Vandermonde denominator and dividing the numerator by one
+The Macdonald operator has rational coefficients in X.  It is evaluated in
+Macdonald's form V^-1 sum_j V(X_j -> t X_j) tau_j, V the Vandermonde: the
+numerator is built from the one polynomial V, and divided by one
 X_a - X_b at a time, so everything stays inside the Laurent ring.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .laurent import LaurentPoly
 from .ops import (
@@ -61,28 +61,20 @@ def hecke_symmetrizer_expr(rep):
 # ---------------------------------------------------------------------------
 # rational-coefficient difference operators
 
-def _cofactor(N, j, dom):
-    """Vandermonde of all variables except X_j, with the sign such that
-    prod_{i != j} (X_i - X_j) * cofactor * sign = full Vandermonde."""
-    out = LaurentPoly.one(N, dom)
-    for a in range(1, N + 1):
-        for b in range(a + 1, N + 1):
-            if j in (a, b):
-                continue
-            out = out * (LaurentPoly.variable(N, a, dom) - LaurentPoly.variable(N, b, dom))
-    return out
-
-
 def apply_macdonald_operator(N, q, t, p, dom=QQ, subtract_one=False):
-    """Apply M = sum_j prod_{i != j} (X_i - t X_j)/(X_i - X_j) * shift_j.
+    """Apply M = sum_j A_j shift_j, A_j = prod_{i != j} (X_i - t X_j)/(X_i - X_j).
 
     shift_j is tau_j (X_j -> q X_j); with subtract_one the factor becomes
     (1/X_j)(tau_j - 1) instead, which is the level-one Hamiltonian.
-    The summands are brought over the Vandermonde prod_{a<b} (X_a - X_b),
-    and their summed numerator is divided by each X_a - X_b in turn
-    (LaurentPoly.divide_by_difference).  These factors are pairwise
-    non-associate primes of the Laurent ring, a UFD, so every division
-    succeeds exactly when the Vandermonde divides the numerator.  Raises
+    Macdonald's form of the operator (Symmetric Functions and Hall
+    Polynomials, 2nd ed., VI (3.4)) is M = V^-1 sum_j V(X_j -> t X_j) shift_j
+    for the Vandermonde V = prod_{a<b} (X_a - X_b): X_j -> t X_j turns the
+    factor X_a - X_j into X_a - t X_j and X_j - X_b into t X_j - X_b, and
+    fixes the factors without X_j, so V(X_j -> t X_j)/V = A_j.  V is built
+    once; the numerator sum_j V(X_j -> t X_j) shift_j p is divided by each
+    X_a - X_b in turn (LaurentPoly.divide_by_difference).  These factors are
+    pairwise non-associate primes of the Laurent ring, a UFD, so every
+    division succeeds exactly when V divides the numerator.  Raises
     NotDivisible when the result is not a Laurent polynomial (it always is
     on symmetric inputs, and on q-deformed quasiinvariants at t = q^-m).
     """
@@ -90,20 +82,17 @@ def apply_macdonald_operator(N, q, t, p, dom=QQ, subtract_one=False):
     t = dom.coerce(t)
     if p.N != N:
         raise ValueError("rank mismatch")
+    pairs = list(itertools.combinations(range(1, N + 1), 2))
+    V = LaurentPoly.one(N, dom)
+    for a, b in pairs:
+        V = V * (LaurentPoly.variable(N, a, dom) - LaurentPoly.variable(N, b, dom))
     total = LaurentPoly.zero(N, dom)
     for j in range(1, N + 1):
-        numer = LaurentPoly.one(N, dom)
-        Xj = LaurentPoly.variable(N, j, dom)
-        for i in range(1, N + 1):
-            if i == j:
-                continue
-            numer = numer * (LaurentPoly.variable(N, i, dom) - Xj * t)
         shifted = p.scale_var(j, q)
         if subtract_one:
             shifted = (shifted - p).shift(tuple(-1 if v == j - 1 else 0 for v in range(N)))
-        sign = Fraction(-1) ** (N - j)
-        total = total + numer * _cofactor(N, j, dom) * shifted * sign
-    for a, b in itertools.combinations(range(1, N + 1), 2):
+        total = total + V.scale_var(j, t) * shifted
+    for a, b in pairs:
         total = total.divide_by_difference(a, b)
     return total
 

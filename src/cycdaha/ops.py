@@ -804,11 +804,14 @@ def op_equal_on_box(rep, a, b, box_radius):
     [-B, B]^N, B = box_radius.  Returns a report dict with a witness on
     failure.
 
-    Equality on a box certifies representation-level equality at
-    the given parameters; at generic parameters the polynomial
-    representation is faithful, so this is the algebra-level claim being
-    tested.  B < 0 gives an empty box, which checks nothing, and raises
-    ValueError; B = 0 checks the monomial 1.
+    Equality on a box shows that a and b agree on the (2B+1)^N monomials
+    of the box, and no more: it is evidence for equality in the
+    representation, not a proof (prod_{|j| <= B} (tau_1 - q^j) kills every
+    monomial of the box and is not 0).  At generic parameters the
+    polynomial representation is faithful, so representation-level
+    equality would be the algebra-level claim.  B < 0 gives an empty box,
+    which checks nothing, and raises ValueError; B = 0 checks the
+    monomial 1.
     """
     if box_radius < 0:
         raise ValueError(f"box radius must be at least 0, got {box_radius}")

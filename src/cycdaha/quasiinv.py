@@ -45,11 +45,15 @@ loop over r < l and i < j for every variant: with G = g_r F and
 d = a_i - a_j, it compares the expansions of F (1+u)^d and G along
 x_i = zeta^r x_j (1+u) to order 2m (q = 1), or requires
 F - G + (q^{pdM} - 1) F to vanish at x_i = zeta^r q^{pM} x_j for
-0 < |p| <= m (q != 1).  p = 0 needs no test: g_r fixes x_i = zeta^r x_j
-pointwise, so F - G vanishes there identically.  The checker acts on
-X_1..X_N only, so the degree's vectors F_0..F_{k-1} are checked in one
-call, as the one polynomial sum_k F_k X_{N+1}^k in N + 1 variables: its
-result vanishes exactly when every F_k passes.
+0 < p <= m (q != 1).  p = 0 needs no test: g_r fixes x_i = zeta^r x_j
+pointwise, so F - G vanishes there identically.  p < 0 needs none either:
+the involution g_r maps the hyperplane of p onto the one of -p, and
+X^a F - g_r(X^a F) changes sign under it, so it vanishes on one exactly
+when it vanishes on the other, and the rows of -p add nothing to the row
+span (conditions_matrix).  The checker acts on X_1..X_N only, so the
+degree's vectors F_0..F_{k-1} are checked in one call, as the one
+polynomial sum_k F_k X_{N+1}^k in N + 1 variables: its result vanishes
+exactly when every F_k passes.
 """
 
 from __future__ import annotations
@@ -194,11 +198,10 @@ def _value_tables(spec, i, j, d):
                 den *= b * (s + 1)
             return out
         A = int(a * M)
-        for p in range(-m, m + 1):
-            if p:
-                fr = [q ** (p * (A + M * n)) for n in range(d + 1)]
-                den = lcm(*[x.denominator for x in fr])
-                out.append(([x.numerator * (den // x.denominator) for x in fr], den))
+        for p in range(1, m + 1):
+            fr = [q ** (p * (A + M * n)) for n in range(d + 1)]
+            den = lcm(*[x.denominator for x in fr])
+            out.append(([x.numerator * (den // x.denominator) for x in fr], den))
         return out
 
     out = []
@@ -218,7 +221,11 @@ def conditions_matrix(spec, d):
     * q = 1: the coefficients of u^0..u^K in F (1+u)^{a_i} - g (1+u)^{a_j}
       at x_i = zeta^r x_j (1+u), one block of rows per power of u;
     * q != 1: q^{p a_i M} F - q^{p a_j M} g at x_i = zeta^r q^{pM} x_j, one
-      block per 0 < |p| <= m (p = 0 holds by antisymmetry).
+      block per 0 < p <= m.  p = 0 holds by antisymmetry, and the block
+      of -p would repeat the block of p up to row scalars: g_r swaps the
+      two hyperplanes and X^a F - g_r(X^a F) changes sign under it.  On
+      the row of k(e), with n = e_i + e_j fixed along it, the entry of -p
+      times -q^{pM(n + a_i + a_j)} is the entry of p given below.
 
     Both sides of a monomial X^e land on the one monomial X^k(e), where k(e)
     is e with e_j += e_i and e_i = 0, so column e has exactly one entry per
@@ -280,11 +287,14 @@ def check_member(spec, F):
     * q = 1: the expansions of F (1+u)^d and G agree to order u^2m (when
       d = 0, the one expansion of F - G vanishes to that order);
     * q != 1: F - G + (q^{pdM} - 1) F vanishes at x_i = zeta^r q^{pM} x_j
-      for each 0 < |p| <= m.
+      for each 0 < p <= m.
 
     p = 0 is skipped: g_r fixes the hyperplane x_i = zeta^r x_j pointwise,
-    so F - G vanishes there identically (and q^0 - 1 = 0).  When d = 0 the
-    substitutions decide what division of F - G by
+    so F - G vanishes there identically (and q^0 - 1 = 0).  p < 0 is
+    skipped too: g_r is an involution mapping the hyperplane of p onto the
+    one of -p, and X^a F - g_r(X^a F) changes sign under it, so it
+    vanishes on the hyperplane of -p exactly when it vanishes on that of p.
+    When d = 0 the substitutions so decide what division of F - G by
     prod_{0 < |p| <= m} (X_i - zeta^r q^{pM} X_j) would: each X_i - c X_j
     generates a prime ideal of the Laurent ring, two of them with c != c'
     are comaximal ((c' - c) X_j is a unit), so F - G lies in their product
@@ -296,7 +306,6 @@ def check_member(spec, F):
     when every F_k does (graded_basis checks a degree in one call so).
     """
     N, m, q, M, l, zeta = spec.N, spec.m, spec.q, spec.common_denominator, spec.l, spec.zeta
-    hyperplanes = [p for p in range(-m, m + 1) if p]
 
     def along(P, r, i, j, a=0):
         """u^0..u^2m of P (1+u)^a along x_i = zeta^r x_j (1+u)."""
@@ -317,7 +326,7 @@ def check_member(spec, F):
                             else any(along(D, r, i, j))):
                         return False
                     continue
-                for p in hyperplanes:
+                for p in range(1, m + 1):
                     h = D + F * (q ** (p * d * M) - 1) if d else D
                     if h.substitute({i: (zeta[r] * q ** (p * M), j)}):
                         return False

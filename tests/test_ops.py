@@ -317,6 +317,23 @@ def test_box_equality_examples():
     assert rep.apply(a, p) != rep.apply(b, p)
 
 
+def test_a_box_shows_equality_on_its_monomials_only():
+    """Control for what a box shows: P = prod_{j=-3}^{3} (tau_1 - q^j)
+    kills every monomial with |e_1| <= 3, so it equals 0 on the box of
+    radius 3, and not on the box of radius 4."""
+    from cycdaha.algebra import sample_rep
+
+    rep = sample_rep("daha", 2, seed=1)
+    q = rep.params["q"]
+    P = OperatorExpr.one()
+    for j in range(-3, 4):
+        P = P * (OperatorExpr.gen("tau", 1) - q ** j * OperatorExpr.one())
+    assert op_equal_on_box(rep, P, OperatorExpr.zero(), 3)["result"]
+    r = op_equal_on_box(rep, P, OperatorExpr.zero(), 4)
+    assert not r["result"]
+    assert abs(r["witness"]["monomial"][0]) == 4
+
+
 def test_Y1_against_reflection_product_formula():
     """Independent route for Y_1: the factored difference-reflection form
 

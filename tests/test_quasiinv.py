@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from cycdaha.quasiinv import (
     TWISTED_Q,
     ParameterDegenerate,
     QuasiSpec,
+    _value_tables,
     check_member,
     conditions_matrix,
     degree_monomials,
@@ -642,3 +644,45 @@ def test_flatness_report_needs_a_draw_and_the_q_one_space():
     with pytest.raises(ValueError, match="q-deformable"):
         flatness_report(QuasiSpec(TWISTED, 2, 1, a=(Fraction(1, 2), Fraction(0))), 4, 1)
     assert flatness_report(spec, 4, 1)["runs"]
+
+
+def test_check_member_substitutes_one_hyperplane_of_each_sign_pair(monkeypatch):
+    """g_r maps x_i = zeta^r q^(pM) x_j onto the hyperplane of -p, and
+    X^a F - g_r(X^a F) changes sign under it, so check_member substitutes
+    for 0 < p <= m only: on the non-symmetric member
+    prod_{|p| <= 2} (X_1 - q^p X_2) of the plain-q space at N = 2, m = 2,
+    q = 3/2, that is 2 one-rule substitutions, not 4."""
+    q = Fraction(3, 2)
+    spec = QuasiSpec(PLAIN_Q, 2, 2, q=q)
+    F = LaurentPoly.one(2)
+    for p in range(-2, 3):
+        F = F * (X(1) - X(2) * q ** p)
+    assert F != F.swap(1, 2)
+    calls = []
+    substitute = LaurentPoly.substitute
+
+    def counting(self, rules):
+        if len(rules) == 1:
+            calls.append(rules)
+        return substitute(self, rules)
+
+    monkeypatch.setattr(LaurentPoly, "substitute", counting)
+    assert check_member(spec, F)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    QuasiSpec(PLAIN_Q, 2, 1, q=Fraction(3, 2)),
+    QuasiSpec(PLAIN_Q, 3, 3, q=Fraction(5, 3)),
+    QuasiSpec(CYC, 2, 2, l=3, mlist=(1, 0), q=Fraction(-5, 3)),
+    QuasiSpec(TWISTED_Q, 2, 2, a=(Fraction(1, 2), Fraction(-1, 3)), q=Fraction(3, 2)),
+])
+def test_value_tables_give_one_block_per_positive_p(spec):
+    """At q != 1 the rows of a pair come in m blocks, one per 0 < p <= m
+    (the block of -p repeats that of p up to row scalars); at q = 1 in
+    2m + 1, one per order of u."""
+    for i in range(1, spec.N + 1):
+        for j in range(i + 1, spec.N + 1):
+            assert len(_value_tables(spec, i, j, 3)) == spec.m
+            at_one = replace(spec, q=1)
+            assert len(_value_tables(at_one, i, j, 3)) == 2 * spec.m + 1
