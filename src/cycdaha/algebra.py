@@ -45,6 +45,7 @@ from .linalg import matrix_rank
 from .ops import (
     FAMILY_DAHA,
     FAMILY_DEG,
+    FamilyMismatch,
     Gen,
     OperatorExpr,
     Rep,
@@ -725,7 +726,7 @@ def sample_rep(family, N, l=0, seed=0):
 
 def _check_rep_family(rep, family):
     if rep.family != rep_family_for(family):
-        raise ValueError(
+        raise FamilyMismatch(
             f"representation family {rep.family!r} incompatible with {family!r}"
         )
 

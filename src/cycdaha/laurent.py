@@ -72,7 +72,7 @@ import math
 from collections.abc import Mapping
 
 from . import kernel as K
-from .scalars import QQ, binomial_fraction
+from .scalars import QQ, binomial_fraction, power
 
 
 class NotDivisible(Exception):
@@ -387,14 +387,7 @@ class LaurentPoly:
                 inv = LaurentPoly.monomial(self.N, [-x for x in e], self.dom.one / c, self.dom)
                 return inv ** (-n)
             raise ValueError("negative power of a non-monomial")
-        out = LaurentPoly.one(self.N, self.dom)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, LaurentPoly.one(self.N, self.dom))
 
     def __bool__(self):
         return bool(self.nums)

@@ -42,6 +42,8 @@ from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
 
+from .scalars import int_poly, poly_primitive
+
 
 # ---------------------------------------------------------------------------
 # row echelon over generic exact fields
@@ -509,10 +511,7 @@ def rational_eigenvalues(mat):
     """All rational eigenvalues of a Fraction matrix, found exactly."""
     poly = mat.char_poly()
     # the same roots as a primitive integer polynomial (char_poly is monic)
-    den = lcm(*[c.denominator for c in poly])
-    ints = [c.numerator * (den // c.denominator) for c in poly]
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
+    ints = poly_primitive(int_poly(poly)[0])
     out = []
     if not ints[0]:
         # constant coefficient zero => 0 is an eigenvalue
@@ -530,11 +529,11 @@ def rational_eigenvalues(mat):
                 out.add(d)
                 out.add(v // d)
             d += 1
-        return sorted(out) if out else [1]
+        return sorted(out)
 
     cands = set()
-    for p in divisors(a0) or [1]:
-        for q in divisors(an) or [1]:
+    for p in divisors(a0):
+        for q in divisors(an):
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
 

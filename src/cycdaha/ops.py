@@ -132,7 +132,8 @@ FAMILY_CYC = "cyc"
 
 
 class FamilyMismatch(Exception):
-    """Generator not defined in this representation family."""
+    """A representation asked for what its family lacks: a generator, Y_i(f)
+    or the relations of a family that acts in another representation."""
 
 
 class Gen(NamedTuple):

@@ -64,7 +64,7 @@ from math import lcm
 
 from .laurent import LaurentPoly
 from .linalg import matrix_rank, nullspace
-from .scalars import QQ, CycloField, ParameterDegenerate
+from .scalars import QQ, CycloField, ParameterDegenerate, int_poly
 from .tableaux import (
     content_sum,
     invariants_series,
@@ -199,9 +199,7 @@ def _value_tables(spec, i, j, d):
             return out
         A = int(a * M)
         for p in range(1, m + 1):
-            fr = [q ** (p * (A + M * n)) for n in range(d + 1)]
-            den = lcm(*[x.denominator for x in fr])
-            out.append(([x.numerator * (den // x.denominator) for x in fr], den))
+            out.append(int_poly(q ** (p * (A + M * n)) for n in range(d + 1)))
         return out
 
     out = []

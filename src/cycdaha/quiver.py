@@ -101,18 +101,6 @@ class Quadruple:
     Y: Matrix
     T: Matrix
 
-    def to_json(self):
-        return {
-            "l": self.l,
-            "N": self.N,
-            "Z": [str(z) for z in self.Z],
-            "t": str(self.t),
-            "X": self.X.to_json(),
-            "D": self.D.to_json(),
-            "Y": self.Y.to_json(),
-            "T": self.T.to_json(),
-        }
-
 
 def point_equations(p):
     """The chain and closing equations of a point, as (name, lhs - rhs):

@@ -15,7 +15,17 @@ Three fields are supported as coefficient domains for Laurent polynomials:
                   with no common integer factor (RatFunc1).
 
 All three rest on one core of dense int polynomials: poly_add, poly_mul,
-poly_primitive, the pseudo-remainder poly_prem, poly_gcd and poly_exact_div.
+poly_primitive, the pseudo-remainder poly_prem, poly_gcd and poly_exact_div,
+with int_poly clearing the denominators of a rational list.
+
+The two extension fields share one protocol.  _FieldElement, the base of
+CycloNumber and RatFunc1, holds the coercion of an operand (int and
+Fraction lifted, the other field's key a TypeError), the arithmetic
+operators and their reflections, ** and == with hash; each element class
+holds only _add, _mul, inverse, _lift and its canonical _form.
+_ExtensionField, the Domain of CycloField and RatFuncField, holds coerce
+and the scalar JSON of both.  One square-and-multiply routine, power,
+serves both element classes and LaurentPoly.
 
 Plus deterministic "generic parameter" sampling with explicit excluded-value
 constraints, re-checked exactly after sampling.
@@ -201,12 +211,95 @@ def _zeta_powers(l):
     return entry
 
 
-def _int_poly(coeffs):
+def int_poly(coeffs):
     """Rational coefficients as (ints, m), m > 0 their common denominator."""
     fr = [Fraction(c) for c in coeffs]
     m = math.lcm(*[c.denominator for c in fr])
     return [c.numerator * (m // c.denominator) for c in fr], m
 
+
+def power(x, n, one):
+    """x ** n for an int n >= 0 by square and multiply; one for n = 0."""
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if out is None else out
+
+
+# ---------------------------------------------------------------------------
+# the field-element protocol
+
+class _FieldElement:
+    """The arithmetic of CycloNumber and RatFunc1, stated once.
+
+    An element carries the key of its field in the attribute named _KEY (l
+    for Q(zeta_l), var for Q(t)).  _coerce brings the other operand into
+    that field: an element of the same class and key as it is, an int or a
+    Fraction lifted by the classmethod _lift(key, x), None for any other
+    type, so that the operator returns NotImplemented; the same class with
+    another key raises the TypeError _MIXED.  A subclass states the rest:
+    _add(other, sign), _mul(other) and inverse() on a coerced operand, and
+    _form(), the canonical tuple that == and hash compare.
+    """
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            key, other_key = getattr(self, self._KEY), getattr(other, self._KEY)
+            if key != other_key:
+                raise TypeError(self._MIXED.format(key, other_key))
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._lift(getattr(self, self._KEY), other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._add(o, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._add(o, -1)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o._add(self, -1)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._mul(o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._mul(o.inverse())
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o._mul(self.inverse())
+
+    def __pow__(self, n):
+        one = self._lift(getattr(self, self._KEY), 1)
+        return power(self.inverse() if n < 0 else self, abs(n), one)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._form() == o._form()
+
+    def __hash__(self):
+        return hash((getattr(self, self._KEY), *self._form()))
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_l)
 
 def _canon(nums, den):
     """nums/den with den and the numerators divided by their gcd, as
@@ -227,22 +320,7 @@ def _cyclo(l, nums, den):
     return x
 
 
-def _mul(a, b):
-    x, y = a.nums, b.nums
-    if len(x) == 1:
-        return _cyclo(a.l, (x[0] * y[0],), a.den * b.den)
-    return _cyclo(a.l, _fold(a.l, poly_mul(x, y)), a.den * b.den)
-
-
-def _add(a, b, sign=1):
-    """a + b, or a - b for sign = -1."""
-    da, db = a.den, b.den
-    if da == db:
-        return _cyclo(a.l, [x + sign * y for x, y in zip(a.nums, b.nums)], da)
-    return _cyclo(a.l, [x * db + sign * y * da for x, y in zip(a.nums, b.nums)], da * db)
-
-
-class CycloNumber:
+class CycloNumber(_FieldElement):
     """Element of Q(zeta_l) in the power basis 1, z, ..., z^(phi-1), phi the
     degree of Phi_l.
 
@@ -257,9 +335,10 @@ class CycloNumber:
     """
 
     __slots__ = ("l", "nums", "den")
+    _KEY, _MIXED = "l", "mixed cyclotomic orders {} and {}"
 
     def __init__(self, l, coeffs):
-        nums, den = _int_poly(coeffs)
+        nums, den = int_poly(coeffs)
         self.l = l
         self.nums, self.den = _canon(_fold(l, nums), den)
 
@@ -277,47 +356,29 @@ class CycloNumber:
         phi, _ = _zeta_rows(l, 0)
         return _cyclo(l, (n,) + (0,) * (phi - 1), d)
 
-    def _coerce(self, other):
-        if isinstance(other, CycloNumber):
-            if other.l != self.l:
-                raise TypeError(f"mixed cyclotomic orders {self.l} and {other.l}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloNumber.from_rational(self.l, other)
-        return None
+    _lift = from_rational
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _add(self, o)
+    def _form(self):
+        return self.nums, self.den
 
-    __radd__ = __add__
+    def _add(self, other, sign):
+        """self + sign * other."""
+        da, db = self.den, other.den
+        if da == db:
+            return _cyclo(self.l, [x + sign * y for x, y in zip(self.nums, other.nums)], da)
+        return _cyclo(self.l, [x * db + sign * y * da for x, y in zip(self.nums, other.nums)],
+                      da * db)
+
+    def _mul(self, other):
+        x, y = self.nums, other.nums
+        if len(x) == 1:
+            return _cyclo(self.l, (x[0] * y[0],), self.den * other.den)
+        return _cyclo(self.l, _fold(self.l, poly_mul(x, y)), self.den * other.den)
 
     def __neg__(self):
         x = object.__new__(CycloNumber)
         x.l, x.nums, x.den = self.l, tuple(-n for n in self.nums), self.den
         return x
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _add(self, o, -1)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _add(o, self, -1)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _mul(self, o)
-
-    __rmul__ = __mul__
 
     def inverse(self):
         """Inverse mod Phi_l: z^-k = z^(l-k) for a power of z (read off
@@ -337,48 +398,15 @@ class CycloNumber:
                 conj = [0] * l
                 for i, n in enumerate(self.nums):
                     conj[i * k % l] += n
-                c = _mul(c, _cyclo(l, _fold(l, conj), self.den))
-        norm = _mul(self, c)
+                c = c._mul(_cyclo(l, _fold(l, conj), self.den))
+        norm = self._mul(c)
         n, d = norm.nums[0], norm.den  # N(a) = n / d
         if n < 0:
             n, d = -n, -d
         return _cyclo(l, [x * d for x in c.nums], c.den * n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _mul(self, o.inverse())
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _mul(o, self.inverse())
-
-    def __pow__(self, n):
-        base = self.inverse() if n < 0 else self
-        n = abs(n)
-        out = None
-        while n:
-            if n & 1:
-                out = base if out is None else _mul(out, base)
-            n >>= 1
-            if n:
-                base = _mul(base, base)
-        return CycloNumber.from_rational(self.l, 1) if out is None else out
-
     def __bool__(self):
         return any(self.nums)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.nums == o.nums and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.l, self.nums, self.den))
 
     def rational_part(self):
         """The element as a Fraction; raises if it is not rational."""
@@ -426,7 +454,7 @@ def _ratfunc(var, num, den):
     return x
 
 
-class RatFunc1:
+class RatFunc1(_FieldElement):
     """Rational function in one named parameter over Q.
 
     Stored fraction-free, as CycloNumber is: ``num`` and ``den`` are int
@@ -437,10 +465,11 @@ class RatFunc1:
     """
 
     __slots__ = ("var", "num", "den")
+    _KEY, _MIXED = "var", "mixed parameters {!r} and {!r}"
 
     def __init__(self, var, num, den=(1,)):
         """num / den from any lists of rationals."""
-        ints, _ = _int_poly([*num, *den])
+        ints, _ = int_poly([*num, *den])
         self.var = var
         self.num, self.den = _canonical(ints[:len(num)], ints[len(num):])
 
@@ -453,83 +482,38 @@ class RatFunc1:
         n, d = (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
         return _ratfunc(var, [n], [d])
 
-    def _coerce(self, other):
-        if isinstance(other, RatFunc1):
-            if other.var != self.var:
-                raise TypeError(f"mixed parameters {self.var!r} and {other.var!r}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc1.const(self.var, other)
-        return None
+    _lift = const
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _ratfunc(self.var, poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
-                        poly_mul(self.den, o.den))
+    def _form(self):
+        return self.num, self.den
 
-    __radd__ = __add__
+    def _add(self, other, sign):
+        """self + sign * other."""
+        num = poly_add(poly_mul(self.num, other.den),
+                       [sign * c for c in poly_mul(other.num, self.den)])
+        return _ratfunc(self.var, num, poly_mul(self.den, other.den))
+
+    def _mul(self, other):
+        return _ratfunc(self.var, poly_mul(self.num, other.num), poly_mul(self.den, other.den))
 
     def __neg__(self):
         x = object.__new__(RatFunc1)
         x.var, x.num, x.den = self.var, tuple(-c for c in self.num), self.den
         return x
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _ratfunc(self.var, poly_mul(self.num, o.num), poly_mul(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.num:
+    def inverse(self):
+        """den / num, already canonical up to the sign that makes the new
+        den's leading coefficient positive: no gcd to take."""
+        if not self.num:
             raise ZeroDivisionError("division by zero rational function")
-        return _ratfunc(self.var, poly_mul(self.num, o.den), poly_mul(self.den, o.num))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return (RatFunc1.const(self.var, 1) / self) ** (-n)
-        out = RatFunc1.const(self.var, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        s = 1 if self.num[-1] > 0 else -1
+        x = object.__new__(RatFunc1)
+        x.var = self.var
+        x.num, x.den = tuple(s * c for c in self.den), tuple(s * c for c in self.num)
+        return x
 
     def __bool__(self):
         return bool(self.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.var, self.num, self.den))
 
     def _monic(self):
         """(num, den) as Fraction lists over the leading coefficient of den."""
@@ -623,60 +607,57 @@ class RationalField(Domain):
         return parse_rational(data)
 
 
-class CycloField(Domain):
+class _ExtensionField(Domain):
+    """Q(zeta_l) or Q(t): the field of the element class ``element``,
+    stored under the name of its key (element._KEY), as its elements are.
+    coerce takes an element with the same key, or an int, Fraction or
+    rational string lifted into the field; another key raises the TypeError
+    _MISMATCH, and any other value TypeError."""
+
+    def coerce(self, x):
+        cls = self.element
+        key = getattr(self, cls._KEY)
+        if isinstance(x, cls):
+            if getattr(x, cls._KEY) != key:
+                raise TypeError(self._MISMATCH.format(getattr(x, cls._KEY), key))
+            return x
+        if isinstance(x, str):
+            x = parse_rational(x)
+        if isinstance(x, (int, Fraction)):
+            return cls._lift(key, x)
+        raise TypeError(f"cannot coerce {x!r} into {self.name}")
+
+    def scalar_to_json(self, x):
+        return self.coerce(x).to_json()
+
+    def scalar_from_json(self, data):
+        return self.element.from_json(data)
+
+
+class CycloField(_ExtensionField):
+    element, _MISMATCH = CycloNumber, "cyclotomic order mismatch: {} vs {}"
+
     def __init__(self, l):
         if l < 1:
             raise ValueError(f"cyclotomic order must be at least 1, got {l}")
         self.l = l
         self.name = f"QQ(zeta_{l})"
 
-    def coerce(self, x):
-        if isinstance(x, CycloNumber):
-            if x.l != self.l:
-                raise TypeError(f"cyclotomic order mismatch: {x.l} vs {self.l}")
-            return x
-        if isinstance(x, (int, Fraction)):
-            return CycloNumber.from_rational(self.l, x)
-        if isinstance(x, str):
-            return CycloNumber.from_rational(self.l, parse_rational(x))
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
-
     @property
     def zeta(self):
         return CycloNumber.zeta(self.l)
 
-    def scalar_to_json(self, x):
-        return self.coerce(x).to_json()
 
-    def scalar_from_json(self, data):
-        return CycloNumber.from_json(data)
+class RatFuncField(_ExtensionField):
+    element, _MISMATCH = RatFunc1, "parameter mismatch: {} vs {}"
 
-
-class RatFuncField(Domain):
     def __init__(self, var="t"):
         self.var = var
         self.name = f"QQ({var})"
 
-    def coerce(self, x):
-        if isinstance(x, RatFunc1):
-            if x.var != self.var:
-                raise TypeError(f"parameter mismatch: {x.var} vs {self.var}")
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RatFunc1.const(self.var, x)
-        if isinstance(x, str):
-            return RatFunc1.const(self.var, parse_rational(x))
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
-
     @property
     def gen(self):
         return RatFunc1.variable(self.var)
-
-    def scalar_to_json(self, x):
-        return self.coerce(x).to_json()
-
-    def scalar_from_json(self, data):
-        return RatFunc1.from_json(data)
 
 
 QQ = RationalField()

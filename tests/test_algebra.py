@@ -18,7 +18,7 @@ from cycdaha.algebra import (
     verify_family,
     verify_involution,
 )
-from cycdaha.ops import Gen, OperatorExpr, Rep, box_monomials, op_equal_on_box
+from cycdaha.ops import FamilyMismatch, Gen, OperatorExpr, Rep, box_monomials, op_equal_on_box
 from cycdaha.scalars import RatFuncField
 
 
@@ -205,9 +205,9 @@ def test_involution_rejects_a_representation_of_another_family():
     does, before anything reads a parameter the rep lacks."""
     for rep, family in ((sample_rep("daha", 2, seed=1), "deg-cyc"),
                         (sample_rep("deg-cyc", 2, 1, seed=1), "cyc-daha")):
-        with pytest.raises(ValueError, match="incompatible"):
+        with pytest.raises(FamilyMismatch, match="incompatible"):
             verify_involution(rep, family)
-        with pytest.raises(ValueError, match="incompatible"):
+        with pytest.raises(FamilyMismatch, match="incompatible"):
             verify_family(rep, family, "box", box_radius=0)
 
 

@@ -3,8 +3,8 @@ or stale), every name a module imports is used in it, every function, class
 and method in src/ is reached from the acceptance battery or the CLI,
 every exception class in src/ is raised there and tested on its own,
 README's Layout block names every module, the engine modules stay
-fraction-free, and quasiinv states its conditions without asking which
-variant a space is."""
+fraction-free, quasiinv states its conditions without asking which
+variant a space is, and scalars states the field-element protocol once."""
 
 import ast
 import builtins
@@ -348,3 +348,56 @@ def test_quasiinv_reads_the_variant_only_to_build_check_and_report():
     source = (ROOT / "src" / "cycdaha" / "quasiinv.py").read_text(encoding="utf-8")
     extra = [name for name in variant_readers(source) if name not in VARIANT_READERS]
     assert not extra, "quasiinv defs that fork on the variant: " + ", ".join(extra)
+
+
+# Q(zeta_l) and Q(t) share one arithmetic protocol: only the element base
+# states coercion, the operators with their reflections, power and equality,
+# and only the Domain bases (the abstract Domain and _ExtensionField, beside
+# RationalField) state coerce and the scalar JSON.
+ELEMENT_PROTOCOL = {
+    "_coerce", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "__eq__", "__hash__"}
+DOMAIN_PROTOCOL = {"coerce", "scalar_to_json", "scalar_from_json"}
+
+
+def class_definers(source, names):
+    """The classes of a module whose body defines one of names, by a def or
+    an assignment such as __radd__ = __add__."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, _DEFS):
+                    bound = [sub.name]
+                elif isinstance(sub, ast.Assign):
+                    bound = [t.id for t in sub.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                if names.intersection(bound):
+                    out.add(node.name)
+    return out
+
+
+def test_class_definer_checker_finds_defs_and_aliases():
+    source = """
+class Base:
+    def __add__(self, other):
+        return other
+
+
+class Alias(Base):
+    __radd__ = Base.__add__
+
+
+class Plain(Base):
+    def __neg__(self):
+        return self
+"""
+    assert class_definers(source, {"__add__", "__radd__"}) == {"Base", "Alias"}
+
+
+def test_scalars_states_the_field_protocol_once():
+    source = (ROOT / "src" / "cycdaha" / "scalars.py").read_text(encoding="utf-8")
+    assert class_definers(source, ELEMENT_PROTOCOL) == {"_FieldElement"}
+    assert class_definers(source, DOMAIN_PROTOCOL) == {
+        "Domain", "_ExtensionField", "RationalField"}

@@ -212,7 +212,7 @@ small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 @given(st.integers(1, 12), st.lists(small, max_size=10), st.lists(small, max_size=10),
-       small, st.integers(-3, 3), st.integers(-10, 10))
+       st.one_of(small, st.integers(-4, 4)), st.integers(-3, 3), st.integers(-10, 10))
 def test_cyclotomic_arithmetic_matches_the_fraction_reference(l, ca, cb, c, n, k):
     a, b = CycloNumber(l, ca), CycloNumber(l, cb)
     ra, rb = _reduced(l, ca), _reduced(l, cb)
@@ -334,6 +334,24 @@ def test_ratfunc_arithmetic_matches_evaluation(a, b):
             continue
         for x, op in results:
             assert _value(x, p) == op(_value(a, p), _value(b, p))
+
+
+@given(ratfuncs, st.one_of(small, st.integers(-4, 4)), st.integers(-3, 3))
+def test_ratfunc_rational_left_operands_and_powers_match_evaluation(a, c, n):
+    """c + a, c - a, c * a and c / a with an int or Fraction c on the left,
+    which reach the reflected operators, and a ** n for -3 <= n <= 3, against
+    the same evaluation oracle."""
+    results = [(c + a, lambda v: c + v), (c - a, lambda v: c - v), (c * a, lambda v: c * v)]
+    if a:
+        results += [(c / a, lambda v: c / v), (a ** n, lambda v: v ** n)]
+    elif n >= 0:
+        results.append((a ** n, lambda v: v ** n))
+    dens = [a.den] + ([a.num] if a else []) + [x.den for x, _ in results]
+    for p in points:
+        if any(sum(k * p ** i for i, k in enumerate(d)) == 0 for d in dens):
+            continue
+        for x, f in results:
+            assert _value(x, p) == f(_value(a, p))
 
 
 int_polys = st.lists(st.integers(-6, 6), max_size=5).map(poly_trim)
