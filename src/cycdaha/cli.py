@@ -18,6 +18,8 @@ Subcommands:
   bow hw     --file bow.json [--out bow2.json]
   suite smoke | suite paper-acceptance [--out report.json]
   expr parse --text "..."    (grammar check for the operator syntax)
+  expr equal --lhs "..." --rhs "..." [--family F] --N n [--l L]
+             [--mode box|random] [--B r] [--trials k] --seed s [--out ...]
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage error,
 3 internal error.  Reports are canonical JSON whose config echoes every
@@ -226,141 +228,100 @@ def cmd_suite(args):
 
 # ---------------------------------------------------------------------------
 
+def _flags(*declarations):
+    """A parent parser declaring each (name, keywords) pair as a flag."""
+    p = argparse.ArgumentParser(add_help=False)
+    for name, kw in declarations:
+        p.add_argument(name, **kw)
+    return p
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="cycdaha",
         description="exact verification engine for cyclotomic DAHA computations",
     )
     sub = ap.add_subparsers(dest="group", required=True)
+    # flags that several commands share, each declared once
+    out = _flags(("--out", dict()))
+    N = _flags(("--N", dict(type=int, required=True)))
+    seed = _flags(("--seed", dict(type=int, default=0)))
+    level = _flags(("--l", dict(type=int, default=1)))
+    file = _flags(("--file", dict(required=True)))
+    sweep = _flags(("--l", dict(type=int)),
+                   ("--mode", dict(choices=["box", "random"], default="box")),
+                   ("--B", dict(type=int, default=3)),
+                   ("--trials", dict(type=int, default=30)))
+    space = _flags(("--m", dict(type=int, required=True)), ("--mlist", dict(default="")),
+                   ("--a", dict(default="")), ("--maxdeg", dict(type=int, default=8)))
 
-    rel = sub.add_parser("relations", help="relation catalogs")
-    rel_sub = rel.add_subparsers(dest="cmd", required=True)
-    rv = rel_sub.add_parser("verify")
+    def command(group, name, parents, fn, check=None, **kw):
+        """The command `name` of group, with the parents' flags and --out;
+        check(parser, args) runs before fn(args)."""
+        p = group.add_parser(name, parents=[*parents, out], **kw)
+        p.set_defaults(fn=fn, check=check and (lambda a: check(p, a)))
+        return p
+
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="cmd", required=True)
+
+    rel = group("relations", "relation catalogs")
+    rv = command(rel, "verify", [N, sweep, seed], cmd_relations_verify, _check_sweep_args)
     rv.add_argument("--family", required=True,
                     choices=["daha", "deg-daha", "deg-cyc", "cyc-daha", "l1", "lastrel"])
-    rv.add_argument("--N", type=int, required=True)
-    rv.add_argument("--l", type=int)
-    rv.add_argument("--mode", choices=["box", "random"], default="box")
-    rv.add_argument("--B", type=int, default=3)
-    rv.add_argument("--trials", type=int, default=30)
-    rv.add_argument("--seed", type=int, default=0)
-    rv.add_argument("--out")
-    rv.set_defaults(fn=cmd_relations_verify, check=lambda a: _check_sweep_args(rv, a))
-    ri = rel_sub.add_parser("involution")
+    ri = command(rel, "involution", [N, level, seed], cmd_relations_involution,
+                 lambda p, a: (_at_least_one(p, a, "N"), _check_level(p, a, a.family)))
     ri.add_argument("--family", required=True, choices=["cyc-daha", "deg-cyc", "l1"])
-    ri.add_argument("--N", type=int, required=True)
-    ri.add_argument("--l", type=int, default=1)
-    ri.add_argument("--seed", type=int, default=0)
-    ri.add_argument("--out")
-    ri.set_defaults(fn=cmd_relations_involution,
-                    check=lambda a: (_at_least_one(ri, a, "N"), _check_level(ri, a, a.family)))
 
-    qa = sub.add_parser("quasi", help="quasiinvariant spaces")
-    qa_sub = qa.add_subparsers(dest="cmd", required=True)
-    qs = qa_sub.add_parser("series")
+    qa = group("quasi", "quasiinvariant spaces")
+    qs = command(qa, "series", [N, level, space], cmd_quasi_series,
+                 lambda p, a: _check_quasi(p, a, _number(p, "--q", a.q or "1")))
     qs.add_argument("--variant", required=True,
                     choices=["plain-q", "cyc", "twisted", "twisted-q"])
-    qs.add_argument("--N", type=int, required=True)
-    qs.add_argument("--m", type=int, required=True)
-    qs.add_argument("--l", type=int, default=1)
-    qs.add_argument("--mlist", default="")
-    qs.add_argument("--a", default="")
     qs.add_argument("--q", default="")
-    qs.add_argument("--maxdeg", type=int, default=8)
-    qs.add_argument("--out")
-    qs.set_defaults(fn=cmd_quasi_series,
-                    check=lambda a: _check_quasi(qs, a, _number(qs, "--q", a.q or "1")))
-    qf = qa_sub.add_parser("flatness")
+    qf = command(qa, "flatness", [N, level, space], cmd_quasi_flatness,
+                 lambda p, a: _check_quasi(p, a, 1))
     qf.add_argument("--variant", required=True, choices=["plain-q", "cyc", "twisted-q"])
-    qf.add_argument("--N", type=int, required=True)
-    qf.add_argument("--m", type=int, required=True)
-    qf.add_argument("--l", type=int, default=1)
-    qf.add_argument("--mlist", default="")
-    qf.add_argument("--a", default="")
-    qf.add_argument("--maxdeg", type=int, default=8)
     qf.add_argument("--seeds", type=int, default=3)
-    qf.add_argument("--out")
-    qf.set_defaults(fn=cmd_quasi_flatness, check=lambda a: _check_quasi(qf, a, 1))
 
-    mac = sub.add_parser("macdonald", help="Macdonald operators")
-    mac_sub = mac.add_subparsers(dest="cmd", required=True)
-    ma = mac_sub.add_parser("apply")
+    mac = group("macdonald", "Macdonald operators")
+    ma = command(mac, "apply", [N], lambda a: cmd_macdonald_apply(ma, a),
+                 lambda p, a: (_number(p, "--q", a.q), _number(p, "--t", a.t),
+                               _check_poly(p, a)))
     ma.add_argument("--op", choices=["M1", "M1l1"], default="M1")
-    ma.add_argument("--N", type=int, required=True)
     ma.add_argument("--q", required=True)
     ma.add_argument("--t", required=True)
     ma.add_argument("--poly", required=True)
-    ma.add_argument("--out")
-    ma.set_defaults(fn=lambda a: cmd_macdonald_apply(ma, a),
-                    check=lambda a: (_number(ma, "--q", a.q), _number(ma, "--t", a.t),
-                                     _check_poly(ma, a)))
-    mc = mac_sub.add_parser("commute")
+    mc = command(mac, "commute", [N, level, seed], cmd_macdonald_commute, _check_commute)
     mc.add_argument("--r1", type=int, required=True)
     mc.add_argument("--r2", type=int, required=True)
-    mc.add_argument("--N", type=int, required=True)
-    mc.add_argument("--l", type=int, default=1)
     mc.add_argument("--maxdeg", type=int, default=4)
-    mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--out")
-    mc.set_defaults(fn=cmd_macdonald_commute, check=lambda a: _check_commute(mc, a))
 
-    qv = sub.add_parser("quiver", help="multiplicative quiver varieties")
-    qv_sub = qv.add_subparsers(dest="cmd", required=True)
-    qsample = qv_sub.add_parser("sample")
+    qv = group("quiver", "multiplicative quiver varieties")
+    qsample = command(qv, "sample", [N, seed], cmd_quiver_sample,
+                      lambda p, a: _at_least_one(p, a, "l", "N"))
     qsample.add_argument("--l", type=int, required=True)
-    qsample.add_argument("--N", type=int, required=True)
-    qsample.add_argument("--seed", type=int, default=0)
-    qsample.add_argument("--out")
-    qsample.set_defaults(fn=cmd_quiver_sample, check=lambda a: _at_least_one(qsample, a, "l", "N"))
-    qcheck = qv_sub.add_parser("check")
-    qcheck.add_argument("--file", required=True)
-    qcheck.add_argument("--out")
-    qcheck.set_defaults(fn=cmd_quiver_check,
-                        check=lambda a: _load_file(qcheck, a, "--file", _quiver_point))
+    command(qv, "check", [file], cmd_quiver_check,
+            lambda p, a: _load_file(p, a, "--file", _quiver_point))
 
-    bw = sub.add_parser("bow", help="bow varieties and Hanany-Witten")
-    bw_sub = bw.add_subparsers(dest="cmd", required=True)
-    bsample = bw_sub.add_parser("sample")
+    bw = group("bow", "bow varieties and Hanany-Witten")
+    bsample = command(bw, "sample", [seed], cmd_bow_sample, _check_bow_dims)
     bsample.add_argument("--dims", required=True)
-    bsample.add_argument("--seed", type=int, default=0)
-    bsample.add_argument("--out")
-    bsample.set_defaults(fn=cmd_bow_sample, check=lambda a: _check_bow_dims(bsample, a))
-    bcheck = bw_sub.add_parser("check")
-    bcheck.add_argument("--file", required=True)
-    bcheck.add_argument("--out")
-    bcheck.set_defaults(fn=cmd_bow_check,
-                        check=lambda a: _load_file(bcheck, a, "--file", _bow_data))
-    bhw = bw_sub.add_parser("hw")
-    bhw.add_argument("--file", required=True)
-    bhw.add_argument("--out")
-    bhw.set_defaults(fn=cmd_bow_hw, check=lambda a: _check_hw_bow(bhw, a))
+    command(bw, "check", [file], cmd_bow_check,
+            lambda p, a: _load_file(p, a, "--file", _bow_data))
+    command(bw, "hw", [file], cmd_bow_hw, _check_hw_bow)
 
-    ex = sub.add_parser("expr", help="operator expression grammar")
-    ex_sub = ex.add_subparsers(dest="cmd", required=True)
-    ep = ex_sub.add_parser("parse")
-    ep.add_argument("--text", required=True)
-    ep.add_argument("--out")
-    ep.set_defaults(fn=cmd_expr_parse)
-    ee = ex_sub.add_parser("equal")
+    ex = group("expr", "operator expression grammar")
+    command(ex, "parse", [], cmd_expr_parse).add_argument("--text", required=True)
+    ee = command(ex, "equal", [N, sweep, seed], cmd_expr_equal,
+                 lambda p, a: (_check_sweep_args(p, a), _check_generators(p, a)))
     ee.add_argument("--family", default="daha",
                     choices=["daha", "deg-daha", "deg-cyc", "cyc-daha", "l1"])
-    ee.add_argument("--N", type=int, required=True)
-    ee.add_argument("--l", type=int)
     ee.add_argument("--lhs", required=True)
     ee.add_argument("--rhs", required=True)
-    ee.add_argument("--mode", choices=["box", "random"], default="box")
-    ee.add_argument("--B", type=int, default=3)
-    ee.add_argument("--trials", type=int, default=30)
-    ee.add_argument("--seed", type=int, default=0)
-    ee.add_argument("--out")
-    ee.set_defaults(fn=cmd_expr_equal,
-                    check=lambda a: (_check_sweep_args(ee, a), _check_generators(ee, a)))
 
-    st = sub.add_parser("suite", help="named test batteries")
+    st = command(sub, "suite", [], cmd_suite, help="named test batteries")
     st.add_argument("name", choices=["smoke", "paper-acceptance"])
-    st.add_argument("--out")
-    st.set_defaults(fn=cmd_suite)
-
     return ap
 
 

@@ -3,10 +3,15 @@
 Grammar (whitespace-separated generator tokens inside words):
 
     expr    := term (('+' | '-') term)*
-    term    := [scalar '*'] factor
-    factor  := '[' token+ ']'        bracketed word
-             | token+                bare word (single-term expressions)
-    scalar  := integer | rational 'p/q' | '(' rational ')'
+    term    := ['-'] scalar                    scalar term
+             | ['-'] [scalar ['*']] factor     word term
+    factor  := '[' token* ']'        bracketed word
+             | token+                bare word
+    scalar  := integer | rational 'p/q' | '(' ['-'] integer-or-p/q ')'
+
+A '-' is always an operator, so "[X1]-2*[X2]" reads as "[X1] - 2*[X2]";
+a '*' must be followed by a factor, and a signed scalar goes in
+parentheses: "(-2)*[X2]".
 
 Generator tokens:
 
@@ -29,53 +34,37 @@ class ParseError(ValueError):
     pass
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<lbrack>\[) | (?P<rbrack>\]) |
-    (?P<plus>\+) | (?P<times>\*) |
-    (?P<scalar_paren>\(\s*-?\d+(?:/\d+)?\s*\)) |
-    (?P<gen>
-        (?:T|X|Y)\d+(?:\^-1)? |
-        y\d+ |
-        s\d+ |
-        sigma\d+(?:\^-1)? |
-        Dtrig\d+ |
-        DO\d+ |
-        D\d+(?:\^\(l\))? |
-        tau\d+ |
-        pi(?:\^-1|-)? |
-        omega(?:\^-1)?
-    ) |
-    (?P<rational>-?\d+(?:/\d+)?) |
-    (?P<minus>-)
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        kind = m.lastgroup
-        tokens.append((kind, m.group()))
-        pos = m.end()
-    return tokens
-
+# the indexed generator heads, each with the one suffix it may carry
+_HEADS = {"T": "^-1", "X": "^-1", "Y": "^-1", "y": "", "s": "", "sigma": "^-1",
+          "Dtrig": "", "DO": "", "D": "^(l)", "tau": ""}
 
 _GEN_RE = re.compile(
-    r"^(?P<tag>T|X|Y|y|s|sigma|Dtrig|DO|D|tau)(?P<idx>\d+)(?P<suffix>\^-1|\^\(l\))?$"
+    rf"^(?P<tag>{'|'.join(_HEADS)})(?P<idx>\d+)(?P<suffix>\^-1|\^\(l\))?$"
 )
 
 
 # tokens without an index, each its own tag
 _BARE_TOKENS = ("pi", "pi^-1", "pi-", "omega", "omega^-1")
+
+_GEN_TOKEN = "|".join([rf"{h}\d+(?:{re.escape(s)})?" for h, s in _HEADS.items()]
+                      + [re.escape(t) for t in sorted(_BARE_TOKENS, key=len, reverse=True)])
+
+# one token after optional whitespace: a generator (the longest bare token
+# first), an unsigned or parenthesized scalar, an operator, or a character
+# outside the grammar
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<gen>{_GEN_TOKEN})|(?P<num>\d+(?:/\d+)?|\(\s*-?\d+(?:/\d+)?\s*\))"
+                       r"|(?P<op>[-+*\[\]])|(?P<bad>\S))")
+
+
+def _tokenize(text):
+    """(kind, text) pairs, where kind is "gen", "num" or the operator itself."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r} at position {m.start(kind)}")
+        tokens.append((m.group(kind) if kind == "op" else kind, m.group(kind)))
+    return tokens
 
 
 def parse_gen(token):
@@ -90,91 +79,12 @@ def parse_gen(token):
         return Gen("s0")
     if idx == 0:
         raise ParseError(f"generator indices start at 1, got {token!r}")
-    if suffix == "^-1":
-        if tag not in ("T", "X", "Y", "sigma"):
-            raise ParseError(f"{tag} has no inverse token")
-        return Gen(tag + "^-1", idx)
+    if suffix and suffix != _HEADS[tag]:
+        raise ParseError(f"{tag} has no inverse token" if suffix == "^-1"
+                         else f"bad token {token!r}")
     if suffix == "^(l)":
-        if tag != "D":
-            raise ParseError(f"bad token {token!r}")
         return Gen("Dl", idx)
-    return Gen(tag, idx)
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse_expr(self):
-        out = self.parse_term(sign=1)
-        while True:
-            kind, _ = self.peek()
-            if kind == "plus":
-                self.take()
-                out = out + self.parse_term(sign=1)
-            elif kind == "minus":
-                self.take()
-                out = out + self.parse_term(sign=-1)
-            else:
-                break
-        if self.pos != len(self.tokens):
-            raise ParseError(f"trailing tokens at position {self.pos}")
-        return out
-
-    def parse_term(self, sign):
-        coeff = Fraction(sign)
-        kind, value = self.peek()
-        if kind == "minus":
-            self.take()
-            coeff = -coeff
-            kind, value = self.peek()
-        if kind in ("rational", "scalar_paren"):
-            self.take()
-            text = value.strip("() \t")
-            coeff *= Fraction(text)
-            kind, _ = self.peek()
-            if kind == "times":
-                self.take()
-            kind, value = self.peek()
-            if kind not in ("lbrack", "gen"):
-                # bare scalar term
-                return OperatorExpr.scalar(coeff)
-        word = self.parse_word()
-        return OperatorExpr.word(word, coeff)
-
-    def parse_word(self):
-        kind, value = self.peek()
-        gens = []
-        if kind == "lbrack":
-            self.take()
-            while True:
-                kind, value = self.peek()
-                if kind == "rbrack":
-                    self.take()
-                    break
-                if kind != "gen":
-                    raise ParseError("expected generator token inside [...]")
-                self.take()
-                gens.append(parse_gen(value))
-            return gens
-        if kind != "gen":
-            raise ParseError(f"expected word, found {value!r}")
-        while True:
-            kind, value = self.peek()
-            if kind != "gen":
-                break
-            self.take()
-            gens.append(parse_gen(value))
-        return gens
+    return Gen(tag + (suffix or ""), idx)
 
 
 def generator_tokens(text):
@@ -182,9 +92,47 @@ def generator_tokens(text):
     return [value for kind, value in _tokenize(text) if kind == "gen"]
 
 
+def _factor(tokens, pos):
+    """The generators of the word at tokens[pos], and the position after it."""
+    kind, value = tokens[pos]
+    if kind not in ("[", "gen"):
+        raise ParseError(f"expected word, found {value!r}")
+    start = end = pos + (kind == "[")
+    while tokens[end][0] == "gen":
+        end += 1
+    gens = [parse_gen(v) for _, v in tokens[start:end]]
+    if kind == "[":
+        if tokens[end][0] != "]":
+            raise ParseError("expected generator token inside [...]")
+        end += 1
+    return gens, end
+
+
 def parse_expr(text):
     """Parse the documented operator-expression syntax into an OperatorExpr."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _Parser(tokens).parse_expr()
+    tokens.append((None, None))  # end marker: a look-ahead never runs off the list
+    out, pos, sign = OperatorExpr.zero(), 0, 1
+    while True:
+        coeff, gens = Fraction(sign), ()
+        if tokens[pos][0] == "-":
+            coeff, pos = -coeff, pos + 1
+        if tokens[pos][0] != "num":
+            gens, pos = _factor(tokens, pos)
+        else:
+            coeff *= Fraction(tokens[pos][1].strip("() \t"))
+            pos += 1
+            if tokens[pos][0] == "*":
+                gens, pos = _factor(tokens, pos + 1)
+            elif tokens[pos][0] in ("[", "gen"):
+                gens, pos = _factor(tokens, pos)
+        out = out + OperatorExpr.word(gens, coeff)
+        if tokens[pos][0] not in ("+", "-"):
+            break
+        sign = 1 if tokens[pos][0] == "+" else -1
+        pos += 1
+    if pos != len(tokens) - 1:
+        raise ParseError(f"trailing tokens at position {pos}")
+    return out

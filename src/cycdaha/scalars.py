@@ -701,7 +701,7 @@ def _check_constraint(con, values):
                 return False
         return True
     if kind == "diff_not_integer":
-        _, n1, n2, window = con
+        _, n1, n2 = con
         d = values[n1] - values[n2]
         return d.denominator != 1
     if kind == "ratio_not_q_power":
@@ -724,7 +724,7 @@ def sample_generic(names, constraints, seed, max_attempts=2000):
 
     names: iterable of parameter names to draw; constraints: list of tuples
     ('nonzero', name), ('not_root_of_unity', name, M),
-    ('diff_not_integer', n1, n2, W), ('ratio_not_q_power', n1, n2, q, W).
+    ('diff_not_integer', n1, n2), ('ratio_not_q_power', n1, n2, q, W).
     Same seed reproduces the same tuple; every constraint is re-checked
     exactly before returning.
     """

@@ -211,6 +211,13 @@ def test_involution_rejects_a_representation_of_another_family():
             verify_family(rep, family, "box", box_radius=0)
 
 
+def test_involution_of_a_family_without_one_is_a_value_error():
+    """A known family with no involution catalog is outside the involution's
+    domain (ValueError), not an unknown family name."""
+    with pytest.raises(ValueError, match="no involution"):
+        verify_involution(sample_rep("daha", 2, seed=1), "daha")
+
+
 def test_phi_involution_images():
     rep = sample_rep("cyc-daha", 2, 1, seed=3)
     gen_map, target, _ = _PHI[rep.family]

@@ -209,6 +209,13 @@ def test_expr_equal_cli(capsys):
     )
     assert code == 1
     assert report["report"]["witness"]["monomial"] is not None
+    # the verdict rests on what was typed: a '-' before a number is the
+    # operator, and a '*' with no word after it is a usage error
+    code, report = run_cli(["expr", "equal", "--N", "2", "--lhs", "[X1]-2*[X2]",
+                            "--rhs", "[X1] - 2*[X2]"], capsys)
+    assert code == 0 and report["report"]["result"] is True
+    assert main(["expr", "equal", "--N", "2", "--lhs", "2*-X1", "--rhs=-2*X1"]) == 2
+    assert "usage error: " in capsys.readouterr().err
 
 
 def test_quasi_series_cyclotomic_cli(capsys):
@@ -418,6 +425,24 @@ def test_family_choices_follow_the_family_table():
     assert choices("relations verify") == list(FAMILIES)
     assert sorted(choices("relations involution")) == sorted(
         name for name, family in FAMILIES.items() if family.phi)
+
+
+def test_shared_flags_are_declared_once():
+    # a flag that several commands declare alike (option strings, type,
+    # default, required-ness and choices) is one argparse action, declared
+    # once in a parent parser
+    from cycdaha.cli import build_parser
+
+    declared = {}
+    for path, sub in _leaf_parsers(build_parser()):
+        for a in sub._actions:
+            if a.option_strings and not isinstance(a, argparse._HelpAction):
+                key = (tuple(a.option_strings), a.type, a.default, a.required,
+                       None if a.choices is None else tuple(a.choices))
+                declared.setdefault(key, {})[id(a)] = " ".join(path)
+    repeated = {key[0]: sorted(cmds.values()) for key, cmds in declared.items()
+                if len(cmds) > 1}
+    assert not repeated, repeated
 
 
 def test_config_echoes_every_flag_but_out(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed
+from hypothesis import strategies as st
 
 from cycdaha.exprparse import ParseError, parse_expr, parse_gen
 from cycdaha.ops import Gen, OperatorExpr
@@ -77,6 +79,61 @@ def test_parse_errors():
         parse_gen("tau1^-1")
     with pytest.raises(ParseError):
         parse_gen("X0")
+
+
+def test_minus_is_an_operator_and_star_needs_a_factor():
+    # a '-' before a number is the operator, never the number's sign
+    assert parse_expr("[X1]-2*[X2]") == parse_expr("[X1] - 2*[X2]")
+    assert parse_expr("X1 -3*X2") == parse_expr("X1 - 3*X2")
+    # a '*' with no word after it is an error, not a scalar term
+    for text in ("2*", "(3/2)*", "2 * + X1", "2*-X1"):
+        with pytest.raises(ParseError):
+            parse_expr(text)
+
+
+# (token, generator) pairs the property below renders words from
+GENS = [("T1", Gen("T", 1)), ("T2^-1", Gen("T^-1", 2)), ("X2", Gen("X", 2)),
+        ("X1^-1", Gen("X^-1", 1)), ("Y1^-1", Gen("Y^-1", 1)), ("y3", Gen("y", 3)),
+        ("s0", Gen("s0")), ("s2", Gen("s", 2)), ("pi", Gen("pi")), ("pi^-1", Gen("pi^-1")),
+        ("pi-", Gen("pi-")), ("D1", Gen("D", 1)), ("D2^(l)", Gen("Dl", 2)),
+        ("Dtrig2", Gen("Dtrig", 2)), ("DO1", Gen("DO", 1)), ("sigma1^-1", Gen("sigma^-1", 1)),
+        ("tau2", Gen("tau", 2)), ("omega", Gen("omega")), ("omega^-1", Gen("omega^-1"))]
+
+
+@st.composite
+def rendered_exprs(draw):
+    """(text, expr): a random OperatorExpr and its rendering in the documented
+    syntax, with bare and parenthesized scalars and random spacing."""
+    space = st.sampled_from(["", " ", "  "])
+    tight = st.sampled_from(["", " "])
+    text, expr = "", OperatorExpr.zero()
+    for k in range(draw(st.integers(1, 4))):
+        c = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 4)))
+        pairs = draw(st.lists(st.sampled_from(GENS), max_size=3))
+        gens = [g for _, g in pairs]
+        expr = expr + OperatorExpr.word(gens, c)
+        signed = draw(st.booleans())  # a parenthesized scalar carries the sign
+        op = "+" if signed or c > 0 else "-"
+        if text.endswith("pi"):  # "pi-" is a token of its own
+            text += " "
+        text += draw(tight) + ("" if k == 0 and op == "+" else op) + draw(tight)
+        if signed:
+            text += f"({draw(space)}{c}{draw(space)})"
+        elif abs(c) != 1 or not gens or draw(st.booleans()):  # else a unit is left out
+            text += str(abs(c))
+        if gens:
+            if text[-1:] not in ("", "+", "-", " "):
+                text += draw(st.sampled_from(["*", " * ", "* ", " ", ""]))
+            words = " ".join(t for t, _ in pairs)
+            text += f"[{draw(space)}{words}{draw(space)}]" if draw(st.booleans()) else words
+    return text, expr
+
+
+@seed(20160)
+@given(rendered_exprs())
+def test_rendered_expressions_parse_back(case):
+    text, expr = case
+    assert parse_expr(text) == expr, text
 
 
 def test_every_token_names_a_table_tag():

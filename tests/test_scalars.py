@@ -424,7 +424,7 @@ def test_sample_generic_deterministic_and_valid():
 
 def test_sample_generic_difference_constraint():
     v = sample_generic(
-        ["z1", "z2"], [("diff_not_integer", "z1", "z2", 10)], seed=1
+        ["z1", "z2"], [("diff_not_integer", "z1", "z2")], seed=1
     )
     assert (v["z1"] - v["z2"]).denominator != 1
 
