@@ -108,6 +108,15 @@ def _factor(tokens, pos):
     return gens, end
 
 
+def _number(token):
+    """The scalar of a number token, such as 3, 3/2 or (-3/2); a zero
+    denominator raises ParseError."""
+    try:
+        return Fraction(token.strip("() \t"))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {token.strip()!r}") from None
+
+
 def parse_expr(text):
     """Parse the documented operator-expression syntax into an OperatorExpr."""
     tokens = _tokenize(text)
@@ -122,7 +131,7 @@ def parse_expr(text):
         if tokens[pos][0] != "num":
             gens, pos = _factor(tokens, pos)
         else:
-            coeff *= Fraction(tokens[pos][1].strip("() \t"))
+            coeff *= _number(tokens[pos][1])
             pos += 1
             if tokens[pos][0] == "*":
                 gens, pos = _factor(tokens, pos + 1)

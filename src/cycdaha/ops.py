@@ -51,7 +51,7 @@ comprehension over its terms (LaurentPoly.map_exponents): the den is kept
 and nothing is reduced, since an injective exponent map with scalar 1
 keeps the canonical form.  A scaled map takes one pass and one content
 reduction (map_exponents_scaled).  deg's pi, pi^-1 and s_0 get one table
-each, composed through their factors' exponent functions.  A monomial map
+each, filled through their factors' tables (_composed).  A monomial map
 keeps no images.
 
 The other generators cache images of monomials on the representation;
@@ -96,18 +96,46 @@ tuple, so the cache lookups hash and compare it in C.  Reports read
 coefficients through LaurentPoly.terms and to_json, which join them into
 reduced Fractions over QQ.
 
+Rep.apply_word applies a word along its plan (Rep._plan), built on the
+word's first use in the representation and looked up by the word object's
+id, so the word is not hashed on each call; the plan holds the word, so the
+id stays its own.  Only a tuple's plan is kept: the words of compiled
+expressions are tuples, and a list could change after its plan is built.
+A plan fuses two kinds of run.  A run of two or more unit-scalar monomial
+maps (X^+-1, s, s_ij, deg's pi^+-1 and s_0) becomes one monomial map,
+whose table is filled through the factors' tables, as deg's pi and s_0
+are; a run met once costs about what its factors would, and one met
+again is one lookup per term.  A run of two or more composites (Y_1...Y_N in
+R10, Y_i Y_j in R12, Dl_i Dl_j) becomes one composite, with its own slot
+and cache keyed by the tuple of its Gens, so equal runs of different
+words share them: it caches the image of a monomial with coefficient 1 it
+is applied to, and a polynomial with a term outside its cache goes
+through the run factor by factor and stores nothing, as for any
+composite.  In box sweeps the relations of one family meet the same run
+on the same monomials (R10[i] applies Y_1...Y_N to X^e and to X_i X^e for
+every i), and there the cache pays; in randomized checks it is rarely
+read back.  The scaled maps (omega^+-1, tau, sigma^+-1), the primitives,
+and runs that contain a primitive stay single steps.  A primitive already
+caches the image of every monomial it meets, so caching a run through it
+stores each image a second time, once per run: caching the runs of
+primitives and composites as well (T_i T_j, T_i^-1 Dl_i T_i^-1, ...)
+raised the peak RSS of a seed-0 relations-box run from 29.4 to 42.6 MB
+and made its pass slower, 3.45 s against 3.23 s.  Every Gen of a word is
+checked before its plan or any run is kept, so a Gen outside the family
+raises on every call.
+
 Fresh images are built without intermediate polynomials where the action
 has a closed form.  T_i^+-1 and the Dunkl operators make one pass over
 the terms of their argument into one LaurentPoly._collect: T_i's
 quotient by X_i/X_{i+1} - 1 is a signed geometric sum.  One pass,
-Rep._dunkl, serves DO_i, D_i and y_i (= Dtrig_i): DO_i's quotients by
-x_i - zeta^m x_r, summed over m, are one geometric sum with integer
-coefficients, D_i is DO_i at l = 1 with no c-part, and y_i shifts D_i by
-X_i and adds its s_ij terms.  The scalars they use are computed once per
-representation: tb, tb - 1/tb and the powers of q (which the tables of
-omega^+-1 and tau read too); the Dunkl step l, the table
-a -> hbar a - w(a mod l) of DO's c-part and derivative (w = 0 for deg),
-and -k l and k l.  Where a composite contains another composite's
+Rep._dunkl, serves DO_i, D_i and y_i (Dtrig_i is y_i, bound to y_i's slot
+and cache through _Same): DO_i's quotients by x_i - zeta^m x_r, summed
+over m, are one geometric sum with integer coefficients, D_i is DO_i at
+l = 1 with no c-part, and y_i shifts D_i by X_i and adds its s_ij terms.
+The scalars they use are computed once per representation: tb, tb - 1/tb
+and the powers of q (which the tables of omega^+-1 and tau read too); the
+Dunkl step l, the table a -> hbar a - w(a mod l) of DO's c-part and
+derivative (w = 0 for deg), and -k l and k l.  Where a composite contains another composite's
 factors, its expression holds that composite as one Gen, applied through
 apply_gen like any other:
 Dl_i = T_{i-1}^-1 Dl_{i-1} T_{i-1}^-1 (daha) and s_1i Dl_1 s_1i (deg), and
@@ -119,6 +147,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
@@ -341,10 +370,11 @@ class Rep:
 
     Immutable after construction; all generator applications are exact.
     Images of monomials are cached per generator: every monomial a
-    primitive meets, and the monomials with coefficient 1 a composite is
-    applied to.  A monomial map (X^+-1, s, s_ij, omega^+-1, tau, sigma^+-1,
-    deg's pi^+-1 and s_0) caches no image: it keeps a table of image
-    exponents (see the module docstring).
+    primitive meets, and the monomials with coefficient 1 a composite, or
+    a run of composites in a word's plan, is applied to.  A monomial map
+    (X^+-1, s, s_ij, omega^+-1, tau, sigma^+-1, deg's pi^+-1 and s_0)
+    caches no image: it keeps a table of image exponents (see the module
+    docstring).
     """
 
     def __init__(self, family, N, l=0, params=None, dom=QQ):
@@ -357,6 +387,7 @@ class Rep:
         self._cache = {}
         self._slots = {}  # g -> its slot, bound on first use (see _slot)
         self._exprs = {}  # composite g -> its OperatorExpr
+        self._plans = {}  # id(word) -> (word, its steps), built on first use (see _plan)
         # the numerator of 1, wrapped as the monomial argument of each fresh image
         self._one = dom.split(dom.one)[0]
         if family == FAMILY_DAHA:
@@ -441,7 +472,8 @@ class Rep:
         cache is evaluated through its factors, and its cache is left as it
         was; any other polynomial sums the images of its terms
         (map_linear).  A Gen outside the family gets no slot, so it raises
-        on every call."""
+        on every call.  g may also be a run of a word's plan (see _plan),
+        whose slot the plan bound."""
         slot = self._slots.get(g)
         if slot is None:
             slot = self._slot(g)
@@ -462,6 +494,14 @@ class Rep:
             return p.map_linear(cache, fresh)
         return whole(p)
 
+    def _action(self, g):
+        """The table's action of g, after the family and index checks."""
+        if g.tag not in self._actions:
+            raise FamilyMismatch(f"{g!r} not available in family {self.family!r}")
+        if not index_ok(g, self.N):
+            raise ValueError(f"index i={g.i}, j={g.j} of {g.tag} is out of range at N = {self.N}")
+        return self._actions[g.tag]
+
     def _slot(self, g):
         """The slot of g, bound once per (rep, g) after the family and index
         checks, with g's image cache as self._cache[g].  A monomial map
@@ -470,36 +510,96 @@ class Rep:
         empty.  Any other generator's slot is its image cache, its
         fresh-image function, and for a composite the function that
         evaluates its expression on a whole polynomial (None for a
-        primitive).  Nothing in a slot holds the rep, and the functions
-        reach it through a weak reference, so the slot kept on the rep
-        makes no reference cycle."""
-        if g.tag not in self._actions:
-            raise FamilyMismatch(f"{g!r} not available in family {self.family!r}")
-        if not index_ok(g, self.N):
-            raise ValueError(f"index i={g.i}, j={g.j} of {g.tag} is out of range at N = {self.N}")
-        action = self._actions[g.tag]
-        cache = self._cache[g] = {}
-        if isinstance(action, _Monomial):
-            slot = self._slots[g] = (
-                None, _Table(action.build(self, g)),
-                LaurentPoly.map_exponents_scaled if action.scaled else LaurentPoly.map_exponents)
+        primitive).  A tag bound to _Same(tag') shares the slot and cache
+        of tag' at the same indices.  Nothing in a slot holds the rep, and
+        the functions reach it through a weak reference, so the slot kept
+        on the rep makes no reference cycle."""
+        action = self._action(g)
+        if isinstance(action, _Same):
+            h = g._replace(tag=action.tag)
+            slot = self._slots[g] = self._slots.get(h) or self._slot(h)
+            self._cache[g] = self._cache[h]
             return slot
-        N, dom, one = self.N, self.dom, self._one
+        if isinstance(action, _Monomial):
+            return self._bind_map(g, action.build(self, g), action.scaled)
         rep = weakref.ref(self)
 
         def whole(p):
             return action(rep(), g, p)
 
+        return self._bind(g, whole, isinstance(action, _Composite))
+
+    def _bind_map(self, key, f, scaled=False):
+        """Bind key's slot to the monomial map with exponent function f."""
+        self._cache[key] = {}
+        slot = self._slots[key] = (
+            None, _Table(f),
+            LaurentPoly.map_exponents_scaled if scaled else LaurentPoly.map_exponents)
+        return slot
+
+    def _bind(self, key, whole, composite):
+        """Bind key's slot to an image cache whose fresh image of X^e is
+        whole applied to X^e; a composite's slot keeps whole for the
+        polynomials with a term outside its cache."""
+        N, dom, one = self.N, self.dom, self._one
+
         def fresh(e):
             return whole(LaurentPoly._make(N, dom, {e: one}))
 
-        slot = self._slots[g] = (cache, fresh, whole if isinstance(action, _Composite) else None)
+        cache = self._cache[key] = {}
+        slot = self._slots[key] = (cache, fresh, whole if composite else None)
         return slot
 
     def apply_word(self, word, p):
-        for g in reversed(word):
+        """Apply word, a sequence of Gens (the rightmost acts first), along
+        its plan on this rep (see _plan), looked up by the word object."""
+        plan = self._plans.get(id(word))
+        if plan is None or plan[0] is not word:
+            plan = self._plan(word)
+        for g in plan[1]:
             p = self.apply_gen(g, p)
         return p
+
+    def _plan(self, word):
+        """The plan (word, steps) of word, kept on the rep as
+        self._plans[id(word)] when word is a tuple; holding word keeps its id
+        from being reused.  Any other sequence could change after the call,
+        so it is planned on each call and its plan is not kept.  steps
+        lists, in the order they act, the keys apply_gen takes: a Gen, or a
+        run of two or more unit-scalar monomial maps, or of two or more
+        composites, as the tuple of its Gens.  A run's slot is bound here,
+        once per (rep, run): a map run's is a table filled through its
+        factors' tables (_composed, as for deg's pi and s_0), a composite
+        run's is a composite's whose whole-polynomial function applies the
+        run factor by factor.  Every Gen is checked before anything is
+        kept, so a Gen the rep lacks raises on every call."""
+        kinds = [(g, self._kind(g)) for g in word]
+        steps = []
+        for kind, group in itertools.groupby(kinds, itemgetter(1)):
+            run = tuple(g for g, _ in group)
+            if kind is None or len(run) == 1:
+                steps.extend(run)
+                continue
+            if run not in self._slots:
+                if kind is _Monomial:
+                    self._bind_map(run, _composed(self, run))
+                else:
+                    self._bind(run, _factor_by_factor(weakref.ref(self), run[::-1]), True)
+            steps.append(run)
+        plan = (word, tuple(reversed(steps)))
+        if type(word) is tuple:
+            self._plans[id(word)] = plan
+        return plan
+
+    def _kind(self, g):
+        """_Monomial for a unit-scalar monomial map, _Composite for a
+        composite, None for anything else (the runs _plan fuses)."""
+        action = self._action(g)
+        if isinstance(action, _Same):
+            action = self._actions[action.tag]
+        if isinstance(action, _Monomial):
+            return None if action.scaled else _Monomial
+        return _Composite if isinstance(action, _Composite) else None
 
     def apply(self, expr, p):
         """Apply an OperatorExpr (linear) as it was built (see _eval)."""
@@ -615,7 +715,8 @@ class Rep:
 
 # ---------------------------------------------------------------------------
 # generator tables: GENERATORS[family][tag] is the action of the tag: a
-# function (rep, g, p) -> g.p (a primitive), a _Composite or a _Monomial
+# function (rep, g, p) -> g.p (a primitive), a _Composite, a _Monomial, or
+# _Same(tag') for the action of tag' at the same indices
 
 class _Composite:
     """The action of a generator defined as an OperatorExpr: build(rep, g)
@@ -633,6 +734,16 @@ class _Composite:
         if expr is None:
             expr = rep._exprs[g] = self.build(rep, g)
         return rep._eval(expr, p)
+
+
+class _Same:
+    """The action of another tag of the family at the same indices: Rep._slot
+    binds the two Gens to one slot, so they share one image cache."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag):
+        self.tag = tag
 
 
 class _Monomial:
@@ -673,19 +784,35 @@ def _scale(k, powers):
     return lambda e: (e, *powers[e[k]])
 
 
+def _composed(rep, word):
+    """The exponent function of word, unit monomial maps of rep's family
+    (the rightmost acts first): one function through the factors' tables,
+    shared with the factors' own slots, so an exponent a factor has met is
+    looked up, not mapped again; no table holds rep."""
+    tables = [(rep._slots.get(h) or rep._slot(h))[1] for h in reversed(word)]
+
+    def f(e):
+        for t in tables:
+            e = t[e]
+        return e
+    return f
+
+
 def _word(word):
     """The unit monomial map of a word of unit monomial maps, word(rep) its
-    factors (the rightmost acts first), each a monomial map of the family:
-    one exponent function through the factors' functions."""
-    def build(rep, g):
-        maps = [rep._actions[h.tag].build(rep, h) for h in reversed(word(rep))]
+    factors, each a monomial map of the family."""
+    return _Monomial(lambda rep, g: _composed(rep, word(rep)))
 
-        def f(e):
-            for m in maps:
-                e = m(e)
-            return e
-        return f
-    return _Monomial(build)
+
+def _factor_by_factor(rep, gens):
+    """The function applying gens one by one, in order, through apply_gen
+    of the rep that the weak reference rep names."""
+    def whole(p):
+        apply_gen = rep().apply_gen
+        for g in gens:
+            p = apply_gen(g, p)
+        return p
+    return whole
 
 
 _SHARED = {
@@ -763,8 +890,8 @@ GENERATORS = {
         **_SHARED,
         "sij": _SIJ,
         "D": lambda rep, g, p: rep._dunkl(g.i, p),
-        "Dtrig": lambda rep, g, p: rep._dunkl(g.i, p, trig=True),
         "y": lambda rep, g, p: rep._dunkl(g.i, p, trig=True),
+        "Dtrig": _Same("y"),
         # s_0 = s_1N X_1^-1 X_N
         "s0": _word(lambda rep: [Gen("sij", 1, rep.N), Gen("X^-1", 1), Gen("X", rep.N)]),
         # pi = X_1 s_1...s_{N-1}

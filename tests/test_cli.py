@@ -218,6 +218,15 @@ def test_expr_equal_cli(capsys):
     assert "usage error: " in capsys.readouterr().err
 
 
+def test_a_zero_denominator_is_a_usage_error(capsys):
+    """A scalar with denominator 0 is the user's mistake: exit 2 with a
+    usage error, not an internal error (exit 3)."""
+    assert main(["expr", "parse", "--text", "1/0 + X1"]) == 2
+    assert "usage error: zero denominator in '1/0'" in capsys.readouterr().err
+    assert main(["expr", "equal", "--N", "2", "--lhs", "(3/0)*X1", "--rhs", "X1"]) == 2
+    assert "usage error: zero denominator in '(3/0)'" in capsys.readouterr().err
+
+
 def test_quasi_series_cyclotomic_cli(capsys):
     code, report = run_cli(
         ["quasi", "series", "--variant", "cyc", "--N", "2", "--m", "1",

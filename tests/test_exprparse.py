@@ -91,6 +91,13 @@ def test_minus_is_an_operator_and_star_needs_a_factor():
             parse_expr(text)
 
 
+def test_a_zero_denominator_is_a_parse_error():
+    for text in ("1/0 + X1", "(3/0)*X1", "X1 - (-2/0)", "0/0"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_expr(text)
+    assert parse_expr("(0/3)*X1 + X2") == parse_expr("X2")
+
+
 # (token, generator) pairs the property below renders words from
 GENS = [("T1", Gen("T", 1)), ("T2^-1", Gen("T^-1", 2)), ("X2", Gen("X", 2)),
         ("X1^-1", Gen("X^-1", 1)), ("Y1^-1", Gen("Y^-1", 1)), ("y3", Gen("y", 3)),

@@ -816,6 +816,156 @@ def test_composition_matches_a_termwise_reference(data):
     assert out.den > 0 and (rep.dom is not QQ or math.gcd(out.den, *out.nums.values()) == 1)
 
 
+def _word_kinds(family, N):
+    """The family's generators at rank N as (unit-scalar monomial maps,
+    composites, all), the first two the kinds whose runs a word's plan
+    fuses."""
+    from cycdaha.ops import GENERATORS, _Composite, _Monomial
+
+    table = GENERATORS[family]
+    gens = _engine_generators(family, N)
+    maps = [g for g in gens if isinstance(table[g.tag], _Monomial) and not table[g.tag].scaled]
+    composites = [g for g in gens if isinstance(table[g.tag], _Composite)]
+    return maps, composites, gens
+
+
+def _unplanned_word(rep, word, terms):
+    """word applied to terms, a dict {exponent: coefficient}, one generator
+    at a time with no word plan: a composite is expanded into the words of
+    its OperatorExpr, each applied the same way, and any other generator
+    is applied by apply_gen to one monomial at a time."""
+    from cycdaha.ops import GENERATORS, _Composite
+
+    dom = rep.dom
+    for g in reversed(word):
+        action = GENERATORS[rep.family][g.tag]
+        out = {}
+        for e, c in terms.items():
+            if isinstance(action, _Composite):
+                image = {}
+                for w, k in action.build(rep, g).terms.items():
+                    for f, v in _unplanned_word(rep, w, {e: dom.coerce(k)}).items():
+                        image[f] = image.get(f, dom.zero) + v
+            else:
+                image = rep.apply_gen(g, rep.monomial(e)).terms
+            for f, v in image.items():
+                out[f] = out.get(f, dom.zero) + c * v
+        terms = {f: v for f, v in out.items() if v}
+    return terms
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_a_planned_word_matches_the_generator_by_generator_reference(data):
+    """Rep.apply_word, which fuses a run of unit-scalar monomial maps into
+    one exponent table and caches a run of composites like one composite,
+    equals the word applied one generator at a time on a second rep that
+    builds no plan (_unplanned_word): on random words over every family's
+    table built from runs of maps, runs of composites and single
+    generators, applied to unit monomials twice (so the run caches fill and
+    are read back) and then to multi-term polynomials."""
+    N = data.draw(st.sampled_from((2, 3)))
+    k = data.draw(st.integers(0, len(list(_engine_reps(N))) - 1))
+    rep, ref = (list(_engine_reps(N))[k] for _ in range(2))
+    maps, composites, gens = _word_kinds(rep.family, N)
+    runs = [st.lists(st.sampled_from(maps), min_size=2, max_size=3),
+            st.lists(st.sampled_from(gens), min_size=1, max_size=1)]
+    if composites:
+        runs.append(st.lists(st.sampled_from(composites), min_size=2, max_size=3))
+    word = tuple(g for run in data.draw(st.lists(st.one_of(runs), min_size=1, max_size=3))
+                 for g in run)
+    exps = st.tuples(*[st.integers(-1, 1)] * N)
+    monomials = data.draw(st.lists(exps, min_size=1, max_size=3, unique=True))
+    one = rep.dom.one
+    for _ in range(2):
+        for e in monomials:
+            assert dict(rep.apply_word(word, rep.monomial(e)).terms) == \
+                _unplanned_word(ref, word, {e: one})
+    p = LaurentPoly(N, rep.dom, data.draw(st.dictionaries(
+        st.one_of(st.sampled_from(monomials), exps),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        min_size=2, max_size=3)))
+    assert dict(rep.apply_word(word, p).terms) == _unplanned_word(ref, word, dict(p.terms))
+    assert not ref._plans and not any(type(k) is tuple for k in ref._slots)
+    kinds = [0 if g in maps else 1 if g in composites else None for g in word]
+    if any(a is not None and a == b for a, b in zip(kinds, kinds[1:])):
+        assert id(word) in rep._plans and any(type(k) is tuple for k in rep._slots)
+
+
+def test_a_composite_run_caches_only_unit_monomials():
+    """The run Y_1 Y_2 of a word's plan keeps the image of each monomial with
+    coefficient 1 it is applied to, and only those: a polynomial with a term
+    outside its cache is evaluated factor by factor and leaves the cache
+    as it was, and one with every term cached sums the cached images.  The
+    run's slot reaches the rep through its weak reference, so the rep is
+    freed without the cycle collector."""
+    import gc
+    import weakref
+
+    rep, ref = daha_rep(3, l=1), daha_rep(3, l=1)
+    run = (Gen("Y", 1), Gen("Y", 2))
+    word = (Gen("X", 1), *run)
+    a, b = rep.monomial((1, 0, -1)), rep.monomial((0, 2, 1))
+    img = rep.apply_word(word, a)
+    assert img == ref.apply_gen(Gen("X", 1), ref.apply_word(run[:1], ref.apply_gen(run[1], a)))
+    assert rep._cache[run] == {(1, 0, -1): rep.apply_word(run, a)}
+    assert rep.apply_word(run, a) is rep._cache[run][(1, 0, -1)]
+
+    def check(p, word):
+        cached = dict(rep._cache[run])
+        assert rep.apply_word(word, p) == combination(
+            3, ref.dom, [(c, ref.apply_word(run, ref.monomial(e))) for e, c in p.terms.items()])
+        assert rep._cache[run] == cached
+
+    for p in (a * Fraction(2, 3), a * -3, a + b, a - b * 3):
+        check(p, run)
+    plans = dict(rep._plans)
+    rep.apply_word([Gen("X", 2), *run], b)
+    assert rep._cache[run].keys() == {(1, 0, -1), (0, 2, 1)}
+    assert rep._plans == plans  # a list, which could change, keeps no plan
+    check(a + b * 3, list(run))
+    gc.disable()
+    try:
+        rep_ref = weakref.ref(rep)
+        del rep
+        assert rep_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_word_with_a_generator_outside_the_rep_raises_every_time():
+    """A word whose plan meets a Gen outside the family or out of range
+    raises on every call and keeps no plan, no run and no cache for it."""
+    rep = daha_rep(2)
+    for bad, error in ((Gen("DO", 1), FamilyMismatch), (Gen("X", 3), ValueError)):
+        word = (Gen("X", 1), Gen("X", 2), bad, Gen("Y", 1), Gen("Y", 2))
+        for _ in range(2):
+            with pytest.raises(error):
+                rep.apply_word(word, rep.var(1))
+            assert bad not in rep._cache and id(word) not in rep._plans
+            assert not any(type(k) is tuple and bad in k for k in rep._slots)
+
+
+def test_y_and_dtrig_share_one_image_cache(monkeypatch):
+    """deg's Dtrig_i is y_i: the two share one slot, so y_2 and then Dtrig_2
+    on one unit monomial make one fresh image and return the same object."""
+    calls = []
+    dunkl = Rep._dunkl
+
+    def counted(self, i, p, trig=False):
+        calls.append((i, trig))
+        return dunkl(self, i, p, trig)
+
+    monkeypatch.setattr(Rep, "_dunkl", counted)
+    rep = Rep.degenerate(2, Fraction(3, 4), Fraction(2, 3))
+    m = rep.monomial((2, -1))
+    img = rep.apply_gen(Gen("y", 2), m)
+    assert rep.apply_gen(Gen("Dtrig", 2), m) is img
+    assert calls == [(2, True)]
+    assert rep._cache[Gen("Dtrig", 2)] is rep._cache[Gen("y", 2)]
+    assert rep.apply_gen(Gen("Dtrig", 1), m) != img and len(calls) == 2
+
+
 def _suffix_reps():
     """daha at l = 1, deg at l = 2 and cyc over Q(zeta_3), N = 2."""
     yield Rep.daha(2, Fraction(7, 5), Fraction(3, 2), (Fraction(2, 3),))
